@@ -3,12 +3,12 @@
 The acceptance contract of the robustness PR:
 
 * ``checked=True`` at the default sampling interval costs **< 2x** on
-  the toy group action relative to the plain replay path — the
+  the toy group action relative to the plain aot path — the
   hardening is cheap enough to leave on for production-style runs;
 * ``checked=False`` is a no-op: the hot path pays exactly one
   ``is None`` test per kernel run (asserted structurally: a plain
-  runner carries no hardening state at all), so the PR 1 replay
-  speedup guard keeps its floor untouched.
+  runner carries no hardening state at all), so the aot speedup guard
+  keeps its floor untouched.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _best_of(n: int, run) -> float:
 
 def test_checked_default_sampling_under_2x():
     """Hardening at the default sampling rate (one verified operation
-    in 8) stays under 2x the unhardened replay path."""
+    in 8) stays under 2x the unhardened aot path."""
     _run_action()                 # warm plain pools
     _run_action(checked=True)     # warm checked pools
     plain = _best_of(3, _run_action)

@@ -11,7 +11,7 @@ at least ``CONCURRENT_SPEEDUP_FLOOR``.
 Measured on the development container: ~3x with the batching window
 forced to zero wait (the honest configuration — the default 2 ms
 window would pad the sequential side with pure timer sleep).  The
-floor is set at half the measured margin, same policy as the jit
+floor is set at half the measured margin, same policy as the engine
 overhead guards.
 """
 
@@ -41,7 +41,7 @@ def test_concurrent_coalesced_beats_sequential_by_floor():
     pairs = _operands(params.p)
 
     async def measure() -> float:
-        config = TenantConfig("t", engine="replay", lanes=2,
+        config = TenantConfig("t", engine="aot", lanes=2,
                               max_queue=OPS + 8)
         service = KeyExchangeService(
             params, [config],
@@ -98,7 +98,7 @@ def test_concurrent_handshakes_no_slower_than_sequential():
     async def measure(concurrency: int) -> float:
         report = await run_load(
             params, exchanges=exchanges, concurrency=concurrency,
-            tenants=2, lanes=2, engine="replay", seed=0,
+            tenants=2, lanes=2, engine="aot", seed=0,
             oracle=oracle)
         assert report.divergences == 0
         return report.duration_s

@@ -9,11 +9,10 @@ The acceptance contract of the sharding PR:
   speedup is physically available;
 * the sharded machinery itself stays cheap: executing the whole toy
   stream as **one shard in-process** costs < **1.5x** the monolithic
-  jit group action (the difference is the per-op reference check and
-  span bucketing — bounded, not multiplicative);
-* the PR 1/3/4 speedup floors stay intact (interpreter/replay > 3x,
-  jit >= 2x over replay, checked < 2x over plain) — sharding must not
-  have perturbed the engine ladder it fans out over.
+  aot group action (the difference is the per-op reference check and
+  span bucketing — bounded, not multiplicative).
+
+The engine speedup floors live in ``benchmarks/test_aot_overhead.py``.
 """
 
 from __future__ import annotations
@@ -31,23 +30,6 @@ from repro.shard.plan import build_plan
 from repro.shard.scheduler import ShardExecutor, ShardRunStats
 from repro.shard.worker import ShardRunner
 
-EXPONENTS = (1, -1, 1)
-
-
-def _run_action(*, engine: str | None = None,
-                checked: bool = False) -> float:
-    params = csidh_toy()
-    field = SimulatedFieldContext(params.p, engine=engine,
-                                  checked=checked)
-    start = time.perf_counter()
-    group_action(params, field, 0, EXPONENTS, random.Random(3))
-    return time.perf_counter() - start
-
-
-def _best_of(n: int, run) -> float:
-    return min(run() for _ in range(n))
-
-
 def _run_executor(plan, workers: int) -> float:
     executor = ShardExecutor(plan, workers=workers)
     stats = ShardRunStats()
@@ -64,7 +46,7 @@ def test_two_workers_at_least_1_3x_over_one():
     """Two worker processes finish the toy backlog at least 1.3x
     faster than one — the subsystem's reason to exist."""
     plan, _ = build_plan("toy", shards=6, seed=3)
-    _run_executor(plan, 1)          # warm fork/kernel/jit caches
+    _run_executor(plan, 1)          # warm fork/kernel/aot caches
     _run_executor(plan, 2)
     # interleave the two measurements so a load spike hits both sides
     single = dual = float("inf")
@@ -80,7 +62,7 @@ def test_two_workers_at_least_1_3x_over_one():
 def test_single_shard_overhead_under_1_5x_of_monolithic():
     """The whole toy stream as one in-process shard (simulate + verify
     each op against the pure-Python reference + bucket per-span) costs
-    < 1.5x the plain monolithic jit action.
+    < 1.5x the plain monolithic aot action.
 
     Both sides run the *same* group action — the monolithic leg uses
     the plan's seed discipline (sampled private key), not the fixed
@@ -92,20 +74,20 @@ def test_single_shard_overhead_under_1_5x_of_monolithic():
     def _run_mono() -> float:
         rng = random.Random(plan.seed)
         exponents = params.sample_private_key(rng)
-        field = SimulatedFieldContext(params.p, engine="jit")
+        field = SimulatedFieldContext(params.p, engine="aot")
         start = time.perf_counter()
         group_action(params, field, 0, exponents, rng)
         return time.perf_counter() - start
 
     def _run_shard() -> float:
-        runner = ShardRunner(plan, engine="jit", stream=stream)
+        runner = ShardRunner(plan, engine="aot", stream=stream)
         start = time.perf_counter()
         record = runner.execute(0)
         elapsed = time.perf_counter() - start
         assert record["divergences"] == 0
         return elapsed
 
-    _run_mono()                     # warm pools + jit caches
+    _run_mono()                     # warm pools + aot caches
     _run_shard()
     # interleave the two measurements so a load spike hits both sides
     mono = shard = float("inf")
@@ -113,44 +95,6 @@ def test_single_shard_overhead_under_1_5x_of_monolithic():
         mono = min(mono, _run_mono())
         shard = min(shard, _run_shard())
     ratio = shard / mono
-    print(f"\n=== toy action: monolithic jit {mono*1e3:.1f} ms, "
+    print(f"\n=== toy action: monolithic aot {mono*1e3:.1f} ms, "
           f"single shard {shard*1e3:.1f} ms ({ratio:.2f}x) ===")
     assert ratio < 1.5
-
-
-def test_replay_floor_over_interpreter_intact():
-    """PR 1's guard: replay stays >3x faster than the interpreter."""
-    _run_action(engine="interpreter")
-    _run_action(engine="replay")
-    interp = _best_of(2, lambda: _run_action(engine="interpreter"))
-    replay = _best_of(3, lambda: _run_action(engine="replay"))
-    ratio = interp / replay
-    print(f"\n=== toy action: interpreter {interp*1e3:.1f} ms, "
-          f"replay {replay*1e3:.1f} ms ({ratio:.2f}x) ===")
-    assert ratio > 3.0
-
-
-def test_jit_floor_over_replay_intact():
-    """PR 4's guard: jit stays >=2x faster than replay."""
-    _run_action(engine="replay")
-    _run_action(engine="jit")
-    replay = jit = float("inf")
-    for _ in range(4):
-        replay = min(replay, _run_action(engine="replay"))
-        jit = min(jit, _run_action(engine="jit"))
-    ratio = replay / jit
-    print(f"\n=== toy action: replay {replay*1e3:.1f} ms, "
-          f"jit {jit*1e3:.1f} ms ({ratio:.2f}x) ===")
-    assert ratio > 2.0
-
-
-def test_checked_mode_guard_intact():
-    """PR 3's guard: hardening still costs < 2x over plain replay."""
-    _run_action()
-    _run_action(checked=True)
-    plain = _best_of(3, _run_action)
-    checked = _best_of(3, lambda: _run_action(checked=True))
-    ratio = checked / plain
-    print(f"\n=== toy action: plain {plain*1e3:.1f} ms, "
-          f"checked {checked*1e3:.1f} ms ({ratio:.2f}x) ===")
-    assert ratio < 2.0

@@ -1,17 +1,16 @@
-"""Telemetry overhead guard: instrumentation must not cost the replay
+"""Telemetry overhead guard: instrumentation must not cost the fast
 path its speed.
 
-PR 1 made the replay engine ~6x faster than the interpreter on the
-toy group action; PR 2 put telemetry call sites on that hot path
-(one ``record_kernel_run`` per kernel execution plus span bookkeeping
-in the protocol layers).  The contract is that **disabled** telemetry
-stays within 5% of the uninstrumented PR 1 numbers.  Absolute
+The aot engine is many times faster than the interpreter on the toy
+group action, and telemetry call sites sit on that hot path (one
+``record_kernel_run`` per kernel execution plus span bookkeeping in
+the protocol layers).  The contract is that **disabled** telemetry
+stays within 5% of the uninstrumented numbers.  Absolute
 wall-clock baselines do not transfer between machines, so the guard is
 expressed through three machine-independent proxies:
 
-* the replay-vs-interpreter speedup on the toy group action keeps a
-  comfortable floor (it was ~6x before instrumentation; losing the
-  disabled fast path would crush it);
+* the aot-vs-interpreter speedup on the toy group action keeps a
+  comfortable floor (losing the disabled fast path would crush it);
 * the disabled instrumentation helpers are O(one boolean test) — a
   large batch of calls completes in far less time than even 5% of one
   toy group action;
@@ -49,16 +48,16 @@ def _best_of(n: int, run) -> float:
     return min(run() for _ in range(n))
 
 
-def test_replay_speedup_floor():
-    """The PR 1 fast path survives instrumentation: replay beats the
-    interpreter by at least 3x on the toy group action (was ~6x)."""
+def test_fast_path_speedup_floor():
+    """The fast path survives instrumentation: aot beats the
+    interpreter by at least 3x on the toy group action."""
     assert not telemetry.enabled()
     _run_action()  # warm the kernel/runner pools
     _run_action(cross_check=True)
-    replay = _best_of(3, _run_action)
+    fast = _best_of(3, _run_action)
     interpreter = _best_of(3, lambda: _run_action(cross_check=True))
-    speedup = interpreter / replay
-    print(f"\n=== telemetry-off toy action: replay {replay*1e3:.1f} ms,"
+    speedup = interpreter / fast
+    print(f"\n=== telemetry-off toy action: aot {fast*1e3:.1f} ms,"
           f" interpreter {interpreter*1e3:.1f} ms,"
           f" speedup {speedup:.1f}x ===")
     assert speedup > 3.0
@@ -71,7 +70,7 @@ def test_disabled_record_calls_are_noops():
     assert not telemetry.enabled()
     start = time.perf_counter()
     for _ in range(200_000):
-        telemetry.record_kernel_run("fp_mul.reduced.ise", "replay",
+        telemetry.record_kernel_run("fp_mul.reduced.ise", "aot",
                                     58, 33)
         telemetry.add_cycles(58)
         with telemetry.span("isogeny", degree=3):
@@ -84,7 +83,7 @@ def test_disabled_record_calls_are_noops():
 
 def test_enabled_overhead_bounded():
     """Even fully enabled, telemetry costs a bounded factor on the
-    replayed group action (the disabled delta is strictly smaller)."""
+    aot group action (the disabled delta is strictly smaller)."""
     _run_action()  # warm pools
     disabled = _best_of(3, _run_action)
 

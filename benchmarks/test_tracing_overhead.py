@@ -9,8 +9,8 @@ the cost contract is unchanged and re-pinned here:
   trace-context calls completes in milliseconds;
 * a fully **traced** load (capture + request/batch contexts + per
   kernel attribution + summary) costs < 2x the untraced load;
-* the PR 1 replay-vs-interpreter floor survives with the tracing
-  module installed (losing the disabled fast path would crush it).
+* the aot-vs-interpreter floor survives with the tracing module
+  installed (losing the disabled fast path would crush it).
 
 Machine-independent ratios only; absolute trajectories live in
 ``BENCH_*.json`` and are gated by ``repro watchdog``.
@@ -53,7 +53,7 @@ def test_disabled_trace_hooks_are_noops():
     start = time.perf_counter()
     for _ in range(200_000):
         assert tracing.current_trace() is None
-        telemetry.record_kernel_run("fp_mul.reduced.ise", "replay",
+        telemetry.record_kernel_run("fp_mul.reduced.ise", "aot",
                                     58, 33)
         assert tracing.begin_batch("field.mul", []) is None
     with tracing.request_trace("exchange", tenant="t") as ctx:
@@ -75,7 +75,7 @@ def test_traced_load_under_2x():
             start = time.perf_counter()
             report = await run_load(
                 params, exchanges=4, concurrency=4, tenants=1,
-                engine="replay", seed=0, trace=trace)
+                engine="aot", seed=0, trace=trace)
             assert report.divergences == 0
             assert (report.trace_summary is not None) == trace
             return time.perf_counter() - start
@@ -91,17 +91,16 @@ def test_traced_load_under_2x():
     assert ratio < 2.0
 
 
-def test_replay_speedup_floor_with_tracing_installed():
-    """PR 1 floor, re-pinned after PR 7: replay beats the interpreter
-    by at least 3x on the toy group action with tracing installed but
-    disabled (was ~6x before any instrumentation)."""
+def test_fast_path_speedup_floor_with_tracing_installed():
+    """The fast path beats the interpreter by at least 3x on the toy
+    group action with tracing installed but disabled."""
     assert not telemetry.enabled()
     _run_action()  # warm the kernel/runner pools
     _run_action(cross_check=True)
-    replay = _best_of(3, _run_action)
+    fast = _best_of(3, _run_action)
     interpreter = _best_of(3, lambda: _run_action(cross_check=True))
-    speedup = interpreter / replay
-    print(f"\n=== tracing-off toy action: replay {replay*1e3:.1f} ms,"
+    speedup = interpreter / fast
+    print(f"\n=== tracing-off toy action: aot {fast*1e3:.1f} ms,"
           f" interpreter {interpreter*1e3:.1f} ms,"
           f" speedup {speedup:.1f}x ===")
     assert speedup > 3.0

@@ -319,7 +319,7 @@ def run_chaos_campaign(
     seed: int = 0,
     n: int = 16,
     kinds: tuple[str, ...] = ALL_KINDS,
-    engine: str = "replay",
+    engine: str = "aot",
     variant: str = "reduced.ise",
     timeout_s: float = DEFAULT_TIMEOUT_S,
     retries: int = DEFAULT_RETRIES,

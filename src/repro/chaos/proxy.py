@@ -78,7 +78,8 @@ class ChaosProxy:
         self._armed: _Armed | None = None
         self._fired = False
         self._count = {C2S: 0, S2C: 0}
-        self._held: bytes | None = None
+        #: the reordered line and the writer it belongs to
+        self._held: tuple[asyncio.StreamWriter, bytes] | None = None
         self._side_tasks: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         #: injections fired since construction, keyed by site kind
@@ -238,8 +239,8 @@ class ChaosProxy:
                     await self._write(writer, lock, line + line)
                     continue
                 elif kind == KIND_REORDER:
-                    self._held = line
-                    self._spawn(self._flush_held(writer, lock,
+                    self._held = (writer, line)
+                    self._spawn(self._flush_held(lock, self._held,
                                                  armed.hold_s))
                     continue
                 elif kind == KIND_DROP_POST:
@@ -252,8 +253,10 @@ class ChaosProxy:
         async with lock:
             try:
                 writer.write(data)
-                if release_held and self._held is not None:
-                    held, self._held = self._held, None
+                if (release_held and self._held is not None
+                        and self._held[0] is writer):
+                    _writer, held = self._held
+                    self._held = None
                     writer.write(held)
                 await writer.drain()
             except (ConnectionError, OSError):
@@ -270,16 +273,20 @@ class ChaosProxy:
         await asyncio.sleep(delay_s)
         await self._write(writer, lock, line)
 
-    async def _flush_held(self, writer: asyncio.StreamWriter,
-                          lock: asyncio.Lock, hold_s: float) -> None:
+    async def _flush_held(self, lock: asyncio.Lock, held: tuple,
+                          hold_s: float) -> None:
         # Fallback: if no later response ever overtakes the held one
-        # (it was the last line of the handshake), release it anyway.
+        # (it was the last line of the handshake), release it anyway —
+        # but only *this* task's line: a stale task from an earlier
+        # trial must not steal the line a later trial is holding.
         await asyncio.sleep(hold_s)
         async with lock:
-            held, self._held = self._held, None
-            if held is not None:
-                try:
-                    writer.write(held)
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
+            if self._held is not held:
+                return  # already released by an overtaking write
+            self._held = None
+            writer, line = held
+            try:
+                writer.write(line)
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass

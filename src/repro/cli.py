@@ -15,7 +15,7 @@ Commands:
   hardened execution layer and print/export the detection-coverage
   report (see ``docs/ROBUSTNESS.md``); exits 1 if any fault escaped;
 * ``bench`` — time one simulated group action per execution engine
-  (interpreter / replay / jit / aot) plus the batched field API,
+  (interpreter / aot) plus the batched field API,
   verify the outputs agree, and optionally append the comparison to
   the ``BENCH_protocol.json`` perf trajectory; with the aot engine it
   also measures cold-vs-warm start against the artifact cache;
@@ -52,6 +52,7 @@ import sys
 
 from repro.csidh.parameters import csidh_512, csidh_mini, csidh_toy
 from repro.errors import KernelError, ParameterError, ReproError
+from repro.rv64.machine import ENGINES
 
 _PARAM_SETS = {
     "csidh-512": csidh_512,
@@ -239,7 +240,7 @@ def _profile_sharded(args: argparse.Namespace) -> int:
         args.params, shards=args.shards, seed=args.seed,
         variant=args.variant)
     _print_plan_summary(plan)
-    # executor construction pre-warms kernel/jit caches in the parent;
+    # executor construction pre-warms kernel/aot caches in the parent;
     # keep it outside the capture so warm-up stays out of the metrics
     executor = ShardExecutor(plan, workers=args.workers,
                              engine=args.engine)
@@ -405,7 +406,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.csidh.group_action import group_action
     from repro.field.simulated import SimulatedFieldContext
-    from repro.rv64.machine import ENGINES
     from repro.telemetry.export import write_bench
     from repro.telemetry.profile import MAX_SIMULATED_BITS
 
@@ -505,7 +505,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 continue  # batches demote to the scalar loop there
             context = SimulatedFieldContext(p, variant=args.variant,
                                             engine=engine)
-            context.mul_batch(pairs[:2])  # warm compile caches
+            context.mul_batch(pairs[:2])  # warm the fused thunks
             start = time.perf_counter()
             looped = [context.mul(a, b) for a, b in pairs]
             loop_s = time.perf_counter() - start
@@ -975,7 +975,7 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
 
     plan = load_plan(args.plan)
     records = read_checkpoint(args.checkpoint, plan)
-    engines = {record.get("engine", "jit")
+    engines = {record.get("engine", "aot")
                for record in records.values()}
     merged = merge_records(
         plan, records, partial=args.partial,
@@ -1072,10 +1072,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, metavar="M",
                    help="worker processes for --shards "
                         "(default: one per CPU)")
-    p.add_argument("--engine", default="jit",
-                   choices=("interpreter", "replay", "jit", "aot"),
-                   help="execution tier sharded workers run on "
-                        "(with --shards; default jit)")
+    p.add_argument("--engine", default="aot", choices=ENGINES,
+                   help="execution engine sharded workers run on "
+                        "(with --shards; default aot)")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
@@ -1092,10 +1091,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "1: every operation)")
     p.add_argument("--sites", default=None,
                    help="comma-separated fault sites (default: all)")
-    p.add_argument("--engine", default=None,
-                   choices=("interpreter", "replay", "jit", "aot"),
-                   help="execution tier the checked contexts run on "
-                        "(default: replay)")
+    p.add_argument("--engine", default="aot", choices=ENGINES,
+                   help="execution engine the checked contexts run on "
+                        "(default: aot)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the full coverage report as JSON")
     p.add_argument("--quiet", action="store_true",
@@ -1120,9 +1118,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="network faults to inject (one per handshake)")
     p.add_argument("--kinds", default=None,
                    help="comma-separated chaos kinds (default: all)")
-    p.add_argument("--engine", default="replay",
-                   choices=("interpreter", "replay", "jit", "aot"),
-                   help="execution tier the chaos tenant runs on")
+    p.add_argument("--engine", default="aot", choices=ENGINES,
+                   help="execution engine the chaos tenant runs on")
     p.add_argument("--variant", default="reduced.ise")
     p.add_argument("--timeout-s", type=float, default=0.75,
                    metavar="S",
@@ -1146,8 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time a group action per execution engine (+ batch API)")
     p.add_argument("--params", choices=sorted(_PARAM_SETS),
                    default="toy")
-    p.add_argument("--engine",
-                   choices=("interpreter", "replay", "jit", "aot", "all"),
+    p.add_argument("--engine", choices=ENGINES + ("all",),
                    default="all")
     p.add_argument("--variant", default="reduced.ise")
     p.add_argument("--rounds", type=int, default=3,
@@ -1165,10 +1161,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="toy")
         p.add_argument("--tenants", type=int, default=4,
                        help="number of isolated tenants")
-        p.add_argument("--engine",
-                       choices=("interpreter", "replay", "jit", "aot"),
-                       default="jit",
-                       help="preferred (fastest) execution tier")
+        p.add_argument("--engine", choices=ENGINES, default="aot",
+                       help="preferred (fastest) execution engine")
         p.add_argument("--hardened", action="store_true",
                        help="checked contexts + output validation on "
                             "every tenant")
@@ -1291,9 +1285,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=None,
                         metavar="M",
                         help="worker processes (default: one per CPU)")
-        sp.add_argument("--engine", default="jit",
-                        choices=("interpreter", "replay", "jit", "aot"),
-                        help="execution tier workers run on")
+        sp.add_argument("--engine", default="aot", choices=ENGINES,
+                        help="execution engine workers run on")
         sp.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="JSONL checkpoint file (append-only; "
                              "enables resume)")

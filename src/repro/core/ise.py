@@ -50,8 +50,6 @@ from repro.rv64.isa import (
     register_global_spec,
 )
 from repro.rv64.aot import register_expr as register_aot_expr
-from repro.rv64.jit import register_template as register_jit_template
-from repro.rv64.replay import register_compiler as register_replay_compiler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rv64.machine import MachineState
@@ -213,94 +211,16 @@ for _spec in ALL_ISE_SPECS:
 
 
 # ---------------------------------------------------------------------------
-# Trace-replay compilers
-# ---------------------------------------------------------------------------
-# Bind the same pure value functions the execute hooks use, so replay
-# and interpreter semantics cannot drift (see repro.rv64.replay).
-
-def _r4_compiler(value_fn):
-    def compile_(state, ins, pc):
-        if ins.rd == 0:
-            return None
-        regs = state.regs._regs
-        rd, rs1, rs2, rs3 = ins.rd, ins.rs1, ins.rs2, ins.rs3
-
-        def step() -> None:
-            regs[rd] = value_fn(regs[rs1], regs[rs2], regs[rs3])
-
-        return step
-
-    return compile_
-
-
-def _compile_sraiadd(state, ins, pc):
-    if ins.rd == 0:
-        return None
-    regs = state.regs._regs
-    rd, rs1, rs2, imm = ins.rd, ins.rs1, ins.rs2, ins.imm
-
-    def step() -> None:
-        regs[rd] = sraiadd_value(regs[rs1], regs[rs2], imm)
-
-    return step
-
-
-register_replay_compiler("maddlu", _r4_compiler(maddlu_value))
-register_replay_compiler("maddhu", _r4_compiler(maddhu_value))
-register_replay_compiler("madd57lu", _r4_compiler(madd57lu_value))
-register_replay_compiler("madd57hu", _r4_compiler(madd57hu_value))
-register_replay_compiler("cadd", _r4_compiler(cadd_value))
-register_replay_compiler("sraiadd", _compile_sraiadd)
-
-
-# ---------------------------------------------------------------------------
-# Trace-JIT expression templates
-# ---------------------------------------------------------------------------
-# Inline the same algebra as the pure value functions above — the
-# three-way differential suite (interpreter vs replay vs jit) pins the
-# inlined expressions to the reference semantics, so they cannot drift.
-
-def _jit_r4(expr: str):
-    """Emitter for an R4-type instruction from an {a}/{b}/{c} expression
-    (operands are jit locals holding values in [0, 2^64); ``M`` is the
-    64-bit mask in the generated function's globals)."""
-    def emit(ins, pc):
-        return f"r{ins.rd} = " + expr.format(
-            a=f"r{ins.rs1}", b=f"r{ins.rs2}", c=f"r{ins.rs3}")
-
-    return emit
-
-
-def _jit_sraiadd(ins, pc):
-    # x + EXTS(y >> imm): the signed shift may be negative; the final
-    # mask is the u64 wrap (mod 2^64 the two formulations agree)
-    y = f"r{ins.rs2}"
-    return (f"r{ins.rd} = (r{ins.rs1} + (({y} - (({y} >> 63) << 64)) "
-            f">> {ins.imm & 63})) & M")
-
-
-# maddhu needs no final mask: (x*y + z) <= 2^128 - 2^64, so the high
-# half is already < 2^64; every other sum can carry past 64 bits.
-register_jit_template("maddlu", _jit_r4("({a} * {b} + {c}) & M"))
-register_jit_template("maddhu", _jit_r4("({a} * {b} + {c}) >> 64"))
-register_jit_template(
-    "madd57lu", _jit_r4(f"(({{a}} * {{b}} & {MASK57}) + {{c}}) & M"))
-register_jit_template(
-    "madd57hu",
-    _jit_r4(f"(((({{a}} * {{b}}) >> {REDUCED_RADIX_BITS}) & M) + {{c}}) & M"))
-register_jit_template("cadd", _jit_r4("((({a} + {b}) >> 64) + {c}) & M"))
-register_jit_template("sraiadd", _jit_sraiadd)
-
-
-# ---------------------------------------------------------------------------
 # Whole-kernel aot expressions
 # ---------------------------------------------------------------------------
 # The aot tier fuses these into its dataflow graph (constant-folding
 # through them where operands are static), instead of falling back to
 # one bound-lambda call per instruction; the fallback would also make
 # the compiled artifact non-persistable (docs/SIMULATOR.md).  Same
-# algebra as the jit templates above; the four-way differential suite
-# pins all tiers to the reference semantics.
+# algebra as the pure value functions above; the aot-vs-interpreter
+# differential suite pins the inlined expressions to the reference
+# semantics, so they cannot drift.  maddhu needs no final mask:
+# (x*y + z) <= 2^128 - 2^64, so the high half is already < 2^64.
 
 register_aot_expr("maddlu", "r4", "({a} * {b} + {c}) & M")
 register_aot_expr("maddhu", "r4", "({a} * {b} + {c}) >> 64")

@@ -202,7 +202,7 @@ class RecoveryExhaustedError(FaultError):
     """Bounded retry-with-fallback failed to restore a correct result.
 
     After a :class:`FaultDetectedError` the hardened execution layer
-    evicts the poisoned runner, invalidates its replay trace and
+    evicts the poisoned runner, invalidates its static trace and
     re-executes on the interpreter; this error means every permitted
     attempt still diverged from the reference — state corruption is not
     transient, and the caller must treat the computation as lost.

@@ -49,14 +49,13 @@ def measure_table4(
     pipeline_config: PipelineConfig = ROCKET_CONFIG,
     verify_samples: int = 1,
     seed: int = 2024,
-    engine: str | None = None,
+    engine: str = "interpreter",
 ) -> Table4:
     """Measure every Table 4 cell on the simulator.
 
-    *engine* selects the execution tier (``None`` = the runner
-    default).  The verification samples go through
-    :meth:`KernelRunner.run_batch`, so throughput-oriented tiers
-    amortise their per-run setup across the whole sample set — the
+    *engine* selects the execution engine.  The verification samples
+    go through :meth:`KernelRunner.run_batch`, so the aot engine
+    amortises its per-run setup across the whole sample set — the
     cycle counts are engine-independent either way (the differential
     suite proves it)."""
     kernels = cached_kernels(modulus)

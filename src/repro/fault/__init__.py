@@ -7,8 +7,8 @@ Three layers (see ``docs/ROBUSTNESS.md``):
   which bit);
 * :mod:`repro.fault.inject` — :func:`arm_fault`: turns a site into an
   armed corruption of a live :class:`~repro.kernels.runner.KernelRunner`
-  (trace-hook bit flips, replay-cache poisoning, output perturbation),
-  returning a disarm handle;
+  (trace-hook bit flips, poisoned re-fusion of the aot tier, output
+  perturbation), returning a disarm handle;
 * :mod:`repro.fault.campaign` — :func:`run_campaign`: injects N planned
   faults into checked :class:`~repro.field.simulated.SimulatedFieldContext`
   operations and classifies every trial as detected/recovered, masked,

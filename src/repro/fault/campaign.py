@@ -102,7 +102,7 @@ class CampaignReport:
     check_interval: int
     trials: tuple[TrialResult, ...]
     metrics: dict = field(default_factory=dict)
-    engine: str = "replay"
+    engine: str = "aot"
 
     @property
     def outcomes(self) -> dict[str, int]:
@@ -212,7 +212,7 @@ def run_trial_range(
     check_interval: int = 1,
     max_recovery_attempts: int = DEFAULT_RECOVERY_ATTEMPTS,
     pipeline_config: PipelineConfig = ROCKET_CONFIG,
-    engine: str | None = None,
+    engine: str = "aot",
 ) -> tuple[list[TrialResult], dict]:
     """Run trials ``[start, end)`` of the *n*-trial plan for *seed*.
 
@@ -242,7 +242,7 @@ def run_trial_range(
     with telemetry.capture(fresh=True) as cap:
         for site in planned[start:end]:
             # cold pool per trial: runner clocks, machine state and
-            # replay caches never leak between trials, so outcomes are
+            # trace caches never leak between trials, so outcomes are
             # position-independent (the sharding invariant)
             registry.clear_runner_pool()
             context = SimulatedFieldContext(
@@ -251,13 +251,6 @@ def run_trial_range(
                 max_recovery_attempts=max_recovery_attempts,
                 engine=engine,
             )
-            if engine == "jit":
-                # compile the jit functions *before* arming, so
-                # replay-cache faults corrupt a live compiled image
-                # (the scenario the jit campaign exists to cover)
-                for slot in ("_mul", "_sqr", "_add", "_sub"):
-                    runner = getattr(context, slot)
-                    runner.machine.jit_supported(runner.entry)
             reference = context._reference
             a = operands.randrange(p)
             b = operands.randrange(p)
@@ -281,14 +274,14 @@ def run_campaign(
     check_interval: int = 1,
     max_recovery_attempts: int = DEFAULT_RECOVERY_ATTEMPTS,
     pipeline_config: PipelineConfig = ROCKET_CONFIG,
-    engine: str | None = None,
+    engine: str = "aot",
 ) -> CampaignReport:
     """Inject *n* planned faults into checked contexts over F_p.
 
-    *engine* selects the execution tier the checked contexts run on
-    (``None`` keeps the context default, replay); ``engine="jit"``
-    campaigns prove that replay-cache corruption reaches a live
-    compiled jit function and that recovery evicts it."""
+    *engine* selects the execution engine the checked contexts run on:
+    on ``"aot"`` (the default) trace faults corrupt the live fused
+    functions and recovery evicts them; on ``"interpreter"`` they have
+    nothing to corrupt and are masked."""
     trials, metrics = run_trial_range(
         p,
         seed=seed,
@@ -310,5 +303,5 @@ def run_campaign(
         check_interval=check_interval,
         trials=tuple(trials),
         metrics=metrics,
-        engine=engine if engine is not None else "replay",
+        engine=engine,
     )

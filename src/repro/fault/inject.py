@@ -6,23 +6,19 @@ installs the corruption:
 
 * interpreter sites (``register_flip``, ``memory_flip``) attach a
   one-shot :meth:`Machine.add_trace_hook` that fires at a chosen
-  retired-instruction index — attaching a hook also makes ``replay=True``
-  requests fall back to the interpreter, so the flip lands mid-kernel
-  exactly as a transient hardware fault would;
-* replay-cache sites (``replay_step_skip``, ``replay_closure_corrupt``,
-  ``replay_cycles_corrupt``) swap the cached
-  :class:`~repro.rv64.replay.CompiledTrace` for a poisoned copy —
-  *persistent* corruption that stays until recovery invalidates the
-  cache entry.  When the machine also holds a **compiled jit
-  function** for the same entry, the equivalent jit poisoning
-  (:func:`~repro.rv64.jit.poisoned_skip` / ``poisoned_xor`` /
-  ``poisoned_cycles``) is applied in the same arming step: the jit
-  image is the same cached execution state in another form, so a fault
-  that corrupts the trace must reach it too, or jit runs would sail
-  straight past the armed fault.  A live **aot tier** is dropped in
-  the same arming step (its liveness guard trips and runs demote onto
-  the poisoned jit function), so the fault is observable from the top
-  of the aot → jit → replay → interpreter ladder down;
+  retired-instruction index — attaching a hook also makes aot requests
+  fall back to the interpreter, so the flip lands mid-kernel exactly as
+  a transient hardware fault would;
+* trace sites (``replay_step_skip``, ``replay_closure_corrupt``,
+  ``replay_cycles_corrupt`` — the names date from the retired replay
+  engine and are kept so seeds and reports stay comparable) poison a
+  *copy* of the kernel's static trace: step *k* is skipped, a bit of
+  ``rd`` is flipped right after step *k*, or the precomputed cycle count
+  is altered.  The aot tier — the runner's fused entry thunk and the
+  machine-level fused function — is then re-fused from that copy, so
+  the corruption is *persistent* (it stays until recovery invalidates
+  the trace) and reaches every aot run.  A poisoned fusion is never
+  written to the on-disk artifact cache;
 * ``output_corrupt`` installs a one-shot hook on the runner's result
   read-out seam, perturbing what the caller sees independently of the
   engine.
@@ -51,7 +47,8 @@ from repro.fault.plan import (
 )
 from repro.kernels.layout import RESULT_ADDR
 from repro.kernels.runner import KernelRunner
-from repro.rv64.jit import poisoned_cycles, poisoned_skip, poisoned_xor
+from repro.rv64.aot import AotError, compile_aot
+from repro.rv64.isa import Instruction
 from repro.rv64.replay import _is_terminal_ret
 
 
@@ -102,86 +99,70 @@ def _one_shot_hook(machine, fire_index: int, payload) -> Callable:
     return hook
 
 
-def _poisoned_trace(runner: KernelRunner):
-    machine = runner.machine
-    trace = machine._trace_for(runner.entry)
+def _healthy_trace(runner: KernelRunner):
+    trace = runner.machine._trace_for(runner.entry)
     if trace is None:
         raise FaultError(
-            f"{runner.kernel.name} is not replayable under this "
-            f"pipeline configuration; replay-cache faults need a "
-            f"compiled trace"
+            f"{runner.kernel.name} has no static trace under this "
+            f"pipeline configuration; trace faults need a straight-line "
+            f"kernel with static timing"
         )
-    return machine, trace
+    return trace
 
 
-def _poison_jit(machine, entry: int, poison) -> Callable[[], None]:
-    """Apply *poison* to a live compiled jit function, if one exists.
+def _install_poisoned(runner: KernelRunner, poisoned) -> Callable[[], None]:
+    """Re-fuse *runner*'s aot tier from the *poisoned* trace copy.
 
-    Returns the restore callable (a no-op when the entry was never
-    jit-compiled — interpreter/replay-only campaigns arm exactly as
-    before)."""
-    original = machine._jit_cache.get(entry)
-    if original is None:
-        return lambda: None
-    machine._jit_cache[entry] = poison(original)
-
-    def restore() -> None:
-        machine._jit_cache[entry] = original
-
-    return restore
-
-
-def _ensure_demotion_jit(runner: KernelRunner) -> None:
-    """Force-compile the jit rung for an aot runner before poisoning.
-
-    aot runners skip eager jit compilation (it would re-trace and
-    defeat the artifact warm start), but a poisoned aot tier demotes
-    onto the jit rung — so the jit function must exist *now*, built
-    from the still-healthy trace, for the poisoning below to reach it.
+    The copy replaces the cached trace, the machine-level fused
+    function is rebuilt from it, and — when the runner holds a live
+    entry thunk — so is the thunk.  A copy that no longer fuses leaves
+    that form out (runs then demote, ultimately to the untouched
+    interpreter).  Nothing here touches the artifact cache.  Returns
+    the callable that puts the healthy trace, functions and thunk back.
     """
-    if runner.engine == "aot":
-        runner.machine._jit_for(runner.entry)
+    machine = runner.machine
+    entry = runner.entry
+    saved = (machine._trace_cache.get(entry),
+             machine._aot_cache.get(entry),
+             machine._aot_entry_cache.get(entry),
+             runner._aot_thunk,
+             entry in machine._aot_rejected)
 
-
-def _poison_aot(machine, entry: int) -> Callable[[], None]:
-    """Take the live aot tier for *entry* out while a fault is armed.
-
-    The fused aot thunk computes results from the expression graph —
-    it never consults ``trace.steps`` — so poisoning the trace cannot
-    reach it; symmetry demands the tier be dropped instead: the entry
-    thunk's liveness guard trips, runs demote onto the (poisoned) jit
-    function, and the armed fault is visible from every tier.  The
-    entry also joins ``_aot_rejected`` so nothing recompiles a
-    *healthy* aot function from the untouched ``step_instructions``
-    while the fault is armed."""
-    entry_fn = machine._aot_entry_cache.pop(entry, None)
-    aotfn = machine._aot_cache.pop(entry, None)
-    was_rejected = entry in machine._aot_rejected
-    machine._aot_rejected.add(entry)
+    machine._trace_cache[entry] = poisoned
+    machine._aot_cache.pop(entry, None)
+    machine._aot_entry_cache.pop(entry, None)
+    try:
+        machine._aot_cache[entry] = compile_aot(machine, entry, poisoned)
+        machine._aot_rejected.discard(entry)
+    except AotError:
+        machine._aot_rejected.add(entry)
+    if saved[3] is not None:
+        try:
+            fused = runner.fuse_entry(poisoned)
+        except AotError:
+            runner._aot_thunk = None
+        else:
+            machine._aot_entry_cache[entry] = fused
+            runner._aot_thunk = fused.fn
 
     def restore() -> None:
-        if entry_fn is not None:
-            machine._aot_entry_cache[entry] = entry_fn
-        if aotfn is not None:
-            machine._aot_cache[entry] = aotfn
-        if not was_rejected:
+        # harmless if recovery already rebuilt the runner: the poisoned
+        # machine is unreachable then, and restoring it changes nothing
+        trace, aotfn, fused, thunk, rejected = saved
+        for cache, value in ((machine._trace_cache, trace),
+                             (machine._aot_cache, aotfn),
+                             (machine._aot_entry_cache, fused)):
+            if value is None:
+                cache.pop(entry, None)
+            else:
+                cache[entry] = value
+        runner._aot_thunk = thunk
+        if rejected:
+            machine._aot_rejected.add(entry)
+        else:
             machine._aot_rejected.discard(entry)
 
     return restore
-
-
-def _restore_trace(machine, entry: int, original, restore_jit=None,
-                   restore_aot=None):
-    def disarm() -> None:
-        # harmless if recovery already rebuilt the runner: the poisoned
-        # machine is unreachable then, and restoring it changes nothing
-        machine._trace_cache[entry] = original
-        if restore_jit is not None:
-            restore_jit()
-        if restore_aot is not None:
-            restore_aot()
-
-    return disarm
 
 
 def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
@@ -229,59 +210,42 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
         )
 
     if kind == SITE_REPLAY_SKIP:
-        machine, trace = _poisoned_trace(runner)
-        _ensure_demotion_jit(runner)
-        k = site.step % len(trace.steps)
-        steps = trace.steps[:k] + trace.steps[k + 1:]
-        machine._trace_cache[runner.entry] = replace(trace, steps=steps)
-        restore_jit = _poison_jit(
-            machine, runner.entry,
-            lambda jitfn: (poisoned_skip(jitfn, k)
-                           if k < len(jitfn.blocks) else jitfn),
-        )
-        restore_aot = _poison_aot(machine, runner.entry)
+        trace = _healthy_trace(runner)
+        steps = trace.step_instructions
+        k = site.step % len(steps)
+        poisoned = replace(trace,
+                           step_instructions=steps[:k] + steps[k + 1:])
         return ArmedFault(
             site=site, kernel=kernel,
-            description=f"skip replay step {k}/{len(trace.steps)}",
-            disarm=_restore_trace(machine, runner.entry, trace,
-                                  restore_jit, restore_aot),
+            description=f"skip trace step {k}/{len(steps)}",
+            disarm=_install_poisoned(runner, poisoned),
         )
 
     if kind == SITE_REPLAY_CLOSURE:
-        machine, trace = _poisoned_trace(runner)
-        _ensure_demotion_jit(runner)
+        trace = _healthy_trace(runner)
         candidates = _write_candidates(runner)
         if not candidates:
             raise FaultError(f"{kernel}: no register-write sites")
         reg = candidates[site.lane % len(candidates)][1]
         mask = 1 << (site.bit % 64)
-        k = site.step % len(trace.steps)
-        regs = machine.state.regs._regs
-        original_step = trace.steps[k]
-
-        def corrupted_step() -> None:
-            original_step()
-            regs[reg] ^= mask
-
-        steps = trace.steps[:k] + (corrupted_step,) + trace.steps[k + 1:]
-        machine._trace_cache[runner.entry] = replace(trace, steps=steps)
-        restore_jit = _poison_jit(
-            machine, runner.entry,
-            lambda jitfn: (poisoned_xor(jitfn, k, reg, mask)
-                           if k < len(jitfn.blocks) else jitfn),
-        )
-        restore_aot = _poison_aot(machine, runner.entry)
+        steps = trace.step_instructions
+        k = site.step % len(steps)
+        # an extra xori of the full 64-bit mask right after step k (not
+        # encodable, but the fused code only needs its semantics)
+        flip = (steps[k][0], Instruction("xori", rd=reg, rs1=reg,
+                                         imm=mask), machine.isa["xori"])
+        poisoned = replace(
+            trace,
+            step_instructions=steps[:k + 1] + (flip,) + steps[k + 1:])
         return ArmedFault(
             site=site, kernel=kernel,
-            description=(f"replay step {k} additionally flips bit "
+            description=(f"trace step {k} additionally flips bit "
                          f"{site.bit % 64} of x{reg}"),
-            disarm=_restore_trace(machine, runner.entry, trace,
-                                  restore_jit, restore_aot),
+            disarm=_install_poisoned(runner, poisoned),
         )
 
     if kind == SITE_REPLAY_CYCLES:
-        machine, trace = _poisoned_trace(runner)
-        _ensure_demotion_jit(runner)
+        trace = _healthy_trace(runner)
         if trace.cycles is None:
             raise FaultError(
                 f"{kernel}: trace has no static cycle count to corrupt"
@@ -290,19 +254,12 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
                                            else -site.delta))
         if corrupted == trace.cycles:
             corrupted += 1
-        machine._trace_cache[runner.entry] = replace(trace,
-                                                     cycles=corrupted)
-        restore_jit = _poison_jit(
-            machine, runner.entry,
-            lambda jitfn: poisoned_cycles(jitfn, corrupted),
-        )
-        restore_aot = _poison_aot(machine, runner.entry)
         return ArmedFault(
             site=site, kernel=kernel,
             description=(f"static cycle count {trace.cycles} -> "
                          f"{corrupted}"),
-            disarm=_restore_trace(machine, runner.entry, trace,
-                                  restore_jit, restore_aot),
+            disarm=_install_poisoned(
+                runner, replace(trace, cycles=corrupted)),
         )
 
     if kind == SITE_OUTPUT_CORRUPT:

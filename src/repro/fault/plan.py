@@ -25,11 +25,13 @@ from repro.errors import FaultError
 SITE_REGISTER_FLIP = "register_flip"
 #: Mid-kernel bit flip in the result buffer in data memory.
 SITE_MEMORY_FLIP = "memory_flip"
-#: A compiled replay trace loses one closure (instruction skip).
+#: The static trace loses one step (instruction skip); the aot tier is
+#: re-fused from the poisoned copy.  (The ``replay_*`` site names date
+#: from the retired replay engine and stay for seed compatibility.)
 SITE_REPLAY_SKIP = "replay_step_skip"
-#: A compiled replay trace closure gains a register-corrupting payload.
+#: A trace step gains a register-corrupting payload (bit flip of rd).
 SITE_REPLAY_CLOSURE = "replay_closure_corrupt"
-#: A compiled replay trace's precomputed static cycle count is altered.
+#: The trace's precomputed static cycle count is altered.
 SITE_REPLAY_CYCLES = "replay_cycles_corrupt"
 #: The KernelRunner's result read-out is perturbed (engine-agnostic).
 SITE_OUTPUT_CORRUPT = "output_corrupt"

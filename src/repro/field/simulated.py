@@ -3,42 +3,37 @@
 Every ``mul``/``sqr``/``add``/``sub`` is carried out by the generated
 assembly kernels of one implementation variant on the functional
 simulator — turning a CSIDH run into an actual execution on the
-(extended) core.  By default the kernels run through the trace-replay
-engine (:mod:`repro.rv64.replay`): each kernel is decoded once into a
-compiled closure sequence with a precomputed cycle cost, so an
-end-to-end protocol run touches fetch/decode and the cycle-accurate
-pipeline walker exactly once per kernel instead of once per field
-operation.  ``engine="jit"`` goes one tier further
-(:mod:`repro.rv64.jit`): the compiled trace is code-generated into a
-single Python function per kernel, removing the per-step closure
-dispatch as well.  ``engine="aot"`` is the top tier
-(:mod:`repro.rv64.aot`): the whole trace is fused into limb-level
-wide-int arithmetic over the operand values — no per-instruction
-statements, no memory marshalling — and warm-starts from the
-persistent on-disk artifact cache (:mod:`repro.rv64.artifacts`)
-without re-tracing.  Every fast tier is bit- and cycle-identical to
-the interpreter (proven operand-by-operand by ``tests/differential/``);
-pass ``cross_check=True`` to route every operation through the full
-interpreter with per-run golden-reference verification instead — the
-slow, belt-and-braces mode for debugging new kernels or pipelines.
+(extended) core.  By default the kernels run on the aot engine
+(:mod:`repro.rv64.aot`): each kernel's static trace is fused once into
+limb-level wide-int arithmetic over the operand values — no
+per-instruction statements, no memory marshalling — with its
+precomputed cycle cost attached, and the fused thunk warm-starts from
+the persistent on-disk artifact cache (:mod:`repro.rv64.artifacts`)
+without re-tracing.  The aot engine is bit- and cycle-identical to the
+interpreter (proven operand-by-operand by ``tests/differential/``);
+pass ``cross_check=True`` (or ``engine="interpreter"``) to route every
+operation through the full interpreter and pipeline model instead —
+``cross_check`` adds per-run golden-reference verification, the slow,
+belt-and-braces mode for debugging new kernels or pipelines.
 
 Throughput workloads can hand over whole vectors of operands at once:
 ``mul_batch`` / ``sqr_batch`` / ``add_batch`` / ``sub_batch`` forward
 to :meth:`KernelRunner.run_batch`, which resolves the engine and the
-compiled artifact once per batch instead of once per element.  The
+fused thunk once per batch instead of once per element.  The
 batched entry points are element-wise identical to looping the scalar
 ones (same values, counters, cycle accounting); hardened contexts
 transparently take the scalar path so every safety check still fires.
 
 ``checked=True`` selects the production hardening mode in between
-(see ``docs/ROBUSTNESS.md``): execution stays on the fast replay path,
+(see ``docs/ROBUSTNESS.md``): execution stays on the aot engine,
 but one in ``check_interval`` operations is cross-validated against a
 pure-Python :class:`~repro.field.fp.FieldContext` reference (and each
 runner additionally validates sampled kernel runs).  A divergence —
-a bit flip, a poisoned replay trace, a corrupted runner — raises
+a bit flip, a poisoned trace, a corrupted runner — raises
 :class:`~repro.errors.FaultDetectedError` and triggers *recovery*:
-the poisoned runner is evicted from the registry pool, its replay
-trace invalidated, and the operation re-executed on the interpreter
+the poisoned runner is evicted from the registry pool, its static
+trace and fused functions invalidated, and the operation re-executed
+on the interpreter
 from a freshly assembled runner, bounded by ``max_recovery_attempts``.
 If every attempt still diverges,
 :class:`~repro.errors.RecoveryExhaustedError` is raised.
@@ -50,8 +45,8 @@ hides the domain conversion by folding in ``R^2`` per multiplication
 
 Runners are pooled per (modulus, kernel, pipeline, checked, engine) via
 :func:`repro.kernels.registry.cached_runner`, so constructing many
-contexts — one per benchmark round, say — assembles and trace-compiles
-each kernel only once per process.
+contexts — one per benchmark round, say — assembles and fuses each
+kernel only once per process.
 """
 
 from __future__ import annotations
@@ -118,12 +113,11 @@ class SimulatedFieldContext(FieldContext):
         self.scope = scope
         self._pipeline_config = pipeline_config
         # cross_check escapes to the interpreter and verifies every run
-        # against the kernel's golden reference; the default replays
-        # compiled traces (equivalence is covered by the differential
-        # suite, so per-run re-verification would only re-prove it);
-        # engine="jit" selects the code-generated tier on top of that.
+        # against the kernel's golden reference; the default runs fused
+        # aot functions (equivalence is covered by the differential
+        # suite, so per-run re-verification would only re-prove it)
         if engine is None:
-            engine = "interpreter" if cross_check else "replay"
+            engine = "interpreter" if cross_check else "aot"
         elif engine not in ENGINES:
             raise KernelError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
@@ -134,7 +128,6 @@ class SimulatedFieldContext(FieldContext):
                 f"interpreter; engine={engine!r} conflicts"
             )
         self.engine = engine
-        self._replay = engine != "interpreter"  # legacy alias
         self._checked = (
             _CheckedConfig(check_interval, max_recovery_attempts)
             if checked else None
@@ -227,8 +220,8 @@ class SimulatedFieldContext(FieldContext):
         for slot in slots:
             runner = getattr(self, slot)
             name = runner.kernel.name
-            # drops the cached trace, any compiled jit/aot function,
-            # and the entry's on-disk aot artifact
+            # drops the cached trace, the fused aot functions and the
+            # entry's on-disk aot artifact
             runner.machine.invalidate_trace(runner.entry)
             registry.evict_runner(self.p, name, self._pipeline_config,
                                   checked=True, engine=self.engine,

@@ -314,8 +314,8 @@ def cached_runner(
 ) -> KernelRunner:
     """Pooled :class:`KernelRunner` for one kernel of *modulus*.
 
-    Assembling a kernel and compiling its replay trace are pure,
-    per-kernel costs; pooling runners lets every
+    Assembling a kernel and fusing its aot thunk are pure, per-kernel
+    costs; pooling runners lets every
     :class:`~repro.field.simulated.SimulatedFieldContext` (and any other
     repeat executor) share one machine per kernel instead of paying
     assembly again.  Runs are self-contained (reset, plant operands,
@@ -341,11 +341,10 @@ def cached_runner(
     sharing the same kernel.  ``check_interval`` re-tunes the sampling
     interval of the pooled checked runner (last caller wins).
 
-    ``engine`` selects the runner's default execution tier and is part
-    of the pool key, so a jit-tier context (whose runner eagerly
-    compiles its trace to a Python function) never shares a machine
-    with an interpreter- or replay-tier one; eviction and rebuild stay
-    per-tier.
+    ``engine`` selects the runner's default execution engine and is
+    part of the pool key, so an aot context (whose runner eagerly fuses
+    its entry thunk) never shares a machine with an interpreter one;
+    eviction and rebuild stay per-engine.
 
     Pool traffic is observable: telemetry counts hits and misses
     (``runner_pool_hits_total`` / ``runner_pool_misses_total``) and
@@ -398,8 +397,8 @@ def evict_runner(
     """Drop one pooled runner; returns whether it was pooled.
 
     The recovery primitive of the hardened execution layer: a runner
-    whose machine state (memory image, const pool, replay cache,
-    compiled jit functions) is suspected of corruption is evicted so
+    whose machine state (memory image, const pool, static trace, fused
+    aot functions) is suspected of corruption is evicted so
     the next :func:`cached_runner` call rebuilds it from scratch —
     re-assembly from the pristine kernel source is the trust anchor.
     """

@@ -9,26 +9,21 @@ functions, which we wrote from scratch") reduced to machine-checked
 equivalence.
 
 Because every generated kernel is branch-free straight-line code, a
-runner can execute it through the fast execution tiers: ``engine=
-"replay"`` (or the legacy ``replay=True``) decodes the kernel once into
-a compiled closure trace (:mod:`repro.rv64.replay`); ``engine="jit"``
-code-generates that trace into a single Python function
-(:mod:`repro.rv64.jit`) that the runner calls directly — no
-per-instruction dispatch of any kind; ``engine="aot"`` fuses the whole
-trace into limb-level wide-int arithmetic (:mod:`repro.rv64.aot`) and
-can warm-start from the persistent on-disk artifact cache
-(:mod:`repro.rv64.artifacts`) without re-tracing at all.  Every tier
-returns bit-identical limbs and the identical cycle count
-(``tests/differential/`` proves the four-way equivalence for every
-kernel variant), and all demote down the aot → jit → replay →
-interpreter ladder whenever their preconditions fail
-(:class:`~repro.rv64.aot.AotError` / :class:`~repro.rv64.jit.JitError`
-refusals, non-replayable programs, cache-enabled timing, attached
-trace hooks).
+runner built with ``engine="aot"`` runs it as one fused Python function
+(:mod:`repro.rv64.aot`): the kernel's static trace is fused into
+limb-level wide-int arithmetic over the operand values, and the fused
+entry thunk warm-starts from the persistent on-disk artifact cache
+(:mod:`repro.rv64.artifacts`) without re-tracing at all.  The aot
+engine returns bit-identical limbs and the identical cycle count
+(``tests/differential/`` proves the equivalence for every kernel
+variant), and it demotes to the interpreter whenever its preconditions
+fail (an :class:`~repro.rv64.aot.AotError` refusal, a non-straight-line
+program, cache-enabled timing, attached trace hooks).  Each demotion is
+counted by ``aot_demotions_total{reason}``.
 
 :meth:`KernelRunner.run_batch` executes one kernel over many operand
 sets in a single call, amortising the per-call setup (engine
-resolution, trace/function lookup, ``Machine.run`` bookkeeping) for
+resolution, thunk lookup, ``Machine.run`` bookkeeping) for
 server-style throughput workloads.
 """
 
@@ -49,12 +44,7 @@ from repro.kernels.layout import (
 )
 from repro.kernels.spec import Kernel
 from repro.rv64.assembler import assemble
-from repro.rv64.machine import (
-    DEFAULT_STACK_TOP,
-    ENGINES,
-    HALT_ADDRESS,
-    Machine,
-)
+from repro.rv64.machine import DEFAULT_STACK_TOP, ENGINES, Machine
 from repro.rv64.pipeline import PipelineConfig, PipelineModel, ROCKET_CONFIG
 from repro.rv64.registers import NUM_REGISTERS, register_index
 
@@ -121,22 +111,17 @@ class KernelRunner:
         *,
         pipeline_config: PipelineConfig = ROCKET_CONFIG,
         schedule: bool = False,
-        replay: bool = False,
-        engine: str | None = None,
+        engine: str = "interpreter",
         checked: bool = False,
         check_interval: int = DEFAULT_CHECK_INTERVAL,
     ) -> None:
-        if engine is None:
-            engine = "replay" if replay else "interpreter"
-        elif engine not in ENGINES:
+        if engine not in ENGINES:
             raise KernelError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
         self.kernel = kernel
         self.engine = engine
         self._pipeline_config = pipeline_config
-        # legacy alias kept for callers that predate the engine ladder
-        self.replay = engine != "interpreter"
         # hardening state (checked mode + fault-injection seam); None
         # keeps the disabled hot path at a single boolean test
         self._hardening: _Hardening | None = None
@@ -154,7 +139,7 @@ class KernelRunner:
         )
         self.entry = self.machine.load_program(program, CODE_BASE)
         self._write_const_pool()
-        # fast-path plumbing: resolve argument registers once so replay
+        # fast-path plumbing: resolve argument registers once so aot
         # runs bypass name lookup and per-word memory stores
         self._arg_plan = tuple(
             (address, limbs, register_index(reg))
@@ -163,34 +148,12 @@ class KernelRunner:
             )
         )
         self._result_reg = register_index("a0")
-        # fused entry thunks (marshal/call/read-out in one generated
-        # function); None on non-jit runners and unspecialisable
-        # layouts.  The replay-tier variant is built lazily on first
-        # run_batch (False = build attempted, layout unspecialisable).
-        self._entry_thunk = None
-        self._replay_thunk = None
+        # the fused entry thunk (operands in, read-out and static cost
+        # out); None on interpreter runners and refused kernels
         self._aot_thunk = None
-        if engine == "jit":
-            # compile eagerly: the pool hands out ready runners, and
-            # fault campaigns arm against a live compiled function
-            if self.machine.jit_supported(self.entry):
-                from repro.rv64.jit import compile_entry
-
-                self._entry_thunk = compile_entry(
-                    self.machine, self.entry,
-                    arg_plan=self._arg_plan,
-                    result_reg=self._result_reg,
-                    result_addr=RESULT_ADDR,
-                    out_limbs=kernel.output_limbs,
-                    radix=kernel.context.radix,
-                    stack_top=DEFAULT_STACK_TOP,
-                )
-        elif engine == "aot":
+        if engine == "aot":
             # warm-start if the artifact cache has this kernel; only
-            # then fall back to trace + fuse (and persist the result).
-            # The jit rung is deliberately NOT precompiled here — it
-            # would need the trace, defeating the warm start; fault
-            # campaigns force-compile it at arm time instead.
+            # then fall back to trace + fuse (and persist the result)
             self._init_aot(schedule=schedule)
         if checked:
             self.enable_checked(check_interval)
@@ -200,15 +163,15 @@ class KernelRunner:
 
         Resolution order: validated on-disk artifact (no re-tracing) →
         whole-kernel fusion of a fresh trace (persisted for the next
-        process, when the source is artifact-safe) → rejection (the
-        entry demotes to the jit rung on first run).  List-scheduled
-        runners execute a *different* program than the kernel source
-        hashes to, so they bypass the disk cache entirely.
+        process, when the source is artifact-safe) → rejection (runs
+        fall back to the memory-exact machine-level function, or demote
+        to the interpreter).  List-scheduled runners execute a
+        *different* program than the kernel source hashes to, so they
+        bypass the disk cache entirely.
         """
         from time import perf_counter
 
-        from repro.rv64.aot import AotError, bind_entry_source, \
-            compile_aot_entry
+        from repro.rv64.aot import AotError, bind_entry_source
         from repro.rv64.artifacts import (
             invalidate_artifact,
             load_artifact,
@@ -241,19 +204,9 @@ class KernelRunner:
                     aot = None
         fresh = aot is None
         if fresh:
-            layout = ConstPoolLayout(kernel.context.radix.limbs)
             start = perf_counter()
             try:
-                aot = compile_aot_entry(
-                    machine, entry,
-                    arg_plan=self._arg_plan,
-                    result_reg=self._result_reg,
-                    result_addr=RESULT_ADDR,
-                    out_limbs=kernel.output_limbs,
-                    radix=kernel.context.radix,
-                    const_window=(CONST_BASE, layout.size_bytes),
-                    stack_top=DEFAULT_STACK_TOP,
-                )
+                aot = self.fuse_entry()
             except AotError as exc:
                 telemetry.record_aot_reject(exc.reason)
                 machine._aot_rejected.add(entry)
@@ -273,6 +226,29 @@ class KernelRunner:
                 exit_pc=aot.exit_pc,
             )
 
+    def fuse_entry(self, trace=None):
+        """Fuse this runner's kernel into an aot entry thunk.
+
+        Raises :class:`~repro.rv64.aot.AotError`.  *trace* overrides the
+        machine's cached static trace; fault injection fuses a poisoned
+        copy this way (such a thunk never reaches the artifact cache).
+        """
+        from repro.rv64.aot import compile_aot_entry
+
+        kernel = self.kernel
+        layout = ConstPoolLayout(kernel.context.radix.limbs)
+        return compile_aot_entry(
+            self.machine, self.entry,
+            arg_plan=self._arg_plan,
+            result_reg=self._result_reg,
+            result_addr=RESULT_ADDR,
+            out_limbs=kernel.output_limbs,
+            radix=kernel.context.radix,
+            const_window=(CONST_BASE, layout.size_bytes),
+            stack_top=DEFAULT_STACK_TOP,
+            trace=trace,
+        )
+
     # -- hardened execution (checked mode + fault seam) ---------------------
 
     def _ensure_hardening(self) -> _Hardening:
@@ -285,7 +261,7 @@ class KernelRunner:
 
         A sampled run's value is compared with the kernel's pure-Python
         reference and its cycle count with the straight-line baseline
-        (primed here, from the healthy compiled trace, when available);
+        (primed here, from the healthy static trace, when available);
         divergence raises :class:`~repro.errors.FaultDetectedError`.
         """
         hardening = self._ensure_hardening()
@@ -342,7 +318,7 @@ class KernelRunner:
                     f"{kernel.name}: cycle count {cycles} != "
                     f"baseline {hardening.cycle_baseline} — impossible "
                     f"for straight-line code with data-independent "
-                    f"timing; the replay cache is suspect"
+                    f"timing; the fused aot function is suspect"
                 )
 
     def _write_const_pool(self) -> None:
@@ -359,25 +335,22 @@ class KernelRunner:
         """Static code size (after pseudo-expansion)."""
         return self._static_size
 
-    def _resolve_engine(self, engine: str) -> str:
-        """Walk the aot -> jit -> replay -> interpreter demotion ladder.
+    def _aot_function(self):
+        """The machine-level fused function for a lean-path aot run, or
+        ``None`` after counting the aot → interpreter demotion.
 
-        Each rung demotes exactly one step when its precondition fails;
-        aot and jit demotions are counted (``aot_demotions_total`` /
-        ``jit_demotions_total``), the replay -> interpreter step keeps
-        its PR-1 behaviour (silent here; :meth:`Machine.run` records
-        the per-run fallback).
+        Fetched from the machine's cache on every call, so trace
+        invalidation (and fault-campaign poisoning) takes effect
+        immediately.
         """
         machine = self.machine
-        if engine == "aot" and not machine.aot_supported(self.entry):
+        if machine._trace_hooks:
+            telemetry.record_aot_demotion("trace_hooks")
+            return None
+        aotfn = machine._aot_for(self.entry)
+        if aotfn is None:
             telemetry.record_aot_demotion("not_compilable")
-            engine = "jit"
-        if engine == "jit" and not machine.jit_supported(self.entry):
-            telemetry.record_jit_demotion("not_compilable")
-            engine = "replay"
-        if engine == "replay" and not machine.replay_supported(self.entry):
-            engine = "interpreter"  # e.g. cache-enabled timing
-        return engine
+        return aotfn
 
     def _marshal_args(self, values) -> None:
         """Write operand limbs + argument registers (lean-path state)."""
@@ -396,60 +369,19 @@ class KernelRunner:
             regs[reg_index] = address
         regs[self._result_reg] = RESULT_ADDR
 
-    def _execute_fast(self, engine: str):
-        """Run from the marshalled lean-path state.
-
-        Returns ``(engine_ran, cycles, instructions)``.  For jit the
-        compiled function is called directly — no ``Machine.run``
-        bookkeeping on the per-call path (that per-call overhead is
-        what the jit tier exists to eliminate); architectural pc/halted
-        and the ``machine_runs_total`` counter are maintained exactly
-        as :meth:`Machine.run` would.  The function is re-fetched from
-        the machine's cache on every call so trace invalidation (and
-        fault-campaign poisoning) takes effect immediately.
-        """
-        machine = self.machine
-        if engine == "aot" and not machine._trace_hooks:
-            # the machine-level fused function: memory-exact (runtime
-            # stores), so the generic read-out below it still holds —
-            # this is the hardened/fallback aot path, not the thunk
-            aotfn = machine._aot_for(self.entry)
-            if aotfn is not None:
-                state = machine.state
-                aotfn.fn(state.regs._regs, DEFAULT_STACK_TOP)
-                state.pc = aotfn.exit_pc
-                state.halted = aotfn.halts
-                telemetry.record_machine_run("aot")
-                return "aot", aotfn.cycles, aotfn.instructions_retired
-            telemetry.record_aot_demotion("not_compilable")
-            engine = "jit"
-        if engine == "jit" and not machine._trace_hooks:
-            jitfn = machine._jit_for(self.entry)
-            if jitfn is not None:
-                state = machine.state
-                jitfn.fn(state.regs._regs, DEFAULT_STACK_TOP)
-                state.pc = jitfn.exit_pc
-                state.halted = jitfn.halts
-                telemetry.record_machine_run("jit")
-                return "jit", jitfn.cycles, jitfn.instructions_retired
-        result = machine.run(self.entry, engine=engine)
-        return result.engine, result.cycles, result.instructions_retired
-
     def run(
         self,
         *values: int,
         check: bool = True,
-        replay: bool | None = None,
         engine: str | None = None,
     ) -> KernelRun:
         """Execute the kernel on *values*; returns the result and cost.
 
-        ``engine`` selects the execution tier (``None`` uses the
-        constructor default; the legacy ``replay`` flag maps ``True`` to
-        ``"replay"`` and ``False`` to ``"interpreter"``).  Whatever the
-        tier, the result is bit- and cycle-identical to the
-        interpreter's, just cheaper to produce; unsatisfiable requests
-        demote down the aot -> jit -> replay -> interpreter ladder.
+        ``engine`` selects the execution engine (``None`` uses the
+        constructor default).  Whatever the engine, the result is bit-
+        and cycle-identical to the interpreter's, just cheaper to
+        produce; an aot request that cannot be served exactly demotes
+        to the interpreter.
         """
         kernel = self.kernel
         if len(values) != len(kernel.input_limbs):
@@ -460,127 +392,72 @@ class KernelRunner:
         radix = kernel.context.radix
         machine = self.machine
         if engine is None:
-            if replay is None:
-                engine = self.engine
-            else:
-                engine = "replay" if replay else "interpreter"
+            engine = self.engine
         elif engine not in ENGINES:
             raise KernelError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
 
-        if (engine == "aot" and self._hardening is None
-                and not machine._trace_hooks):
+        out = None
+        if engine == "aot" and not machine._trace_hooks:
             # whole-kernel fast path: the fused thunk computes the
             # result limbs directly from the operand values — no limb
             # marshalling, no memory traffic, no per-instruction
-            # statements; falls through (None) if the thunk was
-            # evicted/poisoned or an operand is out of range
+            # statements; None if the thunk was evicted or an operand
+            # is out of range
             thunk = self._aot_thunk
             if thunk is not None:
                 out = thunk(*values)
-                if out is not None:
-                    value, out_limbs, cycles, instructions = out
-                    telemetry.record_aot_cache_hit()
-                    telemetry.record_machine_run("aot")
-                    if check:
-                        expected = kernel.reference(*values)
-                        if value != expected:
-                            telemetry.record_kernel_check_failure(
-                                kernel.name)
-                            raise KernelError(
-                                f"{kernel.name} produced {value:#x}, "
-                                f"expected {expected:#x} for inputs "
-                                f"{[hex(v) for v in values]}"
-                            )
-                    if cycles is None:
-                        raise KernelError(
-                            f"{kernel.name}: execution produced no "
-                            f"cycle count (the runner's machine lost "
-                            f"its pipeline model)"
-                        )
-                    telemetry.record_kernel_run(
-                        kernel.name, "aot", cycles, instructions)
-                    return KernelRun(
-                        value=value,
-                        limbs=out_limbs,
-                        instructions=instructions,
-                        cycles=cycles,
-                    )
-        if (engine == "jit" and self._hardening is None
-                and not machine._trace_hooks):
-            # fused fast path: one generated thunk does limb split,
-            # operand stores, register init, the compiled call and the
-            # read-out; falls through (None) if the compiled function
-            # was evicted or an operand is out of range
-            thunk = self._entry_thunk
-            if thunk is not None:
-                out = thunk(*values)
-                if out is not None:
-                    value, out_limbs, cycles, instructions = out
-                    telemetry.record_jit_cache_hit()
-                    telemetry.record_machine_run("jit")
-                    if check:
-                        expected = kernel.reference(*values)
-                        if value != expected:
-                            telemetry.record_kernel_check_failure(
-                                kernel.name)
-                            raise KernelError(
-                                f"{kernel.name} produced {value:#x}, "
-                                f"expected {expected:#x} for inputs "
-                                f"{[hex(v) for v in values]}"
-                            )
-                    if cycles is None:
-                        raise KernelError(
-                            f"{kernel.name}: execution produced no "
-                            f"cycle count (the runner's machine lost "
-                            f"its pipeline model)"
-                        )
-                    telemetry.record_kernel_run(
-                        kernel.name, "jit", cycles, instructions)
-                    return KernelRun(
-                        value=value,
-                        limbs=out_limbs,
-                        instructions=instructions,
-                        cycles=cycles,
-                    )
-        engine = self._resolve_engine(engine)
-
-        if engine != "interpreter":
-            # lean path: traces and jit functions run from architectural
-            # reset, so zeroing the register list is the only state to
-            # restore (the pipeline model is bypassed, not mutated)
-            self._marshal_args(values)
-            ran, cycles, instructions = self._execute_fast(engine)
-            raw = machine.mem.read_bytes(
-                RESULT_ADDR, 8 * kernel.output_limbs)
-            out_limbs = tuple(
-                int.from_bytes(raw[i:i + 8], "little")
-                for i in range(0, len(raw), 8)
-            )
+        if out is not None:
+            value, out_limbs, cycles, instructions = out
+            ran = "aot"
+            telemetry.record_aot_cache_hit()
+            telemetry.record_machine_run("aot")
         else:
-            machine.reset()
-            for value, (address, limbs, reg_index) in zip(
-                values, self._arg_plan
-            ):
-                machine.mem.store_words(
-                    address, radix.to_limbs(value, limbs=limbs))
-                machine.state.regs._regs[reg_index] = address
-            machine.state.regs._regs[self._result_reg] = RESULT_ADDR
-            result = machine.run(self.entry)
-            ran = result.engine
-            cycles = result.cycles
-            instructions = result.instructions_retired
-            out_limbs = tuple(
-                machine.mem.load_words(RESULT_ADDR, kernel.output_limbs)
-            )
-        hardening = self._hardening
-        if hardening is None:  # disabled hardening: one boolean test
+            aotfn = self._aot_function() if engine == "aot" else None
+            if aotfn is not None:
+                # lean path: the memory-exact machine-level function
+                # runs from architectural reset, so zeroing the register
+                # list is the only state to restore (the pipeline model
+                # is bypassed, not mutated)
+                self._marshal_args(values)
+                state = machine.state
+                aotfn.fn(state.regs._regs, DEFAULT_STACK_TOP)
+                state.pc = aotfn.exit_pc
+                state.halted = aotfn.halts
+                telemetry.record_machine_run("aot")
+                ran = "aot"
+                cycles = aotfn.cycles
+                instructions = aotfn.instructions_retired
+                raw = machine.mem.read_bytes(
+                    RESULT_ADDR, 8 * kernel.output_limbs)
+                out_limbs = tuple(
+                    int.from_bytes(raw[i:i + 8], "little")
+                    for i in range(0, len(raw), 8)
+                )
+            else:
+                machine.reset()
+                for value, (address, limbs, reg_index) in zip(
+                    values, self._arg_plan
+                ):
+                    machine.mem.store_words(
+                        address, radix.to_limbs(value, limbs=limbs))
+                    machine.state.regs._regs[reg_index] = address
+                machine.state.regs._regs[self._result_reg] = RESULT_ADDR
+                result = machine.run(self.entry)
+                ran = result.engine
+                cycles = result.cycles
+                instructions = result.instructions_retired
+                out_limbs = tuple(
+                    machine.mem.load_words(RESULT_ADDR,
+                                           kernel.output_limbs)
+                )
             value = radix.from_limbs(list(out_limbs))
-        else:
+        hardening = self._hardening
+        if hardening is not None:  # disabled: one boolean test
             if hardening.fault_hook is not None:
                 out_limbs = tuple(hardening.fault_hook(out_limbs))
-            value = radix.from_limbs(list(out_limbs))
+                value = radix.from_limbs(list(out_limbs))
             if hardening.enabled:
                 hardening.clock += 1
                 if hardening.clock >= hardening.interval:
@@ -603,8 +480,8 @@ class KernelRunner:
                 f"{kernel.name}: execution produced no cycle count "
                 f"(the runner's machine lost its pipeline model)"
             )
-        # ``ran`` reports the engine that actually ran (a jit or replay
-        # request can demote, e.g. when a profiler hook is attached)
+        # ``ran`` reports the engine that actually ran (an aot request
+        # can demote, e.g. when a profiler hook is attached)
         telemetry.record_kernel_run(kernel.name, ran, cycles, instructions)
         return KernelRun(
             value=value,
@@ -624,14 +501,14 @@ class KernelRunner:
 
         Semantically identical to ``[self.run(*v) for v in
         operand_sets]`` — same values, limbs, cycle counts, and
-        per-run ``kernel_runs_total`` accounting — but the fast tiers
-        resolve the engine, compiled trace / jit function, and cycle
-        cost **once** and then loop only the marshal/execute/read-out
-        core per item.  One extra ``kernel_batches_total`` /
-        ``kernel_batch_items_total`` sample records the batching
-        itself.  Hardened runners (checked mode or an armed fault
-        hook) and interpreter runs take the exact scalar path per item
-        so every safety check still fires.
+        per-run ``kernel_runs_total`` accounting — but an aot runner
+        with a fused entry thunk looks the thunk up **once** and then
+        loops only the thunk call per item.  One extra
+        ``kernel_batches_total`` / ``kernel_batch_items_total`` sample
+        records the batching itself.  Hardened runners (checked mode or
+        an armed fault hook), interpreter runs and runners without an
+        entry thunk take the exact scalar path per item, so every
+        safety check still fires.
         """
         kernel = self.kernel
         operand_sets = [tuple(values) for values in operand_sets]
@@ -648,147 +525,31 @@ class KernelRunner:
             raise KernelError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        engine = self._resolve_engine(engine)
         machine = self.machine
-        if (engine == "interpreter" or self._hardening is not None
+        thunk = self._aot_thunk if engine == "aot" else None
+        if (thunk is None or self._hardening is not None
                 or machine._trace_hooks):
             runs = [self.run(*values, check=check, engine=engine)
                     for values in operand_sets]
+            if engine == "aot" and (machine._trace_hooks or
+                                    not machine.aot_supported(self.entry)):
+                engine = "interpreter"  # what the scalar runs demoted to
             telemetry.record_kernel_batch(kernel.name, engine, len(runs))
             return runs
 
-        mem = machine.mem
-        state = machine.state
-        regs = state.regs._regs
-        radix = kernel.context.radix
-        arg_plan = self._arg_plan
-        result_reg = self._result_reg
-        out_bytes = 8 * kernel.output_limbs
+        # fused batch loop: the generated thunk per item, nothing else
+        # (per-item telemetry mirrors the scalar path)
         name = kernel.name
         reference = kernel.reference if check else None
         record_run = telemetry.record_kernel_run
         record_machine = telemetry.record_machine_run
-        if engine == "aot":
-            thunk = self._aot_thunk
-        elif engine == "jit":
-            thunk = self._entry_thunk
-        else:
-            thunk = self._replay_thunk
-            if thunk is None:
-                from repro.rv64.jit import compile_entry
-
-                thunk = compile_entry(
-                    machine, self.entry,
-                    arg_plan=arg_plan,
-                    result_reg=result_reg,
-                    result_addr=RESULT_ADDR,
-                    out_limbs=kernel.output_limbs,
-                    radix=radix,
-                    stack_top=DEFAULT_STACK_TOP,
-                    tier="replay",
-                )
-                self._replay_thunk = thunk if thunk is not None else False
-            if thunk is False:
-                thunk = None
-        if thunk is not None:
-            # fused batch loop: the generated thunk per item, nothing
-            # else (per-item telemetry mirrors the scalar path)
-            runs = []
-            for values in operand_sets:
-                out = thunk(*values)
-                if out is None:
-                    runs.append(self.run(*values, check=check,
-                                         engine=engine))
-                    continue
-                value, out_limbs, cycles, instructions = out
-                if reference is not None:
-                    expected = reference(*values)
-                    if value != expected:
-                        telemetry.record_kernel_check_failure(name)
-                        raise KernelError(
-                            f"{name} produced {value:#x}, expected "
-                            f"{expected:#x} for inputs "
-                            f"{[hex(v) for v in values]}"
-                        )
-                if cycles is None:
-                    raise KernelError(
-                        f"{name}: execution produced no cycle count "
-                        f"(the runner's machine lost its pipeline "
-                        f"model)"
-                    )
-                if engine == "jit":
-                    telemetry.record_jit_cache_hit()
-                elif engine == "aot":
-                    telemetry.record_aot_cache_hit()
-                record_machine(engine)
-                record_run(name, engine, cycles, instructions)
-                runs.append(KernelRun(
-                    value=value,
-                    limbs=out_limbs,
-                    instructions=instructions,
-                    cycles=cycles,
-                ))
-            telemetry.record_kernel_batch(name, engine, len(runs))
-            return runs
-        if engine == "aot":
-            # memory-exact machine-level variant (the entry thunk is
-            # absent here, e.g. the fuse was rejected for the thunk's
-            # stricter static-addressing contract)
-            aotfn = (machine._aot_cache.get(self.entry)
-                     or machine._aot_for(self.entry))
-            fn = aotfn.fn
-            cycles = aotfn.cycles
-            instructions = aotfn.instructions_retired
-            exit_pc, halts = aotfn.exit_pc, aotfn.halts
-
-            def execute() -> None:
-                fn(regs, DEFAULT_STACK_TOP)
-        elif engine == "jit":
-            jitfn = (machine._jit_cache.get(self.entry)
-                     or machine._jit_for(self.entry))
-            fn = jitfn.fn
-            cycles = jitfn.cycles
-            instructions = jitfn.instructions_retired
-            exit_pc, halts = jitfn.exit_pc, jitfn.halts
-
-            def execute() -> None:
-                fn(regs, DEFAULT_STACK_TOP)
-        else:
-            trace = machine._trace_for(self.entry)
-            steps = trace.steps
-            cycles = trace.cycles
-            instructions = trace.instructions_retired
-            exit_pc, halts = trace.exit_pc, trace.halts
-
-            def execute() -> None:
-                regs[1] = HALT_ADDRESS
-                regs[2] = DEFAULT_STACK_TOP
-                for step in steps:
-                    step()
-        if cycles is None:
-            raise KernelError(
-                f"{kernel.name}: execution produced no cycle count "
-                f"(the runner's machine lost its pipeline model)"
-            )
-        runs: list[KernelRun] = []
+        runs = []
         for values in operand_sets:
-            regs[:] = _ZERO_REGS
-            for value, (address, limbs, reg_index) in zip(
-                values, arg_plan
-            ):
-                mem.write_bytes(address, b"".join(
-                    w.to_bytes(8, "little")
-                    for w in radix.to_limbs(value, limbs=limbs)
-                ))
-                regs[reg_index] = address
-            regs[result_reg] = RESULT_ADDR
-            execute()
-            raw = mem.read_bytes(RESULT_ADDR, out_bytes)
-            out_limbs = tuple(
-                int.from_bytes(raw[i:i + 8], "little")
-                for i in range(0, out_bytes, 8)
-            )
-            value = radix.from_limbs(list(out_limbs))
+            out = thunk(*values)
+            if out is None:
+                runs.append(self.run(*values, check=check, engine=engine))
+                continue
+            value, out_limbs, cycles, instructions = out
             if reference is not None:
                 expected = reference(*values)
                 if value != expected:
@@ -798,20 +559,21 @@ class KernelRunner:
                         f"{expected:#x} for inputs "
                         f"{[hex(v) for v in values]}"
                     )
-            if engine == "jit":
-                telemetry.record_jit_cache_hit()
-            record_machine(engine)
-            record_run(name, engine, cycles, instructions)
+            if cycles is None:
+                raise KernelError(
+                    f"{name}: execution produced no cycle count "
+                    f"(the runner's machine lost its pipeline model)"
+                )
+            telemetry.record_aot_cache_hit()
+            record_machine("aot")
+            record_run(name, "aot", cycles, instructions)
             runs.append(KernelRun(
                 value=value,
                 limbs=out_limbs,
                 instructions=instructions,
                 cycles=cycles,
             ))
-        if runs:
-            state.pc = exit_pc
-            state.halted = halts
-        telemetry.record_kernel_batch(name, engine, len(runs))
+        telemetry.record_kernel_batch(name, "aot", len(runs))
         return runs
 
     def measure_cycles(self, *values: int) -> int:
@@ -823,7 +585,7 @@ class KernelRunner:
         """Cycle count of one from-reset execution, without executing.
 
         Straight-line kernels have data-independent timing, so the
-        compiled trace's precomputed cost *is* the cycle count; kernels
+        static trace's precomputed cost *is* the cycle count; kernels
         that cannot be trace-compiled (e.g. cache-enabled timing
         configurations) fall back to one measured run on seeded sample
         operands.
@@ -840,11 +602,9 @@ def run_kernel(
     *values: int,
     pipeline_config: PipelineConfig = ROCKET_CONFIG,
     check: bool = True,
-    replay: bool = False,
-    engine: str | None = None,
+    engine: str = "interpreter",
 ) -> KernelRun:
     """One-shot convenience wrapper."""
     return KernelRunner(
-        kernel, pipeline_config=pipeline_config, replay=replay,
-        engine=engine,
+        kernel, pipeline_config=pipeline_config, engine=engine,
     ).run(*values, check=check)

@@ -37,7 +37,6 @@ from repro.rv64.replay import (
     CompiledTrace,
     ReplayError,
     compile_trace,
-    register_compiler,
 )
 from repro.rv64.timeline import (
     TimelineEntry,
@@ -81,7 +80,6 @@ __all__ = [
     "CompiledTrace",
     "ReplayError",
     "compile_trace",
-    "register_compiler",
     "TimelineEntry",
     "render_timeline",
     "trace_timeline",

@@ -1,14 +1,11 @@
 """AOT whole-kernel compilation: fuse a trace into limb arithmetic.
 
-The fourth (fastest) execution tier.  The jit tier
-(:mod:`repro.rv64.jit`) already collapsed per-step closure dispatch,
-but it still emits **one Python statement per traced instruction**:
-every ``maddlu``/``maddhu``/carry chain pays a statement boundary, a
-local-variable store and (for loads/stores) a page branch, even though
-the whole kernel is one pure dataflow graph over the operand values.
-
-:func:`compile_aot_entry` removes that too.  It *symbolically executes*
-the replay trace over expression nodes instead of integers:
+The fast execution tier.  The interpreter in :mod:`repro.rv64.machine`
+fetches, decodes, executes and times every instruction on every run,
+even though a generated kernel is one pure dataflow graph over its
+operand values.  :func:`compile_aot_entry` *symbolically executes* the
+kernel's static trace (:func:`repro.rv64.replay.compile_trace`) over
+expression nodes instead of integers:
 
 * the operand buffers become whole-operand atoms (``v0``, ``v1``);
   ``ld`` from an operand span folds into the limb-extraction expression
@@ -26,24 +23,22 @@ the replay trace over expression nodes instead of integers:
 * the full 32-register writeback, architectural ``pc``/``halted`` and
   the trace's **precomputed static cycle accounting** are attached
   verbatim, so the differential suite's register-file comparison and
-  the golden cycle snapshot hold bit-for-bit (the same contract as the
-  jit tier, see ``tests/differential/``).
+  the golden cycle snapshot hold bit-for-bit against the interpreter
+  (see ``tests/differential/``).
 
-Expression semantics come from the *same* template table as the jit
-tier (:data:`repro.rv64.jit._ALU_R_EXPR` / ``_ALU_I_EXPR`` are imported,
-not re-typed) and extension packages register theirs via
-:func:`register_expr` — one algebra, three tiers, no drift.  Anything
-without a template falls back to the *extracted* interpreter ``op``
-lambda bound into the namespace (correct, but it marks the artifact
-non-persistable: a bound lambda cannot round-trip through the disk
-cache).
+Expression semantics come from one template table: the base ALU
+templates below and the ones extension packages register via
+:func:`register_expr`.  Anything without a template falls back to the
+*extracted* interpreter ``op`` lambda bound into the namespace
+(correct, but it marks the artifact non-persistable: a bound lambda
+cannot round-trip through the disk cache).
 
 :func:`compile_aot` is the machine-level variant behind
 ``Machine.run(engine="aot")``: same symbolic core, but memory accesses
 stay *runtime effects* (emitted in program order against the machine's
 real memory), so the generic runner paths — hardened mode, fault
 hooks, histogram collection — read results out of memory exactly as
-they do for every other engine.
+the interpreter leaves them.
 
 Compiled entry thunks serialise to **source text plus static costs**;
 :mod:`repro.rv64.artifacts` persists them on disk keyed by (kernel,
@@ -53,11 +48,10 @@ path of ``repro serve`` and the shard scheduler's pre-fork warmup.
 
 Compilation *refuses* with :class:`AotError` (``reason`` is one of
 :data:`AotError.REASONS`) whenever whole-kernel fusion cannot be proven
-exact: no replay trace, an instruction without a template or extracted
+exact: no static trace, an instruction without a template or extracted
 lambda, a data-dependent address, a memory access outside the
-forwardable regions, or a codegen failure.  Callers demote one rung
-down the aot → jit → replay → interpreter ladder
-(see ``docs/ROBUSTNESS.md``).
+forwardable regions, or a codegen failure.  Callers demote to the
+interpreter (see ``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
@@ -70,10 +64,8 @@ from typing import Callable, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.rv64.bits import MASK64, s32, u64
-from repro.rv64.isa import FMT_I, FMT_I_SHIFT, FMT_R
-from repro.rv64.jit import _ALU_I_EXPR, _ALU_R_EXPR
+from repro.rv64.isa import FMT_I, FMT_I_SHIFT, FMT_R, InstrSpec
 from repro.rv64.machine import DEFAULT_STACK_TOP, HALT_ADDRESS
-from repro.rv64.replay import _extract_alu_op
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rv64.machine import Machine
@@ -84,7 +76,7 @@ class AotError(SimulationError):
 
     ``reason`` is a short machine-readable code used by telemetry's
     ``aot_rejects_total{reason=...}`` counter; the caller demotes to
-    the jit tier (which may itself demote further down the ladder).
+    the interpreter.
     """
 
     code = "aot"
@@ -99,9 +91,9 @@ class AotError(SimulationError):
         self.reason = reason
 
 
-#: Run-level demotion reasons recorded by ``aot_demotions_total``:
-#: the compile refusals surface as ``not_compilable`` plus the same
-#: situational demotions the jit tier knows.
+#: Run-level aot → interpreter demotion reasons recorded by
+#: ``aot_demotions_total``: every compile refusal surfaces as
+#: ``not_compilable``; the other two are situational.
 DEMOTION_REASONS = ("not_compilable", "trace_hooks", "no_setup_return")
 
 
@@ -116,7 +108,7 @@ _DEPTH_CAP = 24
 
 #: Recursion headroom for rendering very long dependence chains (one
 #: temporary materialisation per node still recurses through the
-#: emitter); RecursionError beyond this demotes to the jit tier.
+#: emitter); RecursionError beyond this demotes to the interpreter.
 _RECURSION_LIMIT = 10_000
 
 _FOLD_GLOBALS = {"__builtins__": {}, "M": MASK64}
@@ -169,8 +161,42 @@ def _op(template: str, children: tuple) -> _Node:
 
 
 # ---------------------------------------------------------------------------
-# Expression registry (shared algebra with the jit templates)
+# Expression registry
 # ---------------------------------------------------------------------------
+
+#: Base R-type templates over ``{a}``/``{b}`` (register values in
+#: [0, 2^64)); ``{sa}``/``{sb}`` are their signed reinterpretations and
+#: ``M`` is the 64-bit mask in the generated function's globals.
+_ALU_R_EXPR = {
+    "add": "({a} + {b}) & M",
+    "sub": "({a} - {b}) & M",
+    "xor": "{a} ^ {b}",
+    "or": "{a} | {b}",
+    "and": "{a} & {b}",
+    "slt": "1 if {sa} < {sb} else 0",
+    "sltu": "1 if {a} < {b} else 0",
+    "sll": "({a} << ({b} & 63)) & M",
+    "srl": "{a} >> ({b} & 63)",
+    "sra": "({sa} >> ({b} & 63)) & M",
+    "mul": "({a} * {b}) & M",
+    "mulh": "(({sa} * {sb}) >> 64) & M",
+    "mulhsu": "(({sa} * {b}) >> 64) & M",
+    "mulhu": "({a} * {b}) >> 64",
+}
+
+#: Base I-type templates over ``{a}`` and the immediate, as ``{imm}``
+#: (signed), ``{uimm}`` (its u64 view) or ``{sh}`` (shift amount).
+_ALU_I_EXPR = {
+    "addi": "({a} + {imm}) & M",
+    "xori": "({a} ^ {imm}) & M",
+    "ori": "{a} | {uimm}",
+    "andi": "{a} & {uimm}",
+    "slti": "1 if {sa} < {imm} else 0",
+    "sltiu": "1 if {a} < {uimm} else 0",
+    "slli": "({a} << {sh}) & M",
+    "srli": "{a} >> {sh}",
+    "srai": "({sa} >> {sh}) & M",
+}
 
 #: ``mnemonic -> (kind, expr)``; kind is one of ``"r"`` ({a}/{b}),
 #: ``"i"`` ({a}/{imm}/{uimm}/{sh}), ``"r4"`` ({a}/{b}/{c}),
@@ -211,6 +237,17 @@ _SIGNED_A = "({a} - (({a} >> 63) << 64))"
 _SIGNED_B = "({b} - (({b} >> 63) << 64))"
 
 _FIELD_RE = re.compile(r"\{(\w+)\}")
+
+
+def _extract_alu_op(spec: InstrSpec):
+    """Recover the pure ``op`` lambda inside an ``_alu_reg``/``_alu_imm``
+    execute closure, so the fallback for a mnemonic without a template
+    is *the same object* as the interpreter's semantics."""
+    fn = spec.execute
+    code = getattr(fn, "__code__", None)
+    if code is not None and code.co_freevars == ("op",):
+        return fn.__closure__[0].cell_contents  # type: ignore[index]
+    return None
 
 
 def _build_expr(expr: str, operands: dict, scalars: dict) -> _Node:
@@ -381,7 +418,7 @@ class _SymbolicRun:
         self.persistable = True
 
     def _write(self, rd: int, node: _Node) -> None:
-        if rd != 0:  # x0 is hard-wired (replay drops these anyway)
+        if rd != 0:  # x0 is hard-wired (the trace drops these anyway)
             self.regs[rd] = node
 
     def _address_node(self, ins) -> _Node:
@@ -610,15 +647,14 @@ class AotEntry:
 class AotFunction:
     """The machine-level fused function (``Machine.run(engine="aot")``).
 
-    Mirrors :class:`~repro.rv64.jit.JitFunction`: ``fn(regs,
-    stack_top)`` is memory-exact (runtime stores land in the machine's
-    memory), and the trace's static cost/histogram ride along verbatim.
+    ``fn(regs, stack_top)`` is memory-exact (runtime stores land in the
+    machine's memory), and the trace's static cost/histogram ride along
+    verbatim.
     """
 
     entry: int
     fn: Callable
     source: str
-    namespace: dict
     instructions_retired: int
     cycles: int | None
     histogram: Counter
@@ -630,18 +666,14 @@ class AotFunction:
 # Entry-thunk compilation (the KernelRunner fast path)
 # ---------------------------------------------------------------------------
 
-def _trace_or_refuse(machine: Machine, entry: int):
-    trace = machine._trace_for(entry)
+def _trace_or_refuse(machine: Machine, entry: int, trace=None):
+    if trace is None:
+        trace = machine._trace_for(entry)
     if trace is None:
         raise AotError(
-            f"no replay trace for entry {entry:#x}: the aot tier "
-            f"fuses replay traces",
+            f"no static trace for entry {entry:#x}: the aot tier "
+            f"fuses straight-line traces",
             reason="not_replayable",
-        )
-    if len(trace.step_instructions) != len(trace.steps):
-        raise AotError(
-            f"trace for {entry:#x} has no step/instruction alignment",
-            reason="codegen_error",
         )
     return trace
 
@@ -657,6 +689,7 @@ def compile_aot_entry(
     radix,
     const_window: tuple[int, int],
     stack_top: int = DEFAULT_STACK_TOP,
+    trace=None,
 ) -> AotEntry:
     """Fuse the kernel at *entry* into one whole-kernel entry thunk.
 
@@ -668,11 +701,13 @@ def compile_aot_entry(
     returns the read-out with the trace's precomputed static cost.
 
     The liveness guard re-reads ``machine._aot_entry_cache`` on every
-    call: poisoning or invalidation pops the entry, the thunk returns
-    ``None``, and the caller demotes — the same eviction contract as
-    the jit tier's per-call cache fetch.
+    call: invalidation pops the entry, the thunk returns ``None``, and
+    the caller falls back to the machine-level path.
+
+    *trace* overrides the machine's cached trace (fault injection fuses
+    a poisoned copy this way); by default the cached trace is used.
     """
-    trace = _trace_or_refuse(machine, entry)
+    trace = _trace_or_refuse(machine, entry, trace)
     bits = radix.bits
     regs: list[_Node] = [_const(0)] * 32
     regs[1] = _const(HALT_ADDRESS)
@@ -809,18 +844,18 @@ def bind_entry_source(
 _REGLIST = ", ".join(f"r{i}" for i in range(32))
 
 
-def compile_aot(machine: Machine, entry: int) -> AotFunction:
+def compile_aot(machine: Machine, entry: int, trace=None) -> AotFunction:
     """Fuse the straight-line program at *entry*, memory-exactly.
 
     Same symbolic core as :func:`compile_aot_entry`, but register
     inputs stay live atoms and memory accesses stay runtime effects in
-    program order, so the function is a drop-in replacement for a jit
-    function: ``fn(regs, stack_top)`` leaves registers *and memory*
-    exactly as the interpreter would.
+    program order: ``fn(regs, stack_top)`` leaves registers *and
+    memory* exactly as the interpreter would.  *trace* overrides the
+    machine's cached trace, as for :func:`compile_aot_entry`.
 
-    Raises :class:`AotError`; the caller demotes to the jit tier.
+    Raises :class:`AotError`; the caller demotes to the interpreter.
     """
-    trace = _trace_or_refuse(machine, entry)
+    trace = _trace_or_refuse(machine, entry, trace)
     regs: list[_Node] = [_atom(f"r{i}") for i in range(32)]
     regs[1] = _const(HALT_ADDRESS)
     regs[2] = _atom("stack_top")
@@ -870,7 +905,6 @@ def compile_aot(machine: Machine, entry: int) -> AotFunction:
         entry=entry,
         fn=fn,
         source=source,
-        namespace=namespace,
         instructions_retired=trace.instructions_retired,
         cycles=trace.cycles,
         histogram=trace.histogram,

@@ -9,6 +9,13 @@ Execution terminates when the program counter reaches
 :data:`HALT_ADDRESS` (the conventional return address planted in ``ra``
 before calling a kernel), when an ``ebreak`` retires, or when the step
 limit is exceeded (guarding against runaway programs).
+
+Two engines run a program (:data:`ENGINES`).  The interpreter walks it
+instruction by instruction through the pipeline model and is the source
+of truth for every cycle count.  The aot engine (:mod:`repro.rv64.aot`)
+runs straight-line programs as one fused Python function with the
+trace's static cycle cost attached; it demotes to the interpreter
+whenever that cannot be exact.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ HALT_ADDRESS = 0x0000_0000_DEAD_0000
 #: Default stack top for kernels that need scratch memory.
 DEFAULT_STACK_TOP = 0x0000_0000_7FFF_F000
 
-#: The execution tiers of :meth:`Machine.run`, slowest to fastest.
-ENGINES = ("interpreter", "replay", "jit", "aot")
+#: The execution engines of :meth:`Machine.run`, slowest to fastest.
+ENGINES = ("interpreter", "aot")
 
 TraceHook = Callable[["MachineState", Instruction], None]
 
@@ -44,10 +51,10 @@ class ExecutionResult:
     """Summary of one :meth:`Machine.run` invocation.
 
     ``engine`` names the execution engine that *actually* ran — one of
-    :data:`ENGINES` — which matters because a requested engine silently
-    demotes down the aot → jit → replay → interpreter ladder when
-    exactness cannot be guaranteed (trace hooks attached,
-    non-replayable or non-compilable program, ``setup_return=False``).
+    :data:`ENGINES` — which matters because a requested aot run
+    silently demotes to the interpreter when exactness cannot be
+    guaranteed (trace hooks attached, a program that does not fuse,
+    ``setup_return=False``).
     Telemetry and profiling must consume this field rather than echo
     the request.
     """
@@ -100,12 +107,9 @@ class Machine:
         self._trace_hooks: list[TraceHook] = []
         self.collect_histogram = False
         self._histogram: Counter[str] = Counter()
-        # decode-once/replay-many caches (see repro.rv64.replay)
+        # static traces, the aot front end (see repro.rv64.replay)
         self._trace_cache: dict[int, object] = {}
         self._replay_rejected: set[int] = set()
-        # trace-JIT caches (see repro.rv64.jit)
-        self._jit_cache: dict[int, object] = {}
-        self._jit_rejected: set[int] = set()
         # whole-kernel aot caches (see repro.rv64.aot):
         # _aot_cache holds machine-level AotFunctions for run();
         # _aot_entry_cache holds KernelRunner entry thunks and doubles
@@ -136,8 +140,6 @@ class Machine:
             self._program[base + 4 * index] = (ins, spec)
         self._trace_cache.clear()
         self._replay_rejected.clear()
-        self._jit_cache.clear()
-        self._jit_rejected.clear()
         self._aot_cache.clear()
         self._aot_rejected.clear()
         self._aot_entry_cache.clear()
@@ -154,9 +156,9 @@ class Machine:
     def add_trace_hook(self, hook: TraceHook) -> None:
         """Register *hook* to observe every retired instruction.
 
-        While any hook is attached, ``run(replay=True)`` falls back to
-        the interpreter: replay skips per-instruction dispatch, so it
-        cannot deliver per-instruction callbacks.
+        While any hook is attached, ``run(engine="aot")`` falls back to
+        the interpreter: a fused function has no per-instruction
+        dispatch, so it cannot deliver per-instruction callbacks.
         """
         self._trace_hooks.append(hook)
 
@@ -201,8 +203,7 @@ class Machine:
         *,
         setup_return: bool = True,
         stack_top: int = DEFAULT_STACK_TOP,
-        replay: bool = False,
-        engine: str | None = None,
+        engine: str = "interpreter",
     ) -> ExecutionResult:
         """Run from *entry* until halt; returns retired-instruction stats.
 
@@ -211,34 +212,19 @@ class Machine:
         ``ret`` ends the simulation — the calling convention used by all
         generated kernels.
 
-        ``engine`` selects the execution tier (one of :data:`ENGINES`;
-        ``None`` honours the legacy ``replay`` flag):
-
-        * ``"replay"`` decodes the program once into a compiled trace
-          (see :mod:`repro.rv64.replay`) and replays the bound
-          closures, skipping fetch/decode and the per-instruction
-          timing walk; the architectural result and the reported cycle
-          count are identical to the interpreter's for a run from
-          :meth:`reset` (the cycle cost of straight-line code is a
-          static property of the trace, so the attached pipeline model
-          is left untouched);
-        * ``"jit"`` additionally code-generates the trace into a single
-          Python function (see :mod:`repro.rv64.jit`) — no per-step
-          closure dispatch at all, same bit-exact contract;
-        * ``"aot"`` fuses the whole trace into wide-int expression
-          dataflow (see :mod:`repro.rv64.aot`) — address arithmetic and
-          mask setup constant-fold away, carry chains collapse into
-          fused expressions, same bit-exact contract.
-
-        A requested tier silently demotes down the aot → jit → replay
-        → interpreter ladder whenever exactness cannot be guaranteed —
-        internal control flow, trace hooks, cache-enabled timing,
+        ``engine`` selects the execution engine (one of
+        :data:`ENGINES`).  ``"aot"`` runs the whole program as one fused
+        function (see :mod:`repro.rv64.aot`): the architectural result
+        and the reported cycle count are identical to the interpreter's
+        for a run from :meth:`reset` (the cycle cost of straight-line
+        code is a static property of its trace, so the attached
+        pipeline model is left untouched).  It silently demotes to the
+        interpreter whenever exactness cannot be guaranteed — internal
+        control flow, trace hooks, cache-enabled timing,
         ``setup_return=False``, a codegen refusal; the result's
         ``engine`` field reports what actually ran.
         """
-        if engine is None:
-            engine = "replay" if replay else "interpreter"
-        elif engine not in ENGINES:
+        if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
@@ -252,28 +238,6 @@ class Machine:
                 if aotfn is not None:
                     return self._run_aot(aotfn, stack_top)
                 telemetry.record_aot_demotion("not_compilable")
-            engine = "jit"  # demote one rung; jit re-checks below
-        if engine == "jit":
-            if self._trace_hooks:
-                telemetry.record_jit_demotion("trace_hooks")
-            elif not setup_return:
-                telemetry.record_jit_demotion("no_setup_return")
-            else:
-                jitfn = self._jit_for(entry)
-                if jitfn is not None:
-                    return self._run_jit(jitfn, stack_top)
-                telemetry.record_jit_demotion("not_compilable")
-            engine = "replay"  # demote one rung; replay re-checks below
-        if engine == "replay":
-            if self._trace_hooks:
-                telemetry.record_replay_fallback("trace_hooks")
-            elif not setup_return:
-                telemetry.record_replay_fallback("no_setup_return")
-            else:
-                trace = self._trace_for(entry)
-                if trace is not None:
-                    return self._replay(trace, stack_top)
-                telemetry.record_replay_fallback("not_replayable")
         state = self.state
         if setup_return:
             state.regs.write("ra", HALT_ADDRESS)
@@ -334,10 +298,10 @@ class Machine:
             engine="interpreter",
         )
 
-    # -- trace replay --------------------------------------------------------
+    # -- static traces and fused functions -----------------------------------
 
     def _trace_for(self, entry: int):
-        """Compile (once) and cache the replay trace for *entry*."""
+        """Compile (once) and cache the static trace for *entry*."""
         trace = self._trace_cache.get(entry)
         if trace is None and entry not in self._replay_rejected:
             from repro.rv64.replay import ReplayError, compile_trace
@@ -351,38 +315,6 @@ class Machine:
             telemetry.record_trace_compile()
             self._trace_cache[entry] = trace
         return trace
-
-    def replay_supported(self, entry: int) -> bool:
-        """Whether the program at *entry* compiles to a replay trace."""
-        return self._trace_for(entry) is not None
-
-    def _jit_for(self, entry: int):
-        """Compile (once) and cache the jit function for *entry*."""
-        jitfn = self._jit_cache.get(entry)
-        if jitfn is not None:
-            telemetry.record_jit_cache_hit()
-            return jitfn
-        if entry in self._jit_rejected:
-            return None
-        from repro.rv64.jit import JitError, compile_jit
-
-        start = perf_counter()
-        try:
-            jitfn = compile_jit(self, entry)
-        except JitError as exc:
-            telemetry.record_jit_reject(exc.reason)
-            self._jit_rejected.add(entry)
-            return None
-        telemetry.record_jit_compile(perf_counter() - start)
-        self._jit_cache[entry] = jitfn
-        return jitfn
-
-    def jit_supported(self, entry: int) -> bool:
-        """Whether the program at *entry* compiles to a jit function."""
-        if entry in self._jit_cache:
-            return True  # capability probe: not a served run, no
-            # jit_cache_hits_total sample (that counter counts runs)
-        return self._jit_for(entry) is not None
 
     def _aot_for(self, entry: int):
         """Compile (once) and cache the fused aot function for *entry*."""
@@ -410,7 +342,7 @@ class Machine:
 
         An entry thunk bound from a disk artifact counts as supported
         *without* compiling the machine-level function — compiling it
-        would need the replay trace, defeating the warm start the
+        would need the static trace, defeating the warm start the
         artifact exists to provide.
         """
         if entry in self._aot_cache or entry in self._aot_entry_cache:
@@ -418,25 +350,21 @@ class Machine:
         return self._aot_for(entry) is not None
 
     def invalidate_trace(self, entry: int) -> bool:
-        """Drop the cached replay trace for *entry*; returns whether one
+        """Drop the cached static trace for *entry*; returns whether one
         was cached.
 
         This is the recovery primitive of the hardened execution layer
         (see ``docs/ROBUSTNESS.md``): a trace suspected of corruption is
-        invalidated and the next fast-tier run recompiles it from the
-        (immutable) program image.  The compiled jit and aot functions
-        are dropped alongside the trace — they were generated *from*
-        the suspect trace, so restoring trust means evicting every
-        derived tier, including the entry's on-disk aot artifact (the
-        persisted copy is just the compiled tier serialised).  Previous
-        rejections are also forgotten, so a once-unreplayable entry
-        gets re-examined.
+        invalidated and the next aot run recompiles it from the
+        (immutable) program image.  The fused aot functions are dropped
+        alongside the trace — they were generated *from* the suspect
+        trace — and so is the entry's on-disk aot artifact (the
+        persisted copy is just the fused thunk serialised).  Previous
+        rejections are also forgotten, so a once-refused entry gets
+        re-examined.
         """
         self._replay_rejected.discard(entry)
-        self._jit_rejected.discard(entry)
         self._aot_rejected.discard(entry)
-        if self._jit_cache.pop(entry, None) is not None:
-            telemetry.record_jit_evicted()
         dropped_aot = self._aot_cache.pop(entry, None) is not None
         if self._aot_entry_cache.pop(entry, None) is not None:
             dropped_aot = True
@@ -451,48 +379,8 @@ class Machine:
             telemetry.record_trace_invalidated()
         return removed
 
-    def _replay(self, trace, stack_top: int) -> ExecutionResult:
-        """Execute a compiled trace; mirrors one interpreted run."""
-        state = self.state
-        regs = state.regs._regs
-        regs[1] = HALT_ADDRESS   # ra
-        regs[2] = stack_top      # sp
-        for step in trace.steps:
-            step()
-        state.pc = trace.exit_pc
-        state.halted = trace.halts
-        telemetry.record_machine_run("replay")
-        return ExecutionResult(
-            instructions_retired=trace.instructions_retired,
-            cycles=trace.cycles,
-            histogram=(
-                Counter(trace.histogram)
-                if self.collect_histogram
-                else Counter()
-            ),
-            engine="replay",
-        )
-
-    def _run_jit(self, jitfn, stack_top: int) -> ExecutionResult:
-        """Execute a compiled jit function; mirrors one replayed run."""
-        state = self.state
-        jitfn.fn(state.regs._regs, stack_top)
-        state.pc = jitfn.exit_pc
-        state.halted = jitfn.halts
-        telemetry.record_machine_run("jit")
-        return ExecutionResult(
-            instructions_retired=jitfn.instructions_retired,
-            cycles=jitfn.cycles,
-            histogram=(
-                Counter(jitfn.histogram)
-                if self.collect_histogram
-                else Counter()
-            ),
-            engine="jit",
-        )
-
     def _run_aot(self, aotfn, stack_top: int) -> ExecutionResult:
-        """Execute a fused aot function; mirrors one jit run."""
+        """Execute a fused aot function; mirrors one interpreted run."""
         state = self.state
         aotfn.fn(state.regs._regs, stack_top)
         state.pc = aotfn.exit_pc

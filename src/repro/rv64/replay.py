@@ -1,77 +1,48 @@
-"""Trace-replay execution engine for straight-line programs.
+"""Static trace compilation: the front end of the aot tier.
 
 Every generated kernel is branch-free straight-line code with
 data-independent timing: the dynamic instruction sequence — and hence
 the pipeline schedule — is identical on every invocation, only the
-operand values differ.  The interpreter in :mod:`repro.rv64.machine`
-nevertheless re-fetches, re-dispatches and re-times the same program on
-each run.  This module removes that overhead with a decode-once /
-replay-many model:
+operand values differ.  :func:`compile_trace` exploits that once per
+kernel:
 
-* :func:`compile_trace` walks the loaded program *statically* from the
-  entry point (possible exactly because the code is straight-line),
-  binds each instruction to a compact Python closure operating directly
-  on the register list and memory pages, and pre-computes the cycle
-  cost once by running the instruction sequence through a fresh
-  :class:`~repro.rv64.pipeline.PipelineModel`;
-* replaying the compiled trace executes only the bound closures — no
-  fetch, no decode, no per-instruction timing walk — while producing
-  bit-identical architectural state and the identical cycle count.
+* it walks the loaded program *statically* from the entry point
+  (possible exactly because the code is straight-line) and records the
+  ``(pc, instruction, spec)`` of every instruction with an
+  architectural effect — ``step_instructions``, the sequence
+  :mod:`repro.rv64.aot` symbolically executes and fuses;
+* it pre-computes the from-reset cycle cost once by running the
+  instruction sequence through a fresh
+  :class:`~repro.rv64.pipeline.PipelineModel`, together with the
+  retired-instruction total, the mnemonic histogram and the
+  architectural exit state (``exit_pc``/``halts``).
 
 Compilation *refuses* (raising :class:`ReplayError`) whenever exactness
 cannot be guaranteed statically: any control flow other than the final
 ``ret``/``ebreak``, a write to ``ra`` (which would redirect the final
 ``ret``), or a cache-enabled timing configuration (miss patterns are
 history-dependent, so the cycle count is not a static property of the
-trace).  Callers fall back to the interpreter in that case; the
-differential suite under ``tests/differential/`` proves the two paths
-equivalent wherever replay is accepted.
-
-Instruction semantics are *not* re-implemented here: closures for base
-ALU instructions are built from the same ``op`` lambdas that power the
-interpreter (extracted from the :func:`~repro.rv64.isa._alu_reg` /
-``_alu_imm`` closures), and extension packages register their own
-compilers via :func:`register_compiler` (mirroring
-:func:`~repro.rv64.isa.register_global_spec`).  Anything without a
-specialised compiler falls back to calling ``spec.execute`` — slower,
-never wrong.
+trace).  The aot tier then refuses too and the run demotes to the
+interpreter; the differential suite under ``tests/differential/``
+proves the two engines equivalent wherever a trace is accepted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.rv64.bits import MASK64, s32, u64
-from repro.rv64.isa import (
-    FMT_I,
-    FMT_I_SHIFT,
-    FMT_R,
-    Instruction,
-    InstrSpec,
-    KIND_BRANCH,
-    KIND_JUMP,
-)
-from repro.rv64.memory import PAGE_BITS, PAGE_MASK
+from repro.rv64.isa import Instruction, InstrSpec, KIND_BRANCH, KIND_JUMP
 from repro.rv64.pipeline import PipelineModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.rv64.machine import Machine, MachineState
-
-#: One replayed instruction: a zero-argument closure over machine state.
-TraceStep = Callable[[], None]
-
-#: A compiler factory: ``(state, ins, pc) -> step``.  Returning ``None``
-#: means the instruction is a statically-known no-op (e.g. a pure write
-#: to ``x0``) and is dropped from the step sequence — it still counts
-#: toward the retired-instruction total, histogram and cycle cost.
-CompilerFn = Callable[["MachineState", Instruction, int], TraceStep | None]
+    from repro.rv64.machine import Machine
 
 
 class ReplayError(SimulationError):
-    """The program cannot be compiled to an exact replay trace.
+    """The program cannot be compiled to an exact static trace.
 
     ``reason`` is a short machine-readable code (``control_flow``,
     ``ra_write``, ``cache_timing``, ``unmapped``, ``step_limit``) used
@@ -81,7 +52,7 @@ class ReplayError(SimulationError):
     code = "replay"
 
     #: Every reason `compile_trace` can refuse with (mirrored by the
-    #: exhaustive fallback tests in ``tests/test_replay_fallback.py``).
+    #: per-reason tests in ``tests/test_replay_fallback.py``).
     REASONS = ("control_flow", "ra_write", "cache_timing", "unmapped",
                "step_limit")
 
@@ -92,7 +63,7 @@ class ReplayError(SimulationError):
 
 @dataclass(frozen=True)
 class CompiledTrace:
-    """A program decoded once into a replayable closure sequence.
+    """A straight-line program decoded once, with its static cost.
 
     ``cycles`` is the *from-reset* cost of one complete execution under
     the machine's pipeline configuration (``None`` when the machine has
@@ -100,238 +71,33 @@ class CompiledTrace:
     trace, which equals the dynamic histogram because the code is
     straight-line.
 
-    ``step_instructions`` records, aligned 1:1 with ``steps``, the
-    ``(pc, instruction, spec)`` that produced each step (dropped no-ops
-    are absent from both).  The trace-JIT tier (:mod:`repro.rv64.jit`)
-    consumes this alignment to emit exactly one source block per replay
-    step, so fault injection can corrupt step *k* symmetrically in both
-    tiers.
+    ``step_instructions`` lists the ``(pc, instruction, spec)`` of each
+    instruction with an architectural effect, in program order: the
+    terminal ``ret``/``ebreak``, ``fence`` and pure writes to ``x0`` are
+    absent (they still count toward the retired-instruction total,
+    histogram and cycle cost).  Fault injection indexes its trace sites
+    by position in this sequence.
     """
 
     entry: int
-    steps: tuple[TraceStep, ...]
+    step_instructions: tuple[tuple[int, Instruction, InstrSpec], ...]
     instructions_retired: int
     cycles: int | None
     histogram: Counter
     halts: bool       # ends in ebreak (vs. ret to the halt sentinel)
     exit_pc: int      # pc the interpreter would be left at
-    step_instructions: tuple[
-        tuple[int, Instruction, InstrSpec], ...
-    ] = ()
 
 
-# ---------------------------------------------------------------------------
-# Compiler registry
-# ---------------------------------------------------------------------------
-
-_COMPILERS: dict[str, CompilerFn] = {}
+_LOADS = frozenset(("ld", "lb", "lbu", "lh", "lhu", "lw", "lwu"))
 
 
-def register_compiler(mnemonic: str, factory: CompilerFn) -> None:
-    """Register a specialised step compiler for *mnemonic* (idempotent).
+def _is_no_op(ins: Instruction, spec: InstrSpec) -> bool:
+    """Statically without architectural effect: ``fence``, or a pure
+    computation into ``x0`` (a load into ``x0`` may still trap)."""
+    if ins.mnemonic == "fence":
+        return True
+    return spec.writes_rd and ins.rd == 0 and ins.mnemonic not in _LOADS
 
-    Extension packages (e.g. :mod:`repro.core.ise`) use this to give
-    their custom instructions fast replay closures; unregistered
-    mnemonics transparently fall back to the generic ``spec.execute``
-    path, so registration is purely a performance optimisation.
-    """
-    _COMPILERS.setdefault(mnemonic, factory)
-
-
-# -- constant-producing instructions ----------------------------------------
-
-def _compile_lui(state: MachineState, ins: Instruction, pc: int):
-    if ins.rd == 0:
-        return None
-    regs = state.regs._regs
-    rd = ins.rd
-    value = u64(s32(ins.imm << 12))
-
-    def step() -> None:
-        regs[rd] = value
-
-    return step
-
-
-def _compile_auipc(state: MachineState, ins: Instruction, pc: int):
-    # pc is a static property of the trace, so auipc folds to a constant
-    if ins.rd == 0:
-        return None
-    regs = state.regs._regs
-    rd = ins.rd
-    value = u64(pc + s32(ins.imm << 12))
-
-    def step() -> None:
-        regs[rd] = value
-
-    return step
-
-
-# -- loads and stores --------------------------------------------------------
-
-def _compile_ld(state: MachineState, ins: Instruction, pc: int):
-    regs = state.regs._regs
-    mem = state.mem
-    pages = mem._pages
-    load = mem.load
-    rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-    if rd == 0:
-        def discard() -> None:
-            load((regs[rs1] + imm) & MASK64, 8)  # may still trap
-
-        return discard
-
-    def step() -> None:
-        address = (regs[rs1] + imm) & MASK64
-        page = pages.get(address >> PAGE_BITS)
-        if page is None or address & 7:
-            regs[rd] = load(address, 8)  # slow path: alloc/align/trap
-        else:
-            offset = address & PAGE_MASK
-            regs[rd] = int.from_bytes(page[offset:offset + 8], "little")
-
-    return step
-
-
-def _compile_sd(state: MachineState, ins: Instruction, pc: int):
-    regs = state.regs._regs
-    mem = state.mem
-    pages = mem._pages
-    store = mem.store
-    rs1, rs2, imm = ins.rs1, ins.rs2, ins.imm
-
-    def step() -> None:
-        address = (regs[rs1] + imm) & MASK64
-        page = pages.get(address >> PAGE_BITS)
-        if page is None or address & 7:
-            store(address, regs[rs2], 8)
-        else:
-            offset = address & PAGE_MASK
-            page[offset:offset + 8] = regs[rs2].to_bytes(8, "little")
-
-    return step
-
-
-def _make_load_compiler(size: int, signed: bool) -> CompilerFn:
-    def compile_(state: MachineState, ins: Instruction, pc: int):
-        regs = state.regs._regs
-        load = state.mem.load
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        if rd == 0:
-            def discard() -> None:
-                load((regs[rs1] + imm) & MASK64, size, signed=signed)
-
-            return discard
-
-        def step() -> None:
-            regs[rd] = u64(load((regs[rs1] + imm) & MASK64, size,
-                                signed=signed))
-
-        return step
-
-    return compile_
-
-
-def _make_store_compiler(size: int) -> CompilerFn:
-    def compile_(state: MachineState, ins: Instruction, pc: int):
-        regs = state.regs._regs
-        store = state.mem.store
-        rs1, rs2, imm = ins.rs1, ins.rs2, ins.imm
-
-        def step() -> None:
-            store((regs[rs1] + imm) & MASK64, regs[rs2], size)
-
-        return step
-
-    return compile_
-
-
-def _compile_fence(state: MachineState, ins: Instruction, pc: int):
-    return None  # architecturally a no-op on this memory model
-
-
-_COMPILERS.update({
-    "lui": _compile_lui,
-    "auipc": _compile_auipc,
-    "ld": _compile_ld,
-    "sd": _compile_sd,
-    "lb": _make_load_compiler(1, True),
-    "lbu": _make_load_compiler(1, False),
-    "lh": _make_load_compiler(2, True),
-    "lhu": _make_load_compiler(2, False),
-    "lw": _make_load_compiler(4, True),
-    "lwu": _make_load_compiler(4, False),
-    "sb": _make_store_compiler(1),
-    "sh": _make_store_compiler(2),
-    "sw": _make_store_compiler(4),
-    "fence": _compile_fence,
-})
-
-
-# -- ALU instructions: reuse the interpreter's own semantics ----------------
-
-def _extract_alu_op(spec: InstrSpec):
-    """Recover the pure ``op`` lambda inside an ``_alu_reg``/``_alu_imm``
-    execute closure, guaranteeing replay semantics are *the same object*
-    as interpreter semantics (no re-implementation to drift)."""
-    fn = spec.execute
-    code = getattr(fn, "__code__", None)
-    if code is not None and code.co_freevars == ("op",):
-        return fn.__closure__[0].cell_contents  # type: ignore[index]
-    return None
-
-
-def _compile_alu(state: MachineState, spec: InstrSpec,
-                 ins: Instruction, pc: int):
-    op = _extract_alu_op(spec)
-    if op is None:
-        return _MISSING
-    if ins.rd == 0:
-        return None  # pure computation into x0: statically a no-op
-    regs = state.regs._regs
-    rd = ins.rd
-    if spec.fmt == FMT_R:
-        rs1, rs2 = ins.rs1, ins.rs2
-
-        def step() -> None:
-            regs[rd] = op(regs[rs1], regs[rs2])
-
-        return step
-    if spec.fmt in (FMT_I, FMT_I_SHIFT):
-        rs1, imm = ins.rs1, ins.imm
-
-        def step() -> None:
-            regs[rd] = op(regs[rs1], imm)
-
-        return step
-    return _MISSING
-
-
-#: Sentinel: no specialised compiler applies, use the generic fallback.
-_MISSING = object()
-
-
-def _compile_generic(state: MachineState, spec: InstrSpec,
-                     ins: Instruction, pc: int) -> TraceStep:
-    """Fallback: drive the interpreter's execute function directly.
-
-    Skips fetch/dispatch/timing but keeps exact semantics for any
-    instruction without a specialised compiler.  ``pc``/``next_pc`` are
-    restored per step so pc-relative semantics stay correct."""
-    execute = spec.execute
-    next_pc = pc + 4
-
-    def step() -> None:
-        state.pc = pc
-        state.next_pc = next_pc
-        execute(state, ins)
-
-    return step
-
-
-# ---------------------------------------------------------------------------
-# Trace compilation
-# ---------------------------------------------------------------------------
 
 def _is_terminal_ret(ins: Instruction) -> bool:
     """The ``ret`` idiom (``jalr x0, ra, 0``) closing every kernel."""
@@ -355,7 +121,7 @@ def _static_cycles(
     config = pipeline.config
     if config.icache is not None or config.dcache is not None:
         raise ReplayError(
-            "cache timing is history-dependent; replay cannot "
+            "cache timing is history-dependent; a trace cannot "
             "precompute a static cycle count",
             reason="cache_timing",
         )
@@ -366,13 +132,13 @@ def _static_cycles(
 
 
 def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
-    """Decode the straight-line program at *entry* into a replay trace.
+    """Decode the straight-line program at *entry* into a static trace.
 
-    Raises :class:`ReplayError` if the program is not replayable; the
-    caller should fall back to the interpreter.
+    Raises :class:`ReplayError` if the program is not straight-line
+    (or its timing is not static); the caller falls back to the
+    interpreter.
     """
     program = machine._program
-    state = machine.state
     sequence: list[tuple[int, Instruction, InstrSpec]] = []
     pc = entry
     limit = machine.max_steps
@@ -405,35 +171,19 @@ def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
         pc += 4
 
     cycles = _static_cycles(sequence, machine.pipeline)
-
-    steps: list[TraceStep] = []
-    step_instructions: list[tuple[int, Instruction, InstrSpec]] = []
-    histogram: Counter[str] = Counter()
-    for pc, ins, spec in sequence[:-1]:  # terminal ret/ebreak: no effect
-        histogram[ins.mnemonic] += 1
-        factory = _COMPILERS.get(ins.mnemonic)
-        if factory is not None:
-            step = factory(state, ins, pc)
-        else:
-            step = _compile_alu(state, spec, ins, pc)
-            if step is _MISSING:
-                step = _compile_generic(state, spec, ins, pc)
-        if step is not None:
-            steps.append(step)
-            step_instructions.append((pc, ins, spec))
+    histogram = Counter(ins.mnemonic for _pc, ins, _spec in sequence)
     final_pc, final_ins, _ = sequence[-1]
-    histogram[final_ins.mnemonic] += 1
     halts = final_ins.mnemonic == "ebreak"
 
     from repro.rv64.machine import HALT_ADDRESS
 
     return CompiledTrace(
         entry=entry,
-        steps=tuple(steps),
+        step_instructions=tuple(
+            step for step in sequence[:-1] if not _is_no_op(*step[1:])),
         instructions_retired=len(sequence),
         cycles=cycles,
         histogram=histogram,
         halts=halts,
         exit_pc=final_pc + 4 if halts else HALT_ADDRESS,
-        step_instructions=tuple(step_instructions),
     )

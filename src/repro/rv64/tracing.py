@@ -68,16 +68,16 @@ class Profiler:
         """Attach to *machine*.
 
         Note: while attached, the machine serves every run — including
-        ``run(replay=True)`` requests — through the **interpreter**,
-        because replay skips the per-instruction dispatch this hook
-        needs.  ``ExecutionResult.engine`` reports which engine
-        actually ran; detach to restore the replay fast path.
+        ``run(engine="aot")`` requests — through the **interpreter**,
+        because a fused aot function has no per-instruction dispatch
+        for this hook to observe.  ``ExecutionResult.engine`` reports
+        which engine actually ran; detach to restore the aot path.
         """
         machine.add_trace_hook(self.hook)
         return self
 
     def detach(self, machine: Machine) -> "Profiler":
-        """Stop observing *machine* (re-enables its replay path)."""
+        """Stop observing *machine* (re-enables its aot path)."""
         machine.remove_trace_hook(self.hook)
         return self
 

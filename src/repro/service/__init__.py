@@ -5,7 +5,7 @@ Public surface:
 * :class:`KeyExchangeService` — concurrent keygen/exchange/verify
   sessions over the simulated kernel stack, with per-tenant runner
   isolation, request coalescing into ``run_batch``, admission control
-  and the ``aot -> jit -> replay -> interpreter`` degradation ladder;
+  and the ``aot -> interpreter`` degradation ladder;
 * :class:`TenantConfig` / :func:`default_tenant_configs` — tenant
   policy (engine preference, hardening, lanes, queue bounds);
 * :class:`AdmissionController` — bounded-queue backpressure with the
@@ -33,7 +33,6 @@ from repro.service.load import (
 from repro.service.server import FIELD_OPS, KeyExchangeService
 from repro.service.tenancy import (
     ENGINE_LADDER,
-    OVERLOAD_FLOOR,
     Lane,
     Tenant,
     TenantConfig,
@@ -44,7 +43,6 @@ from repro.service.wire import ServiceClient, handle_connection, start_server
 __all__ = [
     "ENGINE_LADDER",
     "FIELD_OPS",
-    "OVERLOAD_FLOOR",
     "AdmissionController",
     "CircuitBreaker",
     "KeyExchangeService",

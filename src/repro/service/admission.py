@@ -154,14 +154,6 @@ class AdmissionController:
             raise ServiceError(f"unknown tenant {tenant!r}")
         return capacity
 
-    def saturation(self, tenant: str) -> float:
-        """``inflight / capacity`` — the overload-demotion signal."""
-        with self._lock:
-            capacity = self._capacity.get(tenant)
-            if not capacity:
-                return 0.0
-            return self._inflight.get(tenant, 0) / capacity
-
 
 class CircuitBreaker:
     """Per-tenant circuit breaker layered above admission control.

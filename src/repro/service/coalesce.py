@@ -1,9 +1,8 @@
 """Request coalescing: many sessions' field ops -> one ``run_batch``.
 
-The batched kernel API (:meth:`KernelRunner.run_batch` and the fused
-jit/replay entry thunks, PR 4) amortises per-call engine resolution
-and ``Machine.run`` bookkeeping — but only helps a caller who *has* a
-batch.  A service has one implicitly: under concurrent load, many
+The batched kernel API (:meth:`KernelRunner.run_batch` over the fused
+aot entry thunk) amortises per-call engine resolution and thunk lookup
+— but only helps a caller who *has* a batch.  A service has one implicitly: under concurrent load, many
 tenants' sessions issue the same field operation within microseconds
 of each other.  The :class:`RequestCoalescer` turns that temporal
 locality into explicit batches: submissions accumulate per operation

@@ -199,7 +199,7 @@ async def run_load(
     concurrency: int = 16,
     tenant_configs: list[TenantConfig] | None = None,
     tenants: int = 4,
-    engine: str = "jit",
+    engine: str = "aot",
     hardened: bool = False,
     lanes: int = 2,
     max_queue: int = 16,

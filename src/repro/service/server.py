@@ -17,11 +17,11 @@ model:
   confined to its pool scope — two concurrent sessions can never
   share mutable simulator state (``tests/service/``).
 
-Faults and overload walk tenants down the ``aot -> jit -> replay ->
-interpreter`` ladder (:mod:`repro.service.tenancy`); a faulting
-operation is retried on the next rung down, so a poisoned compiled
-artifact degrades the one tenant's latency instead of failing its
-requests.  Field ops from many sessions are coalesced into
+Faults walk tenants down the ``aot -> interpreter`` ladder
+(:mod:`repro.service.tenancy`); a faulting operation is retried on the
+interpreter, so a poisoned fused artifact degrades the one tenant's
+latency instead of failing its requests.  Load alone never demotes a
+tenant — admission control bounds it instead.  Field ops from many sessions are coalesced into
 ``run_batch`` windows (:mod:`repro.service.coalesce`).
 """
 
@@ -63,11 +63,6 @@ from repro.service.tenancy import (
 
 #: Field operations servable through the coalescer, with their arity.
 FIELD_OPS = {"mul": 2, "sqr": 1, "add": 2, "sub": 2}
-
-#: Tenant saturation (inflight / capacity) at which an admitted
-#: request triggers an overload demotion (never below the replay
-#: floor; see tenancy.OVERLOAD_FLOOR).
-DEFAULT_OVERLOAD_THRESHOLD = 0.9
 
 #: Completed-request latencies kept for the ``stats`` percentiles
 #: (a sliding window, so ``repro top`` shows recent behaviour).
@@ -132,7 +127,6 @@ class KeyExchangeService:
         max_workers: int | None = None,
         coalesce_batch: int = DEFAULT_MAX_BATCH,
         coalesce_wait_s: float = DEFAULT_MAX_WAIT_S,
-        overload_threshold: float = DEFAULT_OVERLOAD_THRESHOLD,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_reset_s: float = DEFAULT_BREAKER_RESET_S,
         breaker_clock=None,
@@ -156,7 +150,6 @@ class KeyExchangeService:
         self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             reset_timeout_s=breaker_reset_s, **breaker_kwargs)
-        self.overload_threshold = overload_threshold
         self._lanes: dict[str, asyncio.Queue] = {}
         for tenant in self.tenants.values():
             self.admission.configure(
@@ -370,9 +363,6 @@ class KeyExchangeService:
                 self.breaker.check(tenant_name)
                 try:
                     with self.admission.admit(tenant_name):
-                        if (self.admission.saturation(tenant_name)
-                                >= self.overload_threshold):
-                            tenant.demote("overload")
                         result = await self._execute_deadlined(
                             tenant, op, call, deadline_at)
                 except Exception as exc:
@@ -494,9 +484,6 @@ class KeyExchangeService:
                 self.breaker.check(tenant)
                 try:
                     with self.admission.admit(tenant):
-                        if (self.admission.saturation(tenant)
-                                >= self.overload_threshold):
-                            tenant_obj.demote("overload")
                         result = await self._submit_deadlined(
                             tenant_obj, op, operands, deadline_at)
                 except Exception as exc:

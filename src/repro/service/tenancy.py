@@ -11,21 +11,14 @@ sessions can ever share a live :class:`~repro.kernels.runner.KernelRunner`
 machine (see :func:`repro.kernels.registry.cached_runner`).
 
 **Degradation ladder.**  Each tenant starts on its preferred engine
-(default ``jit``) and demotes one rung at a time down
-``aot -> jit -> replay -> interpreter``:
-
-* on a *fault* — a detected divergence, an exhausted recovery, or a
-  simulator crash surfacing from the tenant's own runners — because a
-  corrupted compiled artifact (trace, jit function, or aot thunk) is
-  the prime suspect and the lower tiers re-derive everything from
-  pristine kernel source (invalidation drops the on-disk aot artifact
-  too, so recovery never reloads a suspect copy);
-* on *overload* — a saturated admission queue — but only down to
-  ``replay``: aot/jit compilation of a cold kernel is a latency spike
-  exactly when the queue can least afford one (an aot tenant whose
-  artifacts are warm in the disk cache skips that spike).  Overload
-  never demotes below ``replay`` (the interpreter is strictly slower
-  and would only deepen the backlog).
+(default ``aot``) and demotes down ``aot -> interpreter`` on a *fault*
+— a detected divergence, an exhausted recovery, or a simulator crash
+surfacing from the tenant's own runners — because a corrupted fused
+artifact (trace or aot thunk) is the prime suspect and the interpreter
+re-derives everything from pristine kernel source (invalidation drops
+the on-disk aot artifact too, so recovery never reloads a suspect
+copy).  Load never demotes a tenant: the interpreter is the only rung
+below aot and is strictly slower, so it would only deepen a backlog.
 
 After :attr:`TenantConfig.promote_after` consecutive clean operations
 the tenant is promoted one rung back toward its preference.  Hardened
@@ -50,13 +43,8 @@ from repro.kernels import registry
 from repro.kernels.runner import DEFAULT_CHECK_INTERVAL
 from repro.rv64.machine import ENGINES
 
-#: The demotion ladder, fastest first (mirrors Machine's tiers).
-ENGINE_LADDER = ("aot", "jit", "replay", "interpreter")
-
-#: Overload demotions stop here: dropping to the interpreter would
-#: slow the tenant down ~5x and deepen the very backlog that
-#: triggered the demotion.
-OVERLOAD_FLOOR = "replay"
+#: The demotion ladder, fastest first (Machine's engines, reversed).
+ENGINE_LADDER = ("aot", "interpreter")
 
 
 @dataclass(frozen=True)
@@ -64,8 +52,8 @@ class TenantConfig:
     """Static policy for one tenant."""
 
     name: str
-    #: Preferred (fastest permitted) execution tier.
-    engine: str = "jit"
+    #: Preferred (fastest permitted) execution engine.
+    engine: str = "aot"
     #: Checked contexts + supersingularity output validation on every
     #: rung (see docs/ROBUSTNESS.md).  The production posture.
     hardened: bool = False
@@ -201,7 +189,7 @@ class Tenant:
 
     @property
     def engine(self) -> str:
-        """The tier the tenant currently runs on."""
+        """The engine the tenant currently runs on."""
         return ENGINE_LADDER[self._rung]
 
     @property
@@ -209,17 +197,10 @@ class Tenant:
         return ENGINE_LADDER.index(self.config.engine)
 
     def demote(self, reason: str) -> bool:
-        """One rung down; returns whether the tenant actually moved.
-
-        ``reason="overload"`` respects :data:`OVERLOAD_FLOOR`; fault
-        reasons may go all the way to the interpreter.
-        """
+        """One rung down; returns whether the tenant actually moved."""
         with self._lock:
             engine_from = ENGINE_LADDER[self._rung]
-            floor = (ENGINE_LADDER.index(OVERLOAD_FLOOR)
-                     if reason == "overload"
-                     else len(ENGINE_LADDER) - 1)
-            if self._rung >= floor:
+            if self._rung >= len(ENGINE_LADDER) - 1:
                 return False
             self._rung += 1
             self._clean_streak = 0
@@ -254,7 +235,7 @@ class Tenant:
 def default_tenant_configs(
     count: int,
     *,
-    engine: str = "jit",
+    engine: str = "aot",
     hardened: bool = False,
     lanes: int = 2,
     max_queue: int = 16,

@@ -148,11 +148,9 @@ class CampaignShardRunner:
     """Executes campaign shards (contiguous trial ranges)."""
 
     def __init__(self, plan: CampaignShardPlan, *,
-                 engine: str | None = None) -> None:
+                 engine: str = "aot") -> None:
         self.plan = plan
-        # campaigns default to the context's replay tier; the
-        # scheduler's generic engine knob maps onto it
-        self.engine = None if engine in (None, "replay") else engine
+        self.engine = engine
 
     def execute(self, index: int) -> dict:
         start, end = self.plan.boundaries[index]
@@ -184,7 +182,7 @@ class CampaignShardRunner:
             "trials": [trial.to_dict() for trial in trials],
             "metrics": metrics,
             "divergences": 0,
-            "engine": self.engine or "replay",
+            "engine": self.engine,
             "wall_s": time.perf_counter() - began,
         }
 
@@ -193,7 +191,7 @@ def merge_campaign_records(
     plan: CampaignShardPlan,
     records: dict,
     *,
-    engine: str | None = None,
+    engine: str = "aot",
 ) -> CampaignReport:
     """Concatenate shard trial ranges into one campaign report.
 
@@ -253,7 +251,7 @@ def merge_campaign_records(
         check_interval=plan.check_interval,
         trials=tuple(trials),
         metrics=metrics,
-        engine=(engine or "replay"),
+        engine=engine,
     )
 
 
@@ -269,7 +267,7 @@ def run_sharded_campaign(
     operations: tuple[str, ...] = FAULT_OPERATIONS,
     check_interval: int = 1,
     max_recovery_attempts: int = DEFAULT_RECOVERY_ATTEMPTS,
-    engine: str | None = None,
+    engine: str = "aot",
     checkpoint_path: str | None = None,
     resume: bool = False,
     stats=None,
@@ -295,9 +293,7 @@ def run_sharded_campaign(
 
         if os.path.exists(checkpoint_path):
             completed = read_checkpoint(checkpoint_path, plan)
-    executor = ShardExecutor(
-        plan, workers=workers,
-        engine=engine if engine is not None else "replay")
+    executor = ShardExecutor(plan, workers=workers, engine=engine)
     stats = stats if stats is not None else ShardRunStats()
     records = executor.run(
         checkpoint_path=checkpoint_path,

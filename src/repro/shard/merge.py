@@ -132,7 +132,7 @@ def merge_records(
     records: dict,
     *,
     stats: ShardRunStats | None = None,
-    engine: str = "jit",
+    engine: str = "aot",
     partial: bool = False,
 ) -> MergedRun:
     """Graft shard records onto the plan skeleton.
@@ -215,7 +215,7 @@ def run_sharded_action(
     plan: ShardPlan,
     *,
     workers: int | None = None,
-    engine: str = "jit",
+    engine: str = "aot",
     checkpoint_path: str | None = None,
     resume: bool = False,
     shard_ids=None,

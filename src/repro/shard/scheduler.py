@@ -15,7 +15,7 @@ Two decisions keep it deterministic enough to test hard:
   many times it was re-queued after a crash.  Scheduling is free to be
   racy because the merged result cannot be.
 * **Fork-and-inherit warm-up.**  The parent pre-compiles the kernels
-  (and, for the action, a JIT warm-up context) before forking, so
+  (and, for the action, an aot warm-up context) before forking, so
   every worker inherits the warm pool copy-on-write instead of paying
   per-process compilation.
 """
@@ -78,7 +78,7 @@ class ShardExecutor:
         plan,
         *,
         workers: int | None = None,
-        engine: str = "jit",
+        engine: str = "aot",
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_requeues: int = DEFAULT_MAX_REQUEUES,
         fail_injection: dict | None = None,
@@ -103,15 +103,15 @@ class ShardExecutor:
         self._prewarm()
 
     def _prewarm(self) -> None:
-        """Warm the kernel and compiled-tier caches before forking.
+        """Warm the kernel and aot caches before forking.
 
-        For the aot tier this also populates the persistent on-disk
+        This also populates the persistent on-disk
         artifact cache (:mod:`repro.rv64.artifacts`): the forked
         workers' runners then bind the persisted thunk sources instead
         of re-tracing per process.
         """
         cached_kernels(self.plan.p)
-        if self.plan.kind == "action" and self.engine in ("jit", "aot"):
+        if self.plan.kind == "action" and self.engine == "aot":
             from repro.field.simulated import SimulatedFieldContext
 
             field = SimulatedFieldContext(

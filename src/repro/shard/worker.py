@@ -48,7 +48,7 @@ class ShardRunner:
         self,
         plan: ShardPlan,
         *,
-        engine: str = "jit",
+        engine: str = "aot",
         scope: str = "",
         stream: OpStream | None = None,
     ) -> None:
@@ -156,6 +156,11 @@ def worker_main(worker_id: int, spec: dict, engine: str,
                 break
             _tag, index, die = message
             if die:
+                # flush the outbox first: a hard exit while its feeder
+                # thread still holds the queue's shared write lock
+                # would block every other worker's replies forever
+                outbox.close()
+                outbox.join_thread()
                 os._exit(KILLED_EXIT)
             record = runner.execute(index)
             record["worker"] = worker_id

@@ -48,10 +48,7 @@ __all__ = [
     "record_kernel_run", "record_kernel_check_failure",
     "record_kernel_batch",
     "record_pool_access", "record_machine_run",
-    "record_replay_fallback", "record_trace_compile",
-    "record_trace_reject",
-    "record_jit_compile", "record_jit_reject", "record_jit_demotion",
-    "record_jit_cache_hit", "record_jit_evicted",
+    "record_trace_compile", "record_trace_reject",
     "record_aot_compile", "record_aot_reject", "record_aot_demotion",
     "record_aot_cache_hit", "record_aot_evicted",
     "record_artifact_cache_hit", "record_artifact_cache_miss",
@@ -210,35 +207,23 @@ def record_machine_run(engine: str) -> None:
     ).inc(engine=engine)
 
 
-def record_replay_fallback(reason: str) -> None:
-    """A requested replay that fell back to the interpreter."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "replay_fallback_total",
-        "replay requests served by the interpreter",
-    ).inc(reason=reason)
-
-
 def record_trace_compile() -> None:
-    """A successful replay-trace compilation."""
+    """A successful static-trace compilation (the aot front end)."""
     if not TRACER.enabled:
         return
     REGISTRY.counter(
-        "trace_compiles_total", "replay traces compiled"
+        "trace_compiles_total", "static traces compiled"
     ).inc()
 
 
 def record_trace_reject(reason: str) -> None:
-    """A replay-trace compilation refusal, by reason."""
+    """A static-trace compilation refusal, by :class:`ReplayError`
+    reason."""
     if not TRACER.enabled:
         return
     REGISTRY.counter(
-        "trace_rejects_total", "replay compilation refusals"
+        "trace_rejects_total", "static trace compilation refusals"
     ).inc(reason=reason)
-
-
-# -- the trace-JIT tier (see repro.rv64.jit) ---------------------------------
 
 
 def record_kernel_batch(kernel: str, engine: str, n: int) -> None:
@@ -257,53 +242,6 @@ def record_kernel_batch(kernel: str, engine: str, n: int) -> None:
     REGISTRY.counter(
         "kernel_batch_items_total", "operand sets executed in batches"
     ).inc(n, kernel=kernel, engine=engine)
-
-
-def record_jit_compile(seconds: float) -> None:
-    """A successful trace-JIT compilation, with its wall-clock cost."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter("jit_compiles_total", "jit functions compiled").inc()
-    REGISTRY.histogram(
-        "jit_compile_seconds", "trace-JIT compilation wall time"
-    ).observe(seconds)
-
-
-def record_jit_reject(reason: str) -> None:
-    """A trace-JIT compilation refusal, by :class:`JitError` reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "jit_rejects_total", "jit compilation refusals"
-    ).inc(reason=reason)
-
-
-def record_jit_demotion(reason: str) -> None:
-    """A requested jit run demoted down the engine ladder, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "jit_demotions_total",
-        "jit requests demoted to replay/interpreter",
-    ).inc(reason=reason)
-
-
-def record_jit_cache_hit() -> None:
-    """A jit run served by an already-compiled function."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "jit_cache_hits_total", "jit function cache hits"
-    ).inc()
-
-
-def record_jit_evicted() -> None:
-    """A compiled jit function dropped by Machine.invalidate_trace."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "jit_evictions_total", "compiled jit functions evicted"
-    ).inc()
 
 
 # -- the aot tier and its persistent artifact cache -------------------------
@@ -330,12 +268,12 @@ def record_aot_reject(reason: str) -> None:
 
 
 def record_aot_demotion(reason: str) -> None:
-    """A requested aot run demoted down the engine ladder, by reason."""
+    """A requested aot run demoted to the interpreter, by reason."""
     if not TRACER.enabled:
         return
     REGISTRY.counter(
         "aot_demotions_total",
-        "aot requests demoted to jit/replay/interpreter",
+        "aot requests demoted to the interpreter",
     ).inc(reason=reason)
 
 
@@ -446,11 +384,11 @@ def record_runner_evicted(kernel: str) -> None:
 
 
 def record_trace_invalidated() -> None:
-    """A cached replay trace dropped by Machine.invalidate_trace."""
+    """A cached static trace dropped by Machine.invalidate_trace."""
     if not TRACER.enabled:
         return
     REGISTRY.counter(
-        "trace_invalidations_total", "replay traces invalidated"
+        "trace_invalidations_total", "static traces invalidated"
     ).inc()
 
 

@@ -21,9 +21,7 @@ import sys
 from typing import Callable, TextIO
 
 from repro.errors import ServiceError
-
-#: Ladder tiers in demotion order, for the occupancy line.
-_TIERS = ("jit", "replay", "interpreter")
+from repro.service.tenancy import ENGINE_LADDER
 
 
 def _rate(current: float, previous: float | None,
@@ -55,7 +53,7 @@ def render_dashboard(
     previous_tenants = (previous or {}).get("tenants", {})
     latency = stats.get("latency_ms", {})
 
-    ladder = {tier: 0 for tier in _TIERS}
+    ladder = dict.fromkeys(ENGINE_LADDER, 0)
     for row in tenants.values():
         engine = row.get("engine")
         ladder[engine] = ladder.get(engine, 0) + 1
@@ -74,7 +72,7 @@ def render_dashboard(
         f"p99 {latency.get('p99', 0.0):8.2f}  "
         f"(window {latency.get('window', 0)})",
         "ladder   " + "  ".join(
-            f"{tier}:{ladder.get(tier, 0)}" for tier in _TIERS
+            f"{tier}:{ladder.get(tier, 0)}" for tier in ENGINE_LADDER
             ) + "   (tenants per active tier)",
         "",
         f"{'tenant':<12} {'engine':<12} {'infl':>4} {'cap':>4} "

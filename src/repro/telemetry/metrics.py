@@ -6,7 +6,7 @@ combination (the Prometheus data model, scaled down to what a
 single-process simulator needs):
 
 * :class:`Counter` — monotonically increasing totals (kernel runs,
-  replay fallbacks, pool hits);
+  aot demotions, pool hits);
 * :class:`Gauge` — last-written values (pool size, configured limits);
 * :class:`Histogram` — bucketed distributions with count/sum/min/max
   (per-run cycle counts, span durations).

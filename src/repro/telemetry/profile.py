@@ -204,13 +204,13 @@ def render_profile(result: ProfileResult, *, top: int = 8) -> str:
     )
     if mix:
         lines.append(f"engine mix: {mix}")
-    fallbacks = result.registry.counter("replay_fallback_total")
-    if fallbacks.total():
+    demotions = result.registry.counter("aot_demotions_total")
+    if demotions.total():
         reasons = ", ".join(
             f"{dict(key).get('reason', '?')}={child.value}"
-            for key, child in sorted(fallbacks.children())
+            for key, child in sorted(demotions.children())
         )
-        lines.append(f"replay fallbacks: {reasons}")
+        lines.append(f"aot demotions: {reasons}")
     hits = result.registry.counter("runner_pool_hits_total").total()
     misses = result.registry.counter(
         "runner_pool_misses_total").total()

@@ -25,7 +25,7 @@ available as :attr:`SpanNode.total_cycles`.
 The disabled fast path matters: with tracing off, :func:`Tracer.span`
 returns a shared no-op context manager and :meth:`add_cycles` is a
 single attribute test, so instrumented hot paths (one call per kernel
-run) keep the trace-replay engine's speed.
+run) keep the aot engine's speed.
 """
 
 from __future__ import annotations

@@ -248,6 +248,33 @@ class TestTiming:
 
         run(scenario)
 
+    def test_stale_reorder_flush_leaves_the_next_trials_line(self):
+        """A trial's fallback flush outlives its held line (an
+        overtaking response released it); when it wakes during the
+        next trial it must not steal that trial's held line."""
+        async def scenario(proxy, port, seen):
+            proxy.arm(make_site("reorder"), hold_s=0.2)
+            reader_a, writer_a = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer_a.write(b'{"id": 1}\n{"id": 2}\n')
+            await writer_a.drain()
+            assert await reader_a.readline() == b'{"id": 2}\n'
+            assert await reader_a.readline() == b'{"id": 1}\n'
+
+            proxy.arm(make_site("reorder"), hold_s=0.6)
+            reader_b, writer_b = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer_b.write(b'{"id": 3}\n')
+            await writer_b.drain()
+            assert await asyncio.wait_for(
+                reader_b.readline(), 2) == b'{"id": 3}\n'
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(reader_a.readline(), 0.1)
+            writer_a.close()
+            writer_b.close()
+
+        run(scenario)
+
 
 class TestArming:
     def test_nth_wraps_modulo_lines_per_trial(self):

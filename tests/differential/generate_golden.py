@@ -10,7 +10,7 @@ the toy and CSIDH-512 moduli on the default Rocket-class pipeline —
 the numbers behind the paper's Table 4.  Straight-line kernels have
 data-independent timing, so one number per kernel is the whole story;
 :func:`repro.kernels.runner.KernelRunner.static_cycles` reads it off
-the compiled replay trace without executing anything.
+the static trace without executing anything.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Property tests: replay-backed field arithmetic vs pure Python.
+"""Property tests: aot-backed field arithmetic vs pure Python.
 
-:class:`SimulatedFieldContext` defaults to the trace-replay fast path;
+:class:`SimulatedFieldContext` defaults to the aot engine;
 these Hypothesis properties assert it is *extensionally equal* to the
 pure-Python :class:`FieldContext` over randomly drawn (and boundary-
 biased) field elements, for every implementation variant.  A second
 property drives individual kernels through :func:`kernel_operands`
-and compares the replayed result against the kernel's golden
+and compares the fused result against the kernel's golden
 reference — the same oracle ``check=True`` uses, but sampled by
 Hypothesis instead of a fixed seed.
 """
@@ -74,7 +74,7 @@ def test_sub_matches_python(variant, a, b):
 @given(variant=variants, a=elements, b=elements, c=elements)
 def test_algebraic_identities_on_fast_path(variant, a, b, c):
     """(a+b)*c == a*c + b*c and (a-b)+(b-a) == 0, computed entirely by
-    replayed kernels — exercises composition, not just single ops."""
+    fused kernels — exercises composition, not just single ops."""
     sim = simulated(variant)
     lhs = sim.mul(sim.add(a, b), c)
     rhs = sim.add(sim.mul(a, c), sim.mul(b, c))
@@ -82,7 +82,7 @@ def test_algebraic_identities_on_fast_path(variant, a, b, c):
     assert sim.add(sim.sub(a, b), sim.sub(b, a)) == 0
 
 
-#: Kernel-level: replayed execution vs the kernel's golden reference.
+#: Kernel-level: fused aot execution vs the kernel's golden reference.
 _KERNEL_NAMES = [
     f"{operation}.{variant}"
     for operation in (OP_FP_MUL, OP_FP_SQR, OP_FP_ADD, OP_FP_SUB,
@@ -95,8 +95,8 @@ _KERNEL_NAMES = [
 @given(data=st.data())
 def test_replayed_kernel_matches_reference(data):
     name = data.draw(st.sampled_from(_KERNEL_NAMES))
-    runner = cached_runner(P, name)
+    runner = cached_runner(P, name, engine="aot")
     values = data.draw(kernel_operands(runner.kernel))
-    run = runner.run(*values, check=False, replay=True)
+    run = runner.run(*values, check=False)
     assert run.value == runner.kernel.reference(*values), (
         f"{name} diverges from its reference on {values}")

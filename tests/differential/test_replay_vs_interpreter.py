@@ -1,14 +1,23 @@
-"""Replay mode must be architecturally and cycle-count identical to the
-interpreter, for every kernel, on random and adversarial operands.
+"""The static trace must agree with the interpreter, for every kernel, on
+random and adversarial operands.
 
-Each check runs the *same* runner (same machine, same assembled image)
-once through the fetch-decode-execute interpreter and once through the
-compiled trace, then compares result limbs, retired instructions, cycle
-counts and the complete final register file.  Boundary operands (0, 1,
-``p-1``, all-ones limb vectors — including vectors *outside* the
-reference domain, which only a differential oracle can exercise) target
-the carry chains and conditional subtractions where the two execution
-paths could plausibly diverge.
+:func:`~repro.rv64.replay.compile_trace` is the front end of the aot
+engine: it walks a kernel once, statically, and fixes its retired
+instruction count, its from-reset cycle cost, its mnemonic histogram,
+its exit pc and the sequence of instructions the fuser executes
+symbolically.  All of that is only exact if the kernel really is
+straight-line code with data-independent timing, so each observation
+here runs the interpreter on one operand set, records every retired
+instruction through a trace hook, and compares the dynamic run with the
+static trace: the pcs of the architecturally effective steps, retired
+instructions, cycles, histogram and the pc the run stops at.  Boundary
+operands (0, 1, ``p-1``, all-ones limb vectors — including vectors
+*outside* the reference domain) target the carry chains and conditional
+subtractions where a data-dependent path would show.
+
+The module also covers trace caching and the cache-enabled timing
+configuration, for which no static trace exists and an aot runner
+transparently interprets.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import random
 
 import pytest
 
+from repro import telemetry
 from repro.csidh.parameters import csidh_toy
 from repro.kernels.registry import cached_kernels
 from repro.kernels.runner import KernelRunner
@@ -48,36 +58,44 @@ def runner_for(name: str) -> KernelRunner:
     """Module-lifetime runner pool (assembly is per-kernel pure)."""
     if name not in _RUNNERS:
         kernels = cached_kernels(csidh_toy().p)
-        _RUNNERS[name] = KernelRunner(kernels[name])
+        _RUNNERS[name] = KernelRunner(kernels[name],
+                                      engine="interpreter")
     return _RUNNERS[name]
 
 
 def assert_replay_exact(runner: KernelRunner, values) -> None:
-    """One differential observation: interpreter vs replay."""
-    interp = runner.run(*values, check=False, replay=False)
-    interp_regs = list(runner.machine.state.regs._regs)
-    rep = runner.run(*values, check=False, replay=True)
-    replay_regs = list(runner.machine.state.regs._regs)
+    """One differential observation: interpreter vs static trace."""
+    machine = runner.machine
+    trace = machine._trace_for(runner.entry)
+    assert trace is not None
+    retired = []
+    with machine.trace_hook(
+            lambda state, ins: retired.append((state.pc, ins))):
+        run = runner.run(*values, check=False, engine="interpreter")
 
     name = runner.kernel.name
-    assert rep.limbs == interp.limbs, (
-        f"{name}: result limbs diverge on {values}")
-    assert rep.value == interp.value
-    assert rep.instructions == interp.instructions, (
+    assert run.instructions == trace.instructions_retired, (
         f"{name}: retired-instruction counts diverge "
-        f"({rep.instructions} vs {interp.instructions})")
-    assert rep.cycles == interp.cycles, (
-        f"{name}: cycle counts diverge "
-        f"({rep.cycles} vs {interp.cycles})")
-    assert replay_regs == interp_regs, (
-        f"{name}: final register state diverges on {values}")
+        f"({run.instructions} vs {trace.instructions_retired})")
+    assert run.cycles == trace.cycles, (
+        f"{name}: cycle counts diverge ({run.cycles} vs {trace.cycles})")
+    assert len(retired) == run.instructions
+    effective = {pc for pc, _ins, _spec in trace.step_instructions}
+    assert [pc for pc, _ins in retired if pc in effective] \
+        == [pc for pc, _ins, _spec in trace.step_instructions], (
+        f"{name}: dynamic path leaves the static trace on {values}")
+    assert machine.state.pc == trace.exit_pc
+    assert machine.state.halted == trace.halts
 
 
 @pytest.mark.parametrize("name", FIELD_KERNELS)
 def test_field_kernels_replay_supported(name):
-    """All 16 field-op kernels compile to replay traces."""
+    """All 16 field-op kernels compile to static traces."""
     runner = runner_for(name)
-    assert runner.machine.replay_supported(runner.entry)
+    trace = runner.machine._trace_for(runner.entry)
+    assert trace is not None
+    assert trace.cycles is not None
+    assert 0 < len(trace.step_instructions) < trace.instructions_retired
 
 
 @pytest.mark.parametrize("name", FIELD_KERNELS)
@@ -101,53 +119,59 @@ def test_field_kernels_random_operands(name):
 
 def test_every_generated_kernel_is_replay_exact():
     """Beyond the field ops: the full kernel matrix (integer multiply,
-    Montgomery reduction, ablation variants) replays exactly."""
+    Montgomery reduction, ablation variants) traces exactly."""
     rng = random.Random(0xD1FF)
     for name in cached_kernels(csidh_toy().p):
         runner = runner_for(name)
-        assert runner.machine.replay_supported(runner.entry), name
+        assert runner.machine._trace_for(runner.entry) is not None, name
         for _ in range(5):
             assert_replay_exact(runner, runner.kernel.sampler(rng))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_replay_histogram_identical(variant):
-    """Dynamic mnemonic histograms agree (straight-line code makes the
-    static trace histogram exact)."""
+    """The static trace histogram equals the interpreter's dynamic one
+    (straight-line code makes it exact)."""
     runner = runner_for(f"{OP_FP_MUL}.{variant}")
     machine = runner.machine
     machine.collect_histogram = True
     try:
         machine.reset()
         interp = machine.run(runner.entry)
-        machine.reset()
-        rep = machine.run(runner.entry, replay=True)
-        assert sum(rep.histogram.values()) == rep.instructions_retired
-        assert rep.histogram == interp.histogram
     finally:
         machine.collect_histogram = False
+    trace = machine._trace_for(runner.entry)
+    assert sum(trace.histogram.values()) == trace.instructions_retired
+    assert trace.histogram == interp.histogram
 
 
 def test_trace_is_compiled_once_and_reused():
     runner = runner_for(f"{OP_FP_ADD}.reduced.ise")
     machine = runner.machine
-    rng = random.Random(2)
-    runner.run(*runner.kernel.sampler(rng), check=False, replay=True)
-    trace_first = machine._trace_cache[runner.entry]
-    runner.run(*runner.kernel.sampler(rng), check=False, replay=True)
+    trace_first = machine._trace_for(runner.entry)
+    with telemetry.capture(fresh=True) as cap:
+        for _ in range(2):
+            assert machine._trace_for(runner.entry) is trace_first
     assert machine._trace_cache[runner.entry] is trace_first
+    assert cap.registry.counter("trace_compiles_total").total() == 0
 
 
 def test_cache_enabled_timing_falls_back_to_interpreter():
-    """Cache miss patterns are history-dependent, so replay refuses and
-    the runner transparently interprets — results stay verified."""
+    """Cache miss patterns are history-dependent, so no static trace
+    exists and the aot runner transparently interprets — results stay
+    verified."""
     kernels = cached_kernels(csidh_toy().p)
     runner = KernelRunner(
         kernels[f"{OP_FP_MUL}.reduced.ise"],
         pipeline_config=ROCKET_CONFIG_WITH_CACHES,
-        replay=True,
+        engine="aot",
     )
-    assert not runner.machine.replay_supported(runner.entry)
+    assert runner.machine._trace_for(runner.entry) is None
+    assert runner._aot_thunk is None
+    assert not runner.machine.aot_supported(runner.entry)
     rng = random.Random(3)
-    run = runner.run(*runner.kernel.sampler(rng))  # check=True
+    with telemetry.capture(fresh=True) as cap:
+        run = runner.run(*runner.kernel.sampler(rng))  # check=True
     assert run.cycles > 0
+    runs = cap.registry.counter("machine_runs_total")
+    assert runs.value(engine="interpreter") == 1

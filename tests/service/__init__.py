@@ -10,7 +10,7 @@ The suite attacks the claims of ``docs/SERVICE.md`` from four sides:
 * ``test_admission`` — Hypothesis properties: no request dropped or
   duplicated by coalescing, queue bounds respected, stable rejection
   codes;
-* ``test_fault_under_load`` — armed trace/jit poisoning with sessions
-  in flight: zero escapes, bounded recovery, blast radius of one
-  tenant.
+* ``test_fault_under_load`` — armed trace poisoning of the aot tier
+  with sessions in flight: zero escapes, bounded recovery, blast
+  radius of one tenant.
 """

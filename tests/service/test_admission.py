@@ -200,7 +200,7 @@ class TestRejectionCodeStability:
         toy = csidh_toy()
 
         async def main():
-            config = TenantConfig("t", engine="replay", lanes=1,
+            config = TenantConfig("t", engine="aot", lanes=1,
                                   max_queue=0)
             async with KeyExchangeService(toy, [config]) as service:
                 # tasks admit in creation order before any completes,

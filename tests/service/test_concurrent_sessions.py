@@ -61,7 +61,7 @@ class TestConcurrentEqualsSequential:
         concurrency and still agree with the reference."""
         report = asyncio.run(run_load(
             toy, exchanges=4, concurrency=4, tenants=2, lanes=1,
-            engine="replay", hardened=True, seed=0, oracle=oracle,
+            engine="aot", hardened=True, seed=0, oracle=oracle,
         ))
         assert report.divergences == 0
         assert report.fault_detections == 0
@@ -73,7 +73,7 @@ class TestConcurrentEqualsSequential:
         queue serialises access to the machine, results still match."""
         report = asyncio.run(run_load(
             toy, exchanges=4, concurrency=4, tenants=1, lanes=1,
-            engine="replay", seed=0, oracle=oracle,
+            engine="aot", seed=0, oracle=oracle,
         ))
         assert report.divergences == 0
 
@@ -105,8 +105,8 @@ class TestCounterExactness:
                 return cap, results
 
         configs = [
-            TenantConfig("t0", engine="replay", lanes=2, max_queue=64),
-            TenantConfig("t1", engine="replay", lanes=2, max_queue=64),
+            TenantConfig("t0", engine="aot", lanes=2, max_queue=64),
+            TenantConfig("t1", engine="aot", lanes=2, max_queue=64),
         ]
         cap, results = asyncio.run(
             drive(KeyExchangeService(toy, configs)))
@@ -132,8 +132,8 @@ class TestCounterExactness:
                 return cap
 
         configs = [
-            TenantConfig("t0", engine="replay", lanes=2, max_queue=64),
-            TenantConfig("t1", engine="replay", lanes=2, max_queue=64),
+            TenantConfig("t0", engine="aot", lanes=2, max_queue=64),
+            TenantConfig("t1", engine="aot", lanes=2, max_queue=64),
         ]
         seq_cap = asyncio.run(sequential(KeyExchangeService(toy, configs)))
         assert seq_cap.registry.counter(
@@ -154,7 +154,7 @@ class TestCounterExactness:
             barrier.wait()
             for _ in range(each):
                 telemetry.record_kernel_run(
-                    "hammer_kernel", "replay", 7, 3)
+                    "hammer_kernel", "aot", 7, 3)
 
         with telemetry.capture(fresh=True) as cap:
             workers = [threading.Thread(target=hammer)
@@ -165,7 +165,7 @@ class TestCounterExactness:
                 worker.join()
         runs = cap.registry.counter("kernel_runs_total")
         assert runs.value(kernel="hammer_kernel",
-                          engine="replay") == threads * each
+                          engine="aot") == threads * each
         cycles = cap.registry.counter("kernel_cycles_total")
         assert cycles.value(kernel="hammer_kernel") \
             == 7 * threads * each
@@ -184,7 +184,7 @@ class TestTenantIsolation:
         async def drive():
             service = KeyExchangeService(
                 toy, default_tenant_configs(
-                    2, engine="replay", lanes=2, max_queue=32))
+                    2, engine="aot", lanes=2, max_queue=32))
             async with service:
                 await asyncio.gather(*(
                     service.field_op(f"tenant-{i % 2}", "mul",

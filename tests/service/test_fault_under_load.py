@@ -1,8 +1,8 @@
 """Armed faults with sessions in flight: zero escapes, one-tenant blast.
 
 The hardened service promises (``docs/SERVICE.md``, building on
-``docs/ROBUSTNESS.md``): a poisoned replay trace or compiled jit
-function under concurrent load is *detected* by the checked contexts,
+``docs/ROBUSTNESS.md``): a poisoned trace re-fused into the aot tier
+under concurrent load is *detected* by the checked contexts,
 *recovered* within the bounded retry budget, demotes **only** the
 faulted tenant down the engine ladder, and never lets a wrong result
 reach any client — ``divergences == 0`` against the sequential
@@ -48,9 +48,8 @@ def _hardened_pair(engine: str) -> list[TenantConfig]:
 
 
 def _poison_site(site: str) -> FaultSite:
-    # steps chosen to actually perturb the toy fp_mul kernel on the
-    # targeted tier (dead steps exist per lowering — see
-    # tests/test_fault_campaign.py)
+    # steps chosen to actually perturb the toy fp_mul kernel (dead
+    # trace steps exist — see tests/test_fault_campaign.py)
     step = {"replay_closure_corrupt": 5, "replay_step_skip": 2}[site]
     return FaultSite(index=0, site=site, operation="mul", step=step,
                      bit=13, lane=3, delta=1)
@@ -63,7 +62,7 @@ async def _load_with_fault(toy, oracle, *, engine: str,
     service = KeyExchangeService(toy, _hardened_pair(engine))
     victim_lane = service.tenants["victim"].lanes[0]
     context = victim_lane.context(engine)
-    context.mul(3, 5)  # build the runner (and its trace/jit caches)
+    context.mul(3, 5)  # build the runner (and its fused functions)
     armed = arm_fault(context._mul, _poison_site(site_name))
     try:
         report = await run_load(
@@ -79,9 +78,11 @@ async def _load_with_fault(toy, oracle, *, engine: str,
 
 
 class TestReplayPoisonUnderLoad:
+    """The ``replay_*`` trace sites, re-fused into the served aot tier."""
+
     def test_zero_escapes_and_bounded_recovery(self, toy, oracle):
         report, stats, context = asyncio.run(_load_with_fault(
-            toy, oracle, engine="replay",
+            toy, oracle, engine="aot",
             site_name="replay_closure_corrupt"))
         # nothing wrong ever left the service
         assert report.divergences == 0
@@ -92,20 +93,18 @@ class TestReplayPoisonUnderLoad:
 
     def test_only_the_faulted_tenant_degrades(self, toy, oracle):
         report, stats, _ = asyncio.run(_load_with_fault(
-            toy, oracle, engine="replay",
+            toy, oracle, engine="aot",
             site_name="replay_closure_corrupt"))
         assert report.divergences == 0
         assert stats["tenants"]["victim"]["demotions"] >= 1
         assert stats["tenants"]["victim"]["engine"] == "interpreter"
         assert stats["tenants"]["bystander"]["demotions"] == 0
-        assert stats["tenants"]["bystander"]["engine"] == "replay"
+        assert stats["tenants"]["bystander"]["engine"] == "aot"
         assert stats["tenants"]["bystander"]["fault_detections"] == 0
 
-
-class TestJitPoisonUnderLoad:
-    def test_zero_escapes_on_the_jit_tier(self, toy, oracle):
+    def test_step_skip_zero_escapes(self, toy, oracle):
         report, stats, context = asyncio.run(_load_with_fault(
-            toy, oracle, engine="jit", site_name="replay_step_skip"))
+            toy, oracle, engine="aot", site_name="replay_step_skip"))
         assert report.divergences == 0
         assert report.fault_detections >= 1
         assert context.fault_recoveries == context.fault_detections
@@ -114,17 +113,15 @@ class TestJitPoisonUnderLoad:
 
 
 class TestOverloadDemotion:
-    def test_saturation_demotes_jit_to_replay_never_lower(self, toy):
-        """Saturating a jit tenant walks it to replay (the overload
-        floor) — not to the interpreter — and service results stay
-        correct throughout."""
+    def test_saturation_never_demotes(self, toy):
+        """A saturated tenant stays on aot: the only rung below is the
+        slower interpreter, which would deepen the backlog — admission
+        control bounds load instead.  Results stay correct."""
 
         async def main():
-            config = TenantConfig("t", engine="jit", lanes=1,
+            config = TenantConfig("t", engine="aot", lanes=1,
                                   max_queue=64)
-            async with KeyExchangeService(
-                    toy, [config],
-                    overload_threshold=0.05) as service:
+            async with KeyExchangeService(toy, [config]) as service:
                 results = await asyncio.gather(*(
                     service.field_op("t", "mul", [7, n])
                     for n in range(24)))
@@ -133,15 +130,15 @@ class TestOverloadDemotion:
 
         results, engine, demotions = asyncio.run(main())
         assert results == [(7 * n) % toy.p for n in range(24)]
-        assert demotions == 1       # jit -> replay, then floor holds
-        assert engine == "replay"   # never demoted to the interpreter
+        assert demotions == 0
+        assert engine == "aot"
 
     def test_clean_streak_promotes_back_to_preference(self, toy):
         """After ``promote_after`` consecutive clean operations the
         tenant climbs back toward its preferred engine."""
 
         async def main():
-            config = TenantConfig("t", engine="replay", lanes=1,
+            config = TenantConfig("t", engine="aot", lanes=1,
                                   max_queue=64, promote_after=5)
             async with KeyExchangeService(toy, [config]) as service:
                 tenant = service.tenants["t"]
@@ -152,5 +149,5 @@ class TestOverloadDemotion:
                 return tenant.engine, tenant.promotions
 
         engine, promotions = asyncio.run(main())
-        assert engine == "replay"
+        assert engine == "aot"
         assert promotions == 1

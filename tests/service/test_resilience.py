@@ -53,7 +53,7 @@ def make_service(params, **kwargs):
                     "breaker_clock")
         if key in kwargs
     }
-    config = TenantConfig("t", engine="replay",
+    config = TenantConfig("t", engine="aot",
                           variant="reduced.ise", **kwargs)
     return KeyExchangeService(params, [config], **breaker_kwargs)
 

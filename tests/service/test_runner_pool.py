@@ -45,7 +45,7 @@ class TestSingleInstancePerKey:
         def hammer() -> None:
             barrier.wait()
             for _ in range(ROUNDS):
-                runner = cached_runner(p, KERNEL, engine="replay",
+                runner = cached_runner(p, KERNEL, engine="aot",
                                        scope=scope)
                 seen.append(id(runner))
 
@@ -67,7 +67,7 @@ class TestSingleInstancePerKey:
         async def main() -> set[int]:
             jobs = [
                 asyncio.to_thread(
-                    cached_runner, p, KERNEL, engine="replay",
+                    cached_runner, p, KERNEL, engine="aot",
                     scope=scope)
                 for _ in range(THREADS * 2)
             ]
@@ -85,7 +85,7 @@ class TestScopePartitioning:
         for scope in scopes:
             clear_runner_pool(scope)
         runners = {
-            scope: cached_runner(p, KERNEL, engine="replay",
+            scope: cached_runner(p, KERNEL, engine="aot",
                                  scope=scope)
             for scope in scopes
         }
@@ -99,15 +99,15 @@ class TestScopePartitioning:
         p = _toy_p()
         clear_runner_pool("pooltest/a")
         clear_runner_pool("pooltest/b")
-        runner_a = cached_runner(p, KERNEL, engine="replay",
+        runner_a = cached_runner(p, KERNEL, engine="aot",
                                  scope="pooltest/a")
-        runner_b = cached_runner(p, KERNEL, engine="replay",
+        runner_b = cached_runner(p, KERNEL, engine="aot",
                                  scope="pooltest/b")
         clear_runner_pool("pooltest/a")
         # b survived the scoped clear; a rebuilds fresh
-        assert cached_runner(p, KERNEL, engine="replay",
+        assert cached_runner(p, KERNEL, engine="aot",
                              scope="pooltest/b") is runner_b
-        rebuilt = cached_runner(p, KERNEL, engine="replay",
+        rebuilt = cached_runner(p, KERNEL, engine="aot",
                                 scope="pooltest/a")
         assert rebuilt is not runner_a
         clear_runner_pool("pooltest/a")
@@ -126,9 +126,9 @@ class TestEvictionStorm:
         def churn(index: int) -> None:
             barrier.wait()
             for round_no in range(ROUNDS):
-                cached_runner(p, KERNEL, engine="replay", scope=scope)
+                cached_runner(p, KERNEL, engine="aot", scope=scope)
                 if (index + round_no) % 3 == 0:
-                    evict_runner(p, KERNEL, engine="replay",
+                    evict_runner(p, KERNEL, engine="aot",
                                  scope=scope)
 
         with ThreadPoolExecutor(THREADS) as pool:
@@ -136,7 +136,7 @@ class TestEvictionStorm:
             for future in futures:
                 future.result()
 
-        survivor = cached_runner(p, KERNEL, engine="replay",
+        survivor = cached_runner(p, KERNEL, engine="aot",
                                  scope=scope)
         first = survivor.run(3, 5, check=False)
         again = survivor.run(3, 5, check=False)
@@ -147,11 +147,11 @@ class TestEvictionStorm:
         p = _toy_p()
         scope = "pooltest/evict"
         clear_runner_pool(scope)
-        assert not evict_runner(p, KERNEL, engine="replay",
+        assert not evict_runner(p, KERNEL, engine="aot",
                                 scope=scope)
-        cached_runner(p, KERNEL, engine="replay", scope=scope)
-        assert evict_runner(p, KERNEL, engine="replay", scope=scope)
-        assert not evict_runner(p, KERNEL, engine="replay",
+        cached_runner(p, KERNEL, engine="aot", scope=scope)
+        assert evict_runner(p, KERNEL, engine="aot", scope=scope)
+        assert not evict_runner(p, KERNEL, engine="aot",
                                 scope=scope)
 
 
@@ -168,7 +168,7 @@ class TestPoolTelemetryExactness:
         def hammer() -> None:
             barrier.wait()
             for _ in range(ROUNDS):
-                cached_runner(p, KERNEL, engine="replay", scope=scope)
+                cached_runner(p, KERNEL, engine="aot", scope=scope)
 
         with telemetry.capture(fresh=True) as cap:
             with ThreadPoolExecutor(THREADS) as pool:

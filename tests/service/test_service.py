@@ -53,10 +53,11 @@ class TestTenantConfig:
         assert TenantConfig("t", lanes=3, max_queue=5).capacity == 8
 
     def test_default_fleet_is_uniform_and_named(self):
-        configs = default_tenant_configs(3, engine="replay", lanes=4)
+        configs = default_tenant_configs(3, engine="interpreter",
+                                         lanes=4)
         assert [c.name for c in configs] \
             == ["tenant-0", "tenant-1", "tenant-2"]
-        assert all(c.engine == "replay" and c.lanes == 4
+        assert all(c.engine == "interpreter" and c.lanes == 4
                    for c in configs)
 
     def test_default_fleet_needs_at_least_one(self):
@@ -66,24 +67,15 @@ class TestTenantConfig:
 
 class TestEngineLadder:
     def test_fault_demotion_walks_to_the_interpreter(self, toy):
-        tenant = Tenant(TenantConfig("t", engine="jit"), toy)
-        assert tenant.engine == "jit"
-        assert tenant.demote("fault")
-        assert tenant.engine == "replay"
+        tenant = Tenant(TenantConfig("t"), toy)
+        assert tenant.engine == "aot"
         assert tenant.demote("fault")
         assert tenant.engine == "interpreter"
         assert not tenant.demote("fault")  # floor reached
-        assert tenant.demotions == 2
-
-    def test_overload_demotion_stops_at_replay(self, toy):
-        tenant = Tenant(TenantConfig("t", engine="jit"), toy)
-        assert tenant.demote("overload")
-        assert tenant.engine == "replay"
-        assert not tenant.demote("overload")
-        assert tenant.engine == "replay"
+        assert tenant.demotions == 1
 
     def test_promotion_needs_a_full_clean_streak(self, toy):
-        tenant = Tenant(TenantConfig("t", engine="jit",
+        tenant = Tenant(TenantConfig("t", engine="aot",
                                      promote_after=3), toy)
         tenant.demote("fault")
         tenant.note_result(True)
@@ -91,21 +83,21 @@ class TestEngineLadder:
         tenant.note_result(False)  # a dirty op resets the streak
         tenant.note_result(True)
         tenant.note_result(True)
-        assert tenant.engine == "replay"
+        assert tenant.engine == "interpreter"
         tenant.note_result(True)
-        assert tenant.engine == "jit"
+        assert tenant.engine == "aot"
         assert tenant.promotions == 1
 
     def test_never_promotes_past_preference(self, toy):
-        tenant = Tenant(TenantConfig("t", engine="replay",
+        tenant = Tenant(TenantConfig("t", engine="interpreter",
                                      promote_after=1), toy)
         for _ in range(5):
             tenant.note_result(True)
-        assert tenant.engine == "replay"
+        assert tenant.engine == "interpreter"
         assert tenant.promotions == 0
 
     def test_ladder_order_is_fastest_first(self):
-        assert ENGINE_LADDER == ("aot", "jit", "replay", "interpreter")
+        assert ENGINE_LADDER == ("aot", "interpreter")
 
     def test_scope_prefix_separates_services(self, toy):
         config = TenantConfig("t", lanes=2)
@@ -138,7 +130,7 @@ class TestServiceSurface:
 
     def test_unknown_tenant_and_bad_ops_are_service_errors(self, toy):
         async def main():
-            config = TenantConfig("t", engine="replay")
+            config = TenantConfig("t", engine="aot")
             async with KeyExchangeService(toy, [config]) as service:
                 with pytest.raises(ServiceError):
                     await service.keygen("ghost", 1)
@@ -154,7 +146,7 @@ class TestServiceSurface:
     def test_closed_service_refuses_requests(self, toy):
         async def main():
             service = KeyExchangeService(
-                toy, [TenantConfig("t", engine="replay")])
+                toy, [TenantConfig("t", engine="aot")])
             await service.aclose()
             with pytest.raises(ServiceError):
                 await service.keygen("t", 1)
@@ -165,7 +157,7 @@ class TestServiceSurface:
 
     def test_verify_accepts_good_and_rejects_bad_keys(self, toy):
         async def main():
-            config = TenantConfig("t", engine="replay")
+            config = TenantConfig("t", engine="aot")
             async with KeyExchangeService(toy, [config]) as service:
                 public = await service.keygen("t", 42)
                 assert await service.verify("t", public) is True
@@ -183,7 +175,7 @@ class TestWireLayer:
 
     def test_full_roundtrip_over_tcp(self, toy):
         async def main():
-            config = TenantConfig("t", engine="replay", lanes=2)
+            config = TenantConfig("t", engine="aot", lanes=2)
             service = KeyExchangeService(toy, [config])
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -198,7 +190,7 @@ class TestWireLayer:
                 assert await client.verify("t", public) is True
                 assert await client.field_op("t", "mul", [7, 9]) == 63
                 stats = await client.stats()
-                assert stats["tenants"]["t"]["engine"] == "replay"
+                assert stats["tenants"]["t"]["engine"] == "aot"
                 # errors come back typed with their stable code
                 with pytest.raises(ServiceError) as excinfo:
                     await client.keygen("ghost", 1)
@@ -212,7 +204,7 @@ class TestWireLayer:
 
     def test_malformed_lines_get_in_band_errors(self, toy):
         async def main():
-            config = TenantConfig("t", engine="replay")
+            config = TenantConfig("t", engine="aot")
             service = KeyExchangeService(toy, [config])
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -247,7 +239,7 @@ class TestCli:
         exit_code = main([
             "load", "--params", "toy", "--exchanges", "2",
             "--concurrency", "2", "--tenants", "1", "--engine",
-            "replay", "--bench-out", str(bench),
+            "aot", "--bench-out", str(bench),
         ])
         captured = capsys.readouterr()
         assert exit_code == 0
@@ -277,7 +269,7 @@ class TestCli:
         args = parser.parse_args(
             ["serve", "--params", "toy", "--port", "7007"])
         assert args.port == 7007
-        assert args.engine == "jit"
+        assert args.engine == "aot"
         args = parser.parse_args(
             ["load", "--params", "toy", "--hardened"])
         assert args.hardened is True

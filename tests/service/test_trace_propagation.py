@@ -55,7 +55,7 @@ class TestWireTracePropagation:
         request carried, not the one that happened to finish first."""
         async def main():
             telemetry.enable()
-            config = TenantConfig("t", engine="replay", lanes=2)
+            config = TenantConfig("t", engine="aot", lanes=2)
             service = KeyExchangeService(toy, [config])
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -91,7 +91,7 @@ class TestWireTracePropagation:
     def test_server_generates_trace_when_client_omits(self, toy):
         async def main():
             telemetry.enable()
-            config = TenantConfig("t", engine="replay")
+            config = TenantConfig("t", engine="aot")
             service = KeyExchangeService(toy, [config])
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -113,7 +113,7 @@ class TestWireTracePropagation:
 
     def test_client_verbs_generate_and_echo_ids(self, toy):
         async def main():
-            config = TenantConfig("t", engine="replay")
+            config = TenantConfig("t", engine="aot")
             service = KeyExchangeService(toy, [config])
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -133,7 +133,7 @@ class TestWireTracePropagation:
 
     def test_error_responses_echo_the_trace(self, toy):
         async def main():
-            config = TenantConfig("t", engine="replay")
+            config = TenantConfig("t", engine="aot")
             service = KeyExchangeService(toy, [config])
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -162,7 +162,7 @@ class TestBatchTracePropagation:
     def test_coalesced_batch_reachable_from_every_member(self, toy):
         async def main():
             with telemetry.capture() as cap:
-                configs = default_tenant_configs(1, engine="jit")
+                configs = default_tenant_configs(1, engine="aot")
                 async with KeyExchangeService(toy, configs) as svc:
                     values = await asyncio.gather(*(
                         svc.field_op("tenant-0", "mul", [5, n])
@@ -196,12 +196,13 @@ class TestBatchTracePropagation:
 
 class TestLadderTracePropagation:
     def test_demoted_retry_stays_under_one_trace(self, toy):
-        """A jit-tier fault mid-request demotes to replay and retries:
+        """An aot fault mid-request demotes to the interpreter and
+        retries:
         both attempts must appear as sibling execute spans under the
         *same* request node."""
         async def main():
             with telemetry.capture() as cap:
-                config = TenantConfig("t", engine="jit")
+                config = TenantConfig("t", engine="aot")
                 async with KeyExchangeService(toy, [config]) as svc:
                     attempts = []
 
@@ -218,14 +219,14 @@ class TestLadderTracePropagation:
 
         cap, attempts, result = _run(main())
         assert result == 42
-        assert attempts == ["jit", "replay"]
+        assert attempts == ["aot", "interpreter"]
         ctx = cap.tracer.traces["feedface00000001"]
         assert ctx.status == "ok"
         engines = sorted(
             dict(n.labels)["engine"]
             for n in ctx.node.children.values()
             if n.name == "execute")
-        assert engines == ["jit", "replay"]
+        assert engines == ["aot", "interpreter"]
         # One request, one node: the retry did not fork a new trace.
         assert ctx.node.count == 1
         assert len(cap.tracer.traces) == 1
@@ -233,7 +234,7 @@ class TestLadderTracePropagation:
     def test_failed_request_marks_trace_error(self, toy):
         async def main():
             with telemetry.capture() as cap:
-                config = TenantConfig("t", engine="replay")
+                config = TenantConfig("t", engine="aot")
                 async with KeyExchangeService(toy, [config]) as svc:
                     def boom(engine, lane):
                         raise ServiceError("wedged mid-request")
@@ -252,7 +253,7 @@ class TestTracedLoad:
     def test_traced_load_conserves_cycles_and_summarises(self, toy):
         report = _run(run_load(
             toy, exchanges=2, concurrency=2, tenants=1,
-            engine="jit", trace=True))
+            engine="aot", trace=True))
         assert report.divergences == 0
         # run_load(trace=True) itself asserts conservation; pin the
         # artifacts it derived from the surviving forest.
@@ -273,13 +274,13 @@ class TestTracedLoad:
     def test_untraced_load_has_no_trace_record(self, toy):
         report = _run(run_load(
             toy, exchanges=1, concurrency=1, tenants=1,
-            engine="replay"))
+            engine="aot"))
         assert report.trace_summary is None
         assert "trace" not in report.to_record()
 
     def test_trace_with_foreign_service_refused(self, toy):
         async def main():
-            configs = default_tenant_configs(1, engine="replay")
+            configs = default_tenant_configs(1, engine="aot")
             async with KeyExchangeService(toy, configs) as svc:
                 with pytest.raises(ServiceError):
                     await run_load(toy, exchanges=1, service=svc,
@@ -292,7 +293,7 @@ class TestRemoteLoad:
     def test_remote_load_fetches_trace_over_the_wire(self, toy):
         async def main():
             telemetry.enable()
-            configs = default_tenant_configs(2, engine="jit")
+            configs = default_tenant_configs(2, engine="aot")
             service = KeyExchangeService(toy, configs)
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -308,7 +309,7 @@ class TestRemoteLoad:
 
         report = _run(main())
         assert report.divergences == 0
-        assert report.engine == "jit"
+        assert report.engine == "aot"
         assert report.requests == 8
         assert report.trace_root is not None
         assert report.trace_summary["requests"] == 8
@@ -322,7 +323,7 @@ class TestRemoteLoad:
         from repro.csidh.parameters import csidh_mini
 
         async def main():
-            configs = default_tenant_configs(1, engine="replay")
+            configs = default_tenant_configs(1, engine="aot")
             service = KeyExchangeService(toy, configs)
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -343,7 +344,7 @@ class TestDashboardOverWire:
         import io
 
         async def main():
-            configs = default_tenant_configs(1, engine="replay")
+            configs = default_tenant_configs(1, engine="aot")
             service = KeyExchangeService(toy, configs)
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
@@ -373,18 +374,29 @@ class TestDashboardOverWire:
             "latency_ms": {"p50": 1.0, "p95": 2.0, "p99": 3.0,
                            "window": 10},
             "tenants": {"t": {
-                "engine": "replay", "preferred_engine": "jit",
+                "engine": "interpreter", "preferred_engine": "aot",
                 "hardened": True, "lanes": 2, "capacity": 18,
                 "inflight": 1, "requests": 10, "errors": 0,
                 "rejections": 2, "demotions": 1, "promotions": 0,
                 "fault_detections": 3, "fault_recoveries": 3,
+            }, "a": {
+                "engine": "aot", "preferred_engine": "aot",
+                "hardened": False, "lanes": 1, "capacity": 17,
+                "inflight": 0, "requests": 0, "errors": 0,
+                "rejections": 0, "demotions": 0, "promotions": 0,
+                "fault_detections": 0, "fault_recoveries": 0,
             }},
             "coalesced": {"t": {"batches": 2, "items": 10}},
         }
         previous = {"requests_total": 0,
                     "tenants": {"t": {"requests": 0}}}
         frame = render_dashboard(stats, previous, 2.0)
-        assert "replay*+h" in frame  # demoted + hardened marker
+        assert "interpreter*+h" in frame  # demoted + hardened marker
+        ladder = next(line for line in frame.splitlines()
+                      if line.startswith("ladder"))
+        # tenants on the fastest tier are printed, not just counted
+        assert "aot:1" in ladder
+        assert "interpreter:1" in ladder
         assert "5.0" in frame  # 10 requests / 2 s
         assert "coalesced 10 field op(s) into 2 batch(es)" in frame
         # Identical inputs, identical frame: no hidden state.

@@ -30,7 +30,7 @@ def wire_env(toy_params):
 
     async def setup():
         service = KeyExchangeService(toy_params, [TenantConfig(
-            "t", engine="replay", lanes=2, max_queue=8,
+            "t", engine="aot", lanes=2, max_queue=8,
             variant="reduced.ise")])
         server = await start_server(service)
         return service, server

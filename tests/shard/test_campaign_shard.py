@@ -90,11 +90,11 @@ class TestShardedCampaign:
             checkpoint_path=str(path), resume=True)
         assert resumed.to_dict() == monolithic.to_dict()
 
-    def test_jit_engine_forwarded(self):
-        mono = run_campaign(P, seed=1, n=8, engine="jit")
+    def test_interpreter_engine_forwarded(self):
+        mono = run_campaign(P, seed=1, n=8, engine="interpreter")
         sharded = run_sharded_campaign(
-            P, seed=1, n=8, shards=3, workers=2, engine="jit")
-        assert sharded.engine == "jit"
+            P, seed=1, n=8, shards=3, workers=2, engine="interpreter")
+        assert sharded.engine == "interpreter"
         assert sharded.trials == mono.trials
 
 

@@ -8,7 +8,7 @@ action coefficient is bit-for-bit the monolithic output.  Shards here
 execute in-process (one :class:`ShardRunner` replaying the recorded
 stream) — the real-process path is covered by
 ``tests/shard/test_scheduler.py``; engines are cycle-identical by the
-differential suite, so in-process jit execution is representative.
+differential suite, so in-process aot execution is representative.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ def _merged_for(shards: int, stream, arrival_seed: int = 0):
     """Build an N-shard plan, execute every shard in-process, merge
     the records in a shuffled arrival order."""
     plan, _ = build_plan("toy", shards=shards, seed=3)
-    runner = ShardRunner(plan, engine="jit", stream=stream)
+    runner = ShardRunner(plan, engine="aot", stream=stream)
     order = list(range(plan.shards))
     random.Random(arrival_seed).shuffle(order)
     records = {index: runner.execute(index) for index in order}
-    return plan, merge_records(plan, records, engine="jit")
+    return plan, merge_records(plan, records, engine="aot")
 
 
 class TestExactMergeToy:
@@ -83,10 +83,10 @@ class TestExactMergeMini:
     def test_mini_merges_exactly(self):
         profile = profile_group_action(csidh_mini(), seed=3)
         plan, stream = build_plan("mini", shards=7, seed=3)
-        runner = ShardRunner(plan, engine="jit", stream=stream)
+        runner = ShardRunner(plan, engine="aot", stream=stream)
         records = {index: runner.execute(index)
                    for index in range(plan.shards)}
-        merged = merge_records(plan, records, engine="jit")
+        merged = merge_records(plan, records, engine="aot")
         assert merged.coefficient == profile.coefficient
         assert merged.cycles == profile.simulated_cycles
         assert merged.instructions == profile.simulated_instructions
@@ -97,7 +97,7 @@ class TestMergeRefusals:
     @pytest.fixture(scope="class")
     def plan_and_records(self, toy_stream):
         plan, _ = build_plan("toy", shards=4, seed=3)
-        runner = ShardRunner(plan, engine="jit", stream=toy_stream)
+        runner = ShardRunner(plan, engine="aot", stream=toy_stream)
         records = {index: runner.execute(index)
                    for index in range(plan.shards)}
         return plan, records

@@ -50,7 +50,7 @@ class TestRunnerCheckedMode:
     def test_clean_run_passes(self):
         runner = _runner(checked=True)
         ctx = runner.kernel.context
-        run = runner.run(3, ctx.r2_mod_p, replay=True)
+        run = runner.run(3, ctx.r2_mod_p, engine="aot")
         assert run.value == runner.kernel.reference(3, ctx.r2_mod_p)
 
     def test_value_corruption_detected(self):
@@ -58,7 +58,7 @@ class TestRunnerCheckedMode:
         runner.set_fault_hook(
             lambda limbs: (limbs[0] ^ 1,) + limbs[1:])
         with pytest.raises(FaultDetectedError, match="diverged"):
-            runner.run(3, 5, replay=True)
+            runner.run(3, 5, engine="aot")
         runner.clear_fault_hook()
 
     def test_cycle_corruption_detected(self):
@@ -66,19 +66,25 @@ class TestRunnerCheckedMode:
         machine = runner.machine
         trace = machine._trace_for(runner.entry)
         assert trace is not None and trace.cycles is not None
+        # the machine-level fused function is re-fused from the
+        # corrupted trace on its next lookup
+        fused = machine._aot_cache.pop(runner.entry, None)
         machine._trace_cache[runner.entry] = dataclasses.replace(
             trace, cycles=trace.cycles + 3)
         try:
             with pytest.raises(FaultDetectedError, match="cycle count"):
-                runner.run(3, 5, replay=True)
+                runner.run(3, 5, engine="aot")
         finally:
             machine._trace_cache[runner.entry] = trace
+            machine._aot_cache.pop(runner.entry, None)
+            if fused is not None:
+                machine._aot_cache[runner.entry] = fused
 
     def test_sampling_interval_honoured(self):
         runner = _runner(checked=True, interval=4)
         with telemetry.capture(fresh=True) as cap:
             for _ in range(8):
-                runner.run(3, 5, replay=True)
+                runner.run(3, 5, engine="aot")
         checked = cap.registry.counter("checked_runs_total")
         assert checked.total() == 2  # 8 runs / interval 4
 
@@ -101,7 +107,7 @@ class TestRunnerCheckedMode:
         runner = _runner(checked=False, name="fp_add.reduced.ise")
         runner.set_fault_hook(lambda limbs: (limbs[0] ^ 1,) + limbs[1:])
         try:
-            run = runner.run(4, 5, replay=True, check=False)
+            run = runner.run(4, 5, engine="aot", check=False)
             assert run.value != runner.kernel.reference(4, 5)
         finally:
             runner.clear_fault_hook()

@@ -124,7 +124,7 @@ class TestBenchCommand:
                      "--rounds", "1", "--batch", "8",
                      "--bench-out", str(out_path)]) == 0
         out = capsys.readouterr().out
-        for engine in ("interpreter", "replay", "jit", "aot"):
+        for engine in ("interpreter", "aot"):
             assert engine in out
         assert "mul_batch" in out
         assert "aot first  start" in out
@@ -134,11 +134,10 @@ class TestBenchCommand:
         assert document["benchmark"] == "protocol"
         record = document["runs"][-1]
         assert record["mode"] == "engine_comparison"
-        assert set(record["engines"]) \
-            == {"interpreter", "replay", "jit", "aot"}
+        assert set(record["engines"]) == {"interpreter", "aot"}
         for row in record["engines"].values():
             assert row["wall_s"] > 0
-        assert record["batch"]["jit"]["n"] == 8
+        assert record["batch"]["aot"]["n"] == 8
         # within one invocation the second phase binds the artifacts
         # the first phase just wrote
         start = record["aot_start"]
@@ -147,10 +146,10 @@ class TestBenchCommand:
         assert start["second"]["compiles"] == 0
 
     def test_bench_single_engine_no_batch(self, capsys):
-        assert main(["bench", "--params", "toy", "--engine", "replay",
-                     "--rounds", "1", "--batch", "0"]) == 0
+        assert main(["bench", "--params", "toy", "--engine",
+                     "interpreter", "--rounds", "1", "--batch", "0"]) == 0
         out = capsys.readouterr().out
-        assert "replay" in out
+        assert "interpreter" in out
         assert "mul_batch" not in out
 
     @pytest.mark.parametrize("argv, needle", [
@@ -168,11 +167,11 @@ class TestBenchCommand:
     def test_faults_engine_flag(self, tmp_path, capsys):
         report_path = tmp_path / "campaign.json"
         assert main(["faults", "--params", "toy", "--n", "4",
-                     "--engine", "jit", "--json",
+                     "--engine", "interpreter", "--json",
                      str(report_path)]) == 0
         import json as json_module
         document = json_module.loads(report_path.read_text())
-        assert document["engine"] == "jit"
+        assert document["engine"] == "interpreter"
         assert document["escaped"] == 0
 
 
@@ -185,7 +184,7 @@ class TestTelemetryFlags:
         assert "group_action" in out
         assert "isogeny[degree=" in out
         assert "hot kernels" in out
-        assert "engine mix: replay=" in out
+        assert "engine mix: aot=" in out
 
     def test_profile_exports_and_bench(self, tmp_path, capsys):
         import json
@@ -354,6 +353,6 @@ class TestResilienceFlags:
     def test_load_reports_deadline_rejections(self, capsys):
         assert main(["load", "--params", "toy", "--exchanges", "2",
                      "--concurrency", "2", "--tenants", "1",
-                     "--engine", "replay", "--no-trace",
+                     "--engine", "aot", "--no-trace",
                      "--timeout-s", "30"]) == 0
         assert "deadline" in capsys.readouterr().out

@@ -149,55 +149,111 @@ class TestSelfHealingEndToEnd:
         assert context.fault_recoveries == context.fault_detections
 
 
-class TestJitFaultSymmetry:
-    """Replay-cache poisoning must reach a live compiled jit function,
-    be detected on the jit tier, and recovery must evict the compiled
-    function — not just the trace."""
+class TestAotFaultSeam:
+    """The three trace sites poison a copy of the static trace and
+    re-fuse the aot tier from it: every aot run sees the fault, checked
+    mode catches it, nothing poisoned reaches the artifact cache, and
+    ``disarm()`` restores the healthy fused functions."""
 
-    def test_poisoning_swaps_and_disarm_restores_the_jit_function(self):
-        from repro.fault import arm_fault
+    #: (site, step): steps chosen to perturb the toy fp_mul kernel
+    SITES = (("replay_step_skip", 2), ("replay_closure_corrupt", 5),
+             ("replay_cycles_corrupt", 0))
+
+    @staticmethod
+    def _site(name: str, step: int):
         from repro.fault.plan import FaultSite
+
+        return FaultSite(index=0, site=name, operation="mul", step=step,
+                         bit=13, lane=3, delta=1)
+
+    @staticmethod
+    def _artifacts(directory):
+        return {path.name: path.read_bytes()
+                for path in sorted(directory.glob("*"))}
+
+    @pytest.mark.parametrize("name,step", SITES)
+    def test_trace_site_perturbs_aot_and_is_detected(
+            self, monkeypatch, tmp_path, name, step):
+        import random
+
+        from repro.fault import arm_fault
+        from repro.kernels.registry import cached_kernels
+        from repro.kernels.runner import KernelRunner
+        from repro.rv64.artifacts import cache_dir
+
+        monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "aot"))
+        kernel = cached_kernels(csidh_toy().p)["fp_mul.reduced.ise"]
+        runner = KernelRunner(kernel, engine="aot")
+        checked = KernelRunner(kernel, engine="aot", checked=True,
+                               check_interval=1)
+        values = kernel.sampler(random.Random(7))
+        before = self._artifacts(cache_dir())
+        assert before, "construction must persist the healthy thunk"
+
+        def observe(engine):
+            run = runner.run(*values, check=False, engine=engine)
+            return (run.limbs, run.cycles, run.instructions,
+                    list(runner.machine.state.regs._regs))
+
+        healthy = observe("interpreter")
+        armed = arm_fault(runner, self._site(name, step))
+        armed_checked = arm_fault(checked, self._site(name, step))
+        try:
+            poisoned = observe("aot")
+            assert poisoned[:2] != healthy[:2], \
+                "the armed fault must change the value or the cycles"
+            with pytest.raises(FaultDetectedError):
+                checked.run(*values, check=False)
+            assert self._artifacts(cache_dir()) == before, \
+                "a poisoned fusion must never reach the artifact cache"
+        finally:
+            armed.disarm()
+            armed_checked.disarm()
+        assert observe("aot") == healthy
+        assert self._artifacts(cache_dir()) == before
+
+    def test_poisoning_refuses_and_disarm_restores_the_fused_functions(
+            self):
+        from repro.fault import arm_fault
         from repro.kernels.registry import cached_kernels
         from repro.kernels.runner import KernelRunner
 
-        p = csidh_toy().p
-        kernels = cached_kernels(p)
+        kernels = cached_kernels(csidh_toy().p)
         runner = KernelRunner(kernels["fp_mul.reduced.ise"],
-                              engine="jit")
-        runner.run(3, 5, check=False)  # compile the jit function
+                              engine="aot")
         machine = runner.machine
-        pristine = machine._jit_cache[runner.entry]
-        pristine_trace = machine._trace_cache[runner.entry]
+        machine._aot_for(runner.entry)  # the machine-level function too
+        pristine = (machine._trace_cache[runner.entry],
+                    machine._aot_cache[runner.entry],
+                    machine._aot_entry_cache[runner.entry],
+                    runner._aot_thunk)
 
-        site = FaultSite(index=0, site="replay_step_skip",
-                         operation="mul", step=5, bit=0, lane=0,
-                         delta=1)
-        armed = arm_fault(runner, site)
+        armed = arm_fault(runner, self._site("replay_step_skip", 5))
         try:
-            assert machine._jit_cache[runner.entry] is not pristine
-            assert machine._trace_cache[runner.entry] \
-                is not pristine_trace
+            assert machine._trace_cache[runner.entry] is not pristine[0]
+            assert machine._aot_cache.get(runner.entry) \
+                is not pristine[1]
+            assert runner._aot_thunk is not pristine[3]
         finally:
             armed.disarm()
-        assert machine._jit_cache[runner.entry] is pristine
-        assert machine._trace_cache[runner.entry] is pristine_trace
+        assert (machine._trace_cache[runner.entry],
+                machine._aot_cache[runner.entry],
+                machine._aot_entry_cache[runner.entry],
+                runner._aot_thunk) == pristine
 
-    def test_jit_context_heals_and_evicts_the_compiled_function(self):
+    def test_context_heals_and_evicts_the_fused_functions(self):
         from repro import telemetry
         from repro.fault import arm_fault
-        from repro.fault.plan import FaultSite
 
         p = csidh_toy().p
         context = SimulatedFieldContext(p, checked=True,
-                                        check_interval=1, engine="jit")
+                                        check_interval=1)
+        assert context.engine == "aot"
         reference = FieldContext(p)
-        context.mul(2, 3)  # compile the jit function before arming
-        assert context._mul.entry in context._mul.machine._jit_cache
+        context.mul(2, 3)  # fuse the machine-level function first
 
-        site = FaultSite(index=0, site="replay_step_skip",
-                         operation="mul", step=2, bit=13, lane=3,
-                         delta=1)
-        armed = arm_fault(context._mul, site)
+        armed = arm_fault(context._mul,
+                          self._site("replay_step_skip", 2))
         try:
             with telemetry.capture(fresh=True) as cap:
                 for a, b in [(3, 5), (7, 11), (p - 1, p - 2), (42, 81)]:
@@ -206,15 +262,8 @@ class TestJitFaultSymmetry:
             armed.disarm()
         assert context.fault_detections >= 1
         assert context.fault_recoveries == context.fault_detections
-        # recovery dropped the compiled tier, not just the trace
-        evictions = cap.registry.counter("jit_evictions_total")
+        # recovery dropped the fused tier, not just the trace
+        evictions = cap.registry.counter("aot_evictions_total")
         assert evictions.value() >= 1
         invalidations = cap.registry.counter("trace_invalidations_total")
         assert invalidations.value() >= 1
-
-    def test_jit_campaign_no_escapes(self):
-        report = run_campaign(csidh_toy().p, seed=1, n=12,
-                              engine="jit")
-        assert report.engine == "jit"
-        assert report.escaped == 0
-        assert report.recovery_rate >= 0.9

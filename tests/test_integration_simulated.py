@@ -17,6 +17,7 @@ from repro.csidh.montgomery import Curve, XPoint, ladder
 from repro.field.fp import FieldContext
 from repro.field.simulated import SimulatedFieldContext
 from repro.kernels.spec import ALL_VARIANTS
+from repro.rv64.machine import ENGINES
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ class TestSimulatedProtocol:
 
 
 class TestEngineTiers:
-    """The jit tier and the batched entry points at field level."""
+    """Both engines and the batched entry points at field level."""
 
     def test_unknown_engine_rejected(self, toy_params):
         from repro.errors import KernelError
@@ -113,10 +114,9 @@ class TestEngineTiers:
 
         with pytest.raises(KernelError, match="cross_check"):
             SimulatedFieldContext(toy_params.p, cross_check=True,
-                                  engine="jit")
+                                  engine="aot")
 
-    @pytest.mark.parametrize("engine",
-                             ["interpreter", "replay", "jit"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_group_action_identical_across_engines(self, toy_params,
                                                    reference_action,
                                                    engine):
@@ -124,8 +124,7 @@ class TestEngineTiers:
         assert group_action(toy_params, field, 0, (1, -1, 1),
                             random.Random(0)) == reference_action
 
-    @pytest.mark.parametrize("engine",
-                             ["interpreter", "replay", "jit"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_batch_entry_points_match_reference(self, toy_params,
                                                 engine):
         p = toy_params.p
@@ -147,7 +146,7 @@ class TestEngineTiers:
     def test_batch_counts_operations_like_the_scalar_api(self,
                                                          toy_params):
         p = toy_params.p
-        context = SimulatedFieldContext(p, engine="jit")
+        context = SimulatedFieldContext(p, engine="aot")
         pairs = [(3, 5), (7, 11), (13, 17)]
         before = context.counter.mul
         context.mul_batch(pairs)

@@ -16,6 +16,7 @@ from repro.kernels.registry import (
 )
 from repro.kernels.runner import KernelRunner, run_kernel
 from repro.kernels.spec import ALL_VARIANTS, TABLE4_OPERATIONS
+from repro.rv64.machine import ENGINES
 from repro.rv64.pipeline import PipelineConfig
 
 
@@ -162,27 +163,17 @@ class TestEngineSelection:
         with pytest.raises(KernelError, match="unknown engine"):
             runner.run_batch([(1, 2)], engine="turbo")
 
-    def test_engine_param_overrides_replay_flag(self, toy_params, rng):
-        kernels = build_all_kernels(toy_params.p)
-        runner = KernelRunner(kernels["fp_add.reduced.ise"],
-                              replay=True, engine="jit")
-        assert runner.engine == "jit"
-        p = toy_params.p
-        a, b = rng.randrange(p), rng.randrange(p)
-        assert runner.run(a, b).value == (a + b) % p
-
     def test_pool_is_keyed_by_engine(self, toy_params):
         clear_runner_pool()
         p = toy_params.p
-        replay = cached_runner(p, "fp_add.reduced.ise",
-                               engine="replay")
-        jit = cached_runner(p, "fp_add.reduced.ise", engine="jit")
-        assert replay is not jit
+        interpreter = cached_runner(p, "fp_add.reduced.ise")
+        aot = cached_runner(p, "fp_add.reduced.ise", engine="aot")
+        assert interpreter is not aot
         assert cached_runner(p, "fp_add.reduced.ise",
-                             engine="jit") is jit
-        assert evict_runner(p, "fp_add.reduced.ise", engine="jit")
+                             engine="aot") is aot
+        assert evict_runner(p, "fp_add.reduced.ise", engine="aot")
         assert cached_runner(p, "fp_add.reduced.ise",
-                             engine="jit") is not jit
+                             engine="aot") is not aot
         clear_runner_pool()
 
     def test_run_batch_rejects_wrong_arity(self, toy_params):
@@ -191,7 +182,7 @@ class TestEngineSelection:
         with pytest.raises(KernelError, match="expects 2 operands"):
             runner.run_batch([(1, 2), (3,)])
 
-    @pytest.mark.parametrize("engine", ["replay", "jit"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_batch_counters_match_looped_singles(self, toy_params,
                                                  rng, engine):
         """Identical kernel/machine run accounting, batch vs loop —
@@ -211,7 +202,7 @@ class TestEngineSelection:
                 name: samples
                 for name, samples in registry.to_dict().items()
                 if name in ("kernel_runs_total", "machine_runs_total",
-                            "jit_cache_hits_total")
+                            "aot_cache_hits_total")
             }
 
         with telemetry.capture(fresh=True) as loop_cap:

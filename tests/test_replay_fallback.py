@@ -1,33 +1,26 @@
-"""Replay→interpreter fallback, exercised per rejection reason.
+"""aot → interpreter demotion, exercised per refusal and demotion reason.
 
-One test per :class:`~repro.rv64.replay.ReplayError` ``reason`` value:
-each builds a program the trace compiler must refuse, asserts the
-refusal (``trace_rejects_total{reason=...}``), asserts that a
-``run(replay=True)`` on such a program increments the fallback counter
-(``replay_fallback_total{reason="not_replayable"}``), and — where the
-program is runnable at all — that the fallback execution is
-bit-for-bit identical to a plain interpreter run (registers, memory,
-retired-instruction count, cycles).  Programs that are broken for the
-interpreter too (unmapped walk-off, step-limit blowout) must fail
-identically on both paths.
+The aot engine fuses a kernel's static trace
+(:func:`~repro.rv64.replay.compile_trace`) into one Python function, so
+every reason either stage can refuse with is a reason an aot request
+demotes to the interpreter.  This file holds the tests of each reason:
 
-A final guard asserts this file covers every declared reason, so a new
-rejection reason cannot land without its fallback test.
+* every :class:`~repro.rv64.replay.ReplayError` reason — the trace
+  compiler refuses (``trace_rejects_total{reason=...}``) and an aot run
+  of the program demotes and is bit-for-bit identical to a plain
+  interpreter run (registers, retired instructions, cycles, histogram);
+  programs broken for the interpreter too (unmapped walk-off, step-limit
+  blowout) fail identically on both paths;
+* every :class:`~repro.rv64.aot.AotError` reason — the fuser refuses
+  (``aot_rejects_total{reason=...}``) and, where the program runs, the
+  interpreter serves it;
+* every run-level demotion reason
+  (:data:`repro.rv64.aot.DEMOTION_REASONS`) —
+  ``aot_demotions_total{reason=...}``, the engine that actually ran,
+  and exactness against the interpreter.
 
-The second half applies the same discipline one tier up: every
-:class:`~repro.rv64.jit.JitError` reason and every demotion reason on
-the jit → replay → interpreter ladder
-(:data:`repro.rv64.jit.DEMOTION_REASONS`) gets a test asserting the
-refusal counter (``jit_rejects_total{reason=...}``), the demotion
-counter (``jit_demotions_total{reason=...}``), the engine that
-actually ran, and bit-for-bit agreement with the plain interpreter.
-
-The third section covers the top rung: every
-:class:`~repro.rv64.aot.AotError` reason and every demotion reason on
-the aot → jit → replay → interpreter ladder
-(:data:`repro.rv64.aot.DEMOTION_REASONS`) gets the same treatment —
-``aot_rejects_total{reason=...}``, ``aot_demotions_total{reason=...}``,
-the engine that served the run, and exactness against the interpreter.
+Guards at the end assert this file names every declared reason, so a
+new reason cannot land without its test.
 """
 
 from __future__ import annotations
@@ -38,27 +31,34 @@ import pytest
 
 from repro import telemetry
 from repro.core.ise import EXTENDED_ISA
+from repro.csidh.parameters import csidh_toy
 from repro.errors import SimulationError
+from repro.kernels.registry import cached_kernels
+from repro.kernels.runner import KernelRunner
+from repro.mpi.representation import Radix
+from repro.rv64 import aot as aot_module
+from repro.rv64.aot import AotError, compile_aot, compile_aot_entry
 from repro.rv64.assembler import assemble
-from repro.rv64.machine import Machine
+from repro.rv64.machine import HALT_ADDRESS, Machine
 from repro.rv64.pipeline import (
     PipelineModel,
     ROCKET_CONFIG,
     ROCKET_CONFIG_WITH_CACHES,
 )
-from repro.mpi.representation import Radix
-from repro.rv64 import aot as aot_module
-from repro.rv64.aot import AotError, compile_aot, compile_aot_entry
-from repro.rv64 import jit as jit_module
-from repro.rv64.jit import DEMOTION_REASONS, JitError, compile_jit
-from repro.rv64.machine import HALT_ADDRESS
 from repro.rv64.replay import ReplayError, compile_trace
 
-#: reason -> the assembly that provokes it (straight-line unless noted)
 _STRAIGHT = """
     addi t0, zero, 41
     addi t1, zero, 1
     add  a0, t0, t1
+    ret
+"""
+
+_CONTROL_FLOW = """
+    addi t0, zero, 5
+    beq  zero, zero, 8
+    addi t0, zero, 99
+    addi a0, t0, 1
     ret
 """
 
@@ -72,51 +72,55 @@ def _machine(source: str, *, config=ROCKET_CONFIG,
     return machine, entry
 
 
-def _assert_rejected(source: str, reason: str, **kwargs) -> None:
+def _assert_trace_refused(source: str, reason: str, **kwargs) -> None:
     machine, entry = _machine(source, **kwargs)
     with pytest.raises(ReplayError) as excinfo:
         compile_trace(machine, entry)
     assert excinfo.value.reason == reason
 
 
-def _fallback_matches_interpreter(source: str, reason: str,
-                                  **kwargs) -> None:
-    """run(replay=True) falls back and matches run(replay=False)."""
+def _assert_demotes_bit_for_bit(source: str, **kwargs) -> Machine:
+    """run(engine="aot") demotes and matches a plain interpreter run;
+    returns the demoted machine for program-specific checks."""
     with telemetry.capture(fresh=True) as cap:
-        replay_machine, entry = _machine(source, **kwargs)
-        replay_result = replay_machine.run(entry, replay=True)
-    plain_machine, entry2 = _machine(source, **kwargs)
-    plain_result = plain_machine.run(entry2, replay=False)
+        machine, entry = _machine(source, **kwargs)
+        machine.collect_histogram = True
+        result = machine.run(entry, engine="aot")
+    plain, entry2 = _machine(source, **kwargs)
+    plain.collect_histogram = True
+    expected = plain.run(entry2)
 
-    assert replay_result.engine == "interpreter"
-    assert replay_result.instructions_retired \
-        == plain_result.instructions_retired
-    assert replay_result.cycles == plain_result.cycles
-    assert replay_result.histogram == plain_result.histogram
-    assert replay_machine.regs.snapshot() == plain_machine.regs.snapshot()
+    assert result.engine == "interpreter"
+    assert result.instructions_retired == expected.instructions_retired
+    assert result.cycles == expected.cycles
+    assert result.histogram == expected.histogram
+    assert machine.regs.snapshot() == plain.regs.snapshot()
+    demotions = cap.registry.counter("aot_demotions_total")
+    assert demotions.value(reason="not_compilable") == 1
+    return machine
 
-    rejects = cap.registry.counter("trace_rejects_total")
-    assert rejects.value(reason=reason) == 1
-    fallbacks = cap.registry.counter("replay_fallback_total")
-    assert fallbacks.value(reason="not_replayable") == 1
+
+def _assert_fails_like_interpreter(source: str, **kwargs) -> None:
+    machine, entry = _machine(source, **kwargs)
+    with pytest.raises(SimulationError) as via_aot:
+        machine.run(entry, engine="aot")
+    other, entry2 = _machine(source, **kwargs)
+    with pytest.raises(SimulationError) as via_interp:
+        other.run(entry2)
+    assert str(via_aot.value) == str(via_interp.value)
+
+
+# ---------------------------------------------------------------------------
+# static-trace refusals (ReplayError)
+# ---------------------------------------------------------------------------
 
 
 class TestControlFlow:
-    SOURCE = """
-        addi t0, zero, 5
-        beq  zero, zero, 8
-        addi t0, zero, 99
-        addi a0, t0, 1
-        ret
-    """
-
     def test_rejected(self):
-        _assert_rejected(self.SOURCE, "control_flow")
+        _assert_trace_refused(_CONTROL_FLOW, "control_flow")
 
     def test_fallback_bit_for_bit(self):
-        _fallback_matches_interpreter(self.SOURCE, "control_flow")
-        machine, entry = _machine(self.SOURCE)
-        machine.run(entry)
+        machine = _assert_demotes_bit_for_bit(_CONTROL_FLOW)
         assert machine.regs["a0"] == 6  # the branch was honoured
 
 
@@ -131,23 +135,22 @@ class TestRaWrite:
     """
 
     def test_rejected(self):
-        _assert_rejected(self.SOURCE, "ra_write")
+        _assert_trace_refused(self.SOURCE, "ra_write")
 
     def test_fallback_bit_for_bit(self):
-        _fallback_matches_interpreter(self.SOURCE, "ra_write")
-        machine, entry = _machine(self.SOURCE)
-        machine.run(entry)
+        machine = _assert_demotes_bit_for_bit(self.SOURCE)
         assert machine.regs["a0"] == 10
 
 
 class TestCacheTiming:
     def test_rejected(self):
-        _assert_rejected(_STRAIGHT, "cache_timing",
-                         config=ROCKET_CONFIG_WITH_CACHES)
+        _assert_trace_refused(_STRAIGHT, "cache_timing",
+                              config=ROCKET_CONFIG_WITH_CACHES)
 
     def test_fallback_bit_for_bit(self):
-        _fallback_matches_interpreter(_STRAIGHT, "cache_timing",
-                                      config=ROCKET_CONFIG_WITH_CACHES)
+        machine = _assert_demotes_bit_for_bit(
+            _STRAIGHT, config=ROCKET_CONFIG_WITH_CACHES)
+        assert machine.regs["a0"] == 42
 
 
 class TestUnmapped:
@@ -159,45 +162,24 @@ class TestUnmapped:
     """
 
     def test_rejected(self):
-        _assert_rejected(self.SOURCE, "unmapped")
+        _assert_trace_refused(self.SOURCE, "unmapped")
 
     def test_fallback_fails_like_interpreter(self):
-        with telemetry.capture(fresh=True) as cap:
-            machine, entry = _machine(self.SOURCE)
-            with pytest.raises(SimulationError) as via_replay:
-                machine.run(entry, replay=True)
-        other, entry2 = _machine(self.SOURCE)
-        with pytest.raises(SimulationError) as via_interp:
-            other.run(entry2, replay=False)
-        assert str(via_replay.value) == str(via_interp.value)
-        rejects = cap.registry.counter("trace_rejects_total")
-        assert rejects.value(reason="unmapped") == 1
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="not_replayable") == 1
+        _assert_fails_like_interpreter(self.SOURCE)
 
 
 class TestStepLimit:
     SOURCE = "\n".join(["addi t0, t0, 1"] * 8) + "\nret\n"
 
     def test_rejected(self):
-        _assert_rejected(self.SOURCE, "step_limit", max_steps=4)
+        _assert_trace_refused(self.SOURCE, "step_limit", max_steps=4)
 
     def test_fallback_fails_like_interpreter(self):
-        with telemetry.capture(fresh=True) as cap:
-            machine, entry = _machine(self.SOURCE, max_steps=4)
-            with pytest.raises(SimulationError, match="step limit"):
-                machine.run(entry, replay=True)
-        other, entry2 = _machine(self.SOURCE, max_steps=4)
-        with pytest.raises(SimulationError, match="step limit"):
-            other.run(entry2, replay=False)
-        rejects = cap.registry.counter("trace_rejects_total")
-        assert rejects.value(reason="step_limit") == 1
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="not_replayable") == 1
+        _assert_fails_like_interpreter(self.SOURCE, max_steps=4)
 
 
 def test_every_declared_reason_is_covered():
-    """A new ReplayError.reason cannot land without a fallback test."""
+    """A new ReplayError.reason cannot land without its test."""
     source = open(__file__, encoding="utf-8").read()
     tested = set(re.findall(r'"(control_flow|ra_write|cache_timing|'
                             r'unmapped|step_limit)"', source))
@@ -205,140 +187,7 @@ def test_every_declared_reason_is_covered():
 
 
 # ---------------------------------------------------------------------------
-# jit demotion ladder: jit → replay → interpreter
-# ---------------------------------------------------------------------------
-
-
-class TestJitNotReplayable:
-    """Unreplayable programs refuse jit for the same root cause, and a
-    jit request demotes all the way to the interpreter."""
-
-    SOURCE = TestControlFlow.SOURCE
-
-    def test_rejected(self):
-        machine, entry = _machine(self.SOURCE)
-        with pytest.raises(JitError) as excinfo:
-            compile_jit(machine, entry)
-        assert excinfo.value.reason == "not_replayable"
-        assert excinfo.value.code == "jit"
-
-    def test_demotes_to_interpreter_bit_for_bit(self):
-        with telemetry.capture(fresh=True) as cap:
-            machine, entry = _machine(self.SOURCE)
-            result = machine.run(entry, engine="jit")
-        plain, entry2 = _machine(self.SOURCE)
-        expected = plain.run(entry2)
-
-        assert result.engine == "interpreter"
-        assert result.instructions_retired \
-            == expected.instructions_retired
-        assert result.cycles == expected.cycles
-        assert machine.regs.snapshot() == plain.regs.snapshot()
-
-        rejects = cap.registry.counter("jit_rejects_total")
-        assert rejects.value(reason="not_replayable") == 1
-        demotions = cap.registry.counter("jit_demotions_total")
-        assert demotions.value(reason="not_compilable") == 1
-        # ...and the replay rung below then falls back too
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="not_replayable") == 1
-
-
-class TestJitCodegenError:
-    """A broken emitter makes the generated source fail to compile:
-    jit refuses with ``codegen_error`` and demotes ONE rung — the
-    trace itself is healthy, so the replay engine serves the run."""
-
-    def test_rejected_and_replay_serves(self):
-        original = jit_module._TEMPLATES.get("addi")
-        jit_module._TEMPLATES["addi"] = (
-            lambda ins, pc: "r1 = = broken(")
-        try:
-            machine, entry = _machine(_STRAIGHT)
-            with pytest.raises(JitError) as excinfo:
-                compile_jit(machine, entry)
-            assert excinfo.value.reason == "codegen_error"
-
-            with telemetry.capture(fresh=True) as cap:
-                machine2, entry2 = _machine(_STRAIGHT)
-                result = machine2.run(entry2, engine="jit")
-            assert result.engine == "replay"
-            assert machine2.regs["a0"] == 42
-            rejects = cap.registry.counter("jit_rejects_total")
-            assert rejects.value(reason="codegen_error") == 1
-            demotions = cap.registry.counter("jit_demotions_total")
-            assert demotions.value(reason="not_compilable") == 1
-        finally:
-            if original is None:
-                jit_module._TEMPLATES.pop("addi", None)
-            else:
-                jit_module._TEMPLATES["addi"] = original
-
-
-class TestJitTraceHooks:
-    """An attached trace hook demotes jit (and replay) so the hook
-    observes every retired instruction."""
-
-    def test_demotes_and_hook_fires(self):
-        machine, entry = _machine(_STRAIGHT)
-        seen = []
-        machine.add_trace_hook(lambda state, ins: seen.append(
-            ins.mnemonic))
-        with telemetry.capture(fresh=True) as cap:
-            result = machine.run(entry, engine="jit")
-        assert result.engine == "interpreter"
-        assert len(seen) == result.instructions_retired
-        demotions = cap.registry.counter("jit_demotions_total")
-        assert demotions.value(reason="trace_hooks") == 1
-        assert machine.regs["a0"] == 42
-
-
-class TestJitNoSetupReturn:
-    """``setup_return=False`` means the caller owns ra/sp; jit cannot
-    reproduce that from-reset contract and demotes."""
-
-    def test_demotes_and_matches_interpreter(self):
-        machine, entry = _machine(_STRAIGHT)
-        machine.state.regs.write("ra", HALT_ADDRESS)
-        with telemetry.capture(fresh=True) as cap:
-            result = machine.run(entry, setup_return=False,
-                                 engine="jit")
-        plain, entry2 = _machine(_STRAIGHT)
-        plain.state.regs.write("ra", HALT_ADDRESS)
-        expected = plain.run(entry2, setup_return=False)
-
-        assert result.engine == "interpreter"
-        assert result.cycles == expected.cycles
-        assert machine.regs.snapshot() == plain.regs.snapshot()
-        demotions = cap.registry.counter("jit_demotions_total")
-        assert demotions.value(reason="no_setup_return") == 1
-
-
-def test_jit_rejection_is_cached_not_retried():
-    """A refused entry is remembered; later jit requests demote
-    without re-running the code generator."""
-    with telemetry.capture(fresh=True) as cap:
-        machine, entry = _machine(TestControlFlow.SOURCE)
-        machine.run(entry, engine="jit")
-        machine.run(entry, engine="jit")
-        rejects = cap.registry.counter("jit_rejects_total")
-        assert rejects.value(reason="not_replayable") == 1
-        demotions = cap.registry.counter("jit_demotions_total")
-        assert demotions.value(reason="not_compilable") == 2
-
-
-def test_every_declared_jit_reason_is_covered():
-    """A new JitError.reason or demotion reason cannot land without
-    its ladder test in this file."""
-    source = open(__file__, encoding="utf-8").read()
-    tested = set(re.findall(r'"(not_replayable|codegen_error|'
-                            r'not_compilable|trace_hooks|'
-                            r'no_setup_return)"', source))
-    assert tested == set(JitError.REASONS) | set(DEMOTION_REASONS)
-
-
-# ---------------------------------------------------------------------------
-# aot demotion ladder: aot → jit → replay → interpreter
+# fusion refusals (AotError) and run-level demotions
 # ---------------------------------------------------------------------------
 
 
@@ -354,46 +203,55 @@ def _entry_thunk_kwargs():
     )
 
 
-class TestAotNotReplayable:
-    """Unreplayable programs refuse fusion for the same root cause,
-    and an aot request demotes all the way to the interpreter."""
+def _assert_refused_and_interpreter_serves(source: str, reason: str,
+                                           a0: int) -> None:
+    machine, entry = _machine(source)
+    with pytest.raises(AotError) as excinfo:
+        compile_aot(machine, entry)
+    assert excinfo.value.reason == reason
+    assert excinfo.value.code == "aot"
 
-    SOURCE = TestControlFlow.SOURCE
+    with telemetry.capture(fresh=True) as cap:
+        machine2, entry2 = _machine(source)
+        result = machine2.run(entry2, engine="aot")
+    assert result.engine == "interpreter"
+    assert machine2.regs["a0"] == a0
+    rejects = cap.registry.counter("aot_rejects_total")
+    assert rejects.value(reason=reason) == 1
+    demotions = cap.registry.counter("aot_demotions_total")
+    assert demotions.value(reason="not_compilable") == 1
+
+
+class TestAotNotReplayable:
+    """A program without a static trace refuses fusion for the same
+    root cause, and an aot request demotes to the interpreter."""
 
     def test_rejected(self):
-        machine, entry = _machine(self.SOURCE)
-        with pytest.raises(AotError) as excinfo:
-            compile_aot(machine, entry)
-        assert excinfo.value.reason == "not_replayable"
-        assert excinfo.value.code == "aot"
+        _assert_refused_and_interpreter_serves(
+            _CONTROL_FLOW, "not_replayable", a0=6)
 
     def test_demotes_to_interpreter_bit_for_bit(self):
+        # run-level reason "not_compilable", on the runner path too
+        _assert_demotes_bit_for_bit(_CONTROL_FLOW)
+        kernel = cached_kernels(csidh_toy().p)["fp_add.full.isa"]
+        runner = KernelRunner(kernel, engine="aot")
+        runner.machine._aot_entry_cache.clear()
+        runner._aot_thunk = None
+        runner.machine._aot_rejected.add(runner.entry)
         with telemetry.capture(fresh=True) as cap:
-            machine, entry = _machine(self.SOURCE)
-            result = machine.run(entry, engine="aot")
-        plain, entry2 = _machine(self.SOURCE)
-        expected = plain.run(entry2)
-
-        assert result.engine == "interpreter"
-        assert result.instructions_retired \
-            == expected.instructions_retired
-        assert result.cycles == expected.cycles
-        assert machine.regs.snapshot() == plain.regs.snapshot()
-
-        rejects = cap.registry.counter("aot_rejects_total")
-        assert rejects.value(reason="not_replayable") == 1
+            demoted = runner.run(3, 5)
+        expected = runner.run(3, 5, engine="interpreter")
+        assert (demoted.limbs, demoted.cycles, demoted.instructions) \
+            == (expected.limbs, expected.cycles, expected.instructions)
+        runs = cap.registry.counter("kernel_runs_total")
+        assert runs.value(kernel=kernel.name, engine="interpreter") == 1
         demotions = cap.registry.counter("aot_demotions_total")
         assert demotions.value(reason="not_compilable") == 1
-        # ...and every rung below then refuses/falls back in turn
-        jit_rejects = cap.registry.counter("jit_rejects_total")
-        assert jit_rejects.value(reason="not_replayable") == 1
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="not_replayable") == 1
 
 
 class TestAotUnsupportedOp:
     """A mnemonic with no registered expression and no extractable
-    R/I-format lambda refuses fusion; the jit rung serves the run."""
+    R/I-format lambda refuses fusion."""
 
     SOURCE = """
         addi t0, zero, 3
@@ -403,23 +261,11 @@ class TestAotUnsupportedOp:
         ret
     """
 
-    def test_rejected_and_jit_serves(self):
+    def test_rejected_and_interpreter_serves(self):
         original = aot_module._EXPRS.pop("maddlu")
         try:
-            machine, entry = _machine(self.SOURCE)
-            with pytest.raises(AotError) as excinfo:
-                compile_aot(machine, entry)
-            assert excinfo.value.reason == "unsupported_op"
-
-            with telemetry.capture(fresh=True) as cap:
-                machine2, entry2 = _machine(self.SOURCE)
-                result = machine2.run(entry2, engine="aot")
-            assert result.engine == "jit"
-            assert machine2.regs["a0"] == 3 * 4 + 5
-            rejects = cap.registry.counter("aot_rejects_total")
-            assert rejects.value(reason="unsupported_op") == 1
-            demotions = cap.registry.counter("aot_demotions_total")
-            assert demotions.value(reason="not_compilable") == 1
+            _assert_refused_and_interpreter_serves(
+                self.SOURCE, "unsupported_op", a0=3 * 4 + 5)
         finally:
             aot_module._EXPRS["maddlu"] = original
 
@@ -461,37 +307,21 @@ class TestAotUnsupportedAccess:
 
 class TestAotCodegenError:
     """A broken expression template fails to fold/compile: aot refuses
-    with ``codegen_error`` and demotes ONE rung — the trace is healthy,
-    so the jit tier serves the run."""
+    with ``codegen_error`` and the interpreter serves the run."""
 
-    def test_rejected_and_jit_serves(self):
+    def test_rejected_and_interpreter_serves(self):
         original = aot_module._EXPRS.get("addi")
         aot_module._EXPRS["addi"] = ("i", "r1 = = broken(")
         try:
-            machine, entry = _machine(_STRAIGHT)
-            with pytest.raises(AotError) as excinfo:
-                compile_aot(machine, entry)
-            assert excinfo.value.reason == "codegen_error"
-
-            with telemetry.capture(fresh=True) as cap:
-                machine2, entry2 = _machine(_STRAIGHT)
-                result = machine2.run(entry2, engine="aot")
-            assert result.engine == "jit"
-            assert machine2.regs["a0"] == 42
-            rejects = cap.registry.counter("aot_rejects_total")
-            assert rejects.value(reason="codegen_error") == 1
-            demotions = cap.registry.counter("aot_demotions_total")
-            assert demotions.value(reason="not_compilable") == 1
+            _assert_refused_and_interpreter_serves(
+                _STRAIGHT, "codegen_error", a0=42)
         finally:
-            if original is None:
-                aot_module._EXPRS.pop("addi", None)
-            else:
-                aot_module._EXPRS["addi"] = original
+            aot_module._EXPRS["addi"] = original
 
 
 class TestAotTraceHooks:
-    """An attached trace hook demotes the whole fused tier so the hook
-    observes every retired instruction."""
+    """An attached trace hook demotes aot so the hook observes every
+    retired instruction — on the machine and on the runner path."""
 
     def test_demotes_and_hook_fires(self):
         machine, entry = _machine(_STRAIGHT)
@@ -506,10 +336,23 @@ class TestAotTraceHooks:
         assert demotions.value(reason="trace_hooks") == 1
         assert machine.regs["a0"] == 42
 
+        kernel = cached_kernels(csidh_toy().p)["fp_mul.reduced.ise"]
+        runner = KernelRunner(kernel, engine="aot")
+        expected = runner.run(3, 5, engine="interpreter")
+        with runner.machine.trace_hook(lambda state, ins: None):
+            with telemetry.capture(fresh=True) as cap:
+                # repeated demoted runs each start from a reset
+                # pipeline: the cycle count never accumulates
+                runs = [runner.run(3, 5) for _ in range(3)]
+        assert [r.cycles for r in runs] == [expected.cycles] * 3
+        assert {r.value for r in runs} == {expected.value}
+        demotions = cap.registry.counter("aot_demotions_total")
+        assert demotions.value(reason="trace_hooks") == 3
+
 
 class TestAotNoSetupReturn:
     """``setup_return=False`` means the caller owns ra/sp; the fused
-    thunk bakes the from-reset contract in and must demote."""
+    function bakes the from-reset contract in and must demote."""
 
     def test_demotes_and_matches_interpreter(self):
         machine, entry = _machine(_STRAIGHT)
@@ -532,7 +375,7 @@ def test_aot_rejection_is_cached_not_retried():
     """A refused entry is remembered; later aot requests demote
     without re-running the fuser."""
     with telemetry.capture(fresh=True) as cap:
-        machine, entry = _machine(TestControlFlow.SOURCE)
+        machine, entry = _machine(_CONTROL_FLOW)
         machine.run(entry, engine="aot")
         machine.run(entry, engine="aot")
         rejects = cap.registry.counter("aot_rejects_total")
@@ -543,7 +386,7 @@ def test_aot_rejection_is_cached_not_retried():
 
 def test_every_declared_aot_reason_is_covered():
     """A new AotError.reason or aot demotion reason cannot land
-    without its ladder test in this file."""
+    without its test in this file."""
     source = open(__file__, encoding="utf-8").read()
     tested = set(re.findall(r'"(not_replayable|unsupported_op|'
                             r'dynamic_address|unsupported_access|'

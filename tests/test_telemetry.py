@@ -272,10 +272,10 @@ class TestGlobalHelpers:
         assert cap.root.find("stale") is None
 
     def test_record_helpers_noop_while_disabled(self):
-        telemetry.record_kernel_run("fp_mul", "replay", 10, 5)
+        telemetry.record_kernel_run("fp_mul", "aot", 10, 5)
         telemetry.record_pool_access(True, 4)
-        telemetry.record_machine_run("replay")
-        telemetry.record_replay_fallback("trace_hooks")
+        telemetry.record_machine_run("aot")
+        telemetry.record_aot_demotion("trace_hooks")
         telemetry.record_trace_compile()
         telemetry.record_trace_reject("control_flow")
         telemetry.record_kernel_check_failure("fp_mul")
@@ -285,11 +285,11 @@ class TestGlobalHelpers:
     def test_record_kernel_run_attributes_cycles(self):
         with telemetry.capture() as cap:
             with telemetry.span("phase"):
-                telemetry.record_kernel_run("fp_mul", "replay", 58, 33)
-                telemetry.record_kernel_run("fp_mul", "replay", 58, 33)
+                telemetry.record_kernel_run("fp_mul", "aot", 58, 33)
+                telemetry.record_kernel_run("fp_mul", "aot", 58, 33)
         assert cap.root.find("phase").self_cycles == 116
         runs = cap.registry.counter("kernel_runs_total")
-        assert runs.value(kernel="fp_mul", engine="replay") == 2
+        assert runs.value(kernel="fp_mul", engine="aot") == 2
         cycles = cap.registry.counter("kernel_cycles_total")
         assert cycles.value(kernel="fp_mul") == 116
 
@@ -439,12 +439,12 @@ class TestInstrumentedGroupAction:
         runs = profile.registry.counter("kernel_runs_total")
         assert runs.total() > 0
 
-    def test_replay_engine_used_throughout(self, profile):
+    def test_aot_engine_used_throughout(self, profile):
         engines = profile.registry.counter("machine_runs_total")
-        assert engines.value(engine="replay") > 0
+        assert engines.value(engine="aot") > 0
         assert engines.value(engine="interpreter") == 0
         assert profile.registry.counter(
-            "replay_fallback_total").total() == 0
+            "aot_demotions_total").total() == 0
 
     def test_hot_kernels_ranked(self, profile):
         hot = profile.hot_kernels(top=3)
@@ -459,7 +459,7 @@ class TestInstrumentedGroupAction:
         text = render_profile(profile)
         assert "group_action" in text
         assert "fp_mul.reduced.ise" in text
-        assert "engine mix: replay=" in text
+        assert "engine mix: aot=" in text
 
     def test_bench_record_shape(self, profile):
         record = profile.bench_record()
@@ -483,7 +483,7 @@ class TestInstrumentedGroupAction:
                                        cross_check=True)
         engines = profile.registry.counter("machine_runs_total")
         assert engines.value(engine="interpreter") > 0
-        assert engines.value(engine="replay") == 0
+        assert engines.value(engine="aot") == 0
         # conservation holds on the interpreter path too
         assert profile.action_node.total_cycles \
             == profile.simulated_cycles

@@ -99,35 +99,35 @@ class TestTraceHookEngine:
 
     SOURCE = "add a0, a1, a2\nadd a0, a0, a2\nret"
 
-    def test_replay_runs_without_hooks(self):
+    def test_aot_runs_without_hooks(self):
         machine, entry = _machine(self.SOURCE)
-        assert machine.run(entry, replay=True).engine == "replay"
+        assert machine.run(entry, engine="aot").engine == "aot"
 
     def test_attached_profiler_forces_interpreter(self):
         machine, entry = _machine(self.SOURCE)
         profiler = Profiler(BASE_ISA).attach(machine)
-        result = machine.run(entry, replay=True)
+        result = machine.run(entry, engine="aot")
         assert result.engine == "interpreter"
         assert profiler.profile.total == 3  # the hook actually fired
 
-    def test_detach_restores_replay(self):
+    def test_detach_restores_aot(self):
         machine, entry = _machine(self.SOURCE)
         profiler = Profiler(BASE_ISA).attach(machine)
-        assert machine.run(entry, replay=True).engine == "interpreter"
+        assert machine.run(entry, engine="aot").engine == "interpreter"
         profiler.detach(machine)
-        assert machine.run(entry, replay=True).engine == "replay"
+        assert machine.run(entry, engine="aot").engine == "aot"
 
     def test_trace_hook_context_manager_detaches_on_error(self):
         machine, entry = _machine(self.SOURCE)
         with pytest.raises(RuntimeError):
             with machine.trace_hook(lambda state, ins: None):
                 raise RuntimeError("boom")
-        assert machine.run(entry, replay=True).engine == "replay"
+        assert machine.run(entry, engine="aot").engine == "aot"
 
     def test_profile_machine_run_leaves_no_hook(self):
         machine, entry = _machine(self.SOURCE)
         profile_machine_run(machine, entry)
-        assert machine.run(entry, replay=True).engine == "replay"
+        assert machine.run(entry, engine="aot").engine == "aot"
 
     def test_telemetry_records_fallback_and_engine(self):
         from repro import telemetry
@@ -135,13 +135,13 @@ class TestTraceHookEngine:
         machine, entry = _machine(self.SOURCE)
         machine.add_trace_hook(lambda state, ins: None)
         with telemetry.capture() as cap:
-            result = machine.run(entry, replay=True)
+            result = machine.run(entry, engine="aot")
         assert result.engine == "interpreter"
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="trace_hooks") == 1
+        demotions = cap.registry.counter("aot_demotions_total")
+        assert demotions.value(reason="trace_hooks") == 1
         engines = cap.registry.counter("machine_runs_total")
         assert engines.value(engine="interpreter") == 1
-        assert engines.value(engine="replay") == 0
+        assert engines.value(engine="aot") == 0
 
 
 class TestTimingModel:
