@@ -12,14 +12,17 @@ expression nodes instead of integers:
   ``(v0 >> bits*k) & mask``, ``ld`` from the (write-once) constant pool
   folds into the concrete constant, and ``sd``/``ld`` pairs within the
   run are store-forwarded symbolically — **no memory traffic at all**;
-* every ALU/ISE instruction applies its expression template to the
-  operand *nodes*, constant-folding wherever all inputs are static, so
-  address arithmetic, ``lui``/``auipc`` chains and mask setup vanish
-  from the generated code;
+* every ALU/ISE instruction lowers its expression template into a
+  small expression IR (:class:`Graph`): hash-consed nodes, each with
+  an integer interval.  Constant folding makes address arithmetic,
+  ``lui``/``auipc`` chains and mask setup vanish; hash-consing gives
+  ``mul``/``mulhu`` (and the ISE ``madd*`` pairs) on the same
+  operands one shared wide product; exact interval rules drop masks
+  that cannot change a value and turn carry compares into shifts;
 * the surviving dataflow — the multiply-accumulate spine of the kernel
-  — is emitted as a handful of fused wide-int expressions (common
-  subexpressions materialise as temporaries, deep chains are cut at a
-  depth cap to stay inside CPython's parser limits);
+  — is emitted as a handful of fused wide-int expressions (shared
+  nodes materialise as temporaries, deep chains are cut at a depth
+  cap to stay inside CPython's parser limits);
 * the full 32-register writeback, architectural ``pc``/``halted`` and
   the trace's **precomputed static cycle accounting** are attached
   verbatim, so the differential suite's register-file comparison and
@@ -28,10 +31,13 @@ expression nodes instead of integers:
 
 Expression semantics come from one template table: the base ALU
 templates below and the ones extension packages register via
-:func:`register_expr`.  Anything without a template falls back to the
-*extracted* interpreter ``op`` lambda bound into the namespace
-(correct, but it marks the artifact non-persistable: a bound lambda
-cannot round-trip through the disk cache).
+:func:`register_expr`; each is parsed once into a lowering function.
+Anything without a template falls back to the *extracted* interpreter
+``op`` lambda bound into the namespace (correct, but it marks the
+artifact non-persistable: a bound lambda cannot round-trip through the
+disk cache).  Such lambdas, and templates outside the IR, become
+opaque nodes with an unknown interval, which no rule rewrites through
+(``docs/SIMULATOR.md``, "The aot expression IR").
 
 :func:`compile_aot` is the machine-level variant behind
 ``Machine.run(engine="aot")``: same symbolic core, but memory accesses
@@ -56,14 +62,23 @@ interpreter (see ``docs/ROBUSTNESS.md``).
 
 from __future__ import annotations
 
-import re
 import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.rv64.bits import MASK64, s32, u64
+from repro.rv64.expr import (
+    KIND_PARAMS,
+    Emitter,
+    ExpressionError,
+    Graph,
+    Node,
+    compile_lowering,
+    count_uses,
+)
 from repro.rv64.isa import FMT_I, FMT_I_SHIFT, FMT_R, InstrSpec
 from repro.rv64.machine import DEFAULT_STACK_TOP, HALT_ADDRESS
 
@@ -97,67 +112,10 @@ class AotError(SimulationError):
 DEMOTION_REASONS = ("not_compilable", "trace_hooks", "no_setup_return")
 
 
-# ---------------------------------------------------------------------------
-# Expression nodes
-# ---------------------------------------------------------------------------
-
-#: Emitted chains of single-use nodes are cut into temporaries at this
-#: nesting depth: CPython's parser and its recursive expression
-#: evaluator both dislike thousand-deep parenthesis towers.
-_DEPTH_CAP = 24
-
 #: Recursion headroom for rendering very long dependence chains (one
 #: temporary materialisation per node still recurses through the
 #: emitter); RecursionError beyond this demotes to the interpreter.
 _RECURSION_LIMIT = 10_000
-
-_FOLD_GLOBALS = {"__builtins__": {}, "M": MASK64}
-
-
-class _Node:
-    """One SSA value: a constant, an input atom, or an operation.
-
-    ``template`` is a positional format string (``"({0} + {1}) & M"``)
-    over ``children``; duplicate children encode multiplicity.  Exactly
-    one of (``const``, ``name``, ``template``) is set.
-    """
-
-    __slots__ = ("template", "children", "const", "name")
-
-    def __init__(self, template, children, const, name) -> None:
-        self.template = template
-        self.children = children
-        self.const = const
-        self.name = name
-
-
-def _const(value: int) -> _Node:
-    return _Node(None, (), value, None)
-
-
-def _atom(name: str) -> _Node:
-    return _Node(None, (), None, name)
-
-
-def _lit(value: int) -> str:
-    """Literal rendering (hex above 16 keeps masks/addresses legible)."""
-    return hex(value) if value >= 16 else repr(value)
-
-
-def _op(template: str, children: tuple) -> _Node:
-    """Operation node with constant folding over all-static inputs."""
-    for child in children:
-        if child.const is None:
-            return _Node(template, children, None, None)
-    rendered = template.format(*[_lit(c.const) for c in children])
-    try:
-        value = eval(rendered, dict(_FOLD_GLOBALS))
-    except Exception as exc:  # pragma: no cover - templates are total
-        raise AotError(
-            f"constant fold of {rendered!r} failed: {exc}",
-            reason="codegen_error",
-        ) from exc
-    return _const(value)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +124,7 @@ def _op(template: str, children: tuple) -> _Node:
 
 #: Base R-type templates over ``{a}``/``{b}`` (register values in
 #: [0, 2^64)); ``{sa}``/``{sb}`` are their signed reinterpretations and
-#: ``M`` is the 64-bit mask in the generated function's globals.
+#: ``M`` is the 64-bit mask.
 _ALU_R_EXPR = {
     "add": "({a} + {b}) & M",
     "sub": "({a} - {b}) & M",
@@ -200,11 +158,9 @@ _ALU_I_EXPR = {
 
 #: ``mnemonic -> (kind, expr)``; kind is one of ``"r"`` ({a}/{b}),
 #: ``"i"`` ({a}/{imm}/{uimm}/{sh}), ``"r4"`` ({a}/{b}/{c}),
-#: ``"ria"`` ({a}/{sb}/{sh}).  ``{sa}``/``{sb}`` expand to the signed
-#: reinterpretation of {a}/{b} before positionalisation.
+#: ``"ria"`` ({a}/{b}/{sh}).  ``{sa}``/``{sb}`` expand to the signed
+#: reinterpretation of {a}/{b}.
 _EXPRS: dict[str, tuple[str, str]] = {}
-
-_EXPR_KINDS = ("r", "i", "r4", "ria")
 
 
 def register_expr(mnemonic: str, kind: str, expr: str) -> None:
@@ -216,7 +172,7 @@ def register_expr(mnemonic: str, kind: str, expr: str) -> None:
     per instruction, and the artifact becomes non-persistable), so
     registration is a performance *and* cacheability optimisation.
     """
-    if kind not in _EXPR_KINDS:
+    if kind not in KIND_PARAMS:
         raise AotError(f"unknown expression kind {kind!r}",
                        reason="codegen_error")
     _EXPRS.setdefault(mnemonic, (kind, expr))
@@ -233,10 +189,17 @@ register_expr(
     "addiw", "i",
     "(((({a} + {imm}) & 0xffffffff) ^ 0x80000000) - 0x80000000) & M")
 
-_SIGNED_A = "({a} - (({a} >> 63) << 64))"
-_SIGNED_B = "({b} - (({b} >> 63) << 64))"
+#: ``(kind, expr) -> lowering``; keyed by the registry entry itself so
+#: a re-registered template is re-parsed.  Lowerings are pure, so
+#: sharing them across concurrent compiles is safe.
+_LOWERINGS: dict[tuple[str, str], Callable] = {}
 
-_FIELD_RE = re.compile(r"\{(\w+)\}")
+
+def _lowering(entry: tuple[str, str]) -> Callable:
+    lower = _LOWERINGS.get(entry)
+    if lower is None:
+        lower = _LOWERINGS.setdefault(entry, compile_lowering(*entry))
+    return lower
 
 
 def _extract_alu_op(spec: InstrSpec):
@@ -248,24 +211,6 @@ def _extract_alu_op(spec: InstrSpec):
     if code is not None and code.co_freevars == ("op",):
         return fn.__closure__[0].cell_contents  # type: ignore[index]
     return None
-
-
-def _build_expr(expr: str, operands: dict, scalars: dict) -> _Node:
-    """Positionalise *expr* over operand nodes and scalar literals."""
-    expr = expr.replace("{sa}", _SIGNED_A).replace("{sb}", _SIGNED_B)
-    children: list[_Node] = []
-
-    def substitute(match: re.Match) -> str:
-        field = match.group(1)
-        node = operands.get(field)
-        if node is not None:
-            children.append(node)
-            return "{%d}" % (len(children) - 1)
-        value = scalars[field]
-        return str(value) if value >= 0 else f"({value})"
-
-    template = _FIELD_RE.sub(substitute, expr)
-    return _op(template, tuple(children))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +228,9 @@ class _ConcreteMemory:
     runs (scratch before its first store, the previous run's result).
     """
 
-    def __init__(self, mem, arg_plan, operand_atoms, bits: int,
-                 const_window: tuple[int, int]) -> None:
+    def __init__(self, graph: Graph, mem, arg_plan, operand_atoms,
+                 bits: int, const_window: tuple[int, int]) -> None:
+        self._graph = graph
         self._mem = mem
         self._spans = tuple(
             (address, limbs) for address, limbs, _reg in arg_plan)
@@ -292,9 +238,9 @@ class _ConcreteMemory:
         self._bits = bits
         self._mask = (1 << bits) - 1
         self._const_base, self._const_size = const_window
-        self.stores: dict[int, _Node] = {}
+        self.stores: dict[int, Node] = {}
 
-    def _address(self, node: _Node, what: str) -> int:
+    def _address(self, node: Node, what: str) -> int:
         if node.const is None:
             raise AotError(
                 f"{what} address is data-dependent; whole-kernel "
@@ -309,8 +255,8 @@ class _ConcreteMemory:
             )
         return address
 
-    def load(self, address_node: _Node, size: int, signed: bool,
-             rd: int) -> _Node:
+    def load(self, address_node: Node, size: int, signed: bool,
+             rd: int) -> Node:
         if size != 8 or signed:
             raise AotError(
                 f"{size}-byte load: only aligned ld/sd fuse",
@@ -320,17 +266,16 @@ class _ConcreteMemory:
         forwarded = self.stores.get(address)
         if forwarded is not None:
             return forwarded
+        graph = self._graph
         for index, (base, limbs) in enumerate(self._spans):
             if base <= address < base + 8 * limbs:
                 shift = self._bits * ((address - base) // 8)
-                atom = self._operands[index]
-                if shift == 0:
-                    return _op(f"{{0}} & {_lit(self._mask)}", (atom,))
-                return _op(
-                    f"({{0}} >> {shift}) & {_lit(self._mask)}", (atom,))
+                return graph.and_(
+                    graph.shr(self._operands[index], graph.const(shift)),
+                    graph.const(self._mask))
         if (self._const_base <= address
                 and address + 8 <= self._const_base + self._const_size):
-            return _const(self._mem.load(address, 8))
+            return graph.const(self._mem.load(address, 8))
         raise AotError(
             f"load at {address:#x} outside the operand spans, the "
             f"constant pool, and the run's own stores (content is not "
@@ -338,7 +283,7 @@ class _ConcreteMemory:
             reason="unsupported_access",
         )
 
-    def store(self, address_node: _Node, value_node: _Node,
+    def store(self, address_node: Node, value_node: Node,
               size: int) -> None:
         if size != 8:
             raise AotError(
@@ -378,12 +323,13 @@ class _RuntimeMemory:
     regardless of interleaved stores.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, graph: Graph) -> None:
+        self._graph = graph
         self.effects: list[tuple] = []
         self._loads = 0
 
-    def load(self, address_node: _Node, size: int, signed: bool,
-             rd: int) -> _Node | None:
+    def load(self, address_node: Node, size: int, signed: bool,
+             rd: int) -> Node | None:
         if rd == 0:
             self.effects.append(
                 ("load", address_node, size, signed, None))
@@ -391,9 +337,9 @@ class _RuntimeMemory:
         name = f"_m{self._loads}"
         self._loads += 1
         self.effects.append(("load", address_node, size, signed, name))
-        return _atom(name)
+        return self._graph.atom(name, MASK64)
 
-    def store(self, address_node: _Node, value_node: _Node,
+    def store(self, address_node: Node, value_node: Node,
               size: int) -> None:
         self.effects.append(("store", address_node, value_node, size))
 
@@ -409,41 +355,47 @@ _STORE_SIZES = {"sd": 8, "sb": 1, "sh": 2, "sw": 4}
 
 
 class _SymbolicRun:
-    """Step the trace's instructions over expression nodes."""
+    """Step the trace's instructions over expression nodes of *graph*
+    (the compile's own cons table)."""
 
-    def __init__(self, regs: list, memory) -> None:
+    def __init__(self, graph: Graph, regs: list, memory) -> None:
+        self.graph = graph
         self.regs = regs
         self.memory = memory
         self.calls: dict[str, Callable] = {}
         self.persistable = True
 
-    def _write(self, rd: int, node: _Node) -> None:
+    def _write(self, rd: int, node: Node) -> None:
         if rd != 0:  # x0 is hard-wired (the trace drops these anyway)
             self.regs[rd] = node
 
-    def _address_node(self, ins) -> _Node:
+    def _address_node(self, ins) -> Node:
         base = self.regs[ins.rs1]
         if ins.imm == 0:
             return base
-        return _op(f"({{0}} + {ins.imm}) & M", (base,))
+        graph = self.graph
+        return graph.and_(graph.add(base, graph.const(ins.imm)),
+                          graph.const(MASK64))
 
-    def _call(self, fn: Callable, children: tuple) -> _Node:
+    def _call(self, fn: Callable, children: tuple) -> Node:
         if all(child.const is not None for child in children):
-            return _const(fn(*[child.const for child in children]))
+            return self.graph.const(
+                fn(*[child.const for child in children]))
         self.persistable = False  # bound lambdas cannot round-trip
         name = f"_xop{len(self.calls)}"
         self.calls[name] = fn
         args = ", ".join("{%d}" % i for i in range(len(children)))
-        return _op(f"{name}({args})", children)
+        return self.graph.opaque(f"{name}({args})", children)
 
     def step(self, pc: int, ins, spec) -> None:
         regs = self.regs
         mnemonic = ins.mnemonic
         if mnemonic == "lui":
-            self._write(ins.rd, _const(u64(s32(ins.imm << 12))))
+            self._write(ins.rd, self.graph.const(u64(s32(ins.imm << 12))))
             return
         if mnemonic == "auipc":
-            self._write(ins.rd, _const(u64(pc + s32(ins.imm << 12))))
+            self._write(ins.rd,
+                        self.graph.const(u64(pc + s32(ins.imm << 12))))
             return
         load_shape = _LOAD_SIZES.get(mnemonic)
         if load_shape is not None:
@@ -460,27 +412,21 @@ class _SymbolicRun:
             return
         entry = _EXPRS.get(mnemonic)
         if entry is not None:
-            kind, expr = entry
             if mnemonic == "addi" and ins.imm == 0:
                 self._write(ins.rd, regs[ins.rs1])  # mv
                 return
+            lower = _lowering(entry)
+            kind = entry[0]
             if kind == "r":
-                node = _build_expr(
-                    expr, {"a": regs[ins.rs1], "b": regs[ins.rs2]}, {})
+                node = lower(self.graph, regs[ins.rs1], regs[ins.rs2])
             elif kind == "i":
-                node = _build_expr(
-                    expr, {"a": regs[ins.rs1]},
-                    {"imm": ins.imm, "uimm": u64(ins.imm),
-                     "sh": ins.imm & 63})
+                node = lower(self.graph, regs[ins.rs1], ins.imm)
             elif kind == "r4":
-                node = _build_expr(
-                    expr,
-                    {"a": regs[ins.rs1], "b": regs[ins.rs2],
-                     "c": regs[ins.rs3]}, {})
+                node = lower(self.graph, regs[ins.rs1], regs[ins.rs2],
+                             regs[ins.rs3])
             else:  # "ria"
-                node = _build_expr(
-                    expr, {"a": regs[ins.rs1], "b": regs[ins.rs2]},
-                    {"sh": ins.imm & 63})
+                node = lower(self.graph, regs[ins.rs1], regs[ins.rs2],
+                             ins.imm)
             self._write(ins.rd, node)
             return
         # no template: bind the extracted interpreter lambda so the
@@ -490,7 +436,8 @@ class _SymbolicRun:
             if spec.fmt == FMT_R:
                 node = self._call(op, (regs[ins.rs1], regs[ins.rs2]))
             elif spec.fmt in (FMT_I, FMT_I_SHIFT):
-                node = self._call(op, (regs[ins.rs1], _const(ins.imm)))
+                node = self._call(
+                    op, (regs[ins.rs1], self.graph.const(ins.imm)))
             else:
                 raise AotError(
                     f"no aot expression for {mnemonic} ({spec.fmt})",
@@ -509,65 +456,7 @@ class _SymbolicRun:
 # Emission
 # ---------------------------------------------------------------------------
 
-def _count_uses(roots: list) -> dict[int, int]:
-    """DAG edge counts from *roots* (each root occurrence is a use)."""
-    uses: dict[int, int] = {}
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in uses:
-            uses[key] += 1
-            continue
-        uses[key] = 1
-        if node.children:
-            stack.extend(node.children)
-    return uses
-
-
-class _Emitter:
-    """Render nodes to statements: temps for shared/deep subtrees.
-
-    Every inlined non-atom subexpression is parenthesised — templates
-    embed children at arbitrary precedence (ternaries inside masked
-    sums), so the parens are load-bearing, not cosmetic.
-    """
-
-    def __init__(self, uses: dict[int, int]) -> None:
-        self.uses = uses
-        self.names: dict[int, str] = {}
-        self.lines: list[str] = []
-        self._temps = 0
-
-    def ref(self, node: _Node, depth: int = 0) -> str:
-        if node.const is not None:
-            return _lit(node.const)
-        if node.name is not None:
-            return node.name
-        key = id(node)
-        name = self.names.get(key)
-        if name is not None:
-            return name
-        if self.uses.get(key, 1) > 1 or depth >= _DEPTH_CAP:
-            expression = self._render(node, 0)
-            name = f"_t{self._temps}"
-            self._temps += 1
-            self.names[key] = name
-            self.lines.append(f"{name} = {expression}")
-            return name
-        return "(" + self._render(node, depth) + ")"
-
-    def alias(self, node: _Node, name: str) -> None:
-        """Make later references reuse an already-assigned local."""
-        if node.const is None and node.name is None:
-            self.names.setdefault(id(node), name)
-
-    def _render(self, node: _Node, depth: int) -> str:
-        parts = [self.ref(child, depth + 1) for child in node.children]
-        return node.template.format(*parts)
-
-
-def _emit_effects(emitter: _Emitter, effects: list) -> None:
+def _emit_effects(emitter: Emitter, effects: list) -> None:
     """Append the runtime load/store statements in program order."""
     for effect in effects:
         if effect[0] == "load":
@@ -608,14 +497,31 @@ def _build(source: str, namespace: dict, *, tag: str,
 
 
 class _deep_recursion:
-    """Headroom for rendering long dependence chains, restored on exit."""
+    """Headroom for rendering long dependence chains.
+
+    The limit is process-wide and runners fuse kernels on several
+    threads at once, so the guard is reference-counted: the first user
+    raises the limit, and only the last one out restores it.
+    """
+
+    _lock = threading.Lock()
+    _users = 0
+    _prior = 0
 
     def __enter__(self) -> None:
-        self._prior = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(self._prior, _RECURSION_LIMIT))
+        cls = _deep_recursion
+        with cls._lock:
+            if cls._users == 0:
+                cls._prior = sys.getrecursionlimit()
+                sys.setrecursionlimit(max(cls._prior, _RECURSION_LIMIT))
+            cls._users += 1
 
     def __exit__(self, *_exc_info) -> None:
-        sys.setrecursionlimit(self._prior)
+        cls = _deep_recursion
+        with cls._lock:
+            cls._users -= 1
+            if cls._users == 0:
+                sys.setrecursionlimit(cls._prior)
 
 
 # ---------------------------------------------------------------------------
@@ -709,18 +615,21 @@ def compile_aot_entry(
     """
     trace = _trace_or_refuse(machine, entry, trace)
     bits = radix.bits
-    regs: list[_Node] = [_const(0)] * 32
-    regs[1] = _const(HALT_ADDRESS)
-    regs[2] = _const(stack_top)
+    graph = Graph()
+    regs: list[Node] = [graph.const(0)] * 32
+    regs[1] = graph.const(HALT_ADDRESS)
+    regs[2] = graph.const(stack_top)
     operand_atoms = []
-    for index, (address, _limbs, reg_index) in enumerate(arg_plan):
-        regs[reg_index] = _const(address)
-        operand_atoms.append(_atom(f"v{index}"))
-    regs[result_reg] = _const(result_addr)
+    for index, (address, limbs, reg_index) in enumerate(arg_plan):
+        regs[reg_index] = graph.const(address)
+        # the thunk's range guard below proves this interval
+        operand_atoms.append(
+            graph.atom(f"v{index}", (1 << (bits * limbs)) - 1))
+    regs[result_reg] = graph.const(result_addr)
 
-    memory = _ConcreteMemory(
-        machine.state.mem, arg_plan, operand_atoms, bits, const_window)
-    run = _SymbolicRun(regs, memory)
+    memory = _ConcreteMemory(graph, machine.state.mem, arg_plan,
+                             operand_atoms, bits, const_window)
+    run = _SymbolicRun(graph, regs, memory)
     with _deep_recursion():
         try:
             for pc, ins, spec in trace.step_instructions:
@@ -729,7 +638,7 @@ def compile_aot_entry(
 
             roots = list(limb_nodes)
             roots.extend(run.regs)
-            emitter = _Emitter(_count_uses(roots))
+            emitter = Emitter(count_uses(roots))
             for index, node in enumerate(limb_nodes):
                 emitter.lines.append(
                     f"_w{index} = {emitter.ref(node)}")
@@ -741,6 +650,8 @@ def compile_aot_entry(
                 f"render",
                 reason="codegen_error",
             ) from exc
+        except ExpressionError as exc:
+            raise AotError(str(exc), reason="codegen_error") from exc
 
     args = ", ".join(f"v{i}" for i in range(len(arg_plan)))
     lines = [
@@ -856,16 +767,17 @@ def compile_aot(machine: Machine, entry: int, trace=None) -> AotFunction:
     Raises :class:`AotError`; the caller demotes to the interpreter.
     """
     trace = _trace_or_refuse(machine, entry, trace)
-    regs: list[_Node] = [_atom(f"r{i}") for i in range(32)]
-    regs[1] = _const(HALT_ADDRESS)
-    regs[2] = _atom("stack_top")
-    memory = _RuntimeMemory()
-    run = _SymbolicRun(regs, memory)
+    graph = Graph()
+    regs: list[Node] = [graph.atom(f"r{i}", MASK64) for i in range(32)]
+    regs[1] = graph.const(HALT_ADDRESS)
+    regs[2] = graph.atom("stack_top", MASK64)
+    memory = _RuntimeMemory(graph)
+    run = _SymbolicRun(graph, regs, memory)
     with _deep_recursion():
         try:
             for pc, ins, spec in trace.step_instructions:
                 run.step(pc, ins, spec)
-            roots: list[_Node] = []
+            roots: list[Node] = []
             for effect in memory.effects:
                 if effect[0] == "load":
                     roots.append(effect[1])
@@ -873,7 +785,7 @@ def compile_aot(machine: Machine, entry: int, trace=None) -> AotFunction:
                     roots.append(effect[1])
                     roots.append(effect[2])
             roots.extend(run.regs)
-            emitter = _Emitter(_count_uses(roots))
+            emitter = Emitter(count_uses(roots))
             _emit_effects(emitter, memory.effects)
             reg_refs = [emitter.ref(node) for node in run.regs]
         except RecursionError as exc:
@@ -882,6 +794,8 @@ def compile_aot(machine: Machine, entry: int, trace=None) -> AotFunction:
                 f"render",
                 reason="codegen_error",
             ) from exc
+        except ExpressionError as exc:
+            raise AotError(str(exc), reason="codegen_error") from exc
 
     lines = [
         "def __aot_kernel(regs, stack_top):",

@@ -19,10 +19,14 @@ This module persists compiled thunks as small JSON artifacts:
   ``os.replace`` into place, so a concurrent reader sees either the
   old artifact or the new one, never a torn file;
 * **self-validating**: each artifact embeds a format version and a
-  SHA-256 digest over its canonical JSON; a version bump, digest
-  mismatch, truncation or hand-edit makes :func:`load_artifact`
-  *delete* the file and return ``None`` — the caller re-traces and
-  re-writes, so corruption costs one cold start, never a wrong answer;
+  SHA-256 digest over its canonical JSON; a digest mismatch,
+  truncation or hand-edit makes :func:`load_artifact` *delete* the
+  file and return ``None`` — the caller re-traces and re-writes, so
+  corruption costs one cold start, never a wrong answer;
+* **self-pruning**: the version is folded into the filename, so an
+  artifact of an older format is never looked up again;
+  :func:`store_artifact` deletes the kernel's files of other versions
+  so they do not pile up on disk;
 * **observable**: hits, misses, writes and invalidations feed the
   ``aot_artifact_*`` telemetry families (``docs/OBSERVABILITY.md``).
 
@@ -47,10 +51,11 @@ from repro.telemetry import (
     record_artifact_invalidated,
 )
 
-#: Bump whenever the artifact payload shape *or* the generated-source
-#: calling convention changes; old artifacts then read as corrupt and
-#: are deleted on first touch.
-ARTIFACT_VERSION = 1
+#: Bump whenever the artifact payload shape, the generated-source
+#: calling convention *or* the code generator's output changes.  The
+#: version is part of every filename, so old artifacts are never opened
+#: again; the next store of the same kernel deletes them.
+ARTIFACT_VERSION = 2
 
 _ENV_VAR = "REPRO_AOT_CACHE"
 
@@ -173,7 +178,29 @@ def store_artifact(
     except OSError:
         return None
     record_artifact_cache_write()
+    _prune_other_versions(path, key.kernel)
     return path
+
+
+def _prune_other_versions(stored: Path, kernel: str) -> None:
+    """Delete *kernel*'s artifacts beside *stored* that were written
+    under another format version (unreachable: the version changes the
+    filename)."""
+    for path in stored.parent.glob(f"{kernel}-*.json"):
+        if path == stored:
+            continue
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError):
+            continue  # a damaged file is load_artifact's to judge
+        if (isinstance(payload, dict)
+                and payload.get("kernel") == kernel
+                and payload.get("version") != ARTIFACT_VERSION):
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            record_artifact_invalidated()
 
 
 def load_artifact(key: ArtifactKey) -> dict | None:

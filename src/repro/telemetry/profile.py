@@ -31,9 +31,12 @@ from repro.field.simulated import SimulatedFieldContext
 from repro.telemetry.export import to_json_document
 from repro.telemetry.spans import SpanNode, render_span_tree
 
-#: Moduli wider than this are refused for fully simulated profiling —
-#: a CSIDH-512 group action is ~500 M simulated instructions, days of
-#: Python time.  (The toy and mini parameter sets are far below it.)
+#: Moduli wider than this are refused for fully simulated profiling
+#: (the toy and mini parameter sets are far below it).  The cap is
+#: conservative for the aot engine: at 512 bits one aot field op costs
+#: about 80-120 us for mul/sqr and 10-15 us for add/sub (one x86-64
+#: host, CPython 3.11), so a CSIDH-512 group action (~383k mul, ~151k
+#: sqr, ~231k add, ~231k sub) takes roughly 50-70 s in one process.
 MAX_SIMULATED_BITS = 160
 
 

@@ -1,0 +1,371 @@
+"""The aot expression IR's rewrites are exact integer identities.
+
+Every rewrite rule of :class:`repro.rv64.expr.Graph` is checked as a
+Hypothesis property: the template is lowered through the IR (which
+applies the rule), rendered to Python, and evaluated against the
+*unrewritten* template text on random values drawn inside the operands'
+declared intervals, endpoints included.  Each case also asserts that
+its rule actually fired, so a rule that silently stops applying fails
+here instead of passing as a no-op.  A second property lowers random
+template trees, so every interval bound the rules read is checked for
+soundness too.
+
+Structural guards pin what the rules buy on the real kernels: every
+``fp_mul``/``fp_sqr`` entry thunk computes each distinct product once,
+and no carry compare of a sum against one of its own addends survives.
+
+The last class checks the recursion-limit guard that fusion runs under:
+it is reference-counted, so concurrent compiles never see the limit
+dropped under them and the original limit comes back afterwards.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import threading
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.csidh.parameters import csidh_512, csidh_toy
+from repro.kernels.registry import cached_kernels
+from repro.kernels.runner import KernelRunner
+from repro.kernels.spec import ALL_VARIANTS, OP_FP_MUL, OP_FP_SQR
+from repro.rv64 import aot, expr
+from repro.rv64.bits import MASK64
+
+M = MASK64
+
+
+def lower(template: str, his: tuple[int, ...]):
+    """(operand atoms, rewritten node) for an r-type template."""
+    graph = expr.Graph()
+    atoms = [graph.atom(name, hi) for name, hi in zip("ab", his)]
+    while len(atoms) < 2:
+        atoms.append(graph.const(0))
+    node = expr.compile_lowering("r", template)(graph, *atoms)
+    return atoms, node
+
+
+def render(node) -> str:
+    """The node as Python statements assigning ``_r``."""
+    emitter = expr.Emitter(expr.count_uses([node]))
+    expression = emitter.ref(node)
+    return "\n".join(emitter.lines + [f"_r = {expression}"])
+
+
+def evaluate(source: str, a: int, b: int) -> int:
+    scope = {"M": M, "a": a, "b": b, "v0": a, "v1": b}
+    exec(source, {"__builtins__": {}}, scope)
+    return scope["_r"]
+
+
+def naive(template: str, a: int, b: int) -> int:
+    text = template.replace("{sa}", expr.SIGNED_A).replace(
+        "{sb}", expr.SIGNED_B).replace("{a}", "a").replace("{b}", "b")
+    return eval(text, {"__builtins__": {}, "M": M, "a": a, "b": b})
+
+
+def in_interval(hi: int):
+    """Values of [0, hi], biased to the endpoints and their neighbours."""
+    return st.one_of(st.sampled_from(sorted({0, 1, hi - 1, hi} - {-1})),
+                     st.integers(min_value=0, max_value=hi))
+
+
+def ops(node) -> Counter:
+    """Operation counts over the DAG below *node* (shared nodes once)."""
+    seen, stack, counts = set(), [node], Counter()
+    while stack:
+        current = stack.pop()
+        if current.serial in seen:
+            continue
+        seen.add(current.serial)
+        counts[current.op] += 1
+        stack.extend(current.args)
+    return counts
+
+
+def is_a(node, atoms):
+    return node is atoms[0]
+
+
+def is_const(value):
+    return lambda node, atoms: node.const == value
+
+
+def has_ops(**expected):
+    def check(node, atoms):
+        counts = ops(node)
+        return all(counts[op] == n for op, n in expected.items())
+    return check
+
+
+_A64 = (M, M)
+
+#: (rule, unrewritten template, operand upper bounds, fired predicate)
+RULES = [
+    ("x+0", "{a} + 0", (M,), is_a),
+    ("x-0", "{a} - 0", (M,), is_a),
+    ("x|0", "{a} | 0", (M,), is_a),
+    ("x^0", "{a} ^ 0", (M,), is_a),
+    ("x<<0", "{a} << 0", (M,), is_a),
+    ("x>>0", "{a} >> 0", (M,), is_a),
+    ("x*1", "{a} * 1", (M,), is_a),
+    ("x*0", "{a} * 0", (M,), is_const(0)),
+    ("x&0", "{a} & 0", (M,), is_const(0)),
+    ("mask-drop", "{a} & 0xffffffff", ((1 << 32) - 1,), is_a),
+    ("mask-drop-64", "({a} + {b}) & M", ((1 << 63) - 1, (1 << 63)),
+     has_ops(add=1, **{"and": 0})),
+    ("mask-keep", "({a} + {b}) & M", _A64, has_ops(**{"and": 1})),
+    ("mask-keep-negative", "({a} - 1) & 0xffffffff", ((1 << 32) - 1,),
+     has_ops(**{"and": 1})),
+    ("mask-merge", "({a} & M) & 0x1ffffffffffffff", (1 << 70,),
+     has_ops(**{"and": 1})),
+    ("mask-merge-general", "({a} & 0xff0) & 0x3c", (M,),
+     has_ops(**{"and": 1})),
+    ("shift-out", "{a} >> 57", ((1 << 57) - 1,), is_const(0)),
+    ("shift-keep", "{a} >> 57", (1 << 57,), has_ops(shr=1)),
+    ("shift-keep-negative", "({a} - 5) >> 8", (255,), has_ops(shr=1)),
+    ("signed-view", "{sa}", ((1 << 63) - 1,), is_a),
+    ("signed-view-keep", "{sa} >> 3", (M,), has_ops(sub=1)),
+    ("x<x", "1 if {a} < {a} else 0", (M,), is_const(0)),
+    ("lt-decided-1", "1 if {a} < ({b} + 10) else 0", (9, M), is_const(1)),
+    ("lt-decided-0", "1 if ({a} + 10) < {b} else 0", (M, 10),
+     is_const(0)),
+    ("carry-second", "1 if (({a} + {b}) & M) < {b} else 0", _A64,
+     has_ops(shr=1, lt=0, **{"and": 0})),
+    ("carry-first", "1 if (({a} + {b}) & M) < {a} else 0", _A64,
+     has_ops(shr=1, lt=0, **{"and": 0})),
+    ("carry-unmasked", "1 if ({a} + {b}) < {a} else 0", (M, 1 << 40),
+     is_const(0)),
+    ("carry-wide-operand", "1 if (({a} + {b}) & M) < {b} else 0",
+     (1 << 65, M), has_ops(lt=1)),
+    ("carry-unmasked-negative", "1 if ({a} + ({b} - 3)) < {a} else 0",
+     (M, 7), has_ops(lt=1)),
+    ("carry-not-an-addend", "1 if (({a} + 1) & M) < {b} else 0", _A64,
+     has_ops(lt=1)),
+    ("shared-product", "(({a} * {b}) & M) + (({b} * {a}) >> 64)", _A64,
+     has_ops(mul=1)),
+    ("madd57-pair",
+     "(({a} * {b} & 0x1ffffffffffffff) + 0)"
+     " + (((({a} * {b}) >> 57) & M) + 0)",
+     ((1 << 57) - 1, (1 << 57) - 1), has_ops(mul=1, **{"and": 1})),
+]
+
+
+@pytest.mark.parametrize("rule,template,his,fired", RULES,
+                         ids=[rule[0] for rule in RULES])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_rewrite_matches_template(rule, template, his, fired, data):
+    atoms, node = lower(template, his)
+    assert fired(node, atoms), f"rule {rule} did not fire"
+    a = data.draw(in_interval(his[0]), label="a")
+    b = data.draw(in_interval(his[1]), label="b") if len(his) > 1 else 0
+    assert evaluate(render(node), a, b) == naive(template, a, b)
+
+
+def test_unknown_interval_blocks_every_rule():
+    """An opaque node (an extracted lambda or an unparsed template) has
+    no interval, so nothing reading it is rewritten."""
+    graph = expr.Graph()
+    opaque = graph.opaque("({0})", (graph.atom("a", 5),))
+    assert opaque.lo is None
+    assert graph.add(opaque, graph.const(0)) is not opaque
+    assert graph.mul(opaque, graph.const(1)) is not opaque
+    masked = graph.and_(opaque, graph.const(M))
+    assert masked.op == "and" and masked.lo is None
+    assert graph.lt(opaque, opaque).op == "lt"
+    assert graph.shr(opaque, graph.const(64)).op == "shr"
+
+
+def test_unparsed_template_lowers_to_one_opaque_node():
+    graph = expr.Graph()
+    node = expr.compile_lowering("i", "min({a}, {imm})")(
+        graph, graph.atom("a", M), 7)
+    assert node.op == "opaque" and node.template == "min({0}, 7)"
+
+
+# -- random templates: every interval the rules read must be sound ---------
+
+_LEAVES = st.sampled_from(
+    ["{a}", "{b}", "0", "1", "3", "63", "64", "M", "0x1ffffffffffffff",
+     "0xffffffff", "{sa}", "{sb}"])
+_BINARY = ["+", "-", "*", "&", "|", "^"]
+
+
+def _templates():
+    def extend(children):
+        binary = st.tuples(children, st.sampled_from(_BINARY), children) \
+            .map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+        shift = st.tuples(children, st.sampled_from([">>", "<<"]),
+                          st.sampled_from([0, 1, 7, 57, 63, 64, 65])) \
+            .map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+        compare = st.tuples(children, children) \
+            .map(lambda t: f"(1 if {t[0]} < {t[1]} else 0)")
+        return st.one_of(binary, shift, compare)
+    return st.recursive(_LEAVES, extend, max_leaves=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(template=_templates(),
+       width_a=st.sampled_from([1, 7, 57, 63, 64]),
+       width_b=st.sampled_from([1, 7, 57, 63, 64]),
+       data=st.data())
+def test_random_templates_match(template, width_a, width_b, data):
+    his = ((1 << width_a) - 1, (1 << width_b) - 1)
+    _atoms, node = lower(template, his)
+    a = data.draw(in_interval(his[0]), label="a")
+    b = data.draw(in_interval(his[1]), label="b")
+    expected = naive(template, a, b)
+    assert evaluate(render(node), a, b) == expected
+    if node.lo is not None:
+        assert node.lo <= expected <= node.hi
+
+
+# -- structural guards on the real kernels ---------------------------------
+
+MUL_KERNELS = [f"{operation}.{variant}"
+               for operation in (OP_FP_MUL, OP_FP_SQR)
+               for variant in ALL_VARIANTS]
+
+_SOURCES: dict[str, str] = {}
+
+
+def entry_source(name: str) -> str:
+    if name not in _SOURCES:
+        kernel = cached_kernels(csidh_512().p)[name]
+        runner = KernelRunner(kernel, engine="interpreter")
+        _SOURCES[name] = runner.fuse_entry().source
+    return _SOURCES[name]
+
+
+def _key(node: ast.AST) -> str:
+    return ast.dump(node)
+
+
+@pytest.mark.parametrize("name", MUL_KERNELS)
+def test_one_product_per_operand_pair(name):
+    tree = ast.parse(entry_source(name))
+    pairs = Counter(
+        tuple(sorted((_key(node.left), _key(node.right))))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult))
+    assert pairs, f"{name}: no products in the fused source"
+    repeated = {pair: n for pair, n in pairs.items() if n > 1}
+    assert not repeated, f"{name}: products computed twice: {repeated}"
+
+
+@pytest.mark.parametrize("name", MUL_KERNELS)
+def test_no_carry_compare_against_an_addend(name):
+    tree = ast.parse(entry_source(name))
+    definitions = {
+        node.targets[0].id: node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)}
+
+    def resolve(node: ast.AST) -> ast.AST:
+        if isinstance(node, ast.Name) and node.id in definitions:
+            return definitions[node.id]
+        return node
+
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], ast.Lt)):
+            continue
+        left, right = resolve(node.left), node.comparators[0]
+        if (isinstance(left, ast.BinOp) and isinstance(left.op, ast.BitAnd)
+                and isinstance(left.right, ast.Constant)
+                and left.right.value == M):
+            left = resolve(left.left)
+        if isinstance(left, ast.BinOp) and isinstance(left.op, ast.Add):
+            addends = {_key(left.left), _key(left.right)}
+            assert _key(right) not in addends, (
+                f"{name}: carry compare survived: {ast.unparse(node)}")
+
+
+# -- the recursion-limit guard under concurrent fusion ---------------------
+
+@pytest.fixture
+def low_recursion_limit():
+    original = sys.getrecursionlimit()
+    base = aot._RECURSION_LIMIT // 4
+    sys.setrecursionlimit(base)
+    yield base
+    sys.setrecursionlimit(original)
+
+
+class TestRecursionGuard:
+
+    def test_interleaved_exit_keeps_the_other_users_limit(
+            self, low_recursion_limit):
+        """First in, first out: the second user must keep the raised
+        limit until it leaves, and the original returns after both."""
+        first_in = threading.Event()
+        second_in = threading.Event()
+        first_out = threading.Event()
+        seen: list[int] = []
+
+        def first():
+            with aot._deep_recursion():
+                first_in.set()
+                second_in.wait(10)
+            first_out.set()
+
+        def second():
+            first_in.wait(10)
+            with aot._deep_recursion():
+                second_in.set()
+                first_out.wait(10)
+                seen.append(sys.getrecursionlimit())
+
+        threads = [threading.Thread(target=first),
+                   threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert seen and seen[0] >= aot._RECURSION_LIMIT
+        assert sys.getrecursionlimit() == low_recursion_limit
+
+    def test_two_concurrent_compiles(self, low_recursion_limit,
+                                     monkeypatch):
+        """Every symbolic step of two simultaneous fusions runs with the
+        raised limit; the original limit is back afterwards."""
+        kernels = cached_kernels(csidh_toy().p)
+        runners = [KernelRunner(kernels[name], engine="interpreter")
+                   for name in (f"{OP_FP_MUL}.full.isa",
+                                f"{OP_FP_MUL}.reduced.ise")]
+        for runner in runners:  # trace outside the measured window
+            runner.machine._trace_for(runner.entry)
+        limits: list[int] = []
+        step = aot._SymbolicRun.step
+
+        def watched_step(self, *args):
+            limits.append(sys.getrecursionlimit())
+            return step(self, *args)
+
+        monkeypatch.setattr(aot._SymbolicRun, "step", watched_step)
+        barrier = threading.Barrier(len(runners))
+        errors: list[BaseException] = []
+
+        def fuse(runner):
+            barrier.wait(10)
+            try:
+                for _ in range(3):
+                    runner.fuse_entry()
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fuse, args=(runner,))
+                   for runner in runners]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not errors
+        assert limits and min(limits) >= aot._RECURSION_LIMIT
+        assert sys.getrecursionlimit() == low_recursion_limit

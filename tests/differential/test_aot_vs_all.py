@@ -43,6 +43,7 @@ from repro.kernels.spec import (
     OP_FP_SQR,
     OP_FP_SUB,
 )
+from repro.rv64 import artifacts
 from repro.rv64.artifacts import cache_dir
 
 from tests.differential.generate_golden import GOLDEN_PATH
@@ -258,3 +259,38 @@ def test_corrupt_artifact_is_deleted_and_recompiled(monkeypatch,
 
     rng = random.Random(11)
     assert_aot_exact(runner, runner.kernel.sampler(rng))
+
+
+def test_old_version_artifact_is_neither_served_nor_left_behind(
+        monkeypatch, tmp_path):
+    """An artifact of an older format version is unreachable (the
+    version is part of its filename), and the next store of the same
+    kernel deletes it instead of leaving it orphaned on disk."""
+    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "versions"))
+    name = f"{OP_FP_MUL}.full.isa"
+    kernel = cached_kernels(csidh_toy().p)[name]
+    probe = KernelRunner(kernel, engine="interpreter")
+    fused = probe.fuse_entry()
+    stale_source = fused.source + "# written by an older code generator\n"
+
+    current = artifacts.ARTIFACT_VERSION
+    monkeypatch.setattr(artifacts, "ARTIFACT_VERSION", current - 1)
+    old_key = artifacts.make_key(kernel, probe._pipeline_config)
+    old_path = artifacts.store_artifact(
+        old_key, entry=fused.entry, source=stale_source,
+        cycles=fused.cycles, instructions=fused.instructions_retired,
+        halts=fused.halts, exit_pc=fused.exit_pc)
+    monkeypatch.setattr(artifacts, "ARTIFACT_VERSION", current)
+    assert old_path is not None and old_path.exists()
+
+    with telemetry.capture() as cap:
+        runner = _fresh_runner({name: kernel}, name)
+    assert cap.registry.counter("aot_artifact_hits_total").total() == 0
+    assert cap.registry.counter("aot_compiles_total").total() > 0
+    bound = runner.machine._aot_entry_cache[runner.entry]
+    assert bound.source != stale_source
+    assert not old_path.exists(), "the old-version artifact was left behind"
+    stored = [json.loads(path.read_text())
+              for path in cache_dir().glob("*.json")]
+    assert [payload["version"] for payload in stored] == [current]
+    assert_aot_exact(runner, kernel.sampler(random.Random(5)))
