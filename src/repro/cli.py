@@ -10,7 +10,8 @@ Commands:
 * ``kernel`` — dump one generated kernel's assembly;
 * ``listings`` — print the MAC listings with instruction counts;
 * ``profile`` — run an instrumented group action and print the
-  cycle-attribution span tree (see ``docs/OBSERVABILITY.md``);
+  cycle-attribution span tree (see ``docs/OBSERVABILITY.md``); on the
+  aot engine this covers the full CSIDH-512 action in one process;
 * ``faults`` — run a seeded fault-injection campaign against the
   hardened execution layer and print/export the detection-coverage
   report (see ``docs/ROBUSTNESS.md``); exits 1 if any fault escaped;
@@ -27,11 +28,6 @@ Commands:
 * ``trace`` — record a traced load workload (or attach to a live
   server via ``--connect``) and export the span forest as Chrome
   ``trace_event`` JSON and/or collapsed-stack flamegraph text;
-* ``shard`` — sharded multi-process execution: ``plan`` / ``run`` /
-  ``resume`` / ``merge`` a group action decomposed across worker
-  processes — the path that makes the full CSIDH-512 dynamic run
-  feasible (see ``docs/SHARDING.md``); ``profile`` and ``faults``
-  accept ``--shards N`` as a shortcut onto the same machinery;
 * ``top`` — live dashboard over a running service's ``stats`` op;
 * ``watchdog`` — perf-regression gate over ``BENCH_*.json``
   trajectories (exit 1 on regression, stable code ``regression``).
@@ -207,58 +203,6 @@ def _cmd_listings(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_plan_summary(plan) -> None:
-    print(f"shard plan: {plan.params_name} seed={plan.seed} "
-          f"variant={plan.variant} -> {plan.shards} shard(s) over "
-          f"{plan.n_ops} field op(s) "
-          f"(recorded in {plan.plan_wall_s:.2f}s, "
-          f"digest {plan.stream_digest[:12]})")
-
-
-def _print_merged_summary(merged, stats) -> None:
-    scope = (f"{len(merged.completed)}/{merged.plan.shards} shard(s) "
-             f"(partial)" if merged.partial
-             else f"all {merged.plan.shards} shard(s)")
-    print(f"sharded run: {scope} on {stats.workers} worker(s) in "
-          f"{stats.exec_wall_s:.2f}s — {stats.steals} steal(s), "
-          f"{stats.requeues} requeue(s), "
-          f"{stats.worker_failures} worker failure(s)")
-    print(f"merged: {merged.cycles} simulated cycle(s), "
-          f"{merged.instructions} instruction(s), "
-          f"coefficient {merged.coefficient:#x}")
-
-
-def _profile_sharded(args: argparse.Namespace) -> int:
-    from repro import telemetry
-    from repro.shard.merge import merge_records
-    from repro.shard.plan import build_plan
-    from repro.shard.scheduler import ShardExecutor, ShardRunStats
-    from repro.telemetry.export import write_bench
-    from repro.telemetry.spans import render_span_tree
-
-    plan, _stream = build_plan(
-        args.params, shards=args.shards, seed=args.seed,
-        variant=args.variant)
-    _print_plan_summary(plan)
-    # executor construction pre-warms kernel/aot caches in the parent;
-    # keep it outside the capture so warm-up stays out of the metrics
-    executor = ShardExecutor(plan, workers=args.workers,
-                             engine=args.engine)
-    stats = ShardRunStats()
-    with telemetry.capture(fresh=True) as cap:
-        records = executor.run(stats=stats)
-    merged = merge_records(plan, records, stats=stats,
-                           engine=executor.engine)
-    print(render_span_tree(merged.root, show_wall=False))
-    _print_merged_summary(merged, stats)
-    if args.output:
-        _export_telemetry(args.output, merged.root, cap.registry)
-    if args.bench_out:
-        write_bench(args.bench_out, "shard", merged.bench_record())
-        print(f"benchmark trajectory appended to {args.bench_out}")
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.telemetry.export import write_bench
     from repro.telemetry.profile import (
@@ -266,8 +210,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         render_profile,
     )
 
-    if args.shards:
-        return _profile_sharded(args)
     params = _PARAM_SETS[args.params]()
     result = profile_group_action(
         params, variant=args.variant, seed=args.seed,
@@ -289,7 +231,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     from repro.fault import ALL_SITES, run_campaign
     from repro.fault.campaign import OUTCOMES
-    from repro.telemetry.profile import MAX_SIMULATED_BITS
+    from repro.telemetry.profile import check_simulable
 
     if args.n < 1:
         raise ParameterError(
@@ -304,29 +246,14 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             "--quiet without --json would produce no output at all; "
             "add --json PATH or drop --quiet")
     params = _PARAM_SETS[args.params]()
-    if params.p.bit_length() > MAX_SIMULATED_BITS and not args.shards:
-        raise ParameterError(
-            f"a {params.p.bit_length()}-bit campaign on the functional "
-            f"simulator is infeasible in one process; use --params toy "
-            f"or mini, or shard it across worker processes with "
-            f"--shards N (see docs/SHARDING.md)")
+    check_simulable(params, args.engine, alternative="use --engine aot")
     sites = (tuple(s.strip() for s in args.sites.split(","))
              if args.sites else ALL_SITES)
-
-    if args.shards:
-        from repro.shard.campaign import run_sharded_campaign
-
-        report = run_sharded_campaign(
-            params.p, seed=args.seed, n=args.n, shards=args.shards,
-            workers=args.workers, variant=args.variant, sites=sites,
-            check_interval=args.check_interval, engine=args.engine,
-        )
-    else:
-        report = run_campaign(
-            params.p, seed=args.seed, n=args.n, variant=args.variant,
-            sites=sites, check_interval=args.check_interval,
-            engine=args.engine,
-        )
+    report = run_campaign(
+        params.p, seed=args.seed, n=args.n, variant=args.variant,
+        sites=sites, check_interval=args.check_interval,
+        engine=args.engine,
+    )
 
     if not args.quiet:
         width = max(len(site) for site in report.by_site)
@@ -407,7 +334,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.csidh.group_action import group_action
     from repro.field.simulated import SimulatedFieldContext
     from repro.telemetry.export import write_bench
-    from repro.telemetry.profile import MAX_SIMULATED_BITS
+    from repro.telemetry.profile import check_simulable
 
     if args.rounds < 1:
         raise ParameterError(
@@ -416,14 +343,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"--batch must be non-negative (got {args.batch})")
     params = _PARAM_SETS[args.params]()
-    if params.p.bit_length() > MAX_SIMULATED_BITS:
-        raise ParameterError(
-            f"a {params.p.bit_length()}-bit benchmark on the "
-            f"functional simulator is infeasible in one process; use "
-            f"--params toy or mini, or time the sharded path with "
-            f"`repro shard run` (see docs/SHARDING.md)")
     engines = (ENGINES if args.engine == "all"
                else (args.engine,))
+    for engine in engines:
+        check_simulable(params, engine, alternative="use --engine aot")
     p = params.p
     exponent_rng = random.Random(args.seed)
     exponents = tuple(exponent_rng.choice((-1, 0, 1)) or 1
@@ -549,15 +472,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _service_configs(args: argparse.Namespace):
     from repro.service import default_tenant_configs
-    from repro.telemetry.profile import MAX_SIMULATED_BITS
+    from repro.telemetry.profile import check_simulable
 
     params = _PARAM_SETS[args.params]()
-    if params.p.bit_length() > MAX_SIMULATED_BITS:
-        raise ParameterError(
-            f"a {params.p.bit_length()}-bit service on the functional "
-            f"simulator is infeasible; use --params toy or mini (for "
-            f"full-size offline runs, see `repro shard` / "
-            f"docs/SHARDING.md)")
+    # every tenant ladder ends on the interpreter, whatever --engine says
+    check_simulable(params, "interpreter")
     configs = default_tenant_configs(
         args.tenants, engine=args.engine, hardened=args.hardened,
         lanes=args.lanes, max_queue=args.max_queue,
@@ -872,135 +791,6 @@ def _cmd_watchdog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_plan_for(args: argparse.Namespace):
-    from repro.shard.plan import build_plan, load_plan
-
-    if getattr(args, "plan", None):
-        return load_plan(args.plan)
-    plan, _stream = build_plan(
-        args.params, shards=args.shards, seed=args.seed,
-        variant=args.variant)
-    return plan
-
-
-def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    from repro.shard.plan import build_plan, save_plan
-
-    plan, _stream = build_plan(
-        args.params, shards=args.shards, seed=args.seed,
-        variant=args.variant)
-    _print_plan_summary(plan)
-    for index, (start, end) in enumerate(plan.boundaries[:args.show]):
-        print(f"  shard {index:>4}: ops [{start}, {end})  "
-              f"seed {plan.shard_seeds[index]:#018x}")
-    if plan.shards > args.show:
-        print(f"  ... {plan.shards - args.show} more shard(s)")
-    if args.output:
-        save_plan(args.output, plan)
-        print(f"shard plan written to {args.output}")
-    return 0
-
-
-def _run_shard_backlog(args: argparse.Namespace, *,
-                       resume: bool) -> int:
-    import os
-
-    from repro import telemetry
-    from repro.shard.merge import merge_records, read_checkpoint
-    from repro.shard.scheduler import ShardExecutor, ShardRunStats
-    from repro.telemetry.export import write_bench
-    from repro.telemetry.spans import render_span_tree
-
-    plan = _shard_plan_for(args)
-    _print_plan_summary(plan)
-    completed: dict[int, dict] = {}
-    if resume or args.resume:
-        if not args.checkpoint:
-            raise ParameterError(
-                "resuming requires --checkpoint PATH (the file the "
-                "interrupted run was writing)")
-        if os.path.exists(args.checkpoint):
-            completed = read_checkpoint(args.checkpoint, plan)
-            if completed:
-                print(f"resuming: {len(completed)}/{plan.shards} "
-                      f"shard(s) already checkpointed")
-    shard_ids = None
-    if args.max_shards:
-        # bounded smoke slice (CI runs csidh-512 this way): first K
-        # shards only; the merge below is explicitly partial
-        shard_ids = list(range(min(args.max_shards, plan.shards)))
-    executor = ShardExecutor(plan, workers=args.workers,
-                             engine=args.engine)
-    stats = ShardRunStats()
-    with telemetry.capture(fresh=True) as cap:
-        records = executor.run(
-            checkpoint_path=args.checkpoint,
-            shard_ids=shard_ids,
-            completed=completed,
-            stats=stats,
-        )
-    partial = len(records) < plan.shards
-    merged = merge_records(plan, records, stats=stats,
-                           engine=executor.engine, partial=partial)
-    if not args.quiet:
-        print(render_span_tree(merged.root, show_wall=False))
-    _print_merged_summary(merged, stats)
-    if args.output:
-        _export_telemetry(args.output, merged.root, cap.registry)
-    if args.bench_out:
-        if partial:
-            print("partial run: BENCH append skipped (cycle totals "
-                  "of a slice are not comparable across runs)")
-        else:
-            write_bench(args.bench_out, "shard",
-                        merged.bench_record())
-            print(f"benchmark trajectory appended to {args.bench_out}")
-    return 0
-
-
-def _cmd_shard_run(args: argparse.Namespace) -> int:
-    return _run_shard_backlog(args, resume=False)
-
-
-def _cmd_shard_resume(args: argparse.Namespace) -> int:
-    return _run_shard_backlog(args, resume=True)
-
-
-def _cmd_shard_merge(args: argparse.Namespace) -> int:
-    from repro.shard.merge import merge_records, read_checkpoint
-    from repro.shard.plan import load_plan
-    from repro.telemetry.export import write_bench
-    from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.spans import render_span_tree
-
-    plan = load_plan(args.plan)
-    records = read_checkpoint(args.checkpoint, plan)
-    engines = {record.get("engine", "aot")
-               for record in records.values()}
-    merged = merge_records(
-        plan, records, partial=args.partial,
-        engine=engines.pop() if len(engines) == 1 else "mixed")
-    if not args.quiet:
-        print(render_span_tree(merged.root, show_wall=False))
-    scope = (f"{len(merged.completed)}/{plan.shards} shard(s) "
-             f"(partial)" if merged.partial
-             else f"all {plan.shards} shard(s)")
-    print(f"merged {scope} from {args.checkpoint}: "
-          f"{merged.cycles} simulated cycle(s), "
-          f"{merged.instructions} instruction(s), "
-          f"coefficient {merged.coefficient:#x}")
-    if args.output:
-        _export_telemetry(args.output, merged.root, MetricsRegistry())
-    if args.bench_out:
-        if merged.partial:
-            print("partial merge: BENCH append skipped")
-        else:
-            write_bench(args.bench_out, "shard",
-                        merged.bench_record())
-            print(f"benchmark trajectory appended to {args.bench_out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1065,16 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench-out", default=None, metavar="PATH",
                    help="append a run record to the BENCH_*.json "
                         "perf trajectory")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="decompose the action into N shards and run "
-                        "them on worker processes (enables "
-                        "--params csidh-512; see docs/SHARDING.md)")
-    p.add_argument("--workers", type=int, default=None, metavar="M",
-                   help="worker processes for --shards "
-                        "(default: one per CPU)")
-    p.add_argument("--engine", default="aot", choices=ENGINES,
-                   help="execution engine sharded workers run on "
-                        "(with --shards; default aot)")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
@@ -1098,13 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the full coverage report as JSON")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the table (requires --json)")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="split the campaign into N trial ranges run "
-                        "on worker processes (identical report; see "
-                        "docs/SHARDING.md)")
-    p.add_argument("--workers", type=int, default=None, metavar="M",
-                   help="worker processes for --shards "
-                        "(default: one per CPU)")
     p.set_defaults(func=_cmd_faults)
 
     p = sub.add_parser(
@@ -1251,84 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flamegraph", default=None, metavar="PATH",
                    help="write collapsed stacks")
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "shard",
-        help="sharded multi-process execution: plan / run / resume / "
-             "merge a decomposed group action (docs/SHARDING.md)")
-    shard_sub = p.add_subparsers(dest="shard_command", required=True)
-
-    def shard_source(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--params", choices=sorted(_PARAM_SETS),
-                        default="toy")
-        sp.add_argument("--shards", type=int, default=8, metavar="N",
-                        help="shard count when building a fresh plan")
-        sp.add_argument("--seed", type=int, default=3)
-        sp.add_argument("--variant", default="reduced.ise")
-
-    sp = shard_sub.add_parser(
-        "plan",
-        help="record the action, cut it into shards, save the plan")
-    shard_source(sp)
-    sp.add_argument("--show", type=int, default=8, metavar="K",
-                    help="shard boundaries to print")
-    sp.add_argument("--output", "-o", default=None,
-                    metavar="PLAN_JSON",
-                    help="write the plan file (input to run/merge)")
-    sp.set_defaults(func=_cmd_shard_plan)
-
-    def shard_run_knobs(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--plan", default=None, metavar="PLAN_JSON",
-                        help="run a saved plan instead of building "
-                             "one from --params/--shards")
-        shard_source(sp)
-        sp.add_argument("--workers", type=int, default=None,
-                        metavar="M",
-                        help="worker processes (default: one per CPU)")
-        sp.add_argument("--engine", default="aot", choices=ENGINES,
-                        help="execution engine workers run on")
-        sp.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="JSONL checkpoint file (append-only; "
-                             "enables resume)")
-        sp.add_argument("--max-shards", type=int, default=0,
-                        metavar="K",
-                        help="run only the first K shards (bounded "
-                             "smoke slice; the merge is partial)")
-        sp.add_argument("--resume", action="store_true",
-                        help="skip shards already in --checkpoint")
-        sp.add_argument("--quiet", action="store_true",
-                        help="suppress the merged span tree")
-        sp.add_argument("--output", "-o", default=None,
-                        help="telemetry export path (JSON/JSONL)")
-        sp.add_argument("--bench-out", default=None, metavar="PATH",
-                        help="append a sharded_action record to the "
-                             "BENCH_*.json perf trajectory")
-
-    sp = shard_sub.add_parser(
-        "run", help="execute a plan's shards on worker processes "
-                    "and merge")
-    shard_run_knobs(sp)
-    sp.set_defaults(func=_cmd_shard_run)
-
-    sp = shard_sub.add_parser(
-        "resume", help="continue an interrupted run from its "
-                       "checkpoint file")
-    shard_run_knobs(sp)
-    sp.set_defaults(func=_cmd_shard_resume)
-
-    sp = shard_sub.add_parser(
-        "merge", help="merge an existing checkpoint file offline "
-                      "(no execution)")
-    sp.add_argument("--plan", required=True, metavar="PLAN_JSON")
-    sp.add_argument("--checkpoint", required=True, metavar="PATH")
-    sp.add_argument("--partial", action="store_true",
-                    help="allow missing shards (progress inspection)")
-    sp.add_argument("--quiet", action="store_true",
-                    help="suppress the merged span tree")
-    sp.add_argument("--output", "-o", default=None,
-                    help="telemetry export path (JSON/JSONL)")
-    sp.add_argument("--bench-out", default=None, metavar="PATH")
-    sp.set_defaults(func=_cmd_shard_merge)
 
     p = sub.add_parser(
         "top",

@@ -162,42 +162,6 @@ class RegressionError(ReproError):
     code = "regression"
 
 
-class ShardError(ReproError):
-    """Misuse or failure of the sharded execution subsystem.
-
-    Covers malformed shard plans, checkpoint files that belong to a
-    different plan (digest mismatch), and merges attempted over
-    incomplete shard sets (see ``docs/SHARDING.md``).
-    """
-
-    code = "shard"
-
-
-class ShardExhaustedError(ShardError):
-    """The shard scheduler ran out of workers or re-queue budget.
-
-    Raised by :class:`~repro.shard.scheduler.ShardExecutor` when one
-    shard has crashed more workers than ``max_requeues`` allows, or the
-    worker pool burned through its restart budget without draining the
-    backlog.  Completed shards remain in the checkpoint file, so a
-    ``repro shard resume`` after fixing the environment loses no work.
-    """
-
-    code = "shard_exhausted"
-
-
-class ShardDivergenceError(ShardError):
-    """A sharded execution produced a value its reference refutes.
-
-    Every worker verifies each simulated operation against the
-    pure-Python expectation recorded in the plan; the merge step
-    refuses to produce a result when any shard reported a divergence
-    (the sharded analogue of a service-layer escape — CI fails on it).
-    """
-
-    code = "shard_divergence"
-
-
 class RecoveryExhaustedError(FaultError):
     """Bounded retry-with-fallback failed to restore a correct result.
 

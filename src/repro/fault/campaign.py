@@ -199,70 +199,6 @@ def _run_trial(
     )
 
 
-def run_trial_range(
-    p: int,
-    *,
-    seed: int,
-    n: int,
-    start: int = 0,
-    end: int | None = None,
-    variant: str = "reduced.ise",
-    sites: tuple[str, ...] = ALL_SITES,
-    operations: tuple[str, ...] = FAULT_OPERATIONS,
-    check_interval: int = 1,
-    max_recovery_attempts: int = DEFAULT_RECOVERY_ATTEMPTS,
-    pipeline_config: PipelineConfig = ROCKET_CONFIG,
-    engine: str = "aot",
-) -> tuple[list[TrialResult], dict]:
-    """Run trials ``[start, end)`` of the *n*-trial plan for *seed*.
-
-    Each trial starts from a **cold runner pool**, making it a pure
-    function of its planned site and operands — trial ``i`` behaves
-    identically whether executed in one process or as part of any
-    contiguous sub-range on any worker.  That property is what lets
-    fault campaigns shard across processes and concatenate exactly
-    (``tests/shard/test_campaign_shard.py``); the operand stream is
-    fast-forwarded over the skipped trials (two draws each), so a
-    range sees the very operands the full run would have used.
-
-    Returns the trial list plus the fault-layer metric families
-    captured over just this range (summable across disjoint ranges).
-    """
-    plan = FaultPlan(seed=seed, sites=sites, operations=operations)
-    planned = plan.generate(n)
-    end = n if end is None else end
-    if not 0 <= start <= end <= n:
-        raise ValueError(
-            f"trial range [{start}, {end}) outside campaign [0, {n})")
-    operands = plan.operand_rng()
-    for _skipped in range(2 * start):
-        operands.randrange(p)
-
-    trials = []
-    with telemetry.capture(fresh=True) as cap:
-        for site in planned[start:end]:
-            # cold pool per trial: runner clocks, machine state and
-            # trace caches never leak between trials, so outcomes are
-            # position-independent (the sharding invariant)
-            registry.clear_runner_pool()
-            context = SimulatedFieldContext(
-                p, variant=variant, pipeline_config=pipeline_config,
-                checked=True, check_interval=check_interval,
-                max_recovery_attempts=max_recovery_attempts,
-                engine=engine,
-            )
-            reference = context._reference
-            a = operands.randrange(p)
-            b = operands.randrange(p)
-            trials.append(_run_trial(context, reference, site, a, b))
-        metrics = {
-            name: samples
-            for name, samples in cap.registry.to_dict().items()
-            if name in _REPORT_METRICS
-        }
-    return trials, metrics
-
-
 def run_campaign(
     p: int,
     *,
@@ -281,19 +217,36 @@ def run_campaign(
     *engine* selects the execution engine the checked contexts run on:
     on ``"aot"`` (the default) trace faults corrupt the live fused
     functions and recovery evicts them; on ``"interpreter"`` they have
-    nothing to corrupt and are masked."""
-    trials, metrics = run_trial_range(
-        p,
-        seed=seed,
-        n=n,
-        variant=variant,
-        sites=sites,
-        operations=operations,
-        check_interval=check_interval,
-        max_recovery_attempts=max_recovery_attempts,
-        pipeline_config=pipeline_config,
-        engine=engine,
-    )
+    nothing to corrupt and are masked.
+
+    Each trial starts from a **cold runner pool**, making it a pure
+    function of its planned site and operands: runner clocks, machine
+    state and trace caches never leak from one trial into the next, so
+    no outcome depends on the trials that ran before it.  The report
+    carries the fault-layer metric families captured over the whole
+    campaign."""
+    plan = FaultPlan(seed=seed, sites=sites, operations=operations)
+    planned = plan.generate(n)
+    operands = plan.operand_rng()
+    trials = []
+    with telemetry.capture(fresh=True) as cap:
+        for site in planned:
+            registry.clear_runner_pool()
+            context = SimulatedFieldContext(
+                p, variant=variant, pipeline_config=pipeline_config,
+                checked=True, check_interval=check_interval,
+                max_recovery_attempts=max_recovery_attempts,
+                engine=engine,
+            )
+            a = operands.randrange(p)
+            b = operands.randrange(p)
+            trials.append(
+                _run_trial(context, context._reference, site, a, b))
+        metrics = {
+            name: samples
+            for name, samples in cap.registry.to_dict().items()
+            if name in _REPORT_METRICS
+        }
 
     return CampaignReport(
         seed=seed,

@@ -50,7 +50,7 @@ Compiled entry thunks serialise to **source text plus static costs**;
 :mod:`repro.rv64.artifacts` persists them on disk keyed by (kernel,
 modulus, pipeline, code hash) and :func:`bind_entry_source` re-binds a
 loaded artifact to a fresh machine without re-tracing — the warm-start
-path of ``repro serve`` and the shard scheduler's pre-fork warmup.
+path of ``repro serve`` and of every other new process.
 
 Compilation *refuses* with :class:`AotError` (``reason`` is one of
 :data:`AotError.REASONS`) whenever whole-kernel fusion cannot be proven

@@ -5,7 +5,7 @@ work: the generated source depends only on the kernel program, the
 modulus constants baked into its pool, the pipeline model (which fixes
 the static cycle account) and the radix/limb layout.  None of that
 varies between processes, so every ``repro serve`` worker and every
-pre-forked shard process re-deriving it from scratch is waste — the
+new CLI process re-deriving it from scratch is waste — the
 dominant component of cold-start latency once the aot tier exists.
 
 This module persists compiled thunks as small JSON artifacts:

@@ -64,10 +64,6 @@ __all__ = [
     "record_service_reconnect", "record_deadline_exceeded",
     "record_circuit_state",
     "record_chaos_injection", "record_chaos_trial",
-    "current_span_path",
-    "record_shard_completed", "record_shard_steal",
-    "record_shard_requeue", "record_shard_worker_failure",
-    "record_shard_checkpoint",
 ]
 
 #: Process-global span recorder (disabled until :func:`enable`).
@@ -106,11 +102,6 @@ def span(name: str, **labels: object):
 def add_cycles(cycles: int) -> None:
     """Attribute simulated cycles to the innermost open span."""
     TRACER.add_cycles(cycles)
-
-
-def current_span_path():
-    """The open span stack as ``(name, labels)`` frames (root first)."""
-    return TRACER.current_path()
 
 
 @dataclass(frozen=True)
@@ -552,65 +543,6 @@ def record_chaos_trial(kind: str, outcome: str) -> None:
     REGISTRY.counter(
         "chaos_trials_total", "chaos trials by site kind and outcome"
     ).inc(kind=kind, outcome=outcome)
-
-
-# -- the sharded multi-process execution subsystem ---------------------------
-# (see repro.shard and docs/SHARDING.md)
-
-
-def record_shard_completed(
-    worker: int, cycles: int, instructions: int
-) -> None:
-    """One shard finished and its record reached the scheduler."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_completed_total", "shards completed by worker"
-    ).inc(worker=worker)
-    REGISTRY.counter(
-        "shard_cycles_total", "merged simulated cycles by worker"
-    ).inc(cycles, worker=worker)
-    REGISTRY.counter(
-        "shard_instructions_total",
-        "merged retired instructions by worker",
-    ).inc(instructions, worker=worker)
-
-
-def record_shard_steal(worker: int) -> None:
-    """A worker drained its own backlog and stole from a peer's."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_steals_total", "work-stealing grabs by thief worker"
-    ).inc(worker=worker)
-
-
-def record_shard_requeue(shard: int) -> None:
-    """A dead worker's in-flight shard went back onto the backlog."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_requeues_total", "shards re-queued after worker loss"
-    ).inc(shard=shard)
-
-
-def record_shard_worker_failure(worker: int) -> None:
-    """A worker process died (crash, kill, or fatal worker error)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_worker_failures_total", "worker process losses"
-    ).inc(worker=worker)
-
-
-def record_shard_checkpoint() -> None:
-    """One shard record appended to the JSONL checkpoint file."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_checkpoint_records_total",
-        "shard records written to checkpoints",
-    ).inc()
 
 
 # -- per-request trace contexts (see repro.telemetry.tracing) ----------------

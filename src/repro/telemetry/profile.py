@@ -25,19 +25,41 @@ from dataclasses import dataclass
 from repro import telemetry
 from repro.csidh.group_action import ActionStats, group_action
 from repro.csidh.parameters import CsidhParameters
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 from repro.field.counters import OpCounter
 from repro.field.simulated import SimulatedFieldContext
 from repro.telemetry.export import to_json_document
 from repro.telemetry.spans import SpanNode, render_span_tree
 
-#: Moduli wider than this are refused for fully simulated profiling
-#: (the toy and mini parameter sets are far below it).  The cap is
-#: conservative for the aot engine: at 512 bits one aot field op costs
-#: about 80-120 us for mul/sqr and 10-15 us for add/sub (one x86-64
-#: host, CPython 3.11), so a CSIDH-512 group action (~383k mul, ~151k
-#: sqr, ~231k add, ~231k sub) takes roughly 50-70 s in one process.
+#: Moduli wider than this are refused wherever the interpreter may
+#: run (the toy and mini parameter sets are far below it).  The aot
+#: engine needs no cap: one CSIDH-512 group action (seed 3: 209
+#: isogenies, ~988k field ops) takes about 63 s untraced and about
+#: 90 s under ``repro profile`` for ``reduced.ise``, and about 95 s
+#: untraced for ``full.isa`` (one x86-64 host, CPython 3.11).  The
+#: interpreter spends about 7-14 ms on one 512-bit mul, which puts
+#: the same action at one to two hours.
 MAX_SIMULATED_BITS = 160
+
+
+def check_simulable(params: CsidhParameters, engine: str, *,
+                    alternative: str | None = None) -> None:
+    """Refuse *params* when *engine* is the interpreter and the modulus
+    is wider than :data:`MAX_SIMULATED_BITS`.
+
+    *alternative* names the caller's aot option (e.g. ``"use --engine
+    aot"``) and is appended to the one-line refusal.
+    """
+    bits = params.p.bit_length()
+    if engine != "interpreter" or bits <= MAX_SIMULATED_BITS:
+        return
+    fix = "use --params toy or mini"
+    if alternative:
+        fix += f", or {alternative}"
+    raise ParameterError(
+        f"{params.name}: a {bits}-bit modulus is infeasible on the "
+        f"interpreter in one process (limit {MAX_SIMULATED_BITS} "
+        f"bits); {fix}")
 
 
 @dataclass(frozen=True)
@@ -137,14 +159,8 @@ def profile_group_action(
     cross_check: bool = False,
 ) -> ProfileResult:
     """Run one fully simulated group action under telemetry capture."""
-    if params.p.bit_length() > MAX_SIMULATED_BITS:
-        raise ReproError(
-            f"{params.name}: a {params.p.bit_length()}-bit modulus is "
-            f"infeasible to profile on the Python simulator in one "
-            f"process (limit {MAX_SIMULATED_BITS} bits); use --params "
-            f"toy or mini, or shard the run across worker processes "
-            f"with --shards N (see docs/SHARDING.md)"
-        )
+    check_simulable(params, "interpreter" if cross_check else "aot",
+                    alternative="drop --cross-check to run on aot")
     rng = random.Random(seed)
     if exponents is None:
         exponents = params.sample_private_key(rng)

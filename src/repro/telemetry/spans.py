@@ -283,18 +283,6 @@ class Tracer:
     def current(self) -> SpanNode:
         return self._stack[-1]
 
-    def current_path(self) -> tuple[tuple[str, LabelKey], ...]:
-        """``(name, labels)`` frames from the root's child down to the
-        innermost open span (empty at the root).
-
-        The shard planner records this per field operation so a
-        sharded run can re-attribute every simulated cycle to the
-        exact node the monolithic run would have booked it to (see
-        :mod:`repro.shard.plan`).
-        """
-        return tuple((node.name, node.labels)
-                     for node in self._stack[1:])
-
     def reset(self) -> None:
         """Drop the recorded tree (keeps the enabled flag)."""
         self.root = SpanNode("root")

@@ -63,8 +63,7 @@ DEFAULT_RECOVERY_TOLERANCE = 0.0
 #: carry no ``mode`` — absence is itself part of the identity.)
 GROUP_KEYS = (
     "mode", "params", "variant", "engine", "exchanges",
-    "concurrency", "tenants", "hardened", "rounds",
-    "workers", "shards", "n", "seed",
+    "concurrency", "tenants", "hardened", "rounds", "n", "seed",
 )
 
 _LOWER_BETTER = (

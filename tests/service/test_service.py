@@ -259,10 +259,15 @@ class TestCli:
         assert main(["load", "--params", "toy",
                      "--concurrency", "0"]) == 2
 
-    def test_service_commands_refuse_full_size_params(self):
-        assert main(["load", "--params", "csidh-512",
-                     "--exchanges", "1"]) == 2
-        assert main(["serve", "--params", "csidh-512"]) == 2
+    def test_service_commands_refuse_full_size_params(self, capsys):
+        # refused on the default aot engine too: every tenant ladder
+        # can demote to the interpreter
+        for argv in (["load", "--params", "csidh-512", "--exchanges", "1"],
+                     ["serve", "--params", "csidh-512"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "--params toy" in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_parser_wires_serve_and_load(self):
         parser = build_parser()

@@ -98,10 +98,10 @@ class TestFaultsCommand:
         (["faults", "--quiet"], "--json"),
         (["faults", "--params", "toy", "--sites", "bogus_site"],
          "unknown fault site"),
-        (["faults", "--params", "csidh-512", "--n", "1"],
-         "--params toy"),
-        (["faults", "--params", "csidh-512", "--n", "1"],
-         "--shards"),
+        (["faults", "--params", "csidh-512", "--n", "1",
+          "--engine", "interpreter"], "--params toy"),
+        (["faults", "--params", "csidh-512", "--n", "1",
+          "--engine", "interpreter"], "--engine aot"),
     ])
     def test_bad_arguments_one_line_exit_2(self, argv, needle,
                                            capsys):
@@ -110,6 +110,13 @@ class TestFaultsCommand:
         assert needle in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_csidh512_campaign_runs_on_aot(self, capsys):
+        # the interpreter-only size cap does not apply to aot
+        assert main(["faults", "--params", "csidh-512", "--n", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "params=CSIDH-512" in out
+        assert "escaped 0" in out
 
 
 class TestBenchCommand:
@@ -155,13 +162,15 @@ class TestBenchCommand:
     @pytest.mark.parametrize("argv, needle", [
         (["bench", "--params", "toy", "--rounds", "0"], "--rounds"),
         (["bench", "--params", "toy", "--batch", "-1"], "--batch"),
+        # the default --engine all includes the interpreter
         (["bench", "--params", "csidh-512"], "--params toy"),
-        (["bench", "--params", "csidh-512"], "repro shard"),
+        (["bench", "--params", "csidh-512"], "--engine aot"),
     ])
     def test_bench_bad_arguments(self, argv, needle, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert needle in err
+        assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
     def test_faults_engine_flag(self, tmp_path, capsys):
@@ -203,11 +212,13 @@ class TestTelemetryFlags:
             == document["workload"]["simulated_cycles"]
 
     def test_profile_csidh512_refused(self, capsys):
-        assert main(["profile", "--params", "csidh-512"]) == 2
+        # --cross-check runs the interpreter, which keeps the size cap
+        assert main(["profile", "--params", "csidh-512",
+                     "--cross-check"]) == 2
         err = capsys.readouterr().err
         assert "infeasible" in err
         assert "--params toy" in err   # actionable: names the fix
-        assert "--shards" in err       # ... and the full-size path
+        assert "--cross-check" in err  # ... and the aot path
         assert len(err.strip().splitlines()) == 1
 
     def test_action_telemetry_cycle_sum_invariant(self, tmp_path,

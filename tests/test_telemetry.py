@@ -474,7 +474,7 @@ class TestInstrumentedGroupAction:
         from repro.telemetry.profile import profile_group_action
 
         with pytest.raises(ReproError, match="infeasible"):
-            profile_group_action(csidh_512())
+            profile_group_action(csidh_512(), cross_check=True)
 
     def test_cross_check_forces_interpreter(self, toy_params):
         from repro.telemetry.profile import profile_group_action

@@ -50,28 +50,6 @@ def _profile_run(**overrides) -> dict:
     return run
 
 
-def _sharded_run(**overrides) -> dict:
-    run = {
-        "mode": "sharded_action",
-        "params": "CSIDH-toy",
-        "variant": "reduced.ise",
-        "shards": 8,
-        "workers": 2,
-        "engine": "jit",
-        "wall_s": 0.5,
-        "plan_wall_s": 0.05,
-        "simulated_cycles": 115_493,
-        "simulated_instructions": 95_251,
-        "steals": 1,
-        "requeues": 0,
-        "worker_failures": 0,
-        "divergences": 0,
-        "shards_completed": 8,
-    }
-    run.update(overrides)
-    return run
-
-
 def _write(tmp_path, runs, name="BENCH_service.json"):
     path = tmp_path / name
     path.write_text(json.dumps(
@@ -177,51 +155,13 @@ class TestDetection:
         assert [f.metric for f in report.findings] \
             == ["engines.jit.wall_s"]
 
-    def test_sharded_cycles_regression_found(self):
-        # merged cycle totals are deterministic, so the sharded_action
-        # group inherits the zero-tolerance cycles gate
+    def test_profile_wall_regression_found(self):
         report = watchdog.check_records([
-            _sharded_run(), _sharded_run(),
-            _sharded_run(simulated_cycles=115_494),
+            _profile_run(), _profile_run(),
+            _profile_run(wall_s=3.0),
         ])
-        assert [f.metric for f in report.findings] \
-            == ["simulated_cycles"]
-        assert report.findings[0].code == "regression"
-
-    def test_sharded_wall_regression_found(self):
-        report = watchdog.check_records([
-            _sharded_run(), _sharded_run(),
-            _sharded_run(wall_s=2.0),
-        ])
-        assert "wall_s" in [f.metric for f in report.findings]
-
-    def test_sharded_divergences_fail_without_baseline(self):
-        report = watchdog.check_records([_sharded_run(divergences=1)])
-        assert [f.metric for f in report.findings] == ["divergences"]
-        assert report.findings[0].direction == "invariant"
-
-    def test_sharded_worker_counts_group_separately(self):
-        # a 2-worker run is not the baseline of an 8-worker run:
-        # different workers (or shard counts) form different groups
-        report = watchdog.check_records([
-            _sharded_run(workers=2),
-            _sharded_run(workers=8, wall_s=5.0),
-        ])
-        assert report.ok
-        assert report.groups_skipped == 2
-        report = watchdog.check_records([
-            _sharded_run(shards=8),
-            _sharded_run(shards=64, wall_s=5.0),
-        ])
-        assert report.ok
-        assert report.groups_skipped == 2
-
-    def test_sharded_and_profile_records_coexist(self):
-        report = watchdog.check_records(
-            [_sharded_run(), _profile_run(),
-             _sharded_run(), _profile_run()])
-        assert report.groups_checked == 2
-        assert report.ok
+        assert [f.metric for f in report.findings] == ["wall_s"]
+        assert report.findings[0].direction == "increase"
 
     def test_custom_tolerance_widens_the_gate(self):
         runs = [_service_run(), _service_run(),
