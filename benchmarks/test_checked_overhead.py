@@ -60,7 +60,7 @@ def test_disabled_hardening_is_structurally_free():
     assert not field.checked
     assert field._checked is None
     assert field._reference is None
-    for slot in ("_mul", "_sqr", "_add", "_sub"):
+    for slot in ("_mul", "_add", "_sub"):
         assert getattr(field, slot)._hardening is None
     # and the pool never hands a hardened runner to a plain context
     hardened = registry.cached_runner(

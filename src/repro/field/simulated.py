@@ -40,8 +40,12 @@ If every attempt still diverges,
 
 The kernels implement *Montgomery* multiplication (``a*b*R^-1``), while
 the :class:`FieldContext` API is plain modular arithmetic; the adapter
-hides the domain conversion by folding in ``R^2`` per multiplication
-(costing one extra kernel run — irrelevant for a functional check).
+hides the domain conversion by folding in ``R^2`` per multiplication.
+That conversion is a second ``fp_mul`` run, so every ``mul`` *and*
+every ``sqr`` costs two ``fp_mul`` runs (``fp_sqr`` never runs here):
+it doubles the multiplier's share of host time, and the context's
+simulated cycles obey ``2·(mul+sqr)·fp_mul + add·fp_add + sub·fp_sub``
+to the cycle.
 
 Runners are pooled per (modulus, kernel, pipeline, checked, engine) via
 :func:`repro.kernels.registry.cached_runner`, so constructing many
@@ -65,7 +69,6 @@ from repro.kernels.runner import DEFAULT_CHECK_INTERVAL, KernelRunner
 from repro.kernels.spec import (
     OP_FP_ADD,
     OP_FP_MUL,
-    OP_FP_SQR,
     OP_FP_SUB,
 )
 from repro.rv64.machine import ENGINES
@@ -137,7 +140,6 @@ class SimulatedFieldContext(FieldContext):
         self._reference = FieldContext(p) if checked else None
 
         self._mul = self._pooled_runner(OP_FP_MUL)
-        self._sqr = self._pooled_runner(OP_FP_SQR)
         self._add = self._pooled_runner(OP_FP_ADD)
         self._sub = self._pooled_runner(OP_FP_SUB)
         ctx = self._mul.kernel.context

@@ -18,7 +18,9 @@ expression nodes instead of integers:
   ``lui``/``auipc`` chains and mask setup vanish; hash-consing gives
   ``mul``/``mulhu`` (and the ISE ``madd*`` pairs) on the same
   operands one shared wide product; exact interval rules drop masks
-  that cannot change a value and turn carry compares into shifts;
+  that cannot change a value and turn carry compares into shifts, and
+  exact split-add identities fold each column's multiply-accumulate
+  chain into one wide sum that is split once;
 * the surviving dataflow — the multiply-accumulate spine of the kernel
   — is emitted as a handful of fused wide-int expressions (shared
   nodes materialise as temporaries, deep chains are cut at a depth

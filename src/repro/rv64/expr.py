@@ -89,13 +89,19 @@ class Node:
     literal or the input's name).  Every run's value lies in
     ``[lo, hi]``; ``lo is None`` means unknown, which blocks every
     rewrite reading it.  ``serial`` numbers nodes in creation order.
+
+    An ``add`` with a known interval is an n-ary sum: ``terms`` lists
+    its addends (no sums among them; by ``serial``, with the one folded
+    constant last) and ``args`` is the chain's last link, ``(sum of all
+    but the last term, last term)``, so sums sharing a prefix of terms
+    share its nodes.
     """
 
     __slots__ = ("op", "args", "const", "text", "template", "lo", "hi",
-                 "serial")
+                 "serial", "terms")
 
     def __init__(self, op, args, const, text, lo, hi, serial,
-                 template=None) -> None:
+                 template=None, terms=None) -> None:
         self.op = op
         self.args = args
         self.const = const
@@ -104,6 +110,7 @@ class Node:
         self.lo = lo
         self.hi = hi
         self.serial = serial
+        self.terms = terms
 
 
 def _lit(value: int) -> str:
@@ -196,6 +203,20 @@ def _ordered(x: Node, y: Node) -> tuple[Node, Node]:
     return x, y
 
 
+def _serial(node: Node) -> int:
+    return node.serial
+
+
+def _terms(node: Node) -> tuple:
+    """The addends of *node*: its terms if it is a sum, else itself."""
+    return node.terms if node.terms is not None else (node,)
+
+
+def _is_ones(mask: int | None) -> bool:
+    """*mask* is ``2^j - 1`` for some ``j >= 1``."""
+    return mask is not None and mask > 0 and not mask & (mask + 1)
+
+
 class Graph:
     """The hash-consing table and rewriting node constructors of one
     compile (service lanes fuse kernels concurrently, so nothing here
@@ -212,6 +233,12 @@ class Graph:
     def __init__(self) -> None:
         self._table: dict[tuple, Node] = {}
         self._consts: dict[int, Node] = {}
+        # what rewrites hid from the carry rule: serial of a sum -> the
+        # addends it was built from before split-adds recombined, and
+        # serial of x -> the sums s with x == s & M that unmasking
+        # replaced
+        self._addends: dict[int, list[tuple]] = {}
+        self._masked_from: dict[int, list[Node]] = {}
         self._serial = 0
 
     def _next(self) -> int:
@@ -277,16 +304,146 @@ class Graph:
     def add(self, x: Node, y: Node) -> Node:
         if x.const is not None and y.const is not None:
             return self._fold("add", x, y)
-        x, y = _ordered(x, y)
-        if y.const == 0 and x.lo is not None:
-            return x
-        return self._cons("add", x, y)
+        if x.lo is None or y.lo is None:
+            return self._cons("add", *_ordered(x, y))
+        return self._sum((x, y))
+
+    def _sum(self, addends) -> Node:
+        """The canonical sum of *addends* (known intervals): flattened
+        into terms, constants folded, split-adds recombined, then built
+        as a chain that reuses every existing prefix."""
+        offset = 0
+        terms = []
+        for addend in addends:
+            for term in _terms(addend):
+                if term.const is None:
+                    terms.append(term)
+                else:
+                    offset += term.const
+        terms.sort(key=_serial)
+        original = None
+        while True:
+            merged = self._recombine(terms)
+            if merged is None:
+                break
+            if original is None:
+                original = tuple(terms) + (
+                    (self.const(offset),) if offset else ())
+            terms, folded = merged
+            for term in _terms(folded):
+                if term.const is None:
+                    terms.append(term)
+                else:
+                    offset += term.const
+            terms.sort(key=_serial)
+        if offset:
+            terms.append(self.const(offset))
+        if not terms:
+            return self.const(0)
+        node, start = terms[0], 1
+        for addend in addends:  # the common case: appending to a sum
+            known = addend.terms
+            if (known is not None and start < len(known) <= len(terms)
+                    and tuple(terms[:len(known)]) == known):
+                node, start = addend, len(known)
+        for term in terms[start:]:
+            node = self._link(node, term)
+        if original is not None:
+            self._addends.setdefault(node.serial, []).append(original)
+        return node
+
+    def _link(self, prefix: Node, term: Node) -> Node:
+        key = ("add", prefix.serial, term.serial)
+        node = self._table.get(key)
+        if node is None:
+            node = Node("add", (prefix, term), None, None,
+                        prefix.lo + term.lo, prefix.hi + term.hi,
+                        self._next(), terms=_terms(prefix) + (term,))
+            self._table[key] = node
+        return node
+
+    def _recombine(self, terms: list) -> tuple[list, Node] | None:
+        """One split-add recombination (or :meth:`_rejoin`) among
+        *terms*, or ``None``.
+
+        ``Σ(u_i >> k) + ((c + Σ(u_i & (2^k - 1))) >> k)`` is
+        ``(c + Σu_i) >> k`` for all integers (``u == ((u >> k) << k) +
+        (u & (2^k - 1))``, and a multiple of ``2^k`` leaves a floor
+        shift by ``k`` exactly): a high part ``u >> k`` beside the carry
+        of a sum holding the matching low part ``u & (2^k - 1)`` folds
+        into it.  Returns the remaining terms and the folded term.
+        """
+        for index, term in enumerate(terms):
+            op = term.op
+            if op == "shl":
+                rejoined = self._rejoin(terms, index)
+                if rejoined is not None:
+                    return rejoined
+                continue
+            if op != "shr":
+                continue
+            inner, amount = term.args
+            k = amount.const
+            if inner.terms is None or k is None or not 0 < k <= _MAX_SHIFT:
+                continue
+            mask = (1 << k) - 1
+            others = None
+            addends = None
+            for position, addend in enumerate(inner.terms):
+                if addend.op != "and" or addend.args[1].const != mask:
+                    continue
+                value = addend.args[0]
+                high = self._table.get(("shr", value.serial, amount.serial))
+                if high is None:
+                    continue
+                if others is None:
+                    others = terms[:index] + terms[index + 1:]
+                rest = _without(others, high)
+                if rest is not None:
+                    others = rest
+                    if addends is None:
+                        addends = list(inner.terms)
+                    addends[position] = value
+            if addends is not None:
+                return others, self.shr(self._sum(addends), amount)
+        return None
+
+    def _rejoin(self, terms: list, index: int) -> tuple[list, Node] | None:
+        """``((u >> k) << k) + (u & (2^k - 1))`` is ``u``: the split
+        of *terms*[*index*] ``(u >> k) << k`` and its low part, when
+        both are terms, rejoin as ``u``."""
+        high, amount = terms[index].args
+        k = amount.const
+        if (high.op != "shr" or high.args[1] is not amount or k is None
+                or not 0 < k <= _MAX_SHIFT):
+            return None
+        value = high.args[0]
+        mask = self._consts.get((1 << k) - 1)
+        if mask is None:
+            return None
+        low = self._table.get(("and", value.serial, mask.serial))
+        if low is None:
+            return None
+        others = terms[:index] + terms[index + 1:]
+        rest = _without(others, low)
+        if rest is None:
+            return None
+        return rest, value
 
     def sub(self, x: Node, y: Node) -> Node:
         if x.const is not None and y.const is not None:
             return self._fold("sub", x, y)
         if y.const == 0 and x.lo is not None:
             return x
+        if (x.op == "and" and x.args[1].const == MASK64
+                and y.op == "shl" and y.args[1].const == 64):
+            # the signed view x - ((x >> 63) << 64) of x = d & M is d
+            # itself for d in [-2^63, 2^63)
+            top, value = y.args[0], x.args[0]
+            if (top.op == "shr" and top.args[0] is x
+                    and top.args[1].const == 63 and value.lo is not None
+                    and -(1 << 63) <= value.lo and value.hi < 1 << 63):
+                return value
         return self._cons("sub", x, y)
 
     def mul(self, x: Node, y: Node) -> Node:
@@ -325,22 +482,73 @@ class Graph:
         if mask is not None and x.lo is not None:
             if mask == 0:
                 return y
-            if (mask > 0 and not mask & (mask + 1)
-                    and x.lo >= 0 and x.hi <= mask):
+            if _is_ones(mask) and x.lo >= 0 and x.hi <= mask:
                 return x  # an all-ones mask wider than x
             if x.op == "and" and x.args[1].const is not None:
                 # (z & c1) & c2 == z & (c1 & c2): one mask, not two
                 return self.and_(x.args[0],
                                  self.const(x.args[1].const & mask))
+            if x.terms is not None and _is_ones(mask):
+                unmasked = self._unmask(x, mask)
+                if unmasked is not None:
+                    node = self.and_(unmasked, y)
+                    if mask == MASK64:
+                        self._masked_from.setdefault(
+                            node.serial, []).append(x)
+                    return node
+            if x.op == "mul" and _is_ones(mask):
+                # the low bits of a product see only its factors' low
+                # bits: unmask the sums among them
+                factors = [self._unmask(factor, mask)
+                           if factor.terms is not None else None
+                           for factor in x.args]
+                if factors != [None, None]:
+                    return self.and_(
+                        self.mul(*[new or old for new, old
+                                   in zip(factors, x.args)]), y)
         return self._cons("and", x, y)
+
+    def _unmask(self, total: Node, mask: int) -> Node | None:
+        """``(c + Σ(u_i & (2^j - 1))) & (2^k - 1)`` is ``(c + Σu_i) &
+        (2^k - 1)`` for ``j >= k`` (``u & (2^j - 1)`` is ``u`` mod
+        ``2^k``): *total* without the masks its low *mask* bits cannot
+        see, or ``None`` when it has none."""
+        terms = list(total.terms)
+        found = False
+        for index, term in enumerate(terms):
+            if term.op == "and":
+                width = term.args[1].const
+                if _is_ones(width) and width >= mask:
+                    terms[index] = term.args[0]
+                    found = True
+        return self._sum(terms) if found else None
 
     def or_(self, x: Node, y: Node) -> Node:
         if x.const is not None and y.const is not None:
             return self._fold("or", x, y)
         x, y = _ordered(x, y)
-        if y.const == 0 and x.lo is not None:
-            return x
+        if x.lo is not None and y.lo is not None:
+            if y.const == 0:
+                return x
+            funnel = self._funnel(x, y) or self._funnel(y, x)
+            if funnel is not None:
+                return funnel
         return self._cons("or", x, y)
+
+    def _funnel(self, low: Node, high: Node) -> Node | None:
+        """The funnel shift ``(L >> k) | (h << (64 - k))`` with ``L`` in
+        ``[0, 2^64)`` is ``((h << 64) + L) >> k``: the two bit ranges
+        are disjoint, so the ``or`` is an ``add``, and ``2^k`` divides
+        ``h << 64``.  ``None`` when *low*, *high* are not such a pair."""
+        if low.op != "shr" or high.op != "shl":
+            return None
+        value, amount = low.args
+        k, rise = amount.const, high.args[1].const
+        if (k is None or rise is None or not 0 < k < 64 or k + rise != 64
+                or value.lo < 0 or value.hi > MASK64):
+            return None
+        wide = self.shl(high.args[0], self.const(64))
+        return self.shr(self.add(wide, value), amount)
 
     def xor(self, x: Node, y: Node) -> Node:
         if x.const is not None and y.const is not None:
@@ -366,26 +574,49 @@ class Graph:
         return self._cons("lt", x, y)
 
     def _carry(self, x: Node, y: Node) -> Node | None:
-        """The carry-out idiom ``((p + q) & M) < p`` is ``(p + q) >> 64``
-        for ``p, q`` in ``[0, 2^64)``; unmasked, ``p + q < p`` is 0 for
-        ``q >= 0``.  ``None`` when *x*, *y* are not such a pair."""
-        total = x
+        """The carry-out idiom ``((R + u) & M) < y``, with ``y`` in
+        ``[0, 2^64)`` and ``y`` either ``u`` or ``u & M``, is ``((R & M)
+        + y) >> 64``: both sides are the carry out of the 64-bit add of
+        ``R & M`` and ``y``, whose wrapped sum is below ``y`` exactly
+        when it overflows.  Unmasked, ``R + y < y`` is 0 for ``R >= 0``.
+        ``None`` when *x*, *y* are not such a pair."""
+        for terms in self._decompositions(x):
+            rest = _without(terms, y)
+            if rest is not None and sum(term.lo for term in rest) >= 0:
+                return self.const(0)
+        if y.lo < 0 or y.hi > MASK64:
+            return None
+        low = None
+        if y.op == "and" and y.args[1].const == MASK64:
+            low = y.args[0]
+        totals = list(self._masked_from.get(x.serial, ()))
         if x.op == "and" and x.args[1].const == MASK64:
-            total = x.args[0]
-        if total.op != "add":
-            return None
-        p, q = total.args
-        if y is p:
-            other = q
-        elif y is q:
-            other = p
-        else:
-            return None
-        if total is x:
-            return self.const(0) if other.lo >= 0 else None
-        if p.lo >= 0 and q.lo >= 0 and p.hi <= MASK64 and q.hi <= MASK64:
-            return self.shr(total, self.const(64))
+            totals.append(x.args[0])
+        for total in totals:
+            for terms in self._decompositions(total):
+                rest = _without(terms, y)
+                if rest is None and low is not None:
+                    rest = _without(terms, low)
+                if rest is not None:
+                    mod = self.and_(self._sum(rest), self.const(MASK64))
+                    return self.shr(self.add(mod, y), self.const(64))
         return None
+
+    def _decompositions(self, node: Node) -> list[tuple]:
+        """Addend lists summing to *node*: its terms, and the addends
+        recombination folded into it."""
+        lists = self._addends.get(node.serial, [])
+        if node.terms is None:
+            return lists
+        return [node.terms] + lists
+
+
+def _without(terms: tuple, term: Node) -> list | None:
+    """*terms* less one occurrence of *term*, or ``None`` if absent."""
+    for index, candidate in enumerate(terms):
+        if candidate is term:
+            return list(terms[:index] + terms[index + 1:])
+    return None
 
 
 # ---------------------------------------------------------------------------

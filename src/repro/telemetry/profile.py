@@ -34,11 +34,13 @@ from repro.telemetry.spans import SpanNode, render_span_tree
 #: Moduli wider than this are refused wherever the interpreter may
 #: run (the toy and mini parameter sets are far below it).  The aot
 #: engine needs no cap: one CSIDH-512 group action (seed 3: 209
-#: isogenies, ~988k field ops) takes about 63 s untraced and about
-#: 90 s under ``repro profile`` for ``reduced.ise``, and about 95 s
-#: untraced for ``full.isa`` (one x86-64 host, CPython 3.11).  The
-#: interpreter spends about 7-14 ms on one 512-bit mul, which puts
-#: the same action at one to two hours.
+#: isogenies, ~988k field ops) takes about 36 s untraced and about
+#: 61 s under ``repro profile`` for ``reduced.ise``, and about 34 s
+#: untraced for ``full.isa`` (one x86-64 host, CPython 3.11), at
+#: 43-58 us per fused ``fp_mul`` run and about 106 us per Fp mul
+#: (two ``fp_mul`` runs plus dispatch).  The interpreter spends about
+#: 7-14 ms on one 512-bit mul, which puts the same action at one to
+#: two hours.
 MAX_SIMULATED_BITS = 160
 
 

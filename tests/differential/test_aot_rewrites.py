@@ -12,7 +12,9 @@ soundness too.
 
 Structural guards pin what the rules buy on the real kernels: every
 ``fp_mul``/``fp_sqr`` entry thunk computes each distinct product once,
-and no carry compare of a sum against one of its own addends survives.
+splits each column sum instead of each product (a ceiling on its
+constant masks and shifts), and no carry compare of a sum against one
+of its own addends survives.
 
 The last class checks the recursion-limit guard that fusion runs under:
 it is reference-counted, so concurrent compiles never see the limit
@@ -103,6 +105,7 @@ def has_ops(**expected):
 
 
 _A64 = (M, M)
+_W128 = (1 << 128) - 1
 
 #: (rule, unrewritten template, operand upper bounds, fired predicate)
 RULES = [
@@ -141,11 +144,53 @@ RULES = [
     ("carry-unmasked", "1 if ({a} + {b}) < {a} else 0", (M, 1 << 40),
      is_const(0)),
     ("carry-wide-operand", "1 if (({a} + {b}) & M) < {b} else 0",
-     (1 << 65, M), has_ops(lt=1)),
+     (1 << 65, M), has_ops(shr=1, lt=0)),
+    ("carry-wide-compare", "1 if (({a} + {b}) & M) < {b} else 0",
+     (M, 1 << 65), has_ops(lt=1)),
+    ("carry-masked-addend",
+     "1 if (({b} + {a}) & M) < ({a} & M) else 0", (_W128, M),
+     has_ops(shr=1, lt=0)),
+    ("carry-unmasked-sum",
+     "1 if (({b} + ({a} & M)) & M) < ({a} & M) else 0", (_W128, _W128),
+     has_ops(shr=1, lt=0)),
+    ("carry-other-mask",
+     "1 if (({b} + {a}) & M) < ({a} & 0xffffffff) else 0", (_W128, M),
+     has_ops(lt=1)),
     ("carry-unmasked-negative", "1 if ({a} + ({b} - 3)) < {a} else 0",
      (M, 7), has_ops(lt=1)),
     ("carry-not-an-addend", "1 if (({a} + 1) & M) < {b} else 0", _A64,
      has_ops(lt=1)),
+    ("recombine-64", "({a} >> 64) + (({b} + ({a} & M)) >> 64)",
+     (_W128, M), has_ops(shr=1, add=1, **{"and": 0})),
+    ("recombine-57",
+     "(({a} >> 57) + ((({a} & 0x1ffffffffffffff)"
+     " + ({b} & 0x1ffffffffffffff)) >> 57)) + ({b} >> 57)",
+     (_W128, _W128), has_ops(shr=1, add=1, **{"and": 0})),
+    ("recombine-mask-width", "({a} >> 57) + (({b} + ({a} & M)) >> 57)",
+     (_W128, M), has_ops(shr=2, **{"and": 1})),
+    ("recombine-missing-high", "({b} >> 64) + (({b} + ({a} & M)) >> 64)",
+     (_W128, _W128), has_ops(shr=2, **{"and": 1})),
+    ("rejoin", "({a} & M) + (({a} >> 64) << 64)", (_W128,), is_a),
+    ("rejoin-shift-mismatch", "({a} & M) + (({a} >> 57) << 57)",
+     (_W128,), has_ops(**{"and": 1})),
+    ("unmask-sum", "(({a} & M) + ({b} & M)) & 0x1ffffffffffffff",
+     (_W128, _W128), has_ops(add=1, **{"and": 1})),
+    ("unmask-narrow", "(({a} & 0xffffffff) + {b}) & M", (_W128, M),
+     has_ops(**{"and": 2})),
+    ("unmask-product", "((({a} & M) + {b}) * 3) & 0x1ffffffffffffff",
+     (_W128, M), has_ops(**{"and": 1})),
+    ("funnel", "(({a} & M) >> 57) | ({b} << 7)", (_W128, 1 << 57),
+     has_ops(add=1, **{"or": 0})),
+    ("funnel-gap", "(({a} & M) >> 57) | ({b} << 8)", (_W128, 1 << 57),
+     has_ops(**{"or": 1})),
+    ("funnel-wide-low", "({a} >> 57) | ({b} << 7)", (1 << 65, 1 << 57),
+     has_ops(**{"or": 1})),
+    ("signed-difference",
+     "(({a} - 5) & M) - (((({a} - 5) & M) >> 63) << 64)", ((1 << 62),),
+     has_ops(sub=1, **{"and": 0})),
+    ("signed-difference-keep",
+     "(({a} - 5) & M) - (((({a} - 5) & M) >> 63) << 64)", (M,),
+     has_ops(**{"and": 1})),
     ("shared-product", "(({a} * {b}) & M) + (({b} * {a}) >> 64)", _A64,
      has_ops(mul=1)),
     ("madd57-pair",
@@ -179,6 +224,18 @@ def test_unknown_interval_blocks_every_rule():
     assert masked.op == "and" and masked.lo is None
     assert graph.lt(opaque, opaque).op == "lt"
     assert graph.shr(opaque, graph.const(64)).op == "shr"
+    # split-add recombination: the opaque addend keeps its mask
+    b, k = graph.atom("b", M), graph.const(64)
+    carry = graph.shr(graph.add(b, masked), k)
+    total = graph.add(graph.shr(opaque, k), carry)
+    assert total.lo is None and ops(total)["and"] == 1
+    # unmasking: the sum keeps the opaque addend's mask
+    low = graph.and_(graph.add(b, masked), graph.const(M))
+    assert ops(low)["and"] == 2
+    # funnel shift: the or stays
+    funnel = graph.or_(graph.shr(masked, graph.const(57)),
+                       graph.shl(opaque, graph.const(7)))
+    assert funnel.op == "or"
 
 
 def test_unparsed_template_lowers_to_one_opaque_node():
@@ -225,6 +282,49 @@ def test_random_templates_match(template, width_a, width_b, data):
         assert node.lo <= expected <= node.hi
 
 
+# -- random nested split-adds: recombination must be exact ----------------
+
+_SPLIT_LEAVES = st.sampled_from(
+    ["{a}", "{b}", "({a} * {b})", "({a} & M)", "({b} >> 64)", "1", "M"])
+_SPLITS = [(57, "0x1ffffffffffffff"), (64, "M")]
+
+
+def _split_adds():
+    """Sums whose carries take a value's high part beside a sum holding
+    its low part -- the shape recombination folds -- nested, with some
+    mismatched widths and plain shifts, masks and carry compares."""
+    def extend(children):
+        split = st.tuples(children, children, st.sampled_from(_SPLITS),
+                          st.sampled_from(_SPLITS)).map(
+            lambda t: f"(({t[0]} >> {t[2][0]})"
+                      f" + (({t[1]} + ({t[0]} & {t[3][1]})) >> {t[2][0]}))")
+        total = st.tuples(children, children).map(
+            lambda t: f"({t[0]} + {t[1]})")
+        part = st.tuples(children, st.sampled_from(_SPLITS),
+                         st.booleans()).map(
+            lambda t: f"({t[0]} >> {t[1][0]})" if t[2]
+            else f"({t[0]} & {t[1][1]})")
+        carry = st.tuples(children, children).map(
+            lambda t: f"(1 if (({t[0]} + {t[1]}) & M) < {t[1]} else 0)")
+        return st.one_of(split, split, total, part, carry)
+    return st.recursive(_SPLIT_LEAVES, extend, max_leaves=10)
+
+
+@settings(deadline=None, max_examples=300)
+@given(template=_split_adds(),
+       width_a=st.sampled_from([57, 64, 65, 128]),
+       width_b=st.sampled_from([57, 64, 128]),
+       data=st.data())
+def test_random_split_adds_match(template, width_a, width_b, data):
+    his = ((1 << width_a) - 1, (1 << width_b) - 1)
+    _atoms, node = lower(template, his)
+    a = data.draw(in_interval(his[0]), label="a")
+    b = data.draw(in_interval(his[1]), label="b")
+    expected = naive(template, a, b)
+    assert evaluate(render(node), a, b) == expected
+    assert node.lo <= expected <= node.hi
+
+
 # -- structural guards on the real kernels ---------------------------------
 
 MUL_KERNELS = [f"{operation}.{variant}"
@@ -256,6 +356,43 @@ def test_one_product_per_operand_pair(name):
     assert pairs, f"{name}: no products in the fused source"
     repeated = {pair: n for pair, n in pairs.items() if n > 1}
     assert not repeated, f"{name}: products computed twice: {repeated}"
+
+
+def masks_and_shifts(source: str) -> int:
+    """Binary ops of *source* that mask or shift by a constant."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.BinOp):
+            continue
+        if isinstance(node.op, ast.BitAnd):
+            count += isinstance(node.left, ast.Constant) or isinstance(
+                node.right, ast.Constant)
+        elif isinstance(node.op, (ast.RShift, ast.LShift)):
+            count += isinstance(node.right, ast.Constant)
+    return count
+
+
+#: Ceilings on :func:`masks_and_shifts` per fused 512-bit thunk.  Each
+#: kernel column now accumulates as one wide sum split once; before the
+#: split-add rules every product was split at every multiply-accumulate
+#: (fp_mul: 809, 556, 853 and 487 in this order).
+MASK_SHIFT_CEILINGS = {
+    f"{OP_FP_MUL}.full.isa": 92,
+    f"{OP_FP_MUL}.full.ise": 95,
+    f"{OP_FP_MUL}.reduced.isa": 154,
+    f"{OP_FP_MUL}.reduced.ise": 97,
+    f"{OP_FP_SQR}.full.isa": 586,
+    f"{OP_FP_SQR}.full.ise": 80,
+    f"{OP_FP_SQR}.reduced.isa": 145,
+    f"{OP_FP_SQR}.reduced.ise": 88,
+}
+
+
+@pytest.mark.parametrize("name", MUL_KERNELS)
+def test_columns_split_once(name):
+    count = masks_and_shifts(entry_source(name))
+    assert count <= MASK_SHIFT_CEILINGS[name], (
+        f"{name}: {count} constant masks and shifts")
 
 
 @pytest.mark.parametrize("name", MUL_KERNELS)
