@@ -14,11 +14,14 @@ installs the corruption:
   engine and are kept so seeds and reports stay comparable) poison a
   *copy* of the kernel's static trace: step *k* is skipped, a bit of
   ``rd`` is flipped right after step *k*, or the precomputed cycle count
-  is altered.  The aot tier — the runner's fused entry thunk and the
-  machine-level fused function — is then re-fused from that copy, so
-  the corruption is *persistent* (it stays until recovery invalidates
-  the trace) and reaches every aot run.  A poisoned fusion is never
-  written to the on-disk artifact cache;
+  is altered.  The runner's fused entry thunk — the only aot form — is
+  then re-fused from that copy, so the corruption is *persistent* (it
+  stays until recovery invalidates the trace) and reaches every aot
+  run.  A copy that no longer fuses is counted by
+  ``aot_rejects_total{reason}`` and leaves the runner without a thunk:
+  its runs use the (untouched) interpreter, and the fault's description
+  says so.  A poisoned fusion is never written to the on-disk artifact
+  cache;
 * ``output_corrupt`` installs a one-shot hook on the runner's result
   read-out seam, perturbing what the caller sees independently of the
   engine.
@@ -47,7 +50,7 @@ from repro.fault.plan import (
 )
 from repro.kernels.layout import RESULT_ADDR
 from repro.kernels.runner import KernelRunner
-from repro.rv64.aot import AotError, compile_aot
+from repro.rv64.aot import AotError
 from repro.rv64.isa import Instruction
 from repro.rv64.replay import _is_terminal_ret
 
@@ -110,37 +113,33 @@ def _healthy_trace(runner: KernelRunner):
     return trace
 
 
-def _install_poisoned(runner: KernelRunner, poisoned) -> Callable[[], None]:
-    """Re-fuse *runner*'s aot tier from the *poisoned* trace copy.
+def _arm_poisoned(runner: KernelRunner, site: FaultSite, poisoned,
+                  description: str) -> ArmedFault:
+    """Re-fuse *runner*'s entry thunk from the *poisoned* trace copy.
 
-    The copy replaces the cached trace, the machine-level fused
-    function is rebuilt from it, and — when the runner holds a live
-    entry thunk — so is the thunk.  A copy that no longer fuses leaves
-    that form out (runs then demote, ultimately to the untouched
-    interpreter).  Nothing here touches the artifact cache.  Returns
-    the callable that puts the healthy trace, functions and thunk back.
+    The copy replaces the cached trace and, when the runner holds an
+    entry thunk, the thunk is rebuilt from it.  A copy that no longer
+    fuses records ``aot_rejects_total{reason}`` and leaves the runner
+    without a thunk, so its aot runs demote to the untouched
+    interpreter.  Nothing here touches the artifact cache.  The
+    returned fault's ``disarm`` puts the healthy trace and thunk back.
     """
     machine = runner.machine
     entry = runner.entry
     saved = (machine._trace_cache.get(entry),
-             machine._aot_cache.get(entry),
              machine._aot_entry_cache.get(entry),
-             runner._aot_thunk,
-             entry in machine._aot_rejected)
+             runner._aot_thunk)
 
     machine._trace_cache[entry] = poisoned
-    machine._aot_cache.pop(entry, None)
-    machine._aot_entry_cache.pop(entry, None)
-    try:
-        machine._aot_cache[entry] = compile_aot(machine, entry, poisoned)
-        machine._aot_rejected.discard(entry)
-    except AotError:
-        machine._aot_rejected.add(entry)
-    if saved[3] is not None:
+    if runner._aot_thunk is not None:
+        machine._aot_entry_cache.pop(entry, None)
+        runner._aot_thunk = None
         try:
             fused = runner.fuse_entry(poisoned)
-        except AotError:
-            runner._aot_thunk = None
+        except AotError as exc:
+            telemetry.record_aot_reject(exc.reason)
+            description += (f" (the poisoned trace does not fuse: "
+                            f"{exc.reason}; runs use the interpreter)")
         else:
             machine._aot_entry_cache[entry] = fused
             runner._aot_thunk = fused.fn
@@ -148,21 +147,17 @@ def _install_poisoned(runner: KernelRunner, poisoned) -> Callable[[], None]:
     def restore() -> None:
         # harmless if recovery already rebuilt the runner: the poisoned
         # machine is unreachable then, and restoring it changes nothing
-        trace, aotfn, fused, thunk, rejected = saved
+        trace, fused, thunk = saved
         for cache, value in ((machine._trace_cache, trace),
-                             (machine._aot_cache, aotfn),
                              (machine._aot_entry_cache, fused)):
             if value is None:
                 cache.pop(entry, None)
             else:
                 cache[entry] = value
         runner._aot_thunk = thunk
-        if rejected:
-            machine._aot_rejected.add(entry)
-        else:
-            machine._aot_rejected.discard(entry)
 
-    return restore
+    return ArmedFault(site=site, kernel=runner.kernel.name,
+                      description=description, disarm=restore)
 
 
 def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
@@ -215,11 +210,8 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
         k = site.step % len(steps)
         poisoned = replace(trace,
                            step_instructions=steps[:k] + steps[k + 1:])
-        return ArmedFault(
-            site=site, kernel=kernel,
-            description=f"skip trace step {k}/{len(steps)}",
-            disarm=_install_poisoned(runner, poisoned),
-        )
+        return _arm_poisoned(runner, site, poisoned,
+                             f"skip trace step {k}/{len(steps)}")
 
     if kind == SITE_REPLAY_CLOSURE:
         trace = _healthy_trace(runner)
@@ -237,12 +229,9 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
         poisoned = replace(
             trace,
             step_instructions=steps[:k + 1] + (flip,) + steps[k + 1:])
-        return ArmedFault(
-            site=site, kernel=kernel,
-            description=(f"trace step {k} additionally flips bit "
-                         f"{site.bit % 64} of x{reg}"),
-            disarm=_install_poisoned(runner, poisoned),
-        )
+        return _arm_poisoned(runner, site, poisoned,
+                             f"trace step {k} additionally flips bit "
+                             f"{site.bit % 64} of x{reg}")
 
     if kind == SITE_REPLAY_CYCLES:
         trace = _healthy_trace(runner)
@@ -254,13 +243,10 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
                                            else -site.delta))
         if corrupted == trace.cycles:
             corrupted += 1
-        return ArmedFault(
-            site=site, kernel=kernel,
-            description=(f"static cycle count {trace.cycles} -> "
-                         f"{corrupted}"),
-            disarm=_install_poisoned(
-                runner, replace(trace, cycles=corrupted)),
-        )
+        return _arm_poisoned(runner, site,
+                             replace(trace, cycles=corrupted),
+                             f"static cycle count {trace.cycles} -> "
+                             f"{corrupted}")
 
     if kind == SITE_OUTPUT_CORRUPT:
         fired = False

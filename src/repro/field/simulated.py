@@ -32,7 +32,7 @@ runner additionally validates sampled kernel runs).  A divergence —
 a bit flip, a poisoned trace, a corrupted runner — raises
 :class:`~repro.errors.FaultDetectedError` and triggers *recovery*:
 the poisoned runner is evicted from the registry pool, its static
-trace and fused functions invalidated, and the operation re-executed
+trace and fused entry thunk invalidated, and the operation re-executed
 on the interpreter
 from a freshly assembled runner, bounded by ``max_recovery_attempts``.
 If every attempt still diverges,
@@ -117,7 +117,7 @@ class SimulatedFieldContext(FieldContext):
         self._pipeline_config = pipeline_config
         # cross_check escapes to the interpreter and verifies every run
         # against the kernel's golden reference; the default runs fused
-        # aot functions (equivalence is covered by the differential
+        # aot entry thunks (equivalence is covered by the differential
         # suite, so per-run re-verification would only re-prove it)
         if engine is None:
             engine = "interpreter" if cross_check else "aot"
@@ -222,7 +222,7 @@ class SimulatedFieldContext(FieldContext):
         for slot in slots:
             runner = getattr(self, slot)
             name = runner.kernel.name
-            # drops the cached trace, the fused aot functions and the
+            # drops the cached trace, the fused entry thunk and the
             # entry's on-disk aot artifact
             runner.machine.invalidate_trace(runner.entry)
             registry.evict_runner(self.p, name, self._pipeline_config,

@@ -398,7 +398,7 @@ def evict_runner(
 
     The recovery primitive of the hardened execution layer: a runner
     whose machine state (memory image, const pool, static trace, fused
-    aot functions) is suspected of corruption is evicted so
+    entry thunk) is suspected of corruption is evicted so
     the next :func:`cached_runner` call rebuilds it from scratch —
     re-assembly from the pristine kernel source is the trust anchor.
     """

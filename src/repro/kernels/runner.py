@@ -16,10 +16,13 @@ entry thunk warm-starts from the persistent on-disk artifact cache
 (:mod:`repro.rv64.artifacts`) without re-tracing at all.  The aot
 engine returns bit-identical limbs and the identical cycle count
 (``tests/differential/`` proves the equivalence for every kernel
-variant), and it demotes to the interpreter whenever its preconditions
-fail (an :class:`~repro.rv64.aot.AotError` refusal, a non-straight-line
-program, cache-enabled timing, attached trace hooks).  Each demotion is
-counted by ``aot_demotions_total{reason}``.
+variant).  The thunk is the only aot form: an aot request that it
+cannot serve runs on the interpreter instead — an
+:class:`~repro.rv64.aot.AotError` refusal (a non-straight-line program,
+cache-enabled timing, ...), a runner built for the interpreter, a thunk
+dropped by :meth:`~repro.rv64.machine.Machine.invalidate_trace`, or
+attached trace hooks.  Each such demotion is counted once per run by
+``aot_demotions_total{reason}``.
 
 :meth:`KernelRunner.run_batch` executes one kernel over many operand
 sets in a single call, amortising the per-call setup (engine
@@ -46,7 +49,7 @@ from repro.kernels.spec import Kernel
 from repro.rv64.assembler import assemble
 from repro.rv64.machine import DEFAULT_STACK_TOP, ENGINES, Machine
 from repro.rv64.pipeline import PipelineConfig, PipelineModel, ROCKET_CONFIG
-from repro.rv64.registers import NUM_REGISTERS, register_index
+from repro.rv64.registers import register_index
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,6 @@ class KernelRun:
 
 _ARG_ADDRESSES = (ARG_A_ADDR, ARG_B_ADDR)
 _ARG_REGISTERS = ("a1", "a2")
-_ZERO_REGS = [0] * NUM_REGISTERS
 
 #: Seed for the deterministic sample operands used when a kernel's
 #: cycle count cannot be read off a compiled trace (cache-enabled
@@ -139,8 +141,8 @@ class KernelRunner:
         )
         self.entry = self.machine.load_program(program, CODE_BASE)
         self._write_const_pool()
-        # fast-path plumbing: resolve argument registers once so aot
-        # runs bypass name lookup and per-word memory stores
+        # (operand address, limbs, argument register) per operand,
+        # resolved once for the thunk compiler and operand marshalling
         self._arg_plan = tuple(
             (address, limbs, register_index(reg))
             for limbs, address, reg in zip(
@@ -163,9 +165,8 @@ class KernelRunner:
 
         Resolution order: validated on-disk artifact (no re-tracing) →
         whole-kernel fusion of a fresh trace (persisted for the next
-        process, when the source is artifact-safe) → rejection (runs
-        fall back to the memory-exact machine-level function, or demote
-        to the interpreter).  List-scheduled runners execute a
+        process, when the source is artifact-safe) → rejection (aot
+        runs demote to the interpreter).  List-scheduled runners execute a
         *different* program than the kernel source hashes to, so they
         bypass the disk cache entirely.
         """
@@ -209,7 +210,6 @@ class KernelRunner:
                 aot = self.fuse_entry()
             except AotError as exc:
                 telemetry.record_aot_reject(exc.reason)
-                machine._aot_rejected.add(entry)
                 return
             telemetry.record_aot_compile(perf_counter() - start)
         machine._aot_entry_cache[entry] = aot
@@ -318,7 +318,7 @@ class KernelRunner:
                     f"{kernel.name}: cycle count {cycles} != "
                     f"baseline {hardening.cycle_baseline} — impossible "
                     f"for straight-line code with data-independent "
-                    f"timing; the fused aot function is suspect"
+                    f"timing; the fused entry thunk is suspect"
                 )
 
     def _write_const_pool(self) -> None:
@@ -334,40 +334,6 @@ class KernelRunner:
     def code_bytes(self) -> int:
         """Static code size (after pseudo-expansion)."""
         return self._static_size
-
-    def _aot_function(self):
-        """The machine-level fused function for a lean-path aot run, or
-        ``None`` after counting the aot → interpreter demotion.
-
-        Fetched from the machine's cache on every call, so trace
-        invalidation (and fault-campaign poisoning) takes effect
-        immediately.
-        """
-        machine = self.machine
-        if machine._trace_hooks:
-            telemetry.record_aot_demotion("trace_hooks")
-            return None
-        aotfn = machine._aot_for(self.entry)
-        if aotfn is None:
-            telemetry.record_aot_demotion("not_compilable")
-        return aotfn
-
-    def _marshal_args(self, values) -> None:
-        """Write operand limbs + argument registers (lean-path state)."""
-        machine = self.machine
-        mem = machine.mem
-        regs = machine.state.regs._regs
-        radix = self.kernel.context.radix
-        regs[:] = _ZERO_REGS
-        for value, (address, limbs, reg_index) in zip(
-            values, self._arg_plan
-        ):
-            mem.write_bytes(address, b"".join(
-                w.to_bytes(8, "little")
-                for w in radix.to_limbs(value, limbs=limbs)
-            ))
-            regs[reg_index] = address
-        regs[self._result_reg] = RESULT_ADDR
 
     def run(
         self,
@@ -400,11 +366,9 @@ class KernelRunner:
 
         out = None
         if engine == "aot" and not machine._trace_hooks:
-            # whole-kernel fast path: the fused thunk computes the
-            # result limbs directly from the operand values — no limb
-            # marshalling, no memory traffic, no per-instruction
-            # statements; None if the thunk was evicted or an operand
-            # is out of range
+            # the fused thunk computes the result limbs directly from
+            # the operand values; None if invalidate_trace dropped it or
+            # an operand is out of range
             thunk = self._aot_thunk
             if thunk is not None:
                 out = thunk(*values)
@@ -414,44 +378,27 @@ class KernelRunner:
             telemetry.record_aot_cache_hit()
             telemetry.record_machine_run("aot")
         else:
-            aotfn = self._aot_function() if engine == "aot" else None
-            if aotfn is not None:
-                # lean path: the memory-exact machine-level function
-                # runs from architectural reset, so zeroing the register
-                # list is the only state to restore (the pipeline model
-                # is bypassed, not mutated)
-                self._marshal_args(values)
-                state = machine.state
-                aotfn.fn(state.regs._regs, DEFAULT_STACK_TOP)
-                state.pc = aotfn.exit_pc
-                state.halted = aotfn.halts
-                telemetry.record_machine_run("aot")
-                ran = "aot"
-                cycles = aotfn.cycles
-                instructions = aotfn.instructions_retired
-                raw = machine.mem.read_bytes(
-                    RESULT_ADDR, 8 * kernel.output_limbs)
-                out_limbs = tuple(
-                    int.from_bytes(raw[i:i + 8], "little")
-                    for i in range(0, len(raw), 8)
-                )
-            else:
-                machine.reset()
-                for value, (address, limbs, reg_index) in zip(
-                    values, self._arg_plan
-                ):
-                    machine.mem.store_words(
-                        address, radix.to_limbs(value, limbs=limbs))
-                    machine.state.regs._regs[reg_index] = address
-                machine.state.regs._regs[self._result_reg] = RESULT_ADDR
-                result = machine.run(self.entry)
-                ran = result.engine
-                cycles = result.cycles
-                instructions = result.instructions_retired
-                out_limbs = tuple(
-                    machine.mem.load_words(RESULT_ADDR,
-                                           kernel.output_limbs)
-                )
+            machine.reset()
+            regs = machine.state.regs._regs
+            for value, (address, limbs, reg_index) in zip(
+                values, self._arg_plan
+            ):
+                # raises ParameterError on an out-of-range operand,
+                # before any demotion is counted
+                machine.mem.store_words(
+                    address, radix.to_limbs(value, limbs=limbs))
+                regs[reg_index] = address
+            regs[self._result_reg] = RESULT_ADDR
+            if engine == "aot":
+                telemetry.record_aot_demotion(
+                    "trace_hooks" if machine._trace_hooks
+                    else "not_compilable")
+            result = machine.run(self.entry)
+            ran = "interpreter"
+            cycles = result.cycles
+            instructions = result.instructions_retired
+            out_limbs = tuple(
+                machine.mem.load_words(RESULT_ADDR, kernel.output_limbs))
             value = radix.from_limbs(list(out_limbs))
         hardening = self._hardening
         if hardening is not None:  # disabled: one boolean test
@@ -527,12 +474,13 @@ class KernelRunner:
             )
         machine = self.machine
         thunk = self._aot_thunk if engine == "aot" else None
+        if thunk is not None and self.entry not in machine._aot_entry_cache:
+            thunk = None  # dropped by invalidate_trace
         if (thunk is None or self._hardening is not None
                 or machine._trace_hooks):
             runs = [self.run(*values, check=check, engine=engine)
                     for values in operand_sets]
-            if engine == "aot" and (machine._trace_hooks or
-                                    not machine.aot_supported(self.entry)):
+            if engine == "aot" and (thunk is None or machine._trace_hooks):
                 engine = "interpreter"  # what the scalar runs demoted to
             telemetry.record_kernel_batch(kernel.name, engine, len(runs))
             return runs

@@ -41,13 +41,6 @@ disk cache).  Such lambdas, and templates outside the IR, become
 opaque nodes with an unknown interval, which no rule rewrites through
 (``docs/SIMULATOR.md``, "The aot expression IR").
 
-:func:`compile_aot` is the machine-level variant behind
-``Machine.run(engine="aot")``: same symbolic core, but memory accesses
-stay *runtime effects* (emitted in program order against the machine's
-real memory), so the generic runner paths — hardened mode, fault
-hooks, histogram collection — read results out of memory exactly as
-the interpreter leaves them.
-
 Compiled entry thunks serialise to **source text plus static costs**;
 :mod:`repro.rv64.artifacts` persists them on disk keyed by (kernel,
 modulus, pipeline, code hash) and :func:`bind_entry_source` re-binds a
@@ -58,15 +51,16 @@ Compilation *refuses* with :class:`AotError` (``reason`` is one of
 :data:`AotError.REASONS`) whenever whole-kernel fusion cannot be proven
 exact: no static trace, an instruction without a template or extracted
 lambda, a data-dependent address, a memory access outside the
-forwardable regions, or a codegen failure.  Callers demote to the
-interpreter (see ``docs/ROBUSTNESS.md``).
+forwardable regions, or a codegen failure.  The entry thunk is the
+tier's only form: a :class:`~repro.kernels.runner.KernelRunner` aot run
+is served by its thunk or, when it has none, by the interpreter (see
+``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
@@ -99,7 +93,7 @@ class AotError(SimulationError):
     code = "aot"
 
     #: Every reason aot compilation can refuse with (mirrored by the
-    #: demotion tests in ``tests/test_replay_fallback.py``).
+    #: refusal tests in ``tests/test_replay_fallback.py``).
     REASONS = ("not_replayable", "unsupported_op", "dynamic_address",
                "unsupported_access", "codegen_error")
 
@@ -109,9 +103,10 @@ class AotError(SimulationError):
 
 
 #: Run-level aot → interpreter demotion reasons recorded by
-#: ``aot_demotions_total``: every compile refusal surfaces as
-#: ``not_compilable``; the other two are situational.
-DEMOTION_REASONS = ("not_compilable", "trace_hooks", "no_setup_return")
+#: ``aot_demotions_total``: an aot request on a runner without a live
+#: entry thunk (refused, never built, or invalidated) is
+#: ``not_compilable``; an attached trace hook is ``trace_hooks``.
+DEMOTION_REASONS = ("not_compilable", "trace_hooks")
 
 
 #: Recursion headroom for rendering very long dependence chains (one
@@ -216,7 +211,7 @@ def _extract_alu_op(spec: InstrSpec):
 
 
 # ---------------------------------------------------------------------------
-# Memory models
+# Compile-time memory
 # ---------------------------------------------------------------------------
 
 class _ConcreteMemory:
@@ -257,8 +252,7 @@ class _ConcreteMemory:
             )
         return address
 
-    def load(self, address_node: Node, size: int, signed: bool,
-             rd: int) -> Node:
+    def load(self, address_node: Node, size: int, signed: bool) -> Node:
         if size != 8 or signed:
             raise AotError(
                 f"{size}-byte load: only aligned ld/sd fuse",
@@ -316,36 +310,6 @@ class _ConcreteMemory:
         return nodes
 
 
-class _RuntimeMemory:
-    """Program-order memory effects for the machine-level variant.
-
-    Loads and stores stay *runtime* statements against the machine's
-    real memory (``effects`` is consumed in order by the emitter);
-    loads define fresh SSA atoms, so later register dataflow is exact
-    regardless of interleaved stores.
-    """
-
-    def __init__(self, graph: Graph) -> None:
-        self._graph = graph
-        self.effects: list[tuple] = []
-        self._loads = 0
-
-    def load(self, address_node: Node, size: int, signed: bool,
-             rd: int) -> Node | None:
-        if rd == 0:
-            self.effects.append(
-                ("load", address_node, size, signed, None))
-            return None
-        name = f"_m{self._loads}"
-        self._loads += 1
-        self.effects.append(("load", address_node, size, signed, name))
-        return self._graph.atom(name, MASK64)
-
-    def store(self, address_node: Node, value_node: Node,
-              size: int) -> None:
-        self.effects.append(("store", address_node, value_node, size))
-
-
 # ---------------------------------------------------------------------------
 # Symbolic execution
 # ---------------------------------------------------------------------------
@@ -360,7 +324,8 @@ class _SymbolicRun:
     """Step the trace's instructions over expression nodes of *graph*
     (the compile's own cons table)."""
 
-    def __init__(self, graph: Graph, regs: list, memory) -> None:
+    def __init__(self, graph: Graph, regs: list,
+                 memory: _ConcreteMemory) -> None:
         self.graph = graph
         self.regs = regs
         self.memory = memory
@@ -402,10 +367,8 @@ class _SymbolicRun:
         load_shape = _LOAD_SIZES.get(mnemonic)
         if load_shape is not None:
             size, signed = load_shape
-            node = self.memory.load(
-                self._address_node(ins), size, signed, ins.rd)
-            if node is not None:
-                self._write(ins.rd, node)
+            self._write(ins.rd, self.memory.load(
+                self._address_node(ins), size, signed))
             return
         store_size = _STORE_SIZES.get(mnemonic)
         if store_size is not None:
@@ -457,30 +420,6 @@ class _SymbolicRun:
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
-
-def _emit_effects(emitter: Emitter, effects: list) -> None:
-    """Append the runtime load/store statements in program order."""
-    for effect in effects:
-        if effect[0] == "load":
-            _tag, address_node, size, signed, name = effect
-            address = emitter.ref(address_node)
-            if name is None:  # rd == x0: load for trap semantics only
-                suffix = ", signed=True" if signed else ""
-                emitter.lines.append(f"load({address}, {size}{suffix})")
-            elif size == 8:
-                emitter.lines.append(f"{name} = load({address}, 8)")
-            elif signed:
-                emitter.lines.append(
-                    f"{name} = load({address}, {size}, signed=True) & M")
-            else:
-                emitter.lines.append(
-                    f"{name} = load({address}, {size})")
-        else:
-            _tag, address_node, value_node, size = effect
-            address = emitter.ref(address_node)
-            value = emitter.ref(value_node)
-            emitter.lines.append(f"store({address}, {value}, {size})")
-
 
 def _build(source: str, namespace: dict, *, tag: str,
            function: str) -> Callable:
@@ -536,7 +475,8 @@ class AotEntry:
 
     ``fn(*operands)`` returns ``(value, limbs, cycles, instructions)``
     or ``None`` (liveness guard tripped / operand out of range — the
-    caller falls back to the generic path).  ``persistable`` is false
+    runner falls back to the interpreter path, whose limb marshalling
+    raises on an out-of-range operand).  ``persistable`` is false
     when the source references namespace-bound lambdas that cannot
     round-trip through the on-disk artifact cache.
     """
@@ -551,40 +491,9 @@ class AotEntry:
     exit_pc: int
 
 
-@dataclass(frozen=True)
-class AotFunction:
-    """The machine-level fused function (``Machine.run(engine="aot")``).
-
-    ``fn(regs, stack_top)`` is memory-exact (runtime stores land in the
-    machine's memory), and the trace's static cost/histogram ride along
-    verbatim.
-    """
-
-    entry: int
-    fn: Callable
-    source: str
-    instructions_retired: int
-    cycles: int | None
-    histogram: Counter
-    halts: bool
-    exit_pc: int
-
-
 # ---------------------------------------------------------------------------
 # Entry-thunk compilation (the KernelRunner fast path)
 # ---------------------------------------------------------------------------
-
-def _trace_or_refuse(machine: Machine, entry: int, trace=None):
-    if trace is None:
-        trace = machine._trace_for(entry)
-    if trace is None:
-        raise AotError(
-            f"no static trace for entry {entry:#x}: the aot tier "
-            f"fuses straight-line traces",
-            reason="not_replayable",
-        )
-    return trace
-
 
 def compile_aot_entry(
     machine: Machine,
@@ -610,12 +519,19 @@ def compile_aot_entry(
 
     The liveness guard re-reads ``machine._aot_entry_cache`` on every
     call: invalidation pops the entry, the thunk returns ``None``, and
-    the caller falls back to the machine-level path.
+    the runner demotes the run to the interpreter.
 
     *trace* overrides the machine's cached trace (fault injection fuses
     a poisoned copy this way); by default the cached trace is used.
     """
-    trace = _trace_or_refuse(machine, entry, trace)
+    if trace is None:
+        trace = machine._trace_for(entry)
+    if trace is None:
+        raise AotError(
+            f"no static trace for entry {entry:#x}: the aot tier "
+            f"fuses straight-line traces",
+            reason="not_replayable",
+        )
     bits = radix.bits
     graph = Graph()
     regs: list[Node] = [graph.const(0)] * 32
@@ -747,83 +663,4 @@ def bind_entry_source(
         instructions_retired=instructions,
         halts=halts,
         exit_pc=exit_pc,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Machine-level compilation (Machine.run(engine="aot"))
-# ---------------------------------------------------------------------------
-
-_REGLIST = ", ".join(f"r{i}" for i in range(32))
-
-
-def compile_aot(machine: Machine, entry: int, trace=None) -> AotFunction:
-    """Fuse the straight-line program at *entry*, memory-exactly.
-
-    Same symbolic core as :func:`compile_aot_entry`, but register
-    inputs stay live atoms and memory accesses stay runtime effects in
-    program order: ``fn(regs, stack_top)`` leaves registers *and
-    memory* exactly as the interpreter would.  *trace* overrides the
-    machine's cached trace, as for :func:`compile_aot_entry`.
-
-    Raises :class:`AotError`; the caller demotes to the interpreter.
-    """
-    trace = _trace_or_refuse(machine, entry, trace)
-    graph = Graph()
-    regs: list[Node] = [graph.atom(f"r{i}", MASK64) for i in range(32)]
-    regs[1] = graph.const(HALT_ADDRESS)
-    regs[2] = graph.atom("stack_top", MASK64)
-    memory = _RuntimeMemory(graph)
-    run = _SymbolicRun(graph, regs, memory)
-    with _deep_recursion():
-        try:
-            for pc, ins, spec in trace.step_instructions:
-                run.step(pc, ins, spec)
-            roots: list[Node] = []
-            for effect in memory.effects:
-                if effect[0] == "load":
-                    roots.append(effect[1])
-                else:
-                    roots.append(effect[1])
-                    roots.append(effect[2])
-            roots.extend(run.regs)
-            emitter = Emitter(count_uses(roots))
-            _emit_effects(emitter, memory.effects)
-            reg_refs = [emitter.ref(node) for node in run.regs]
-        except RecursionError as exc:
-            raise AotError(
-                f"expression graph for {entry:#x} is too deep to "
-                f"render",
-                reason="codegen_error",
-            ) from exc
-        except ExpressionError as exc:
-            raise AotError(str(exc), reason="codegen_error") from exc
-
-    lines = [
-        "def __aot_kernel(regs, stack_top):",
-        f"    ({_REGLIST}) = regs",
-    ]
-    for line in emitter.lines:
-        lines.append("    " + line)
-    lines.append(f"    regs[:] = ({', '.join(reg_refs)})")
-    source = "\n".join(lines) + "\n"
-    mem = machine.state.mem
-    namespace = {
-        "M": MASK64,
-        "load": mem.load,
-        "store": mem.store,
-    }
-    namespace.update(run.calls)
-    with _deep_recursion():
-        fn = _build(source, namespace, tag=f"{entry:#x}",
-                    function="__aot_kernel")
-    return AotFunction(
-        entry=entry,
-        fn=fn,
-        source=source,
-        instructions_retired=trace.instructions_retired,
-        cycles=trace.cycles,
-        histogram=trace.histogram,
-        halts=trace.halts,
-        exit_pc=trace.exit_pc,
     )

@@ -10,12 +10,13 @@ Execution terminates when the program counter reaches
 before calling a kernel), when an ``ebreak`` retires, or when the step
 limit is exceeded (guarding against runaway programs).
 
-Two engines run a program (:data:`ENGINES`).  The interpreter walks it
-instruction by instruction through the pipeline model and is the source
-of truth for every cycle count.  The aot engine (:mod:`repro.rv64.aot`)
-runs straight-line programs as one fused Python function with the
-trace's static cycle cost attached; it demotes to the interpreter
-whenever that cannot be exact.
+The machine only interprets: it walks a program instruction by
+instruction through the pipeline model and is the source of truth for
+every cycle count.  The aot engine lives one layer up: a
+:class:`~repro.kernels.runner.KernelRunner` fuses a straight-line
+kernel's static trace (:meth:`Machine._trace_for`) into an entry thunk
+(:mod:`repro.rv64.aot`) that carries the trace's static cycle cost and
+writes its architectural exit state back into this machine.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Iterator
 
 from repro import telemetry
@@ -40,7 +40,9 @@ HALT_ADDRESS = 0x0000_0000_DEAD_0000
 #: Default stack top for kernels that need scratch memory.
 DEFAULT_STACK_TOP = 0x0000_0000_7FFF_F000
 
-#: The execution engines of :meth:`Machine.run`, slowest to fastest.
+#: The execution engines a :class:`~repro.kernels.runner.KernelRunner`
+#: serves, slowest to fastest: the interpreter (:meth:`Machine.run`)
+#: and the fused aot entry thunk (:mod:`repro.rv64.aot`).
 ENGINES = ("interpreter", "aot")
 
 TraceHook = Callable[["MachineState", Instruction], None]
@@ -48,21 +50,11 @@ TraceHook = Callable[["MachineState", Instruction], None]
 
 @dataclass
 class ExecutionResult:
-    """Summary of one :meth:`Machine.run` invocation.
-
-    ``engine`` names the execution engine that *actually* ran — one of
-    :data:`ENGINES` — which matters because a requested aot run
-    silently demotes to the interpreter when exactness cannot be
-    guaranteed (trace hooks attached, a program that does not fuse,
-    ``setup_return=False``).
-    Telemetry and profiling must consume this field rather than echo
-    the request.
-    """
+    """Summary of one :meth:`Machine.run` invocation."""
 
     instructions_retired: int
     cycles: int | None
     histogram: Counter[str] = field(default_factory=Counter)
-    engine: str = "interpreter"
 
     @property
     def cpi(self) -> float:
@@ -110,12 +102,8 @@ class Machine:
         # static traces, the aot front end (see repro.rv64.replay)
         self._trace_cache: dict[int, object] = {}
         self._replay_rejected: set[int] = set()
-        # whole-kernel aot caches (see repro.rv64.aot):
-        # _aot_cache holds machine-level AotFunctions for run();
-        # _aot_entry_cache holds KernelRunner entry thunks and doubles
-        # as their liveness guard (popping an entry disables its thunk)
-        self._aot_cache: dict[int, object] = {}
-        self._aot_rejected: set[int] = set()
+        # KernelRunner entry thunks (see repro.rv64.aot); doubles as
+        # their liveness guard (popping an entry disables its thunk)
         self._aot_entry_cache: dict[int, object] = {}
         # on-disk artifact identity for the entry hosted by this
         # machine, set by KernelRunner so invalidate_trace can drop
@@ -140,8 +128,6 @@ class Machine:
             self._program[base + 4 * index] = (ins, spec)
         self._trace_cache.clear()
         self._replay_rejected.clear()
-        self._aot_cache.clear()
-        self._aot_rejected.clear()
         self._aot_entry_cache.clear()
         return base
 
@@ -156,8 +142,8 @@ class Machine:
     def add_trace_hook(self, hook: TraceHook) -> None:
         """Register *hook* to observe every retired instruction.
 
-        While any hook is attached, ``run(engine="aot")`` falls back to
-        the interpreter: a fused function has no per-instruction
+        While any hook is attached, a runner's aot requests demote to
+        the interpreter: a fused entry thunk has no per-instruction
         dispatch, so it cannot deliver per-instruction callbacks.
         """
         self._trace_hooks.append(hook)
@@ -203,7 +189,6 @@ class Machine:
         *,
         setup_return: bool = True,
         stack_top: int = DEFAULT_STACK_TOP,
-        engine: str = "interpreter",
     ) -> ExecutionResult:
         """Run from *entry* until halt; returns retired-instruction stats.
 
@@ -211,33 +196,7 @@ class Machine:
         :data:`HALT_ADDRESS` and ``sp`` at *stack_top*, so a trailing
         ``ret`` ends the simulation — the calling convention used by all
         generated kernels.
-
-        ``engine`` selects the execution engine (one of
-        :data:`ENGINES`).  ``"aot"`` runs the whole program as one fused
-        function (see :mod:`repro.rv64.aot`): the architectural result
-        and the reported cycle count are identical to the interpreter's
-        for a run from :meth:`reset` (the cycle cost of straight-line
-        code is a static property of its trace, so the attached
-        pipeline model is left untouched).  It silently demotes to the
-        interpreter whenever exactness cannot be guaranteed — internal
-        control flow, trace hooks, cache-enabled timing,
-        ``setup_return=False``, a codegen refusal; the result's
-        ``engine`` field reports what actually ran.
         """
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        if engine == "aot":
-            if self._trace_hooks:
-                telemetry.record_aot_demotion("trace_hooks")
-            elif not setup_return:
-                telemetry.record_aot_demotion("no_setup_return")
-            else:
-                aotfn = self._aot_for(entry)
-                if aotfn is not None:
-                    return self._run_aot(aotfn, stack_top)
-                telemetry.record_aot_demotion("not_compilable")
         state = self.state
         if setup_return:
             state.regs.write("ra", HALT_ADDRESS)
@@ -295,10 +254,9 @@ class Machine:
             instructions_retired=retired,
             cycles=pipeline.cycles if pipeline else None,
             histogram=Counter(self._histogram),
-            engine="interpreter",
         )
 
-    # -- static traces and fused functions -----------------------------------
+    # -- static traces -------------------------------------------------------
 
     def _trace_for(self, entry: int):
         """Compile (once) and cache the static trace for *entry*."""
@@ -316,59 +274,24 @@ class Machine:
             self._trace_cache[entry] = trace
         return trace
 
-    def _aot_for(self, entry: int):
-        """Compile (once) and cache the fused aot function for *entry*."""
-        aotfn = self._aot_cache.get(entry)
-        if aotfn is not None:
-            telemetry.record_aot_cache_hit()
-            return aotfn
-        if entry in self._aot_rejected:
-            return None
-        from repro.rv64.aot import AotError, compile_aot
-
-        start = perf_counter()
-        try:
-            aotfn = compile_aot(self, entry)
-        except AotError as exc:
-            telemetry.record_aot_reject(exc.reason)
-            self._aot_rejected.add(entry)
-            return None
-        telemetry.record_aot_compile(perf_counter() - start)
-        self._aot_cache[entry] = aotfn
-        return aotfn
-
-    def aot_supported(self, entry: int) -> bool:
-        """Whether the program at *entry* fuses into an aot function.
-
-        An entry thunk bound from a disk artifact counts as supported
-        *without* compiling the machine-level function — compiling it
-        would need the static trace, defeating the warm start the
-        artifact exists to provide.
-        """
-        if entry in self._aot_cache or entry in self._aot_entry_cache:
-            return True  # capability probe, not a served run
-        return self._aot_for(entry) is not None
-
     def invalidate_trace(self, entry: int) -> bool:
         """Drop the cached static trace for *entry*; returns whether one
         was cached.
 
         This is the recovery primitive of the hardened execution layer
         (see ``docs/ROBUSTNESS.md``): a trace suspected of corruption is
-        invalidated and the next aot run recompiles it from the
-        (immutable) program image.  The fused aot functions are dropped
-        alongside the trace — they were generated *from* the suspect
-        trace — and so is the entry's on-disk aot artifact (the
-        persisted copy is just the fused thunk serialised).  Previous
-        rejections are also forgotten, so a once-refused entry gets
-        re-examined.
+        invalidated, and the next lookup recompiles it from the
+        (immutable) program image.  The fused entry thunk is dropped
+        alongside the trace — it was generated *from* the suspect trace
+        — and so is the entry's on-disk aot artifact (the persisted
+        copy is just the thunk serialised).  Nothing is re-fused here:
+        the invalidated runner serves its aot requests from the
+        interpreter, and recovery replaces it in the runner pool with a
+        freshly built one.  A previous trace rejection is also
+        forgotten, so a once-refused entry gets re-examined.
         """
         self._replay_rejected.discard(entry)
-        self._aot_rejected.discard(entry)
-        dropped_aot = self._aot_cache.pop(entry, None) is not None
         if self._aot_entry_cache.pop(entry, None) is not None:
-            dropped_aot = True
-        if dropped_aot:
             telemetry.record_aot_evicted()
         if self.aot_disk_key is not None:
             from repro.rv64.artifacts import invalidate_artifact
@@ -378,21 +301,3 @@ class Machine:
         if removed:
             telemetry.record_trace_invalidated()
         return removed
-
-    def _run_aot(self, aotfn, stack_top: int) -> ExecutionResult:
-        """Execute a fused aot function; mirrors one interpreted run."""
-        state = self.state
-        aotfn.fn(state.regs._regs, stack_top)
-        state.pc = aotfn.exit_pc
-        state.halted = aotfn.halts
-        telemetry.record_machine_run("aot")
-        return ExecutionResult(
-            instructions_retired=aotfn.instructions_retired,
-            cycles=aotfn.cycles,
-            histogram=(
-                Counter(aotfn.histogram)
-                if self.collect_histogram
-                else Counter()
-            ),
-            engine="aot",
-        )

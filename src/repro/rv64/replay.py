@@ -14,8 +14,8 @@ kernel:
 * it pre-computes the from-reset cycle cost once by running the
   instruction sequence through a fresh
   :class:`~repro.rv64.pipeline.PipelineModel`, together with the
-  retired-instruction total, the mnemonic histogram and the
-  architectural exit state (``exit_pc``/``halts``).
+  retired-instruction total and the architectural exit state
+  (``exit_pc``/``halts``).
 
 Compilation *refuses* (raising :class:`ReplayError`) whenever exactness
 cannot be guaranteed statically: any control flow other than the final
@@ -29,7 +29,6 @@ proves the two engines equivalent wherever a trace is accepted.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,23 +66,20 @@ class CompiledTrace:
 
     ``cycles`` is the *from-reset* cost of one complete execution under
     the machine's pipeline configuration (``None`` when the machine has
-    no timing model); ``histogram`` is the static mnemonic count of the
-    trace, which equals the dynamic histogram because the code is
-    straight-line.
+    no timing model).
 
     ``step_instructions`` lists the ``(pc, instruction, spec)`` of each
     instruction with an architectural effect, in program order: the
     terminal ``ret``/``ebreak``, ``fence`` and pure writes to ``x0`` are
-    absent (they still count toward the retired-instruction total,
-    histogram and cycle cost).  Fault injection indexes its trace sites
-    by position in this sequence.
+    absent (they still count toward the retired-instruction total and
+    the cycle cost).  Fault injection indexes its trace sites by
+    position in this sequence.
     """
 
     entry: int
     step_instructions: tuple[tuple[int, Instruction, InstrSpec], ...]
     instructions_retired: int
     cycles: int | None
-    histogram: Counter
     halts: bool       # ends in ebreak (vs. ret to the halt sentinel)
     exit_pc: int      # pc the interpreter would be left at
 
@@ -171,7 +167,6 @@ def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
         pc += 4
 
     cycles = _static_cycles(sequence, machine.pipeline)
-    histogram = Counter(ins.mnemonic for _pc, ins, _spec in sequence)
     final_pc, final_ins, _ = sequence[-1]
     halts = final_ins.mnemonic == "ebreak"
 
@@ -183,7 +178,6 @@ def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
             step for step in sequence[:-1] if not _is_no_op(*step[1:])),
         instructions_retired=len(sequence),
         cycles=cycles,
-        histogram=histogram,
         halts=halts,
         exit_pc=final_pc + 4 if halts else HALT_ADDRESS,
     )

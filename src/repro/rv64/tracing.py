@@ -67,11 +67,12 @@ class Profiler:
     def attach(self, machine: Machine) -> "Profiler":
         """Attach to *machine*.
 
-        Note: while attached, the machine serves every run — including
-        ``run(engine="aot")`` requests — through the **interpreter**,
-        because a fused aot function has no per-instruction dispatch
-        for this hook to observe.  ``ExecutionResult.engine`` reports
-        which engine actually ran; detach to restore the aot path.
+        Note: while attached, a :class:`~repro.kernels.runner.KernelRunner`
+        on *machine* serves its aot requests through the
+        **interpreter**, because a fused entry thunk has no
+        per-instruction dispatch for this hook to observe; each such
+        run counts ``aot_demotions_total{reason="trace_hooks"}``.
+        Detach to restore the aot path.
         """
         machine.add_trace_hook(self.hook)
         return self

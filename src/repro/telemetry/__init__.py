@@ -190,7 +190,8 @@ def record_pool_access(hit: bool, size: int) -> None:
 
 
 def record_machine_run(engine: str) -> None:
-    """One :meth:`Machine.run`, labeled by the engine that ran."""
+    """One kernel execution — an interpreted :meth:`Machine.run` or an
+    aot entry-thunk run — labeled by the engine that ran."""
     if not TRACER.enabled:
         return
     REGISTRY.counter(
@@ -269,7 +270,7 @@ def record_aot_demotion(reason: str) -> None:
 
 
 def record_aot_cache_hit() -> None:
-    """An aot run served by an already-compiled function."""
+    """An aot run served by a runner's fused entry thunk."""
     if not TRACER.enabled:
         return
     REGISTRY.counter(
@@ -278,7 +279,7 @@ def record_aot_cache_hit() -> None:
 
 
 def record_aot_evicted() -> None:
-    """A compiled aot function dropped by Machine.invalidate_trace."""
+    """A fused entry thunk dropped by Machine.invalidate_trace."""
     if not TRACER.enabled:
         return
     REGISTRY.counter(

@@ -1,9 +1,9 @@
 """The aot entry thunk must be architecturally and cycle-count identical
 to the interpreter, for every kernel, on random and adversarial operands.
 
-The entry thunk is the form of the aot engine a runner built with
-``engine="aot"`` fuses (or loads from the artifact cache) at
-construction and serves every run from.  Each observation runs the
+The entry thunk is the aot engine's only form: a runner built with
+``engine="aot"`` fuses it (or loads it from the artifact cache) at
+construction and serves every run from it.  Each observation runs the
 *same* runner (same machine, same assembled image) through the
 interpreter and through the thunk, comparing result limbs, value,
 retired instructions, cycle counts and the complete final register
@@ -15,10 +15,9 @@ The golden cycle snapshot (``tests/golden_cycles.json``) is additionally
 asserted against aot measurements — fusing whole kernels into
 straight-line Python must not move a single pinned number.
 
-The sibling modules cover the rest of the engine: the static trace the
-thunk is fused from (``test_replay_vs_interpreter.py``) and the
-machine-level function behind ``Machine.run(engine="aot")``
-(``test_jit_vs_interpreter.py``).  This module also covers the
+The sibling modules cover the static trace the thunk is fused from
+(``test_replay_vs_interpreter.py``) and the expression IR's rewrite
+rules (``test_aot_rewrites.py``).  This module also covers the
 persistent artifact cache: a second runner construction against a warm
 cache binds the stored entry thunk without re-tracing, and a corrupted
 artifact file is deleted and silently recompiled.
@@ -101,10 +100,10 @@ def assert_aot_exact(runner: KernelRunner, values) -> None:
 
 
 @pytest.mark.parametrize("name", FIELD_KERNELS)
-def test_field_kernels_aot_supported(name):
+def test_field_kernels_thunk_fused(name):
     """All 16 field-op kernels fuse into entry thunks."""
     runner = runner_for(name)
-    assert runner.machine.aot_supported(runner.entry)
+    assert runner.entry in runner.machine._aot_entry_cache
     assert runner._aot_thunk is not None
 
 
@@ -133,30 +132,10 @@ def test_every_generated_kernel_is_aot_exact():
     rng = random.Random(0x717)
     for name in cached_kernels(csidh_toy().p):
         runner = runner_for(name)
-        assert runner.machine.aot_supported(runner.entry), name
+        assert runner.entry in runner.machine._aot_entry_cache, name
         assert runner._aot_thunk is not None, name
         for _ in range(5):
             assert_aot_exact(runner, runner.kernel.sampler(rng))
-
-
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_aot_histogram_identical(variant):
-    """Dynamic mnemonic histograms agree (straight-line code makes the
-    static trace histogram exact)."""
-    runner = runner_for(f"{OP_FP_MUL}.{variant}")
-    machine = runner.machine
-    machine.collect_histogram = True
-    try:
-        machine.reset()
-        interp = machine.run(runner.entry)
-        machine.reset()
-        fused = machine.run(runner.entry, engine="aot")
-        assert fused.engine == "aot"
-        assert sum(fused.histogram.values()) \
-            == fused.instructions_retired
-        assert fused.histogram == interp.histogram
-    finally:
-        machine.collect_histogram = False
 
 
 def test_aot_cycles_match_golden_snapshot():

@@ -3,17 +3,17 @@ random and adversarial operands.
 
 :func:`~repro.rv64.replay.compile_trace` is the front end of the aot
 engine: it walks a kernel once, statically, and fixes its retired
-instruction count, its from-reset cycle cost, its mnemonic histogram,
-its exit pc and the sequence of instructions the fuser executes
-symbolically.  All of that is only exact if the kernel really is
-straight-line code with data-independent timing, so each observation
-here runs the interpreter on one operand set, records every retired
-instruction through a trace hook, and compares the dynamic run with the
-static trace: the pcs of the architecturally effective steps, retired
-instructions, cycles, histogram and the pc the run stops at.  Boundary
-operands (0, 1, ``p-1``, all-ones limb vectors — including vectors
-*outside* the reference domain) target the carry chains and conditional
-subtractions where a data-dependent path would show.
+instruction count, its from-reset cycle cost, its exit pc and the
+sequence of instructions the fuser executes symbolically.  All of that
+is only exact if the kernel really is straight-line code with
+data-independent timing, so each observation here runs the interpreter
+on one operand set, records every retired instruction through a trace
+hook, and compares the dynamic run with the static trace: the pcs of the
+architecturally effective steps, retired instructions, cycles and the pc
+the run stops at.  Boundary operands (0, 1, ``p-1``, all-ones limb
+vectors — including vectors *outside* the reference domain) target the
+carry chains and conditional subtractions where a data-dependent path
+would show.
 
 The module also covers trace caching and the cache-enabled timing
 configuration, for which no static trace exists and an aot runner
@@ -128,23 +128,6 @@ def test_every_generated_kernel_is_replay_exact():
             assert_replay_exact(runner, runner.kernel.sampler(rng))
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_replay_histogram_identical(variant):
-    """The static trace histogram equals the interpreter's dynamic one
-    (straight-line code makes it exact)."""
-    runner = runner_for(f"{OP_FP_MUL}.{variant}")
-    machine = runner.machine
-    machine.collect_histogram = True
-    try:
-        machine.reset()
-        interp = machine.run(runner.entry)
-    finally:
-        machine.collect_histogram = False
-    trace = machine._trace_for(runner.entry)
-    assert sum(trace.histogram.values()) == trace.instructions_retired
-    assert trace.histogram == interp.histogram
-
-
 def test_trace_is_compiled_once_and_reused():
     runner = runner_for(f"{OP_FP_ADD}.reduced.ise")
     machine = runner.machine
@@ -168,7 +151,7 @@ def test_cache_enabled_timing_falls_back_to_interpreter():
     )
     assert runner.machine._trace_for(runner.entry) is None
     assert runner._aot_thunk is None
-    assert not runner.machine.aot_supported(runner.entry)
+    assert runner.entry not in runner.machine._aot_entry_cache
     rng = random.Random(3)
     with telemetry.capture(fresh=True) as cap:
         run = runner.run(*runner.kernel.sampler(rng))  # check=True

@@ -62,7 +62,7 @@ async def _load_with_fault(toy, oracle, *, engine: str,
     service = KeyExchangeService(toy, _hardened_pair(engine))
     victim_lane = service.tenants["victim"].lanes[0]
     context = victim_lane.context(engine)
-    context.mul(3, 5)  # build the runner (and its fused functions)
+    context.mul(3, 5)  # build the runner (and its entry thunk)
     armed = arm_fault(context._mul, _poison_site(site_name))
     try:
         report = await run_load(

@@ -66,19 +66,17 @@ class TestRunnerCheckedMode:
         machine = runner.machine
         trace = machine._trace_for(runner.entry)
         assert trace is not None and trace.cycles is not None
-        # the machine-level fused function is re-fused from the
-        # corrupted trace on its next lookup
-        fused = machine._aot_cache.pop(runner.entry, None)
-        machine._trace_cache[runner.entry] = dataclasses.replace(
-            trace, cycles=trace.cycles + 3)
+        # re-fuse the entry thunk from a trace with a corrupted cost
+        fused = runner.fuse_entry(dataclasses.replace(
+            trace, cycles=trace.cycles + 3))
+        machine._aot_entry_cache[runner.entry] = fused
+        runner._aot_thunk = fused.fn
         try:
             with pytest.raises(FaultDetectedError, match="cycle count"):
                 runner.run(3, 5, engine="aot")
         finally:
-            machine._trace_cache[runner.entry] = trace
-            machine._aot_cache.pop(runner.entry, None)
-            if fused is not None:
-                machine._aot_cache[runner.entry] = fused
+            machine._aot_entry_cache.pop(runner.entry, None)
+            runner._aot_thunk = None
 
     def test_sampling_interval_honoured(self):
         runner = _runner(checked=True, interval=4)

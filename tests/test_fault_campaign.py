@@ -151,9 +151,9 @@ class TestSelfHealingEndToEnd:
 
 class TestAotFaultSeam:
     """The three trace sites poison a copy of the static trace and
-    re-fuse the aot tier from it: every aot run sees the fault, checked
-    mode catches it, nothing poisoned reaches the artifact cache, and
-    ``disarm()`` restores the healthy fused functions."""
+    re-fuse the entry thunk from it: every aot run sees the fault,
+    checked mode catches it, nothing poisoned reaches the artifact
+    cache, and ``disarm()`` restores the healthy trace and thunk."""
 
     #: (site, step): steps chosen to perturb the toy fp_mul kernel
     SITES = (("replay_step_skip", 2), ("replay_closure_corrupt", 5),
@@ -222,22 +222,19 @@ class TestAotFaultSeam:
         runner = KernelRunner(kernels["fp_mul.reduced.ise"],
                               engine="aot")
         machine = runner.machine
-        machine._aot_for(runner.entry)  # the machine-level function too
-        pristine = (machine._trace_cache[runner.entry],
-                    machine._aot_cache[runner.entry],
+        pristine = (machine._trace_for(runner.entry),
                     machine._aot_entry_cache[runner.entry],
                     runner._aot_thunk)
 
         armed = arm_fault(runner, self._site("replay_step_skip", 5))
         try:
             assert machine._trace_cache[runner.entry] is not pristine[0]
-            assert machine._aot_cache.get(runner.entry) \
+            assert machine._aot_entry_cache[runner.entry] \
                 is not pristine[1]
-            assert runner._aot_thunk is not pristine[3]
+            assert runner._aot_thunk is not pristine[2]
         finally:
             armed.disarm()
         assert (machine._trace_cache[runner.entry],
-                machine._aot_cache[runner.entry],
                 machine._aot_entry_cache[runner.entry],
                 runner._aot_thunk) == pristine
 
@@ -250,7 +247,7 @@ class TestAotFaultSeam:
                                         check_interval=1)
         assert context.engine == "aot"
         reference = FieldContext(p)
-        context.mul(2, 3)  # fuse the machine-level function first
+        context.mul(2, 3)  # build the runner and its thunk first
 
         armed = arm_fault(context._mul,
                           self._site("replay_step_skip", 2))
@@ -267,3 +264,36 @@ class TestAotFaultSeam:
         assert evictions.value() >= 1
         invalidations = cap.registry.counter("trace_invalidations_total")
         assert invalidations.value() >= 1
+
+    def test_unfusable_poison_is_reported_and_masked(self):
+        """Skipping the last result store leaves a trace that no longer
+        fuses: the refusal is counted, the description says runs use
+        the interpreter, and the untouched interpreter masks the fault
+        with the correct value."""
+        from repro import telemetry
+        from repro.fault.campaign import _run_trial
+        from repro.kernels import registry
+
+        registry.clear_runner_pool()
+        p = csidh_toy().p
+        context = SimulatedFieldContext(p, checked=True,
+                                        check_interval=1)
+        runner = context._mul
+        steps = runner.machine._trace_for(runner.entry).step_instructions
+        a0 = 10  # the result pointer register
+        store = max(index for index, (_pc, ins, _spec) in enumerate(steps)
+                    if ins.mnemonic == "sd" and ins.rs1 == a0)
+        with telemetry.capture(fresh=True) as cap:
+            trial = _run_trial(context, context._reference,
+                               self._site("replay_step_skip", store),
+                               3, 5)
+        assert trial.outcome == OUTCOME_MASKED
+        assert trial.detections == 0
+        assert "does not fuse: unsupported_access" in trial.description
+        assert "runs use the interpreter" in trial.description
+        rejects = cap.registry.counter("aot_rejects_total")
+        assert rejects.value(reason="unsupported_access") == 1
+        demotions = cap.registry.counter("aot_demotions_total")
+        assert demotions.value(reason="not_compilable") >= 1
+        assert runner._aot_thunk is not None  # disarm restored it
+        registry.clear_runner_pool()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import KernelError
+from repro.errors import KernelError, ParameterError
 from repro.kernels.registry import (
     build_all_kernels,
     build_kernel,
@@ -234,3 +234,48 @@ class TestEngineSelection:
         assert [r.value for r in runs] \
             == [(a + b) % p for a, b in sets]
         clear_runner_pool()
+
+    def test_batch_without_thunk_demotes(self, toy_params, rng):
+        """An aot batch on a runner without an entry thunk is the
+        scalar loop on the interpreter, and is labelled as such."""
+        from repro import telemetry
+
+        kernels = build_all_kernels(toy_params.p)
+        runner = KernelRunner(kernels["fp_add.reduced.ise"])
+        p = toy_params.p
+        sets = [(rng.randrange(p), rng.randrange(p))
+                for _ in range(4)]
+        looped = [runner.run(*values) for values in sets]
+        with telemetry.capture(fresh=True) as cap:
+            batched = runner.run_batch(sets, engine="aot")
+
+        def observed(runs):
+            return [(r.value, r.limbs, r.cycles, r.instructions)
+                    for r in runs]
+
+        assert observed(batched) == observed(looped)
+        batches = cap.registry.counter("kernel_batches_total")
+        assert batches.value(kernel="fp_add.reduced.ise",
+                             engine="interpreter") == 1
+        demotions = cap.registry.counter("aot_demotions_total")
+        assert demotions.value(reason="not_compilable") == len(sets)
+
+    def test_out_of_range_operand_fails_fast(self, kernels512):
+        """A negative or over-wide operand on an aot runner raises
+        ParameterError from limb marshalling, without compiling
+        anything or counting a demotion."""
+        from repro import telemetry
+
+        kernel = kernels512["fp_mul.reduced.ise"]
+        runner = KernelRunner(kernel, engine="aot")
+        assert runner._aot_thunk is not None
+        radix = kernel.context.radix
+        too_wide = 1 << (radix.bits * kernel.input_limbs[0])
+        with telemetry.capture(fresh=True) as cap:
+            for operands in ((-1, 5), (too_wide, 5), (5, too_wide)):
+                with pytest.raises(ParameterError):
+                    runner.run(*operands)
+            with pytest.raises(ParameterError):
+                runner.run_batch([(3, 5), (-1, 5)])
+        assert cap.registry.counter("aot_compiles_total").total() == 0
+        assert cap.registry.counter("aot_demotions_total").total() == 0

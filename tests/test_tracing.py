@@ -93,50 +93,65 @@ class TestProfiler:
 
 
 class TestTraceHookEngine:
-    """Attached trace hooks force the interpreter path — the documented
-    contract of `Machine.add_trace_hook` — and `ExecutionResult.engine`
-    reports which engine actually ran."""
+    """Attached trace hooks force a runner's aot requests onto the
+    interpreter — the documented contract of `Machine.add_trace_hook` —
+    and `machine_runs_total{engine}` reports which engine actually
+    ran."""
 
-    SOURCE = "add a0, a1, a2\nadd a0, a0, a2\nret"
+    @pytest.fixture
+    def runner(self):
+        from repro.csidh.parameters import csidh_toy
+        from repro.kernels.registry import cached_kernels
+        from repro.kernels.runner import KernelRunner
 
-    def test_aot_runs_without_hooks(self):
-        machine, entry = _machine(self.SOURCE)
-        assert machine.run(entry, engine="aot").engine == "aot"
+        kernel = cached_kernels(csidh_toy().p)["fp_add.reduced.ise"]
+        return KernelRunner(kernel, engine="aot")
 
-    def test_attached_profiler_forces_interpreter(self):
-        machine, entry = _machine(self.SOURCE)
-        profiler = Profiler(BASE_ISA).attach(machine)
-        result = machine.run(entry, engine="aot")
-        assert result.engine == "interpreter"
-        assert profiler.profile.total == 3  # the hook actually fired
-
-    def test_detach_restores_aot(self):
-        machine, entry = _machine(self.SOURCE)
-        profiler = Profiler(BASE_ISA).attach(machine)
-        assert machine.run(entry, engine="aot").engine == "interpreter"
-        profiler.detach(machine)
-        assert machine.run(entry, engine="aot").engine == "aot"
-
-    def test_trace_hook_context_manager_detaches_on_error(self):
-        machine, entry = _machine(self.SOURCE)
-        with pytest.raises(RuntimeError):
-            with machine.trace_hook(lambda state, ins: None):
-                raise RuntimeError("boom")
-        assert machine.run(entry, engine="aot").engine == "aot"
-
-    def test_profile_machine_run_leaves_no_hook(self):
-        machine, entry = _machine(self.SOURCE)
-        profile_machine_run(machine, entry)
-        assert machine.run(entry, engine="aot").engine == "aot"
-
-    def test_telemetry_records_fallback_and_engine(self):
+    @staticmethod
+    def _ran(runner) -> str:
+        """The engine one aot request actually ran on."""
         from repro import telemetry
 
-        machine, entry = _machine(self.SOURCE)
-        machine.add_trace_hook(lambda state, ins: None)
+        with telemetry.capture(fresh=True) as cap:
+            runner.run(3, 5)
+        engines = cap.registry.counter("machine_runs_total")
+        (ran,) = [engine for engine in ("interpreter", "aot")
+                  if engines.value(engine=engine)]
+        return ran
+
+    def test_aot_runs_without_hooks(self, runner):
+        assert self._ran(runner) == "aot"
+
+    def test_attached_profiler_forces_interpreter(self, runner):
+        profiler = Profiler(runner.kernel.isa).attach(runner.machine)
+        assert self._ran(runner) == "interpreter"
+        # the hook actually fired, once per retired instruction
+        trace = runner.machine._trace_for(runner.entry)
+        assert profiler.profile.total == trace.instructions_retired
+
+    def test_detach_restores_aot(self, runner):
+        profiler = Profiler(runner.kernel.isa).attach(runner.machine)
+        assert self._ran(runner) == "interpreter"
+        profiler.detach(runner.machine)
+        assert self._ran(runner) == "aot"
+
+    def test_trace_hook_context_manager_detaches_on_error(self, runner):
+        with pytest.raises(RuntimeError):
+            with runner.machine.trace_hook(lambda state, ins: None):
+                raise RuntimeError("boom")
+        assert self._ran(runner) == "aot"
+
+    def test_profile_machine_run_leaves_no_hook(self):
+        machine, entry = _machine("add a0, a1, a2\nadd a0, a0, a2\nret")
+        profile_machine_run(machine, entry)
+        assert machine._trace_hooks == []
+
+    def test_telemetry_records_fallback_and_engine(self, runner):
+        from repro import telemetry
+
+        runner.machine.add_trace_hook(lambda state, ins: None)
         with telemetry.capture() as cap:
-            result = machine.run(entry, engine="aot")
-        assert result.engine == "interpreter"
+            runner.run(3, 5)
         demotions = cap.registry.counter("aot_demotions_total")
         assert demotions.value(reason="trace_hooks") == 1
         engines = cap.registry.counter("machine_runs_total")
