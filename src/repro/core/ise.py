@@ -120,41 +120,44 @@ def sraiadd_value(x: int, y: int, imm: int) -> int:
 # ---------------------------------------------------------------------------
 # Machine-level execute functions
 # ---------------------------------------------------------------------------
+# The operands are the assembled register indices, so the semantics
+# index the machine's register list directly; the value functions above
+# already wrap to 64 bits, and a write to x0 is discarded.
 
 def _exec_maddlu(state: MachineState, ins: Instruction) -> None:
-    regs = state.regs
-    regs.write(ins.rd, maddlu_value(
-        regs.read(ins.rs1), regs.read(ins.rs2), regs.read(ins.rs3)))
+    if ins.rd:
+        x = state.x
+        x[ins.rd] = maddlu_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
 
 
 def _exec_maddhu(state: MachineState, ins: Instruction) -> None:
-    regs = state.regs
-    regs.write(ins.rd, maddhu_value(
-        regs.read(ins.rs1), regs.read(ins.rs2), regs.read(ins.rs3)))
+    if ins.rd:
+        x = state.x
+        x[ins.rd] = maddhu_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
 
 
 def _exec_madd57lu(state: MachineState, ins: Instruction) -> None:
-    regs = state.regs
-    regs.write(ins.rd, madd57lu_value(
-        regs.read(ins.rs1), regs.read(ins.rs2), regs.read(ins.rs3)))
+    if ins.rd:
+        x = state.x
+        x[ins.rd] = madd57lu_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
 
 
 def _exec_madd57hu(state: MachineState, ins: Instruction) -> None:
-    regs = state.regs
-    regs.write(ins.rd, madd57hu_value(
-        regs.read(ins.rs1), regs.read(ins.rs2), regs.read(ins.rs3)))
+    if ins.rd:
+        x = state.x
+        x[ins.rd] = madd57hu_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
 
 
 def _exec_cadd(state: MachineState, ins: Instruction) -> None:
-    regs = state.regs
-    regs.write(ins.rd, cadd_value(
-        regs.read(ins.rs1), regs.read(ins.rs2), regs.read(ins.rs3)))
+    if ins.rd:
+        x = state.x
+        x[ins.rd] = cadd_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
 
 
 def _exec_sraiadd(state: MachineState, ins: Instruction) -> None:
-    regs = state.regs
-    regs.write(ins.rd, sraiadd_value(
-        regs.read(ins.rs1), regs.read(ins.rs2), ins.imm))
+    if ins.rd:
+        x = state.x
+        x[ins.rd] = sraiadd_value(x[ins.rs1], x[ins.rs2], ins.imm)
 
 
 # ---------------------------------------------------------------------------

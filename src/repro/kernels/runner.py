@@ -33,7 +33,8 @@ server-style throughput workloads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import struct
+from dataclasses import FrozenInstanceError
 
 from repro import telemetry
 from repro.errors import FaultDetectedError, KernelError
@@ -52,14 +53,61 @@ from repro.rv64.pipeline import PipelineConfig, PipelineModel, ROCKET_CONFIG
 from repro.rv64.registers import register_index
 
 
-@dataclass(frozen=True)
-class KernelRun:
-    """Result of one kernel execution."""
+def _decode_words(raw: bytes) -> tuple[int, ...]:
+    """Little-endian 64-bit words of *raw* (a result-buffer read-out)."""
+    return struct.unpack(f"<{len(raw) >> 3}Q", raw)
 
-    value: int
-    limbs: tuple[int, ...]
-    instructions: int
-    cycles: int
+
+class KernelRun:
+    """Result of one kernel execution (immutable).
+
+    Slotted, so a caller that keeps many runs keeps them compactly.  An
+    interpreter run holds its result read-out as the raw little-endian
+    bytes of the result buffer, and ``limbs`` decodes them to a tuple of
+    ints on access; an aot run holds the tuple its thunk returned.
+    Either way ``limbs`` is the same tuple, so equality, hashing and
+    ``repr`` treat both alike.
+    """
+
+    __slots__ = ("value", "_limbs", "instructions", "cycles")
+
+    def __init__(self, value: int, limbs: tuple[int, ...] | bytes,
+                 instructions: int, cycles: int) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "value", value)
+        setattr_(self, "_limbs", limbs)
+        setattr_(self, "instructions", instructions)
+        setattr_(self, "cycles", cycles)
+
+    @property
+    def limbs(self) -> tuple[int, ...]:
+        limbs = self._limbs
+        return _decode_words(limbs) if type(limbs) is bytes else limbs
+
+    def _key(self) -> tuple:
+        return (self.value, self.limbs, self.instructions, self.cycles)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"KernelRun(value={self.value!r}, limbs={self.limbs!r}, "
+                f"instructions={self.instructions!r}, "
+                f"cycles={self.cycles!r})")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (KernelRun, self._key())
 
     @property
     def cpi(self) -> float:
@@ -379,7 +427,7 @@ class KernelRunner:
             telemetry.record_machine_run("aot")
         else:
             machine.reset()
-            regs = machine.state.regs._regs
+            regs = machine.state.x
             for value, (address, limbs, reg_index) in zip(
                 values, self._arg_plan
             ):
@@ -397,12 +445,15 @@ class KernelRunner:
             ran = "interpreter"
             cycles = result.cycles
             instructions = result.instructions_retired
-            out_limbs = tuple(
-                machine.mem.load_words(RESULT_ADDR, kernel.output_limbs))
-            value = radix.from_limbs(list(out_limbs))
+            # one read of the result buffer; the run keeps these bytes
+            out_limbs = machine.mem.read_bytes(
+                RESULT_ADDR, 8 * kernel.output_limbs)
+            value = radix.from_limbs(_decode_words(out_limbs))
         hardening = self._hardening
         if hardening is not None:  # disabled: one boolean test
             if hardening.fault_hook is not None:
+                if type(out_limbs) is bytes:
+                    out_limbs = _decode_words(out_limbs)
                 out_limbs = tuple(hardening.fault_hook(out_limbs))
                 value = radix.from_limbs(list(out_limbs))
             if hardening.enabled:

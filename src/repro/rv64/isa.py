@@ -109,9 +109,36 @@ def _lookup_format(mnemonic: str) -> str:
 ExecuteFn = Callable[["MachineState", Instruction], None]
 
 
+#: Source-register fields each format consumes, in operand order.
+_FORMAT_READS: dict[str, tuple[str, ...]] = {
+    FMT_R: ("rs1", "rs2"),
+    FMT_R4: ("rs1", "rs2", "rs3"),
+    FMT_I: ("rs1",),
+    FMT_I_SHIFT: ("rs1",),
+    FMT_LOAD: ("rs1",),
+    FMT_S: ("rs1", "rs2"),
+    FMT_B: ("rs1", "rs2"),
+    FMT_U: (),
+    FMT_J: (),
+    FMT_RIA: ("rs1", "rs2"),
+    FMT_NONE: (),
+}
+
+#: Formats whose ``rd`` field names a destination register.
+_FORMATS_WRITING_RD = frozenset((
+    FMT_R, FMT_R4, FMT_I, FMT_I_SHIFT, FMT_LOAD, FMT_U, FMT_J, FMT_RIA,
+))
+
+
 @dataclass(frozen=True)
 class InstrSpec:
-    """Static description of one machine instruction."""
+    """Static description of one machine instruction.
+
+    ``reads`` (the source-register fields the format consumes) and
+    ``writes_rd`` are per-format facts, resolved once when the spec is
+    built: the pipeline model consults them for every retired
+    instruction.
+    """
 
     mnemonic: str
     fmt: str
@@ -122,30 +149,16 @@ class InstrSpec:
     funct7: int | None = None
     funct2: int | None = None  # R4-type selector (bits 26:25)
     description: str = ""
+    reads: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    writes_rd: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def reads(self) -> tuple[str, ...]:
-        """Names of source-register fields this format consumes."""
-        return {
-            FMT_R: ("rs1", "rs2"),
-            FMT_R4: ("rs1", "rs2", "rs3"),
-            FMT_I: ("rs1",),
-            FMT_I_SHIFT: ("rs1",),
-            FMT_LOAD: ("rs1",),
-            FMT_S: ("rs1", "rs2"),
-            FMT_B: ("rs1", "rs2"),
-            FMT_U: (),
-            FMT_J: (),
-            FMT_RIA: ("rs1", "rs2"),
-            FMT_NONE: (),
-        }[self.fmt]
-
-    @property
-    def writes_rd(self) -> bool:
-        return self.fmt in (
-            FMT_R, FMT_R4, FMT_I, FMT_I_SHIFT, FMT_LOAD, FMT_U, FMT_J,
-            FMT_RIA,
-        )
+    def __post_init__(self) -> None:
+        if self.fmt not in _FORMAT_READS:
+            raise EncodingError(
+                f"unknown format {self.fmt!r} for {self.mnemonic!r}")
+        object.__setattr__(self, "reads", _FORMAT_READS[self.fmt])
+        object.__setattr__(self, "writes_rd",
+                           self.fmt in _FORMATS_WRITING_RD)
 
 
 class InstructionSet:
@@ -198,33 +211,43 @@ class InstructionSet:
 # ---------------------------------------------------------------------------
 # Each function mutates the machine state.  The machine sets
 # ``state.next_pc = state.pc + 4`` before dispatch; control-flow
-# instructions overwrite it.
+# instructions overwrite it.  Register operands are the assembled
+# indices, so the semantics index the register list ``state.x``
+# directly: a write to ``x0`` is skipped (its value is discarded, as on
+# hardware) and every written value is wrapped to 64 bits.
 
 
 def _exec_lui(state: MachineState, ins: Instruction) -> None:
     # RV64: the 32-bit value imm<<12 is sign-extended to 64 bits.
-    state.regs.write(ins.rd, u64(s32(ins.imm << 12)))
+    if ins.rd:
+        state.x[ins.rd] = s32(ins.imm << 12) & MASK64
 
 
 def _exec_auipc(state: MachineState, ins: Instruction) -> None:
-    state.regs.write(ins.rd, u64(state.pc + s32(ins.imm << 12)))
+    if ins.rd:
+        state.x[ins.rd] = (state.pc + s32(ins.imm << 12)) & MASK64
 
 
 def _exec_jal(state: MachineState, ins: Instruction) -> None:
-    state.regs.write(ins.rd, u64(state.pc + 4))
-    state.next_pc = u64(state.pc + ins.imm)
+    pc = state.pc
+    if ins.rd:
+        state.x[ins.rd] = (pc + 4) & MASK64
+    state.next_pc = (pc + ins.imm) & MASK64
 
 
 def _exec_jalr(state: MachineState, ins: Instruction) -> None:
-    target = u64(state.regs.read(ins.rs1) + ins.imm) & ~1
-    state.regs.write(ins.rd, u64(state.pc + 4))
+    x = state.x
+    target = ((x[ins.rs1] + ins.imm) & MASK64) & ~1
+    if ins.rd:
+        x[ins.rd] = (state.pc + 4) & MASK64
     state.next_pc = target
 
 
 def _branch(cond: Callable[[int, int], bool]) -> ExecuteFn:
     def execute(state: MachineState, ins: Instruction) -> None:
-        if cond(state.regs.read(ins.rs1), state.regs.read(ins.rs2)):
-            state.next_pc = u64(state.pc + ins.imm)
+        x = state.x
+        if cond(x[ins.rs1], x[ins.rs2]):
+            state.next_pc = (state.pc + ins.imm) & MASK64
             state.branch_taken = True
 
     return execute
@@ -232,9 +255,12 @@ def _branch(cond: Callable[[int, int], bool]) -> ExecuteFn:
 
 def _load(size: int, signed: bool) -> ExecuteFn:
     def execute(state: MachineState, ins: Instruction) -> None:
-        address = u64(state.regs.read(ins.rs1) + ins.imm)
-        state.regs.write(ins.rd, u64(state.mem.load(address, size,
-                                                    signed=signed)))
+        x = state.x
+        address = (x[ins.rs1] + ins.imm) & MASK64
+        # a load into x0 still accesses memory (and may trap)
+        value = state.mem.load(address, size, signed=signed)
+        if ins.rd:
+            x[ins.rd] = value & MASK64
         state.last_address = address
 
     return execute
@@ -242,8 +268,9 @@ def _load(size: int, signed: bool) -> ExecuteFn:
 
 def _store(size: int) -> ExecuteFn:
     def execute(state: MachineState, ins: Instruction) -> None:
-        address = u64(state.regs.read(ins.rs1) + ins.imm)
-        state.mem.store(address, state.regs.read(ins.rs2), size)
+        x = state.x
+        address = (x[ins.rs1] + ins.imm) & MASK64
+        state.mem.store(address, x[ins.rs2], size)
         state.last_address = address
 
     return execute
@@ -251,16 +278,20 @@ def _store(size: int) -> ExecuteFn:
 
 def _alu_imm(op: Callable[[int, int], int]) -> ExecuteFn:
     def execute(state: MachineState, ins: Instruction) -> None:
-        state.regs.write(ins.rd, op(state.regs.read(ins.rs1), ins.imm))
+        rd = ins.rd
+        if rd:
+            x = state.x
+            x[rd] = op(x[ins.rs1], ins.imm) & MASK64
 
     return execute
 
 
 def _alu_reg(op: Callable[[int, int], int]) -> ExecuteFn:
     def execute(state: MachineState, ins: Instruction) -> None:
-        state.regs.write(
-            ins.rd, op(state.regs.read(ins.rs1), state.regs.read(ins.rs2))
-        )
+        rd = ins.rd
+        if rd:
+            x = state.x
+            x[rd] = op(x[ins.rs1], x[ins.rs2]) & MASK64
 
     return execute
 

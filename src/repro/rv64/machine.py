@@ -1,9 +1,19 @@
-"""Functional RV64 machine: fetch-decode-execute with optional timing.
+"""Functional RV64 machine: fetch-execute with optional timing.
 
 The machine executes :class:`~repro.rv64.isa.Instruction` objects loaded
 from an assembled program image.  A :class:`PipelineModel` may be
 attached to produce cycle counts alongside the architectural execution;
 the functional result never depends on the timing model.
+
+Decoding happens before the run, once: the assembler resolves every
+register operand to its index, :meth:`Machine.load_program` pairs each
+instruction with its spec (whose per-format facts were resolved when
+the spec was built), and the pipeline model resolves its latencies
+when it is constructed.  A step is then a dictionary fetch, the
+instruction's semantics on the register list, and one positional
+:meth:`PipelineModel.issue` call.  Latencies stay with the model, not
+the program image, so replacing ``machine.pipeline`` after loading
+takes effect on the next run.
 
 Execution terminates when the program counter reaches
 :data:`HALT_ADDRESS` (the conventional return address planted in ``ra``
@@ -64,15 +74,22 @@ class ExecutionResult:
 
 
 class MachineState:
-    """Architectural state shared with instruction semantics."""
+    """Architectural state shared with instruction semantics.
+
+    ``x`` is the register file's backing list, indexed by register
+    number: the built-in semantics read and write it with the operand
+    indices fixed at assembly.  Custom semantics may equally use the
+    name-accepting ``regs.read``/``regs.write``; both see one state.
+    """
 
     __slots__ = (
-        "regs", "mem", "pc", "next_pc", "halted", "branch_taken",
+        "regs", "x", "mem", "pc", "next_pc", "halted", "branch_taken",
         "last_address",
     )
 
     def __init__(self, mem: Memory | None = None) -> None:
         self.regs = RegisterFile()
+        self.x = self.regs._regs
         self.mem = mem if mem is not None else Memory()
         self.pc = 0
         self.next_pc = 0
@@ -201,53 +218,49 @@ class Machine:
         if setup_return:
             state.regs.write("ra", HALT_ADDRESS)
             state.regs.write("sp", stack_top)
-        state.pc = entry
         state.halted = False
 
         program = self._program
         pipeline = self.pipeline
+        # bound once: the per-instruction call is positional
+        issue = pipeline.issue if pipeline is not None else None
         hooks = self._trace_hooks
         histogram = self._histogram if self.collect_histogram else None
 
         retired = 0
         limit = self.max_steps
-        while not state.halted:
-            pc = state.pc
-            if pc == HALT_ADDRESS:
-                break
-            entry_pair = program.get(pc)
-            if entry_pair is None:
+        pc = state.pc = entry
+        while pc != HALT_ADDRESS:
+            try:
+                ins, spec = program[pc]
+            except KeyError:
                 raise SimulationError(
                     f"fetch from unmapped address {pc:#x} "
                     f"after {retired} instructions"
-                )
-            ins, spec = entry_pair
+                ) from None
             state.next_pc = pc + 4
             state.branch_taken = False
             state.last_address = None
 
             spec.execute(state, ins)  # type: ignore[attr-defined]
 
-            if pipeline is not None:
-                pipeline.issue(
-                    spec,  # type: ignore[arg-type]
-                    ins,
-                    pc=pc,
-                    mem_address=state.last_address,
-                    branch_taken=state.branch_taken,
-                )
+            if issue is not None:
+                issue(spec, ins, pc, state.last_address,
+                      state.branch_taken)
             if histogram is not None:
                 histogram[ins.mnemonic] += 1
             if hooks:
                 for hook in hooks:
                     hook(state, ins)
 
-            state.pc = state.next_pc
+            pc = state.pc = state.next_pc
             retired += 1
             if retired > limit:
                 raise SimulationError(
-                    f"step limit {limit} exceeded at pc {state.pc:#x}"
+                    f"step limit {limit} exceeded at pc {pc:#x}"
                 )
+            if state.halted:
+                break
 
         telemetry.record_machine_run("interpreter")
         return ExecutionResult(

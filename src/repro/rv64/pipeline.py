@@ -81,6 +81,12 @@ class PipelineConfig:
             raise ParameterError(f"unknown timing class {kind!r}") from None
 
 
+#: Every timing class :meth:`PipelineConfig.latency_for` maps.
+_KINDS = (
+    KIND_ALU, KIND_MUL, KIND_DIV, KIND_LOAD, KIND_STORE, KIND_BRANCH,
+    KIND_JUMP, KIND_SYSTEM,
+)
+
 ROCKET_CONFIG = PipelineConfig()
 
 ROCKET_CONFIG_WITH_CACHES = PipelineConfig(
@@ -105,12 +111,18 @@ class PipelineStats:
 
 
 class PipelineModel:
-    """Scoreboard timing model; drive via :meth:`issue`, read ``stats``."""
+    """Scoreboard timing model; drive via :meth:`issue`, read ``stats``.
+
+    The kind -> latency table is resolved from the (frozen) config once,
+    at construction; :meth:`PipelineConfig.latency_for` stays the single
+    definition of that mapping.
+    """
 
     def __init__(self, config: PipelineConfig = ROCKET_CONFIG) -> None:
         self.config = config
         self.icache = Cache(config.icache) if config.icache else None
         self.dcache = Cache(config.dcache) if config.dcache else None
+        self._latency = {kind: config.latency_for(kind) for kind in _KINDS}
         self.reset()
 
     def reset(self) -> None:
@@ -129,59 +141,69 @@ class PipelineModel:
         self,
         spec: InstrSpec,
         ins: Instruction,
-        *,
         pc: int,
         mem_address: int | None = None,
         branch_taken: bool = False,
     ) -> int:
         """Account for one retired instruction; returns its issue cycle."""
-        config = self.config
+        stats = self.stats
         earliest = self._next_issue
 
-        if self.icache is not None and not self.icache.access(pc):
-            penalty = config.icache.miss_penalty  # type: ignore[union-attr]
+        icache = self.icache
+        if icache is not None and not icache.access(pc):
+            penalty = icache.config.miss_penalty
             earliest += penalty
-            self.stats.cache_miss_cycles += penalty
+            stats.cache_miss_cycles += penalty
 
+        # x0 is never marked busy, so its ready time (0) never stalls
+        reg_ready = self._reg_ready
         t = earliest
         for source in spec.reads:
-            reg = getattr(ins, source)
-            if reg:
-                ready = self._reg_ready[reg]
-                if ready > t:
-                    t = ready
-        self.stats.raw_hazard_stalls += t - earliest
+            ready = reg_ready[getattr(ins, source)]
+            if ready > t:
+                t = ready
+        if t != earliest:
+            stats.raw_hazard_stalls += t - earliest
 
         kind = spec.kind
+        dcache = self.dcache
         if (
-            kind in (KIND_LOAD, KIND_STORE)
-            and self.dcache is not None
+            dcache is not None
             and mem_address is not None
-            and not self.dcache.access(mem_address)
+            and kind in (KIND_LOAD, KIND_STORE)
+            and not dcache.access(mem_address)
         ):
-            penalty = config.dcache.miss_penalty  # type: ignore[union-attr]
+            penalty = dcache.config.miss_penalty
             t += penalty
-            self.stats.cache_miss_cycles += penalty
+            stats.cache_miss_cycles += penalty
 
-        latency = config.latency_for(kind)
+        try:
+            complete = t + self._latency[kind]
+        except KeyError:
+            # not a built-in class: ParameterError from the one mapping
+            complete = t + self.config.latency_for(kind)
         if spec.writes_rd and ins.rd:
-            self._reg_ready[ins.rd] = t + latency
-        complete = t + latency
+            reg_ready[ins.rd] = complete
 
         next_issue = t + 1
         if kind == KIND_JUMP:
-            next_issue += config.jump_penalty
-            self.stats.control_flush_cycles += config.jump_penalty
+            penalty = self.config.jump_penalty
+            next_issue += penalty
+            stats.control_flush_cycles += penalty
         elif kind == KIND_BRANCH and branch_taken:
-            next_issue += config.branch_penalty
-            self.stats.control_flush_cycles += config.branch_penalty
+            penalty = self.config.branch_penalty
+            next_issue += penalty
+            stats.control_flush_cycles += penalty
         self._next_issue = next_issue
 
-        self.stats.instructions += 1
-        self.stats.kind_counts[kind] = self.stats.kind_counts.get(kind, 0) + 1
-        if complete > self._last_complete:
-            self._last_complete = complete
-        self.stats.cycles = max(self._next_issue, self._last_complete)
+        stats.instructions += 1
+        kind_counts = stats.kind_counts
+        kind_counts[kind] = kind_counts.get(kind, 0) + 1
+        last_complete = self._last_complete
+        if complete > last_complete:
+            self._last_complete = last_complete = complete
+        stats.cycles = (next_issue if next_issue > last_complete
+                        else last_complete)
         return t
 
     @property

@@ -1,33 +1,60 @@
-"""Regenerate ``tests/golden_cycles.json``.
+"""Regenerate ``tests/golden_cycles.json`` and
+``tests/golden_pipeline_stats.json``.
 
 Run after an *intentional* change to the pipeline model or the kernel
 generators::
 
     PYTHONPATH=src python -m tests.differential.generate_golden
 
-The snapshot pins the static cycle count of every generated kernel for
-the toy and CSIDH-512 moduli on the default Rocket-class pipeline —
-the numbers behind the paper's Table 4.  Straight-line kernels have
-data-independent timing, so one number per kernel is the whole story;
-:func:`repro.kernels.runner.KernelRunner.static_cycles` reads it off
-the static trace without executing anything.
+The cycle snapshot pins the static cycle count of every generated
+kernel for the toy and CSIDH-512 moduli on the default Rocket-class
+pipeline — the numbers behind the paper's Table 4.  Straight-line
+kernels have data-independent timing, so one number per kernel is the
+whole story; :func:`repro.kernels.runner.KernelRunner.static_cycles`
+reads it off the static trace without executing anything.
+
+The pipeline-stats snapshot pins what the cycle total hides: one
+interpreter run per kernel on seeded sample operands, under the plain
+Rocket model and under the cache-enabled one, recording every
+:class:`~repro.rv64.pipeline.PipelineStats` counter (instructions,
+cycles, the stall split, cache-miss cycles and the per-kind issue
+counts).  It is the oracle for the interpreter and timing model
+themselves, whose hot path a speed-up may rewrite but whose
+statistics it must not move.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 from repro.csidh.parameters import csidh_512, csidh_toy
 from repro.kernels.registry import cached_kernels, cached_runner
+from repro.kernels.runner import KernelRunner
+from repro.rv64.pipeline import ROCKET_CONFIG, ROCKET_CONFIG_WITH_CACHES
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden_cycles.json"
+STATS_PATH = (Path(__file__).resolve().parent.parent
+              / "golden_pipeline_stats.json")
 
 #: Parameter sets pinned by the snapshot (name -> modulus factory).
 PARAMETER_SETS = {
     "csidh-toy": csidh_toy,
     "csidh-512": csidh_512,
 }
+
+#: Timing configurations pinned by the pipeline-stats snapshot.
+PIPELINE_CONFIGS = {
+    "rocket": ROCKET_CONFIG,
+    "rocket+caches": ROCKET_CONFIG_WITH_CACHES,
+}
+
+#: PipelineStats counters recorded per run.
+STATS_FIELDS = (
+    "instructions", "cycles", "raw_hazard_stalls",
+    "control_flush_cycles", "cache_miss_cycles", "kind_counts",
+)
 
 
 def collect_cycles() -> dict:
@@ -50,11 +77,52 @@ def collect_cycles() -> dict:
     }
 
 
+def kernel_stats(kernel, config, seed: str) -> dict:
+    """PipelineStats of one fresh interpreter run of *kernel* under
+    *config*, on operands drawn from ``random.Random(seed)``."""
+    runner = KernelRunner(kernel, pipeline_config=config)
+    runner.run(*kernel.sampler(random.Random(seed)))
+    stats = runner.machine.pipeline.stats
+    out = {name: getattr(stats, name) for name in STATS_FIELDS}
+    out["kind_counts"] = dict(sorted(stats.kind_counts.items()))
+    return out
+
+
+def collect_stats() -> dict:
+    """Current per-kernel pipeline statistics, ready to serialise."""
+    moduli = {}
+    for set_name, factory in PARAMETER_SETS.items():
+        kernels = cached_kernels(factory().p)
+        moduli[set_name] = {
+            config_name: {
+                name: kernel_stats(kernels[name], config,
+                                   f"{set_name}/{name}")
+                for name in sorted(kernels)
+            }
+            for config_name, config in PIPELINE_CONFIGS.items()
+        }
+    return {
+        "_comment": (
+            "PipelineStats of one interpreter run per generated kernel "
+            "on seeded sample operands (seed '<set>/<kernel>'), under "
+            "the Rocket-class model without and with caches.  "
+            "Regenerate with: PYTHONPATH=src python -m "
+            "tests.differential.generate_golden"
+        ),
+        "moduli": moduli,
+    }
+
+
 def main() -> None:
     snapshot = collect_cycles()
     GOLDEN_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
     total = sum(len(v) for v in snapshot["moduli"].values())
     print(f"wrote {GOLDEN_PATH} ({total} kernels)")
+    stats = collect_stats()
+    STATS_PATH.write_text(json.dumps(stats, indent=2) + "\n")
+    runs = sum(len(kernels) for configs in stats["moduli"].values()
+               for kernels in configs.values())
+    print(f"wrote {STATS_PATH} ({runs} runs)")
 
 
 if __name__ == "__main__":

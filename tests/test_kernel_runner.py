@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import random
+
 import pytest
 
 from repro.errors import KernelError, ParameterError
@@ -14,7 +18,7 @@ from repro.kernels.registry import (
     evict_runner,
     make_contexts,
 )
-from repro.kernels.runner import KernelRunner, run_kernel
+from repro.kernels.runner import KernelRun, KernelRunner, run_kernel
 from repro.kernels.spec import ALL_VARIANTS, TABLE4_OPERATIONS
 from repro.rv64.machine import ENGINES
 from repro.rv64.pipeline import PipelineConfig
@@ -279,3 +283,38 @@ class TestEngineSelection:
                 runner.run_batch([(3, 5), (-1, 5)])
         assert cap.registry.counter("aot_compiles_total").total() == 0
         assert cap.registry.counter("aot_demotions_total").total() == 0
+
+
+class TestKernelRunContract:
+    """An interpreter run is kept compactly (slotted, the result
+    read-out as raw bytes) yet reads, compares and hashes exactly like
+    the aot run of the same operands."""
+
+    @pytest.mark.parametrize("name", ["fp_mul.full.ise",
+                                      "fp_mul.reduced.isa"])
+    def test_interpreter_run_matches_aot_run(self, kernels512, name):
+        kernel = kernels512[name]
+        operands = kernel.sampler(random.Random(name))
+        interpreted = KernelRunner(kernel).run(*operands)
+        aot_runner = KernelRunner(kernel, engine="aot")
+        assert aot_runner._aot_thunk is not None
+        fused = aot_runner.run(*operands)
+
+        assert not hasattr(interpreted, "__dict__")
+        assert isinstance(interpreted.limbs, tuple)
+        assert all(type(limb) is int for limb in interpreted.limbs)
+        assert len(interpreted.limbs) == kernel.output_limbs
+        assert interpreted == fused
+        assert hash(interpreted) == hash(fused)
+        assert repr(interpreted) == repr(fused)
+
+    def test_keyword_construction_and_immutability(self):
+        run = KernelRun(value=7, limbs=(7, 0), instructions=3, cycles=5)
+        assert run == KernelRun(value=7, limbs=(7, 0), instructions=3,
+                                cycles=5)
+        assert repr(run) == ("KernelRun(value=7, limbs=(7, 0), "
+                             "instructions=3, cycles=5)")
+        assert run.cpi == 5 / 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.cycles = 6  # type: ignore[misc]
+        assert pickle.loads(pickle.dumps(run)) == run

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import EncodingError, SimulationError
 from repro.rv64.assembler import assemble
-from repro.rv64.isa import BASE_ISA
+from repro.rv64.isa import BASE_ISA, FMT_R, KIND_MUL, InstrSpec
 from repro.rv64.machine import HALT_ADDRESS, Machine
+from repro.rv64.pipeline import PipelineConfig, PipelineModel
 from tests.helpers import result_of, run_asm
 
 
@@ -98,3 +99,66 @@ class TestReset:
         machine.reset()
         machine.run(entry)
         assert machine.regs["a0"] == 1
+
+
+def _exec_mac_by_name(state, ins) -> None:
+    """``a0 <- a1 * a2 + a0``, through the name-accepting register API
+    (the operands of the instruction are not consulted)."""
+    regs = state.regs
+    regs.write("a0", regs.read("a1") * regs.read("a2") + regs.read("a0"))
+    regs.write("zero", 99)  # discarded, as any write to x0
+
+
+#: A test-defined instruction in the custom opcode space.
+MAC_BY_NAME = InstrSpec("macname", FMT_R, KIND_MUL, _exec_mac_by_name,
+                        opcode=0b1111011, funct3=0b111, funct7=0)
+
+MAC_ISA = BASE_ISA.extend("rv64im+macname", [MAC_BY_NAME])
+
+
+class TestExtensionContract:
+    """Custom semantics keep the public register API; the timing model
+    in force is whatever ``machine.pipeline`` holds at run time."""
+
+    def _run(self, source, regs, config=PipelineConfig()):
+        machine = Machine(MAC_ISA, pipeline=PipelineModel(config))
+        entry = machine.load_program(assemble(source, MAC_ISA))
+        for name, value in regs.items():
+            machine.regs[name] = value
+        return machine, machine.run(entry)
+
+    def test_custom_instruction_by_abi_name(self):
+        machine, result = self._run(
+            "macname a0, a1, a2\nadd a3, a0, zero\nret",
+            {"a0": 5, "a1": 6, "a2": 7})
+        assert machine.regs["a0"] == 6 * 7 + 5
+        assert machine.regs["a3"] == 6 * 7 + 5
+        assert machine.regs["zero"] == 0
+        # the dependent add waits out the multiplier latency
+        stats = machine.pipeline.stats
+        assert stats.raw_hazard_stalls == PipelineConfig().mul_latency - 1
+        assert stats.kind_counts["mul"] == 1
+        assert result.instructions_retired == 3
+
+    def test_custom_write_wraps_to_64_bits(self):
+        machine, _ = self._run("macname a0, a1, a2\nret",
+                               {"a0": 5, "a1": 1 << 63, "a2": 4})
+        assert machine.regs["a0"] == 5
+
+    def test_spec_reads_and_writes_resolved_per_format(self):
+        assert MAC_BY_NAME.reads == ("rs1", "rs2")
+        assert MAC_BY_NAME.writes_rd is True
+        assert BASE_ISA["sd"].reads == ("rs1", "rs2")
+        assert BASE_ISA["sd"].writes_rd is False
+        with pytest.raises(EncodingError, match="unknown format"):
+            InstrSpec("bogus", "Q", KIND_MUL, _exec_mac_by_name, opcode=0)
+
+    def test_swapping_the_pipeline_after_load_changes_cycles(self):
+        source = "mul a0, a1, a2\nadd a3, a0, a0\nret"
+        machine = Machine(BASE_ISA, pipeline=PipelineModel())
+        entry = machine.load_program(assemble(source, BASE_ISA))
+        base = machine.run(entry).cycles
+        machine.pipeline = PipelineModel(PipelineConfig(mul_latency=6))
+        slow = machine.run(entry).cycles
+        assert slow - base == 6 - PipelineConfig().mul_latency
+        assert machine.pipeline.stats.raw_hazard_stalls == 5
