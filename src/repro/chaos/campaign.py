@@ -255,7 +255,7 @@ async def _run_trial(site, proxy: ChaosProxy, port: int,
         reconnects_total = client.reconnects_total
         proxy.disarm()
         await client.aclose()
-    telemetry.record_chaos_trial(site.kind, outcome)
+    telemetry.record("chaos_trials_total", site.kind, outcome)
     trial = ChaosTrial(
         index=site.index,
         kind=site.kind,

@@ -169,7 +169,7 @@ class ChaosProxy:
         self._fired = True
         kind = armed.site.kind
         self.injections[kind] = self.injections.get(kind, 0) + 1
-        telemetry.record_chaos_injection(kind)
+        telemetry.record("chaos_injections_total", kind)
         return True
 
     async def _handle(self, reader: asyncio.StreamReader,

@@ -120,7 +120,7 @@ class Csidh:
                 valid = is_supersingular(
                     self.params, self.field, coefficient, self._rng)
             if not valid:
-                telemetry.record_fault_detected(what, "protocol")
+                telemetry.record("faults_detected_total", what, "protocol")
                 raise FaultDetectedError(
                     f"{what} is not a supersingular curve; the group "
                     f"action was corrupted mid-walk (withholding the "

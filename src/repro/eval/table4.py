@@ -54,10 +54,9 @@ def measure_table4(
     """Measure every Table 4 cell on the simulator.
 
     *engine* selects the execution engine.  The verification samples
-    go through :meth:`KernelRunner.run_batch`, so the aot engine
-    amortises its per-run setup across the whole sample set — the
-    cycle counts are engine-independent either way (the differential
-    suite proves it)."""
+    go through :meth:`KernelRunner.run_batch`; the cycle counts are
+    engine-independent either way (the differential suite proves
+    it)."""
     kernels = cached_kernels(modulus)
     rng = random.Random(seed)
     table = Table4(modulus=modulus)

@@ -137,7 +137,7 @@ def _arm_poisoned(runner: KernelRunner, site: FaultSite, poisoned,
         try:
             fused = runner.fuse_entry(poisoned)
         except AotError as exc:
-            telemetry.record_aot_reject(exc.reason)
+            telemetry.record("aot_rejects_total", exc.reason)
             description += (f" (the poisoned trace does not fuse: "
                             f"{exc.reason}; runs use the interpreter)")
         else:
@@ -275,5 +275,5 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
 def arm_and_record(runner: KernelRunner, site: FaultSite) -> ArmedFault:
     """:func:`arm_fault` plus the telemetry injection event."""
     armed = arm_fault(runner, site)
-    telemetry.record_fault_injected(site.site, armed.kernel)
+    telemetry.record("faults_injected_total", site.site, armed.kernel)
     return armed

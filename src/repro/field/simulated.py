@@ -16,13 +16,13 @@ operation through the full interpreter and pipeline model instead —
 ``cross_check`` adds per-run golden-reference verification, the slow,
 belt-and-braces mode for debugging new kernels or pipelines.
 
-Throughput workloads can hand over whole vectors of operands at once:
+Callers can hand over whole vectors of operands at once:
 ``mul_batch`` / ``sqr_batch`` / ``add_batch`` / ``sub_batch`` forward
-to :meth:`KernelRunner.run_batch`, which resolves the engine and the
-fused thunk once per batch instead of once per element.  The
-batched entry points are element-wise identical to looping the scalar
-ones (same values, counters, cycle accounting); hardened contexts
-transparently take the scalar path so every safety check still fires.
+to :meth:`KernelRunner.run_batch`, a loop over the scalar kernel run.
+The batched entry points are element-wise identical to looping the
+scalar ones (same values, counters, cycle accounting); hardened
+contexts take the scalar field path so every safety check still
+fires.
 
 ``checked=True`` selects the production hardening mode in between
 (see ``docs/ROBUSTNESS.md``): execution stays on the aot engine,
@@ -211,7 +211,7 @@ class SimulatedFieldContext(FieldContext):
             cfg.clock = 0
             if value != reference():
                 self.fault_detections += 1
-                telemetry.record_fault_detected(operation, "context")
+                telemetry.record("faults_detected_total", operation, "context")
                 return self._recover(operation, slots, compute,
                                      reference, None)
         return value
@@ -246,9 +246,10 @@ class SimulatedFieldContext(FieldContext):
                 continue
             if value == reference():
                 self.fault_recoveries += 1
-                telemetry.record_fault_recovery(operation, "recovered")
+                telemetry.record("fault_recoveries_total", operation,
+                                 "recovered")
                 return value
-        telemetry.record_fault_recovery(operation, "exhausted")
+        telemetry.record("fault_recoveries_total", operation, "exhausted")
         raise RecoveryExhaustedError(
             f"{operation} still diverged from the pure-Python "
             f"reference after {cfg.max_attempts} interpreter "

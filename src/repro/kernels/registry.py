@@ -302,6 +302,12 @@ _RUNNER_POOL: dict[
 _POOL_LOCK = threading.RLock()
 
 
+def _count_lookup(family: str) -> None:
+    """One pool lookup (caller holds ``_POOL_LOCK``)."""
+    telemetry.record(family)
+    telemetry.record("runner_pool_size", value=len(_RUNNER_POOL))
+
+
 def cached_runner(
     modulus: int,
     name: str,
@@ -357,7 +363,7 @@ def cached_runner(
         if runner is not None:
             if checked and check_interval is not None:
                 runner.enable_checked(check_interval)
-            telemetry.record_pool_access(True, len(_RUNNER_POOL))
+            _count_lookup("runner_pool_hits_total")
             return runner
     kernel = cached_kernels(modulus).get(name)
     if kernel is None:
@@ -378,10 +384,10 @@ def cached_runner(
             # caller for this key observes the same object
             if checked and check_interval is not None:
                 winner.enable_checked(check_interval)
-            telemetry.record_pool_access(True, len(_RUNNER_POOL))
+            _count_lookup("runner_pool_hits_total")
             return winner
         _RUNNER_POOL[key] = runner
-        telemetry.record_pool_access(False, len(_RUNNER_POOL))
+        _count_lookup("runner_pool_misses_total")
     return runner
 
 
@@ -408,7 +414,7 @@ def evict_runner(
             None)
     if runner is None:
         return False
-    telemetry.record_runner_evicted(name)
+    telemetry.record("runner_evictions_total", name)
     return True
 
 

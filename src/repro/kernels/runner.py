@@ -25,9 +25,8 @@ attached trace hooks.  Each such demotion is counted once per run by
 ``aot_demotions_total{reason}``.
 
 :meth:`KernelRunner.run_batch` executes one kernel over many operand
-sets in a single call, amortising the per-call setup (engine
-resolution, thunk lookup, ``Machine.run`` bookkeeping) for
-server-style throughput workloads.
+sets in a single call; it is the scalar :meth:`KernelRunner.run` in a
+loop, with every set's arity checked before the first run.
 """
 
 from __future__ import annotations
@@ -257,9 +256,11 @@ class KernelRunner:
             try:
                 aot = self.fuse_entry()
             except AotError as exc:
-                telemetry.record_aot_reject(exc.reason)
+                telemetry.record("aot_rejects_total", exc.reason)
                 return
-            telemetry.record_aot_compile(perf_counter() - start)
+            seconds = perf_counter() - start
+            telemetry.record("aot_compiles_total")
+            telemetry.record("aot_compile_seconds", value=seconds)
         machine._aot_entry_cache[entry] = aot
         machine.aot_disk_key = key
         self._aot_thunk = aot.fn
@@ -348,10 +349,10 @@ class KernelRunner:
         """Sampled checked-mode validation; raises FaultDetectedError."""
         kernel = self.kernel
         hardening = self._hardening
-        telemetry.record_checked_run(kernel.name)
+        telemetry.record("checked_runs_total", kernel.name)
         expected = kernel.reference(*values)
         if value != expected:
-            telemetry.record_fault_detected(kernel.name, engine)
+            telemetry.record("faults_detected_total", kernel.name, engine)
             raise FaultDetectedError(
                 f"{kernel.name}: checked run diverged from the "
                 f"pure-Python reference: got {value:#x}, expected "
@@ -361,7 +362,7 @@ class KernelRunner:
             if hardening.cycle_baseline is None:
                 hardening.cycle_baseline = cycles
             elif cycles != hardening.cycle_baseline:
-                telemetry.record_fault_detected(kernel.name, engine)
+                telemetry.record("faults_detected_total", kernel.name, engine)
                 raise FaultDetectedError(
                     f"{kernel.name}: cycle count {cycles} != "
                     f"baseline {hardening.cycle_baseline} — impossible "
@@ -423,7 +424,6 @@ class KernelRunner:
         if out is not None:
             value, out_limbs, cycles, instructions = out
             ran = "aot"
-            telemetry.record_aot_cache_hit()
             telemetry.record_machine_run("aot")
         else:
             machine.reset()
@@ -466,7 +466,7 @@ class KernelRunner:
         if check:
             expected = kernel.reference(*values)
             if value != expected:
-                telemetry.record_kernel_check_failure(kernel.name)
+                telemetry.record("kernel_check_failures_total", kernel.name)
                 raise KernelError(
                     f"{kernel.name} produced {value:#x}, "
                     f"expected {expected:#x} for inputs "
@@ -495,19 +495,10 @@ class KernelRunner:
         check: bool = True,
         engine: str | None = None,
     ) -> list[KernelRun]:
-        """Execute the kernel once per operand set, amortising setup.
-
-        Semantically identical to ``[self.run(*v) for v in
-        operand_sets]`` — same values, limbs, cycle counts, and
-        per-run ``kernel_runs_total`` accounting — but an aot runner
-        with a fused entry thunk looks the thunk up **once** and then
-        loops only the thunk call per item.  One extra
-        ``kernel_batches_total`` / ``kernel_batch_items_total`` sample
-        records the batching itself.  Hardened runners (checked mode or
-        an armed fault hook), interpreter runs and runners without an
-        entry thunk take the exact scalar path per item, so every
-        safety check still fires.
-        """
+        """Execute the kernel once per operand set: exactly
+        ``[self.run(*v, check=check, engine=engine) for v in
+        operand_sets]``, after checking every set's arity and the
+        engine up front."""
         kernel = self.kernel
         operand_sets = [tuple(values) for values in operand_sets]
         arity = len(kernel.input_limbs)
@@ -517,63 +508,12 @@ class KernelRunner:
                     f"{kernel.name} expects {arity} operands, "
                     f"got {len(values)}"
                 )
-        if engine is None:
-            engine = self.engine
-        elif engine not in ENGINES:
+        if engine is not None and engine not in ENGINES:
             raise KernelError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        machine = self.machine
-        thunk = self._aot_thunk if engine == "aot" else None
-        if thunk is not None and self.entry not in machine._aot_entry_cache:
-            thunk = None  # dropped by invalidate_trace
-        if (thunk is None or self._hardening is not None
-                or machine._trace_hooks):
-            runs = [self.run(*values, check=check, engine=engine)
-                    for values in operand_sets]
-            if engine == "aot" and (thunk is None or machine._trace_hooks):
-                engine = "interpreter"  # what the scalar runs demoted to
-            telemetry.record_kernel_batch(kernel.name, engine, len(runs))
-            return runs
-
-        # fused batch loop: the generated thunk per item, nothing else
-        # (per-item telemetry mirrors the scalar path)
-        name = kernel.name
-        reference = kernel.reference if check else None
-        record_run = telemetry.record_kernel_run
-        record_machine = telemetry.record_machine_run
-        runs = []
-        for values in operand_sets:
-            out = thunk(*values)
-            if out is None:
-                runs.append(self.run(*values, check=check, engine=engine))
-                continue
-            value, out_limbs, cycles, instructions = out
-            if reference is not None:
-                expected = reference(*values)
-                if value != expected:
-                    telemetry.record_kernel_check_failure(name)
-                    raise KernelError(
-                        f"{name} produced {value:#x}, expected "
-                        f"{expected:#x} for inputs "
-                        f"{[hex(v) for v in values]}"
-                    )
-            if cycles is None:
-                raise KernelError(
-                    f"{name}: execution produced no cycle count "
-                    f"(the runner's machine lost its pipeline model)"
-                )
-            telemetry.record_aot_cache_hit()
-            record_machine("aot")
-            record_run(name, "aot", cycles, instructions)
-            runs.append(KernelRun(
-                value=value,
-                limbs=out_limbs,
-                instructions=instructions,
-                cycles=cycles,
-            ))
-        telemetry.record_kernel_batch(name, "aot", len(runs))
-        return runs
+        return [self.run(*values, check=check, engine=engine)
+                for values in operand_sets]
 
     def measure_cycles(self, *values: int) -> int:
         """Cycle count of one verified execution (timing is

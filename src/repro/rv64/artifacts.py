@@ -44,12 +44,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.telemetry import (
-    record_artifact_cache_hit,
-    record_artifact_cache_miss,
-    record_artifact_cache_write,
-    record_artifact_invalidated,
-)
+from repro import telemetry
 
 #: Bump whenever the artifact payload shape, the generated-source
 #: calling convention *or* the code generator's output changes.  The
@@ -177,7 +172,7 @@ def store_artifact(
             raise
     except OSError:
         return None
-    record_artifact_cache_write()
+    telemetry.record("aot_artifact_writes_total")
     _prune_other_versions(path, key.kernel)
     return path
 
@@ -200,7 +195,7 @@ def _prune_other_versions(stored: Path, kernel: str) -> None:
                 path.unlink()
             except OSError:
                 continue
-            record_artifact_invalidated()
+            telemetry.record("aot_artifact_invalidations_total")
 
 
 def load_artifact(key: ArtifactKey) -> dict | None:
@@ -216,7 +211,7 @@ def load_artifact(key: ArtifactKey) -> dict | None:
     try:
         raw = path.read_text()
     except OSError:
-        record_artifact_cache_miss()
+        telemetry.record("aot_artifact_misses_total")
         return None
     try:
         payload = json.loads(raw)
@@ -241,10 +236,10 @@ def load_artifact(key: ArtifactKey) -> dict | None:
             path.unlink()
         except OSError:
             pass
-        record_artifact_invalidated()
-        record_artifact_cache_miss()
+        telemetry.record("aot_artifact_invalidations_total")
+        telemetry.record("aot_artifact_misses_total")
         return None
-    record_artifact_cache_hit()
+    telemetry.record("aot_artifact_hits_total")
     return payload
 
 
@@ -256,7 +251,7 @@ def invalidate_artifact(key: ArtifactKey) -> bool:
         path.unlink()
     except OSError:
         return False
-    record_artifact_invalidated()
+    telemetry.record("aot_artifact_invalidations_total")
     return True
 
 

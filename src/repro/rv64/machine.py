@@ -280,10 +280,10 @@ class Machine:
             try:
                 trace = compile_trace(self, entry)
             except ReplayError as exc:
-                telemetry.record_trace_reject(exc.reason)
+                telemetry.record("trace_rejects_total", exc.reason)
                 self._replay_rejected.add(entry)
                 return None
-            telemetry.record_trace_compile()
+            telemetry.record("trace_compiles_total")
             self._trace_cache[entry] = trace
         return trace
 
@@ -305,12 +305,12 @@ class Machine:
         """
         self._replay_rejected.discard(entry)
         if self._aot_entry_cache.pop(entry, None) is not None:
-            telemetry.record_aot_evicted()
+            telemetry.record("aot_evictions_total")
         if self.aot_disk_key is not None:
             from repro.rv64.artifacts import invalidate_artifact
 
             invalidate_artifact(self.aot_disk_key)
         removed = self._trace_cache.pop(entry, None) is not None
         if removed:
-            telemetry.record_trace_invalidated()
+            telemetry.record("trace_invalidations_total")
         return removed

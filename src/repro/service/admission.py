@@ -31,6 +31,9 @@ from typing import Callable
 from repro import telemetry
 from repro.errors import AdmissionError, CircuitOpenError, ServiceError
 
+#: ``circuit_state`` gauge encoding of the breaker states.
+CIRCUIT_STATES = {"closed": 0, "open": 1, "half_open": 2}
+
 
 class Ticket:
     """One admitted request's claim on queue capacity."""
@@ -107,10 +110,11 @@ class AdmissionController:
                 self._inflight[tenant] = inflight + 1
                 self._total += 1
                 ticket = Ticket(self, tenant)
-                telemetry.record_service_inflight(tenant, 1)
+                telemetry.record("service_inflight", tenant,
+                                 value=inflight + 1)
                 return ticket
             self._rejected[tenant] = self._rejected.get(tenant, 0) + 1
-        telemetry.record_service_rejected(tenant, reason)
+        telemetry.record("service_rejections_total", tenant, reason)
         raise AdmissionError(
             f"request for tenant {tenant!r} rejected ({reason}): "
             + (f"{inflight}/{capacity} tenant slots in use"
@@ -126,7 +130,8 @@ class AdmissionController:
                     f"release without admit for tenant {tenant!r}")
             self._inflight[tenant] = inflight - 1
             self._total -= 1
-        telemetry.record_service_inflight(tenant, -1)
+            telemetry.record("service_inflight", tenant,
+                             value=inflight - 1)
 
     # -- introspection -------------------------------------------------------
 
@@ -203,7 +208,8 @@ class CircuitBreaker:
         with self._lock:
             self._state.setdefault(tenant, "closed")
             self._failures.setdefault(tenant, 0)
-        telemetry.record_circuit_state(tenant, self.state(tenant))
+        telemetry.record("circuit_state", tenant,
+                         value=CIRCUIT_STATES[self.state(tenant)])
 
     def _set_state(self, tenant: str, state: str) -> None:
         # caller holds self._lock
@@ -243,9 +249,11 @@ class CircuitBreaker:
                 else:
                     self._probing[tenant] = True
         if transition is not None:
-            telemetry.record_circuit_state(tenant, transition)
+            telemetry.record("circuit_state", tenant,
+                             value=CIRCUIT_STATES[transition])
         if state == "rejected":
-            telemetry.record_service_rejected(tenant, "circuit_open")
+            telemetry.record("service_rejections_total", tenant,
+                             "circuit_open")
             raise CircuitOpenError(
                 f"circuit for tenant {tenant!r} is open; retry after "
                 f"{self._reset_timeout_s:g}s cool-down")
@@ -287,7 +295,8 @@ class CircuitBreaker:
             # outcomes arriving while open (late work from before the
             # trip) carry no information: the circuit waits its timer.
         if transition is not None:
-            telemetry.record_circuit_state(tenant, transition)
+            telemetry.record("circuit_state", tenant,
+                             value=CIRCUIT_STATES[transition])
 
     # -- introspection -------------------------------------------------------
 

@@ -1,14 +1,12 @@
 """Request coalescing: many sessions' field ops -> one ``run_batch``.
 
-The batched kernel API (:meth:`KernelRunner.run_batch` over the fused
-aot entry thunk) amortises per-call engine resolution and thunk lookup
-— but only helps a caller who *has* a batch.  A service has one implicitly: under concurrent load, many
-tenants' sessions issue the same field operation within microseconds
-of each other.  The :class:`RequestCoalescer` turns that temporal
-locality into explicit batches: submissions accumulate per operation
-kind, and a full window (``max_batch``) or an expired timer
-(``max_wait_s``) flushes the bucket through a single batched
-execution.
+Under concurrent load, many tenants' sessions issue the same field
+operation within microseconds of each other.  The
+:class:`RequestCoalescer` turns that temporal locality into explicit
+batches, so one executor hop serves a whole window of requests:
+submissions accumulate per operation kind, and a full window
+(``max_batch``) or an expired timer (``max_wait_s``) flushes the
+bucket through a single batched execution.
 
 Correctness contract (property-tested with Hypothesis in
 ``tests/service/test_admission.py``): **no request is ever dropped or
@@ -130,7 +128,9 @@ class RequestCoalescer:
         tracing.finish_batch(batch_ctx, time.perf_counter() - started)
         self.batches_flushed += 1
         self.items_flushed += len(items)
-        telemetry.record_coalesced_batch(op, len(items))
+        telemetry.record("service_coalesced_batches_total", op)
+        telemetry.record("service_coalesced_items_total", op,
+                         value=len(items))
         for (_, future, _, _), value in zip(items, values):
             if not future.done():
                 future.set_result(value)

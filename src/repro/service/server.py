@@ -292,7 +292,7 @@ class KeyExchangeService:
                         where: str) -> DeadlineError:
         self._deadline_exceeded[tenant] = (
             self._deadline_exceeded.get(tenant, 0) + 1)
-        telemetry.record_deadline_exceeded(op, where)
+        telemetry.record("service_deadline_exceeded_total", op, where)
         return DeadlineError(
             f"{op} for tenant {tenant!r} exceeded its deadline "
             f"while {where}")
@@ -374,13 +374,14 @@ class KeyExchangeService:
                 else:
                     self.breaker.record(tenant_name, True)
         except Exception:
-            telemetry.record_service_request(tenant_name, op, "error")
+            telemetry.record("service_requests_total", tenant_name, op,
+                             "error")
             self._note_request(
                 tenant_name, time.perf_counter() - started, ok=False)
             raise
         elapsed = time.perf_counter() - started
-        telemetry.record_service_request(tenant_name, op, "ok")
-        telemetry.record_service_latency(op, elapsed)
+        telemetry.record("service_requests_total", tenant_name, op, "ok")
+        telemetry.record("service_request_seconds", op, value=elapsed)
         self._note_request(tenant_name, elapsed, ok=True)
         return result
 
@@ -492,13 +493,15 @@ class KeyExchangeService:
                 else:
                     self.breaker.record(tenant, True)
         except Exception:
-            telemetry.record_service_request(tenant, "field_op", "error")
+            telemetry.record("service_requests_total", tenant,
+                             "field_op", "error")
             self._note_request(
                 tenant, time.perf_counter() - started, ok=False)
             raise
         elapsed = time.perf_counter() - started
-        telemetry.record_service_request(tenant, "field_op", "ok")
-        telemetry.record_service_latency("field_op", elapsed)
+        telemetry.record("service_requests_total", tenant, "field_op", "ok")
+        telemetry.record("service_request_seconds", "field_op",
+                         value=elapsed)
         self._note_request(tenant, elapsed, ok=True)
         return result
 

@@ -206,8 +206,8 @@ class Tenant:
             self._clean_streak = 0
             self.demotions += 1
             engine_to = ENGINE_LADDER[self._rung]
-        telemetry.record_service_demotion(
-            self.config.name, engine_from, engine_to, reason)
+        telemetry.record("service_demotions_total", self.config.name,
+                         engine_from, engine_to, reason)
         return True
 
     def note_result(self, clean: bool) -> None:
@@ -225,7 +225,8 @@ class Tenant:
             self._clean_streak = 0
             self.promotions += 1
             engine_to = ENGINE_LADDER[self._rung]
-        telemetry.record_service_promotion(self.config.name, engine_to)
+        telemetry.record("service_promotions_total", self.config.name,
+                         engine_to)
 
     def close(self) -> None:
         for lane in self.lanes:

@@ -307,7 +307,7 @@ async def handle_connection(service: KeyExchangeService,
             # A non-ReproError escaping _dispatch used to kill this
             # task silently, hanging the client's waiter forever.
             ok = False
-            telemetry.record_service_internal_error(str(op))
+            telemetry.record("service_internal_errors_total", str(op))
             body = {"ok": False, "code": "service",
                     "error": ("internal error: "
                               f"{type(exc).__name__}: {exc}"),
@@ -450,7 +450,7 @@ class ServiceClient:
                     f"reconnect to {self._host}:{self._port} failed: "
                     f"{exc}") from None
             self.reconnects_total += 1
-            telemetry.record_service_reconnect()
+            telemetry.record("service_reconnects_total")
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
@@ -539,7 +539,7 @@ class ServiceClient:
         for attempt in range(attempts):
             if attempt:
                 self.retries_total += 1
-                telemetry.record_service_retry(op, last.code)
+                telemetry.record("service_retries_total", op, last.code)
                 await asyncio.sleep(delay * (0.5 + self._rng.random()))
                 delay = min(delay * 2, self.backoff_cap_s)
             try:

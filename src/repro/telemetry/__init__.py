@@ -15,8 +15,11 @@ pieces:
 
 This module owns the **process-global instances** (:data:`TRACER`,
 :data:`REGISTRY`) plus the module-level helpers the rest of the
-codebase calls.  Everything is **disabled by default**: ``span()``
-hands out a shared no-op context manager and every ``record_*`` helper
+codebase calls, and the table of built-in metric families
+(:data:`FAMILIES`): each family is declared there once and recorded by
+name through :func:`record`, with :func:`record_kernel_run` as the
+one-event-per-run hot path.  Everything is **disabled by default**:
+``span()`` hands out a shared no-op context manager and every recorder
 returns after one boolean test, so instrumentation on the kernel-run
 hot path costs nanoseconds until :func:`enable` (or :func:`capture`)
 turns recording on.  Private :class:`Tracer` / :class:`MetricsRegistry`
@@ -30,7 +33,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.telemetry.metrics import (
+    MUTATION_LOCK,
     Counter,
+    FamilySpec,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -39,31 +44,14 @@ from repro.telemetry.metrics import (
 from repro.telemetry.spans import SpanNode, Tracer, render_span_tree
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "FamilySpec",
     "SpanNode", "Tracer", "TelemetryError", "TraceContext",
-    "TRACER", "REGISTRY",
+    "TRACER", "REGISTRY", "FAMILIES",
     "enabled", "enable", "disable", "reset", "capture", "span",
     "add_cycles", "render_span_tree",
     "new_trace_id", "current_trace", "request_trace", "activate",
-    "record_kernel_run", "record_kernel_check_failure",
-    "record_kernel_batch",
-    "record_pool_access", "record_machine_run",
-    "record_trace_compile", "record_trace_reject",
-    "record_aot_compile", "record_aot_reject", "record_aot_demotion",
-    "record_aot_cache_hit", "record_aot_evicted",
-    "record_artifact_cache_hit", "record_artifact_cache_miss",
-    "record_artifact_cache_write", "record_artifact_invalidated",
-    "record_fault_injected", "record_fault_detected",
-    "record_fault_recovery", "record_checked_run",
-    "record_runner_evicted", "record_trace_invalidated",
-    "record_service_request", "record_service_rejected",
-    "record_service_latency", "record_service_inflight",
-    "record_service_demotion", "record_service_promotion",
-    "record_coalesced_batch",
-    "record_service_internal_error", "record_service_retry",
-    "record_service_reconnect", "record_deadline_exceeded",
-    "record_circuit_state",
-    "record_chaos_injection", "record_chaos_trial",
+    "record", "record_kernel_run", "record_machine_run",
+    "record_aot_demotion",
 ]
 
 #: Process-global span recorder (disabled until :func:`enable`).
@@ -146,246 +134,8 @@ def capture(*, fresh: bool = True) -> Iterator[Capture]:
 
 
 # ---------------------------------------------------------------------------
-# Instrumentation helpers (called from the hot paths; each starts with
-# the disabled-fast-path test and must stay call-overhead cheap)
+# Built-in metric families: declared once, recorded by name
 # ---------------------------------------------------------------------------
-
-
-def record_kernel_run(
-    kernel: str, engine: str, cycles: int, instructions: int
-) -> None:
-    """One :class:`~repro.kernels.runner.KernelRunner` execution."""
-    if not TRACER.enabled:
-        return
-    TRACER.add_kernel_cycles(kernel, engine, cycles)
-    REGISTRY.counter(
-        "kernel_runs_total", "kernel executions by engine"
-    ).inc(kernel=kernel, engine=engine)
-    REGISTRY.counter(
-        "kernel_cycles_total", "simulated cycles per kernel"
-    ).inc(cycles, kernel=kernel)
-    REGISTRY.counter(
-        "kernel_instructions_total", "retired instructions per kernel"
-    ).inc(instructions, kernel=kernel)
-
-
-def record_kernel_check_failure(kernel: str) -> None:
-    """A golden-reference verification failure in a kernel run."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "kernel_check_failures_total",
-        "golden-reference mismatches",
-    ).inc(kernel=kernel)
-
-
-def record_pool_access(hit: bool, size: int) -> None:
-    """One :func:`~repro.kernels.registry.cached_runner` lookup."""
-    if not TRACER.enabled:
-        return
-    name = ("runner_pool_hits_total" if hit
-            else "runner_pool_misses_total")
-    REGISTRY.counter(name, "runner pool lookups").inc()
-    REGISTRY.gauge("runner_pool_size", "pooled runners").set(size)
-
-
-def record_machine_run(engine: str) -> None:
-    """One kernel execution — an interpreted :meth:`Machine.run` or an
-    aot entry-thunk run — labeled by the engine that ran."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "machine_runs_total", "Machine.run calls by engine"
-    ).inc(engine=engine)
-
-
-def record_trace_compile() -> None:
-    """A successful static-trace compilation (the aot front end)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "trace_compiles_total", "static traces compiled"
-    ).inc()
-
-
-def record_trace_reject(reason: str) -> None:
-    """A static-trace compilation refusal, by :class:`ReplayError`
-    reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "trace_rejects_total", "static trace compilation refusals"
-    ).inc(reason=reason)
-
-
-def record_kernel_batch(kernel: str, engine: str, n: int) -> None:
-    """One :meth:`KernelRunner.run_batch` call of *n* operand sets.
-
-    Per-run cycles/instructions still flow through
-    :func:`record_kernel_run` (once per item), keeping the span
-    cycle-attribution invariant and the ``kernel_runs_total`` counts
-    identical whether a workload batches or loops.
-    """
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "kernel_batches_total", "batched kernel executions"
-    ).inc(kernel=kernel, engine=engine)
-    REGISTRY.counter(
-        "kernel_batch_items_total", "operand sets executed in batches"
-    ).inc(n, kernel=kernel, engine=engine)
-
-
-# -- the aot tier and its persistent artifact cache -------------------------
-# (see repro.rv64.aot / repro.rv64.artifacts and docs/SIMULATOR.md)
-
-
-def record_aot_compile(seconds: float) -> None:
-    """A successful whole-kernel aot fusion, with its wall-clock cost."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter("aot_compiles_total", "aot functions compiled").inc()
-    REGISTRY.histogram(
-        "aot_compile_seconds", "whole-kernel aot fusion wall time"
-    ).observe(seconds)
-
-
-def record_aot_reject(reason: str) -> None:
-    """An aot fusion refusal, by :class:`AotError` reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_rejects_total", "aot compilation refusals"
-    ).inc(reason=reason)
-
-
-def record_aot_demotion(reason: str) -> None:
-    """A requested aot run demoted to the interpreter, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_demotions_total",
-        "aot requests demoted to the interpreter",
-    ).inc(reason=reason)
-
-
-def record_aot_cache_hit() -> None:
-    """An aot run served by a runner's fused entry thunk."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_cache_hits_total", "aot function cache hits"
-    ).inc()
-
-
-def record_aot_evicted() -> None:
-    """A fused entry thunk dropped by Machine.invalidate_trace."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_evictions_total", "compiled aot functions evicted"
-    ).inc()
-
-
-def record_artifact_cache_hit() -> None:
-    """An on-disk aot artifact loaded and validated (warm start)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_artifact_hits_total", "on-disk aot artifact cache hits"
-    ).inc()
-
-
-def record_artifact_cache_miss() -> None:
-    """An on-disk aot artifact lookup that found nothing usable."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_artifact_misses_total", "on-disk aot artifact cache misses"
-    ).inc()
-
-
-def record_artifact_cache_write() -> None:
-    """A compiled aot thunk persisted to the on-disk artifact cache."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_artifact_writes_total", "on-disk aot artifacts written"
-    ).inc()
-
-
-def record_artifact_invalidated() -> None:
-    """An on-disk artifact deleted (corruption, skew, or fault recovery)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_artifact_invalidations_total",
-        "on-disk aot artifacts invalidated",
-    ).inc()
-
-
-# -- fault injection and the hardened execution layer -----------------------
-# (see repro.fault and docs/ROBUSTNESS.md)
-
-
-def record_fault_injected(site: str, kernel: str) -> None:
-    """One armed fault, labeled by site kind and target kernel."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "faults_injected_total", "armed faults by site and kernel"
-    ).inc(site=site, kernel=kernel)
-
-
-def record_fault_detected(where: str, engine: str) -> None:
-    """A checked execution caught a divergence from the reference."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "faults_detected_total",
-        "checked-mode divergences by detection point",
-    ).inc(where=where, engine=engine)
-
-
-def record_fault_recovery(operation: str, outcome: str) -> None:
-    """End of a recovery attempt sequence (``recovered``/``exhausted``)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "fault_recoveries_total",
-        "recovery outcomes after a detected fault",
-    ).inc(operation=operation, outcome=outcome)
-
-
-def record_checked_run(kernel: str) -> None:
-    """One sampled cross-validation against the pure-Python reference."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "checked_runs_total", "sampled reference cross-validations"
-    ).inc(kernel=kernel)
-
-
-def record_runner_evicted(kernel: str) -> None:
-    """A poisoned runner evicted from the registry pool."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "runner_evictions_total", "runner pool evictions"
-    ).inc(kernel=kernel)
-
-
-def record_trace_invalidated() -> None:
-    """A cached static trace dropped by Machine.invalidate_trace."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "trace_invalidations_total", "static traces invalidated"
-    ).inc()
-
-
-# -- the multi-tenant key-exchange service -----------------------------------
-# (see repro.service and docs/SERVICE.md)
 
 #: Latency buckets for service requests (seconds; the cycle-flavoured
 #: default buckets would put every request in the first bucket).
@@ -394,156 +144,171 @@ SERVICE_LATENCY_BUCKETS = (
 )
 
 
-def record_service_request(tenant: str, op: str, outcome: str) -> None:
-    """One completed service request, by tenant, op and outcome."""
+def _declare(*specs: FamilySpec) -> dict[str, FamilySpec]:
+    table: dict[str, FamilySpec] = {}
+    for spec in specs:
+        if spec.name in table:
+            raise TelemetryError(f"metric {spec.name!r} declared twice")
+        table[spec.name] = spec
+    return table
+
+
+#: Every built-in family: name, kind, help, label names (in the order
+#: :func:`record` takes their values) and, for histograms, buckets.
+#: ``docs/OBSERVABILITY.md`` lists the same families, one row each.
+FAMILIES = _declare(
+    # kernels, the runner pool and the simulator (repro.kernels, rv64)
+    FamilySpec("kernel_runs_total", "counter",
+               "kernel executions by engine", ("kernel", "engine")),
+    FamilySpec("kernel_cycles_total", "counter",
+               "simulated cycles per kernel", ("kernel",)),
+    FamilySpec("kernel_instructions_total", "counter",
+               "retired instructions per kernel", ("kernel",)),
+    FamilySpec("kernel_check_failures_total", "counter",
+               "golden-reference mismatches", ("kernel",)),
+    FamilySpec("runner_pool_hits_total", "counter",
+               "runner pool lookups"),
+    FamilySpec("runner_pool_misses_total", "counter",
+               "runner pool lookups"),
+    FamilySpec("runner_pool_size", "gauge",
+               "pooled runners"),
+    FamilySpec("machine_runs_total", "counter",
+               "Machine.run calls by engine", ("engine",)),
+    FamilySpec("trace_compiles_total", "counter",
+               "static traces compiled"),
+    FamilySpec("trace_rejects_total", "counter",
+               "static trace compilation refusals", ("reason",)),
+    # the aot tier and its on-disk artifact cache (repro.rv64.aot,
+    # repro.rv64.artifacts)
+    FamilySpec("aot_compiles_total", "counter",
+               "aot functions compiled"),
+    FamilySpec("aot_compile_seconds", "histogram",
+               "whole-kernel aot fusion wall time"),
+    FamilySpec("aot_rejects_total", "counter",
+               "aot compilation refusals", ("reason",)),
+    FamilySpec("aot_demotions_total", "counter",
+               "aot requests demoted to the interpreter", ("reason",)),
+    FamilySpec("aot_evictions_total", "counter",
+               "compiled aot functions evicted"),
+    FamilySpec("aot_artifact_hits_total", "counter",
+               "on-disk aot artifact cache hits"),
+    FamilySpec("aot_artifact_misses_total", "counter",
+               "on-disk aot artifact cache misses"),
+    FamilySpec("aot_artifact_writes_total", "counter",
+               "on-disk aot artifacts written"),
+    FamilySpec("aot_artifact_invalidations_total", "counter",
+               "on-disk aot artifacts invalidated"),
+    # fault injection and the hardened execution layer (repro.fault)
+    FamilySpec("faults_injected_total", "counter",
+               "armed faults by site and kernel", ("site", "kernel")),
+    FamilySpec("faults_detected_total", "counter",
+               "checked-mode divergences by detection point",
+               ("where", "engine")),
+    FamilySpec("fault_recoveries_total", "counter",
+               "recovery outcomes after a detected fault",
+               ("operation", "outcome")),
+    FamilySpec("checked_runs_total", "counter",
+               "sampled reference cross-validations", ("kernel",)),
+    FamilySpec("runner_evictions_total", "counter",
+               "runner pool evictions", ("kernel",)),
+    FamilySpec("trace_invalidations_total", "counter",
+               "static traces invalidated"),
+    # the multi-tenant key-exchange service (repro.service)
+    FamilySpec("service_requests_total", "counter",
+               "service requests by tenant, op and outcome",
+               ("tenant", "op", "outcome")),
+    FamilySpec("service_rejections_total", "counter",
+               "admission-control rejections by tenant and reason",
+               ("tenant", "reason")),
+    FamilySpec("service_request_seconds", "histogram",
+               "service request latency", ("op",), SERVICE_LATENCY_BUCKETS),
+    FamilySpec("service_inflight", "gauge",
+               "admitted in-flight requests", ("tenant",)),
+    FamilySpec("service_demotions_total", "counter",
+               "tenant engine demotions by reason",
+               ("tenant", "engine_from", "engine_to", "reason")),
+    FamilySpec("service_promotions_total", "counter",
+               "tenant engine promotions after sustained health",
+               ("tenant", "engine_to")),
+    FamilySpec("service_coalesced_batches_total", "counter",
+               "coalescer flushes into run_batch", ("op",)),
+    FamilySpec("service_coalesced_items_total", "counter",
+               "requests served through coalesced batches", ("op",)),
+    FamilySpec("service_internal_errors_total", "counter",
+               "unexpected exceptions answered with the service code",
+               ("op",)),
+    FamilySpec("service_retries_total", "counter",
+               "client request retries by op and reason", ("op", "reason")),
+    FamilySpec("service_reconnects_total", "counter",
+               "client reconnections"),
+    FamilySpec("service_deadline_exceeded_total", "counter",
+               "requests that ran out of deadline budget", ("op", "where")),
+    FamilySpec("circuit_state", "gauge",
+               "per-tenant circuit-breaker state", ("tenant",)),
+    # the network-chaos subsystem (repro.chaos)
+    FamilySpec("chaos_injections_total", "counter",
+               "network faults injected by kind", ("kind",)),
+    FamilySpec("chaos_trials_total", "counter",
+               "chaos trials by site kind and outcome", ("kind", "outcome")),
+)
+
+
+def _child(name: str, labels: tuple):
+    """The current registry's child of built-in family *name*."""
+    registry = REGISTRY
+    child = registry.bound.get((name, labels))
+    if child is None:
+        spec = FAMILIES.get(name)
+        if spec is None:
+            raise TelemetryError(f"undeclared metric family {name!r}")
+        child = registry.bind(spec, labels)
+    return child
+
+
+def record(name: str, *labels: object, value: float = 1) -> None:
+    """Record *value* into built-in family *name* (no-op while disabled).
+
+    *labels* are the label values in the family's declared order.  A
+    counter adds *value*, a gauge is set to it and a histogram observes
+    it.  Raises :class:`TelemetryError` for an undeclared family or a
+    wrong number of label values.
+    """
     if not TRACER.enabled:
         return
-    REGISTRY.counter(
-        "service_requests_total",
-        "service requests by tenant, op and outcome",
-    ).inc(tenant=tenant, op=op, outcome=outcome)
+    child = _child(name, labels)
+    with MUTATION_LOCK:
+        child.record(value)
 
 
-def record_service_rejected(tenant: str, reason: str) -> None:
-    """A request bounced by admission control, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_rejections_total",
-        "admission-control rejections by tenant and reason",
-    ).inc(tenant=tenant, reason=reason)
-
-
-def record_service_latency(op: str, seconds: float) -> None:
-    """Wall-clock latency of one service request."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.histogram(
-        "service_request_seconds", "service request latency",
-        buckets=SERVICE_LATENCY_BUCKETS,
-    ).observe(seconds, op=op)
-
-
-def record_service_inflight(tenant: str, delta: int) -> None:
-    """Admitted-but-unfinished request count change for *tenant*."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.gauge(
-        "service_inflight", "admitted in-flight requests"
-    ).inc(delta, tenant=tenant)
-
-
-def record_service_demotion(
-    tenant: str, engine_from: str, engine_to: str, reason: str
+def record_kernel_run(
+    kernel: str, engine: str, cycles: int, instructions: int
 ) -> None:
-    """A tenant demoted one rung down the engine ladder."""
+    """One :class:`~repro.kernels.runner.KernelRunner` execution: its
+    cycles go to the innermost span and the three ``kernel_*`` counters
+    move under one lock."""
     if not TRACER.enabled:
         return
-    REGISTRY.counter(
-        "service_demotions_total",
-        "tenant engine demotions by reason",
-    ).inc(tenant=tenant, engine_from=engine_from, engine_to=engine_to,
-          reason=reason)
+    runs = _child("kernel_runs_total", (kernel, engine))
+    spent = _child("kernel_cycles_total", (kernel,))
+    retired = _child("kernel_instructions_total", (kernel,))
+    with MUTATION_LOCK:
+        TRACER.add_kernel_cycles(kernel, engine, cycles)
+        runs.value += 1
+        spent.value += cycles
+        retired.value += instructions
 
 
-def record_service_promotion(tenant: str, engine_to: str) -> None:
-    """A tenant promoted one rung back up the engine ladder."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_promotions_total",
-        "tenant engine promotions after sustained health",
-    ).inc(tenant=tenant, engine_to=engine_to)
+def record_machine_run(engine: str) -> None:
+    """One kernel execution — an interpreted :meth:`Machine.run` or an
+    aot entry-thunk run — labeled by the engine that ran."""
+    if TRACER.enabled:
+        record("machine_runs_total", engine)
 
 
-def record_coalesced_batch(op: str, n: int) -> None:
-    """One coalesced flush of *n* requests into a batched execution."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_coalesced_batches_total",
-        "coalescer flushes into run_batch",
-    ).inc(op=op)
-    REGISTRY.counter(
-        "service_coalesced_items_total",
-        "requests served through coalesced batches",
-    ).inc(n, op=op)
-
-
-# -- service resilience: deadlines, retries, circuit breaking ----------------
-# (see docs/ROBUSTNESS.md, "Network chaos & resilience")
-
-#: Gauge encoding for circuit-breaker states.
-CIRCUIT_STATES = {"closed": 0, "open": 1, "half_open": 2}
-
-
-def record_service_internal_error(op: str) -> None:
-    """A non-``ReproError`` exception caught at the wire boundary."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_internal_errors_total",
-        "unexpected exceptions answered with the service code",
-    ).inc(op=op)
-
-
-def record_service_retry(op: str, reason: str) -> None:
-    """One client-side retry of an idempotent request, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_retries_total",
-        "client request retries by op and reason",
-    ).inc(op=op, reason=reason)
-
-
-def record_service_reconnect() -> None:
-    """The client re-established a dropped connection."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_reconnects_total", "client reconnections"
-    ).inc()
-
-
-def record_deadline_exceeded(op: str, where: str) -> None:
-    """A request deadline expired (``queued`` or ``running``)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_deadline_exceeded_total",
-        "requests that ran out of deadline budget",
-    ).inc(op=op, where=where)
-
-
-def record_circuit_state(tenant: str, state: str) -> None:
-    """A circuit-breaker transition (closed=0 / open=1 / half_open=2)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.gauge(
-        "circuit_state", "per-tenant circuit-breaker state"
-    ).set(CIRCUIT_STATES[state], tenant=tenant)
-
-
-# -- the network-chaos subsystem (see repro.chaos) ---------------------------
-
-
-def record_chaos_injection(kind: str) -> None:
-    """One chaos site fired inside the proxy, by site kind."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "chaos_injections_total", "network faults injected by kind"
-    ).inc(kind=kind)
-
-
-def record_chaos_trial(kind: str, outcome: str) -> None:
-    """One chaos-campaign trial classified, by site kind and outcome."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "chaos_trials_total", "chaos trials by site kind and outcome"
-    ).inc(kind=kind, outcome=outcome)
+def record_aot_demotion(reason: str) -> None:
+    """A requested aot run demoted to the interpreter, by reason."""
+    if TRACER.enabled:
+        record("aot_demotions_total", reason)
 
 
 # -- per-request trace contexts (see repro.telemetry.tracing) ----------------

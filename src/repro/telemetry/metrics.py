@@ -11,10 +11,12 @@ single-process simulator needs):
 * :class:`Histogram` — bucketed distributions with count/sum/min/max
   (per-run cycle counts, span durations).
 
-The module keeps a process-global :data:`DEFAULT_REGISTRY` that all
-built-in instrumentation writes to; registries are plain objects, so
-tests and embedders can construct private instances and pass them
-wherever a registry is accepted.
+Built-in families are declared once, as :class:`FamilySpec` rows of
+:data:`repro.telemetry.FAMILIES`; a registry binds a declared family's
+child per label-value tuple (:meth:`MetricsRegistry.bind`) and caches
+it, so recording a known series is one dict lookup.  Registries are
+plain objects, so tests and embedders can construct private instances
+and pass them wherever a registry is accepted.
 
 Everything here is bookkeeping on plain dicts — no background threads,
 no I/O.  Exporters live in :mod:`repro.telemetry.export`.
@@ -77,6 +79,8 @@ class CounterChild:
             raise TelemetryError("counters only go up")
         self.value += amount
 
+    record = inc
+
 
 class GaugeChild:
     """A single last-value-wins series."""
@@ -94,6 +98,8 @@ class GaugeChild:
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
+
+    record = set
 
 
 #: Default histogram bucket upper bounds (cycle-count flavoured:
@@ -129,10 +135,29 @@ class HistogramChild:
                 return
         self.buckets[-1] += 1
 
+    record = observe
+
 
 # ---------------------------------------------------------------------------
 # Metric families
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Declaration of one metric family.
+
+    ``labels`` are the label names in the order recorders pass their
+    values; ``buckets`` matter only for histograms.  Every child's
+    ``record(value)`` adds to a counter, sets a gauge and observes into
+    a histogram.
+    """
+
+    name: str
+    kind: str  # "counter" | "gauge" | "histogram"
+    help: str
+    labels: tuple[str, ...] = ()
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS
 
 
 class _Family:
@@ -262,6 +287,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
+        #: ``(family name, label values) -> child`` for declared
+        #: families, filled by :meth:`bind`
+        self.bound: dict[tuple[str, tuple], object] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
         family = self._families.get(name)
@@ -293,12 +321,31 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help,
                                    buckets=buckets)
 
+    def bind(self, spec: FamilySpec, values: tuple) -> object:
+        """The child of the declared family *spec* for label *values*
+        (in the declared order), cached in :attr:`bound`."""
+        if len(values) != len(spec.labels):
+            raise TelemetryError(
+                f"metric {spec.name!r} takes labels {spec.labels}, "
+                f"got {len(values)} values")
+        with MUTATION_LOCK:  # never caches a child a reset dropped
+            if spec.kind == "histogram":
+                family = self.histogram(spec.name, spec.help,
+                                        spec.buckets)
+            else:
+                family = getattr(self, spec.kind)(spec.name, spec.help)
+            child = family.labels(**dict(zip(spec.labels, values)))
+            self.bound[(spec.name, values)] = child
+        return child
+
     def families(self) -> Iterator[_Family]:
         yield from self._families.values()
 
     def reset(self) -> None:
         """Drop every family (fresh registry state)."""
-        self._families.clear()
+        with MUTATION_LOCK:
+            self._families.clear()
+            self.bound.clear()
 
     # -- export views --------------------------------------------------------
 
@@ -345,7 +392,3 @@ class MetricsRegistry:
                 "value": sample.value,
             })
         return out
-
-
-#: Process-global registry used by the built-in instrumentation.
-DEFAULT_REGISTRY = MetricsRegistry()

@@ -249,7 +249,7 @@ class TestSpans:
 
 
 # ---------------------------------------------------------------------------
-# Global helpers: capture() and the record_* instrumentation points
+# Global helpers: capture() and the recorders
 # ---------------------------------------------------------------------------
 
 
@@ -273,13 +273,15 @@ class TestGlobalHelpers:
 
     def test_record_helpers_noop_while_disabled(self):
         telemetry.record_kernel_run("fp_mul", "aot", 10, 5)
-        telemetry.record_pool_access(True, 4)
+        telemetry.record("runner_pool_hits_total")
+        telemetry.record("runner_pool_size", value=4)
         telemetry.record_machine_run("aot")
         telemetry.record_aot_demotion("trace_hooks")
-        telemetry.record_trace_compile()
-        telemetry.record_trace_reject("control_flow")
-        telemetry.record_kernel_check_failure("fp_mul")
+        telemetry.record("trace_compiles_total")
+        telemetry.record("trace_rejects_total", "control_flow")
+        telemetry.record("kernel_check_failures_total", "fp_mul")
         assert list(telemetry.REGISTRY.samples()) == []
+        assert telemetry.REGISTRY.bound == {}
         assert telemetry.TRACER.root.children == {}
 
     def test_record_kernel_run_attributes_cycles(self):
@@ -295,13 +297,139 @@ class TestGlobalHelpers:
 
     def test_record_pool_access_counters_and_gauge(self):
         with telemetry.capture() as cap:
-            telemetry.record_pool_access(False, 1)
-            telemetry.record_pool_access(True, 1)
-            telemetry.record_pool_access(True, 1)
+            for family, size in (("runner_pool_misses_total", 1),
+                                 ("runner_pool_hits_total", 1),
+                                 ("runner_pool_hits_total", 1)):
+                telemetry.record(family)
+                telemetry.record("runner_pool_size", value=size)
         reg = cap.registry
         assert reg.counter("runner_pool_misses_total").total() == 1
         assert reg.counter("runner_pool_hits_total").total() == 2
         assert reg.gauge("runner_pool_size").value() == 1
+
+
+# ---------------------------------------------------------------------------
+# The built-in family table and the generic recording path
+# ---------------------------------------------------------------------------
+
+
+def _documented_families() -> dict[str, tuple[str, ...]]:
+    """``name -> label names`` from OBSERVABILITY.md's metrics table."""
+    from pathlib import Path
+
+    doc = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
+    section = doc.read_text().split("## Built-in metrics", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows: dict[str, tuple[str, ...]] = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().split("|")[1:-1]]
+        if len(cells) < 2 or not cells[0].startswith("`"):
+            continue
+        name = cells[0].strip("`")
+        assert name not in rows, f"{name} documented twice"
+        labels = () if cells[1] == "—" else tuple(
+            label.strip().strip("`") for label in cells[1].split(","))
+        rows[name] = labels
+    return rows
+
+
+class TestFamilyTable:
+    def test_every_family_documented_with_its_labels(self):
+        documented = _documented_families()
+        declared = {name: spec.labels
+                    for name, spec in telemetry.FAMILIES.items()}
+        assert documented == declared
+
+    def test_duplicate_declaration_refused(self):
+        spec = telemetry.FAMILIES["kernel_runs_total"]
+        with pytest.raises(TelemetryError, match="declared twice"):
+            telemetry._declare(spec, spec)
+
+    def test_undeclared_family_raises(self):
+        with telemetry.capture():
+            with pytest.raises(TelemetryError, match="undeclared"):
+                telemetry.record("no_such_family_total")
+
+    @pytest.mark.parametrize("labels", [(), ("fp_mul", "extra")])
+    def test_wrong_label_count_raises(self, labels):
+        with telemetry.capture():
+            with pytest.raises(TelemetryError, match="takes labels"):
+                telemetry.record("checked_runs_total", *labels)
+
+    def test_kinds_add_set_and_observe(self):
+        with telemetry.capture() as cap:
+            telemetry.record("kernel_cycles_total", "fp_mul", value=5)
+            telemetry.record("kernel_cycles_total", "fp_mul", value=7)
+            telemetry.record("service_inflight", "t", value=3)
+            telemetry.record("service_inflight", "t", value=2)
+            telemetry.record("service_request_seconds", "keygen",
+                             value=0.02)
+        reg = cap.registry
+        assert reg.counter("kernel_cycles_total").value(kernel="fp_mul") \
+            == 12
+        assert reg.gauge("service_inflight").value(tenant="t") == 2
+        latency = reg.histogram("service_request_seconds")
+        assert latency.bounds == telemetry.SERVICE_LATENCY_BUCKETS
+        child = latency.labels(op="keygen")
+        assert (child.count, child.sum) == (1, 0.02)
+
+    def test_reset_drops_cached_children(self):
+        with telemetry.capture() as cap:
+            telemetry.record("trace_compiles_total")
+            telemetry.record_kernel_run("fp_mul", "aot", 58, 33)
+            telemetry.reset()
+            telemetry.record("trace_compiles_total")
+            telemetry.record_kernel_run("fp_mul", "aot", 58, 33)
+        reg = cap.registry
+        assert reg.counter("trace_compiles_total").total() == 1
+        runs = reg.counter("kernel_runs_total")
+        assert runs.value(kernel="fp_mul", engine="aot") == 1
+
+    def test_concurrent_records_lose_no_update(self):
+        """Threads racing to bind and bump the same children (more
+        workers than cores, a short switch interval) keep exact sums."""
+        import sys
+        import threading
+
+        workers, per_worker = 8, 500
+        kernels = ("fp_mul", "fp_add", "fp_sub", "fp_sqr")
+
+        def work() -> None:
+            for i in range(per_worker):
+                telemetry.record_kernel_run(kernels[i % 4], "aot", 3, 2)
+                telemetry.record("trace_rejects_total", kernels[i % 4])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry.capture() as cap:
+                threads = [threading.Thread(target=work)
+                           for _ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        total = workers * per_worker
+        reg = cap.registry
+        assert reg.counter("kernel_runs_total").total() == total
+        assert reg.counter("kernel_cycles_total").total() == 3 * total
+        assert reg.counter("trace_rejects_total").total() == total
+        assert cap.root.self_cycles == 3 * total
+
+    def test_fresh_captures_share_no_state(self):
+        with telemetry.capture() as first:
+            telemetry.record_machine_run("aot")
+        with telemetry.capture() as second:
+            assert telemetry.REGISTRY.bound == {}
+            telemetry.record_machine_run("aot")
+        for cap in (first, second):
+            runs = cap.registry.counter("machine_runs_total")
+            assert runs.value(engine="aot") == 1
+        assert not set(map(id, first.registry.bound.values())) \
+            & set(map(id, second.registry.bound.values()))
 
 
 # ---------------------------------------------------------------------------
