@@ -21,10 +21,13 @@ expression nodes instead of integers:
   that cannot change a value and turn carry compares into shifts, and
   exact split-add identities fold each column's multiply-accumulate
   chain into one wide sum that is split once;
-* the surviving dataflow — the multiply-accumulate spine of the kernel
-  — is emitted as a handful of fused wide-int expressions (shared
-  nodes materialise as temporaries, deep chains are cut at a depth
-  cap to stay inside CPython's parser limits);
+* wide-word lifting (:mod:`repro.rv64.lift`) then re-expresses the
+  result, its limbs and the register file over the wide integers the
+  limbs are windows of: a Montgomery multiplication becomes one wide
+  product and one wide reduction step per limb;
+* the surviving dataflow is emitted as a handful of fused wide-int
+  expressions (shared nodes materialise as temporaries, deep chains
+  are cut at a depth cap to stay inside CPython's parser limits);
 * the full 32-register writeback, architectural ``pc``/``halted`` and
   the trace's **precomputed static cycle accounting** are attached
   verbatim, so the differential suite's register-file comparison and
@@ -76,6 +79,7 @@ from repro.rv64.expr import (
     count_uses,
 )
 from repro.rv64.isa import FMT_I, FMT_I_SHIFT, FMT_R, InstrSpec
+from repro.rv64.lift import lift
 from repro.rv64.machine import DEFAULT_STACK_TOP, HALT_ADDRESS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -553,15 +557,25 @@ def compile_aot_entry(
             for pc, ins, spec in trace.step_instructions:
                 run.step(pc, ins, spec)
             limb_nodes = memory.result_limbs(result_addr, out_limbs)
+            # from_limbs uses addition, not OR: limbs may be non-canonical
+            # (delayed carries) and overlap bit ranges
+            value_node = limb_nodes[0]
+            for index in range(1, out_limbs):
+                value_node = graph.add(value_node, graph.shl(
+                    limb_nodes[index], graph.const(bits * index)))
 
-            roots = list(limb_nodes)
-            roots.extend(run.regs)
+            roots = lift(graph, [*limb_nodes, *run.regs, value_node])
+            limb_nodes = roots[:out_limbs]
+            reg_nodes = roots[out_limbs:-1]
+            if out_limbs == 1:  # the value is the limb
+                roots = roots[:-1]
             emitter = Emitter(count_uses(roots))
             for index, node in enumerate(limb_nodes):
                 emitter.lines.append(
                     f"_w{index} = {emitter.ref(node)}")
                 emitter.alias(node, f"_w{index}")
-            reg_refs = [emitter.ref(node) for node in run.regs]
+            reg_refs = [emitter.ref(node) for node in reg_nodes]
+            value_ref = "_w0" if out_limbs == 1 else emitter.ref(roots[-1])
         except RecursionError as exc:
             raise AotError(
                 f"expression graph for {entry:#x} is too deep to "
@@ -587,16 +601,10 @@ def compile_aot_entry(
     lines.append(f"    _regs[:] = ({', '.join(reg_refs)})")
     lines.append(f"    _st.pc = {trace.exit_pc}")
     lines.append(f"    _st.halted = {trace.halts}")
-    # from_limbs uses addition, not OR: limbs may be non-canonical
-    # (delayed carries) and overlap bit ranges
-    value_expr = " + ".join(
-        f"_w{i}" if i == 0 else f"(_w{i} << {bits * i})"
-        for i in range(out_limbs)
-    )
     limbs_expr = ("(" + ", ".join(f"_w{i}" for i in range(out_limbs))
                   + ("," if out_limbs == 1 else "") + ")")
     lines.append(
-        f"    return ({value_expr}), {limbs_expr}, "
+        f"    return {value_ref}, {limbs_expr}, "
         f"{trace.cycles!r}, {trace.instructions_retired}"
     )
     source = "\n".join(lines) + "\n"

@@ -73,6 +73,9 @@ _APPLY = {
     "lt": lambda x, y: 1 if x < y else 0,
 }
 
+#: The :class:`Graph` constructor of each operation.
+_METHODS = {op: op for op in _FORMATS} | {"and": "and_", "or": "or_"}
+
 #: Left-shift amounts above this leave the result's interval unknown
 #: (its bound would be astronomically wide; templates mask to 63).
 _MAX_SHIFT = 1 << 12
@@ -429,6 +432,11 @@ class Graph:
         if rest is None:
             return None
         return rest, value
+
+    def apply(self, op: str, x: Node, y: Node) -> Node:
+        """``op(x, y)`` for an operation of :data:`_FORMATS` named by
+        *op*, through its constructor and rules."""
+        return getattr(self, _METHODS[op])(x, y)
 
     def sub(self, x: Node, y: Node) -> Node:
         if x.const is not None and y.const is not None:

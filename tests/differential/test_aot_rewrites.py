@@ -8,7 +8,9 @@ declared intervals, endpoints included.  Each case also asserts that
 its rule actually fired, so a rule that silently stops applying fails
 here instead of passing as a no-op.  A second property lowers random
 template trees, so every interval bound the rules read is checked for
-soundness too.
+soundness too.  Each identity of the wide-word lift
+(:mod:`repro.rv64.lift`) is checked the same way, beside cases where it
+must not fire, and over random limb grids and carry/borrow chains.
 
 Structural guards pin what the rules buy on the real kernels: every
 ``fp_mul``/``fp_sqr`` entry thunk computes each distinct product once,
@@ -34,8 +36,14 @@ from hypothesis import given, settings, strategies as st
 from repro.csidh.parameters import csidh_512, csidh_toy
 from repro.kernels.registry import cached_kernels
 from repro.kernels.runner import KernelRunner
-from repro.kernels.spec import ALL_VARIANTS, OP_FP_MUL, OP_FP_SQR
-from repro.rv64 import aot, expr
+from repro.kernels.spec import (
+    ALL_VARIANTS,
+    OP_FP_ADD,
+    OP_FP_MUL,
+    OP_FP_SQR,
+    OP_FP_SUB,
+)
+from repro.rv64 import aot, expr, lift
 from repro.rv64.bits import MASK64
 
 M = MASK64
@@ -325,6 +333,273 @@ def test_random_split_adds_match(template, width_a, width_b, data):
     assert node.lo <= expected <= node.hi
 
 
+# -- wide-word lifting ------------------------------------------------------
+
+def lift_template(template: str, his: tuple[int, ...]):
+    """(operand atoms, lifted node) for an r-type template: the IR's
+    rules at construction, then :mod:`repro.rv64.lift` on the result
+    (forced: without the product-count gate of :func:`lift.lift`)."""
+    graph = expr.Graph()
+    atoms = [graph.atom(name, hi) for name, hi in zip("ab", his)]
+    while len(atoms) < 2:
+        atoms.append(graph.const(0))
+    node = expr.compile_lowering("r", template)(graph, *atoms)
+    lifter = lift.Lifter(graph)
+    lifter.prepare([node])
+    return atoms, lifter.render_root(node)
+
+
+def refs_only(*names):
+    """The lifted node reads only the named operands."""
+    def check(node, atoms):
+        seen, stack, found = set(), [node], set()
+        while stack:
+            current = stack.pop()
+            if current.serial in seen:
+                continue
+            seen.add(current.serial)
+            if current.op == "atom":
+                found.add(current.text)
+            stack.extend(current.args)
+        return found <= set(names)
+    return check
+
+
+def is_product_of_atoms(node, atoms):
+    return (node.op == "mul"
+            and {arg.serial for arg in node.args}
+            <= {atom.serial for atom in atoms})
+
+
+def top_is(op):
+    return lambda node, atoms: node.op == op
+
+
+def shared_selector(expected: bool):
+    """The lifted node's products have a common factor (one select bit
+    drives every limb) exactly when *expected*."""
+    def check(node, atoms):
+        seen, stack, products = set(), [node], []
+        while stack:
+            current = stack.pop()
+            if current.serial in seen:
+                continue
+            seen.add(current.serial)
+            if current.op == "mul":
+                products.append({arg.serial for arg in current.args})
+            stack.extend(current.args)
+        return len(products) > 1 and bool(set.intersection(*products)) \
+            == expected
+    return check
+
+
+_M57 = "0x1ffffffffffffff"
+_W171 = (1 << 171) - 1
+
+
+def _select_chain(low_mask: str, high_mask: str) -> str:
+    """Two limbs of ``b`` or ``b + 5``, each chosen by its own mask."""
+    limbs = []
+    for mask, shift in ((low_mask, 0), (high_mask, 64)):
+        t = f"(({{b}} >> {shift}) & M)"
+        u = f"((({{b}} + 5) >> {shift}) & M)"
+        limbs.append(f"({t} ^ ({mask} & ({u} ^ {t})))")
+    return f"{limbs[0]} + ({limbs[1]} << 64)"
+
+
+def _limb(name: str, index: int, width: int = 64,
+          top: int | None = None) -> str:
+    """Limb *index* of an operand; the *top* one unmasked."""
+    mask = "M" if width == 64 else _M57
+    if index == top:
+        return f"({{{name}}} >> {width * index})"
+    return f"(({{{name}}} >> {width * index}) & {mask})"
+
+
+def _grid_template(width: int, limbs: int, *, square: bool = False,
+                   skip=(), shift: dict | None = None) -> str:
+    """``Σ (A_i·B_j) << w(i+j)`` over a limb grid, as a template."""
+    other = "a" if square else "b"
+    terms = []
+    for i in range(limbs):
+        for j in range(limbs):
+            if (square and i > j) or (i, j) in skip:
+                continue
+            weight = width * (i + j) + (1 if square and i != j else 0)
+            weight = max(0, weight + (shift or {}).get((i, j), 0))
+            terms.append(f"(({_limb('a', i, width, limbs - 1)}"
+                         f" * {_limb(other, j, width, limbs - 1)})"
+                         f" << {weight})")
+    return " + ".join(terms)
+
+
+#: (identity, unrewritten template, operand upper bounds, fired predicate)
+LIFT_RULES = [
+    ("telescope", "{b} + (({a} + 5) >> 64)", _A64, top_is("shr")),
+    ("telescope-negated", "{b} - (({a} + 5) >> 64)", _A64, top_is("shr")),
+    ("rejoin-57",
+     f"({{a}} & {_M57}) + ((({{a}} >> 57) & {_M57}) << 57)"
+     " + (({a} >> 114) << 114)", (_W171,), is_a),
+    ("masked-window", "(({a} + ({b} << 64)) >> 32) & 0xffffffff", _A64,
+     refs_only("a")),
+    ("lt-as-borrow", "1 if {a} < {b} else 0", _A64, has_ops(lt=0)),
+    ("exclusive-bits", "(({a} + {b}) >> 64) | (((({a} + {b}) & M) + 1)"
+     " >> 64)", _A64, has_ops(**{"or": 0})),
+    ("select", "(({b} + 1) & M) ^ (((0 - {a}) & M) & ({b} ^ (({b} + 1)"
+     " & M)))", (1, M), has_ops(xor=0)),
+    ("wide-select", "(({b} >> 64) & M) ^ (((0 - {a}) & M) & ((({b} >> 64)"
+     " & M) ^ ((({b} + 0x10000000000000000) >> 64) & M)))",
+     (1, (1 << 192) - 1), has_ops(xor=0, mul=0)),
+    ("select-chain", _select_chain("((0 - {a}) & M)", "((0 - {a}) & M)"),
+     (1, _W128), shared_selector(True)),
+    ("limb-grid", _grid_template(64, 2), (_W128, _W128),
+     is_product_of_atoms),
+    ("limb-grid-57", _grid_template(57, 3), (_W171, _W171),
+     is_product_of_atoms),
+    ("limb-grid-square", _grid_template(64, 2, square=True), (_W128,),
+     is_product_of_atoms),
+    ("constant-gathering", "({a} * 3) + (({a} * 5) << 64)", (M,),
+     has_ops(mul=1, add=0)),
+    # must not fire
+    ("grid-missing-pair", _grid_template(64, 2, skip={(1, 1)}),
+     (_W128, _W128), lambda node, atoms: not is_product_of_atoms(node, atoms)),
+    ("grid-wrong-weight", _grid_template(64, 2, shift={(0, 1): -1}),
+     (_W128, _W128), lambda node, atoms: not is_product_of_atoms(node, atoms)),
+    ("grid-operand-too-wide", _grid_template(64, 2),
+     ((1 << 129) - 1, _W128),
+     lambda node, atoms: not is_product_of_atoms(node, atoms)),
+    ("select-mask-not-all-ones", "(({b} + 1) & M) ^ ({a} & ({b} ^ (({b}"
+     " + 1) & M)))", _A64, has_ops(xor=2)),
+    ("bits-may-overlap", "({a} >> 63) | ({b} >> 63)", _A64,
+     has_ops(**{"or": 1})),
+    ("select-chain-mask-not-shared",
+     _select_chain("((0 - ({a} & 1)) & M)", "((0 - (({a} >> 1) & 1)) & M)"),
+     (3, _W128), shared_selector(False)),
+]
+
+
+@pytest.mark.parametrize("rule,template,his,fired", LIFT_RULES,
+                         ids=[rule[0] for rule in LIFT_RULES])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_lift_matches_template(rule, template, his, fired, data):
+    atoms, node = lift_template(template, his)
+    assert fired(node, atoms), f"lift identity {rule} misfired"
+    a = data.draw(in_interval(his[0]), label="a")
+    b = data.draw(in_interval(his[1]), label="b") if len(his) > 1 else 0
+    expected = naive(template, a, b)
+    assert evaluate(render(node), a, b) == expected
+    if node.lo is not None:
+        assert node.lo <= expected <= node.hi
+
+
+def test_unknown_interval_blocks_every_lift_rule():
+    """Identities that read an interval refuse an opaque input: its
+    comparisons, bit sums, selects and grids keep their limb form."""
+    graph = expr.Graph()
+    opaque = graph.opaque("({0})", (graph.atom("a", M),))
+    b = graph.atom("b", M)
+    mask = graph.const(M)
+    low = graph.and_(opaque, mask)
+    high = graph.shr(opaque, graph.const(64))
+    roots = [
+        graph.lt(opaque, b),
+        graph.or_(graph.shr(opaque, graph.const(63)),
+                  graph.shr(b, graph.const(63))),
+        graph.xor(b, graph.and_(opaque, graph.xor(low, b))),
+        graph.add(graph.mul(low, low),
+                  graph.shl(graph.mul(high, low), graph.const(65))),
+    ]
+    lifter = lift.Lifter(graph)
+    lifter.prepare(roots)
+    compare, bits, select, grid = [lifter.render_root(node)
+                                   for node in roots]
+    assert ops(compare)["lt"] == 1
+    assert ops(bits)["or"] == 1
+    assert ops(select)["xor"] == 2
+    assert ops(grid)["mul"] == 2
+
+
+def _carry_chain(limbs: int, subtract: bool) -> str:
+    """A full-radix add-with-carry (or sub-with-borrow) chain of
+    ``sltu`` carries, reassembled from its limbs plus the carry out."""
+    carry = "0"
+    words = []
+    for index in range(limbs):
+        x, y = _limb("a", index), _limb("b", index)
+        if subtract:
+            t = f"(({x} - {carry}) & M)"
+            out = f"(({t} - {y}) & M)"
+            carry = (f"((1 if {x} < {carry} else 0)"
+                     f" | (1 if {t} < {y} else 0))")
+        else:
+            t = f"(({x} + {carry}) & M)"
+            out = f"(({t} + {y}) & M)"
+            carry = (f"((1 if {t} < {carry} else 0)"
+                     f" | (1 if {out} < {y} else 0))")
+        words.append(f"({out} << {64 * index})")
+    return " + ".join(words + [f"({carry} << {64 * limbs})"])
+
+
+def _signed_chain(limbs: int, subtract: bool) -> str:
+    """A reduced-radix chain: signed 57-bit digit sums whose carries
+    are arithmetic shifts, reassembled from the masked digits."""
+    sign = "-" if subtract else "+"
+    digit = None
+    words = []
+    for index in range(limbs):
+        x, y = _limb("a", index, 57), _limb("b", index, 57)
+        digit = f"({x} {sign} {y})" if digit is None \
+            else f"(({x} {sign} {y}) + ({digit} >> 57))"
+        words.append(f"(({digit} & {_M57}) << {57 * index})")
+    return " + ".join(words + [f"(({digit} >> 57) << {57 * limbs})"])
+
+
+@settings(deadline=None, max_examples=150)
+@given(width=st.sampled_from([57, 64]), limbs=st.integers(1, 3),
+       square=st.booleans(),
+       skip=st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                    max_size=1),
+       shift=st.dictionaries(st.tuples(st.integers(0, 2),
+                                       st.integers(0, 2)),
+                             st.sampled_from([-1, 1, 7]), max_size=1),
+       spill=st.sampled_from([0, 0, 1, 5]),
+       data=st.data())
+def test_random_limb_grids_lift_exactly(width, limbs, square, skip, shift,
+                                        spill, data):
+    """Random limb grids -- complete, missing a pair, with a wrong
+    weight, over operands wider than their limbs -- lift to a value
+    equal to the template's, inside the lifted node's interval."""
+    template = _grid_template(width, limbs, square=square, skip=skip,
+                              shift=shift) or "{a}"
+    his = ((1 << (width * limbs + spill)) - 1,) * 2
+    _atoms, node = lift_template(template, his)
+    a = data.draw(in_interval(his[0]), label="a")
+    b = data.draw(in_interval(his[1]), label="b")
+    expected = naive(template, a, b)
+    assert evaluate(render(node), a, b) == expected
+    if node.lo is not None:
+        assert node.lo <= expected <= node.hi
+
+
+@settings(deadline=None, max_examples=150)
+@given(full=st.booleans(), limbs=st.integers(1, 3),
+       subtract=st.booleans(), data=st.data())
+def test_random_carry_chains_lift_exactly(full, limbs, subtract, data):
+    """Add-with-carry and sub-with-borrow chains in both radix forms
+    lift exactly, values and intervals."""
+    width = 64 if full else 57
+    template = (_carry_chain if full else _signed_chain)(limbs, subtract)
+    his = ((1 << (width * limbs)) - 1,) * 2
+    _atoms, node = lift_template(template, his)
+    a = data.draw(in_interval(his[0]), label="a")
+    b = data.draw(in_interval(his[1]), label="b")
+    expected = naive(template, a, b)
+    assert evaluate(render(node), a, b) == expected
+    if node.lo is not None:
+        assert node.lo <= expected <= node.hi
+
+
 # -- structural guards on the real kernels ---------------------------------
 
 MUL_KERNELS = [f"{operation}.{variant}"
@@ -373,19 +648,88 @@ def masks_and_shifts(source: str) -> int:
 
 
 #: Ceilings on :func:`masks_and_shifts` per fused 512-bit thunk.  Each
-#: kernel column now accumulates as one wide sum split once; before the
-#: split-add rules every product was split at every multiply-accumulate
-#: (fp_mul: 809, 556, 853 and 487 in this order).
+#: kernel column accumulates as one wide sum split once, and wide-word
+#: lifting reads every limb as a window of one running value (before
+#: the split-add rules, fp_mul: 809, 556, 853 and 487 in this order;
+#: before lifting: 92, 95, 154 and 97).  ``fp_sqr.full.isa`` keeps its
+#: limb form: its three-word accumulator does not lift yet.
 MASK_SHIFT_CEILINGS = {
-    f"{OP_FP_MUL}.full.isa": 92,
-    f"{OP_FP_MUL}.full.ise": 95,
-    f"{OP_FP_MUL}.reduced.isa": 154,
-    f"{OP_FP_MUL}.reduced.ise": 97,
+    f"{OP_FP_MUL}.full.isa": 71,
+    f"{OP_FP_MUL}.full.ise": 75,
+    f"{OP_FP_MUL}.reduced.isa": 78,
+    f"{OP_FP_MUL}.reduced.ise": 76,
     f"{OP_FP_SQR}.full.isa": 586,
-    f"{OP_FP_SQR}.full.ise": 80,
-    f"{OP_FP_SQR}.reduced.isa": 145,
-    f"{OP_FP_SQR}.reduced.ise": 88,
+    f"{OP_FP_SQR}.full.ise": 74,
+    f"{OP_FP_SQR}.reduced.isa": 77,
+    f"{OP_FP_SQR}.reduced.ise": 75,
 }
+
+FIELD_KERNELS = MUL_KERNELS + [f"{operation}.{variant}"
+                               for operation in (OP_FP_ADD, OP_FP_SUB)
+                               for variant in ALL_VARIANTS]
+
+#: Ceilings on (products, binary operations) per fused 512-bit thunk.
+#: A lifted ``fp_mul``/``fp_sqr`` is one wide product, ``n`` reduction
+#: steps of two products each and a wide select: 19-21 products and
+#: 108-129 operations, where the limb form computed 108-171 products
+#: in 370-715 operations.  ``fp_add``/``fp_sub`` carry no limb grid and
+#: keep their limb form, as does ``fp_sqr.full.isa``.
+THUNK_CEILINGS = {
+    f"{OP_FP_MUL}.full.isa": (19, 121),
+    f"{OP_FP_MUL}.full.ise": (21, 129),
+    f"{OP_FP_MUL}.reduced.isa": (20, 120),
+    f"{OP_FP_MUL}.reduced.ise": (20, 109),
+    f"{OP_FP_SQR}.full.isa": (108, 1291),
+    f"{OP_FP_SQR}.full.ise": (21, 128),
+    f"{OP_FP_SQR}.reduced.isa": (20, 119),
+    f"{OP_FP_SQR}.reduced.ise": (20, 108),
+    f"{OP_FP_ADD}.full.isa": (0, 168),
+    f"{OP_FP_ADD}.full.ise": (0, 168),
+    f"{OP_FP_ADD}.reduced.isa": (0, 164),
+    f"{OP_FP_ADD}.reduced.ise": (0, 164),
+    f"{OP_FP_SUB}.full.isa": (0, 165),
+    f"{OP_FP_SUB}.full.ise": (0, 165),
+    f"{OP_FP_SUB}.reduced.isa": (0, 155),
+    f"{OP_FP_SUB}.reduced.ise": (0, 155),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_KERNELS)
+def test_thunk_op_ceilings(name):
+    tree = ast.parse(entry_source(name))
+    products = sum(isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.Mult)
+                   for node in ast.walk(tree))
+    operations = sum(isinstance(node, ast.BinOp) for node in ast.walk(tree))
+    max_products, max_operations = THUNK_CEILINGS[name]
+    assert products <= max_products, f"{name}: {products} products"
+    assert operations <= max_operations, (
+        f"{name}: {operations} binary operations")
+
+
+@pytest.mark.parametrize("name", MUL_KERNELS)
+def test_lifted_sums_are_n_ary(name, monkeypatch):
+    """The lift renders through the graph's public constructors: every
+    sum it leaves with a known interval lists its terms, so a later
+    ``Graph.add`` on the same operands finds a proper n-ary sum."""
+    lifted = []
+
+    def recording_lift(graph, roots):
+        lifted.extend(lift.lift(graph, roots))
+        return lifted
+
+    monkeypatch.setattr(aot, "lift", recording_lift)
+    kernel = cached_kernels(csidh_512().p)[name]
+    KernelRunner(kernel, engine="interpreter").fuse_entry()
+    seen, stack = set(), list(lifted)
+    while stack:
+        node = stack.pop()
+        if node.serial in seen:
+            continue
+        seen.add(node.serial)
+        if node.op == "add" and node.lo is not None:
+            assert node.terms is not None, f"{name}: sum without terms"
+        stack.extend(node.args)
 
 
 @pytest.mark.parametrize("name", MUL_KERNELS)

@@ -32,7 +32,7 @@ import random
 import pytest
 
 from repro import telemetry
-from repro.csidh.parameters import csidh_toy
+from repro.csidh.parameters import csidh_512, csidh_toy
 from repro.kernels.registry import cached_kernels
 from repro.kernels.runner import KernelRunner
 from repro.kernels.spec import (
@@ -136,6 +136,51 @@ def test_every_generated_kernel_is_aot_exact():
         assert runner._aot_thunk is not None, name
         for _ in range(5):
             assert_aot_exact(runner, runner.kernel.sampler(rng))
+
+
+_WIDE_RUNNERS: dict[str, KernelRunner] = {}
+
+
+def wide_runner_for(name: str) -> KernelRunner:
+    """Module-lifetime pool of CSIDH-512 runners: at 512 bits every
+    operand spans eight or nine limbs, so wide-word lifting fires."""
+    if name not in _WIDE_RUNNERS:
+        kernels = cached_kernels(csidh_512().p)
+        _WIDE_RUNNERS[name] = KernelRunner(kernels[name], engine="aot")
+    return _WIDE_RUNNERS[name]
+
+
+#: Operands per 512-bit field kernel drawn from its sampler, and again
+#: anywhere below its all-ones limb vector: which window and select the
+#: lifted thunk reads depends on the data.  Other kernels draw three.
+WIDE_FIELD_SAMPLES = 100
+
+
+@pytest.mark.parametrize("name", sorted(cached_kernels(csidh_toy().p)))
+def test_every_512_bit_kernel_is_aot_exact(name):
+    """The full kernel matrix at CSIDH-512 size -- where the lift
+    rewrites column, carry and borrow chains into wide integers --
+    fuses exactly: value, limbs, register file and cycles, on sampled
+    operands, on arbitrary limb vectors and on every combination of
+    boundary operands (including all-ones vectors outside the reference
+    domain)."""
+    runner = wide_runner_for(name)
+    assert runner._aot_thunk is not None, name
+    rng = random.Random(0x512)
+    count = WIDE_FIELD_SAMPLES if name in FIELD_KERNELS else 3
+    radix = runner.kernel.context.radix
+    tops = [radix.from_limbs([radix.mask] * limbs)
+            for limbs in runner.kernel.input_limbs]
+    for _ in range(count):
+        assert_aot_exact(runner, runner.kernel.sampler(rng))
+    for _ in range(count):
+        values = tuple(rng.randint(0, top) for top in tops)
+        assert runner._aot_thunk(*values) is not None, values
+        assert_aot_exact(runner, values)
+    per_operand = boundary_operand_values(runner.kernel,
+                                          clip_to_domain=False)
+    for values in itertools.product(*per_operand):
+        assert_aot_exact(runner, values)
 
 
 def test_aot_cycles_match_golden_snapshot():
