@@ -11,12 +11,17 @@ equivalence.
 Because every generated kernel is branch-free straight-line code, a
 runner built with ``engine="aot"`` runs it as one fused Python function
 (:mod:`repro.rv64.aot`): the kernel's static trace is fused into
-limb-level wide-int arithmetic over the operand values, and the fused
-entry thunk warm-starts from the persistent on-disk artifact cache
-(:mod:`repro.rv64.artifacts`) without re-tracing at all.  The aot
-engine returns bit-identical limbs and the identical cycle count
-(``tests/differential/`` proves the equivalence for every kernel
-variant).  The thunk is the only aot form: an aot request that it
+wide-int arithmetic over the operand values, and the fused entry thunk
+warm-starts from the persistent on-disk artifact cache
+(:mod:`repro.rv64.artifacts`) without re-tracing at all.  The thunk is
+value-first: an aot run computes only the result value and its static
+cost, and keeps its limbs as a deferred read-out that recomputes them
+-- writing the register file, ``pc`` and ``halted`` as the interpreter
+leaves them -- when :attr:`KernelRun.limbs` is read.  Either way the
+aot engine yields the bit-identical value, limbs and architectural
+state and the identical cycle count (``tests/differential/`` proves
+the equivalence for every kernel variant).  The thunk is the only aot
+form: an aot request that it
 cannot serve runs on the interpreter instead — an
 :class:`~repro.rv64.aot.AotError` refusal (a non-straight-line program,
 cache-enabled timing, ...), a runner built for the interpreter, a thunk
@@ -34,6 +39,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import FrozenInstanceError
+from operator import itemgetter
 
 from repro import telemetry
 from repro.errors import FaultDetectedError, KernelError
@@ -57,47 +63,71 @@ def _decode_words(raw: bytes) -> tuple[int, ...]:
     return struct.unpack(f"<{len(raw) >> 3}Q", raw)
 
 
-class KernelRun:
+class KernelRun(tuple):
     """Result of one kernel execution (immutable).
 
-    Slotted, so a caller that keeps many runs keeps them compactly.  An
-    interpreter run holds its result read-out as the raw little-endian
-    bytes of the result buffer, and ``limbs`` decodes them to a tuple of
-    ints on access; an aot run holds the tuple its thunk returned.
-    Either way ``limbs`` is the same tuple, so equality, hashing and
-    ``repr`` treat both alike.
+    A frozen tuple, so the hot path builds one with a single
+    ``tuple.__new__`` and a caller that keeps many runs keeps them
+    compactly.  The result limbs are held in one of three forms, and
+    ``limbs`` turns each into the same tuple of ints on access:
+
+    * an interpreter run holds the raw little-endian bytes of the result
+      buffer, decoded on access;
+    * a run built by hand (or unpickled) holds the tuple itself;
+    * an aot run holds its *deferred read-out*, the entry thunk and the
+      operands: reading ``limbs`` calls ``thunk(*operands, True)``, which
+      recomputes the run, writes the register file, ``pc`` and
+      ``halted`` the interpreter would leave, and returns the limbs.  A
+      field op, which reads only ``value``, ``cycles`` and
+      ``instructions``, never pays for them.
+
+    Equality, hashing, ``repr`` and pickling go through ``limbs``, so
+    all three forms compare alike; the tuple layout itself is private.
     """
 
-    __slots__ = ("value", "_limbs", "instructions", "cycles")
+    __slots__ = ()
 
-    def __init__(self, value: int, limbs: tuple[int, ...] | bytes,
-                 instructions: int, cycles: int) -> None:
-        setattr_ = object.__setattr__
-        setattr_(self, "value", value)
-        setattr_(self, "_limbs", limbs)
-        setattr_(self, "instructions", instructions)
-        setattr_(self, "cycles", cycles)
+    def __new__(cls, value: int, limbs, instructions: int,
+                cycles: int) -> "KernelRun":
+        return _new(cls, (value, instructions, cycles, limbs, None))
+
+    value = property(itemgetter(0))
+    instructions = property(itemgetter(1))
+    cycles = property(itemgetter(2))
 
     @property
     def limbs(self) -> tuple[int, ...]:
-        limbs = self._limbs
-        return _decode_words(limbs) if type(limbs) is bytes else limbs
+        limbs = self[3]
+        if type(limbs) is bytes:
+            return _decode_words(limbs)
+        operands = self[4]
+        if operands is not None:  # the aot read-out
+            return limbs(*operands, True)
+        return limbs
 
     def _key(self) -> tuple:
-        return (self.value, self.limbs, self.instructions, self.cycles)
+        return (self[0], self.limbs, self[1], self[2])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()  # type: ignore[attr-defined]
 
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def _unordered(self, other: object):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
     def __repr__(self) -> str:
-        return (f"KernelRun(value={self.value!r}, limbs={self.limbs!r}, "
-                f"instructions={self.instructions!r}, "
-                f"cycles={self.cycles!r})")
+        return (f"KernelRun(value={self[0]!r}, limbs={self.limbs!r}, "
+                f"instructions={self[1]!r}, cycles={self[2]!r})")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -110,7 +140,10 @@ class KernelRun:
 
     @property
     def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
+        return self[2] / self[1] if self[1] else 0.0
+
+
+_new = tuple.__new__
 
 
 _ARG_ADDRESSES = (ARG_A_ADDR, ARG_B_ADDR)
@@ -197,8 +230,9 @@ class KernelRunner:
             )
         )
         self._result_reg = register_index("a0")
-        # the fused entry thunk (operands in, read-out and static cost
-        # out); None on interpreter runners and refused kernels
+        # the fused entry thunk (operands in, value and static cost
+        # out; limbs on read-out); None on interpreter runners and
+        # refused kernels
         self._aot_thunk = None
         if engine == "aot":
             # warm-start if the artifact cache has this kernel; only
@@ -336,7 +370,8 @@ class KernelRunner:
     def set_fault_hook(self, hook) -> None:
         """Install *hook*: ``limbs -> limbs`` applied to every raw
         result read-out (the fault-injection seam used by
-        :mod:`repro.fault.inject`; not a public extension point)."""
+        :mod:`repro.fault.inject`; not a public extension point).  An
+        aot run reads its limbs out eagerly while a hook is installed."""
         self._ensure_hardening().fault_hook = hook
 
     def clear_fault_hook(self) -> None:
@@ -415,14 +450,17 @@ class KernelRunner:
 
         out = None
         if engine == "aot" and not machine._trace_hooks:
-            # the fused thunk computes the result limbs directly from
+            # the fused thunk computes the result value directly from
             # the operand values; None if invalidate_trace dropped it or
             # an operand is out of range
             thunk = self._aot_thunk
             if thunk is not None:
                 out = thunk(*values)
         if out is not None:
-            value, out_limbs, cycles, instructions = out
+            value, cycles, instructions = out
+            # the limbs stay a deferred read-out of (thunk, operands)
+            out_limbs = thunk
+            operands = values
             ran = "aot"
             telemetry.record_machine_run("aot")
         else:
@@ -448,11 +486,15 @@ class KernelRunner:
             # one read of the result buffer; the run keeps these bytes
             out_limbs = machine.mem.read_bytes(
                 RESULT_ADDR, 8 * kernel.output_limbs)
+            operands = None
             value = radix.from_limbs(_decode_words(out_limbs))
         hardening = self._hardening
         if hardening is not None:  # disabled: one boolean test
             if hardening.fault_hook is not None:
-                if type(out_limbs) is bytes:
+                if operands is not None:
+                    out_limbs = out_limbs(*operands, True)
+                    operands = None
+                elif type(out_limbs) is bytes:
                     out_limbs = _decode_words(out_limbs)
                 out_limbs = tuple(hardening.fault_hook(out_limbs))
                 value = radix.from_limbs(list(out_limbs))
@@ -481,12 +523,8 @@ class KernelRunner:
         # ``ran`` reports the engine that actually ran (an aot request
         # can demote, e.g. when a profiler hook is attached)
         telemetry.record_kernel_run(kernel.name, ran, cycles, instructions)
-        return KernelRun(
-            value=value,
-            limbs=out_limbs,
-            instructions=instructions,
-            cycles=cycles,
-        )
+        return _new(KernelRun,
+                    (value, instructions, cycles, out_limbs, operands))
 
     def run_batch(
         self,

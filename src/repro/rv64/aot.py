@@ -27,12 +27,16 @@ expression nodes instead of integers:
   product and one wide reduction step per limb;
 * the surviving dataflow is emitted as a handful of fused wide-int
   expressions (shared nodes materialise as temporaries, deep chains
-  are cut at a depth cap to stay inside CPython's parser limits);
-* the full 32-register writeback, architectural ``pc``/``halted`` and
-  the trace's **precomputed static cycle accounting** are attached
-  verbatim, so the differential suite's register-file comparison and
-  the golden cycle snapshot hold bit-for-bit against the interpreter
-  (see ``tests/differential/``).
+  are cut at a depth cap to stay inside CPython's parser limits),
+  **value first**: the thunk computes the result value and returns it
+  with the trace's **precomputed static cycle accounting**, before any
+  read-out;
+* the read-out -- result limbs, the full 32-register writeback and
+  architectural ``pc``/``halted`` -- follows in the same function and
+  runs only when the thunk is called with its read-out flag, so the
+  differential suite's register-file comparison and the golden cycle
+  snapshot still hold bit-for-bit against the interpreter (see
+  ``tests/differential/``) while a field op pays for its value alone.
 
 Expression semantics come from one template table: the base ALU
 templates below and the ones extension packages register via
@@ -477,12 +481,15 @@ class _deep_recursion:
 class AotEntry:
     """One kernel fused into an entry thunk, plus its static cost.
 
-    ``fn(*operands)`` returns ``(value, limbs, cycles, instructions)``
-    or ``None`` (liveness guard tripped / operand out of range — the
+    ``fn(*operands)`` returns ``(value, cycles, instructions)`` or
+    ``None`` (liveness guard tripped / operand out of range — the
     runner falls back to the interpreter path, whose limb marshalling
-    raises on an out-of-range operand).  ``persistable`` is false
-    when the source references namespace-bound lambdas that cannot
-    round-trip through the on-disk artifact cache.
+    raises on an out-of-range operand).  ``fn(*operands, True)`` is the
+    read-out of the same run: it skips the liveness guard, writes the
+    register file, ``pc`` and ``halted`` the interpreter would leave,
+    and returns the result limbs.  ``persistable`` is false when the
+    source references namespace-bound lambdas that cannot round-trip
+    through the on-disk artifact cache.
     """
 
     entry: int
@@ -516,14 +523,20 @@ def compile_aot_entry(
 
     The generated function takes the operand *values* directly (no limb
     marshalling, no memory writes, no register zeroing loop), computes
-    the result limbs as fused wide-int expressions, writes the full
-    32-register architectural state back (so the differential suite's
-    register-file comparison holds), sets ``pc``/``halted``, and
-    returns the read-out with the trace's precomputed static cost.
+    the result value as fused wide-int expressions bound to one local
+    (``_v``), and returns ``(_v, cycles, instructions)`` with the
+    trace's precomputed static cost.  Called with its read-out flag
+    (``fn(*operands, True)``), the same function continues past that
+    return: it computes the result limbs, writes the full 32-register
+    architectural state back (so the differential suite's register-file
+    comparison holds), sets ``pc``/``halted`` and returns the limbs.
+    One source, one artifact: the read-out is not a second thunk.
 
     The liveness guard re-reads ``machine._aot_entry_cache`` on every
-    call: invalidation pops the entry, the thunk returns ``None``, and
-    the runner demotes the run to the interpreter.
+    value call: invalidation pops the entry, the thunk returns ``None``,
+    and the runner demotes the run to the interpreter.  The read-out
+    skips the guard, so a finished run's limbs stay readable after its
+    thunk was invalidated or replaced.
 
     *trace* overrides the machine's cached trace (fault injection fuses
     a poisoned copy this way); by default the cached trace is used.
@@ -567,15 +580,20 @@ def compile_aot_entry(
             roots = lift(graph, [*limb_nodes, *run.regs, value_node])
             limb_nodes = roots[:out_limbs]
             reg_nodes = roots[out_limbs:-1]
+            value_node = roots[-1]
             if out_limbs == 1:  # the value is the limb
                 roots = roots[:-1]
             emitter = Emitter(count_uses(roots))
+            # the value first: everything rendered before the read-out
+            # branch is what a field op pays for
+            emitter.lines.append(f"_v = {emitter.ref(value_node)}")
+            emitter.alias(value_node, "_v")
+            hot = len(emitter.lines)
             for index, node in enumerate(limb_nodes):
                 emitter.lines.append(
                     f"_w{index} = {emitter.ref(node)}")
                 emitter.alias(node, f"_w{index}")
             reg_refs = [emitter.ref(node) for node in reg_nodes]
-            value_ref = "_w0" if out_limbs == 1 else emitter.ref(roots[-1])
         except RecursionError as exc:
             raise AotError(
                 f"expression graph for {entry:#x} is too deep to "
@@ -587,26 +605,29 @@ def compile_aot_entry(
 
     args = ", ".join(f"v{i}" for i in range(len(arg_plan)))
     lines = [
-        f"def __aot_entry({args}, _get=_live.get, _regs=_regs, "
-        f"_st=_st):",
-        f"    if _get({entry}) is None:",
+        f"def __aot_entry({args}, _readout=False, _get=_live.get, "
+        f"_regs=_regs, _st=_st):",
+        f"    if _get({entry}) is None and not _readout:",
         "        return None",
     ]
     for index, (_address, limbs, _reg_index) in enumerate(arg_plan):
         lines.append(
             f"    if v{index} < 0 or (v{index} >> {bits * limbs}):")
         lines.append("        return None")  # generic path raises
-    for line in emitter.lines:
+    for line in emitter.lines[:hot]:
+        lines.append("    " + line)
+    lines.append("    if not _readout:")
+    lines.append(
+        f"        return _v, {trace.cycles!r}, "
+        f"{trace.instructions_retired}")
+    for line in emitter.lines[hot:]:
         lines.append("    " + line)
     lines.append(f"    _regs[:] = ({', '.join(reg_refs)})")
     lines.append(f"    _st.pc = {trace.exit_pc}")
     lines.append(f"    _st.halted = {trace.halts}")
     limbs_expr = ("(" + ", ".join(f"_w{i}" for i in range(out_limbs))
                   + ("," if out_limbs == 1 else "") + ")")
-    lines.append(
-        f"    return {value_ref}, {limbs_expr}, "
-        f"{trace.cycles!r}, {trace.instructions_retired}"
-    )
+    lines.append(f"    return {limbs_expr}")
     source = "\n".join(lines) + "\n"
     namespace = {
         "M": MASK64,

@@ -707,6 +707,72 @@ def test_thunk_op_ceilings(name):
         f"{name}: {operations} binary operations")
 
 
+def hot_path(source: str) -> list:
+    """Statements of an entry thunk before its read-out branch: all a
+    field op, which reads only the value and the static cost, runs."""
+    body = ast.parse(source).body[0].body
+    for index, statement in enumerate(body):
+        if (isinstance(statement, ast.If)
+                and ast.unparse(statement.test) == "not _readout"):
+            return body[:index + 1]
+    raise AssertionError("the thunk has no read-out branch")
+
+
+#: Ceilings on (products, binary operations) per thunk before its
+#: read-out branch.  The limbs, the 32-register writeback and
+#: ``pc``/``halted`` follow that branch, so a lifted ``fp_mul``/
+#: ``fp_sqr`` runs 55-59 of its 108-129 operations; ``fp_add``/
+#: ``fp_sub`` sum their limbs into the value, so most of theirs stay.
+HOT_PATH_CEILINGS = {
+    f"{OP_FP_MUL}.full.isa": (19, 59),
+    f"{OP_FP_MUL}.full.ise": (19, 59),
+    f"{OP_FP_MUL}.reduced.isa": (20, 56),
+    f"{OP_FP_MUL}.reduced.ise": (20, 56),
+    f"{OP_FP_SQR}.full.isa": (108, 1291),
+    f"{OP_FP_SQR}.full.ise": (19, 58),
+    f"{OP_FP_SQR}.reduced.isa": (20, 55),
+    f"{OP_FP_SQR}.reduced.ise": (20, 55),
+    f"{OP_FP_ADD}.full.isa": (0, 168),
+    f"{OP_FP_ADD}.full.ise": (0, 168),
+    f"{OP_FP_ADD}.reduced.isa": (0, 128),
+    f"{OP_FP_ADD}.reduced.ise": (0, 128),
+    f"{OP_FP_SUB}.full.isa": (0, 156),
+    f"{OP_FP_SUB}.full.ise": (0, 156),
+    f"{OP_FP_SUB}.reduced.isa": (0, 119),
+    f"{OP_FP_SUB}.reduced.ise": (0, 119),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_KERNELS)
+def test_hot_path_ceilings(name):
+    statements = hot_path(entry_source(name))
+    nodes = [node for statement in statements
+             for node in ast.walk(statement)]
+    products = sum(isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.Mult) for node in nodes)
+    operations = sum(isinstance(node, ast.BinOp) for node in nodes)
+    max_products, max_operations = HOT_PATH_CEILINGS[name]
+    assert products <= max_products, f"{name}: {products} products"
+    assert operations <= max_operations, (
+        f"{name}: {operations} binary operations before the read-out")
+
+
+@pytest.mark.parametrize("name", FIELD_KERNELS)
+def test_hot_path_returns_value_and_cost_only(name):
+    """Before the read-out branch the thunk touches no limb, register
+    or ``pc``/``halted``, and the branch returns ``(_v, cycles,
+    instructions)``."""
+    statements = hot_path(entry_source(name))
+    names = {node.id for statement in statements
+             for node in ast.walk(statement) if isinstance(node, ast.Name)}
+    assert not names & {"_regs", "_st"}, name
+    assert not any(n.startswith("_w") for n in names), name
+    returned = statements[-1].body[0].value
+    assert isinstance(returned, ast.Tuple) and len(returned.elts) == 3
+    assert ast.unparse(returned.elts[0]) == "_v"
+    assert all(isinstance(elt, ast.Constant) for elt in returned.elts[1:])
+
+
 @pytest.mark.parametrize("name", MUL_KERNELS)
 def test_lifted_sums_are_n_ary(name, monkeypatch):
     """The lift renders through the graph's public constructors: every

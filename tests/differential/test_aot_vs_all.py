@@ -78,16 +78,44 @@ def runner_for(name: str) -> KernelRunner:
     return _RUNNERS[name]
 
 
+#: Register, ``pc`` and ``halted`` contents no kernel run leaves behind:
+#: the aot run is observed over these, so a read-out that never writes
+#: the register file cannot pass for one that writes the right values.
+SENTINEL_REGS = [0] + [0x5E7_0000_0000 + index for index in range(1, 32)]
+SENTINEL_PC = 0xBAD0
+SENTINEL_HALTED = None
+
+
+def _architectural_state(runner: KernelRunner) -> tuple:
+    state = runner.machine.state
+    return list(state.regs._regs), state.pc, state.halted
+
+
 def assert_aot_exact(runner: KernelRunner, values) -> None:
-    """One differential observation: interpreter vs the entry thunk."""
+    """One differential observation: interpreter vs the entry thunk.
+
+    The aot run computes only the value; its register file, ``pc`` and
+    ``halted`` appear when ``limbs`` is read.  So the aot run starts
+    from sentinels, must leave them in place, and must reproduce the
+    interpreter's architectural state once its limbs are read out."""
     name = runner.kernel.name
+    assert runner._aot_thunk is not None, name
     interp = runner.run(*values, check=False, engine="interpreter")
-    interp_regs = list(runner.machine.state.regs._regs)
+    interp_state = _architectural_state(runner)
+    state = runner.machine.state
+    state.regs._regs[:] = SENTINEL_REGS
+    state.pc = SENTINEL_PC
+    state.halted = SENTINEL_HALTED
     fused = runner.run(*values, check=False, engine="aot")
-    fused_regs = list(runner.machine.state.regs._regs)
+    assert _architectural_state(runner) == (
+        SENTINEL_REGS, SENTINEL_PC, SENTINEL_HALTED), (
+        f"{name}: the value-only aot run wrote architectural state")
 
     assert fused.limbs == interp.limbs, (
         f"{name}: result limbs diverge on {values}")
+    assert _architectural_state(runner) == interp_state, (
+        f"{name}: final register state, pc or halted diverge on "
+        f"{values}")
     assert fused.value == interp.value
     assert fused.instructions == interp.instructions, (
         f"{name}: retired-instruction counts diverge "
@@ -95,8 +123,6 @@ def assert_aot_exact(runner: KernelRunner, values) -> None:
     assert fused.cycles == interp.cycles, (
         f"{name}: cycle counts diverge "
         f"({fused.cycles} vs {interp.cycles})")
-    assert fused_regs == interp_regs, (
-        f"{name}: final register state diverges on {values}")
 
 
 @pytest.mark.parametrize("name", FIELD_KERNELS)
@@ -224,6 +250,39 @@ def test_batch_matches_looped_singles():
                 == [r.instructions for r in looped])
 
 
+@pytest.mark.parametrize("name", [f"{OP_FP_MUL}.full.isa",
+                                  f"{OP_FP_ADD}.reduced.ise"])
+def test_finished_run_reads_out_after_its_thunk_is_gone(name):
+    """An aot run's limbs are a deferred read-out of the thunk that ran
+    it: invalidating the trace or arming and disarming a fault swaps
+    the runner's thunk (and drops it from the liveness table), yet the
+    finished run still reads out the interpreter's limbs and state."""
+    from repro.fault import arm_fault
+    from repro.fault.plan import FaultSite
+
+    kernel = cached_kernels(csidh_512().p)[name]
+    runner = KernelRunner(kernel, engine="aot")
+    rng = random.Random(0x1A2)
+    sets = [kernel.sampler(rng) for _ in range(2)]
+    expected = []
+    for values in sets:
+        interp = runner.run(*values, check=False, engine="interpreter")
+        expected.append((interp.limbs, _architectural_state(runner)))
+    before_disarm, before_invalidate = [
+        runner.run(*values, check=False, engine="aot") for values in sets]
+
+    site = FaultSite(index=0, site="replay_closure_corrupt",
+                     operation="mul", step=5, bit=13, lane=3, delta=1)
+    arm_fault(runner, site).disarm()
+    assert before_disarm.limbs == expected[0][0]
+    assert _architectural_state(runner) == expected[0][1]
+
+    assert runner.machine.invalidate_trace(runner.entry)
+    assert runner.entry not in runner.machine._aot_entry_cache
+    assert before_invalidate.limbs == expected[1][0]
+    assert _architectural_state(runner) == expected[1][1]
+
+
 def _fresh_runner(kernels, name):
     return KernelRunner(kernels[name], engine="aot")
 
@@ -318,3 +377,40 @@ def test_old_version_artifact_is_neither_served_nor_left_behind(
               for path in cache_dir().glob("*.json")]
     assert [payload["version"] for payload in stored] == [current]
     assert_aot_exact(runner, kernel.sampler(random.Random(5)))
+
+
+def test_previous_version_payload_is_refused_not_bound(monkeypatch,
+                                                       tmp_path):
+    """A payload of the previous format version, even at the current
+    filename, is invalidated and recompiled rather than bound: its thunk
+    returned ``(value, limbs, cycles, instructions)``, which the runner
+    would misread as a value-first ``(value, cycles, instructions)``."""
+    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "previous"))
+    name = f"{OP_FP_MUL}.full.isa"
+    kernel = cached_kernels(csidh_toy().p)[name]
+    probe = KernelRunner(kernel, engine="interpreter")
+    key = artifacts.make_key(kernel, probe._pipeline_config)
+    entry = probe.entry
+    stale = (f"def __aot_entry(v0, v1, _get=_live.get, _regs=_regs, "
+             f"_st=_st):\n"
+             f"    if _get({entry}) is None:\n"
+             f"        return None\n"
+             f"    return 0, (0,), 1, 1\n")
+    artifacts.store_artifact(key, entry=entry, source=stale, cycles=1,
+                             instructions=1, halts=False, exit_pc=0)
+    path = cache_dir() / key.filename
+    payload = json.loads(path.read_text())
+    payload["version"] = artifacts.ARTIFACT_VERSION - 1
+    payload["digest"] = artifacts._payload_digest(payload)
+    path.write_text(json.dumps(payload, sort_keys=True))
+
+    with telemetry.capture() as cap:
+        runner = _fresh_runner({name: kernel}, name)
+    reg = cap.registry
+    assert reg.counter("aot_artifact_hits_total").total() == 0
+    assert reg.counter("aot_artifact_invalidations_total").total() > 0
+    assert reg.counter("aot_compiles_total").total() > 0
+    assert runner.machine._aot_entry_cache[runner.entry].source != stale
+    assert json.loads(path.read_text())["version"] \
+        == artifacts.ARTIFACT_VERSION
+    assert_aot_exact(runner, kernel.sampler(random.Random(4)))

@@ -6,6 +6,7 @@ the loop end-to-end.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,12 @@ from repro.fault.campaign import (
 )
 from repro.field.fp import FieldContext
 from repro.field.simulated import SimulatedFieldContext
+
+
+#: The deterministic fields (``outcomes``, ``by_site``, ``trials``) of
+#: ``repro faults --params toy --n 25 --seed 1 --json``.
+GOLDEN_FAULT_REPORT = (Path(__file__).resolve().parent
+                       / "golden_fault_report_toy_seed1.json")
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +68,14 @@ class TestCampaignAcceptance:
         assert len(document["trials"]) == 25
         injected = document["metrics"]["faults_injected_total"]
         assert sum(e["value"] for e in injected) == 25
+
+    def test_outcomes_match_the_golden_report(self, report):
+        """Every trial's outcome, pinned: a change to the engines or the
+        fault seam that moves one shows here, and CI's fault-campaign
+        job diffs its own report against the same file."""
+        document = json.loads(json.dumps(report.to_dict()))
+        golden = json.loads(GOLDEN_FAULT_REPORT.read_text())
+        assert {key: document[key] for key in golden} == golden
 
     def test_trials_follow_the_plan(self, report):
         planned = FaultPlan(seed=1).generate(25)

@@ -275,9 +275,10 @@ class TestEngineSelection:
 
 
 class TestKernelRunContract:
-    """An interpreter run is kept compactly (slotted, the result
-    read-out as raw bytes) yet reads, compares and hashes exactly like
-    the aot run of the same operands."""
+    """A run is a frozen tuple holding its limbs as raw bytes
+    (interpreter), a tuple (built by hand or unpickled) or a deferred
+    read-out (aot), yet all three read, compare, hash, print and pickle
+    exactly alike."""
 
     @pytest.mark.parametrize("name", ["fp_mul.full.ise",
                                       "fp_mul.reduced.isa"])
@@ -287,15 +288,41 @@ class TestKernelRunContract:
         interpreted = KernelRunner(kernel).run(*operands)
         aot_runner = KernelRunner(kernel, engine="aot")
         assert aot_runner._aot_thunk is not None
-        fused = aot_runner.run(*operands)
+        deferred = aot_runner.run(*operands)
+        explicit = KernelRun(value=interpreted.value,
+                             limbs=tuple(interpreted.limbs),
+                             instructions=interpreted.instructions,
+                             cycles=interpreted.cycles)
+        forms = (interpreted, deferred, explicit)
+        assert type(interpreted[3]) is bytes
+        assert deferred[3] is aot_runner._aot_thunk
+        assert type(explicit[3]) is tuple
 
         assert not hasattr(interpreted, "__dict__")
-        assert isinstance(interpreted.limbs, tuple)
         assert all(type(limb) is int for limb in interpreted.limbs)
         assert len(interpreted.limbs) == kernel.output_limbs
-        assert interpreted == fused
-        assert hash(interpreted) == hash(fused)
-        assert repr(interpreted) == repr(fused)
+        for run in forms:
+            assert run.limbs == explicit.limbs
+            assert run.cpi == run.cycles / run.instructions
+            for other in forms:
+                assert run == other and not run != other
+                assert hash(run) == hash(other)
+                assert repr(run) == repr(other)
+            restored = pickle.loads(pickle.dumps(run))
+            assert restored == run and type(restored[3]) is tuple
+            for field in ("value", "limbs", "instructions", "cycles",
+                          "extra"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(run, field, 0)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(run, field)
+            with pytest.raises(TypeError):
+                run < explicit  # noqa: B015 - runs are unordered
+            assert run != (run.value, run.limbs, run.instructions,
+                           run.cycles)
+        assert deferred != KernelRun(
+            value=deferred.value, limbs=deferred.limbs,
+            instructions=deferred.instructions, cycles=deferred.cycles + 1)
 
     def test_keyword_construction_and_immutability(self):
         run = KernelRun(value=7, limbs=(7, 0), instructions=3, cycles=5)
