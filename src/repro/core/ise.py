@@ -49,7 +49,7 @@ from repro.rv64.isa import (
     OP_CUSTOM_SRAIADD,
     register_global_spec,
 )
-from repro.rv64.aot import register_expr as register_aot_expr
+from repro.rv64.templates import register_expr as register_aot_expr
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rv64.machine import MachineState

@@ -24,7 +24,8 @@ expression nodes instead of integers:
 * wide-word lifting (:mod:`repro.rv64.lift`) then re-expresses the
   result, its limbs and the register file over the wide integers the
   limbs are windows of: a Montgomery multiplication becomes one wide
-  product and one wide reduction step per limb;
+  product and a one-shot Montgomery reduction, a modular addition one
+  wide sum and a select;
 * the surviving dataflow is emitted as a handful of fused wide-int
   expressions (shared nodes materialise as temporaries, deep chains
   are cut at a depth cap to stay inside CPython's parser limits),
@@ -38,9 +39,10 @@ expression nodes instead of integers:
   snapshot still hold bit-for-bit against the interpreter (see
   ``tests/differential/``) while a field op pays for its value alone.
 
-Expression semantics come from one template table: the base ALU
-templates below and the ones extension packages register via
-:func:`register_expr`; each is parsed once into a lowering function.
+Expression semantics come from one template table
+(:mod:`repro.rv64.templates`): the base ALU templates below and the ones
+extension packages register via :func:`register_expr`; each is parsed
+once into a lowering function.
 Anything without a template falls back to the *extracted* interpreter
 ``op`` lambda bound into the namespace (correct, but it marks the
 artifact non-persistable: a bound lambda cannot round-trip through the
@@ -74,7 +76,6 @@ from typing import Callable, TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.rv64.bits import MASK64, s32, u64
 from repro.rv64.expr import (
-    KIND_PARAMS,
     Emitter,
     ExpressionError,
     Graph,
@@ -85,6 +86,7 @@ from repro.rv64.expr import (
 from repro.rv64.isa import FMT_I, FMT_I_SHIFT, FMT_R, InstrSpec
 from repro.rv64.lift import lift
 from repro.rv64.machine import DEFAULT_STACK_TOP, HALT_ADDRESS
+from repro.rv64.templates import EXPRS as _EXPRS, register_expr
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rv64.machine import Machine
@@ -160,28 +162,6 @@ _ALU_I_EXPR = {
     "srli": "{a} >> {sh}",
     "srai": "({sa} >> {sh}) & M",
 }
-
-#: ``mnemonic -> (kind, expr)``; kind is one of ``"r"`` ({a}/{b}),
-#: ``"i"`` ({a}/{imm}/{uimm}/{sh}), ``"r4"`` ({a}/{b}/{c}),
-#: ``"ria"`` ({a}/{b}/{sh}).  ``{sa}``/``{sb}`` expand to the signed
-#: reinterpretation of {a}/{b}.
-_EXPRS: dict[str, tuple[str, str]] = {}
-
-
-def register_expr(mnemonic: str, kind: str, expr: str) -> None:
-    """Register an aot expression for *mnemonic* (idempotent).
-
-    Extension packages (e.g. :mod:`repro.core.ise`) use this to fuse
-    their custom instructions into the dataflow graph; unregistered
-    mnemonics fall back to the extracted interpreter lambda (one call
-    per instruction, and the artifact becomes non-persistable), so
-    registration is a performance *and* cacheability optimisation.
-    """
-    if kind not in KIND_PARAMS:
-        raise AotError(f"unknown expression kind {kind!r}",
-                       reason="codegen_error")
-    _EXPRS.setdefault(mnemonic, (kind, expr))
-
 
 for _mnemonic, _expr in _ALU_R_EXPR.items():
     register_expr(_mnemonic, "r", _expr)

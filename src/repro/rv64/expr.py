@@ -760,6 +760,65 @@ def count_uses(roots: list) -> dict[int, int]:
     return uses
 
 
+def reachable(roots) -> list:
+    """The distinct nodes below *roots*, *roots* included."""
+    seen: set = set()
+    found = []
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node.serial in seen:
+            continue
+        seen.add(node.serial)
+        found.append(node)
+        stack.extend(node.args)
+    return found
+
+
+def evaluate(roots: list, atoms: list, samples: list) -> list:
+    """Each root's values over *samples*, one value per sample; a sample
+    lists the value of each of *atoms*.  A value is dropped once its
+    last user is evaluated, so a long limb chain holds only its live
+    values.  An opaque node that calls an extracted interpreter lambda
+    raises :class:`NameError` here."""
+    order = []  # every node after the nodes it uses
+    seen: set = set()
+    stack = [(root, False) for root in roots]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node.serial not in seen:
+            seen.add(node.serial)
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in node.args)
+    uses = count_uses(roots)
+    values: dict[int, tuple] = {
+        atom.serial: tuple(sample[index] for sample in samples)
+        for index, atom in enumerate(atoms)}
+    count = len(samples)
+    scope = dict(_FOLD_GLOBALS)
+    for node in order:
+        serial = node.serial
+        if serial in values:
+            continue
+        if node.op == "const":
+            values[serial] = (node.const,) * count
+            continue
+        args = [values[arg.serial] for arg in node.args]
+        if node.op == "opaque":
+            values[serial] = tuple(
+                eval(node.template.format(*map(_lit, column)), scope)
+                for column in zip(*args))
+        else:
+            values[serial] = tuple(map(_APPLY[node.op], *args))
+        for arg in node.args:
+            uses[arg.serial] -= 1
+            if not uses[arg.serial]:
+                del values[arg.serial]
+    return [values[root.serial] for root in roots]
+
+
 class Emitter:
     """Render nodes to statements: temps for shared/deep subtrees.
 

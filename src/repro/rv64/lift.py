@@ -35,26 +35,36 @@ interval refuse when it is unknown:
   are windows at one position;
 * **limb grid** — ``Σ (A_i·B_j) << w(i+j)`` over all pairs of limbs is
   ``A·B`` (squares: each cross pair once, doubled); a grid that is only
-  complete modulo a window's precision completes there.
+  complete modulo a window's precision completes there;
+* **bit masks** — ``x & c`` is ``−x·c`` for ``x ∈ [−1, 0]`` and
+  ``−(x >> 1)·c + ((x + 1) >> 1)·(c & 1)`` for ``x ∈ [−1, 1]``, so the
+  masked limbs ``x & p_k`` of a conditional subtraction gather into
+  multiples of ``p``.
 
 :func:`lift` renders the lifted roots back into the same graph through
-its public constructors, so the emitter is unchanged.  It renders only
-kernels whose lifted form computes fewer products than their limb form,
-because it gathers their limb grids (the Montgomery multiplications);
-every other kernel keeps its limb form.
+its public constructors, so the emitter is unchanged.  A multiplication
+is lifted when gathering its limb grids saves products; a kernel that
+multiplies nothing (the add/sub carry chains) when its lifted form costs
+less.  :func:`repro.rv64.redc.one_shot_redc` then replaces each
+word-level Montgomery reduction chain of the rendered roots by the
+one-shot reduction, and a guard evaluates the lifted and the limb-form
+roots on boundary operands and keeps the limb form on any disagreement.
 """
 
 from __future__ import annotations
 
 import functools
 
-from repro.rv64.expr import Graph, Node, _is_ones, _range_mul
+from repro import telemetry
+from repro.rv64.expr import Graph, Node, _is_ones, _range_mul, evaluate, reachable
+from repro.rv64.redc import one_shot_redc
 
 _INF = None  # render exactly, not modulo a power of two
 _EXACT = float("inf")  # the precision of an exact form
 #: Windows of forms with more terms skip the interval test that drops
 #: a mask (see :meth:`Lifter._window`).
 _BOUNDED_TERMS = 8
+_WORD = 1 << 64
 
 
 def _low_zeros(value: int) -> int:
@@ -386,7 +396,8 @@ class Lifter:
     def trunc(self, lin: Lin, e: int) -> Lin:
         """The canonical form of *lin* modulo ``2^e``: coefficients and
         constant reduced into ``[−2^(e−1), 2^(e−1))``, windows narrowed
-        to the bits that can reach the low *e*."""
+        to the bits that can reach the low *e* unless their values fit
+        those bits already."""
         memo = (id(lin), e)
         reduced = self._trunc.get(memo)
         if reduced is not None:
@@ -406,7 +417,11 @@ class Lifter:
                     width = e - _low_zeros(coef)
                     if key.s == 0 and key.w is not None and key.w >= width:
                         inner = key.lin  # a low window
-                    elif key.w is None or key.w > width:
+                    elif (key.w is None or key.w > width) and not (
+                            key.lo is not None and key.lo >= 0
+                            and not key.hi >> width):
+                        # a window whose values fit the width is its own
+                        # residue: narrowing it would only recurse
                         inner = self.win(key.lin, key.s, width)
                         self._note_origin(inner, key)
                 if inner is None:
@@ -501,6 +516,15 @@ class Lifter:
                 return self.win(fx, 0, amount.bit_length())
             if fx.lo is not None and -1 <= fx.lo and fx.hi <= 0:
                 return self.combine([(-amount, fx)])  # x & c == −x·c
+            if fx.lo is not None and -1 <= fx.lo and fx.hi <= 1:
+                # x & c == −(x >> 1)·c + ((x + 1) >> 1)·(c & 1), over
+                # the two bits as keys (floors would telescope)
+                graph = self.graph
+                one = graph.const(1)
+                return self.combine([
+                    (-amount, self.key(graph.shr(x, one))),
+                    (amount & 1, self.key(graph.shr(graph.add(x, one),
+                                                    one)))])
         if op == "lt" and fx.lo is not None and fy.lo is not None:
             diff = self.combine([(1, fx), (-1, fy)])
             if diff.lo is not None:
@@ -639,14 +663,14 @@ class Lifter:
         if self._consts.get(lin.const, -1) < precision:
             self._consts[lin.const] = precision
 
-    def prepare(self, roots) -> bool:
+    def prepare(self, roots) -> int:
         """Record the representatives of every form reachable from
         *roots*.  A window may render any coefficient or constant
         congruent to its own; the one known to the most bits -- the
         complete row a truncated window sees only the low part of --
         makes the rendered sums shared.
 
-        Returns whether the rendered forms compute fewer products than
+        Returns how many fewer products the rendered forms compute than
         the limb form: the limb products that only complete grids hold
         disappear, and each grid adds one wide product."""
         kept: set = set()
@@ -672,7 +696,7 @@ class Lifter:
                 else:
                     stack.extend((self.form(arg), _EXACT)
                                  for arg in key.args)
-        return len(self._gathered - kept) > len(self._wide)
+        return len(self._gathered - kept) - len(self._wide)
 
     def _representative(self, value: int, known: dict,
                         modulus: int) -> int:
@@ -921,39 +945,109 @@ def _weights(w: int, rows: int, columns: int, square: bool) -> dict:
     return dict(sorted(weights.items(), key=lambda item: item[1]))
 
 
-def _multiplies(roots) -> bool:
-    """Some node below *roots* multiplies two variable values: without
-    one the kernel has no partial products, so no limb grid."""
-    seen: set = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node.serial in seen:
-            continue
-        seen.add(node.serial)
+# -- the guard -------------------------------------------------------------------
+
+def _guard_operands(atoms: list) -> list:
+    """Operand assignments the guard evaluates: every atom at 0, at 1
+    and at its bound, and two alternating bit patterns that give
+    neighbouring atoms different values."""
+    his = [atom.hi for atom in atoms]
+    return [[0] * len(his), [1] * len(his), list(his),
+            [hi // 3 if index % 2 else hi // 5
+             for index, hi in enumerate(his)],
+            [hi // 5 if index % 2 else hi // 3
+             for index, hi in enumerate(his)]]
+
+
+def _refusal(roots: list, lifted: list, atoms: list) -> str | None:
+    """Why *lifted* may not replace *roots* (the reason
+    ``aot_lift_refusals_total`` counts), or ``None``: both are evaluated
+    on :func:`_guard_operands` of *atoms* and must agree root by root
+    (else ``value_mismatch``); any failure to evaluate, such as an
+    opaque node calling an extracted interpreter lambda, leaves the lift
+    unverified (``eval_error``)."""
+    samples = _guard_operands(atoms)
+    try:
+        expected = evaluate(roots, atoms, samples)
+        found = evaluate(lifted, atoms, samples)
+    except Exception:
+        return "eval_error"
+    return None if expected == found else "value_mismatch"
+
+
+def _multiplies(nodes: list) -> bool:
+    """Some node of *nodes* multiplies two variable values: without one
+    the kernel has no partial products, so no limb grid."""
+    for node in nodes:
         if (node.op == "mul" and node.args[0].const is None
                 and node.args[1].const is None):
             return True
-        stack.extend(node.args)
     return False
+
+
+def _is_product(node: Node) -> bool:
+    """*node* multiplies two factors neither of which lies in ``[−1,
+    1]`` (a product with a bit is a select, not a multiplication)."""
+    if node.op != "mul":
+        return False
+    for arg in node.args:
+        if arg.lo is not None and -1 <= arg.lo and arg.hi <= 1:
+            return False
+    return True
+
+
+def _counts(nodes: list) -> tuple[int, int]:
+    """(products, cost) of *nodes*: the products of :func:`_is_product`,
+    and the operations with each one whose value may leave ``[−2^64,
+    2^64)`` counted twice.  On CSIDH-512 that weight admits exactly the
+    add/sub thunks that run faster lifted: ``fp_sub.full``'s lifted form
+    has 146 operations, most of them wide, against 178 in limb form, and
+    runs no faster."""
+    products = cost = 0
+    for node in nodes:
+        if node.args:
+            products += _is_product(node)
+            cost += 1 if (node.lo is not None and node.lo >= -_WORD
+                          and node.hi < _WORD) else 2
+    return products, cost
 
 
 def lift(graph: Graph, roots: list) -> list:
     """*roots* re-expressed over wide integers (nodes of *graph*), or
-    *roots* themselves unless the lifted form computes fewer products
-    (:meth:`Lifter.prepare`, decided before anything is rendered).
+    *roots* themselves unless the lifted form computes fewer products,
+    or no more products at a lower cost (:func:`_counts`).
 
-    That is what makes a lifted multiplication faster: on CSIDH-512
-    every kernel the rule admits (each ``fp_mul``, each ``fp_sqr`` but
-    ``full.isa``, the reduced-radix ``int_mul``/``int_sqr``) runs 2-4x
-    faster lifted, and every multiplication it refuses runs as fast or
-    slower lifted (``fp_sqr.full.isa``: 5x slower).  Kernels that
-    multiply nothing are not analysed: their carry chains would lift
-    and run faster, but the analysis adds 2-5 ms to each cold compile
-    (docs/SIMULATOR.md, "Wide-word lifting")."""
-    if not _multiplies(roots):
-        return list(roots)
+    A kernel that multiplies two variable values is lifted when
+    :meth:`Lifter.prepare` finds, before anything is rendered, that
+    gathering its limb grids saves products: on CSIDH-512 each
+    ``fp_mul``, each ``fp_sqr`` but ``full.isa`` and the reduced-radix
+    ``int_mul``/``int_sqr``; a multiplication whose grids save nothing
+    runs slower lifted (``fp_sqr.full.isa``: 5x).  A kernel that
+    multiplies nothing (``fp_add``, ``fp_sub``, ``fast_reduce``) is
+    rendered and lifted when that costs less; one that multiplies only
+    by constants (``mont_redc``) keeps its limb form unanalysed.  The
+    rendered roots then pass :func:`one_shot_redc` and the guard
+    (:func:`_refusal`), which keeps the limb form and counts
+    ``aot_lift_refusals_total{reason}`` on any disagreement."""
+    nodes = reachable(roots)
+    chains = not _multiplies(nodes)
+    if chains:
+        limb_products, limb_cost = _counts(nodes)
+        if limb_products:
+            return list(roots)
     lifter = Lifter(graph)
-    if not lifter.prepare(roots):
+    if lifter.prepare(roots) <= 0 and not chains:
         return list(roots)
-    return [lifter.render_root(root) for root in roots]
+    lifted = one_shot_redc(
+        graph, [lifter.render_root(root) for root in roots])
+    if chains:
+        products, cost = _counts(reachable(lifted))
+        if products or cost >= limb_cost:
+            return list(roots)
+    atoms = sorted((node for node in nodes if node.op == "atom"),
+                   key=_serial)
+    reason = _refusal(roots, lifted, atoms)
+    if reason is not None:
+        telemetry.record("aot_lift_refusals_total", reason)
+        return list(roots)
+    return lifted

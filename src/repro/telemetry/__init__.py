@@ -188,6 +188,8 @@ FAMILIES = _declare(
                "aot compilation refusals", ("reason",)),
     FamilySpec("aot_demotions_total", "counter",
                "aot requests demoted to the interpreter", ("reason",)),
+    FamilySpec("aot_lift_refusals_total", "counter",
+               "wide-word lifts the guard refused", ("reason",)),
     FamilySpec("aot_evictions_total", "counter",
                "compiled aot functions evicted"),
     FamilySpec("aot_artifact_hits_total", "counter",
@@ -285,14 +287,21 @@ def record_kernel_run(
 ) -> None:
     """One :class:`~repro.kernels.runner.KernelRunner` execution: its
     cycles go to the innermost span and the three ``kernel_*`` counters
-    move under one lock."""
-    if not TRACER.enabled:
+    move, under one lock; the counters' children are looked up once per
+    (kernel, engine) and registry."""
+    tracer = TRACER
+    if not tracer.enabled:
         return
-    runs = _child("kernel_runs_total", (kernel, engine))
-    spent = _child("kernel_cycles_total", (kernel,))
-    retired = _child("kernel_instructions_total", (kernel,))
+    registry = REGISTRY
     with MUTATION_LOCK:
-        TRACER.add_kernel_cycles(kernel, engine, cycles)
+        children = registry.kernel_children.get((kernel, engine))
+        if children is None:
+            children = registry.kernel_children[(kernel, engine)] = (
+                _child("kernel_runs_total", (kernel, engine)),
+                _child("kernel_cycles_total", (kernel,)),
+                _child("kernel_instructions_total", (kernel,)))
+        tracer.book_kernel_cycles(kernel, engine, cycles)
+        runs, spent, retired = children
         runs.value += 1
         spent.value += cycles
         retired.value += instructions

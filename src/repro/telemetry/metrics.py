@@ -290,6 +290,10 @@ class MetricsRegistry:
         #: ``(family name, label values) -> child`` for declared
         #: families, filled by :meth:`bind`
         self.bound: dict[tuple[str, tuple], object] = {}
+        #: ``(kernel, engine) -> (runs, cycles, instructions)`` children
+        #: of the three ``kernel_*`` families, filled by
+        #: :func:`repro.telemetry.record_kernel_run`
+        self.kernel_children: dict[tuple[str, str], tuple] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
         family = self._families.get(name)
@@ -346,6 +350,7 @@ class MetricsRegistry:
         with MUTATION_LOCK:
             self._families.clear()
             self.bound.clear()
+            self.kernel_children.clear()
 
     # -- export views --------------------------------------------------------
 

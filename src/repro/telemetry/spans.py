@@ -260,16 +260,22 @@ class Tracer:
         if not self.enabled:
             return
         with MUTATION_LOCK:
-            top = self._stack[-1]
-            if ACTIVE_TRACE.get() is None:
-                top.self_cycles += cycles
-                return
-            node = top.child(
-                "kernel", (("engine", engine), ("kernel", kernel)))
-            if node.start_epoch is None:
-                node.start_epoch = time.time()
-            node.count += 1
-            node.self_cycles += cycles
+            self.book_kernel_cycles(kernel, engine, cycles)
+
+    def book_kernel_cycles(self, kernel: str, engine: str,
+                           cycles: int) -> None:
+        """:meth:`add_kernel_cycles` for a caller that already holds
+        :data:`~repro.telemetry.metrics.MUTATION_LOCK` and has checked
+        ``enabled``."""
+        top = self._stack[-1]
+        if ACTIVE_TRACE.get() is None:
+            top.self_cycles += cycles
+            return
+        node = top.child("kernel", (("engine", engine), ("kernel", kernel)))
+        if node.start_epoch is None:
+            node.start_epoch = time.time()
+        node.count += 1
+        node.self_cycles += cycles
 
     def adopt(self, node: SpanNode) -> _AdoptedSpan:
         """Continue an existing *node* as this thread's innermost span.

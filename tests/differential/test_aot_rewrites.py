@@ -26,6 +26,7 @@ dropped under them and the original limit comes back afterwards.
 from __future__ import annotations
 
 import ast
+import random
 import sys
 import threading
 from collections import Counter
@@ -43,7 +44,7 @@ from repro.kernels.spec import (
     OP_FP_SQR,
     OP_FP_SUB,
 )
-from repro.rv64 import aot, expr, lift
+from repro.rv64 import aot, expr, lift, redc
 from repro.rv64.bits import MASK64
 
 M = MASK64
@@ -600,6 +601,125 @@ def test_random_carry_chains_lift_exactly(full, limbs, subtract, data):
         assert node.lo <= expected <= node.hi
 
 
+# -- one-shot Montgomery reduction -------------------------------------------
+
+#: The CSIDH-512 prime, a modulus whose chains the kernels really build.
+_P512 = csidh_512().p
+
+
+def _redc_chain(p: int, w: int, n: int, *, n0: int | None = None,
+                shifts=None, mask_width: int | None = None,
+                limb_step: int | None = None):
+    """(graph, T atom, top sum) of the word-level reduction chain
+    ``S_{i+1} = S_i + (((S_i >> s_i)·n0) & M)·(p << s_i)`` over ``T``,
+    one step per entry of *shifts* (default ``w·i`` for ``i < n``);
+    *limb_step* makes that step's digit read the limb ``(T >> s_i) &
+    M_w`` instead of the running sum."""
+    graph = expr.Graph()
+    total = atom = graph.atom("t", (1 << (2 * n * w)) - 1)
+    if n0 is None:
+        n0 = -pow(p, -1, 1 << w) % (1 << w)
+    mask = graph.const((1 << (mask_width or w)) - 1)
+    word = graph.const((1 << w) - 1)
+    for index, shift in enumerate(shifts or [w * i for i in range(n)]):
+        window = total if not shift else graph.shr(total, graph.const(shift))
+        if index == limb_step:
+            window = graph.and_(graph.shr(atom, graph.const(shift)), word)
+        digit = graph.and_(graph.mul(window, graph.const(n0)), mask)
+        total = graph.add(total, graph.mul(digit, graph.const(p << shift)))
+    return graph, atom, total
+
+
+def test_one_shot_redc_replaces_the_chain():
+    graph, atom, top = _redc_chain(_P512, 64, 8)
+    (node,) = redc.one_shot_redc(graph, [top])
+    assert node is not top
+    assert ops(node)["mul"] == 2 and ops(node)["shr"] == 0
+    values = [0, 1, atom.hi, atom.hi // 3, _P512 * (_P512 - 1)]
+    assert expr.evaluate([node, top], [atom], [[v] for v in values]) \
+        == expr.evaluate([top, top], [atom], [[v] for v in values])
+
+
+def _assert_redc_refused(graph, top):
+    assert redc.one_shot_redc(graph, [top]) == [top]
+
+
+def test_redc_refuses_a_wrong_n0():
+    n0 = -pow(_P512, -1, 1 << 64) % (1 << 64)
+    _assert_redc_refused(*_redc_chain(_P512, 64, 8, n0=n0 + 2)[::2])
+
+
+def test_redc_refuses_a_digit_read_from_a_limb():
+    """A digit that reads a limb of ``T`` rather than the running sum's
+    window (a carry deferred into the next digit) is no REDC step."""
+    _assert_redc_refused(*_redc_chain(_P512, 57, 9, limb_step=3)[::2])
+
+
+def test_redc_refuses_a_skipped_shift():
+    shifts = [0, 64, 192, 256, 320, 384, 448, 512]
+    _assert_redc_refused(*_redc_chain(_P512, 64, 8, shifts=shifts)[::2])
+
+
+def test_redc_refuses_reordered_shifts():
+    shifts = [0, 128, 64, 192, 256, 320, 384, 448]
+    _assert_redc_refused(*_redc_chain(_P512, 64, 8, shifts=shifts)[::2])
+
+
+def test_redc_refuses_a_mask_narrower_than_the_word():
+    _assert_redc_refused(*_redc_chain(_P512, 64, 8, mask_width=63)[::2])
+
+
+def test_redc_refuses_a_chain_shorter_than_the_modulus():
+    _assert_redc_refused(*_redc_chain(_P512, 57, 8)[::2])
+
+
+@settings(deadline=None, max_examples=120)
+@given(w=st.sampled_from([57, 64]), n=st.integers(1, 9), data=st.data())
+def test_random_redc_chains_lift_exactly(w, n, data):
+    """Chains over random odd moduli of ``n`` limbs fire and equal the
+    word-level chain on random, boundary and arbitrary operands."""
+    top_bit = w * (n - 1) + 1
+    p = data.draw(st.integers(max(3, 1 << (top_bit - 1)),
+                              (1 << (w * n)) - 1), label="p") | 1
+    graph, atom, top = _redc_chain(p, w, n)
+    (node,) = redc.one_shot_redc(graph, [top])
+    assert node is not top
+    values = [0, 1, atom.hi, data.draw(in_interval(atom.hi), label="t"),
+              data.draw(st.integers(0, p * p), label="t_reduced")]
+    samples = [[value] for value in values]
+    assert expr.evaluate([node], [atom], samples) \
+        == expr.evaluate([top], [atom], samples)
+
+
+def test_guard_keeps_the_limb_form_of_a_wrong_lift(monkeypatch, tmp_path):
+    """A lift that computes a wrong value is refused before rendering:
+    the thunk keeps its limb form, stays exact, and the refusal is
+    counted."""
+    from repro import telemetry
+
+    name = f"{OP_FP_MUL}.reduced.ise"
+    kernel = cached_kernels(_P512)[name]
+    with monkeypatch.context() as patch:
+        patch.setattr(aot, "lift", lambda graph, roots: list(roots))
+        limb_form = KernelRunner(kernel, engine="interpreter") \
+            .fuse_entry().source
+    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path))
+
+    def off_by_one(graph, roots):
+        return [graph.add(roots[0], graph.const(1)), *roots[1:]]
+
+    monkeypatch.setattr(lift, "one_shot_redc", off_by_one)
+    with telemetry.capture() as cap:
+        runner = KernelRunner(kernel, engine="aot")
+    assert cap.registry.counter("aot_lift_refusals_total") \
+        .labels(reason="value_mismatch").value == 1
+    assert runner.machine._aot_entry_cache[runner.entry].source \
+        == limb_form
+    rng = random.Random(5)
+    for values in (kernel.sampler(rng) for _ in range(20)):
+        assert runner.run(*values).value == kernel.reference(*values)
+
+
 # -- structural guards on the real kernels ---------------------------------
 
 MUL_KERNELS = [f"{operation}.{variant}"
@@ -649,19 +769,21 @@ def masks_and_shifts(source: str) -> int:
 
 #: Ceilings on :func:`masks_and_shifts` per fused 512-bit thunk.  Each
 #: kernel column accumulates as one wide sum split once, and wide-word
-#: lifting reads every limb as a window of one running value (before
-#: the split-add rules, fp_mul: 809, 556, 853 and 487 in this order;
-#: before lifting: 92, 95, 154 and 97).  ``fp_sqr.full.isa`` keeps its
-#: limb form: its three-word accumulator does not lift yet.
+#: lifting reads every limb as a window of one running value and every
+#: reduction digit as a window of the one-shot ``m`` (before the
+#: split-add rules, fp_mul: 809, 556, 853 and 487 in this order; before
+#: lifting: 92, 95, 154 and 97; before the one-shot reduction: 71, 75,
+#: 78 and 76).  ``fp_sqr.full.isa`` keeps its limb form: its three-word
+#: accumulator does not lift yet.
 MASK_SHIFT_CEILINGS = {
-    f"{OP_FP_MUL}.full.isa": 71,
-    f"{OP_FP_MUL}.full.ise": 75,
-    f"{OP_FP_MUL}.reduced.isa": 78,
-    f"{OP_FP_MUL}.reduced.ise": 76,
+    f"{OP_FP_MUL}.full.isa": 58,
+    f"{OP_FP_MUL}.full.ise": 64,
+    f"{OP_FP_MUL}.reduced.isa": 77,
+    f"{OP_FP_MUL}.reduced.ise": 61,
     f"{OP_FP_SQR}.full.isa": 586,
-    f"{OP_FP_SQR}.full.ise": 74,
-    f"{OP_FP_SQR}.reduced.isa": 77,
-    f"{OP_FP_SQR}.reduced.ise": 75,
+    f"{OP_FP_SQR}.full.ise": 63,
+    f"{OP_FP_SQR}.reduced.isa": 76,
+    f"{OP_FP_SQR}.reduced.ise": 60,
 }
 
 FIELD_KERNELS = MUL_KERNELS + [f"{operation}.{variant}"
@@ -669,28 +791,32 @@ FIELD_KERNELS = MUL_KERNELS + [f"{operation}.{variant}"
                                for variant in ALL_VARIANTS]
 
 #: Ceilings on (products, binary operations) per fused 512-bit thunk.
-#: A lifted ``fp_mul``/``fp_sqr`` is one wide product, ``n`` reduction
-#: steps of two products each and a wide select: 19-21 products and
-#: 108-129 operations, where the limb form computed 108-171 products
-#: in 370-715 operations.  ``fp_add``/``fp_sub`` carry no limb grid and
-#: keep their limb form, as does ``fp_sqr.full.isa``.
+#: A lifted ``fp_mul``/``fp_sqr`` is one wide product, the one-shot
+#: Montgomery reduction (two more) and a wide select: 4-14 products and
+#: 69-102 operations where the word-level reduction took 19-21 and
+#: 108-129, and the limb form 108-171 and 370-715.  The read-out of
+#: ``full.ise`` and ``reduced.isa`` still reads some reduction digits
+#: and partial sums.  A lifted ``fp_add``/``fp_sub`` computes 47-81
+#: operations where the limb form took 155-168; its products (0 in limb
+#: form) are selects by a borrow bit and the ``x & p_k`` gather.
+#: ``fp_sub.full`` and ``fp_sqr.full.isa`` keep their limb form.
 THUNK_CEILINGS = {
-    f"{OP_FP_MUL}.full.isa": (19, 121),
-    f"{OP_FP_MUL}.full.ise": (21, 129),
-    f"{OP_FP_MUL}.reduced.isa": (20, 120),
-    f"{OP_FP_MUL}.reduced.ise": (20, 109),
+    f"{OP_FP_MUL}.full.isa": (5, 87),
+    f"{OP_FP_MUL}.full.ise": (8, 99),
+    f"{OP_FP_MUL}.reduced.isa": (12, 102),
+    f"{OP_FP_MUL}.reduced.ise": (4, 70),
     f"{OP_FP_SQR}.full.isa": (108, 1291),
-    f"{OP_FP_SQR}.full.ise": (21, 128),
-    f"{OP_FP_SQR}.reduced.isa": (20, 119),
-    f"{OP_FP_SQR}.reduced.ise": (20, 108),
-    f"{OP_FP_ADD}.full.isa": (0, 168),
-    f"{OP_FP_ADD}.full.ise": (0, 168),
-    f"{OP_FP_ADD}.reduced.isa": (0, 164),
-    f"{OP_FP_ADD}.reduced.ise": (0, 164),
+    f"{OP_FP_SQR}.full.ise": (8, 98),
+    f"{OP_FP_SQR}.reduced.isa": (12, 101),
+    f"{OP_FP_SQR}.reduced.ise": (4, 69),
+    f"{OP_FP_ADD}.full.isa": (2, 81),
+    f"{OP_FP_ADD}.full.ise": (2, 81),
+    f"{OP_FP_ADD}.reduced.isa": (5, 60),
+    f"{OP_FP_ADD}.reduced.ise": (5, 60),
     f"{OP_FP_SUB}.full.isa": (0, 165),
     f"{OP_FP_SUB}.full.ise": (0, 165),
-    f"{OP_FP_SUB}.reduced.isa": (0, 155),
-    f"{OP_FP_SUB}.reduced.ise": (0, 155),
+    f"{OP_FP_SUB}.reduced.isa": (3, 47),
+    f"{OP_FP_SUB}.reduced.ise": (3, 47),
 }
 
 
@@ -721,25 +847,27 @@ def hot_path(source: str) -> list:
 #: Ceilings on (products, binary operations) per thunk before its
 #: read-out branch.  The limbs, the 32-register writeback and
 #: ``pc``/``halted`` follow that branch, so a lifted ``fp_mul``/
-#: ``fp_sqr`` runs 55-59 of its 108-129 operations; ``fp_add``/
-#: ``fp_sub`` sum their limbs into the value, so most of theirs stay.
+#: ``fp_sqr`` runs 16-25 operations: ``a·b``, the one-shot reduction's
+#: two products and, in full radix, a select by the borrow bit whose
+#: low limb is rendered apart (a fifth product, by that bit).  A lifted
+#: ``fp_add``/``fp_sub`` runs 23-37 (limb form: 119-168).
 HOT_PATH_CEILINGS = {
-    f"{OP_FP_MUL}.full.isa": (19, 59),
-    f"{OP_FP_MUL}.full.ise": (19, 59),
-    f"{OP_FP_MUL}.reduced.isa": (20, 56),
-    f"{OP_FP_MUL}.reduced.ise": (20, 56),
+    f"{OP_FP_MUL}.full.isa": (5, 25),
+    f"{OP_FP_MUL}.full.ise": (5, 25),
+    f"{OP_FP_MUL}.reduced.isa": (4, 17),
+    f"{OP_FP_MUL}.reduced.ise": (4, 17),
     f"{OP_FP_SQR}.full.isa": (108, 1291),
-    f"{OP_FP_SQR}.full.ise": (19, 58),
-    f"{OP_FP_SQR}.reduced.isa": (20, 55),
-    f"{OP_FP_SQR}.reduced.ise": (20, 55),
-    f"{OP_FP_ADD}.full.isa": (0, 168),
-    f"{OP_FP_ADD}.full.ise": (0, 168),
-    f"{OP_FP_ADD}.reduced.isa": (0, 128),
-    f"{OP_FP_ADD}.reduced.ise": (0, 128),
+    f"{OP_FP_SQR}.full.ise": (5, 24),
+    f"{OP_FP_SQR}.reduced.isa": (4, 16),
+    f"{OP_FP_SQR}.reduced.ise": (4, 16),
+    f"{OP_FP_ADD}.full.isa": (2, 23),
+    f"{OP_FP_ADD}.full.ise": (2, 23),
+    f"{OP_FP_ADD}.reduced.isa": (5, 37),
+    f"{OP_FP_ADD}.reduced.ise": (5, 37),
     f"{OP_FP_SUB}.full.isa": (0, 156),
     f"{OP_FP_SUB}.full.ise": (0, 156),
-    f"{OP_FP_SUB}.reduced.isa": (0, 119),
-    f"{OP_FP_SUB}.reduced.ise": (0, 119),
+    f"{OP_FP_SUB}.reduced.isa": (3, 25),
+    f"{OP_FP_SUB}.reduced.ise": (3, 25),
 }
 
 

@@ -379,38 +379,50 @@ def test_old_version_artifact_is_neither_served_nor_left_behind(
     assert_aot_exact(runner, kernel.sampler(random.Random(5)))
 
 
+#: Thunk bodies of earlier format versions: version 4 returned
+#: ``(value, limbs, cycles, instructions)``; version 5 was value-first
+#: but computed the reduction word by word and left add/sub in limb form.
+_PREVIOUS_BODIES = {
+    4: "    return 0, (0,), 1, 1\n",
+    5: "    if not _readout:\n        return 0, 1, 1\n    return (0,)\n",
+}
+
+
 def test_previous_version_payload_is_refused_not_bound(monkeypatch,
                                                        tmp_path):
-    """A payload of the previous format version, even at the current
-    filename, is invalidated and recompiled rather than bound: its thunk
-    returned ``(value, limbs, cycles, instructions)``, which the runner
-    would misread as a value-first ``(value, cycles, instructions)``."""
-    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "previous"))
+    """A payload of a previous format version, even at the current
+    filename, is invalidated and recompiled rather than bound: a
+    version-4 thunk's four fields would be misread as a value-first
+    ``(value, cycles, instructions)``, and a version-5 thunk is one the
+    current code generator no longer emits."""
     name = f"{OP_FP_MUL}.full.isa"
     kernel = cached_kernels(csidh_toy().p)[name]
-    probe = KernelRunner(kernel, engine="interpreter")
-    key = artifacts.make_key(kernel, probe._pipeline_config)
-    entry = probe.entry
-    stale = (f"def __aot_entry(v0, v1, _get=_live.get, _regs=_regs, "
-             f"_st=_st):\n"
-             f"    if _get({entry}) is None:\n"
-             f"        return None\n"
-             f"    return 0, (0,), 1, 1\n")
-    artifacts.store_artifact(key, entry=entry, source=stale, cycles=1,
-                             instructions=1, halts=False, exit_pc=0)
-    path = cache_dir() / key.filename
-    payload = json.loads(path.read_text())
-    payload["version"] = artifacts.ARTIFACT_VERSION - 1
-    payload["digest"] = artifacts._payload_digest(payload)
-    path.write_text(json.dumps(payload, sort_keys=True))
+    for version, body in sorted(_PREVIOUS_BODIES.items()):
+        monkeypatch.setenv("REPRO_AOT_CACHE",
+                           str(tmp_path / f"previous-{version}"))
+        probe = KernelRunner(kernel, engine="interpreter")
+        key = artifacts.make_key(kernel, probe._pipeline_config)
+        entry = probe.entry
+        stale = (f"def __aot_entry(v0, v1, _readout=False, "
+                 f"_get=_live.get, _regs=_regs, _st=_st):\n"
+                 f"    if _get({entry}) is None:\n"
+                 f"        return None\n" + body)
+        artifacts.store_artifact(key, entry=entry, source=stale, cycles=1,
+                                 instructions=1, halts=False, exit_pc=0)
+        path = cache_dir() / key.filename
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        payload["digest"] = artifacts._payload_digest(payload)
+        path.write_text(json.dumps(payload, sort_keys=True))
 
-    with telemetry.capture() as cap:
-        runner = _fresh_runner({name: kernel}, name)
-    reg = cap.registry
-    assert reg.counter("aot_artifact_hits_total").total() == 0
-    assert reg.counter("aot_artifact_invalidations_total").total() > 0
-    assert reg.counter("aot_compiles_total").total() > 0
-    assert runner.machine._aot_entry_cache[runner.entry].source != stale
-    assert json.loads(path.read_text())["version"] \
-        == artifacts.ARTIFACT_VERSION
-    assert_aot_exact(runner, kernel.sampler(random.Random(4)))
+        with telemetry.capture() as cap:
+            runner = _fresh_runner({name: kernel}, name)
+        reg = cap.registry
+        assert reg.counter("aot_artifact_hits_total").total() == 0, version
+        assert reg.counter("aot_artifact_invalidations_total").total() > 0
+        assert reg.counter("aot_compiles_total").total() > 0
+        assert runner.machine._aot_entry_cache[runner.entry].source \
+            != stale
+        assert json.loads(path.read_text())["version"] \
+            == artifacts.ARTIFACT_VERSION
+        assert_aot_exact(runner, kernel.sampler(random.Random(4)))

@@ -195,3 +195,23 @@ class TestCurveOpLayer:
 
         text = curve_op_costs(table4).render()
         assert "xDBL" in text and "ladder_step" in text
+
+
+def test_table4_import_leaves_the_aot_compiler_out():
+    """Table 4 runs on the interpreter: importing it (and, through it,
+    the ISE's aot templates) loads neither the aot compiler nor its
+    wide-word lift."""
+    import os
+    import subprocess
+    import sys
+
+    probe = ("import sys, repro.eval.table4; "
+             "print(sorted(m for m in ('repro.rv64.aot', 'repro.rv64.lift',"
+             " 'repro.rv64.redc', 'repro.rv64.expr') if m in sys.modules))")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == "[]"
