@@ -12,7 +12,7 @@ The engine contract, checked once here:
   skipped; the stored thunk source is just re-bound);
 * checked mode costs < 2x over plain aot execution;
 * the simulated CSIDH-512 action of a one-prime key costs at most
-  **10.5x** (``reduced.ise``) and **12x** (``full.isa``) the pure-Python
+  **6.5x** (``reduced.ise``) and **8.6x** (``full.isa``) the pure-Python
   action of the same key, both timed in this process (a ratio of two
   timings taken side by side depends far less on the host's speed than
   either timing).
@@ -29,6 +29,7 @@ from repro.field.fp import FieldContext
 from repro.field.simulated import SimulatedFieldContext
 from repro.kernels.registry import cached_kernels
 from repro.kernels.runner import KernelRunner
+from tests.helpers import interleaved_best
 
 EXPONENTS = (1, -1, 1)
 
@@ -92,8 +93,8 @@ def test_checked_mode_guard_intact():
     """Hardening still costs < 2x over plain aot execution."""
     _run_action()
     _run_action(checked=True)
-    plain = _best_of(3, _run_action)
-    checked = _best_of(3, lambda: _run_action(checked=True))
+    plain, checked = interleaved_best(
+        3, _run_action, lambda: _run_action(checked=True))
     ratio = checked / plain
     print(f"\n=== toy action: plain {plain*1e3:.1f} ms, "
           f"checked {checked*1e3:.1f} ms ({ratio:.2f}x) ===")
@@ -105,11 +106,14 @@ def test_checked_mode_guard_intact():
 _KEY_POSITION = 73
 
 #: Ceilings on the simulated over the pure-Python action's seconds.
-#: With ``fp_add``/``fp_sub`` lifted and the one-shot Montgomery
-#: reduction they read 7.1-9.6x (reduced.ise) and 8.3-10.8x (full.isa)
-#: over 10 runs on a shared 2-vCPU x86-64 host; with the word-level
-#: reduction and limb-form add/sub, 10.8-15.4x and 12.5-15.3x (6 runs).
-SIM_OVER_PURE_CEILINGS = {"reduced.ise": 10.5, "full.isa": 12.0}
+#: With field ops calling their thunks directly they read 3.6-6.3x
+#: (reduced.ise) and 5.1-8.5x (full.isa) over 20 runs on a shared
+#: 2-vCPU x86-64 host; through ``KernelRunner.run`` on every run,
+#: 6.6-8.3x and 7.7-10.0x (20 runs interleaved with those).  A return
+#: of the per-run dispatch fails the reduced.ise ceiling; full.isa,
+#: whose unlifted ``fp_sub`` keeps its ratio higher, fails only on a
+#: busy host.
+SIM_OVER_PURE_CEILINGS = {"reduced.ise": 6.5, "full.isa": 8.6}
 
 
 def _one_round_key(params):

@@ -21,6 +21,7 @@ from repro.csidh.parameters import csidh_toy
 from repro.field.simulated import SimulatedFieldContext
 from repro.kernels import registry
 from repro.rv64.pipeline import ROCKET_CONFIG
+from tests.helpers import interleaved_best
 
 EXPONENTS = (1, -1, 1)
 
@@ -33,17 +34,13 @@ def _run_action(*, checked: bool = False) -> float:
     return time.perf_counter() - start
 
 
-def _best_of(n: int, run) -> float:
-    return min(run() for _ in range(n))
-
-
 def test_checked_default_sampling_under_2x():
     """Hardening at the default sampling rate (one verified operation
     in 8) stays under 2x the unhardened aot path."""
     _run_action()                 # warm plain pools
     _run_action(checked=True)     # warm checked pools
-    plain = _best_of(3, _run_action)
-    checked = _best_of(3, lambda: _run_action(checked=True))
+    plain, checked = interleaved_best(
+        3, _run_action, lambda: _run_action(checked=True))
     ratio = checked / plain
     print(f"\n=== toy action: plain {plain*1e3:.1f} ms, "
           f"checked {checked*1e3:.1f} ms ({ratio:.2f}x) ===")

@@ -3,7 +3,7 @@ path its speed.
 
 The aot engine is many times faster than the interpreter on the toy
 group action, and telemetry call sites sit on that hot path (one
-``record_kernel_run`` per kernel execution plus span bookkeeping in
+``record_kernel_run`` per field operation plus span bookkeeping in
 the protocol layers).  The contract is that **disabled** telemetry
 stays within 5% of the uninstrumented numbers.  Absolute
 wall-clock baselines do not transfer between machines, so the guard is
@@ -31,6 +31,7 @@ from repro import telemetry
 from repro.csidh.group_action import group_action
 from repro.csidh.parameters import csidh_toy
 from repro.field.simulated import SimulatedFieldContext
+from tests.helpers import interleaved_best
 
 EXPONENTS = (1, -1, 1)
 
@@ -85,7 +86,6 @@ def test_enabled_overhead_bounded():
     """Even fully enabled, telemetry costs a bounded factor on the
     aot group action (the disabled delta is strictly smaller)."""
     _run_action()  # warm pools
-    disabled = _best_of(3, _run_action)
 
     def enabled_run() -> float:
         params = csidh_toy()
@@ -96,7 +96,7 @@ def test_enabled_overhead_bounded():
                          random.Random(3))
             return time.perf_counter() - start
 
-    enabled = _best_of(3, enabled_run)
+    disabled, enabled = interleaved_best(3, _run_action, enabled_run)
     ratio = enabled / disabled
     print(f"\n=== toy action: telemetry off {disabled*1e3:.1f} ms, "
           f"on {enabled*1e3:.1f} ms ({ratio:.2f}x) ===")

@@ -16,6 +16,19 @@ operation through the full interpreter and pipeline model instead —
 ``cross_check`` adds per-run golden-reference verification, the slow,
 belt-and-braces mode for debugging new kernels or pipelines.
 
+On aot, a field op calls its runner's entry thunk directly (the
+*direct path*): it adds the ``(value, cycles, instructions)`` the
+thunk returns to the context and builds no
+:class:`~repro.kernels.runner.KernelRun`; ``mul``/``sqr`` book their
+two ``fp_mul`` runs as one telemetry event
+(``record_kernel_run(..., runs=2)``).  :meth:`KernelRunner.run` is the
+one fallback and serves any run the thunk cannot: the interpreter
+engine (and so ``cross_check``), trace hooks on the machine, a fault
+hook on the runner, a thunk that is missing, returns ``None``
+(invalidated, operand out of range) or reports no cycle count.  A
+checked runner's sampled verification (``KernelRunner._sample``) runs
+on both paths, so which run gets sampled does not depend on the path.
+
 Callers can hand over whole vectors of operands at once:
 ``mul_batch`` / ``sqr_batch`` / ``add_batch`` / ``sub_batch`` forward
 to :meth:`KernelRunner.run_batch`, a loop over the scalar kernel run.
@@ -167,17 +180,75 @@ class SimulatedFieldContext(FieldContext):
 
     # -- kernel dispatch -----------------------------------------------------
 
+    def _book(self, runner: KernelRunner, cycles: int, instructions: int,
+              runs: int = 1) -> None:
+        """Add *runs* direct aot runs of *runner*'s kernel to this
+        context's totals and to telemetry, as one event."""
+        self.simulated_cycles += cycles
+        self.simulated_instructions += instructions
+        telemetry.record_kernel_run(runner.kernel.name, "aot", cycles,
+                                    instructions, runs)
+
     def _run(
         self,
         runner: KernelRunner,
         *values: int,
         engine: str | None = None,
     ) -> int:
-        run = runner.run(*values, check=self.cross_check,
-                         engine=self.engine if engine is None else engine)
+        """One kernel run, booked to this context: the direct call of
+        the runner's thunk, or :meth:`KernelRunner.run` when the thunk
+        cannot serve it."""
+        if engine is None:
+            engine = self.engine
+        thunk = runner.direct_thunk(engine)
+        if thunk is not None:
+            out = thunk(*values)
+            if out is not None and out[1] is not None:
+                value, cycles, instructions = out
+                hardening = runner._hardening
+                if hardening is not None:
+                    runner._sample(hardening, values, value, cycles, "aot")
+                self._book(runner, cycles, instructions)
+                return value
+        run = runner.run(*values, check=self.cross_check, engine=engine)
         self.simulated_instructions += run.instructions
         self.simulated_cycles += run.cycles
         return run.value
+
+    def _product(self, a: int, b: int, engine: str | None = None) -> int:
+        """``a*b mod p`` as ``mont(a, mont(b, R^2))``: two ``fp_mul``
+        runs, booked as one event when the thunk serves both."""
+        runner = self._mul
+        if engine is None:
+            engine = self.engine
+        thunk = runner.direct_thunk(engine)
+        if thunk is not None:
+            r2 = self._r2
+            first = thunk(b, r2)
+            if first is not None and first[1] is not None:
+                b_mont, cycles, instructions = first
+                hardening = runner._hardening
+                if hardening is not None:
+                    runner._sample(hardening, (b, r2), b_mont, cycles,
+                                   "aot")
+                second = thunk(a, b_mont)
+                if second is None:
+                    self._book(runner, cycles, instructions)
+                    return self._run(runner, a, b_mont, engine=engine)
+                if hardening is not None:
+                    try:
+                        runner._sample(hardening, (a, b_mont), second[0],
+                                       second[1], "aot")
+                    except FaultDetectedError:
+                        # the first run passed and counts, as on run()
+                        self._book(runner, cycles, instructions)
+                        raise
+                self._book(runner, cycles + second[1],
+                           instructions + second[2], 2)
+                return second[0]
+        return self._run(runner, a,
+                         self._run(runner, b, self._r2, engine=engine),
+                         engine=engine)
 
     def _batch(self, runner: KernelRunner, operand_sets) -> list[int]:
         runs = runner.run_batch(operand_sets, check=self.cross_check,
@@ -262,16 +333,11 @@ class SimulatedFieldContext(FieldContext):
         self.counter.mul += 1
         a %= self.p
         b %= self.p
-        # plain product: mont(a, mont(b, R^2)) = a * b mod p
         if self._checked is None:
-            b_mont = self._run(self._mul, b, self._r2)
-            return self._run(self._mul, a, b_mont)
+            return self._product(a, b)
         return self._guarded(
             "mul", ("_mul",),
-            lambda engine: self._run(
-                self._mul, a,
-                self._run(self._mul, b, self._r2, engine=engine),
-                engine=engine),
+            lambda engine: self._product(a, b, engine),
             lambda: self._reference.mul(a, b),
         )
 
@@ -279,14 +345,10 @@ class SimulatedFieldContext(FieldContext):
         self.counter.sqr += 1
         a %= self.p
         if self._checked is None:
-            a_mont = self._run(self._mul, a, self._r2)
-            return self._run(self._mul, a, a_mont)
+            return self._product(a, a)
         return self._guarded(
             "sqr", ("_mul",),
-            lambda engine: self._run(
-                self._mul, a,
-                self._run(self._mul, a, self._r2, engine=engine),
-                engine=engine),
+            lambda engine: self._product(a, a, engine),
             lambda: self._reference.sqr(a),
         )
 

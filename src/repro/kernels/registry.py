@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from repro import telemetry
 from repro.core.ise import FULL_RADIX_ISA, REDUCED_RADIX_ISA
-from repro.errors import KernelError
+from repro.errors import KernelError, ParameterError
 from repro.kernels import fullradix, reducedradix
 from repro.kernels.builder import KernelBuilder
 from repro.kernels.layout import SCRATCH_ADDR
@@ -45,7 +45,7 @@ from repro.kernels.spec import (
     OP_INT_SQR,
     OP_MONT_REDC,
 )
-from repro.mpi.montgomery import MontgomeryContext
+from repro.mpi.montgomery import MontgomeryContext, invert_mod
 from repro.mpi.representation import (
     full_radix_for,
     reduced_radix_for,
@@ -88,10 +88,20 @@ def _make_reference(operation: str, ctx: MontgomeryContext):
         return lambda a, b: (a + b) % p
     if operation == OP_FP_SUB:
         return lambda a, b: (a - b) % p
-    if operation == OP_FP_MUL:
-        return lambda a, b: ctx.montgomery_multiply(a, b)
-    if operation == OP_FP_SQR:
-        return lambda a: ctx.montgomery_multiply(a, a)
+    if operation in (OP_FP_MUL, OP_FP_SQR):
+        # closed form of the limb-level ctx.montgomery_multiply (which
+        # verify_against_plain checks against it): a checked run's
+        # reference costs one product and one division, not a walk
+        r_inv = invert_mod(ctx.r, p)
+
+        def fp_mul(a: int, b: int) -> int:
+            if not (0 <= a < p and 0 <= b < p):
+                raise ParameterError("operands must be reduced mod p")
+            return a * b * r_inv % p
+
+        if operation == OP_FP_MUL:
+            return fp_mul
+        return lambda a: fp_mul(a, a)
     raise KernelError(f"unknown operation {operation!r}")
 
 

@@ -29,6 +29,13 @@ dropped by :meth:`~repro.rv64.machine.Machine.invalidate_trace`, or
 attached trace hooks.  Each such demotion is counted once per run by
 ``aot_demotions_total{reason}``.
 
+:meth:`KernelRunner.run` is the general entry point; the simulated
+field's hot path (:class:`~repro.field.simulated.SimulatedFieldContext`)
+calls the thunk that :meth:`KernelRunner.direct_thunk` hands out itself
+and falls back to :meth:`~KernelRunner.run` for every run the thunk
+cannot serve.  Checked mode's sampling lives in
+:meth:`KernelRunner._sample`, which both call.
+
 :meth:`KernelRunner.run_batch` executes one kernel over many operand
 sets in a single call; it is the scalar :meth:`KernelRunner.run` in a
 loop, with every set's arity checked before the first run.
@@ -380,6 +387,35 @@ class KernelRunner:
             if not self._hardening.active:
                 self._hardening = None
 
+    def direct_thunk(self, engine: str):
+        """The entry thunk a caller may call itself for an *engine*
+        run, or ``None`` when :meth:`run` must serve it: the
+        interpreter, attached trace hooks, a fault hook, or no thunk.
+        A caller that gets a thunk must still fall back to :meth:`run`
+        when the thunk returns ``None`` or no cycle count, and must
+        pass each run it books through :meth:`_sample` while the runner
+        is hardened."""
+        if engine != "aot" or self.machine._trace_hooks:
+            return None
+        hardening = self._hardening
+        if hardening is not None and hardening.fault_hook is not None:
+            return None
+        return self._aot_thunk
+
+    def _sample(self, hardening: _Hardening, values, value: int, cycles,
+                engine: str) -> None:
+        """Checked mode's sampling clock: verify every ``interval``-th
+        run (raises FaultDetectedError).  The one copy of the sampling
+        logic: :meth:`run` and the direct field path
+        (:class:`~repro.field.simulated.SimulatedFieldContext`) both
+        call it, so which run gets sampled does not depend on the path
+        that ran it."""
+        if hardening.enabled:
+            hardening.clock += 1
+            if hardening.clock >= hardening.interval:
+                hardening.clock = 0
+                self._verify(values, value, cycles, engine)
+
     def _verify(self, values, value: int, cycles, engine: str) -> None:
         """Sampled checked-mode validation; raises FaultDetectedError."""
         kernel = self.kernel
@@ -462,7 +498,6 @@ class KernelRunner:
             out_limbs = thunk
             operands = values
             ran = "aot"
-            telemetry.record_machine_run("aot")
         else:
             machine.reset()
             regs = machine.state.x
@@ -498,13 +533,9 @@ class KernelRunner:
                     out_limbs = _decode_words(out_limbs)
                 out_limbs = tuple(hardening.fault_hook(out_limbs))
                 value = radix.from_limbs(list(out_limbs))
-            if hardening.enabled:
-                hardening.clock += 1
-                if hardening.clock >= hardening.interval:
-                    hardening.clock = 0
-                    # raises FaultDetectedError on divergence, before
-                    # the run is recorded anywhere downstream
-                    self._verify(values, value, cycles, ran)
+            # raises FaultDetectedError on divergence, before the run
+            # is recorded anywhere downstream
+            self._sample(hardening, values, value, cycles, ran)
         if check:
             expected = kernel.reference(*values)
             if value != expected:

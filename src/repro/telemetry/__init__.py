@@ -283,33 +283,50 @@ def record(name: str, *labels: object, value: float = 1) -> None:
 
 
 def record_kernel_run(
-    kernel: str, engine: str, cycles: int, instructions: int
+    kernel: str, engine: str, cycles: int, instructions: int,
+    runs: int = 1,
 ) -> None:
-    """One :class:`~repro.kernels.runner.KernelRunner` execution: its
-    cycles go to the innermost span and the three ``kernel_*`` counters
-    move, under one lock; the counters' children are looked up once per
-    (kernel, engine) and registry."""
+    """*runs* executions of one kernel on one engine, booked as one
+    event (*cycles* and *instructions* are their totals): the cycles
+    go to the innermost span and the three ``kernel_*`` counters move,
+    under one lock; the counters' children are looked up once per
+    (kernel, engine) and registry.
+
+    An aot run also counts in ``machine_runs_total{aot}`` (an
+    interpreted run books its own, in :meth:`Machine.run`): in the same
+    lock while telemetry is on, and through :func:`record_machine_run`,
+    once per run, while it is off, so a tap on that hook sees every
+    execution without turning telemetry on."""
     tracer = TRACER
     if not tracer.enabled:
+        if engine == "aot":
+            for _ in range(runs):
+                record_machine_run(engine)
         return
     registry = REGISTRY
     with MUTATION_LOCK:
         children = registry.kernel_children.get((kernel, engine))
         if children is None:
             children = registry.kernel_children[(kernel, engine)] = (
+                _child("machine_runs_total", (engine,))
+                if engine == "aot" else None,
                 _child("kernel_runs_total", (kernel, engine)),
                 _child("kernel_cycles_total", (kernel,)),
                 _child("kernel_instructions_total", (kernel,)))
-        tracer.book_kernel_cycles(kernel, engine, cycles)
-        runs, spent, retired = children
-        runs.value += 1
+        tracer.book_kernel_cycles(kernel, engine, cycles, runs)
+        machine, counted, spent, retired = children
+        counted.value += runs
         spent.value += cycles
         retired.value += instructions
+        if machine is not None:
+            machine.value += runs
 
 
 def record_machine_run(engine: str) -> None:
     """One kernel execution — an interpreted :meth:`Machine.run` or an
-    aot entry-thunk run — labeled by the engine that ran."""
+    aot entry-thunk run — labeled by the engine that ran.  Aot runs
+    reach it through :func:`record_kernel_run` while telemetry is off;
+    while it is on, that function books them itself."""
     if TRACER.enabled:
         record("machine_runs_total", engine)
 

@@ -263,10 +263,11 @@ class Tracer:
             self.book_kernel_cycles(kernel, engine, cycles)
 
     def book_kernel_cycles(self, kernel: str, engine: str,
-                           cycles: int) -> None:
+                           cycles: int, runs: int = 1) -> None:
         """:meth:`add_kernel_cycles` for a caller that already holds
         :data:`~repro.telemetry.metrics.MUTATION_LOCK` and has checked
-        ``enabled``."""
+        ``enabled``; *runs* kernel runs' *cycles* at once (the
+        per-kernel node's ``count`` grows by *runs*)."""
         top = self._stack[-1]
         if ACTIVE_TRACE.get() is None:
             top.self_cycles += cycles
@@ -274,7 +275,7 @@ class Tracer:
         node = top.child("kernel", (("engine", engine), ("kernel", kernel)))
         if node.start_epoch is None:
             node.start_epoch = time.time()
-        node.count += 1
+        node.count += runs
         node.self_cycles += cycles
 
     def adopt(self, node: SpanNode) -> _AdoptedSpan:

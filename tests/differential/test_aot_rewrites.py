@@ -673,6 +673,24 @@ def test_redc_refuses_a_chain_shorter_than_the_modulus():
     _assert_redc_refused(*_redc_chain(_P512, 57, 8)[::2])
 
 
+def _is_unit_n0_single_step(p: int, w: int, n: int) -> bool:
+    """One step over ``p = 2^w - 1``: ``n0 = 1``, so the chain's step
+    ``T + ((T·1) & M)·p`` already is the one-shot form and the rewrite
+    hash-conses to the chain's own node."""
+    return n == 1 and p == (1 << w) - 1
+
+
+@pytest.mark.parametrize("w", [57, 64])
+def test_unit_n0_single_step_rewrites_to_the_chain_itself(w):
+    p = (1 << w) - 1
+    graph, atom, top = _redc_chain(p, w, 1)
+    (node,) = redc.one_shot_redc(graph, [top])
+    assert node is top
+    values = [0, 1, atom.hi, atom.hi // 3, p * (p - 1), (1 << 64) - 2]
+    assert expr.evaluate([node], [atom], [[v] for v in values]) \
+        == [tuple(v + (v & p) * p for v in values)]  # M = p here
+
+
 @settings(deadline=None, max_examples=120)
 @given(w=st.sampled_from([57, 64]), n=st.integers(1, 9), data=st.data())
 def test_random_redc_chains_lift_exactly(w, n, data):
@@ -683,7 +701,8 @@ def test_random_redc_chains_lift_exactly(w, n, data):
                               (1 << (w * n)) - 1), label="p") | 1
     graph, atom, top = _redc_chain(p, w, n)
     (node,) = redc.one_shot_redc(graph, [top])
-    assert node is not top
+    if not _is_unit_n0_single_step(p, w, n):
+        assert node is not top
     values = [0, 1, atom.hi, data.draw(in_interval(atom.hi), label="t"),
               data.draw(st.integers(0, p * p), label="t_reduced")]
     samples = [[value] for value in values]

@@ -1,0 +1,240 @@
+"""The direct field path against its forced-fallback twin.
+
+``SimulatedFieldContext.mul``/``sqr``/``add``/``sub`` call the runner's
+aot entry thunk directly and build no ``KernelRun``;
+:meth:`KernelRunner.run` is their only fallback.  The twin here has the
+direct path switched off, so ``KernelRunner.run`` serves every run on
+the same thunks.  Both must agree on everything a caller can observe:
+values, simulated cycles and instructions, the kernel, machine-run and
+checked-run counters, and the span tree's cycles and counts under a
+request trace.  Each fallback trigger (an invalidated trace, a trace
+hook, a fault hook, a thunk without a cycle count) must demote exactly
+as ``KernelRunner.run`` does.
+"""
+
+from __future__ import annotations
+
+import random
+from contextlib import contextmanager
+
+import pytest
+
+from repro import telemetry
+from repro.csidh.group_action import group_action
+from repro.csidh.parameters import csidh_toy
+from repro.errors import KernelError
+from repro.field.simulated import SimulatedFieldContext
+from repro.kernels import registry
+from repro.kernels.runner import KernelRunner
+from repro.telemetry import tracing
+
+EXPONENTS = (1, -1, 1)
+
+#: Counter families both paths must move identically.
+_FAMILIES = (
+    "kernel_runs_total", "kernel_cycles_total",
+    "kernel_instructions_total", "machine_runs_total",
+    "checked_runs_total", "aot_demotions_total",
+    "faults_detected_total", "fault_recoveries_total",
+)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_pool():
+    """Triggers below damage pooled runners; no test shares them."""
+    registry.clear_runner_pool()
+    yield
+    registry.clear_runner_pool()
+
+
+def _on_both_paths(monkeypatch, observe) -> tuple[dict, dict]:
+    """``observe()`` on the direct path, then on fresh runners with the
+    direct path off."""
+    direct = observe()
+    registry.clear_runner_pool()
+    with monkeypatch.context() as patch:
+        patch.setattr(KernelRunner, "direct_thunk",
+                      lambda runner, engine: None)
+        fallback = observe()
+    return direct, fallback
+
+
+def _observe(field, work, *, trace: bool = False) -> dict:
+    """Run *work* on *field* under a fresh capture: everything the two
+    paths must agree on (span wall-clock times aside)."""
+    with telemetry.capture() as cap:
+        if trace:
+            with tracing.request_trace("keygen", trace_id="d1ec7") as ctx:
+                with tracing.activate(ctx):
+                    value = work()
+        else:
+            value = work()
+    return {
+        "value": value,
+        "cycles": field.simulated_cycles,
+        "instructions": field.simulated_instructions,
+        "counters": {name: samples
+                     for name, samples in cap.registry.to_dict().items()
+                     if name in _FAMILIES},
+        "tree": [(node.name, node.labels, node.count, node.self_cycles)
+                 for node in cap.root.walk()],
+    }
+
+
+def _runs(observed, family: str) -> dict:
+    return {tuple(sample["labels"].values()): sample["value"]
+            for sample in observed["counters"].get(family, [])}
+
+
+@pytest.mark.parametrize("checked", [False, True])
+@pytest.mark.parametrize("trace", [False, True])
+def test_action_matches_the_fallback_twin(monkeypatch, checked, trace):
+    """The toy action on the direct path and on ``KernelRunner.run``:
+    same value, cycles, instructions, counters and span tree.  A
+    checked context samples the same runs on both paths."""
+    params = csidh_toy()
+
+    def observe() -> dict:
+        SimulatedFieldContext(params.p, checked=checked)  # warm the pool
+        field = SimulatedFieldContext(params.p, checked=checked)
+        return _observe(field, lambda: group_action(
+            params, field, 0, EXPONENTS, random.Random(3)), trace=trace)
+
+    direct, fallback = _on_both_paths(monkeypatch, observe)
+    assert direct == fallback
+    assert list(_runs(direct, "machine_runs_total")) == [("aot",)]
+    assert sum(_runs(direct, "kernel_runs_total").values()) \
+        == _runs(direct, "machine_runs_total")[("aot",)]
+    assert bool(_runs(direct, "checked_runs_total")) == checked
+    if trace:
+        kernels = [row for row in direct["tree"] if row[0] == "kernel"]
+        assert kernels and all(count for _, _, count, _ in kernels)
+
+
+def _ops(field) -> list[int]:
+    """Three products (two ``fp_mul`` runs each), one add, one sub."""
+    p = field.p
+    a, b = p - 2, p // 3
+    return [field.mul(a, b), field.sqr(a), field.mul(0, p - 1),
+            field.add(a, b), field.sub(b, a)]
+
+
+def _runners(field):
+    return field._mul, field._add, field._sub
+
+
+@contextmanager
+def _invalidated(field):
+    for runner in _runners(field):
+        runner.machine.invalidate_trace(runner.entry)
+    yield
+
+
+@contextmanager
+def _trace_hooks(field):
+    hooks = [runner.machine.trace_hook(lambda state, ins: None)
+             for runner in _runners(field)]
+    for hook in hooks:
+        hook.__enter__()
+    try:
+        yield
+    finally:
+        for hook in hooks:
+            hook.__exit__(None, None, None)
+
+
+def _flip_low_bit(limbs):
+    return (limbs[0] ^ 1, *limbs[1:])
+
+
+@contextmanager
+def _fault_hooks(field):
+    for runner in _runners(field):
+        runner.set_fault_hook(_flip_low_bit)
+    try:
+        yield
+    finally:
+        for runner in _runners(field):
+            runner.clear_fault_hook()
+
+
+@pytest.mark.parametrize("trigger, engine, reason", [
+    (_invalidated, "interpreter", "not_compilable"),
+    (_trace_hooks, "interpreter", "trace_hooks"),
+    (_fault_hooks, "aot", None),
+])
+def test_fallback_triggers_demote_as_kernel_runner_run(
+        monkeypatch, trigger, engine, reason):
+    """Each trigger hands every run to ``KernelRunner.run``, which
+    demotes it (or applies the fault hook) exactly as for the twin."""
+
+    def observe() -> dict:
+        field = SimulatedFieldContext(csidh_toy().p)
+        with trigger(field):
+            return _observe(field, lambda: _ops(field))
+
+    direct, fallback = _on_both_paths(monkeypatch, observe)
+    assert direct == fallback
+    runs = 8
+    assert sum(_runs(direct, "kernel_runs_total").values()) == runs
+    assert _runs(direct, "machine_runs_total") == {(engine,): runs}
+    assert _runs(direct, "aot_demotions_total") \
+        == ({(reason,): runs} if reason else {})
+
+
+def test_fault_hook_result_reaches_the_caller():
+    """The fault hook's perturbation is what the field op returns: the
+    direct path never bypasses the read-out seam."""
+    field = SimulatedFieldContext(csidh_toy().p)
+    clean = field.add(5, 7)
+    with _fault_hooks(field):
+        assert field.add(5, 7) == clean ^ 1
+
+
+def test_thunk_without_cycles_falls_back_and_raises():
+    """A thunk that reports no cycle count is served by
+    ``KernelRunner.run``, which refuses it."""
+    field = SimulatedFieldContext(csidh_toy().p)
+    runner = field._mul
+    thunk = runner._aot_thunk
+
+    def no_cycles(*args):
+        out = thunk(*args)
+        if len(args) == 2 and out is not None:  # a value call
+            return out[0], None, out[2]
+        return out
+
+    runner._aot_thunk = no_cycles
+    with pytest.raises(KernelError, match="no cycle count"):
+        field.mul(3, 5)
+
+
+def test_fault_in_the_second_product_run_books_the_first(monkeypatch):
+    """A checked ``mul`` whose second ``fp_mul`` run fails its sampled
+    check: the first run counts and the second does not, as on
+    ``KernelRunner.run``; recovery then re-executes the product."""
+    p = csidh_toy().p
+
+    def observe() -> dict:
+        field = SimulatedFieldContext(p, checked=True, check_interval=1)
+        runner = field._mul
+        thunk = runner._aot_thunk
+        r2 = field._r2
+
+        def wrong_product(*args):
+            out = thunk(*args)
+            if len(args) == 2 and args[1] != r2 and out is not None:
+                return (out[0] ^ 1, *out[1:])
+            return out
+
+        runner._aot_thunk = wrong_product
+        return _observe(field, lambda: field.mul(p - 2, p // 3))
+
+    direct, fallback = _on_both_paths(monkeypatch, observe)
+    assert direct == fallback
+    assert direct["value"] == (p - 2) * (p // 3) % p
+    assert _runs(direct, "kernel_runs_total") == {
+        ("aot", "fp_mul.reduced.ise"): 1,  # labels in sorted order
+        ("interpreter", "fp_mul.reduced.ise"): 2}
+    assert _runs(direct, "fault_recoveries_total") \
+        == {("mul", "recovered"): 1}

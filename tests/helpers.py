@@ -115,3 +115,16 @@ def kernel_operands(kernel: Kernel, *, boundary_bias: bool = True):
         else:
             per_operand.append(uniform)
     return st.tuples(*per_operand)
+
+
+def interleaved_best(n: int, first, second) -> tuple[float, float]:
+    """Best of *n* calls of each timing function, the two alternating
+    call by call, so a change of host speed during the measurement
+    moves both alike (a ratio of the two is the overhead gates' input;
+    two separate best-of-*n* blocks let drift between the blocks move
+    it)."""
+    best_first = best_second = float("inf")
+    for _round in range(n):
+        best_first = min(best_first, first())
+        best_second = min(best_second, second())
+    return best_first, best_second

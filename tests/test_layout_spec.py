@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import ParameterError
 from repro.kernels.layout import (
     ARG_A_ADDR,
     ARG_B_ADDR,
@@ -81,3 +83,64 @@ class TestKernelDescriptor:
             capacity = 1 << (kernel.context.radix.bits
                              * max(kernel.input_limbs))
             assert all(0 <= v < capacity for v in values)
+
+
+#: The Montgomery-multiplication kernels, one per radix (the ISE
+#: variants share their radix's reference).
+_MONT_KERNELS = [f"{op}.{radix}.isa" for op in ("fp_mul", "fp_sqr")
+                 for radix in ("full", "reduced")]
+
+
+def _mont_model(kernel, a: int, b: int) -> tuple[int, int]:
+    """(kernel reference, limb-level model) on ``(a, b)`` (``fp_sqr``
+    squares ``a``)."""
+    ctx = kernel.context
+    if kernel.name.startswith("fp_sqr"):
+        return kernel.reference(a), ctx.montgomery_multiply(a, a)
+    return kernel.reference(a, b), ctx.montgomery_multiply(a, b)
+
+
+class TestMontgomeryReference:
+    """The ``fp_mul``/``fp_sqr`` reference is the closed form
+    ``a·b·R^-1 mod p``; the limb-level
+    ``MontgomeryContext.montgomery_multiply`` is the model it must
+    equal, for both radices, at toy and CSIDH-512 size."""
+
+    @pytest.fixture(params=["toy", "csidh-512"])
+    def kernels(self, request, toy_kernels, kernels512):
+        return toy_kernels if request.param == "toy" else kernels512
+
+    @pytest.mark.parametrize("name", _MONT_KERNELS)
+    def test_boundary_operands(self, kernels, name):
+        kernel = kernels[name]
+        p = kernel.context.modulus
+        for a in (0, 1, p - 1):
+            for b in (0, 1, p - 1):
+                reference, model = _mont_model(kernel, a, b)
+                assert reference == model
+
+    @settings(max_examples=60)
+    @given(name=st.sampled_from(_MONT_KERNELS),
+           size=st.sampled_from(["toy", "csidh-512"]), data=st.data())
+    def test_random_operands(self, toy_kernels, kernels512, name, size,
+                             data):
+        kernel = (toy_kernels if size == "toy" else kernels512)[name]
+        p = kernel.context.modulus
+        operand = st.one_of(st.sampled_from([0, 1, p - 1]),
+                            st.integers(0, p - 1))
+        a = data.draw(operand, label="a")
+        b = data.draw(operand, label="b")
+        reference, model = _mont_model(kernel, a, b)
+        assert reference == model
+
+    @pytest.mark.parametrize("name", _MONT_KERNELS)
+    def test_unreduced_operands_raise(self, kernels, name):
+        kernel = kernels[name]
+        p = kernel.context.modulus
+        arity = len(kernel.input_limbs)
+        for bad in (p, p + 1, -1):
+            for position in range(arity):
+                values = [1] * arity
+                values[position] = bad
+                with pytest.raises(ParameterError):
+                    kernel.reference(*values)
