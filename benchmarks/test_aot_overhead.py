@@ -10,7 +10,6 @@ The engine contract, checked once here:
 * constructing runners against a **warm** artifact cache is faster
   than a cold construction (trace + symbolic execution + codegen are
   skipped; the stored thunk source is just re-bound);
-* checked mode costs < 2x over plain aot execution;
 * the simulated CSIDH-512 action of a one-prime key costs at most
   **6.5x** (``reduced.ise``) and **8.6x** (``full.isa``) the pure-Python
   action of the same key, both timed in this process (a ratio of two
@@ -29,22 +28,17 @@ from repro.field.fp import FieldContext
 from repro.field.simulated import SimulatedFieldContext
 from repro.kernels.registry import cached_kernels
 from repro.kernels.runner import KernelRunner
-from tests.helpers import interleaved_best
+from tests.helpers import best_of, interleaved_best
 
 EXPONENTS = (1, -1, 1)
 
 
-def _run_action(*, engine: str = "aot", checked: bool = False) -> float:
+def _run_action(*, engine: str = "aot") -> float:
     params = csidh_toy()
-    field = SimulatedFieldContext(params.p, engine=engine,
-                                  checked=checked)
+    field = SimulatedFieldContext(params.p, engine=engine)
     start = time.perf_counter()
     group_action(params, field, 0, EXPONENTS, random.Random(3))
     return time.perf_counter() - start
-
-
-def _best_of(n: int, run) -> float:
-    return min(run() for _ in range(n))
 
 
 def test_aot_at_least_12x_over_interpreter():
@@ -52,8 +46,8 @@ def test_aot_at_least_12x_over_interpreter():
     the retired tiers on a full toy group action."""
     _run_action(engine="interpreter")
     _run_action()               # warm pools + aot caches
-    interp = _best_of(2, lambda: _run_action(engine="interpreter"))
-    aot = _best_of(4, _run_action)
+    interp, aot = interleaved_best(
+        3, lambda: _run_action(engine="interpreter"), _run_action)
     ratio = interp / aot
     print(f"\n=== toy action: interpreter {interp*1e3:.1f} ms, "
           f"aot {aot*1e3:.1f} ms ({ratio:.2f}x) ===")
@@ -81,24 +75,12 @@ def test_warm_artifact_cache_beats_cold_start(monkeypatch, tmp_path):
     warm_dir = tmp_path / "warm"
     monkeypatch.setenv("REPRO_AOT_CACHE", str(warm_dir))
     _construct_all(kernels)  # populate the cache
-    warm = _best_of(3, lambda: _construct_all(kernels))
+    warm = best_of(3, lambda: _construct_all(kernels))
 
     ratio = cold / warm
     print(f"\n=== {len(kernels)} runners: cold {cold*1e3:.1f} ms, "
           f"warm {warm*1e3:.1f} ms ({ratio:.2f}x) ===")
     assert warm < cold
-
-
-def test_checked_mode_guard_intact():
-    """Hardening still costs < 2x over plain aot execution."""
-    _run_action()
-    _run_action(checked=True)
-    plain, checked = interleaved_best(
-        3, _run_action, lambda: _run_action(checked=True))
-    ratio = checked / plain
-    print(f"\n=== toy action: plain {plain*1e3:.1f} ms, "
-          f"checked {checked*1e3:.1f} ms ({ratio:.2f}x) ===")
-    assert ratio < 2.0
 
 
 #: Position in the CSIDH-512 prime list of the one-prime key's +1

@@ -9,8 +9,8 @@ the cost contract is unchanged and re-pinned here:
   trace-context calls completes in milliseconds;
 * a fully **traced** load (capture + request/batch contexts + per
   kernel attribution + summary) costs < 2x the untraced load;
-* the aot-vs-interpreter floor survives with the tracing module
-  installed (losing the disabled fast path would crush it).
+* the aot-vs-interpreter floor lives in ``test_aot_overhead.py``,
+  which CI runs in the same pytest process as this file.
 
 Machine-independent ratios only; absolute trajectories live in
 ``BENCH_*.json`` and are gated by ``repro watchdog``.
@@ -19,30 +19,13 @@ Machine-independent ratios only; absolute trajectories live in
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 
 from repro import telemetry
-from repro.csidh.group_action import group_action
 from repro.csidh.parameters import csidh_toy
-from repro.field.simulated import SimulatedFieldContext
 from repro.service import run_load
 from repro.telemetry import tracing
-
-EXPONENTS = (1, -1, 1)
-
-
-def _run_action(*, cross_check: bool = False) -> float:
-    """One toy group action on the simulator; returns wall seconds."""
-    params = csidh_toy()
-    field = SimulatedFieldContext(params.p, cross_check=cross_check)
-    start = time.perf_counter()
-    group_action(params, field, 0, EXPONENTS, random.Random(3))
-    return time.perf_counter() - start
-
-
-def _best_of(n: int, run) -> float:
-    return min(run() for _ in range(n))
+from tests.helpers import interleaved_best
 
 
 def test_disabled_trace_hooks_are_noops():
@@ -83,24 +66,10 @@ def test_traced_load_under_2x():
         return asyncio.run(run())
 
     measure(trace=False)  # warm kernel/runner pools
-    untraced = _best_of(3, lambda: measure(trace=False))
-    traced = _best_of(3, lambda: measure(trace=True))
+    untraced, traced = interleaved_best(
+        3, lambda: measure(trace=False), lambda: measure(trace=True))
     ratio = traced / untraced
     print(f"\n=== toy load x4: untraced {untraced*1e3:.1f} ms, "
           f"traced {traced*1e3:.1f} ms ({ratio:.2f}x) ===")
     assert ratio < 2.0
 
-
-def test_fast_path_speedup_floor_with_tracing_installed():
-    """The fast path beats the interpreter by at least 3x on the toy
-    group action with tracing installed but disabled."""
-    assert not telemetry.enabled()
-    _run_action()  # warm the kernel/runner pools
-    _run_action(cross_check=True)
-    fast = _best_of(3, _run_action)
-    interpreter = _best_of(3, lambda: _run_action(cross_check=True))
-    speedup = interpreter / fast
-    print(f"\n=== tracing-off toy action: aot {fast*1e3:.1f} ms,"
-          f" interpreter {interpreter*1e3:.1f} ms,"
-          f" speedup {speedup:.1f}x ===")
-    assert speedup > 3.0

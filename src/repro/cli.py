@@ -9,6 +9,7 @@ Commands:
 * ``report`` — full markdown reproduction report;
 * ``kernel`` — dump one generated kernel's assembly;
 * ``listings`` — print the MAC listings with instruction counts;
+* ``validate`` — run every generated kernel against its golden oracle;
 * ``profile`` — run an instrumented group action and print the
   cycle-attribution span tree (see ``docs/OBSERVABILITY.md``); on the
   aot engine this covers the full CSIDH-512 action in one process;
@@ -274,57 +275,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"campaign report written to {args.json}")
     return 1 if report.escaped else 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.chaos import ALL_KINDS, run_chaos_campaign
-    from repro.chaos.campaign import OUTCOMES
-    from repro.telemetry.export import write_bench
-
-    if args.n < 1:
-        raise ParameterError(
-            f"--n must be at least 1 (got {args.n}); it is the number "
-            f"of network faults to inject")
-    if args.quiet and not args.json:
-        raise ParameterError(
-            "--quiet without --json would produce no output at all; "
-            "add --json PATH or drop --quiet")
-    params = _PARAM_SETS[args.params]()
-    kinds = (tuple(k.strip() for k in args.kinds.split(","))
-             if args.kinds else ALL_KINDS)
-    report = run_chaos_campaign(
-        params, seed=args.seed, n=args.n, kinds=kinds,
-        engine=args.engine, variant=args.variant,
-        timeout_s=args.timeout_s, retries=args.retries,
-    )
-
-    if not args.quiet:
-        width = max(len(kind) for kind in report.by_kind)
-        header = f"{'kind':<{width}}  " + "  ".join(
-            f"{outcome:>18}" for outcome in OUTCOMES)
-        print(f"chaos campaign: params={params.name} seed={report.seed} "
-              f"n={report.n} timeout={report.timeout_s:g}s "
-              f"retries={report.retries}")
-        print(header)
-        for kind, row in sorted(report.by_kind.items()):
-            print(f"{kind:<{width}}  " + "  ".join(
-                f"{row[outcome]:>18}" for outcome in OUTCOMES))
-        print(report.summary())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(report.to_dict(), handle, indent=2)
-            handle.write("\n")
-        if not args.quiet:
-            print(f"chaos report written to {args.json}")
-    if args.bench_out:
-        write_bench(args.bench_out, "protocol", report.to_record())
-        if not args.quiet:
-            print(f"benchmark trajectory appended to {args.bench_out}")
-    # A hang is as disqualifying as an escape: resilience means every
-    # injected fault ends in recovery or a clean typed error.
-    return 1 if (report.escaped or report.hung) else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -771,7 +721,6 @@ def _cmd_watchdog(args: argparse.Namespace) -> int:
             ("latency", args.latency_tolerance),
             ("throughput", args.throughput_tolerance),
             ("cycles", args.cycles_tolerance),
-            ("recovery", args.recovery_tolerance),
         ) if value is not None
     }
     tolerances = watchdog.Tolerances(**overrides)
@@ -879,37 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress the table (requires --json)")
     p.set_defaults(func=_cmd_faults)
-
-    p = sub.add_parser(
-        "chaos",
-        help="seeded network-chaos campaign against a live wire "
-             "server (drops, latency, corruption, reordering)")
-    p.add_argument("--params", choices=sorted(_PARAM_SETS),
-                   default="toy")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n", type=int, default=16,
-                   help="network faults to inject (one per handshake)")
-    p.add_argument("--kinds", default=None,
-                   help="comma-separated chaos kinds (default: all)")
-    p.add_argument("--engine", default="aot", choices=ENGINES,
-                   help="execution engine the chaos tenant runs on")
-    p.add_argument("--variant", default="reduced.ise")
-    p.add_argument("--timeout-s", type=float, default=0.75,
-                   metavar="S",
-                   help="per-request client timeout each trial runs "
-                        "with")
-    p.add_argument("--retries", type=int, default=3,
-                   help="client retry budget per request (>= 1: "
-                        "one-shot faults need a retry to recover)")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the full chaos report as JSON "
-                        "(byte-identical across same-seed runs)")
-    p.add_argument("--bench-out", default=None, metavar="PATH",
-                   help="append a chaos_load record to the "
-                        "BENCH_*.json perf trajectory")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the table (requires --json)")
-    p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(
         "bench",
@@ -1054,9 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles-tolerance", type=float, default=None,
                    help="allowed relative growth of simulated cycle "
                         "counts (default 0.0: any increase fails)")
-    p.add_argument("--recovery-tolerance", type=float, default=None,
-                   help="allowed relative drop of chaos recovery "
-                        "rates (default 0.0: any drop fails)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the full report as JSON")
     p.set_defaults(func=_cmd_watchdog)

@@ -143,12 +143,6 @@ class TransportError(ServiceError):
     code = "transport"
 
 
-class ChaosError(ReproError):
-    """Misuse of the network-chaos subsystem (bad site, bad plan)."""
-
-    code = "chaos"
-
-
 class RegressionError(ReproError):
     """A benchmark trajectory regressed beyond the watchdog tolerance.
 

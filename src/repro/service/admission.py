@@ -2,8 +2,7 @@
 
 The controller is the service's backpressure valve.  Every request
 must acquire a :class:`Ticket` before it may wait for a lane; a tenant
-whose ``lanes + max_queue`` bound (or the service-wide in-flight
-bound) is full gets an immediate
+whose ``lanes + max_queue`` bound is full gets an immediate
 :class:`~repro.errors.AdmissionError` — stable error code
 ``"admission"`` — and leaves **no** state behind, so clients can retry
 after backoff without leaking queue slots.
@@ -66,18 +65,13 @@ class Ticket:
 
 
 class AdmissionController:
-    """Bounded counters per tenant plus one service-wide bound."""
+    """Bounded in-flight counters, one per tenant."""
 
-    def __init__(self, *, max_inflight: int | None = None) -> None:
-        if max_inflight is not None and max_inflight < 1:
-            raise ServiceError(
-                f"max_inflight must be positive (got {max_inflight})")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._capacity: dict[str, int] = {}
         self._inflight: dict[str, int] = {}
         self._rejected: dict[str, int] = {}
-        self._max_inflight = max_inflight
-        self._total = 0
 
     def configure(self, tenant: str, capacity: int) -> None:
         """Set (or re-set) *tenant*'s admission capacity."""
@@ -92,35 +86,25 @@ class AdmissionController:
     def admit(self, tenant: str) -> Ticket:
         """Claim one slot for *tenant* or raise :class:`AdmissionError`.
 
-        The raised error's ``code`` is the stable ``"admission"``;
-        the message distinguishes the tenant bound from the
-        service-wide one for humans, not for machines.
+        The raised error's ``code`` is the stable ``"admission"``.
         """
         with self._lock:
             capacity = self._capacity.get(tenant)
             if capacity is None:
                 raise ServiceError(f"unknown tenant {tenant!r}")
             inflight = self._inflight[tenant]
-            if inflight >= capacity:
-                reason = "tenant_queue_full"
-            elif (self._max_inflight is not None
-                    and self._total >= self._max_inflight):
-                reason = "service_saturated"
-            else:
+            if inflight < capacity:
                 self._inflight[tenant] = inflight + 1
-                self._total += 1
-                ticket = Ticket(self, tenant)
                 telemetry.record("service_inflight", tenant,
                                  value=inflight + 1)
-                return ticket
+                return Ticket(self, tenant)
             self._rejected[tenant] = self._rejected.get(tenant, 0) + 1
-        telemetry.record("service_rejections_total", tenant, reason)
+        telemetry.record("service_rejections_total", tenant,
+                         "tenant_queue_full")
         raise AdmissionError(
-            f"request for tenant {tenant!r} rejected ({reason}): "
-            + (f"{inflight}/{capacity} tenant slots in use"
-               if reason == "tenant_queue_full"
-               else f"{self._total}/{self._max_inflight} service-wide "
-                    f"slots in use"))
+            f"request for tenant {tenant!r} rejected "
+            f"(tenant_queue_full): {inflight}/{capacity} tenant slots "
+            f"in use")
 
     def _release(self, tenant: str) -> None:
         with self._lock:
@@ -129,7 +113,6 @@ class AdmissionController:
                 raise ServiceError(
                     f"release without admit for tenant {tenant!r}")
             self._inflight[tenant] = inflight - 1
-            self._total -= 1
             telemetry.record("service_inflight", tenant,
                              value=inflight - 1)
 
@@ -141,7 +124,7 @@ class AdmissionController:
 
     def total_inflight(self) -> int:
         with self._lock:
-            return self._total
+            return sum(self._inflight.values())
 
     def rejected(self, tenant: str) -> int:
         """Total admission rejections for *tenant* (for ``stats``)."""
@@ -177,8 +160,7 @@ class CircuitBreaker:
 
     Same concurrency contract as :class:`AdmissionController`: plain
     state under one mutex, callable from the event loop and from
-    threads.  The clock is injectable so tests (and the deterministic
-    chaos campaign) never sleep.
+    threads.  The clock is injectable so tests never sleep.
     """
 
     STATES = ("closed", "open", "half_open")

@@ -46,7 +46,7 @@ MAX_ADMISSION_RETRIES = 10_000
 
 #: Default per-request deadline budget for the load harness — the
 #: bound that keeps ``repro load`` from waiting forever on a wedged
-#: server (satellite of the chaos/resilience work).
+#: server.
 DEFAULT_LOAD_TIMEOUT_S = 30.0
 
 

@@ -123,8 +123,6 @@ class KeyExchangeService:
         params: CsidhParameters,
         tenants: Sequence[TenantConfig] | None = None,
         *,
-        max_inflight: int | None = None,
-        max_workers: int | None = None,
         coalesce_batch: int = DEFAULT_MAX_BATCH,
         coalesce_wait_s: float = DEFAULT_MAX_WAIT_S,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
@@ -144,7 +142,7 @@ class KeyExchangeService:
             cfg.name: Tenant(cfg, params, scope_prefix=scope_prefix)
             for cfg in configs
         }
-        self.admission = AdmissionController(max_inflight=max_inflight)
+        self.admission = AdmissionController()
         breaker_kwargs = {} if breaker_clock is None \
             else {"clock": breaker_clock}
         self.breaker = CircuitBreaker(
@@ -161,7 +159,7 @@ class KeyExchangeService:
             self._lanes[tenant.config.name] = queue
         total_lanes = sum(t.config.lanes for t in self.tenants.values())
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers or max(total_lanes, 2),
+            max_workers=max(total_lanes, 2),
             thread_name_prefix="repro-service",
         )
         self._coalescers: dict[str, RequestCoalescer] = {

@@ -390,19 +390,15 @@ class ServiceClient:
     connections — reconnecting as needed.  Idempotency keys make the
     retries exactly-once observable: a retry after a lost response is
     answered from the server's response cache.  ``timeout=None``
-    restores the old unbounded wait; ``retries=0`` disables retry.
+    restores the old unbounded wait.  The retry budget and backoff are
+    the module constants :data:`DEFAULT_RETRIES`,
+    :data:`DEFAULT_BACKOFF_S` and :data:`DEFAULT_BACKOFF_CAP_S`.
     """
 
     def __init__(self, *,
                  timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S,
-                 retries: int = DEFAULT_RETRIES,
-                 backoff_s: float = DEFAULT_BACKOFF_S,
-                 backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
                  rng: random.Random | None = None) -> None:
         self.timeout_s = timeout_s
-        self.retries = max(int(retries), 0)
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
         self._rng = rng if rng is not None else random.Random()
         self._host: str | None = None
         self._port: int | None = None
@@ -533,15 +529,15 @@ class ServiceClient:
             # One key per *logical* request: every retry attempt
             # reuses it, so the server can deduplicate.
             fields["idem"] = tracing.new_trace_id()
-        attempts = (self.retries if retryable else 0) + 1
-        delay = self.backoff_s
+        attempts = (DEFAULT_RETRIES if retryable else 0) + 1
+        delay = DEFAULT_BACKOFF_S
         last: ReproError | None = None
         for attempt in range(attempts):
             if attempt:
                 self.retries_total += 1
                 telemetry.record("service_retries_total", op, last.code)
                 await asyncio.sleep(delay * (0.5 + self._rng.random()))
-                delay = min(delay * 2, self.backoff_cap_s)
+                delay = min(delay * 2, DEFAULT_BACKOFF_CAP_S)
             try:
                 return await self._attempt(op, fields, timeout_s)
             except (TransportError, DeadlineError) as exc:

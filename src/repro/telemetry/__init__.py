@@ -247,11 +247,6 @@ FAMILIES = _declare(
                "requests that ran out of deadline budget", ("op", "where")),
     FamilySpec("circuit_state", "gauge",
                "per-tenant circuit-breaker state", ("tenant",)),
-    # the network-chaos subsystem (repro.chaos)
-    FamilySpec("chaos_injections_total", "counter",
-               "network faults injected by kind", ("kind",)),
-    FamilySpec("chaos_trials_total", "counter",
-               "chaos trials by site kind and outcome", ("kind", "outcome")),
 )
 
 

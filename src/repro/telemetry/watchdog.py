@@ -20,14 +20,8 @@ Metric classes and their default tolerances:
 * *deterministic cycle counts* (``simulated_cycles``) — the simulator
   is bit-exact, so **any** increase is a real regression
   (:data:`DEFAULT_CYCLES_TOLERANCE`, 0.0);
-* *deterministic recovery rate* (``recovery_rate``, from
-  ``chaos_load`` records) — chaos campaigns are seeded and their
-  outcomes are a pure function of the seed, so any drop below the
-  baseline median is a real resilience regression
-  (:data:`DEFAULT_RECOVERY_TOLERANCE`, 0.0);
-* *invariants* (``divergences``, ``escaped``, ``hung``) — never
-  compared to a baseline; a nonzero value in the latest run is a
-  finding outright.
+* *invariant* (``divergences``) — never compared to a baseline; a
+  nonzero value in the latest run is a finding outright.
 
 Every finding carries the stable error code ``"regression"``
 (:class:`~repro.errors.RegressionError`); :func:`enforce` raises it,
@@ -54,9 +48,6 @@ DEFAULT_THROUGHPUT_TOLERANCE = 0.35
 #: Simulated cycle counts are deterministic: zero tolerance — any
 #: increase over the baseline median is a regression.
 DEFAULT_CYCLES_TOLERANCE = 0.0
-#: Chaos recovery rates are a pure function of the seed: zero
-#: tolerance — any drop below the baseline median is a regression.
-DEFAULT_RECOVERY_TOLERANCE = 0.0
 
 #: Record fields that identify a workload; runs sharing all present
 #: key fields form one comparison group.  (``repro profile`` records
@@ -72,11 +63,9 @@ _LOWER_BETTER = (
 )
 _HIGHER_BETTER = ("throughput_per_s",)
 _TIGHT = ("simulated_cycles",)
-_RECOVERY = ("recovery_rate",)
 #: Metrics that must be 0 in the latest run of every group, baseline
-#: or not: a divergence/escape is a wrong answer that left the
-#: service, a hang means the resilience stack wedged.
-_INVARIANTS = ("divergences", "escaped", "hung")
+#: or not: a divergence is a wrong answer that left the service.
+_INVARIANTS = ("divergences",)
 
 
 @dataclass(frozen=True)
@@ -86,10 +75,9 @@ class Tolerances:
     latency: float = DEFAULT_LATENCY_TOLERANCE
     throughput: float = DEFAULT_THROUGHPUT_TOLERANCE
     cycles: float = DEFAULT_CYCLES_TOLERANCE
-    recovery: float = DEFAULT_RECOVERY_TOLERANCE
 
     def __post_init__(self) -> None:
-        for name in ("latency", "throughput", "cycles", "recovery"):
+        for name in ("latency", "throughput", "cycles"):
             value = getattr(self, name)
             if value < 0:
                 raise TelemetryError(
@@ -98,8 +86,7 @@ class Tolerances:
     def for_class(self, kind: str) -> float:
         return {"latency": self.latency,
                 "throughput": self.throughput,
-                "cycles": self.cycles,
-                "recovery": self.recovery}[kind]
+                "cycles": self.cycles}[kind]
 
 
 @dataclass(frozen=True)
@@ -219,10 +206,6 @@ def _metrics(record: dict) -> dict[str, tuple[float, str]]:
         value = _number(record.get(name))
         if value is not None:
             out[name] = (value, "cycles")
-    for name in _RECOVERY:
-        value = _number(record.get(name))
-        if value is not None:
-            out[name] = (value, "recovery")
     engines = record.get("engines")
     if isinstance(engines, dict):  # engine_comparison records
         for engine, row in engines.items():
@@ -261,9 +244,8 @@ def check_records(
         latest = runs[-1]
         latest_metrics = _metrics(latest)
 
-        # Invariants: a divergence/escape is a wrong answer that left
-        # the service, a hang is a wedged resilience stack — flag on
-        # the latest run even without any baseline.
+        # Invariants: a divergence is a wrong answer that left the
+        # service — flag on the latest run even without any baseline.
         for invariant in _INVARIANTS:
             value = _number(latest.get(invariant))
             if value:
@@ -292,7 +274,7 @@ def check_records(
                 continue  # degenerate baseline: nothing to compare
             tolerance = tolerances.for_class(kind)
             report.metrics_checked += 1
-            if kind in ("throughput", "recovery"):
+            if kind == "throughput":
                 if value < baseline * (1.0 - tolerance):
                     report.findings.append(Finding(
                         path=path, group=group, metric=metric,

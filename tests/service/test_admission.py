@@ -141,27 +141,6 @@ class TestAdmissionBounds:
         # the drained controller admits again
         controller.admit("t").release()
 
-    @given(cap_a=st.integers(1, 4), cap_b=st.integers(1, 4),
-           service_bound=st.integers(1, 6))
-    def test_service_wide_bound_caps_the_sum(self, cap_a, cap_b,
-                                             service_bound):
-        controller = AdmissionController(max_inflight=service_bound)
-        controller.configure("a", cap_a)
-        controller.configure("b", cap_b)
-        held = []
-        rejected = 0
-        for tenant in ["a", "b"] * 6:
-            try:
-                held.append(controller.admit(tenant))
-            except AdmissionError:
-                rejected += 1
-        assert controller.total_inflight() == len(held)
-        assert len(held) <= min(service_bound, cap_a + cap_b)
-        assert len(held) + rejected == 12
-        for ticket in held:
-            ticket.release()
-        assert controller.total_inflight() == 0
-
     def test_ticket_release_is_idempotent(self):
         controller = AdmissionController()
         controller.configure("t", 2)

@@ -202,8 +202,7 @@ class TestIdempotency:
             server = await start_server(service)
             port = server.sockets[0].getsockname()[1]
             oracle = expected_handshakes(toy_params, 1, seed=0)
-            client = ServiceClient(timeout_s=5.0, retries=2,
-                                   backoff_s=0.01)
+            client = ServiceClient(timeout_s=5.0)
             try:
                 await client.connect("127.0.0.1", port)
                 assert await client.ping()
@@ -220,6 +219,157 @@ class TestIdempotency:
                 await service.aclose()
 
         run(scenario)
+
+
+class OneShotRelay:
+    """A loopback relay in front of a wire server that misbehaves on
+    the first response frame only, then passes every frame through.
+
+    ``mode`` is ``"flip"`` (the first bit of the result value is
+    flipped), ``"duplicate"`` (the frame is sent twice) or ``"delay"``
+    (the frame is held for ``delay_s`` while later frames pass).
+    """
+
+    def __init__(self, upstream_port, mode, delay_s=0.0):
+        self.upstream_port = upstream_port
+        self.mode = mode
+        self.delay_s = delay_s
+        self.requests = []  # decoded client frames, in arrival order
+        self.fired = False
+        self.delivered = asyncio.Event()  # the mangled frame is out
+        self._tasks = set()
+
+    async def start(self):
+        self._server = await asyncio.start_server(
+            self._relay, "127.0.0.1", 0)
+        return self._server.sockets[0].getsockname()[1]
+
+    async def aclose(self):
+        self._server.close()
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+        await self._server.wait_closed()
+
+    async def _relay(self, reader, writer):
+        up_reader, up_writer = await asyncio.open_connection(
+            "127.0.0.1", self.upstream_port)
+        self._tasks.add(asyncio.ensure_future(
+            self._forward_requests(reader, up_writer)))
+        try:
+            while line := await up_reader.readline():
+                self._respond(writer, line)
+                await writer.drain()
+        finally:
+            writer.close()
+
+    async def _forward_requests(self, reader, up_writer):
+        try:
+            while line := await reader.readline():
+                self.requests.append(frame_decode(line))
+                up_writer.write(line)
+                await up_writer.drain()
+        finally:
+            up_writer.close()
+
+    def _respond(self, writer, line):
+        if self.fired:
+            writer.write(line)
+            return
+        self.fired = True
+        if self.mode == "flip":
+            at = line.index(b'"result": ') + len(b'"result": ')
+            writer.write(line[:at] + bytes([line[at] ^ 1])
+                         + line[at + 1:])
+        elif self.mode == "duplicate":
+            writer.write(line)
+            writer.write(line)
+        else:
+            self._tasks.add(asyncio.ensure_future(
+                self._late(writer, line)))
+            return
+        self.delivered.set()
+
+    async def _late(self, writer, line):
+        await asyncio.sleep(self.delay_s)
+        writer.write(line)
+        self.delivered.set()
+
+
+class TestMisbehavingWire:
+    """The client's recovery from a mangled, duplicated or late
+    response, end to end through :class:`OneShotRelay`."""
+
+    @staticmethod
+    async def _through_relay(params, mode, check, *, timeout_s,
+                             delay_s=0.0):
+        service = make_service(params)
+        await service.keygen("t", 99)  # warm the lanes
+        server = await start_server(service)
+        relay = OneShotRelay(server.sockets[0].getsockname()[1], mode,
+                             delay_s=delay_s)
+        client = ServiceClient(timeout_s=timeout_s)
+        try:
+            await client.connect("127.0.0.1", await relay.start())
+            await check(service, relay, client)
+        finally:
+            await client.aclose()
+            await relay.aclose()
+            server.close()
+            await server.wait_closed()
+            await service.aclose()
+
+    def test_flipped_bit_is_dropped_and_retried(self, toy_params):
+        oracle = expected_handshakes(toy_params, 1, seed=0)
+
+        async def check(service, relay, client):
+            executed = service.stats()["requests_total"]
+            assert await client.keygen("t", 0) == oracle[0][0]
+            assert relay.fired
+            assert client.dropped_frames_total == 1
+            assert client.retries_total == 1
+            assert service.stats()["requests_total"] == executed + 1
+
+        run(lambda: self._through_relay(toy_params, "flip", check,
+                                        timeout_s=0.5))
+
+    def test_duplicated_response_resolves_once(self, toy_params):
+        oracle = expected_handshakes(toy_params, 1, seed=0)
+
+        async def check(service, relay, client):
+            assert await client.keygen("t", 0) == oracle[0][0]
+            await relay.delivered.wait()
+            # The ping's response follows the duplicate on the wire, so
+            # the client has read (and ignored) the second copy.
+            assert await client.ping()
+            assert client._waiters == {}
+            assert client.dropped_frames_total == 0
+            assert client.retries_total == 0
+            assert client.reconnects_total == 0
+
+        run(lambda: self._through_relay(toy_params, "duplicate", check,
+                                        timeout_s=5.0))
+
+    def test_late_response_retries_under_the_same_key(self, toy_params):
+        oracle = expected_handshakes(toy_params, 1, seed=0)
+
+        async def check(service, relay, client):
+            executed = service.stats()["requests_total"]
+            assert await client.keygen("t", 0) == oracle[0][0]
+            assert client.retries_total == 1
+            keygens = [r for r in relay.requests if r["op"] == "keygen"]
+            assert len(keygens) == 2
+            assert keygens[0]["idem"] == keygens[1]["idem"]
+            assert keygens[0]["id"] != keygens[1]["id"]
+            assert service.stats()["requests_total"] == executed + 1
+            # The late original finds no waiter and resolves nothing.
+            await relay.delivered.wait()
+            assert await client.ping()
+            assert client._waiters == {}
+            assert client.reconnects_total == 0
+
+        run(lambda: self._through_relay(toy_params, "delay", check,
+                                        timeout_s=0.4, delay_s=1.0))
 
 
 class TestCircuitBreaker:

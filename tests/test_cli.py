@@ -286,60 +286,6 @@ class TestTelemetryFlags:
         assert "table4" in names
 
 
-class TestChaosCommand:
-    """``repro chaos``: the network-chaos campaign CLI."""
-
-    def test_toy_campaign_with_json_and_bench(self, tmp_path,
-                                              capsys):
-        import json
-
-        out = tmp_path / "chaos.json"
-        bench = tmp_path / "BENCH_service.json"
-        assert main(["chaos", "--params", "toy", "--n", "5",
-                     "--seed", "2", "--timeout-s", "0.4",
-                     "--json", str(out),
-                     "--bench-out", str(bench)]) == 0
-        text = capsys.readouterr().out
-        assert "0 hung, 0 escaped" in text
-        document = json.loads(out.read_text())
-        assert document["seed"] == 2
-        assert document["n"] == 5
-        assert document["escaped"] == 0
-        assert document["hung"] == 0
-        assert document["recovery_rate"] == 1.0
-        assert len(document["trials"]) == 5
-        runs = json.loads(bench.read_text())["runs"]
-        assert runs[-1]["mode"] == "chaos_load"
-        assert runs[-1]["escaped"] == 0
-
-    def test_quiet_suppresses_table(self, tmp_path, capsys):
-        out = tmp_path / "chaos.json"
-        assert main(["chaos", "--params", "toy", "--n", "2",
-                     "--seed", "1", "--timeout-s", "0.4",
-                     "--kinds", "drop_pre,duplicate",
-                     "--quiet", "--json", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert out.exists()
-
-    @pytest.mark.parametrize("argv, needle", [
-        (["chaos", "--n", "0"], "--n"),
-        (["chaos", "--quiet"], "--json"),
-        (["chaos", "--params", "toy", "--kinds", "packet_storm"],
-         "unknown chaos kind"),
-        (["chaos", "--params", "toy", "--retries", "0"],
-         "at least one retry"),
-        (["chaos", "--params", "toy", "--timeout-s", "0"],
-         "timeout_s"),
-    ])
-    def test_bad_arguments_one_line_exit_2(self, argv, needle,
-                                           capsys):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert needle in err
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
-
-
 class TestResilienceFlags:
     """The resilience knobs on ``repro serve`` / ``repro load``."""
 

@@ -262,94 +262,3 @@ class TestWatchdogCli:
                      "--latency-tolerance", "10",
                      "--throughput-tolerance", "0.99"]) == 0
 
-
-def _chaos_run(**overrides) -> dict:
-    run = {
-        "mode": "chaos_load",
-        "params": "CSIDH-toy",
-        "n": 16,
-        "seed": 1,
-        "engine": "replay",
-        "timeout_s": 0.75,
-        "retries": 3,
-        "duration_s": 4.0,
-        "recovered_by_retry": 9,
-        "masked": 7,
-        "rejected_clean": 0,
-        "hung": 0,
-        "escaped": 0,
-        "recovery_rate": 1.0,
-        "retries_total": 12,
-        "reconnects_total": 6,
-    }
-    run.update(overrides)
-    return run
-
-
-class TestChaosGating:
-    """``chaos_load`` records: escaped/hung are invariants, the
-    recovery rate is deterministic and gated at zero tolerance."""
-
-    def test_clean_chaos_trajectory_passes(self):
-        report = watchdog.check_records([_chaos_run(), _chaos_run()])
-        assert report.ok
-        assert report.groups_checked == 1
-
-    def test_escaped_fails_without_baseline(self):
-        report = watchdog.check_records([_chaos_run(escaped=1)])
-        assert not report.ok
-        assert report.findings[0].metric == "escaped"
-        assert report.findings[0].direction == "invariant"
-
-    def test_hung_fails_without_baseline(self):
-        report = watchdog.check_records([_chaos_run(hung=2)])
-        assert not report.ok
-        assert report.findings[0].metric == "hung"
-
-    def test_recovery_rate_drop_found_at_zero_tolerance(self):
-        report = watchdog.check_records([
-            _chaos_run(),
-            _chaos_run(recovery_rate=0.9375, rejected_clean=1,
-                       masked=6),
-        ])
-        findings = {f.metric for f in report.findings}
-        assert "recovery_rate" in findings
-
-    def test_recovery_rate_improvement_passes(self):
-        report = watchdog.check_records([
-            _chaos_run(recovery_rate=0.9375),
-            _chaos_run(recovery_rate=1.0),
-        ])
-        assert all(f.metric != "recovery_rate"
-                   for f in report.findings)
-
-    def test_different_seeds_never_compared(self):
-        report = watchdog.check_records([
-            _chaos_run(seed=1),
-            _chaos_run(seed=2, recovery_rate=0.5),
-        ])
-        # Two groups of one run each: the rate drop has no baseline.
-        assert report.groups_skipped == 2
-        assert all(f.metric != "recovery_rate"
-                   for f in report.findings)
-
-    def test_chaos_and_service_records_coexist(self):
-        report = watchdog.check_records(
-            [_service_run(), _chaos_run(),
-             _service_run(), _chaos_run()])
-        assert report.groups_checked == 2
-        assert report.ok
-
-    def test_recovery_tolerance_validated(self):
-        with pytest.raises(TelemetryError):
-            watchdog.Tolerances(recovery=-0.1)
-
-    def test_recovery_tolerance_flag_forwarded(self, tmp_path):
-        path = _write(tmp_path, [
-            _chaos_run(),
-            _chaos_run(recovery_rate=0.875, masked=5,
-                       rejected_clean=2),
-        ])
-        assert main(["watchdog", path]) == 1
-        assert main(["watchdog", path,
-                     "--recovery-tolerance", "0.5"]) == 0
