@@ -17,10 +17,10 @@ Commands:
   hardened execution layer and print/export the detection-coverage
   report (see ``docs/ROBUSTNESS.md``); exits 1 if any fault escaped;
 * ``bench`` — time one simulated group action per execution engine
-  (interpreter / aot) plus the batched field API,
-  verify the outputs agree, and optionally append the comparison to
-  the ``BENCH_protocol.json`` perf trajectory; with the aot engine it
-  also measures cold-vs-warm start against the artifact cache;
+  (interpreter / aot), verify the outputs agree, and optionally
+  append the comparison to the ``BENCH_protocol.json`` perf
+  trajectory; with the aot engine it also measures cold-vs-warm start
+  against the artifact cache;
 * ``cache`` — inspect or clear the persistent on-disk aot artifact
   cache (``stats`` / ``clear`` / ``dir``; see ``docs/SIMULATOR.md``);
 * ``serve`` / ``load`` — the multi-tenant TCP service and its load
@@ -289,9 +289,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.rounds < 1:
         raise ParameterError(
             f"--rounds must be at least 1 (got {args.rounds})")
-    if args.batch < 0:
-        raise ParameterError(
-            f"--batch must be non-negative (got {args.batch})")
     params = _PARAM_SETS[args.params]()
     engines = (ENGINES if args.engine == "all"
                else (args.engine,))
@@ -367,36 +364,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"{engine:12s} {row['wall_s'] * 1e3:8.1f} ms   "
               f"{row['speedup']:5.2f}x vs {engines[0]}")
 
-    batch_report = None
-    if args.batch:
-        operand_rng = random.Random(args.seed + 1)
-        pairs = [(operand_rng.randrange(p), operand_rng.randrange(p))
-                 for _ in range(args.batch)]
-        batch_report = {}
-        for engine in engines:
-            if engine == "interpreter":
-                continue  # batches demote to the scalar loop there
-            context = SimulatedFieldContext(p, variant=args.variant,
-                                            engine=engine)
-            context.mul_batch(pairs[:2])  # warm the fused thunks
-            start = time.perf_counter()
-            looped = [context.mul(a, b) for a, b in pairs]
-            loop_s = time.perf_counter() - start
-            start = time.perf_counter()
-            batched = context.mul_batch(pairs)
-            batch_s = time.perf_counter() - start
-            if batched != looped:
-                raise KernelError(
-                    f"{engine}: mul_batch disagrees with looped mul")
-            ratio = loop_s / batch_s if batch_s else float("inf")
-            batch_report[engine] = {
-                "n": args.batch, "loop_s": loop_s,
-                "batch_s": batch_s, "speedup": ratio,
-            }
-            print(f"{engine:12s} mul_batch x{args.batch}: "
-                  f"loop {loop_s * 1e3:6.1f} ms, batch "
-                  f"{batch_s * 1e3:6.1f} ms   {ratio:5.2f}x")
-
     if args.bench_out:
         record = {
             "mode": "engine_comparison",
@@ -411,8 +378,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 for engine, row in results.items()
             },
         }
-        if batch_report:
-            record["batch"] = batch_report
         if aot_start is not None:
             record["aot_start"] = aot_start
         write_bench(args.bench_out, "protocol", record)
@@ -831,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="time a group action per execution engine (+ batch API)")
+        help="time a group action per execution engine")
     p.add_argument("--params", choices=sorted(_PARAM_SETS),
                    default="toy")
     p.add_argument("--engine", choices=ENGINES + ("all",),
@@ -839,8 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="reduced.ise")
     p.add_argument("--rounds", type=int, default=3,
                    help="timing repetitions per engine (best-of)")
-    p.add_argument("--batch", type=int, default=64, metavar="N",
-                   help="also time mul_batch over N pairs (0: skip)")
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--bench-out", default=None, metavar="PATH",
                    help="append the engine comparison to the "

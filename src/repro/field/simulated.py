@@ -30,12 +30,10 @@ checked runner's sampled verification (``KernelRunner._sample``) runs
 on both paths, so which run gets sampled does not depend on the path.
 
 Callers can hand over whole vectors of operands at once:
-``mul_batch`` / ``sqr_batch`` / ``add_batch`` / ``sub_batch`` forward
-to :meth:`KernelRunner.run_batch`, a loop over the scalar kernel run.
-The batched entry points are element-wise identical to looping the
-scalar ones (same values, counters, cycle accounting); hardened
-contexts take the scalar field path so every safety check still
-fires.
+``mul_batch`` / ``sqr_batch`` / ``add_batch`` / ``sub_batch`` are
+loops over the scalar field ops, so a batch takes the direct path (and
+a hardened context's checks) element by element, with the same
+values, counters and cycle accounting as looping the scalar calls.
 
 ``checked=True`` selects the production hardening mode in between
 (see ``docs/ROBUSTNESS.md``): execution stays on the aot engine,
@@ -250,14 +248,6 @@ class SimulatedFieldContext(FieldContext):
                          self._run(runner, b, self._r2, engine=engine),
                          engine=engine)
 
-    def _batch(self, runner: KernelRunner, operand_sets) -> list[int]:
-        runs = runner.run_batch(operand_sets, check=self.cross_check,
-                                engine=self.engine)
-        for run in runs:
-            self.simulated_instructions += run.instructions
-            self.simulated_cycles += run.cycles
-        return [run.value for run in runs]
-
     # -- the hardened execution path ----------------------------------------
 
     def _guarded(self, operation, slots, compute, reference):
@@ -376,43 +366,20 @@ class SimulatedFieldContext(FieldContext):
             lambda: self._reference.sub(a, b),
         )
 
-    # -- batched field operations (throughput workloads) ---------------------
+    # -- batched field operations (the service's coalesced batches) ---------
 
     def mul_batch(self, pairs) -> list[int]:
-        """Element-wise :meth:`mul` over ``[(a, b), ...]`` in two
-        kernel batches (Montgomery conversion, then product)."""
-        pairs = [(a % self.p, b % self.p) for a, b in pairs]
-        if self._checked is not None:
-            return [self.mul(a, b) for a, b in pairs]
-        self.counter.mul += len(pairs)
-        r2 = self._r2
-        monts = self._batch(self._mul, [(b, r2) for _, b in pairs])
-        return self._batch(
-            self._mul, [(a, bm) for (a, _), bm in zip(pairs, monts)])
+        """Element-wise :meth:`mul` over ``[(a, b), ...]``."""
+        return [self.mul(a, b) for a, b in pairs]
 
     def sqr_batch(self, values) -> list[int]:
         """Element-wise :meth:`sqr` over ``[a, ...]``."""
-        values = [a % self.p for a in values]
-        if self._checked is not None:
-            return [self.sqr(a) for a in values]
-        self.counter.sqr += len(values)
-        r2 = self._r2
-        monts = self._batch(self._mul, [(a, r2) for a in values])
-        return self._batch(
-            self._mul, list(zip(values, monts)))
+        return [self.sqr(a) for a in values]
 
     def add_batch(self, pairs) -> list[int]:
         """Element-wise :meth:`add` over ``[(a, b), ...]``."""
-        pairs = [(a % self.p, b % self.p) for a, b in pairs]
-        if self._checked is not None:
-            return [self.add(a, b) for a, b in pairs]
-        self.counter.add += len(pairs)
-        return self._batch(self._add, pairs)
+        return [self.add(a, b) for a, b in pairs]
 
     def sub_batch(self, pairs) -> list[int]:
         """Element-wise :meth:`sub` over ``[(a, b), ...]``."""
-        pairs = [(a % self.p, b % self.p) for a, b in pairs]
-        if self._checked is not None:
-            return [self.sub(a, b) for a, b in pairs]
-        self.counter.sub += len(pairs)
-        return self._batch(self._sub, pairs)
+        return [self.sub(a, b) for a, b in pairs]

@@ -3,14 +3,16 @@
 Public surface:
 
 * :class:`KeyExchangeService` — concurrent keygen/exchange/verify
-  sessions over the simulated kernel stack, with per-tenant runner
-  isolation, request coalescing into ``run_batch``, admission control
-  and the ``aot -> interpreter`` degradation ladder;
+  sessions and coalesced field ops over the simulated kernel stack,
+  all through one request pipeline: per-tenant runner isolation,
+  admission control and the ``aot -> interpreter`` degradation
+  ladder;
 * :class:`TenantConfig` / :func:`default_tenant_configs` — tenant
   policy (engine preference, hardening, lanes, queue bounds);
 * :class:`AdmissionController` — bounded-queue backpressure with the
   stable ``"admission"`` rejection code;
-* :class:`RequestCoalescer` — the batching window;
+* :class:`RequestCoalescer` — one batch per operation per event-loop
+  turn;
 * :func:`start_server` / :class:`ServiceClient` — the JSON-lines TCP
   wire layer;
 * :func:`run_load` / :func:`run_load_remote` / :class:`LoadReport` —

@@ -1,12 +1,12 @@
-"""Request coalescing: many sessions' field ops -> one ``run_batch``.
+"""Request coalescing: many sessions' field ops -> one executor hop.
 
-Under concurrent load, many tenants' sessions issue the same field
-operation within microseconds of each other.  The
-:class:`RequestCoalescer` turns that temporal locality into explicit
-batches, so one executor hop serves a whole window of requests:
-submissions accumulate per operation kind, and a full window
-(``max_batch``) or an expired timer (``max_wait_s``) flushes the
-bucket through a single batched execution.
+Under concurrent load, many sessions issue the same field operation
+in the same event-loop turn.  The :class:`RequestCoalescer` turns
+that locality into explicit batches, so one executor hop serves them
+all: submissions accumulate per operation kind, and the first
+submission into an empty bucket schedules its flush for the next loop
+turn (a zero-delay flush, no timer).  A bucket holds at most what
+admission lets in, since every queued request holds a ticket.
 
 Correctness contract (property-tested with Hypothesis in
 ``tests/service/test_admission.py``): **no request is ever dropped or
@@ -31,14 +31,9 @@ from repro.telemetry import tracing
 #: an executor thread.
 BatchExecutor = Callable[[str, list[tuple]], Awaitable[Sequence]]
 
-#: Default flush window: enough to aggregate a concurrent burst,
-#: invisible (~2ms) next to a toy group action (~10ms+).
-DEFAULT_MAX_WAIT_S = 0.002
-DEFAULT_MAX_BATCH = 32
-
 
 class RequestCoalescer:
-    """Per-operation batching window over an async batch executor.
+    """Per-operation, per-loop-turn batching over an async executor.
 
     Single-event-loop object: ``submit`` must be called from the loop
     that created the coalescer (the service guarantees this; the
@@ -46,25 +41,10 @@ class RequestCoalescer:
     via ``run_in_executor``).
     """
 
-    def __init__(
-        self,
-        execute: BatchExecutor,
-        *,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
-    ) -> None:
-        if max_batch < 1:
-            raise ServiceError(
-                f"max_batch must be positive (got {max_batch})")
-        if max_wait_s < 0:
-            raise ServiceError(
-                f"max_wait_s must be >= 0 (got {max_wait_s})")
+    def __init__(self, execute: BatchExecutor) -> None:
         self._execute = execute
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         # bucket item: (operands, future, member trace, submit time)
         self._pending: dict[str, list[tuple]] = {}
-        self._timers: dict[str, asyncio.TimerHandle] = {}
         self._running: set[asyncio.Task] = set()
         self.batches_flushed = 0
         self.items_flushed = 0
@@ -79,19 +59,13 @@ class RequestCoalescer:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         bucket = self._pending.setdefault(op, [])
+        if not bucket:
+            loop.call_soon(self._flush_op, op)
         bucket.append((tuple(operands), future,
                        tracing.current_trace(), time.perf_counter()))
-        if len(bucket) >= self.max_batch:
-            self._flush_op(op)
-        elif op not in self._timers:
-            self._timers[op] = loop.call_later(
-                self.max_wait_s, self._flush_op, op)
         return await future
 
     def _flush_op(self, op: str) -> None:
-        timer = self._timers.pop(op, None)
-        if timer is not None:
-            timer.cancel()
         items = self._pending.pop(op, None)
         if not items:
             return
@@ -136,7 +110,7 @@ class RequestCoalescer:
                 future.set_result(value)
 
     def flush(self) -> None:
-        """Flush every pending bucket now (timers cancelled)."""
+        """Flush every pending bucket now."""
         for op in list(self._pending):
             self._flush_op(op)
 

@@ -27,6 +27,7 @@ import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro import telemetry
 from repro.csidh.parameters import CsidhParameters
@@ -192,6 +193,52 @@ async def _with_admission_retry(call, rejections: list[int],
         f"admission retries — the service is wedged, not overloaded")
 
 
+async def _run_fleet(tenant_names: list[str], exchanges: int,
+                     concurrency: int, seed: int,
+                     oracle: list[tuple[int, int, int]],
+                     keygen, exchange) -> dict:
+    """Run *exchanges* full handshakes, *concurrency* at a time,
+    through ``keygen(tenant, seed)`` and ``exchange(tenant, seed,
+    peer)`` (the in-process service or a wire client), check each
+    session against *oracle*, and return the request-side
+    :class:`LoadReport` fields."""
+    gate = asyncio.Semaphore(concurrency)
+    latencies: list[float] = []
+    rejections = [0]
+    deadline_rejections = [0]
+
+    async def timed(coroutine_factory):
+        started = time.perf_counter()
+        result = await _with_admission_retry(
+            coroutine_factory, rejections, deadline_rejections)
+        latencies.append(time.perf_counter() - started)
+        return result
+
+    async def handshake(index: int) -> bool:
+        """One full session; returns whether it matched the oracle."""
+        tenant = tenant_names[index % len(tenant_names)]
+        seed_a, seed_b = _session_seeds(seed, index)
+        async with gate:
+            pub_a = await timed(lambda: keygen(tenant, seed_a))
+            pub_b = await timed(lambda: keygen(tenant, seed_b))
+            secret_ab = await timed(
+                lambda: exchange(tenant, seed_a, pub_b))
+            secret_ba = await timed(
+                lambda: exchange(tenant, seed_b, pub_a))
+        want_a, want_b, want_secret = oracle[index]
+        return (pub_a == want_a and pub_b == want_b
+                and secret_ab == want_secret
+                and secret_ba == want_secret)
+
+    outcomes = await asyncio.gather(
+        *(handshake(i) for i in range(exchanges)))
+    return {"requests": len(latencies),
+            "divergences": outcomes.count(False),
+            "rejections": rejections[0],
+            "deadline_rejections": deadline_rejections[0],
+            "latencies_s": latencies}
+
+
 async def run_load(
     params: CsidhParameters,
     *,
@@ -246,48 +293,18 @@ async def run_load(
         raise ServiceError(
             f"oracle covers {len(oracle)} sessions, need {exchanges}")
 
-    gate = asyncio.Semaphore(concurrency)
-    latencies: list[float] = []
-    rejections = [0]
-    deadline_rejections = [0]
-    divergences = 0
-
-    async def timed(coroutine_factory):
-        started = time.perf_counter()
-        result = await _with_admission_retry(
-            coroutine_factory, rejections, deadline_rejections)
-        latencies.append(time.perf_counter() - started)
-        return result
-
-    async def handshake(index: int) -> bool:
-        """One full session; returns whether it matched the oracle."""
-        tenant = tenant_names[index % len(tenant_names)]
-        seed_a, seed_b = _session_seeds(seed, index)
-        async with gate:
-            pub_a = await timed(lambda: service.keygen(
-                tenant, seed_a, deadline_s=timeout_s))
-            pub_b = await timed(lambda: service.keygen(
-                tenant, seed_b, deadline_s=timeout_s))
-            secret_ab = await timed(lambda: service.exchange(
-                tenant, seed_a, pub_b, deadline_s=timeout_s))
-            secret_ba = await timed(lambda: service.exchange(
-                tenant, seed_b, pub_a, deadline_s=timeout_s))
-        want_a, want_b, want_secret = oracle[index]
-        return (pub_a == want_a and pub_b == want_b
-                and secret_ab == want_secret
-                and secret_ba == want_secret)
-
     capture_cm = telemetry.capture() if trace else nullcontext(None)
     trace_root: SpanNode | None = None
     trace_summary: dict | None = None
     started = time.perf_counter()
     try:
         with capture_cm as cap:
-            outcomes = await asyncio.gather(
-                *(handshake(i) for i in range(exchanges)))
+            fleet = await _run_fleet(
+                tenant_names, exchanges, concurrency, seed, oracle,
+                partial(service.keygen, deadline_s=timeout_s),
+                partial(service.exchange, deadline_s=timeout_s))
             await service.drain()
             duration = time.perf_counter() - started
-            divergences = sum(1 for ok in outcomes if not ok)
             # Collect before aclose(): closing a lane clears its
             # contexts (and with them the fault counters).
             demotions = promotions = detections = recoveries = 0
@@ -321,17 +338,13 @@ async def run_load(
         engine=engine,
         hardened=hardened,
         duration_s=duration,
-        requests=len(latencies),
-        divergences=divergences,
-        rejections=rejections[0],
-        deadline_rejections=deadline_rejections[0],
         demotions=demotions,
         promotions=promotions,
         fault_detections=detections,
         fault_recoveries=recoveries,
-        latencies_s=latencies,
         trace_summary=trace_summary,
         trace_root=trace_root,
+        **fleet,
     )
 
 
@@ -376,39 +389,10 @@ async def run_load_remote(
                 f"oracle params {params.name!r} are "
                 f"{params.p.bit_length()}-bit")
         tenant_names = sorted(before["tenants"])
-
-        gate = asyncio.Semaphore(concurrency)
-        latencies: list[float] = []
-        rejections = [0]
-        deadline_rejections = [0]
-
-        async def timed(coroutine_factory):
-            started = time.perf_counter()
-            result = await _with_admission_retry(
-                coroutine_factory, rejections, deadline_rejections)
-            latencies.append(time.perf_counter() - started)
-            return result
-
-        async def handshake(index: int) -> bool:
-            tenant = tenant_names[index % len(tenant_names)]
-            seed_a, seed_b = _session_seeds(seed, index)
-            async with gate:
-                pub_a = await timed(
-                    lambda: client.keygen(tenant, seed_a))
-                pub_b = await timed(
-                    lambda: client.keygen(tenant, seed_b))
-                secret_ab = await timed(
-                    lambda: client.exchange(tenant, seed_a, pub_b))
-                secret_ba = await timed(
-                    lambda: client.exchange(tenant, seed_b, pub_a))
-            want_a, want_b, want_secret = oracle[index]
-            return (pub_a == want_a and pub_b == want_b
-                    and secret_ab == want_secret
-                    and secret_ba == want_secret)
-
         started = time.perf_counter()
-        outcomes = await asyncio.gather(
-            *(handshake(i) for i in range(exchanges)))
+        fleet = await _run_fleet(tenant_names, exchanges, concurrency,
+                                 seed, oracle, client.keygen,
+                                 client.exchange)
         duration = time.perf_counter() - started
         after = await client.stats()
         document = await client.trace_export()
@@ -433,15 +417,11 @@ async def run_load_remote(
         hardened=any(before["tenants"][n]["hardened"]
                      for n in tenant_names),
         duration_s=duration,
-        requests=len(latencies),
-        divergences=sum(1 for ok in outcomes if not ok),
-        rejections=rejections[0],
-        deadline_rejections=deadline_rejections[0],
         demotions=tenant_delta("demotions"),
         promotions=tenant_delta("promotions"),
         fault_detections=tenant_delta("fault_detections"),
         fault_recoveries=tenant_delta("fault_recoveries"),
-        latencies_s=latencies,
         trace_summary=trace_summary,
         trace_root=trace_root,
+        **fleet,
     )

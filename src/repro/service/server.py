@@ -7,7 +7,8 @@ methods over the existing :class:`~repro.csidh.protocol.Csidh` /
 model:
 
 * the **event loop** owns scheduling: admission control, lane
-  checkout, request coalescing;
+  checkout, request coalescing — one request pipeline for all four
+  operations (:meth:`KeyExchangeService._run_op`);
 * a **thread pool** owns execution: simulated group actions are
   blocking pure-Python work, hopped off the loop with
   ``run_in_executor`` (per-thread telemetry span stacks keep the
@@ -21,8 +22,10 @@ Faults walk tenants down the ``aot -> interpreter`` ladder
 (:mod:`repro.service.tenancy`); a faulting operation is retried on the
 interpreter, so a poisoned fused artifact degrades the one tenant's
 latency instead of failing its requests.  Load alone never demotes a
-tenant — admission control bounds it instead.  Field ops from many sessions are coalesced into
-``run_batch`` windows (:mod:`repro.service.coalesce`).
+tenant — admission control bounds it instead.  Field ops submitted in
+one event-loop turn are coalesced into one batch per operation
+(:mod:`repro.service.coalesce`), which runs on a lane like any other
+request.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import random
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Sequence
 
 from repro import telemetry
@@ -48,11 +52,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.service.admission import AdmissionController, CircuitBreaker
-from repro.service.coalesce import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_S,
-    RequestCoalescer,
-)
+from repro.service.coalesce import RequestCoalescer
 from repro.service.tenancy import (
     Lane,
     Tenant,
@@ -97,6 +97,14 @@ def _breaker_signal(exc: BaseException):
     return False
 
 
+def _integer(value, what: str) -> int:
+    """A wire integer: exactly an ``int`` (``bool`` is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ServiceError(
+            f"{what} must be an integer (got {type(value).__name__})")
+    return value
+
+
 def _seed_bytes(seed) -> bytes:
     """Normalise a request seed (bytes | int | str) for key derivation."""
     if isinstance(seed, bytes):
@@ -123,10 +131,6 @@ class KeyExchangeService:
         params: CsidhParameters,
         tenants: Sequence[TenantConfig] | None = None,
         *,
-        coalesce_batch: int = DEFAULT_MAX_BATCH,
-        coalesce_wait_s: float = DEFAULT_MAX_WAIT_S,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_reset_s: float = DEFAULT_BREAKER_RESET_S,
         breaker_clock=None,
     ) -> None:
         self.params = params
@@ -146,8 +150,8 @@ class KeyExchangeService:
         breaker_kwargs = {} if breaker_clock is None \
             else {"clock": breaker_clock}
         self.breaker = CircuitBreaker(
-            failure_threshold=breaker_threshold,
-            reset_timeout_s=breaker_reset_s, **breaker_kwargs)
+            failure_threshold=DEFAULT_BREAKER_THRESHOLD,
+            reset_timeout_s=DEFAULT_BREAKER_RESET_S, **breaker_kwargs)
         self._lanes: dict[str, asyncio.Queue] = {}
         for tenant in self.tenants.values():
             self.admission.configure(
@@ -163,11 +167,7 @@ class KeyExchangeService:
             thread_name_prefix="repro-service",
         )
         self._coalescers: dict[str, RequestCoalescer] = {
-            name: RequestCoalescer(
-                self._batch_executor(tenant),
-                max_batch=coalesce_batch,
-                max_wait_s=coalesce_wait_s,
-            )
+            name: RequestCoalescer(self._batch_executor(tenant))
             for name, tenant in self.tenants.items()
         }
         # Request accounting for ``stats`` / ``repro top`` (event-loop
@@ -187,12 +187,6 @@ class KeyExchangeService:
         if tenant is None:
             raise ServiceError(f"unknown tenant {name!r}")
         return tenant
-
-    async def _checkout(self, tenant: Tenant) -> Lane:
-        return await self._lanes[tenant.config.name].get()
-
-    def _checkin(self, tenant: Tenant, lane: Lane) -> None:
-        self._lanes[tenant.config.name].put_nowait(lane)
 
     # -- the degradation ladder in action ------------------------------------
 
@@ -215,8 +209,7 @@ class KeyExchangeService:
             with telemetry.span("execute", engine=engine):
                 return call(engine, lane)
 
-    async def _run_on_ladder(self, tenant: Tenant, lane: Lane,
-                             op: str, call):
+    async def _run_on_ladder(self, tenant: Tenant, lane: Lane, call):
         """Run blocking *call(engine, lane)* on the executor, demoting
         and retrying one rung down when the tenant's own execution
         faults.  Protocol-level errors (invalid peer key, bad request)
@@ -295,57 +288,67 @@ class KeyExchangeService:
             f"{op} for tenant {tenant!r} exceeded its deadline "
             f"while {where}")
 
-    async def _execute_deadlined(self, tenant: Tenant, op: str, call,
-                                 deadline_at: float | None):
-        """Lane checkout + ladder, bounded by *deadline_at*.
+    async def _withhold_late(self, work, tenant: str, op: str,
+                             deadline_at: float | None):
+        """Await coroutine *work*, bounded by *deadline_at*.
 
-        A deadline hit while queued for a lane cancels the wait — the
-        work never starts.  A deadline hit mid-execution withholds the
-        response but lets the executor-thread work **drain in the
-        background** (the lane is checked in only when its thread is
-        truly done, so a timed-out request can never leak a lane's
-        mutable simulator state to the next request).
+        A deadline hit while *work* runs withholds the response but
+        lets the work **drain in the background**: it is shielded, not
+        cancelled, so whatever it holds (a lane, a coalesced batch's
+        other members) is released only when it is truly done.
         """
-        name = tenant.config.name
         if deadline_at is None:
-            lane = await self._checkout(tenant)
-            try:
-                return await self._run_on_ladder(tenant, lane, op, call)
-            finally:
-                self._checkin(tenant, lane)
-        loop = asyncio.get_running_loop()
-        remaining = deadline_at - loop.time()
-        if remaining <= 0:
-            raise self._deadline_error(name, op, "queued")
-        try:
-            lane = await asyncio.wait_for(
-                self._checkout(tenant), remaining)
-        except asyncio.TimeoutError:
-            raise self._deadline_error(
-                name, op, "queued") from None
-
-        async def run_and_checkin():
-            try:
-                return await self._run_on_ladder(tenant, lane, op, call)
-            finally:
-                self._checkin(tenant, lane)
-
-        inner = asyncio.ensure_future(run_and_checkin())
+            return await work
+        inner = asyncio.ensure_future(work)
         inner.add_done_callback(_reap)
-        remaining = deadline_at - loop.time()
+        remaining = deadline_at - asyncio.get_running_loop().time()
         try:
             return await asyncio.wait_for(
                 asyncio.shield(inner), max(remaining, 0.0))
         except asyncio.TimeoutError:
-            raise self._deadline_error(
-                name, op, "running") from None
+            raise self._deadline_error(tenant, op, "running") from None
 
-    async def _run_op(self, tenant_name: str, op: str, call,
+    async def _on_lane(self, call, tenant: Tenant, op: str,
+                       deadline_at: float | None = None):
+        """Lane checkout -> ladder -> checkin, bounded by *deadline_at*.
+
+        A deadline hit while queued for a lane cancels the wait — the
+        work never starts.  Past checkout, :meth:`_withhold_late`
+        applies: the lane is checked in only when its thread is done,
+        so a timed-out request can never leak a lane's mutable
+        simulator state to the next request.
+        """
+        name = tenant.config.name
+        lanes = self._lanes[name]
+        if deadline_at is None:
+            lane = await lanes.get()
+        else:
+            try:
+                lane = await asyncio.wait_for(
+                    lanes.get(),
+                    deadline_at - asyncio.get_running_loop().time())
+            except asyncio.TimeoutError:
+                raise self._deadline_error(name, op, "queued") from None
+
+        async def run_and_checkin():
+            try:
+                return await self._run_on_ladder(tenant, lane, call)
+            finally:
+                lanes.put_nowait(lane)
+
+        return await self._withhold_late(
+            run_and_checkin(), name, op, deadline_at)
+
+    async def _run_op(self, tenant_name: str, op: str, execute,
                       trace_id: str | None = None,
                       deadline_s=None):
-        """Breaker -> admission -> lane -> ladder -> telemetry.
+        """Breaker -> admission -> *execute* -> telemetry.
 
-        The whole pipeline runs under a per-request trace context
+        The one request pipeline: every operation passes in its
+        execute step, ``execute(tenant, op, deadline_at)`` — a lane
+        (:meth:`_on_lane`) for the protocol calls, the tenant's
+        coalescer for field ops.  The whole pipeline runs under a
+        per-request trace context
         (:func:`repro.telemetry.tracing.request_trace`): with telemetry
         enabled, the request's span subtree — executor attempts,
         coalescer waits, per-kernel cycles — hangs off one ``request``
@@ -361,8 +364,11 @@ class KeyExchangeService:
                 self.breaker.check(tenant_name)
                 try:
                     with self.admission.admit(tenant_name):
-                        result = await self._execute_deadlined(
-                            tenant, op, call, deadline_at)
+                        if (deadline_at is not None and deadline_at
+                                <= asyncio.get_running_loop().time()):
+                            raise self._deadline_error(
+                                tenant_name, op, "queued")
+                        result = await execute(tenant, op, deadline_at)
                 except Exception as exc:
                     # check() admitted this request (possibly as the
                     # half-open probe): exactly one record() balances it.
@@ -396,8 +402,9 @@ class KeyExchangeService:
             public = lane.endpoint(engine).public_key(private)
             return public.coefficient
 
-        return await self._run_op(tenant, "keygen", call, trace_id,
-                                  deadline_s)
+        return await self._run_op(tenant, "keygen",
+                                  partial(self._on_lane, call),
+                                  trace_id, deadline_s)
 
     async def exchange(self, tenant: str, seed, peer_public: int,
                        *, validate: bool = True,
@@ -405,25 +412,22 @@ class KeyExchangeService:
                        deadline_s=None) -> int:
         """Shared secret between *seed*'s key and *peer_public*."""
         seed_data = _seed_bytes(seed)
-        if not isinstance(peer_public, int):
-            raise ServiceError("peer public key must be an integer "
-                               "curve coefficient")
+        _integer(peer_public, "peer public key")
 
         def call(engine: str, lane: Lane) -> int:
             private = PrivateKey.derive(seed_data, self.params)
             return lane.endpoint(engine).shared_secret(
                 private, PublicKey(peer_public), validate=validate)
 
-        return await self._run_op(tenant, "exchange", call, trace_id,
-                                  deadline_s)
+        return await self._run_op(tenant, "exchange",
+                                  partial(self._on_lane, call),
+                                  trace_id, deadline_s)
 
     async def verify(self, tenant: str, public: int, *,
                      trace_id: str | None = None,
                      deadline_s=None) -> bool:
         """Is *public* a valid (supersingular) public key?"""
-        if not isinstance(public, int):
-            raise ServiceError("public key must be an integer "
-                               "curve coefficient")
+        _integer(public, "public key")
 
         def call(engine: str, lane: Lane) -> bool:
             # Deterministic rng: the check is probabilistic per draw,
@@ -433,28 +437,23 @@ class KeyExchangeService:
                 self.params, lane.context(engine),
                 public % self.params.p, rng)
 
-        return await self._run_op(tenant, "verify", call, trace_id,
-                                  deadline_s)
+        return await self._run_op(tenant, "verify",
+                                  partial(self._on_lane, call),
+                                  trace_id, deadline_s)
 
     # -- coalesced field operations ------------------------------------------
 
     def _batch_executor(self, tenant: Tenant):
-        """Build the coalescer backend: one lane, one ``<op>_batch``."""
+        """Build the coalescer backend: one ``<op>_batch`` on a lane."""
 
         async def execute(op: str, operand_sets: list[tuple]):
-            lane = await self._checkout(tenant)
-            try:
-                def call(engine: str, lane: Lane):
-                    context = lane.context(engine)
-                    method = getattr(context, f"{op}_batch")
-                    if FIELD_OPS[op] == 1:
-                        return method([ops[0] for ops in operand_sets])
-                    return method(list(operand_sets))
+            def call(engine: str, lane: Lane):
+                method = getattr(lane.context(engine), f"{op}_batch")
+                if FIELD_OPS[op] == 1:
+                    return method([ops[0] for ops in operand_sets])
+                return method(list(operand_sets))
 
-                return await self._run_on_ladder(
-                    tenant, lane, f"field.{op}", call)
-            finally:
-                self._checkin(tenant, lane)
+            return await self._on_lane(call, tenant, "field_op")
 
         return execute
 
@@ -463,67 +462,34 @@ class KeyExchangeService:
                        trace_id: str | None = None,
                        deadline_s=None) -> int:
         """One modular field operation, batched across sessions."""
-        self._check_accepting()
-        arity = FIELD_OPS.get(op)
+        arity = FIELD_OPS.get(op) if isinstance(op, str) else None
         if arity is None:
             raise ServiceError(
                 f"unknown field op {op!r}; expected one of "
                 f"{sorted(FIELD_OPS)}")
-        operands = [int(v) for v in operands]
+        if not isinstance(operands, (list, tuple)):
+            raise ServiceError(
+                f"field op operands must be a list "
+                f"(got {type(operands).__name__})")
+        operands = [_integer(v, "field op operand") for v in operands]
         if len(operands) != arity:
             raise ServiceError(
                 f"field op {op!r} takes {arity} operand(s), "
                 f"got {len(operands)}")
-        tenant_obj = self._tenant(tenant)
-        deadline_at = self._deadline_at(deadline_s)
-        started = time.perf_counter()
-        try:
-            with tracing.request_trace("field_op", tenant,
-                                       trace_id=trace_id):
-                self.breaker.check(tenant)
-                try:
-                    with self.admission.admit(tenant):
-                        result = await self._submit_deadlined(
-                            tenant_obj, op, operands, deadline_at)
-                except Exception as exc:
-                    self.breaker.record(tenant, _breaker_signal(exc))
-                    raise
-                else:
-                    self.breaker.record(tenant, True)
-        except Exception:
-            telemetry.record("service_requests_total", tenant,
-                             "field_op", "error")
-            self._note_request(
-                tenant, time.perf_counter() - started, ok=False)
-            raise
-        elapsed = time.perf_counter() - started
-        telemetry.record("service_requests_total", tenant, "field_op", "ok")
-        telemetry.record("service_request_seconds", "field_op",
-                         value=elapsed)
-        self._note_request(tenant, elapsed, ok=True)
-        return result
+        return await self._run_op(tenant, "field_op",
+                                  partial(self._coalesced, op, operands),
+                                  trace_id, deadline_s)
 
-    async def _submit_deadlined(self, tenant_obj: Tenant, op: str,
-                                operands, deadline_at: float | None):
-        """Coalescer submit bounded by *deadline_at* (same drain
-        semantics as :meth:`_execute_deadlined`: the batch completes
-        in the background, only this request's response is withheld)."""
-        name = tenant_obj.config.name
-        if deadline_at is None:
-            return await self._coalescers[name].submit(op, operands)
-        loop = asyncio.get_running_loop()
-        remaining = deadline_at - loop.time()
-        if remaining <= 0:
-            raise self._deadline_error(name, "field_op", "queued")
-        inner = asyncio.ensure_future(
-            self._coalescers[name].submit(op, operands))
-        inner.add_done_callback(_reap)
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(inner), remaining)
-        except asyncio.TimeoutError:
-            raise self._deadline_error(
-                name, "field_op", "running") from None
+    async def _coalesced(self, field: str, operands: list[int],
+                         tenant: Tenant, op: str,
+                         deadline_at: float | None):
+        """``field_op``'s execute step: a coalescer submission whose
+        batch finishes in the background if this request's deadline
+        passes first."""
+        name = tenant.config.name
+        return await self._withhold_late(
+            self._coalescers[name].submit(field, operands), name, op,
+            deadline_at)
 
     # -- introspection / lifecycle -------------------------------------------
 

@@ -233,7 +233,7 @@ FAMILIES = _declare(
                "tenant engine promotions after sustained health",
                ("tenant", "engine_to")),
     FamilySpec("service_coalesced_batches_total", "counter",
-               "coalescer flushes into run_batch", ("op",)),
+               "coalesced batches executed", ("op",)),
     FamilySpec("service_coalesced_items_total", "counter",
                "requests served through coalesced batches", ("op",)),
     FamilySpec("service_internal_errors_total", "counter",

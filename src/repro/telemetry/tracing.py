@@ -221,7 +221,7 @@ def begin_batch(
     """Open a batch context for one coalesced flush.
 
     *members* pairs each member's trace context (or ``None``) with the
-    wall-clock seconds it waited in the coalescing window.  Records,
+    wall-clock seconds it waited in the coalescer.  Records,
     per member: a ``coalesce.wait`` child booking the wait and a
     zero-cycle ``coalesced[batch=...]`` link child, making the batch
     reachable from every member request's trace.  Returns ``None``

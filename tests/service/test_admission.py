@@ -1,11 +1,13 @@
 """Hypothesis properties: admission bounds and coalescing integrity.
 
-Two promises hold under *any* arrival order and batch-size knob:
+Two promises hold under *any* arrival order:
 
 * the :class:`RequestCoalescer` never drops or duplicates a request —
   every submission resolves exactly once with exactly its own value,
-  the executor sees each operand set exactly once, and no batch
-  exceeds ``max_batch``;
+  the executor sees each operand set exactly once, and the requests
+  submitted in one event-loop turn make exactly one batch per
+  operation (a submission after ``await asyncio.sleep(0)`` lands in a
+  later batch);
 * the :class:`AdmissionController` never lets a tenant exceed
   ``capacity``, never under-counts a release, and every rejection is
   an :class:`AdmissionError` carrying the stable wire code
@@ -35,55 +37,57 @@ def _apply(op: str, a: int, b: int) -> int:
     return a * b if op == "mul" else a + b
 
 
-requests_strategy = st.lists(
-    st.tuples(st.sampled_from(OPS),
-              st.integers(0, 10_000), st.integers(0, 10_000)),
-    min_size=1, max_size=50,
+#: Requests grouped by the event-loop turn they are submitted in.
+turns_strategy = st.lists(
+    st.lists(st.tuples(st.sampled_from(OPS),
+                       st.integers(0, 10_000), st.integers(0, 10_000)),
+             min_size=1, max_size=12),
+    min_size=1, max_size=5,
 )
 
 
+async def _submit_by_turn(coalescer, turns):
+    """Submit each turn's requests in one loop turn, yielding once
+    between turns; returns the outcomes in submission order."""
+    tasks = []
+    for turn in turns:
+        tasks += [asyncio.ensure_future(coalescer.submit(op, operands))
+                  for op, *operands in turn]
+        await asyncio.sleep(0)
+    outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+    await coalescer.drain()
+    assert coalescer.pending == 0
+    return outcomes
+
+
 class TestCoalescerNeverDropsOrDuplicates:
-    @given(requests=requests_strategy, max_batch=st.integers(1, 8))
-    def test_every_request_resolves_exactly_once(self, requests,
-                                                 max_batch):
+    @given(turns=turns_strategy)
+    def test_every_request_resolves_exactly_once(self, turns):
         executed: list[tuple[str, list[tuple]]] = []
 
         async def execute(op: str, operand_sets):
             executed.append((op, list(operand_sets)))
             return [_apply(op, a, b) for a, b in operand_sets]
 
-        async def main():
-            coalescer = RequestCoalescer(
-                execute, max_batch=max_batch, max_wait_s=0.0)
-            results = await asyncio.gather(*(
-                coalescer.submit(op, (a, b))
-                for op, a, b in requests))
-            await coalescer.drain()
-            assert coalescer.pending == 0
-            return results
-
-        results = asyncio.run(main())
+        results = asyncio.run(
+            _submit_by_turn(RequestCoalescer(execute), turns))
         # exactly once, with exactly its own value
-        assert results == [_apply(op, a, b) for op, a, b in requests]
-        # the executor saw each request exactly once ...
-        total_executed = sum(len(sets) for _, sets in executed)
-        assert total_executed == len(requests)
-        # ... in op-homogeneous batches within the size bound
-        for op, operand_sets in executed:
-            assert 1 <= len(operand_sets) <= max_batch
-        for op in OPS:
-            submitted = sorted((a, b) for o, a, b in requests
-                               if o == op)
-            ran = sorted(pair for o, sets in executed if o == op
-                         for pair in sets)
-            assert ran == submitted
+        assert results == [_apply(op, a, b)
+                           for turn in turns for op, a, b in turn]
+        # one batch per op per turn, holding exactly that turn's
+        # requests for the op, in submission order
+        expected = [(op, [(a, b) for o, a, b in turn if o == op])
+                    for turn in turns for op in OPS
+                    if any(o == op for o, _, _ in turn)]
+        assert sorted(executed) == sorted(expected)
 
-    @given(requests=st.lists(st.integers(0, 100), min_size=2,
-                             max_size=30))
-    def test_failed_batch_poisons_only_its_own_requests(self,
-                                                        requests):
+    @given(turns=st.lists(st.lists(st.integers(0, 20), min_size=1,
+                                   max_size=8),
+                          min_size=2, max_size=5))
+    def test_failed_batch_poisons_only_its_own_requests(self, turns):
         """An executor exception reaches exactly the futures of the
-        failing batch; later submissions still succeed."""
+        failing batch — the turn that submitted a 13 — while the other
+        turns' batches succeed, and so does a later submission."""
 
         async def execute(op: str, operand_sets):
             if any(a == 13 for a, in operand_sets):
@@ -91,27 +95,21 @@ class TestCoalescerNeverDropsOrDuplicates:
             return [a + 1 for a, in operand_sets]
 
         async def main():
-            coalescer = RequestCoalescer(execute, max_batch=4,
-                                         max_wait_s=0.0)
-            outcomes = await asyncio.gather(
-                *(coalescer.submit("inc", (a,)) for a in requests),
-                return_exceptions=True)
-            await coalescer.drain()
+            coalescer = RequestCoalescer(execute)
+            outcomes = await _submit_by_turn(
+                coalescer, [[("inc", a) for a in turn]
+                            for turn in turns])
             # a fresh, clean submission after the failures still works
             assert await coalescer.submit("inc", (1,)) == 2
             return outcomes
 
-        outcomes = asyncio.run(main())
-        assert len(outcomes) == len(requests)
-        for value, outcome in zip(requests, outcomes):
-            if isinstance(outcome, Exception):
-                assert isinstance(outcome, ServiceError)
-            else:
-                assert outcome == value + 1
-        # every request containing 13 must have failed
-        for value, outcome in zip(requests, outcomes):
-            if value == 13:
-                assert isinstance(outcome, ServiceError)
+        outcomes = iter(asyncio.run(main()))
+        for turn in turns:
+            for value, outcome in zip(turn, outcomes):
+                if 13 in turn:
+                    assert isinstance(outcome, ServiceError)
+                else:
+                    assert outcome == value + 1
 
 
 class TestAdmissionBounds:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import zlib
 
 import pytest
@@ -29,6 +30,10 @@ from repro.service import (
     start_server,
 )
 from repro.service.load import expected_handshakes
+from repro.service.server import (
+    DEFAULT_BREAKER_RESET_S,
+    DEFAULT_BREAKER_THRESHOLD,
+)
 from repro.service.wire import (
     MAX_LINE_BYTES,
     WIRE_BUFFER_LIMIT,
@@ -47,15 +52,11 @@ def run(coroutine_factory, timeout=30):
 def make_service(params, **kwargs):
     kwargs.setdefault("lanes", 2)
     kwargs.setdefault("max_queue", 8)
-    breaker_kwargs = {
-        key: kwargs.pop(key)
-        for key in ("breaker_threshold", "breaker_reset_s",
-                    "breaker_clock")
-        if key in kwargs
-    }
+    breaker_clock = kwargs.pop("breaker_clock", None)
     config = TenantConfig("t", engine="aot",
                           variant="reduced.ise", **kwargs)
-    return KeyExchangeService(params, [config], **breaker_kwargs)
+    return KeyExchangeService(params, [config],
+                              breaker_clock=breaker_clock)
 
 
 async def raw_connect(server):
@@ -102,6 +103,59 @@ class TestDeadlines:
                 pub = await service.keygen("t", 0)
                 assert pub == oracle[0][0]
             finally:
+                await service.aclose()
+
+        run(scenario)
+
+    def test_expired_field_op_deadline_never_queues(self, toy_params):
+        async def scenario():
+            service = make_service(toy_params)
+            try:
+                with pytest.raises(DeadlineError, match="queued"):
+                    await service.field_op("t", "mul", [3, 5],
+                                           deadline_s=1e-9)
+                stats = service.stats()
+                assert stats["tenants"]["t"]["deadline_exceeded"] == 1
+                assert stats["coalesced"]["t"]["items"] == 0
+            finally:
+                await service.aclose()
+
+        run(scenario)
+
+    def test_late_field_op_withholds_only_its_response(self, toy_params):
+        """A deadline that passes while the op's batch runs fails that
+        one request; the batch finishes in the background, its other
+        member resolves, and the tenant keeps serving."""
+        p = toy_params.p
+        release = threading.Event()
+
+        async def scenario():
+            service = make_service(toy_params)
+            for lane in service.tenants["t"].lanes:
+                context = lane.context("aot")
+
+                def blocking(pairs, original=context.mul_batch):
+                    release.wait(10)  # holds the executor thread
+                    return original(pairs)
+
+                context.mul_batch = blocking
+            try:
+                late = asyncio.ensure_future(service.field_op(
+                    "t", "mul", [3, 5], deadline_s=0.05))
+                other = asyncio.ensure_future(service.field_op(
+                    "t", "mul", [7, 11]))
+                with pytest.raises(DeadlineError, match="running"):
+                    await late
+                assert not other.done()
+                release.set()
+                assert await other == 77 % p
+                stats = service.stats()
+                assert stats["coalesced"]["t"] == {"batches": 1,
+                                                   "items": 2}
+                assert stats["tenants"]["t"]["deadline_exceeded"] == 1
+                assert await service.field_op("t", "mul", [2, 3]) == 6
+            finally:
+                release.set()
                 await service.aclose()
 
         run(scenario)
@@ -456,13 +510,11 @@ class TestCircuitBreaker:
         async def scenario():
             clock = [0.0]
             service = make_service(
-                toy_params, breaker_threshold=2,
-                breaker_reset_s=30.0,
-                breaker_clock=lambda: clock[0])
+                toy_params, breaker_clock=lambda: clock[0])
             oracle = expected_handshakes(toy_params, 1, seed=0)
             try:
-                # Two deadline blowups are backend failures: trip.
-                for _ in range(2):
+                # Deadline blowups are backend failures: trip.
+                for _ in range(DEFAULT_BREAKER_THRESHOLD):
                     with pytest.raises(DeadlineError):
                         await service.keygen("t", 1, deadline_s=1e-9)
                 assert service.breaker.state("t") == "open"
@@ -471,7 +523,7 @@ class TestCircuitBreaker:
                 assert (service.stats()["tenants"]["t"]
                         ["circuit_rejections"] == 1)
                 # Cool-down elapses; the successful probe closes it.
-                clock[0] = 30.0
+                clock[0] = DEFAULT_BREAKER_RESET_S
                 pub = await service.keygen("t", 0)
                 assert pub == oracle[0][0]
                 assert service.breaker.state("t") == "closed"

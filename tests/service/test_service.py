@@ -15,9 +15,12 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.cli import build_parser, main
 from repro.csidh.parameters import csidh_toy
 from repro.errors import AdmissionError, ServiceError
+from repro.field.fp import FieldContext
+from repro.kernels.runner import KernelRunner
 from repro.service import (
     ENGINE_LADDER,
     KeyExchangeService,
@@ -122,6 +125,14 @@ class TestSeedNormalisation:
             _seed_bytes(3.14)
 
 
+#: Wire values that are not integers: each must be refused with code
+#: ``service``, not coerced (``int(1.5) == 1``, ``int("12") == 12``,
+#: ``True == 1``) or left to crash as an internal error.
+BAD_OPERANDS = [[1.5, 2], [True, 3], [3, False], ["12", 3], ["x", 3],
+                [None, 1], [[1], 2]]
+BAD_KEYS = [True, 1.5, "12", None]
+
+
 class TestServiceSurface:
     def test_duplicate_tenant_names_rejected(self, toy):
         configs = [TenantConfig("same"), TenantConfig("same")]
@@ -137,9 +148,36 @@ class TestServiceSurface:
                 with pytest.raises(ServiceError):
                     await service.field_op("t", "div", [1, 2])
                 with pytest.raises(ServiceError):
+                    await service.field_op("t", ["mul"], [1, 2])
+                with pytest.raises(ServiceError):
                     await service.field_op("t", "mul", [1, 2, 3])
                 with pytest.raises(ServiceError):
                     await service.exchange("t", 1, "not-a-coeff")
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("operands", BAD_OPERANDS)
+    def test_field_op_accepts_only_int_operands(self, toy, operands):
+        async def main():
+            config = TenantConfig("t", engine="aot")
+            async with KeyExchangeService(toy, [config]) as service:
+                with pytest.raises(ServiceError) as excinfo:
+                    await service.field_op("t", "mul", operands)
+                assert excinfo.value.code == "service"
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("key", BAD_KEYS)
+    def test_exchange_and_verify_accept_only_int_keys(self, toy, key):
+        async def main():
+            config = TenantConfig("t", engine="aot")
+            async with KeyExchangeService(toy, [config]) as service:
+                with pytest.raises(ServiceError) as excinfo:
+                    await service.exchange("t", 1, key)
+                assert excinfo.value.code == "service"
+                with pytest.raises(ServiceError) as excinfo:
+                    await service.verify("t", key)
+                assert excinfo.value.code == "service"
 
         asyncio.run(main())
 
@@ -202,6 +240,40 @@ class TestWireLayer:
 
         asyncio.run(main())
 
+    def test_bad_wire_operands_are_service_errors(self, toy):
+        async def main():
+            config = TenantConfig("t", engine="aot")
+            service = KeyExchangeService(toy, [config])
+            server = await start_server(service)
+            port = server.sockets[0].getsockname()[1]
+            codes = []
+            with telemetry.capture() as cap:
+                async with ServiceClient() as client:
+                    await client.connect("127.0.0.1", port)
+                    calls = [client.field_op("t", "mul", operands)
+                             for operands in BAD_OPERANDS]
+                    calls.append(client.field_op("t", ["mul"], [1, 2]))
+                    calls += [client.exchange("t", 1, key)
+                              for key in BAD_KEYS]
+                    calls += [client.verify("t", key) for key in BAD_KEYS]
+                    for call in calls:
+                        with pytest.raises(ServiceError) as excinfo:
+                            await call
+                        codes.append(excinfo.value.code)
+                    # the connection keeps serving good requests
+                    assert await client.field_op("t", "mul", [6, 7]) == 42
+                internal = cap.registry.counter(
+                    "service_internal_errors_total").total()
+            server.close()
+            await server.wait_closed()
+            await service.aclose()
+            return codes, internal
+
+        codes, internal = asyncio.run(main())
+        assert codes == ["service"] * (len(BAD_OPERANDS) + 1
+                                       + 2 * len(BAD_KEYS))
+        assert internal == 0
+
     def test_malformed_lines_get_in_band_errors(self, toy):
         async def main():
             config = TenantConfig("t", engine="aot")
@@ -230,6 +302,39 @@ class TestWireLayer:
         assert responses[1]["code"] == "service"
         by_id = [r for r in responses if r["id"] == 9]
         assert by_id and "teleport" in by_id[0]["error"]
+
+
+class TestDirectFieldPath:
+    def test_field_ops_never_enter_kernel_runner_run(self, toy,
+                                                     monkeypatch):
+        """A coalesced field op on an aot tenant calls its fused thunk
+        directly: with :meth:`KernelRunner.run` made to raise, every
+        op still resolves to the pure-Python value."""
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("field op entered KernelRunner.run")
+
+        monkeypatch.setattr(KernelRunner, "run", refuse)
+        reference = FieldContext(toy.p)
+        a, b = toy.p - 3, toy.p // 3
+
+        async def main():
+            config = TenantConfig("t", engine="aot")
+            async with KeyExchangeService(toy, [config]) as service:
+                values = {op: await service.field_op("t", op, operands)
+                          for op, operands in (("mul", [a, b]),
+                                               ("sqr", [a]),
+                                               ("add", [a, b]),
+                                               ("sub", [b, a]))}
+                return values, service.stats()["tenants"]["t"]
+
+        values, tenant = asyncio.run(main())
+        assert values == {"mul": reference.mul(a, b),
+                          "sqr": reference.sqr(a),
+                          "add": reference.add(a, b),
+                          "sub": reference.sub(b, a)}
+        assert tenant["engine"] == "aot"
+        assert tenant["demotions"] == 0
 
 
 class TestCli:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from functools import partial
 
 import pytest
 
@@ -213,7 +214,7 @@ class TestLadderTracePropagation:
                         return 42
 
                     result = await svc._run_op(
-                        "t", "exchange", flaky,
+                        "t", "exchange", partial(svc._on_lane, flaky),
                         trace_id="feedface00000001")
                 return cap, attempts, result
 
@@ -240,7 +241,8 @@ class TestLadderTracePropagation:
                         raise ServiceError("wedged mid-request")
 
                     with pytest.raises(ServiceError):
-                        await svc._run_op("t", "exchange", boom)
+                        await svc._run_op(
+                            "t", "exchange", partial(svc._on_lane, boom))
                 return cap
 
         cap = _run(main())

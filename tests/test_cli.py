@@ -128,12 +128,11 @@ class TestBenchCommand:
         monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "aot"))
         out_path = tmp_path / "BENCH_protocol.json"
         assert main(["bench", "--params", "toy", "--engine", "all",
-                     "--rounds", "1", "--batch", "8",
+                     "--rounds", "1",
                      "--bench-out", str(out_path)]) == 0
         out = capsys.readouterr().out
         for engine in ("interpreter", "aot"):
             assert engine in out
-        assert "mul_batch" in out
         assert "aot first  start" in out
 
         import json as json_module
@@ -144,7 +143,6 @@ class TestBenchCommand:
         assert set(record["engines"]) == {"interpreter", "aot"}
         for row in record["engines"].values():
             assert row["wall_s"] > 0
-        assert record["batch"]["aot"]["n"] == 8
         # within one invocation the second phase binds the artifacts
         # the first phase just wrote
         start = record["aot_start"]
@@ -154,14 +152,13 @@ class TestBenchCommand:
 
     def test_bench_single_engine_no_batch(self, capsys):
         assert main(["bench", "--params", "toy", "--engine",
-                     "interpreter", "--rounds", "1", "--batch", "0"]) == 0
+                     "interpreter", "--rounds", "1"]) == 0
         out = capsys.readouterr().out
         assert "interpreter" in out
         assert "mul_batch" not in out
 
     @pytest.mark.parametrize("argv, needle", [
         (["bench", "--params", "toy", "--rounds", "0"], "--rounds"),
-        (["bench", "--params", "toy", "--batch", "-1"], "--batch"),
         # the default --engine all includes the interpreter
         (["bench", "--params", "csidh-512"], "--params toy"),
         (["bench", "--params", "csidh-512"], "--engine aot"),
