@@ -14,13 +14,18 @@ The engine contract, checked once here:
   **6.5x** (``reduced.ise``) and **8.6x** (``full.isa``) the pure-Python
   action of the same key, both timed in this process (a ratio of two
   timings taken side by side depends far less on the host's speed than
-  either timing).
+  either timing);
+* a full-radix CSIDH-512 ``fp_sub`` thunk costs at most **2x** its
+  ``fp_add`` sibling, the two timed alternately in this process (in
+  limb form it cost 5-6x).
 """
 
 from __future__ import annotations
 
 import random
 import time
+
+import pytest
 
 from repro.csidh.group_action import ActionStats, group_action
 from repro.csidh.parameters import csidh_512, csidh_toy
@@ -147,3 +152,40 @@ def test_sim_over_pure_ratio():
                       for variant, ratio in ratios.items()) + " ===")
     for variant, ratio in ratios.items():
         assert ratio <= SIM_OVER_PURE_CEILINGS[variant], (variant, ratio)
+
+
+#: Ceiling on a full-radix CSIDH-512 ``fp_sub`` thunk's time over its
+#: ``fp_add`` sibling's.  Lifted, the two read 0.88-0.98x over 6 runs
+#: on a shared 2-vCPU x86-64 host; with ``fp_sub.full`` in limb form,
+#: 5.0-5.7x.
+SUB_OVER_ADD_CEILING = 2.0
+
+
+def _thunk_timer(kernel, rng):
+    """A timing function: one pass of *kernel*'s aot entry thunk over
+    200 sampled operand tuples."""
+    thunk = KernelRunner(kernel, engine="aot").direct_thunk("aot")
+    operands = [kernel.sampler(rng) for _ in range(200)]
+
+    def timed() -> float:
+        start = time.perf_counter()
+        for values in operands:
+            thunk(*values)
+        return time.perf_counter() - start
+
+    return timed
+
+
+@pytest.mark.parametrize("variant", ["full.isa", "full.ise"])
+def test_fp_sub_thunk_within_2x_of_fp_add(variant):
+    """The full-radix ``fp_sub`` thunk, lifted like its siblings, costs
+    at most twice ``fp_add``'s: best of 7 each, alternating."""
+    kernels = cached_kernels(csidh_512().p)
+    rng = random.Random(11)
+    add, sub = interleaved_best(
+        7, _thunk_timer(kernels[f"fp_add.{variant}"], rng),
+        _thunk_timer(kernels[f"fp_sub.{variant}"], rng))
+    ratio = sub / add
+    print(f"\n=== CSIDH-512 {variant}: fp_add {add / 200 * 1e6:.2f} us, "
+          f"fp_sub {sub / 200 * 1e6:.2f} us ({ratio:.2f}x) ===")
+    assert ratio <= SUB_OVER_ADD_CEILING, ratio

@@ -178,44 +178,37 @@ class SimulatedFieldContext(FieldContext):
 
     # -- kernel dispatch -----------------------------------------------------
 
-    def _book(self, runner: KernelRunner, cycles: int, instructions: int,
-              runs: int = 1) -> None:
-        """Add *runs* direct aot runs of *runner*'s kernel to this
-        context's totals and to telemetry, as one event."""
-        self.simulated_cycles += cycles
-        self.simulated_instructions += instructions
-        telemetry.record_kernel_run(runner.kernel.name, "aot", cycles,
-                                    instructions, runs)
-
-    def _run(
-        self,
-        runner: KernelRunner,
-        *values: int,
-        engine: str | None = None,
-    ) -> int:
-        """One kernel run, booked to this context: the direct call of
-        the runner's thunk, or :meth:`KernelRunner.run` when the thunk
-        cannot serve it."""
+    def _run(self, runner: KernelRunner, a: int, b: int,
+             engine: str | None = None) -> int:
+        """One kernel run ``(a, b)``, booked to this context and to
+        telemetry: the direct call of the runner's thunk, or
+        :meth:`KernelRunner.run` when the thunk cannot serve it."""
         if engine is None:
             engine = self.engine
         thunk = runner.direct_thunk(engine)
         if thunk is not None:
-            out = thunk(*values)
+            out = thunk(a, b)
             if out is not None and out[1] is not None:
                 value, cycles, instructions = out
                 hardening = runner._hardening
                 if hardening is not None:
-                    runner._sample(hardening, values, value, cycles, "aot")
-                self._book(runner, cycles, instructions)
+                    runner._sample(hardening, (a, b), value, cycles, "aot")
+                self.simulated_cycles += cycles
+                self.simulated_instructions += instructions
+                telemetry.record_kernel_run(runner.kernel.name, "aot", cycles,
+                                            instructions)
                 return value
-        run = runner.run(*values, check=self.cross_check, engine=engine)
+        run = runner.run(a, b, check=self.cross_check, engine=engine)
         self.simulated_instructions += run.instructions
         self.simulated_cycles += run.cycles
         return run.value
 
     def _product(self, a: int, b: int, engine: str | None = None) -> int:
         """``a*b mod p`` as ``mont(a, mont(b, R^2))``: two ``fp_mul``
-        runs, booked as one event when the thunk serves both."""
+        runs, booked as one event when the thunk serves both.  When it
+        serves only the first (the second returns no value or cycle
+        count, or fails its sampled check), the first run is booked
+        alone and the second goes to :meth:`_run` or raises."""
         runner = self._mul
         if engine is None:
             engine = self.engine
@@ -230,23 +223,25 @@ class SimulatedFieldContext(FieldContext):
                     runner._sample(hardening, (b, r2), b_mont, cycles,
                                    "aot")
                 second = thunk(a, b_mont)
-                if second is None:
-                    self._book(runner, cycles, instructions)
-                    return self._run(runner, a, b_mont, engine=engine)
-                if hardening is not None:
-                    try:
-                        runner._sample(hardening, (a, b_mont), second[0],
-                                       second[1], "aot")
-                    except FaultDetectedError:
-                        # the first run passed and counts, as on run()
-                        self._book(runner, cycles, instructions)
-                        raise
-                self._book(runner, cycles + second[1],
-                           instructions + second[2], 2)
-                return second[0]
-        return self._run(runner, a,
-                         self._run(runner, b, self._r2, engine=engine),
-                         engine=engine)
+                runs = 1
+                try:
+                    if second is not None and second[1] is not None:
+                        if hardening is not None:
+                            runner._sample(hardening, (a, b_mont),
+                                           second[0], second[1], "aot")
+                        cycles += second[1]
+                        instructions += second[2]
+                        runs = 2
+                finally:
+                    self.simulated_cycles += cycles
+                    self.simulated_instructions += instructions
+                    telemetry.record_kernel_run(runner.kernel.name, "aot",
+                                                cycles, instructions, runs)
+                if runs == 2:
+                    return second[0]
+                return self._run(runner, a, b_mont, engine)
+        return self._run(runner, a, self._run(runner, b, self._r2, engine),
+                         engine)
 
     # -- the hardened execution path ----------------------------------------
 

@@ -22,9 +22,16 @@ interval refuse when it is unknown:
 
 * **carry telescoping** — ``y + (X >> k) == (X + (y << k)) >> k``: a sum
   holding a floor with unit coefficient becomes one floor;
+* **floor difference** — ``(X >> s) − (Y >> s) == (X − (Y >> s)·2^s) >>
+  s``, taken only where ``Y >> s`` then rejoins, so a borrow chain's limb
+  ``W[s,w](A − B_low) − W[s,w](B)`` is the window ``W[s,w](A − B)``
+  (:mod:`repro.rv64.rejoin`);
 * **window rejoin** — ``((X >> s) & (2^a − 1)) + (((Y >> (s+a)) & …) <<
   a)`` is one window of ``Y`` when ``X ≡ Y (mod 2^(s+a))``, so limbs
-  reassemble into the value they were cut from;
+  reassemble into the value they were cut from; a window ``W[s,w](R +
+  Q·2^s)`` meets the limb above it as ``W[0,w]((R >> s) + Q)``
+  (:mod:`repro.rv64.rejoin`), so a Montgomery product's final
+  subtraction is one value;
 * **masked window** — ``((L + Z·2^(s+w)) >> s) & (2^w − 1)`` ignores
   ``Z``: a window keeps its form reduced modulo ``2^(s+w)``, and the
   renderer completes it to the widest congruent form it can share;
@@ -168,6 +175,10 @@ def _item_order(item) -> int:
     return item[0].serial
 
 
+# imported once the forms it reads exist (it imports them from here)
+from repro.rv64 import rejoin  # noqa: E402
+
+
 class Lifter:
     """The forms of one graph's nodes and the renderer back to nodes."""
 
@@ -258,7 +269,8 @@ class Lifter:
         """``Z ± (X >> k)`` is one floor: ``(X + Z·2^k) >> k``, and
         ``−(X >> k) == (2^k − 1 − X) >> k``.  The floor absorbed is
         *key*, by default the unit floor shifted beyond every other one
-        (folding peers into each other hides the carries they are)."""
+        (folding peers into each other hides the carries they are; of
+        two tied peers only a floor difference folds)."""
         if key is None:
             tied = False
             for candidate, coef in terms.items():
@@ -269,8 +281,11 @@ class Lifter:
                     key, tied = candidate, False
                 elif candidate.s == key.s:
                     tied = True
-            if key is None or tied:
+            if key is None:
                 return None
+            if tied:
+                return rejoin.floor_difference(self, terms, const,
+                                               key.s)
         sign = terms[key]
         if sign not in (1, -1) or (len(terms) == 1 and not const):
             return None  # a lone floor has nothing to absorb
@@ -303,15 +318,16 @@ class Lifter:
         for key, coef in windows:
             if key.w is None or key in used:
                 continue
-            top = key.s + key.w
-            for upper, upper_coef in by_start.get(top, ()):
-                if (upper in used or upper_coef != coef << key.w
-                        or self.trunc(upper.lin, top) is not key.lin):
-                    continue
+            low = key
+            upper = self._upper(low, coef, by_start, used)
+            if upper is None and key.s and key.w in by_start:
+                low = rejoin.lower_window(self, key)
+                upper = low and self._upper(low, coef, by_start, used)
+            if upper is not None:
                 used.add(key)
                 used.add(upper)
-                width = None if upper.w is None else key.w + upper.w
-                merged = self.win(upper.lin, key.s, width)
+                width = None if upper.w is None else low.w + upper.w
+                merged = self.win(upper.lin, low.s, width)
                 del terms[key]
                 del terms[upper]
                 for inner, inner_coef in merged.terms:
@@ -321,8 +337,17 @@ class Lifter:
                     else:
                         terms.pop(inner, None)
                 const = (const or 0) + coef * merged.const
-                break
         return const
+
+    def _upper(self, key: Win, coef: int, by_start: dict, used: set):
+        """The window of *by_start* that continues *key* (see
+        :meth:`_rejoin`), or ``None``."""
+        top = key.s + key.w
+        for upper, upper_coef in by_start.get(top, ()):
+            if (upper not in used and upper_coef == coef << key.w
+                    and self.trunc(upper.lin, top) is key.lin):
+                return upper
+        return None
 
     def win(self, lin: Lin, s: int, w: int | None) -> Lin:
         """The form of ``(lin >> s) & (2^w − 1)`` (``w`` None: floor)."""
@@ -430,6 +455,7 @@ class Lifter:
                 const += coef * inner.const
                 for sub, sub_coef in inner.terms:
                     terms[sub] = terms.get(sub, 0) + coef * sub_coef
+            const += rejoin.window_differences(self, terms, e)
             self._complete_grids(terms, current, modulus)
             nxt = self._normal(terms, const)
             if nxt is current:
@@ -999,10 +1025,8 @@ def _is_product(node: Node) -> bool:
 def _counts(nodes: list) -> tuple[int, int]:
     """(products, cost) of *nodes*: the products of :func:`_is_product`,
     and the operations with each one whose value may leave ``[−2^64,
-    2^64)`` counted twice.  On CSIDH-512 that weight admits exactly the
-    add/sub thunks that run faster lifted: ``fp_sub.full``'s lifted form
-    has 146 operations, most of them wide, against 178 in limb form, and
-    runs no faster."""
+    2^64)`` counted twice.  On CSIDH-512 every add/sub thunk's lifted
+    form costs less (``fp_sub.full``: 124 against 241)."""
     products = cost = 0
     for node in nodes:
         if node.args:

@@ -106,10 +106,11 @@ def _integer(value, what: str) -> int:
 
 
 def _seed_bytes(seed) -> bytes:
-    """Normalise a request seed (bytes | int | str) for key derivation."""
+    """Normalise a request seed (bytes | int | str) for key derivation;
+    ``bool`` is no integer seed (``True`` would derive seed 1's key)."""
     if isinstance(seed, bytes):
         return seed
-    if isinstance(seed, int):
+    if isinstance(seed, int) and not isinstance(seed, bool):
         return seed.to_bytes(32, "little", signed=True)
     if isinstance(seed, str):
         return seed.encode("utf-8")
@@ -183,6 +184,9 @@ class KeyExchangeService:
     # -- tenant / lane plumbing ----------------------------------------------
 
     def _tenant(self, name: str) -> Tenant:
+        if not isinstance(name, str):
+            raise ServiceError(
+                f"tenant must be a string (got {type(name).__name__})")
         tenant = self.tenants.get(name)
         if tenant is None:
             raise ServiceError(f"unknown tenant {name!r}")

@@ -30,12 +30,14 @@ import random
 import sys
 import threading
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.csidh.parameters import csidh_512, csidh_toy
-from repro.kernels.registry import cached_kernels
+from repro.kernels.registry import build_kernel, cached_kernels, make_contexts
 from repro.kernels.runner import KernelRunner
 from repro.kernels.spec import (
     ALL_VARIANTS,
@@ -396,6 +398,12 @@ def shared_selector(expected: bool):
 
 _M57 = "0x1ffffffffffffff"
 _W171 = (1 << 171) - 1
+_W256 = (1 << 256) - 1
+#: Limb 0 as a window at 64 of ``a + (b << 64)``, limb 1 as the window
+#: at 64 of ``((a >> 64) mod 2^128) + b`` (plus *carry*).
+_LOWERED = ("((({{a}} + ({{b}} << 64)) >> 64) & M) + (((((({{a}} >> 64)"
+            " & 0xffffffffffffffffffffffffffffffff) + {{b}}{carry}) >> 64)"
+            " & M) << 64)")
 
 
 def _select_chain(low_mask: str, high_mask: str) -> str:
@@ -434,6 +442,27 @@ def _grid_template(width: int, limbs: int, *, square: bool = False,
     return " + ".join(terms)
 
 
+def _carry_chain(limbs: int, subtract: bool) -> str:
+    """A full-radix add-with-carry (or sub-with-borrow) chain of
+    ``sltu`` carries, reassembled from its limbs plus the carry out."""
+    carry = "0"
+    words = []
+    for index in range(limbs):
+        x, y = _limb("a", index), _limb("b", index)
+        if subtract:
+            t = f"(({x} - {carry}) & M)"
+            out = f"(({t} - {y}) & M)"
+            carry = (f"((1 if {x} < {carry} else 0)"
+                     f" | (1 if {t} < {y} else 0))")
+        else:
+            t = f"(({x} + {carry}) & M)"
+            out = f"(({t} + {y}) & M)"
+            carry = (f"((1 if {t} < {carry} else 0)"
+                     f" | (1 if {out} < {y} else 0))")
+        words.append(f"({out} << {64 * index})")
+    return " + ".join(words + [f"({carry} << {64 * limbs})"])
+
+
 #: (identity, unrewritten template, operand upper bounds, fired predicate)
 LIFT_RULES = [
     ("telescope", "{b} + (({a} + 5) >> 64)", _A64, top_is("shr")),
@@ -461,6 +490,16 @@ LIFT_RULES = [
      is_product_of_atoms),
     ("constant-gathering", "({a} * 3) + (({a} * 5) << 64)", (M,),
      has_ops(mul=1, add=0)),
+    # a borrow chain's limbs W[s,64](A - B_low) - W[s,64](B) are
+    # windows of A - B, so its low limbs rejoin into one
+    ("floor-difference", _carry_chain(4, True), (_W256, _W256),
+     has_ops(shr=3)),
+    ("floor-tie", "({a} >> 64) - ((({b} & M) - ({a} & M) + M) >> 64)",
+     (_W128, _W128), has_ops(shr=1, sub=1)),
+    # a window at 64 of a + (b << 64) continues at 0 as the window of
+    # (a >> 64) + b that the limb above it reads
+    ("lowered-window-rejoin", _LOWERED.format(carry=""), (_W256, M),
+     has_ops(shr=1)),
     # must not fire
     ("grid-missing-pair", _grid_template(64, 2, skip={(1, 1)}),
      (_W128, _W128), lambda node, atoms: not is_product_of_atoms(node, atoms)),
@@ -476,6 +515,11 @@ LIFT_RULES = [
     ("select-chain-mask-not-shared",
      _select_chain("((0 - ({a} & 1)) & M)", "((0 - (({a} >> 1) & 1)) & M)"),
      (3, _W128), shared_selector(False)),
+    ("floor-tie-no-rejoin",
+     "({a} >> 64) - ((({b} & M) - ({a} & 0xffff) + M) >> 64)",
+     (_W128, _W128), has_ops(shr=2)),
+    ("lowered-window-mismatch", _LOWERED.format(carry=" + 1"), (_W256, M),
+     has_ops(shr=3)),
 ]
 
 
@@ -519,27 +563,6 @@ def test_unknown_interval_blocks_every_lift_rule():
     assert ops(bits)["or"] == 1
     assert ops(select)["xor"] == 2
     assert ops(grid)["mul"] == 2
-
-
-def _carry_chain(limbs: int, subtract: bool) -> str:
-    """A full-radix add-with-carry (or sub-with-borrow) chain of
-    ``sltu`` carries, reassembled from its limbs plus the carry out."""
-    carry = "0"
-    words = []
-    for index in range(limbs):
-        x, y = _limb("a", index), _limb("b", index)
-        if subtract:
-            t = f"(({x} - {carry}) & M)"
-            out = f"(({t} - {y}) & M)"
-            carry = (f"((1 if {x} < {carry} else 0)"
-                     f" | (1 if {t} < {y} else 0))")
-        else:
-            t = f"(({x} + {carry}) & M)"
-            out = f"(({t} + {y}) & M)"
-            carry = (f"((1 if {t} < {carry} else 0)"
-                     f" | (1 if {out} < {y} else 0))")
-        words.append(f"({out} << {64 * index})")
-    return " + ".join(words + [f"({carry} << {64 * limbs})"])
 
 
 def _signed_chain(limbs: int, subtract: bool) -> str:
@@ -710,6 +733,76 @@ def test_random_redc_chains_lift_exactly(w, n, data):
         == expr.evaluate([top], [atom], samples)
 
 
+def _sub_kernel(w: int, n: int, data):
+    """The ``fp_sub`` kernel of a random odd modulus whose Montgomery
+    context has *n* limbs of *w* bits (64: full radix, 57: reduced)."""
+    if w == 64:
+        low, high = max(2, 64 * (n - 1)), 64 * n - 1
+    else:
+        low, high = max(2, 57 * (n - 1) - 1), 57 * n - 2
+    bits = data.draw(st.integers(low, high), label="bits")
+    p = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1),
+                  label="p") | 1
+    full, reduced = make_contexts(p)
+    ctx = full if w == 64 else reduced
+    assert ctx.radix.limbs == n
+    variant = data.draw(st.sampled_from(["isa", "ise"]), label="variant")
+    radix = "full" if w == 64 else "reduced"
+    return build_kernel(OP_FP_SUB, f"{radix}.{variant}", ctx), p
+
+
+def _lifted_roots(kernel) -> tuple[list, list]:
+    """(limb-form roots, lifted roots) of *kernel*'s entry thunk; the
+    guard must not have refused the lift."""
+    seen = []
+
+    def recording_lift(graph, roots):
+        lifted = lift.lift(graph, roots)
+        seen.append((list(roots), lifted))
+        return lifted
+
+    with telemetry.capture() as cap, \
+            mock.patch.object(aot, "lift", recording_lift):
+        KernelRunner(kernel, engine="interpreter").fuse_entry()
+    assert cap.registry.counter("aot_lift_refusals_total").total() == 0
+    (roots, lifted), = seen
+    return roots, lifted
+
+
+@settings(deadline=None, max_examples=60)
+@given(w=st.sampled_from([57, 64]), n=st.integers(1, 9), data=st.data())
+def test_random_sub_chains_lift_exactly(w, n, data):
+    """The ``fp_sub`` borrow chain of random odd moduli, lifted, equals
+    its limb form on boundary and random operands."""
+    kernel, p = _sub_kernel(w, n, data)
+    roots, lifted = _lifted_roots(kernel)
+    atoms = sorted((node for node in expr.reachable(roots)
+                    if node.op == "atom"), key=lambda node: node.serial)
+    edges = sorted({0, 1, p - 1, p, atoms[0].hi})
+    samples = [[a, b] for a in edges for b in edges]
+    samples += [[data.draw(in_interval(atom.hi), label="operand")
+                 for atom in atoms] for _ in range(4)]
+    assert expr.evaluate(lifted, atoms, samples) \
+        == expr.evaluate(roots, atoms, samples)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("radix", ["full", "reduced"])
+def test_sub_chains_of_random_moduli_lift(radix, n):
+    """From four limbs on, the ``fp_sub`` borrow chain of a random
+    modulus lifts in both radixes (full radix through the
+    floor-difference rule)."""
+    width = 64 if radix == "full" else 57
+    rng = random.Random(f"{radix}{n}")
+    p = rng.getrandbits(width * n - 2) | (1 << (width * n - 3)) | 1
+    full, reduced = make_contexts(p)
+    ctx = full if radix == "full" else reduced
+    assert ctx.radix.limbs == n
+    roots, lifted = _lifted_roots(build_kernel(OP_FP_SUB, f"{radix}.isa",
+                                               ctx))
+    assert lifted != roots
+
+
 def test_guard_keeps_the_limb_form_of_a_wrong_lift(monkeypatch, tmp_path):
     """A lift that computes a wrong value is refused before rendering:
     the thunk keeps its limb form, stays exact, and the refusal is
@@ -792,15 +885,16 @@ def masks_and_shifts(source: str) -> int:
 #: reduction digit as a window of the one-shot ``m`` (before the
 #: split-add rules, fp_mul: 809, 556, 853 and 487 in this order; before
 #: lifting: 92, 95, 154 and 97; before the one-shot reduction: 71, 75,
-#: 78 and 76).  ``fp_sqr.full.isa`` keeps its limb form: its three-word
+#: 78 and 76; before the one-value final subtraction: 58, 64, 77 and
+#: 61).  ``fp_sqr.full.isa`` keeps its limb form: its three-word
 #: accumulator does not lift yet.
 MASK_SHIFT_CEILINGS = {
-    f"{OP_FP_MUL}.full.isa": 58,
-    f"{OP_FP_MUL}.full.ise": 64,
+    f"{OP_FP_MUL}.full.isa": 56,
+    f"{OP_FP_MUL}.full.ise": 62,
     f"{OP_FP_MUL}.reduced.isa": 77,
     f"{OP_FP_MUL}.reduced.ise": 61,
     f"{OP_FP_SQR}.full.isa": 586,
-    f"{OP_FP_SQR}.full.ise": 63,
+    f"{OP_FP_SQR}.full.ise": 61,
     f"{OP_FP_SQR}.reduced.isa": 76,
     f"{OP_FP_SQR}.reduced.ise": 60,
 }
@@ -818,25 +912,37 @@ FIELD_KERNELS = MUL_KERNELS + [f"{operation}.{variant}"
 #: and partial sums.  A lifted ``fp_add``/``fp_sub`` computes 47-81
 #: operations where the limb form took 155-168; its products (0 in limb
 #: form) are selects by a borrow bit and the ``x & p_k`` gather.
-#: ``fp_sub.full`` and ``fp_sqr.full.isa`` keep their limb form.
+#: ``fp_sqr.full.isa`` keeps its limb form.
 THUNK_CEILINGS = {
-    f"{OP_FP_MUL}.full.isa": (5, 87),
-    f"{OP_FP_MUL}.full.ise": (8, 99),
+    f"{OP_FP_MUL}.full.isa": (5, 84),
+    f"{OP_FP_MUL}.full.ise": (8, 96),
     f"{OP_FP_MUL}.reduced.isa": (12, 102),
     f"{OP_FP_MUL}.reduced.ise": (4, 70),
     f"{OP_FP_SQR}.full.isa": (108, 1291),
-    f"{OP_FP_SQR}.full.ise": (8, 98),
+    f"{OP_FP_SQR}.full.ise": (8, 95),
     f"{OP_FP_SQR}.reduced.isa": (12, 101),
     f"{OP_FP_SQR}.reduced.ise": (4, 69),
     f"{OP_FP_ADD}.full.isa": (2, 81),
     f"{OP_FP_ADD}.full.ise": (2, 81),
     f"{OP_FP_ADD}.reduced.isa": (5, 60),
     f"{OP_FP_ADD}.reduced.ise": (5, 60),
-    f"{OP_FP_SUB}.full.isa": (0, 165),
-    f"{OP_FP_SUB}.full.ise": (0, 165),
+    f"{OP_FP_SUB}.full.isa": (4, 81),
+    f"{OP_FP_SUB}.full.ise": (4, 81),
     f"{OP_FP_SUB}.reduced.isa": (3, 47),
     f"{OP_FP_SUB}.reduced.ise": (3, 47),
 }
+
+
+@pytest.mark.parametrize("params", [csidh_toy, csidh_512],
+                         ids=["toy", "csidh-512"])
+def test_every_fp_kernel_lifts_without_refusal(params):
+    """The guard accepts every lift of the Fp kernels it is offered:
+    no ``aot_lift_refusals_total`` at toy or CSIDH-512 size."""
+    kernels = cached_kernels(params().p)
+    with telemetry.capture() as cap:
+        for name in FIELD_KERNELS:
+            KernelRunner(kernels[name], engine="interpreter").fuse_entry()
+    assert cap.registry.counter("aot_lift_refusals_total").total() == 0
 
 
 @pytest.mark.parametrize("name", FIELD_KERNELS)
@@ -866,25 +972,27 @@ def hot_path(source: str) -> list:
 #: Ceilings on (products, binary operations) per thunk before its
 #: read-out branch.  The limbs, the 32-register writeback and
 #: ``pc``/``halted`` follow that branch, so a lifted ``fp_mul``/
-#: ``fp_sqr`` runs 16-25 operations: ``a·b``, the one-shot reduction's
-#: two products and, in full radix, a select by the borrow bit whose
-#: low limb is rendered apart (a fifth product, by that bit).  A lifted
-#: ``fp_add``/``fp_sub`` runs 23-37 (limb form: 119-168).
+#: ``fp_sqr`` runs 16-17 operations: ``a·b``, the one-shot reduction's
+#: two products and, in full radix, the final subtraction as the one
+#: value ``U − p + β·p`` (before it rendered the select's low limb
+#: apart: a fifth product and 24-25 operations).  A lifted
+#: ``fp_add``/``fp_sub`` runs 19-37 (limb form: 119-168); a full-radix
+#: ``fp_sub``'s one product is the add-back ``β·p``.
 HOT_PATH_CEILINGS = {
-    f"{OP_FP_MUL}.full.isa": (5, 25),
-    f"{OP_FP_MUL}.full.ise": (5, 25),
+    f"{OP_FP_MUL}.full.isa": (4, 17),
+    f"{OP_FP_MUL}.full.ise": (4, 17),
     f"{OP_FP_MUL}.reduced.isa": (4, 17),
     f"{OP_FP_MUL}.reduced.ise": (4, 17),
     f"{OP_FP_SQR}.full.isa": (108, 1291),
-    f"{OP_FP_SQR}.full.ise": (5, 24),
+    f"{OP_FP_SQR}.full.ise": (4, 16),
     f"{OP_FP_SQR}.reduced.isa": (4, 16),
     f"{OP_FP_SQR}.reduced.ise": (4, 16),
     f"{OP_FP_ADD}.full.isa": (2, 23),
     f"{OP_FP_ADD}.full.ise": (2, 23),
     f"{OP_FP_ADD}.reduced.isa": (5, 37),
     f"{OP_FP_ADD}.reduced.ise": (5, 37),
-    f"{OP_FP_SUB}.full.isa": (0, 156),
-    f"{OP_FP_SUB}.full.ise": (0, 156),
+    f"{OP_FP_SUB}.full.isa": (1, 19),
+    f"{OP_FP_SUB}.full.ise": (1, 19),
     f"{OP_FP_SUB}.reduced.isa": (3, 25),
     f"{OP_FP_SUB}.reduced.ise": (3, 25),
 }

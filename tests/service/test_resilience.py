@@ -577,17 +577,25 @@ class TestInternalErrorContainment:
     must answer in-band with the stable ``service`` code, not kill the
     connection task and strand the waiter."""
 
+    @staticmethod
+    def _broken_keygen(service):
+        """Make the service's keygen handler raise a non-ReproError."""
+        async def keygen(*args, **kwargs):
+            raise RuntimeError("handler bug")
+
+        service.keygen = keygen
+
     def test_hostile_payload_answers_in_band(self, toy_params):
         async def scenario():
             service = make_service(toy_params)
+            self._broken_keygen(service)
             server = await start_server(service)
             try:
                 reader, writer = await raw_connect(server)
-                # An unhashable tenant raises TypeError deep inside
-                # dispatch — not a ReproError.
+                # The handler raises RuntimeError inside dispatch —
+                # not a ReproError.
                 await send_frame(writer, {
-                    "id": 1, "op": "keygen",
-                    "tenant": {"nested": "dict"}, "seed": 1})
+                    "id": 1, "op": "keygen", "tenant": "t", "seed": 1})
                 response = await read_frame(reader)
                 assert response["id"] == 1
                 assert response["ok"] is False
@@ -608,13 +616,13 @@ class TestInternalErrorContainment:
     def test_internal_errors_are_counted(self, toy_params):
         async def scenario():
             service = make_service(toy_params)
+            self._broken_keygen(service)
             server = await start_server(service)
             try:
                 with telemetry.capture() as cap:
                     reader, writer = await raw_connect(server)
                     await send_frame(writer, {
-                        "id": 1, "op": "keygen",
-                        "tenant": {"bad": 1}, "seed": 1})
+                        "id": 1, "op": "keygen", "tenant": "t", "seed": 1})
                     await read_frame(reader)
                     assert cap.registry.counter(
                         "service_internal_errors_total").total() == 1

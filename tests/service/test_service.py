@@ -124,6 +124,13 @@ class TestSeedNormalisation:
         with pytest.raises(ServiceError):
             _seed_bytes(3.14)
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_is_not_an_integer_seed(self, seed):
+        """``True == 1``: accepting it would derive seed 1's key."""
+        with pytest.raises(ServiceError) as excinfo:
+            _seed_bytes(seed)
+        assert excinfo.value.code == "service"
+
 
 #: Wire values that are not integers: each must be refused with code
 #: ``service``, not coerced (``int(1.5) == 1``, ``int("12") == 12``,
@@ -131,6 +138,10 @@ class TestSeedNormalisation:
 BAD_OPERANDS = [[1.5, 2], [True, 3], [3, False], ["12", 3], ["x", 3],
                 [None, 1], [[1], 2]]
 BAD_KEYS = [True, 1.5, "12", None]
+#: Wire tenants that are not strings (an object or a list is unhashable)
+#: and seeds that are booleans: refused with code ``service``.
+BAD_TENANTS = [{"nested": "dict"}, ["t"], 1, None]
+BAD_SEEDS = [True, False]
 
 
 class TestServiceSurface:
@@ -177,6 +188,36 @@ class TestServiceSurface:
                 assert excinfo.value.code == "service"
                 with pytest.raises(ServiceError) as excinfo:
                     await service.verify("t", key)
+                assert excinfo.value.code == "service"
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("tenant", BAD_TENANTS)
+    def test_non_string_tenants_are_service_errors(self, toy, tenant):
+        async def main():
+            config = TenantConfig("t", engine="aot")
+            async with KeyExchangeService(toy, [config]) as service:
+                calls = [service.keygen(tenant, 1),
+                         service.exchange(tenant, 1, 0),
+                         service.verify(tenant, 0),
+                         service.field_op(tenant, "mul", [1, 2])]
+                for call in calls:
+                    with pytest.raises(ServiceError) as excinfo:
+                        await call
+                    assert excinfo.value.code == "service"
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_keygen_and_exchange_refuse_bool_seeds(self, toy, seed):
+        async def main():
+            config = TenantConfig("t", engine="aot")
+            async with KeyExchangeService(toy, [config]) as service:
+                with pytest.raises(ServiceError) as excinfo:
+                    await service.keygen("t", seed)
+                assert excinfo.value.code == "service"
+                with pytest.raises(ServiceError) as excinfo:
+                    await service.exchange("t", seed, 0)
                 assert excinfo.value.code == "service"
 
         asyncio.run(main())
@@ -272,6 +313,42 @@ class TestWireLayer:
         codes, internal = asyncio.run(main())
         assert codes == ["service"] * (len(BAD_OPERANDS) + 1
                                        + 2 * len(BAD_KEYS))
+        assert internal == 0
+
+    def test_bad_wire_tenants_and_seeds_are_service_errors(self, toy):
+        async def main():
+            config = TenantConfig("t", engine="aot")
+            service = KeyExchangeService(toy, [config])
+            server = await start_server(service)
+            port = server.sockets[0].getsockname()[1]
+            codes = []
+            with telemetry.capture() as cap:
+                async with ServiceClient() as client:
+                    await client.connect("127.0.0.1", port)
+                    calls = [client.keygen(tenant, 1)
+                             for tenant in BAD_TENANTS]
+                    calls += [client.field_op(tenant, "mul", [1, 2])
+                              for tenant in BAD_TENANTS]
+                    calls += [client.keygen("t", seed)
+                              for seed in BAD_SEEDS]
+                    calls += [client.exchange("t", seed, 0)
+                              for seed in BAD_SEEDS]
+                    for call in calls:
+                        with pytest.raises(ServiceError) as excinfo:
+                            await call
+                        codes.append(excinfo.value.code)
+                    # the connection keeps serving good requests
+                    assert await client.field_op("t", "mul", [6, 7]) == 42
+                internal = cap.registry.counter(
+                    "service_internal_errors_total").total()
+            server.close()
+            await server.wait_closed()
+            await service.aclose()
+            return codes, internal
+
+        codes, internal = asyncio.run(main())
+        assert codes == ["service"] * (2 * len(BAD_TENANTS)
+                                       + 2 * len(BAD_SEEDS))
         assert internal == 0
 
     def test_malformed_lines_get_in_band_errors(self, toy):
