@@ -38,6 +38,7 @@ from repro.fault.inject import arm_and_record
 from repro.fault.plan import ALL_SITES, FAULT_OPERATIONS, FaultPlan, FaultSite
 from repro.field.simulated import (
     DEFAULT_RECOVERY_ATTEMPTS,
+    RUNNER_SLOTS,
     SimulatedFieldContext,
 )
 from repro.kernels import registry
@@ -51,9 +52,6 @@ OUTCOME_ESCAPED = "escaped"
 OUTCOMES = (OUTCOME_RECOVERED, OUTCOME_UNRECOVERED,
             OUTCOME_MASKED, OUTCOME_ESCAPED)
 
-#: Which runner slot of the context each operation executes on.
-_RUNNER_SLOTS = {"mul": "_mul", "sqr": "_mul", "add": "_add",
-                 "sub": "_sub"}
 
 #: Metric families included in the report — the fault layer's own, so
 #: the block is identical across runs regardless of pool/cache warmth.
@@ -162,7 +160,7 @@ def _run_trial(
     a: int,
     b: int,
 ) -> TrialResult:
-    runner = getattr(context, _RUNNER_SLOTS[site.operation])
+    runner = getattr(context, RUNNER_SLOTS[site.operation])
     armed = arm_and_record(runner, site)
     try:
         if site.operation == "mul":

@@ -17,17 +17,28 @@ operation through the full interpreter and pipeline model instead —
 belt-and-braces mode for debugging new kernels or pipelines.
 
 On aot, a field op calls its runner's entry thunk directly (the
-*direct path*): it adds the ``(value, cycles, instructions)`` the
-thunk returns to the context and builds no
-:class:`~repro.kernels.runner.KernelRun`; ``mul``/``sqr`` book their
-two ``fp_mul`` runs as one telemetry event
-(``record_kernel_run(..., runs=2)``).  :meth:`KernelRunner.run` is the
-one fallback and serves any run the thunk cannot: the interpreter
-engine (and so ``cross_check``), trace hooks on the machine, a fault
-hook on the runner, a thunk that is missing, returns ``None``
-(invalidated, operand out of range) or reports no cycle count.  A
-checked runner's sampled verification (``KernelRunner._sample``) runs
-on both paths, so which run gets sampled does not depend on the path.
+*direct path*).  Every kernel is straight-line, so each run costs the
+fused entry's static cost (:attr:`KernelRunner.static_cost`): the
+context binds each runner's thunk with that cost
+(:meth:`KernelRunner.direct_entry`), and a run the thunk serves is one
+inlined call, which returns the value alone, and one added to the
+slot's run count.  ``simulated_cycles`` and ``simulated_instructions``
+are the runs times their static cost plus the measured cost of the
+runs :meth:`KernelRunner.run` served; no
+:class:`~repro.kernels.runner.KernelRun` is built.  While telemetry
+is on, an op books its runs with ``record_kernel_run`` (``mul``/``sqr``
+their two ``fp_mul`` runs as one event, ``runs=2``); while it is off,
+it calls ``telemetry.record_machine_run("aot")`` once per run.
+:meth:`KernelRunner.run` is the one fallback and serves any run the
+bound thunk cannot: the interpreter engine (and so ``cross_check``),
+trace hooks on the machine or a fault hook on the runner (checked on
+every run, so a hook attached mid-action takes effect at once), a
+runner without a thunk or static cost, and a thunk that returns
+``None`` (invalidated, operand out of range).  A runner whose thunk
+was swapped (fault injection, recovery) is rebound at its next run.
+Checked contexts take :meth:`_guarded`, where a checked runner's
+sampled verification (``KernelRunner._sample``) runs on both paths, so
+which run gets sampled does not depend on the path.
 
 Callers can hand over whole vectors of operands at once:
 ``mul_batch`` / ``sqr_batch`` / ``add_batch`` / ``sub_batch`` are
@@ -36,7 +47,8 @@ a hardened context's checks) element by element, with the same
 values, counters and cycle accounting as looping the scalar calls.
 
 ``checked=True`` selects the production hardening mode in between
-(see ``docs/ROBUSTNESS.md``): execution stays on the aot engine,
+(see ``docs/ROBUSTNESS.md``): execution stays on the aot engine
+(without the inlined path),
 but one in ``check_interval`` operations is cross-validated against a
 pure-Python :class:`~repro.field.fp.FieldContext` reference (and each
 runner additionally validates sampled kernel runs).  A divergence —
@@ -56,7 +68,7 @@ That conversion is a second ``fp_mul`` run, so every ``mul`` *and*
 every ``sqr`` costs two ``fp_mul`` runs (``fp_sqr`` never runs here):
 it doubles the multiplier's share of host time, and the context's
 simulated cycles obey ``2·(mul+sqr)·fp_mul + add·fp_add + sub·fp_sub``
-to the cycle.
+to the cycle (``tests/differential/test_dynamic_equals_composed.py``).
 
 Runners are pooled per (modulus, kernel, pipeline, checked, engine) via
 :func:`repro.kernels.registry.cached_runner`, so constructing many
@@ -98,6 +110,30 @@ class _CheckedConfig:
         self.interval = max(1, int(interval))
         self.clock = 0
         self.max_attempts = max(1, int(max_attempts))
+
+
+#: The runner slot of a context that each field operation runs on.
+RUNNER_SLOTS = {"mul": "_mul", "sqr": "_mul", "add": "_add", "sub": "_sub"}
+
+#: A bound slot's thunk while no direct call is allowed: never the
+#: runner's thunk, so every run leaves the inlined path.
+_REFUSED = object()
+
+
+class _Bound:
+    """A runner slot's direct path: the thunk bound to it (``seen`` is
+    the runner's thunk when it was bound, ``thunk`` the one the ops may
+    call, or :data:`_REFUSED`), the static cost of each run, and the
+    runs it served since it was bound."""
+
+    __slots__ = ("seen", "thunk", "cycles", "instructions", "runs")
+
+    def __init__(self) -> None:
+        self.seen = None
+        self.thunk = _REFUSED
+        self.cycles = 0
+        self.instructions = 0
+        self.runs = 0
 
 
 class SimulatedFieldContext(FieldContext):
@@ -155,8 +191,17 @@ class SimulatedFieldContext(FieldContext):
         self._sub = self._pooled_runner(OP_FP_SUB)
         ctx = self._mul.kernel.context
         self._r2 = ctx.r2_mod_p
-        self.simulated_instructions = 0
-        self.simulated_cycles = 0
+        # measured cost of the runs KernelRunner.run served, plus the
+        # bound thunks' runs flushed at a rebind
+        self._cycles = 0
+        self._instructions = 0
+        self._mul_bound = _Bound()
+        self._add_bound = _Bound()
+        self._sub_bound = _Bound()
+        self._bounds = (self._mul_bound, self._add_bound, self._sub_bound)
+        for runner, bound in zip((self._mul, self._add, self._sub),
+                                 self._bounds):
+            self._bind(runner, bound)
         #: Faults caught (and recoveries completed) by this context —
         #: the campaign layer classifies trial outcomes from these.
         self.fault_detections = 0
@@ -178,129 +223,163 @@ class SimulatedFieldContext(FieldContext):
 
     # -- kernel dispatch -----------------------------------------------------
 
-    def _run(self, runner: KernelRunner, a: int, b: int,
-             engine: str | None = None) -> int:
-        """One kernel run ``(a, b)``, booked to this context and to
-        telemetry: the direct call of the runner's thunk, or
-        :meth:`KernelRunner.run` when the thunk cannot serve it."""
-        if engine is None:
-            engine = self.engine
-        thunk = runner.direct_thunk(engine)
-        if thunk is not None:
-            out = thunk(a, b)
-            if out is not None and out[1] is not None:
-                value, cycles, instructions = out
-                hardening = runner._hardening
-                if hardening is not None:
-                    runner._sample(hardening, (a, b), value, cycles, "aot")
-                self.simulated_cycles += cycles
-                self.simulated_instructions += instructions
-                telemetry.record_kernel_run(runner.kernel.name, "aot", cycles,
-                                            instructions)
-                return value
+    def _bind(self, runner: KernelRunner, bound: _Bound) -> None:
+        """Bind *runner*'s current thunk and static cost to *bound*,
+        first booking the runs counted at the old cost."""
+        self._cycles += bound.runs * bound.cycles
+        self._instructions += bound.runs * bound.instructions
+        bound.runs = 0
+        bound.seen = runner._aot_thunk
+        entry = runner.direct_entry(self.engine)
+        if entry is None:
+            bound.thunk, bound.cycles, bound.instructions = _REFUSED, 0, 0
+        else:
+            bound.thunk, bound.cycles, bound.instructions = entry
+
+    def _served(self, runner: KernelRunner, a: int, b: int,
+                engine: str) -> int:
+        """One kernel run ``(a, b)`` served by :meth:`KernelRunner.run`,
+        its measured cost added to this context."""
         run = runner.run(a, b, check=self.cross_check, engine=engine)
-        self.simulated_instructions += run.instructions
-        self.simulated_cycles += run.cycles
+        self._cycles += run.cycles
+        self._instructions += run.instructions
         return run.value
 
-    def _product(self, a: int, b: int, engine: str | None = None) -> int:
+    def _run(self, runner: KernelRunner, bound: _Bound, a: int, b: int,
+             engine: str) -> int:
+        """One kernel run ``(a, b)`` on *engine*, booked to this context
+        and to telemetry: a counted call of the bound thunk (rebound
+        first if the runner's thunk changed), or :meth:`_served` when
+        the thunk cannot serve it."""
+        if engine == "aot":
+            if runner._aot_thunk is not bound.seen:
+                self._bind(runner, bound)
+            thunk = bound.thunk
+            hardening = runner._hardening
+            if (thunk is runner._aot_thunk and not runner.machine._trace_hooks
+                    and (hardening is None or hardening.fault_hook is None)):
+                value = thunk(a, b)
+                if value is not None:
+                    if hardening is not None:
+                        runner._sample(hardening, (a, b), value,
+                                       bound.cycles, "aot")
+                    self._count(runner, bound)
+                    return value
+        return self._served(runner, a, b, engine)
+
+    @staticmethod
+    def _count(runner: KernelRunner, bound: _Bound) -> None:
+        """Count one run of *bound*'s thunk and book it to telemetry
+        (the inlined ops do the same in place)."""
+        bound.runs += 1
+        if telemetry.TRACER.enabled:
+            telemetry.record_kernel_run(runner.kernel.name, "aot",
+                                        bound.cycles, bound.instructions)
+        else:
+            telemetry.record_machine_run("aot")
+
+    def _product(self, a: int, b: int, engine: str) -> int:
         """``a*b mod p`` as ``mont(a, mont(b, R^2))``: two ``fp_mul``
-        runs, booked as one event when the thunk serves both.  When it
-        serves only the first (the second returns no value or cycle
-        count, or fails its sampled check), the first run is booked
-        alone and the second goes to :meth:`_run` or raises."""
+        runs through :meth:`_run`."""
         runner = self._mul
-        if engine is None:
-            engine = self.engine
-        thunk = runner.direct_thunk(engine)
-        if thunk is not None:
-            r2 = self._r2
-            first = thunk(b, r2)
-            if first is not None and first[1] is not None:
-                b_mont, cycles, instructions = first
-                hardening = runner._hardening
-                if hardening is not None:
-                    runner._sample(hardening, (b, r2), b_mont, cycles,
-                                   "aot")
-                second = thunk(a, b_mont)
-                runs = 1
-                try:
-                    if second is not None and second[1] is not None:
-                        if hardening is not None:
-                            runner._sample(hardening, (a, b_mont),
-                                           second[0], second[1], "aot")
-                        cycles += second[1]
-                        instructions += second[2]
-                        runs = 2
-                finally:
-                    self.simulated_cycles += cycles
-                    self.simulated_instructions += instructions
-                    telemetry.record_kernel_run(runner.kernel.name, "aot",
-                                                cycles, instructions, runs)
-                if runs == 2:
-                    return second[0]
-                return self._run(runner, a, b_mont, engine)
-        return self._run(runner, a, self._run(runner, b, self._r2, engine),
+        bound = self._mul_bound
+        return self._run(runner, bound, a,
+                         self._run(runner, bound, b, self._r2, engine),
                          engine)
+
+    def _second_product_run(self, a: int, b_mont: int) -> int:
+        """The unchecked product's second run when the thunk served the
+        first but returned ``None`` for it: the first is booked alone
+        and the second goes to :meth:`_served`."""
+        self._count(self._mul, self._mul_bound)
+        return self._served(self._mul, a, b_mont, self.engine)
+
+    @property
+    def simulated_cycles(self) -> int:
+        """Simulated cycles of every kernel run so far: the bound
+        thunks' runs at their static cost plus the measured cycles of
+        the runs :meth:`KernelRunner.run` served."""
+        return self._cycles + sum(bound.runs * bound.cycles
+                                  for bound in self._bounds)
+
+    @property
+    def simulated_instructions(self) -> int:
+        """Retired instructions, accounted as :attr:`simulated_cycles`."""
+        return self._instructions + sum(bound.runs * bound.instructions
+                                        for bound in self._bounds)
 
     # -- the hardened execution path ----------------------------------------
 
-    def _guarded(self, operation, slots, compute, reference):
-        """Run *compute*; sample-check it; recover on divergence.
+    def _compute(self, operation: str, a: int, b: int, engine: str) -> int:
+        """The kernel runs of one field *operation* (re-reading the
+        runner slots, so a recovery swap takes effect)."""
+        if operation == "add":
+            return self._run(self._add, self._add_bound, a, b, engine)
+        if operation == "sub":
+            return self._run(self._sub, self._sub_bound, a, b, engine)
+        return self._product(a, b, engine)
 
-        ``compute(engine)`` performs the kernel runs (re-reading the
-        runner slots, so a recovery swap takes effect), ``reference()``
-        is the pure-Python ground truth.  Detection comes either from a
-        runner's own checked mode (:class:`FaultDetectedError`, or a
-        :class:`SimulationError` crash mid-kernel) or from this
-        context-level sampled comparison.
+    def _expected(self, operation: str, a: int, b: int) -> int:
+        """The pure-Python ground truth of one field *operation*."""
+        reference = self._reference
+        if operation == "add":
+            return reference.add(a, b)
+        if operation == "sub":
+            return reference.sub(a, b)
+        return reference.mul(a, b)
+
+    def _guarded(self, operation: str, a: int, b: int) -> int:
+        """Run *operation*; sample-check it; recover on divergence.
+
+        Detection comes either from a runner's own checked mode
+        (:class:`FaultDetectedError`, or a :class:`SimulationError`
+        crash mid-kernel) or from this context-level sampled comparison
+        with the pure-Python reference.
         """
         cfg = self._checked
         try:
-            value = compute(self.engine)
+            value = self._compute(operation, a, b, self.engine)
         except (FaultDetectedError, SimulationError) as exc:
             self.fault_detections += 1
-            return self._recover(operation, slots, compute, reference,
-                                 exc)
+            return self._recover(operation, a, b, exc)
         cfg.clock += 1
         if cfg.clock >= cfg.interval:
             cfg.clock = 0
-            if value != reference():
+            if value != self._expected(operation, a, b):
                 self.fault_detections += 1
                 telemetry.record("faults_detected_total", operation, "context")
-                return self._recover(operation, slots, compute,
-                                     reference, None)
+                return self._recover(operation, a, b, None)
         return value
 
-    def _rebuild(self, slots) -> None:
-        """Replace the runners behind *slots* with pristine ones."""
+    def _rebuild(self, slot: str) -> None:
+        """Replace the runner behind *slot* with a pristine one."""
         cfg = self._checked
-        for slot in slots:
-            runner = getattr(self, slot)
-            name = runner.kernel.name
-            # drops the cached trace, the fused entry thunk and the
-            # entry's on-disk aot artifact
-            runner.machine.invalidate_trace(runner.entry)
-            registry.evict_runner(self.p, name, self._pipeline_config,
-                                  checked=True, engine=self.engine,
-                                  scope=self.scope)
-            fresh = registry.cached_runner(
-                self.p, name, self._pipeline_config,
-                checked=True, check_interval=cfg.interval,
-                engine=self.engine, scope=self.scope,
-            )
-            setattr(self, slot, fresh)
+        runner = getattr(self, slot)
+        name = runner.kernel.name
+        # drops the cached trace, the fused entry thunk and the
+        # entry's on-disk aot artifact
+        runner.machine.invalidate_trace(runner.entry)
+        registry.evict_runner(self.p, name, self._pipeline_config,
+                              checked=True, engine=self.engine,
+                              scope=self.scope)
+        fresh = registry.cached_runner(
+            self.p, name, self._pipeline_config,
+            checked=True, check_interval=cfg.interval,
+            engine=self.engine, scope=self.scope,
+        )
+        setattr(self, slot, fresh)
 
-    def _recover(self, operation, slots, compute, reference, cause):
+    def _recover(self, operation: str, a: int, b: int, cause):
         """Bounded retry-with-fallback after a detected fault."""
         cfg = self._checked
         for _attempt in range(cfg.max_attempts):
-            self._rebuild(slots)
+            self._rebuild(RUNNER_SLOTS[operation])
             try:
-                value = compute("interpreter")  # full re-execution
+                # full re-execution
+                value = self._compute(operation, a, b, "interpreter")
             except (FaultDetectedError, SimulationError):
                 continue
-            if value == reference():
+            if value == self._expected(operation, a, b):
                 self.fault_recoveries += 1
                 telemetry.record("fault_recoveries_total", operation,
                                  "recovered")
@@ -313,53 +392,112 @@ class SimulatedFieldContext(FieldContext):
         ) from cause
 
     # -- field operations ----------------------------------------------------
+    # On an unchecked context each op inlines its thunk calls: a run the
+    # bound thunk serves costs one call and one count.  Anything else
+    # (checked mode, the interpreter, hooks, a changed or refused thunk,
+    # a ``None`` return) leaves through _guarded, _run or _served.
 
     def mul(self, a: int, b: int) -> int:
         self.counter.mul += 1
-        a %= self.p
-        b %= self.p
-        if self._checked is None:
-            return self._product(a, b)
-        return self._guarded(
-            "mul", ("_mul",),
-            lambda engine: self._product(a, b, engine),
-            lambda: self._reference.mul(a, b),
-        )
+        p = self.p
+        a %= p
+        b %= p
+        if self._checked is not None:
+            return self._guarded("mul", a, b)
+        runner = self._mul
+        bound = self._mul_bound
+        thunk = bound.thunk
+        if (thunk is runner._aot_thunk and runner._hardening is None
+                and not runner.machine._trace_hooks):
+            b_mont = thunk(b, self._r2)
+            if b_mont is not None:
+                value = thunk(a, b_mont)
+                if value is None:
+                    return self._second_product_run(a, b_mont)
+                bound.runs += 2
+                if telemetry.TRACER.enabled:
+                    telemetry.record_kernel_run(
+                        runner.kernel.name, "aot", 2 * bound.cycles,
+                        2 * bound.instructions, 2)
+                else:
+                    telemetry.record_machine_run("aot")
+                    telemetry.record_machine_run("aot")
+                return value
+        return self._product(a, b, self.engine)
 
     def sqr(self, a: int) -> int:
         self.counter.sqr += 1
         a %= self.p
-        if self._checked is None:
-            return self._product(a, a)
-        return self._guarded(
-            "sqr", ("_mul",),
-            lambda engine: self._product(a, a, engine),
-            lambda: self._reference.sqr(a),
-        )
+        if self._checked is not None:
+            return self._guarded("sqr", a, a)
+        runner = self._mul
+        bound = self._mul_bound
+        thunk = bound.thunk
+        if (thunk is runner._aot_thunk and runner._hardening is None
+                and not runner.machine._trace_hooks):
+            a_mont = thunk(a, self._r2)
+            if a_mont is not None:
+                value = thunk(a, a_mont)
+                if value is None:
+                    return self._second_product_run(a, a_mont)
+                bound.runs += 2
+                if telemetry.TRACER.enabled:
+                    telemetry.record_kernel_run(
+                        runner.kernel.name, "aot", 2 * bound.cycles,
+                        2 * bound.instructions, 2)
+                else:
+                    telemetry.record_machine_run("aot")
+                    telemetry.record_machine_run("aot")
+                return value
+        return self._product(a, a, self.engine)
 
     def add(self, a: int, b: int) -> int:
         self.counter.add += 1
-        a %= self.p
-        b %= self.p
-        if self._checked is None:
-            return self._run(self._add, a, b)
-        return self._guarded(
-            "add", ("_add",),
-            lambda engine: self._run(self._add, a, b, engine=engine),
-            lambda: self._reference.add(a, b),
-        )
+        p = self.p
+        a %= p
+        b %= p
+        if self._checked is not None:
+            return self._guarded("add", a, b)
+        runner = self._add
+        bound = self._add_bound
+        thunk = bound.thunk
+        if (thunk is runner._aot_thunk and runner._hardening is None
+                and not runner.machine._trace_hooks):
+            value = thunk(a, b)
+            if value is not None:
+                bound.runs += 1
+                if telemetry.TRACER.enabled:
+                    telemetry.record_kernel_run(
+                        runner.kernel.name, "aot", bound.cycles,
+                        bound.instructions)
+                else:
+                    telemetry.record_machine_run("aot")
+                return value
+        return self._run(runner, bound, a, b, self.engine)
 
     def sub(self, a: int, b: int) -> int:
         self.counter.sub += 1
-        a %= self.p
-        b %= self.p
-        if self._checked is None:
-            return self._run(self._sub, a, b)
-        return self._guarded(
-            "sub", ("_sub",),
-            lambda engine: self._run(self._sub, a, b, engine=engine),
-            lambda: self._reference.sub(a, b),
-        )
+        p = self.p
+        a %= p
+        b %= p
+        if self._checked is not None:
+            return self._guarded("sub", a, b)
+        runner = self._sub
+        bound = self._sub_bound
+        thunk = bound.thunk
+        if (thunk is runner._aot_thunk and runner._hardening is None
+                and not runner.machine._trace_hooks):
+            value = thunk(a, b)
+            if value is not None:
+                bound.runs += 1
+                if telemetry.TRACER.enabled:
+                    telemetry.record_kernel_run(
+                        runner.kernel.name, "aot", bound.cycles,
+                        bound.instructions)
+                else:
+                    telemetry.record_machine_run("aot")
+                return value
+        return self._run(runner, bound, a, b, self.engine)
 
     # -- batched field operations (the service's coalesced batches) ---------
 

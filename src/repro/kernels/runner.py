@@ -14,10 +14,12 @@ runner built with ``engine="aot"`` runs it as one fused Python function
 wide-int arithmetic over the operand values, and the fused entry thunk
 warm-starts from the persistent on-disk artifact cache
 (:mod:`repro.rv64.artifacts`) without re-tracing at all.  The thunk is
-value-first: an aot run computes only the result value and its static
-cost, and keeps its limbs as a deferred read-out that recomputes them
--- writing the register file, ``pc`` and ``halted`` as the interpreter
-leaves them -- when :attr:`KernelRun.limbs` is read.  Either way the
+value-first: an aot run computes only the result value, takes its cost
+from the fused entry's static cost (:attr:`KernelRunner.static_cost`:
+every run of a straight-line trace costs the same), and keeps its limbs
+as a deferred read-out that recomputes them -- writing the register
+file, ``pc`` and ``halted`` as the interpreter leaves them -- when
+:attr:`KernelRun.limbs` is read.  Either way the
 aot engine yields the bit-identical value, limbs and architectural
 state and the identical cycle count (``tests/differential/`` proves
 the equivalence for every kernel variant).  The thunk is the only aot
@@ -31,10 +33,11 @@ attached trace hooks.  Each such demotion is counted once per run by
 
 :meth:`KernelRunner.run` is the general entry point; the simulated
 field's hot path (:class:`~repro.field.simulated.SimulatedFieldContext`)
-calls the thunk that :meth:`KernelRunner.direct_thunk` hands out itself
-and falls back to :meth:`~KernelRunner.run` for every run the thunk
-cannot serve.  Checked mode's sampling lives in
-:meth:`KernelRunner._sample`, which both call.
+binds the thunk and static cost that :meth:`KernelRunner.direct_entry`
+hands out, calls the thunk itself and counts its runs, and falls back
+to :meth:`~KernelRunner.run` for every run the thunk cannot serve.
+Checked mode's sampling lives in :meth:`KernelRunner._sample`, which
+both call.
 
 :meth:`KernelRunner.run_batch` executes one kernel over many operand
 sets in a single call; it is the scalar :meth:`KernelRunner.run` in a
@@ -387,20 +390,32 @@ class KernelRunner:
             if not self._hardening.active:
                 self._hardening = None
 
-    def direct_thunk(self, engine: str):
-        """The entry thunk a caller may call itself for an *engine*
-        run, or ``None`` when :meth:`run` must serve it: the
-        interpreter, attached trace hooks, a fault hook, or no thunk.
-        A caller that gets a thunk must still fall back to :meth:`run`
-        when the thunk returns ``None`` or no cycle count, and must
+    @property
+    def static_cost(self) -> tuple[int, int] | None:
+        """``(cycles, instructions)`` of each run the fused entry thunk
+        serves, or ``None`` when there is no fused entry or its trace
+        has no cycle count.  Straight-line code has data-independent
+        timing, so the trace's precomputed cost is every run's cost."""
+        aot = self.machine._aot_entry_cache.get(self.entry)
+        if aot is None or aot.cycles is None:
+            return None
+        return aot.cycles, aot.instructions_retired
+
+    def direct_entry(self, engine: str):
+        """``(thunk, cycles, instructions)`` for a caller that runs
+        *engine* runs itself and books each at the static cost, or
+        ``None`` when :meth:`run` must serve every one: the
+        interpreter, no thunk, or no static cost.  Per run, the caller
+        must still hand the run to :meth:`run` while trace hooks or a
+        fault hook are attached, when the runner's thunk is no longer
+        the one bound, or when the thunk returns ``None``; and it must
         pass each run it books through :meth:`_sample` while the runner
         is hardened."""
-        if engine != "aot" or self.machine._trace_hooks:
+        thunk = self._aot_thunk
+        cost = self.static_cost
+        if engine != "aot" or thunk is None or cost is None:
             return None
-        hardening = self._hardening
-        if hardening is not None and hardening.fault_hook is not None:
-            return None
-        return self._aot_thunk
+        return thunk, *cost
 
     def _sample(self, hardening: _Hardening, values, value: int, cycles,
                 engine: str) -> None:
@@ -484,16 +499,17 @@ class KernelRunner:
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
 
-        out = None
+        value = None
         if engine == "aot" and not machine._trace_hooks:
             # the fused thunk computes the result value directly from
             # the operand values; None if invalidate_trace dropped it or
             # an operand is out of range
             thunk = self._aot_thunk
             if thunk is not None:
-                out = thunk(*values)
-        if out is not None:
-            value, cycles, instructions = out
+                value = thunk(*values)
+        if value is not None:
+            cost = self.static_cost
+            cycles, instructions = cost if cost is not None else (None, 0)
             # the limbs stay a deferred read-out of (thunk, operands)
             out_limbs = thunk
             operands = values

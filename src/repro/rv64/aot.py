@@ -30,8 +30,9 @@ expression nodes instead of integers:
   expressions (shared nodes materialise as temporaries, deep chains
   are cut at a depth cap to stay inside CPython's parser limits),
   **value first**: the thunk computes the result value and returns it
-  with the trace's **precomputed static cycle accounting**, before any
-  read-out;
+  alone, before any read-out; the trace's **precomputed static cycle
+  accounting** is the same for every run, so it travels beside the
+  thunk, on its :class:`AotEntry`;
 * the read-out -- result limbs, the full 32-register writeback and
   architectural ``pc``/``halted`` -- follows in the same function and
   runs only when the thunk is called with its read-out flag, so the
@@ -461,10 +462,13 @@ class _deep_recursion:
 class AotEntry:
     """One kernel fused into an entry thunk, plus its static cost.
 
-    ``fn(*operands)`` returns ``(value, cycles, instructions)`` or
-    ``None`` (liveness guard tripped / operand out of range — the
-    runner falls back to the interpreter path, whose limb marshalling
-    raises on an out-of-range operand).  ``fn(*operands, True)`` is the
+    ``fn(*operands)`` returns the result value or ``None`` (liveness
+    guard tripped / operand out of range — the runner falls back to the
+    interpreter path, whose limb marshalling raises on an out-of-range
+    operand).  ``cycles`` and ``instructions_retired`` are the static
+    cost of every run the thunk serves (``cycles`` is ``None`` when the
+    trace has no cycle count; no run may then be booked from it).
+    ``fn(*operands, True)`` is the
     read-out of the same run: it skips the liveness guard, writes the
     register file, ``pc`` and ``halted`` the interpreter would leave,
     and returns the result limbs.  ``persistable`` is false when the
@@ -504,8 +508,9 @@ def compile_aot_entry(
     The generated function takes the operand *values* directly (no limb
     marshalling, no memory writes, no register zeroing loop), computes
     the result value as fused wide-int expressions bound to one local
-    (``_v``), and returns ``(_v, cycles, instructions)`` with the
-    trace's precomputed static cost.  Called with its read-out flag
+    (``_v``), and returns ``_v`` alone: the trace's precomputed static
+    cost is the returned entry's ``cycles``/``instructions_retired``,
+    the same for every run.  Called with its read-out flag
     (``fn(*operands, True)``), the same function continues past that
     return: it computes the result limbs, writes the full 32-register
     architectural state back (so the differential suite's register-file
@@ -597,9 +602,7 @@ def compile_aot_entry(
     for line in emitter.lines[:hot]:
         lines.append("    " + line)
     lines.append("    if not _readout:")
-    lines.append(
-        f"        return _v, {trace.cycles!r}, "
-        f"{trace.instructions_retired}")
+    lines.append("        return _v")
     for line in emitter.lines[hot:]:
         lines.append("    " + line)
     lines.append(f"    _regs[:] = ({', '.join(reg_refs)})")

@@ -319,9 +319,11 @@ def record_kernel_run(
 
 def record_machine_run(engine: str) -> None:
     """One kernel execution — an interpreted :meth:`Machine.run` or an
-    aot entry-thunk run — labeled by the engine that ran.  Aot runs
-    reach it through :func:`record_kernel_run` while telemetry is off;
-    while it is on, that function books them itself."""
+    aot entry-thunk run — labeled by the engine that ran.  While
+    telemetry is off, aot runs reach it from the direct field path
+    (:class:`~repro.field.simulated.SimulatedFieldContext`, once per
+    run) and through :func:`record_kernel_run`; while it is on, that
+    function books them itself."""
     if TRACER.enabled:
         record("machine_runs_total", engine)
 

@@ -380,21 +380,24 @@ def test_old_version_artifact_is_neither_served_nor_left_behind(
 
 
 #: Thunk bodies of earlier format versions: version 4 returned
-#: ``(value, limbs, cycles, instructions)``; version 5 was value-first
-#: but computed the reduction word by word and left add/sub in limb form.
+#: ``(value, limbs, cycles, instructions)``; versions 5 to 7 returned
+#: ``(value, cycles, instructions)`` from a value call (version 5 also
+#: computed the reduction word by word and left add/sub in limb form),
+#: where a version-8 thunk returns the value alone.
 _PREVIOUS_BODIES = {
     4: "    return 0, (0,), 1, 1\n",
     5: "    if not _readout:\n        return 0, 1, 1\n    return (0,)\n",
+    7: "    if not _readout:\n        return 0, 1, 1\n    return (0,)\n",
 }
 
 
 def test_previous_version_payload_is_refused_not_bound(monkeypatch,
                                                        tmp_path):
     """A payload of a previous format version, even at the current
-    filename, is invalidated and recompiled rather than bound: a
-    version-4 thunk's four fields would be misread as a value-first
-    ``(value, cycles, instructions)``, and a version-5 thunk is one the
-    current code generator no longer emits."""
+    filename, is invalidated and recompiled rather than bound: the
+    tuple a version-4 to version-7 thunk returns would be taken for the
+    result value, and a version-5 thunk is one the current code
+    generator no longer emits."""
     name = f"{OP_FP_MUL}.full.isa"
     kernel = cached_kernels(csidh_toy().p)[name]
     for version, body in sorted(_PREVIOUS_BODIES.items()):

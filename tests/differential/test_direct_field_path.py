@@ -1,19 +1,23 @@
 """The direct field path against its forced-fallback twin.
 
 ``SimulatedFieldContext.mul``/``sqr``/``add``/``sub`` call the runner's
-aot entry thunk directly and build no ``KernelRun``;
-:meth:`KernelRunner.run` is their only fallback.  The twin here has the
-direct path switched off, so ``KernelRunner.run`` serves every run on
-the same thunks.  Both must agree on everything a caller can observe:
-values, simulated cycles and instructions, the kernel, machine-run and
-checked-run counters, and the span tree's cycles and counts under a
-request trace.  Each fallback trigger (an invalidated trace, a trace
-hook, a fault hook, a thunk without a cycle count) must demote exactly
-as ``KernelRunner.run`` does.
+aot entry thunk directly, count its runs at the fused entry's static
+cost and build no ``KernelRun``; :meth:`KernelRunner.run` is their only
+fallback.  The twin here has the direct path switched off
+(``KernelRunner.direct_entry`` refuses), so ``KernelRunner.run`` serves
+every run on the same thunks, which each comparison checks by counting
+the runs it returns.  Both must agree on everything a caller can
+observe: values, simulated cycles and instructions, the kernel,
+machine-run and checked-run counters, and the span tree's cycles and
+counts under a request trace.  Each fallback trigger (an invalidated
+trace, a trace hook, a fault hook, a fused entry without a cycle count)
+must demote exactly as ``KernelRunner.run`` does, also when it arrives
+after the context has run ops on the direct path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from contextlib import contextmanager
 
@@ -47,16 +51,31 @@ def _fresh_pool():
     registry.clear_runner_pool()
 
 
-def _on_both_paths(monkeypatch, observe) -> tuple[dict, dict]:
+def _on_both_paths(monkeypatch, observe) -> tuple[dict, dict, int]:
     """``observe()`` on the direct path, then on fresh runners with the
-    direct path off."""
-    direct = observe()
-    registry.clear_runner_pool()
+    direct path off; with the number of runs ``KernelRunner.run``
+    served on the direct path.  The twin must have sent it every run:
+    a direct path that bypasses the switch fails here."""
+    served = []
+    real_run = KernelRunner.run
+
+    def counted(runner, *values, **options):
+        run = real_run(runner, *values, **options)
+        served.append(run)
+        return run
+
     with monkeypatch.context() as patch:
-        patch.setattr(KernelRunner, "direct_thunk",
+        patch.setattr(KernelRunner, "run", counted)
+        direct = observe()
+        served_direct = len(served)
+        registry.clear_runner_pool()
+        patch.setattr(KernelRunner, "direct_entry",
                       lambda runner, engine: None)
+        served.clear()
         fallback = observe()
-    return direct, fallback
+    runs = sum(_runs(fallback, "kernel_runs_total").values())
+    assert runs and len(served) == runs, (len(served), runs)
+    return direct, fallback, served_direct
 
 
 def _observe(field, work, *, trace: bool = False) -> dict:
@@ -100,8 +119,9 @@ def test_action_matches_the_fallback_twin(monkeypatch, checked, trace):
         return _observe(field, lambda: group_action(
             params, field, 0, EXPONENTS, random.Random(3)), trace=trace)
 
-    direct, fallback = _on_both_paths(monkeypatch, observe)
+    direct, fallback, served = _on_both_paths(monkeypatch, observe)
     assert direct == fallback
+    assert served == 0
     assert list(_runs(direct, "machine_runs_total")) == [("aot",)]
     assert sum(_runs(direct, "kernel_runs_total").values()) \
         == _runs(direct, "machine_runs_total")[("aot",)]
@@ -173,13 +193,38 @@ def test_fallback_triggers_demote_as_kernel_runner_run(
         with trigger(field):
             return _observe(field, lambda: _ops(field))
 
-    direct, fallback = _on_both_paths(monkeypatch, observe)
+    direct, fallback, served = _on_both_paths(monkeypatch, observe)
     assert direct == fallback
     runs = 8
+    assert served == runs
     assert sum(_runs(direct, "kernel_runs_total").values()) == runs
     assert _runs(direct, "machine_runs_total") == {(engine,): runs}
     assert _runs(direct, "aot_demotions_total") \
         == ({(reason,): runs} if reason else {})
+
+
+@pytest.mark.parametrize("trigger", [_invalidated, _trace_hooks,
+                                     _fault_hooks])
+def test_trigger_after_direct_runs_reaches_kernel_runner_run(
+        monkeypatch, trigger):
+    """A trigger that arrives after the context has run ops on the
+    direct path sends every later run to ``KernelRunner.run``; cycles
+    counted before and measured after add up as on the twin."""
+
+    def observe() -> dict:
+        field = SimulatedFieldContext(csidh_toy().p)
+
+        def work() -> list[int]:
+            before = _ops(field)
+            with trigger(field):
+                return before + _ops(field)
+
+        return _observe(field, work)
+
+    direct, fallback, served = _on_both_paths(monkeypatch, observe)
+    assert direct == fallback
+    assert served == 8
+    assert sum(_runs(direct, "kernel_runs_total").values()) == 16
 
 
 def test_fault_hook_result_reaches_the_caller():
@@ -192,21 +237,39 @@ def test_fault_hook_result_reaches_the_caller():
 
 
 def test_thunk_without_cycles_falls_back_and_raises():
-    """A thunk that reports no cycle count is served by
-    ``KernelRunner.run``, which refuses it."""
+    """A thunk fused from a trace without a cycle count has no static
+    cost: the context does not bind it, and ``KernelRunner.run``, which
+    serves the run instead, refuses it."""
     field = SimulatedFieldContext(csidh_toy().p)
     runner = field._mul
-    thunk = runner._aot_thunk
-
-    def no_cycles(*args):
-        out = thunk(*args)
-        if len(args) == 2 and out is not None:  # a value call
-            return out[0], None, out[2]
-        return out
-
-    runner._aot_thunk = no_cycles
+    machine = runner.machine
+    trace = machine._trace_for(runner.entry)
+    fused = runner.fuse_entry(dataclasses.replace(trace, cycles=None))
+    machine._aot_entry_cache[runner.entry] = fused
+    runner._aot_thunk = fused.fn
+    assert runner.static_cost is None
     with pytest.raises(KernelError, match="no cycle count"):
         field.mul(3, 5)
+
+
+def test_swapped_thunk_is_rebound_at_its_own_cost():
+    """Runs counted before a runner's thunk is swapped keep the old
+    static cost; runs after it count at the cost of the new fused
+    entry (here one re-fused from a trace 3 cycles dearer)."""
+    field = SimulatedFieldContext(csidh_toy().p)
+    runner = field._add
+    cycles, instructions = runner.static_cost
+    field.add(1, 2)
+    field.add(3, 4)
+    machine = runner.machine
+    trace = machine._trace_for(runner.entry)
+    fused = runner.fuse_entry(dataclasses.replace(
+        trace, cycles=trace.cycles + 3))
+    machine._aot_entry_cache[runner.entry] = fused
+    runner._aot_thunk = fused.fn
+    assert field.add(5, 6) == 11
+    assert field.simulated_cycles == 2 * cycles + (cycles + 3)
+    assert field.simulated_instructions == 3 * instructions
 
 
 def test_fault_in_the_second_product_run_books_the_first(monkeypatch):
@@ -222,16 +285,17 @@ def test_fault_in_the_second_product_run_books_the_first(monkeypatch):
         r2 = field._r2
 
         def wrong_product(*args):
-            out = thunk(*args)
-            if len(args) == 2 and args[1] != r2 and out is not None:
-                return (out[0] ^ 1, *out[1:])
-            return out
+            value = thunk(*args)
+            if len(args) == 2 and args[1] != r2 and value is not None:
+                return value ^ 1
+            return value
 
         runner._aot_thunk = wrong_product
         return _observe(field, lambda: field.mul(p - 2, p // 3))
 
-    direct, fallback = _on_both_paths(monkeypatch, observe)
+    direct, fallback, served = _on_both_paths(monkeypatch, observe)
     assert direct == fallback
+    assert served == 2  # the recovery's interpreter runs
     assert direct["value"] == (p - 2) * (p // 3) % p
     assert _runs(direct, "kernel_runs_total") == {
         ("aot", "fp_mul.reduced.ise"): 1,  # labels in sorted order
