@@ -28,6 +28,7 @@ from repro.rv64.isa import (
     KIND_MUL,
     KIND_STORE,
     KIND_SYSTEM,
+    resolve_operands,
 )
 
 _BARRIER_KINDS = frozenset({KIND_BRANCH, KIND_JUMP, KIND_SYSTEM})
@@ -72,12 +73,11 @@ def _build_dag(
 
     for i, ins in enumerate(instructions):
         spec = isa[ins.mnemonic]
-        sources = [getattr(ins, f) for f in spec.reads]
+        sources, rd = resolve_operands(spec, ins)
         for reg in sources:
             if reg and reg in last_writer:
                 add_edge(last_writer[reg], i)          # RAW
-        if spec.writes_rd and ins.rd:
-            rd = ins.rd
+        if rd:
             for reader in readers.get(rd, ()):
                 add_edge(reader, i)                     # WAR
             if rd in last_writer:

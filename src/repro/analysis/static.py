@@ -18,6 +18,7 @@ from repro.rv64.isa import (
     KIND_MUL,
     KIND_STORE,
     InstructionSet,
+    resolve_operands,
 )
 
 #: mnemonics implementing the multiply-accumulate work
@@ -75,14 +76,14 @@ def profile_program(
         spec = isa[ins.mnemonic]
         kinds[spec.kind] += 1
         mnemonics[ins.mnemonic] += 1
+        sources, dest = resolve_operands(spec, ins)
         start = 0
-        for source in spec.reads:
-            reg = getattr(ins, source)
+        for reg in sources:
             if reg and ready[reg] > start:
                 start = ready[reg]
         finish = start + _latency(spec.kind)
-        if spec.writes_rd and ins.rd:
-            ready[ins.rd] = finish
+        if dest:
+            ready[dest] = finish
         if finish > critical:
             critical = finish
 

@@ -12,7 +12,6 @@ Public keys are a single F_p element (64 bytes for CSIDH-512 — the
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 
@@ -58,6 +57,8 @@ class PrivateKey:
         bound = 2 * params.max_exponent + 1
         # rejection threshold: largest multiple of `bound` below 256
         limit = 256 - (256 % bound)
+        import hashlib  # here: its OpenSSL backend costs ~3.7 MB RSS
+
         shake = hashlib.shake_256()
         shake.update(b"csidh private key")
         shake.update(seed)
@@ -192,6 +193,8 @@ def derive_symmetric_key(
     """KDF step of a real deployment: hash the shared curve coefficient
     into a symmetric key (SHAKE-256, domain-separated)."""
     encoded = PublicKey(shared_secret).to_bytes(params)
+    import hashlib  # here: its OpenSSL backend costs ~3.7 MB RSS
+
     shake = hashlib.shake_256()
     shake.update(context)
     shake.update(len(encoded).to_bytes(2, "little"))

@@ -73,14 +73,14 @@ def _write_candidates(runner: KernelRunner) -> list[tuple[int, int]]:
     index = 0
     candidates: list[tuple[int, int]] = []
     while True:
-        pair = program.get(pc)
-        if pair is None:
+        image_entry = program.get(pc)
+        if image_entry is None:
             break
-        ins, spec = pair
+        ins, _spec, _sources, dest = image_entry
         if _is_terminal_ret(ins) or ins.mnemonic == "ebreak":
             break
-        if getattr(spec, "writes_rd", False) and ins.rd not in (0, 1, 2):
-            candidates.append((index, ins.rd))
+        if dest not in (0, 1, 2):
+            candidates.append((index, dest))
         pc += 4
         index += 1
     return candidates

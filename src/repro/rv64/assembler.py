@@ -2,14 +2,26 @@
 
 Accepts standard RISC-V assembly syntax for the implemented subset:
 
-* one instruction or label per line; comments start with ``#`` or ``//``;
+* one instruction or label per line; comments start with ``#``, ``//``
+  or ``;``;
 * labels are ``name:`` and may be referenced by branch/jump operands;
 * ABI and architectural register names are both accepted;
-* immediates may be decimal, hex (``0x``), binary (``0b``) or octal, with
-  an optional sign;
+* immediates may be decimal, hex (``0x``), binary (``0b``) or octal
+  (``0o``), with an optional sign;
 * common pseudo-instructions are expanded (``li``, ``mv``, ``not``,
   ``neg``, ``nop``, ``seqz``, ``snez``, ``beqz``, ``bnez``, ``j``,
   ``jr``, ``ret``).
+
+The first pass does, per line, only the work that line needs: the
+comment and label scans run only when the line holds a marker, the
+mnemonic and operands are split once, each register is one dictionary
+lookup, and the operands are parsed by one row of a table keyed by
+mnemonic (operand count and parser), built per call from the
+:class:`InstructionSet`'s formats plus the pseudo-instructions.  A
+line whose text was already parsed in the same call reuses the
+(immutable) result.  The second pass only patches label references.
+Every operand-count mismatch, pseudo-instructions included, is an
+:class:`AssemblerError` naming the line.
 
 The assembler is driven by the :class:`InstructionSet` it is given, so
 ISE mnemonics registered by :mod:`repro.core` assemble with no changes
@@ -19,6 +31,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Union
 
 from repro.errors import AssemblerError, ReproError
 from repro.rv64.bits import fits_signed, sign_extend
@@ -37,7 +50,7 @@ from repro.rv64.isa import (
     Instruction,
     InstructionSet,
 )
-from repro.rv64.registers import register_index
+from repro.rv64.registers import _NAME_TO_INDEX, register_index
 
 
 @dataclass
@@ -68,8 +81,13 @@ def _strip_comment(line: str) -> str:
     return line.strip()
 
 
-def _split_operands(text: str) -> list[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
+_register = _NAME_TO_INDEX.get
+
+
+def _registers(tokens: list[str]) -> list[int]:
+    """Resolve every token in order; the first bad one raises
+    (the slow path behind a failed :func:`_register` lookup)."""
+    return [register_index(token) for token in tokens]
 
 
 def _parse_mem_operand(token: str) -> tuple[int, int]:
@@ -79,7 +97,9 @@ def _parse_mem_operand(token: str) -> tuple[int, int]:
         raise AssemblerError(f"expected imm(reg), got {token!r}")
     imm_text = token[:open_paren].strip() or "0"
     reg_text = token[open_paren + 1:-1].strip()
-    return _parse_int(imm_text), register_index(reg_text)
+    imm = _parse_int(imm_text)
+    reg = _register(reg_text)
+    return imm, reg if reg is not None else register_index(reg_text)
 
 
 def expand_li(rd: int, value: int) -> list[Instruction]:
@@ -111,15 +131,189 @@ def expand_li(rd: int, value: int) -> list[Instruction]:
     return out
 
 
-# label-operand placeholder carried between passes
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _PendingBranch:
+    """A branch or jump whose target is a label, resolved in pass two
+    to ``Instruction(mnemonic, rd, rs1, rs2, imm=offset)``."""
+
     mnemonic: str
     rd: int
     rs1: int
     rs2: int
     label: str
-    fmt: str
+
+
+_Item = Union[Instruction, _PendingBranch, list]
+_Parser = Callable[[str, list], _Item]
+
+
+# -- operand parsers, one per format ---------------------------------------
+# Each takes (mnemonic, operands) with the operand count already checked
+# and raises on the first bad operand in the order the operands are read.
+
+
+def _parse_r(m: str, ops: list[str]) -> Instruction:
+    rd, rs1, rs2 = _register(ops[0]), _register(ops[1]), _register(ops[2])
+    if rd is None or rs1 is None or rs2 is None:
+        rd, rs1, rs2 = _registers(ops)
+    return Instruction(m, rd, rs1, rs2)
+
+
+def _parse_r4(m: str, ops: list[str]) -> Instruction:
+    rd, rs1 = _register(ops[0]), _register(ops[1])
+    rs2, rs3 = _register(ops[2]), _register(ops[3])
+    if rd is None or rs1 is None or rs2 is None or rs3 is None:
+        rd, rs1, rs2, rs3 = _registers(ops)
+    return Instruction(m, rd, rs1, rs2, rs3)
+
+
+def _parse_i(m: str, ops: list[str]) -> Instruction:
+    rd, rs1 = _register(ops[0]), _register(ops[1])
+    if rd is None or rs1 is None:
+        rd, rs1 = _registers(ops[:2])
+    return Instruction(m, rd, rs1, 0, 0, _parse_int(ops[2]))
+
+
+def _parse_load(m: str, ops: list[str]) -> Instruction:
+    imm, rs1 = _parse_mem_operand(ops[1])
+    rd = _register(ops[0])
+    if rd is None:
+        rd = register_index(ops[0])
+    return Instruction(m, rd, rs1, 0, 0, imm)
+
+
+def _parse_store(m: str, ops: list[str]) -> Instruction:
+    imm, rs1 = _parse_mem_operand(ops[1])
+    rs2 = _register(ops[0])
+    if rs2 is None:
+        rs2 = register_index(ops[0])
+    return Instruction(m, 0, rs1, rs2, 0, imm)
+
+
+def _parse_b(m: str, ops: list[str]) -> Instruction | _PendingBranch:
+    rs1, rs2 = _register(ops[0]), _register(ops[1])
+    if rs1 is None or rs2 is None:
+        rs1, rs2 = _registers(ops[:2])
+    try:
+        return Instruction(m, 0, rs1, rs2, 0, _parse_int(ops[2]))
+    except AssemblerError:
+        return _PendingBranch(m, 0, rs1, rs2, ops[2])
+
+
+def _parse_u(m: str, ops: list[str]) -> Instruction:
+    rd = _register(ops[0])
+    if rd is None:
+        rd = register_index(ops[0])
+    return Instruction(m, rd, 0, 0, 0, _parse_int(ops[1]))
+
+
+def _parse_j(m: str, ops: list[str]) -> Instruction | _PendingBranch:
+    rd = _register(ops[0])
+    if rd is None:
+        rd = register_index(ops[0])
+    try:
+        return Instruction(m, rd, 0, 0, 0, _parse_int(ops[1]))
+    except AssemblerError:
+        return _PendingBranch(m, rd, 0, 0, ops[1])
+
+
+def _parse_ria(m: str, ops: list[str]) -> Instruction:
+    rd, rs1, rs2 = _register(ops[0]), _register(ops[1]), _register(ops[2])
+    if rd is None or rs1 is None or rs2 is None:
+        rd, rs1, rs2 = _registers(ops[:3])
+    return Instruction(m, rd, rs1, rs2, 0, _parse_int(ops[3]))
+
+
+def _parse_none(m: str, ops: list[str]) -> Instruction:
+    return Instruction(m)
+
+
+#: Format -> (operand count, parser).
+_FORMATS: dict[str, tuple[int, _Parser]] = {
+    FMT_R: (3, _parse_r),
+    FMT_R4: (4, _parse_r4),
+    FMT_I: (3, _parse_i),
+    FMT_I_SHIFT: (3, _parse_i),
+    FMT_LOAD: (2, _parse_load),
+    FMT_S: (2, _parse_store),
+    FMT_B: (3, _parse_b),
+    FMT_U: (2, _parse_u),
+    FMT_J: (2, _parse_j),
+    FMT_RIA: (4, _parse_ria),
+    FMT_NONE: (0, _parse_none),
+}
+
+
+# -- pseudo-instructions ---------------------------------------------------
+
+
+def _pseudo_rr(build: Callable[[int, int], Instruction]) -> _Parser:
+    """A two-register pseudo-instruction ``op rd, rs``."""
+    def parse(m: str, ops: list[str]) -> Instruction:
+        rd, rs = _register(ops[0]), _register(ops[1])
+        if rd is None or rs is None:
+            rd, rs = _registers(ops)
+        return build(rd, rs)
+
+    return parse
+
+
+def _pseudo_branch_zero(branch: str) -> _Parser:
+    """``beqz``/``bnez rs, label``: compare *rs* against x0."""
+    def parse(m: str, ops: list[str]) -> _PendingBranch:
+        rs = _register(ops[0])
+        if rs is None:
+            rs = register_index(ops[0])
+        return _PendingBranch(branch, 0, rs, 0, ops[1])
+
+    return parse
+
+
+def _pseudo_li(m: str, ops: list[str]) -> list[Instruction]:
+    rd = _register(ops[0])
+    if rd is None:
+        rd = register_index(ops[0])
+    return expand_li(rd, _parse_int(ops[1]))
+
+
+def _pseudo_jr(m: str, ops: list[str]) -> Instruction:
+    rs = _register(ops[0])
+    if rs is None:
+        rs = register_index(ops[0])
+    return Instruction("jalr", 0, rs, 0, 0, 0)
+
+
+_NOP = Instruction("addi", 0, 0, 0, 0, 0)
+_RET = Instruction("jalr", 0, 1, 0, 0, 0)
+
+#: Pseudo-instruction -> (operand count, parser); these take precedence
+#: over the instruction set's own mnemonics.
+_PSEUDOS: dict[str, tuple[int, _Parser]] = {
+    "nop": (0, lambda m, ops: _NOP),
+    "mv": (2, _pseudo_rr(lambda rd, rs: Instruction(
+        "addi", rd, rs, 0, 0, 0))),
+    "not": (2, _pseudo_rr(lambda rd, rs: Instruction(
+        "xori", rd, rs, 0, 0, -1))),
+    "neg": (2, _pseudo_rr(lambda rd, rs: Instruction(
+        "sub", rd, 0, rs))),
+    "seqz": (2, _pseudo_rr(lambda rd, rs: Instruction(
+        "sltiu", rd, rs, 0, 0, 1))),
+    "snez": (2, _pseudo_rr(lambda rd, rs: Instruction(
+        "sltu", rd, 0, rs))),
+    "li": (2, _pseudo_li),
+    "ret": (0, lambda m, ops: _RET),
+    "jr": (1, _pseudo_jr),
+    "beqz": (2, _pseudo_branch_zero("beq")),
+    "bnez": (2, _pseudo_branch_zero("bne")),
+    "j": (1, lambda m, ops: _PendingBranch("jal", 0, 0, 0, ops[0])),
+}
+
+
+def _count_error(mnemonic: str, expected: int, got: int) -> AssemblerError:
+    if mnemonic == "li":
+        return AssemblerError("li needs two operands")
+    return AssemblerError(
+        f"{mnemonic}: expected {expected} operands, got {got}")
 
 
 class Assembler:
@@ -128,128 +322,46 @@ class Assembler:
     def __init__(self, isa: InstructionSet) -> None:
         self.isa = isa
 
-    # -- pseudo expansion -------------------------------------------------
+    def _operand_table(self) -> dict[str, tuple[int, _Parser]]:
+        """Mnemonic -> (operand count, parser) for the current set."""
+        table = {spec.mnemonic: _FORMATS[spec.fmt]
+                 for spec in self.isa.specs()}
+        table.update(_PSEUDOS)
+        return table
 
-    def _expand_pseudo(
-        self, mnemonic: str, operands: list[str]
-    ) -> list[Instruction] | list[_PendingBranch] | None:
-        def reg(i: int) -> int:
-            return register_index(operands[i])
-
-        if mnemonic == "nop":
-            return [Instruction("addi", rd=0, rs1=0, imm=0)]
-        if mnemonic == "mv":
-            return [Instruction("addi", rd=reg(0), rs1=reg(1), imm=0)]
-        if mnemonic == "not":
-            return [Instruction("xori", rd=reg(0), rs1=reg(1), imm=-1)]
-        if mnemonic == "neg":
-            return [Instruction("sub", rd=reg(0), rs1=0, rs2=reg(1))]
-        if mnemonic == "seqz":
-            return [Instruction("sltiu", rd=reg(0), rs1=reg(1), imm=1)]
-        if mnemonic == "snez":
-            return [Instruction("sltu", rd=reg(0), rs1=0, rs2=reg(1))]
-        if mnemonic == "li":
-            if len(operands) != 2:
-                raise AssemblerError("li needs two operands")
-            return expand_li(reg(0), _parse_int(operands[1]))
-        if mnemonic == "ret":
-            return [Instruction("jalr", rd=0, rs1=1, imm=0)]
-        if mnemonic == "jr":
-            return [Instruction("jalr", rd=0, rs1=reg(0), imm=0)]
-        if mnemonic == "beqz":
-            return [_PendingBranch("beq", 0, reg(0), 0, operands[1], FMT_B)]
-        if mnemonic == "bnez":
-            return [_PendingBranch("bne", 0, reg(0), 0, operands[1], FMT_B)]
-        if mnemonic == "j":
-            return [_PendingBranch("jal", 0, 0, 0, operands[0], FMT_J)]
-        return None
-
-    # -- operand parsing ---------------------------------------------------
-
-    def _parse_instruction(
-        self, mnemonic: str, operands: list[str]
-    ) -> Instruction | _PendingBranch:
-        spec = self.isa[mnemonic]
-        fmt = spec.fmt
-
-        def need(count: int) -> None:
-            if len(operands) != count:
-                raise AssemblerError(
-                    f"{mnemonic}: expected {count} operands, "
-                    f"got {len(operands)}"
-                )
-
-        if fmt == FMT_R:
-            need(3)
-            return Instruction(mnemonic, rd=register_index(operands[0]),
-                               rs1=register_index(operands[1]),
-                               rs2=register_index(operands[2]))
-        if fmt == FMT_R4:
-            need(4)
-            return Instruction(mnemonic, rd=register_index(operands[0]),
-                               rs1=register_index(operands[1]),
-                               rs2=register_index(operands[2]),
-                               rs3=register_index(operands[3]))
-        if fmt in (FMT_I, FMT_I_SHIFT):
-            need(3)
-            return Instruction(mnemonic, rd=register_index(operands[0]),
-                               rs1=register_index(operands[1]),
-                               imm=_parse_int(operands[2]))
-        if fmt == FMT_LOAD:
-            need(2)
-            imm, rs1 = _parse_mem_operand(operands[1])
-            return Instruction(mnemonic, rd=register_index(operands[0]),
-                               rs1=rs1, imm=imm)
-        if fmt == FMT_S:
-            need(2)
-            imm, rs1 = _parse_mem_operand(operands[1])
-            return Instruction(mnemonic, rs2=register_index(operands[0]),
-                               rs1=rs1, imm=imm)
-        if fmt == FMT_B:
-            need(3)
-            rs1 = register_index(operands[0])
-            rs2 = register_index(operands[1])
-            target = operands[2]
-            try:
-                return Instruction(mnemonic, rs1=rs1, rs2=rs2,
-                                   imm=_parse_int(target))
-            except AssemblerError:
-                return _PendingBranch(mnemonic, 0, rs1, rs2, target, FMT_B)
-        if fmt == FMT_U:
-            need(2)
-            return Instruction(mnemonic, rd=register_index(operands[0]),
-                               imm=_parse_int(operands[1]))
-        if fmt == FMT_J:
-            need(2)
-            rd = register_index(operands[0])
-            target = operands[1]
-            try:
-                return Instruction(mnemonic, rd=rd, imm=_parse_int(target))
-            except AssemblerError:
-                return _PendingBranch(mnemonic, rd, 0, 0, target, FMT_J)
-        if fmt == FMT_RIA:
-            need(4)
-            return Instruction(mnemonic, rd=register_index(operands[0]),
-                               rs1=register_index(operands[1]),
-                               rs2=register_index(operands[2]),
-                               imm=_parse_int(operands[3]))
-        if fmt == FMT_NONE:
-            need(0)
-            return Instruction(mnemonic)
-        raise AssemblerError(f"unhandled format {fmt!r}")
-
-    # -- driver -----------------------------------------------------------
+    def _parse_line(self, table, text: str) -> _Item:
+        """Parse one comment- and label-free instruction line."""
+        parts = text.split(None, 1)
+        mnemonic = parts[0].lower()
+        if len(parts) > 1:
+            operands = [token.strip() for token in parts[1].split(",")]
+            if "" in operands:
+                operands = [token for token in operands if token]
+        else:
+            operands = []
+        row = table.get(mnemonic)
+        if row is None:
+            self.isa[mnemonic]  # raises the unknown-mnemonic error
+        count, parse = row
+        if len(operands) != count:
+            raise _count_error(mnemonic, count, len(operands))
+        return parse(mnemonic, operands)
 
     def assemble(self, source: str) -> AssembledProgram:
         """Assemble *source* text into an :class:`AssembledProgram`."""
-        items: list[Instruction | _PendingBranch] = []
+        table = self._operand_table()
+        parsed: dict[str, _Item] = {}  # line text -> item (immutable)
+        items: list = []
         item_lines: list[str] = []
+        pending: list[int] = []  # indices of label references
         labels: dict[str, int] = {}
 
         for line_number, raw in enumerate(source.splitlines(), start=1):
-            line = _strip_comment(raw)
-            if not line:
-                continue
+            stripped = raw.strip()
+            if "#" in raw or ";" in raw or "//" in raw:
+                line = _strip_comment(raw)
+            else:
+                line = stripped
             while ":" in line:
                 name, _, rest = line.partition(":")
                 name = name.strip()
@@ -266,35 +378,32 @@ class Assembler:
             if not line:
                 continue
 
-            parts = line.split(None, 1)
-            mnemonic = parts[0].lower()
-            operands = _split_operands(parts[1]) if len(parts) > 1 else []
+            item = parsed.get(line)
+            if item is None:
+                try:
+                    item = self._parse_line(table, line)
+                except ReproError as exc:
+                    raise AssemblerError(
+                        f"line {line_number}: {exc}") from None
+                parsed[line] = item
+            kind = type(item)
+            if kind is list:
+                items.extend(item)
+                item_lines.extend([stripped] * len(item))
+                continue
+            if kind is _PendingBranch:
+                pending.append(len(items))
+            items.append(item)
+            item_lines.append(stripped)
 
-            try:
-                expanded = self._expand_pseudo(mnemonic, operands)
-                if expanded is None:
-                    expanded = [self._parse_instruction(mnemonic, operands)]
-            except ReproError as exc:
-                raise AssemblerError(f"line {line_number}: {exc}") from None
-            items.extend(expanded)
-            item_lines.extend([raw.strip()] * len(expanded))
-
-        instructions: list[Instruction] = []
-        for index, item in enumerate(items):
-            if isinstance(item, _PendingBranch):
-                if item.label not in labels:
-                    raise AssemblerError(f"undefined label {item.label!r}")
-                offset = labels[item.label] - 4 * index
-                if item.fmt == FMT_B:
-                    instructions.append(Instruction(
-                        item.mnemonic, rs1=item.rs1, rs2=item.rs2,
-                        imm=offset))
-                else:
-                    instructions.append(Instruction(
-                        item.mnemonic, rd=item.rd, imm=offset))
-            else:
-                instructions.append(item)
-        return AssembledProgram(instructions, labels, item_lines)
+        for index in pending:
+            item = items[index]
+            if item.label not in labels:
+                raise AssemblerError(f"undefined label {item.label!r}")
+            items[index] = Instruction(
+                item.mnemonic, item.rd, item.rs1, item.rs2, 0,
+                labels[item.label] - 4 * index)
+        return AssembledProgram(items, labels, item_lines)
 
 
 def assemble(source: str, isa: InstructionSet) -> AssembledProgram:

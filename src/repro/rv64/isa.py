@@ -15,6 +15,7 @@ complete RV64I base integer ISA plus the M extension.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TYPE_CHECKING
 
@@ -59,12 +60,13 @@ FMT_RIA = "RIA"      # op rd, rs1, rs2, imm          (sraiadd format)
 FMT_NONE = "N"       # op
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """A decoded/assembled instruction instance.
 
     Register fields are architectural indices (0-31); ``imm`` is a plain
     signed Python integer (already sign-extended where applicable).
+    Slotted, since program images hold thousands.
     """
 
     mnemonic: str
@@ -73,6 +75,12 @@ class Instruction:
     rs2: int = 0
     rs3: int = 0
     imm: int = 0
+
+    def __reduce__(self):
+        # rebuild through __init__: copying and pickling a frozen
+        # slotted instance then need no per-version state protocol
+        return (Instruction, (self.mnemonic, self.rd, self.rs1, self.rs2,
+                              self.rs3, self.imm))
 
     def __str__(self) -> str:
         from repro.rv64.registers import register_name as rn
@@ -124,6 +132,25 @@ _FORMAT_READS: dict[str, tuple[str, ...]] = {
     FMT_NONE: (),
 }
 
+
+def _sources_getter(
+    reads: tuple[str, ...]
+) -> Callable[[Instruction], tuple[int, ...]]:
+    """A function returning the tuple of an instruction's *reads*
+    fields (``attrgetter`` returns a bare value for a single field)."""
+    if len(reads) > 1:
+        return operator.attrgetter(*reads)
+    if reads:
+        get = operator.attrgetter(reads[0])
+        return lambda ins: (get(ins),)
+    return lambda ins: ()
+
+
+#: Format -> function returning an instruction's source-register
+#: indices, in ``_FORMAT_READS`` order.
+_FORMAT_SOURCES = {fmt: _sources_getter(reads)
+                   for fmt, reads in _FORMAT_READS.items()}
+
 #: Formats whose ``rd`` field names a destination register.
 _FORMATS_WRITING_RD = frozenset((
     FMT_R, FMT_R4, FMT_I, FMT_I_SHIFT, FMT_LOAD, FMT_U, FMT_J, FMT_RIA,
@@ -136,8 +163,8 @@ class InstrSpec:
 
     ``reads`` (the source-register fields the format consumes) and
     ``writes_rd`` are per-format facts, resolved once when the spec is
-    built: the pipeline model consults them for every retired
-    instruction.
+    built; :func:`resolve_operands` applies them once per static
+    instruction for the timing model.
     """
 
     mnemonic: str
@@ -159,6 +186,15 @@ class InstrSpec:
         object.__setattr__(self, "reads", _FORMAT_READS[self.fmt])
         object.__setattr__(self, "writes_rd",
                            self.fmt in _FORMATS_WRITING_RD)
+
+
+def resolve_operands(
+    spec: InstrSpec, ins: Instruction
+) -> tuple[tuple[int, ...], int]:
+    """The register indices *ins* reads, in operand order, and the one
+    it writes (0 when it writes none), from ``spec.reads`` and
+    ``spec.writes_rd``: the facts the timing model consumes."""
+    return _FORMAT_SOURCES[spec.fmt](ins), ins.rd if spec.writes_rd else 0
 
 
 class InstructionSet:
@@ -214,7 +250,9 @@ class InstructionSet:
 # instructions overwrite it.  Register operands are the assembled
 # indices, so the semantics index the register list ``state.x``
 # directly: a write to ``x0`` is skipped (its value is discarded, as on
-# hardware) and every written value is wrapped to 64 bits.
+# hardware) and every written value is wrapped to 64 bits.  The ALU
+# wrappers below mask their op's result once, so an op may return any
+# int (or a bool) and most are plain ``operator`` functions.
 
 
 def _exec_lui(state: MachineState, ins: Instruction) -> None:
@@ -451,19 +489,19 @@ def _base_specs() -> list[InstrSpec]:
         _spec("sd", FMT_S, KIND_STORE, _store(8), OP_STORE, funct3=0b011),
         # Register-immediate ALU.
         _spec("addi", FMT_I, KIND_ALU,
-              _alu_imm(lambda a, i: u64(a + i)), OP_IMM, funct3=0b000),
+              _alu_imm(operator.add), OP_IMM, funct3=0b000),
         _spec("slti", FMT_I, KIND_ALU,
-              _alu_imm(lambda a, i: int(s64(a) < i)), OP_IMM, funct3=0b010),
+              _alu_imm(lambda a, i: s64(a) < i), OP_IMM, funct3=0b010),
         _spec("sltiu", FMT_I, KIND_ALU,
-              _alu_imm(lambda a, i: int(a < u64(i))), OP_IMM, funct3=0b011),
+              _alu_imm(lambda a, i: a < (i & MASK64)), OP_IMM, funct3=0b011),
         _spec("xori", FMT_I, KIND_ALU,
-              _alu_imm(lambda a, i: u64(a ^ i)), OP_IMM, funct3=0b100),
+              _alu_imm(operator.xor), OP_IMM, funct3=0b100),
         _spec("ori", FMT_I, KIND_ALU,
-              _alu_imm(lambda a, i: u64(a | u64(i))), OP_IMM, funct3=0b110),
+              _alu_imm(operator.or_), OP_IMM, funct3=0b110),
         _spec("andi", FMT_I, KIND_ALU,
-              _alu_imm(lambda a, i: u64(a & u64(i))), OP_IMM, funct3=0b111),
+              _alu_imm(operator.and_), OP_IMM, funct3=0b111),
         _spec("slli", FMT_I_SHIFT, KIND_ALU,
-              _alu_imm(lambda a, i: u64(a << (i & 63))), OP_IMM,
+              _alu_imm(lambda a, i: a << (i & 63)), OP_IMM,
               funct3=0b001, funct7=0b0000000),
         _spec("srli", FMT_I_SHIFT, KIND_ALU,
               _alu_imm(lambda a, i: a >> (i & 63)), OP_IMM,
@@ -472,22 +510,22 @@ def _base_specs() -> list[InstrSpec]:
               _alu_imm(sra64), OP_IMM, funct3=0b101, funct7=0b0100000),
         # Register-register ALU.
         _spec("add", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: u64(a + b)), OP_REG,
+              _alu_reg(operator.add), OP_REG,
               funct3=0b000, funct7=0b0000000),
         _spec("sub", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: u64(a - b)), OP_REG,
+              _alu_reg(operator.sub), OP_REG,
               funct3=0b000, funct7=0b0100000),
         _spec("sll", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: u64(a << (b & 63))), OP_REG,
+              _alu_reg(lambda a, b: a << (b & 63)), OP_REG,
               funct3=0b001, funct7=0b0000000),
         _spec("slt", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: int(s64(a) < s64(b))), OP_REG,
+              _alu_reg(lambda a, b: s64(a) < s64(b)), OP_REG,
               funct3=0b010, funct7=0b0000000),
         _spec("sltu", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: int(a < b)), OP_REG,
+              _alu_reg(operator.lt), OP_REG,
               funct3=0b011, funct7=0b0000000),
         _spec("xor", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: a ^ b), OP_REG,
+              _alu_reg(operator.xor), OP_REG,
               funct3=0b100, funct7=0b0000000),
         _spec("srl", FMT_R, KIND_ALU,
               _alu_reg(lambda a, b: a >> (b & 63)), OP_REG,
@@ -496,38 +534,38 @@ def _base_specs() -> list[InstrSpec]:
               _alu_reg(lambda a, b: sra64(a, b & 63)), OP_REG,
               funct3=0b101, funct7=0b0100000),
         _spec("or", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: a | b), OP_REG,
+              _alu_reg(operator.or_), OP_REG,
               funct3=0b110, funct7=0b0000000),
         _spec("and", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: a & b), OP_REG,
+              _alu_reg(operator.and_), OP_REG,
               funct3=0b111, funct7=0b0000000),
         # RV64I 32-bit word ops.
         _spec("addiw", FMT_I, KIND_ALU,
-              _alu_imm(lambda a, i: u64(s32(a + i))), OP_IMM32,
+              _alu_imm(lambda a, i: s32(a + i)), OP_IMM32,
               funct3=0b000),
         _spec("slliw", FMT_I_SHIFT, KIND_ALU,
-              _alu_imm(lambda a, i: u64(s32(a << (i & 31)))), OP_IMM32,
+              _alu_imm(lambda a, i: s32(a << (i & 31))), OP_IMM32,
               funct3=0b001, funct7=0b0000000),
         _spec("srliw", FMT_I_SHIFT, KIND_ALU,
-              _alu_imm(lambda a, i: u64(s32(u32(a) >> (i & 31)))), OP_IMM32,
+              _alu_imm(lambda a, i: s32(u32(a) >> (i & 31))), OP_IMM32,
               funct3=0b101, funct7=0b0000000),
         _spec("sraiw", FMT_I_SHIFT, KIND_ALU,
-              _alu_imm(lambda a, i: u64(s32(a) >> (i & 31))), OP_IMM32,
+              _alu_imm(lambda a, i: s32(a) >> (i & 31)), OP_IMM32,
               funct3=0b101, funct7=0b0100000),
         _spec("addw", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: u64(s32(a + b))), OP_REG32,
+              _alu_reg(lambda a, b: s32(a + b)), OP_REG32,
               funct3=0b000, funct7=0b0000000),
         _spec("subw", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: u64(s32(a - b))), OP_REG32,
+              _alu_reg(lambda a, b: s32(a - b)), OP_REG32,
               funct3=0b000, funct7=0b0100000),
         _spec("sllw", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: u64(s32(a << (b & 31)))), OP_REG32,
+              _alu_reg(lambda a, b: s32(a << (b & 31))), OP_REG32,
               funct3=0b001, funct7=0b0000000),
         _spec("srlw", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: u64(s32(u32(a) >> (b & 31)))), OP_REG32,
+              _alu_reg(lambda a, b: s32(u32(a) >> (b & 31))), OP_REG32,
               funct3=0b101, funct7=0b0000000),
         _spec("sraw", FMT_R, KIND_ALU,
-              _alu_reg(lambda a, b: u64(s32(a) >> (b & 31))), OP_REG32,
+              _alu_reg(lambda a, b: s32(a) >> (b & 31)), OP_REG32,
               funct3=0b101, funct7=0b0100000),
         # System.
         _spec("ecall", FMT_NONE, KIND_SYSTEM, _exec_ecall, OP_SYSTEM,
@@ -538,7 +576,7 @@ def _base_specs() -> list[InstrSpec]:
               funct3=0b000),
         # RV64M.
         _spec("mul", FMT_R, KIND_MUL,
-              _alu_reg(lambda a, b: u64(a * b)), OP_REG,
+              _alu_reg(operator.mul), OP_REG,
               funct3=0b000, funct7=0b0000001,
               description="low 64 bits of product"),
         _spec("mulh", FMT_R, KIND_MUL,
@@ -557,7 +595,7 @@ def _base_specs() -> list[InstrSpec]:
         _spec("remu", FMT_R, KIND_DIV, _alu_reg(_remu), OP_REG,
               funct3=0b111, funct7=0b0000001),
         _spec("mulw", FMT_R, KIND_MUL,
-              _alu_reg(lambda a, b: u64(s32(a * b))), OP_REG32,
+              _alu_reg(lambda a, b: s32(a * b)), OP_REG32,
               funct3=0b000, funct7=0b0000001),
         _spec("divw", FMT_R, KIND_DIV, _alu_reg(_divw), OP_REG32,
               funct3=0b100, funct7=0b0000001),

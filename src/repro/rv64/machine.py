@@ -6,14 +6,20 @@ attached to produce cycle counts alongside the architectural execution;
 the functional result never depends on the timing model.
 
 Decoding happens before the run, once: the assembler resolves every
-register operand to its index, :meth:`Machine.load_program` pairs each
-instruction with its spec (whose per-format facts were resolved when
-the spec was built), and the pipeline model resolves its latencies
-when it is constructed.  A step is then a dictionary fetch, the
-instruction's semantics on the register list, and one positional
-:meth:`PipelineModel.issue` call.  Latencies stay with the model, not
-the program image, so replacing ``machine.pipeline`` after loading
-takes effect on the next run.
+register operand to its index, and :meth:`Machine.load_program` pairs
+each instruction with its spec and with the timing facts the spec's
+format implies (:func:`~repro.rv64.isa.resolve_operands`): the tuple
+of source-register indices and the destination register (0 for
+none).  The image entry is ``(instruction, spec, sources, dest)``;
+equal source tuples are shared, so the image costs about what the
+instructions do.  The pipeline model resolves its latencies when it
+is constructed.  A step is then a dictionary fetch, the instruction's
+semantics on the register list, and one positional
+:meth:`PipelineModel.issue` call that reads no instruction field.
+Latencies stay with the model, not the program image, so replacing
+``machine.pipeline`` after loading takes effect on the next run.  The
+static trace (:mod:`repro.rv64.replay`), the timeline recorder and
+fault injection's write sites read the same entries.
 
 Execution terminates when the program counter reaches
 :data:`HALT_ADDRESS` (the conventional return address planted in ``ra``
@@ -39,7 +45,13 @@ from typing import Callable, Iterator
 from repro import telemetry
 from repro.errors import SimulationError
 from repro.rv64.assembler import AssembledProgram
-from repro.rv64.isa import BASE_ISA, Instruction, InstructionSet
+from repro.rv64.isa import (
+    BASE_ISA,
+    Instruction,
+    InstrSpec,
+    InstructionSet,
+    resolve_operands,
+)
 from repro.rv64.memory import Memory
 from repro.rv64.pipeline import PipelineModel
 from repro.rv64.registers import RegisterFile
@@ -112,7 +124,9 @@ class Machine:
         self.state = MachineState()
         self.pipeline = pipeline
         self.max_steps = max_steps
-        self._program: dict[int, tuple[Instruction, object]] = {}
+        # pc -> (instruction, spec, source registers, destination)
+        self._program: dict[
+            int, tuple[Instruction, InstrSpec, tuple[int, ...], int]] = {}
         self._trace_hooks: list[TraceHook] = []
         self.collect_histogram = False
         self._histogram: Counter[str] = Counter()
@@ -140,9 +154,22 @@ class Machine:
             if isinstance(program, AssembledProgram)
             else program
         )
-        for index, ins in enumerate(instructions):
-            spec = self.isa[ins.mnemonic]
-            self._program[base + 4 * index] = (ins, spec)
+        isa = self.isa
+        image = self._program
+        # an instruction object the program repeats (the assembler
+        # shares equal lines) is resolved once and shares its entry
+        entries: dict[int, tuple] = {}  # id(ins) -> entry, this call
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        pc = base
+        for ins in instructions:
+            entry = entries.get(id(ins))
+            if entry is None:
+                spec = isa[ins.mnemonic]
+                sources, dest = resolve_operands(spec, ins)
+                entry = entries[id(ins)] = (
+                    ins, spec, shared.setdefault(sources, sources), dest)
+            image[pc] = entry
+            pc += 4
         self._trace_cache.clear()
         self._replay_rejected.clear()
         self._aot_entry_cache.clear()
@@ -232,7 +259,7 @@ class Machine:
         pc = state.pc = entry
         while pc != HALT_ADDRESS:
             try:
-                ins, spec = program[pc]
+                ins, spec, sources, dest = program[pc]
             except KeyError:
                 raise SimulationError(
                     f"fetch from unmapped address {pc:#x} "
@@ -242,10 +269,10 @@ class Machine:
             state.branch_taken = False
             state.last_address = None
 
-            spec.execute(state, ins)  # type: ignore[attr-defined]
+            spec.execute(state, ins)
 
             if issue is not None:
-                issue(spec, ins, pc, state.last_address,
+                issue(spec.kind, sources, dest, pc, state.last_address,
                       state.branch_taken)
             if histogram is not None:
                 histogram[ins.mnemonic] += 1

@@ -38,8 +38,6 @@ from repro.rv64.isa import (
     KIND_MUL,
     KIND_STORE,
     KIND_SYSTEM,
-    InstrSpec,
-    Instruction,
 )
 
 
@@ -139,13 +137,20 @@ class PipelineModel:
 
     def issue(
         self,
-        spec: InstrSpec,
-        ins: Instruction,
+        kind: str,
+        sources: tuple[int, ...],
+        dest: int,
         pc: int,
         mem_address: int | None = None,
         branch_taken: bool = False,
     ) -> int:
-        """Account for one retired instruction; returns its issue cycle."""
+        """Account for one retired instruction; returns its issue cycle.
+
+        *kind* is the spec's timing class, *sources* the register
+        indices it reads and *dest* the register it writes (0 for none),
+        as :func:`~repro.rv64.isa.resolve_operands` resolves them once
+        per static instruction.
+        """
         stats = self.stats
         earliest = self._next_issue
 
@@ -158,14 +163,13 @@ class PipelineModel:
         # x0 is never marked busy, so its ready time (0) never stalls
         reg_ready = self._reg_ready
         t = earliest
-        for source in spec.reads:
-            ready = reg_ready[getattr(ins, source)]
+        for source in sources:
+            ready = reg_ready[source]
             if ready > t:
                 t = ready
         if t != earliest:
             stats.raw_hazard_stalls += t - earliest
 
-        kind = spec.kind
         dcache = self.dcache
         if (
             dcache is not None
@@ -182,8 +186,8 @@ class PipelineModel:
         except KeyError:
             # not a built-in class: ParameterError from the one mapping
             complete = t + self.config.latency_for(kind)
-        if spec.writes_rd and ins.rd:
-            reg_ready[ins.rd] = complete
+        if dest:
+            reg_ready[dest] = complete
 
         next_issue = t + 1
         if kind == KIND_JUMP:

@@ -102,15 +102,17 @@ def _is_terminal_ret(ins: Instruction) -> bool:
 
 
 def _static_cycles(
-    sequence: list[tuple[int, Instruction, InstrSpec]],
+    sequence: list[tuple[int, tuple]],
     pipeline: PipelineModel | None,
 ) -> int | None:
     """Pre-compute the from-reset cycle cost of one trace execution.
 
-    Exact because the instruction sequence, the register dependence
-    graph, and the (cache-free) per-instruction latencies are all static
-    properties of straight-line code; only operand *values* vary between
-    runs, and the scoreboard never consults them.
+    *sequence* holds ``(pc, image entry)`` pairs; each entry carries
+    the resolved sources and destination :meth:`PipelineModel.issue`
+    reads.  Exact because the instruction sequence, the register
+    dependence graph, and the (cache-free) per-instruction latencies
+    are all static properties of straight-line code; only operand
+    *values* vary between runs, and the scoreboard never consults them.
     """
     if pipeline is None:
         return None
@@ -122,8 +124,9 @@ def _static_cycles(
             reason="cache_timing",
         )
     model = PipelineModel(config)
-    for pc, ins, spec in sequence:
-        model.issue(spec, ins, pc=pc, mem_address=None, branch_taken=False)
+    issue = model.issue
+    for pc, (_ins, spec, sources, dest) in sequence:
+        issue(spec.kind, sources, dest, pc)
     return model.cycles
 
 
@@ -135,19 +138,19 @@ def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
     interpreter.
     """
     program = machine._program
-    sequence: list[tuple[int, Instruction, InstrSpec]] = []
+    sequence: list[tuple[int, tuple]] = []  # (pc, image entry)
     pc = entry
     limit = machine.max_steps
     while True:
-        pair = program.get(pc)
-        if pair is None:
+        image_entry = program.get(pc)
+        if image_entry is None:
             raise ReplayError(
                 f"straight-line walk fell off the program image at "
                 f"{pc:#x}",
                 reason="unmapped",
             )
-        ins, spec = pair
-        sequence.append((pc, ins, spec))
+        ins, spec, _sources, dest = image_entry
+        sequence.append((pc, image_entry))
         if len(sequence) > limit:
             raise ReplayError(f"trace exceeds step limit {limit}",
                               reason="step_limit")
@@ -159,7 +162,7 @@ def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
                 f"straight-line code",
                 reason="control_flow",
             )
-        if spec.writes_rd and ins.rd == 1:
+        if dest == 1:
             raise ReplayError(
                 f"write to ra at {pc:#x} would redirect the final ret",
                 reason="ra_write",
@@ -167,7 +170,7 @@ def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
         pc += 4
 
     cycles = _static_cycles(sequence, machine.pipeline)
-    final_pc, final_ins, _ = sequence[-1]
+    final_pc, (final_ins, _spec, _sources, _dest) = sequence[-1]
     halts = final_ins.mnemonic == "ebreak"
 
     from repro.rv64.machine import HALT_ADDRESS
@@ -175,7 +178,8 @@ def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
     return CompiledTrace(
         entry=entry,
         step_instructions=tuple(
-            step for step in sequence[:-1] if not _is_no_op(*step[1:])),
+            (pc, ins, spec) for pc, (ins, spec, _sources, _dest)
+            in sequence[:-1] if not _is_no_op(ins, spec)),
         instructions_retired=len(sequence),
         cycles=cycles,
         halts=halts,

@@ -44,13 +44,14 @@ class TimelineRecorder:
         self.entries: list[TimelineEntry] = []
         self._expected_issue = 0
 
-    def record(self, spec, ins: Instruction, *, pc: int,
-               mem_address: int | None, branch_taken: bool,
-               text: str) -> None:
+    def record(self, image_entry, *, pc: int, mem_address: int | None,
+               branch_taken: bool, text: str) -> None:
+        """Issue one retired instruction, given its program-image entry
+        ``(instruction, spec, sources, dest)``."""
+        _ins, spec, sources, dest = image_entry
         earliest = self.model._next_issue
-        issue = self.model.issue(spec, ins, pc=pc,
-                                 mem_address=mem_address,
-                                 branch_taken=branch_taken)
+        issue = self.model.issue(spec.kind, sources, dest, pc,
+                                 mem_address, branch_taken)
         latency = self.model.config.latency_for(spec.kind)
         self.entries.append(TimelineEntry(
             index=len(self.entries),
@@ -76,11 +77,10 @@ def trace_timeline(
     recorder = TimelineRecorder(config)
 
     def hook(state, ins: Instruction) -> None:
-        spec = isa[ins.mnemonic]
         from repro.rv64.disassembler import format_instruction
 
         recorder.record(
-            spec, ins, pc=state.pc,
+            machine._program[state.pc], pc=state.pc,
             mem_address=state.last_address,
             branch_taken=state.branch_taken,
             text=format_instruction(isa, ins),

@@ -1,5 +1,5 @@
-"""Regenerate ``tests/golden_cycles.json`` and
-``tests/golden_pipeline_stats.json``.
+"""Regenerate ``tests/golden_cycles.json``,
+``tests/golden_pipeline_stats.json`` and ``tests/golden_assembly.json``.
 
 Run after an *intentional* change to the pipeline model or the kernel
 generators::
@@ -21,10 +21,17 @@ cycles, the stall split, cache-miss cycles and the per-kind issue
 counts).  It is the oracle for the interpreter and timing model
 themselves, whose hot path a speed-up may rewrite but whose
 statistics it must not move.
+
+The assembly snapshot pins the assembler's output for every generated
+kernel: a SHA-256 digest over each program's instructions (every
+field), labels and ``source_lines``.  It is the oracle for the
+assembler, whose parsing a speed-up may rewrite but whose
+:class:`~repro.rv64.assembler.AssembledProgram` it must not move.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -32,11 +39,14 @@ from pathlib import Path
 from repro.csidh.parameters import csidh_512, csidh_toy
 from repro.kernels.registry import cached_kernels, cached_runner
 from repro.kernels.runner import KernelRunner
+from repro.rv64.assembler import assemble
 from repro.rv64.pipeline import ROCKET_CONFIG, ROCKET_CONFIG_WITH_CACHES
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden_cycles.json"
 STATS_PATH = (Path(__file__).resolve().parent.parent
               / "golden_pipeline_stats.json")
+ASSEMBLY_PATH = (Path(__file__).resolve().parent.parent
+                 / "golden_assembly.json")
 
 #: Parameter sets pinned by the snapshot (name -> modulus factory).
 PARAMETER_SETS = {
@@ -113,6 +123,41 @@ def collect_stats() -> dict:
     }
 
 
+def program_digest(program) -> str:
+    """SHA-256 over every instruction field, the labels (in definition
+    order) and the source lines of an assembled program."""
+    payload = json.dumps([
+        [[ins.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.rs3, ins.imm]
+         for ins in program.instructions],
+        list(program.labels.items()),
+        program.source_lines,
+    ], separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def collect_assembly() -> dict:
+    """Current per-kernel assembly digests, ready to serialise."""
+    moduli = {}
+    for set_name, factory in PARAMETER_SETS.items():
+        kernels = cached_kernels(factory().p)
+        moduli[set_name] = {}
+        for name in sorted(kernels):
+            program = assemble(kernels[name].source, kernels[name].isa)
+            moduli[set_name][name] = {
+                "instructions": len(program),
+                "sha256": program_digest(program),
+            }
+    return {
+        "_comment": (
+            "SHA-256 of each generated kernel's assembled program "
+            "(instruction fields, labels, source lines).  Regenerate "
+            "with: PYTHONPATH=src python -m "
+            "tests.differential.generate_golden"
+        ),
+        "moduli": moduli,
+    }
+
+
 def main() -> None:
     snapshot = collect_cycles()
     GOLDEN_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
@@ -123,6 +168,10 @@ def main() -> None:
     runs = sum(len(kernels) for configs in stats["moduli"].values()
                for kernels in configs.values())
     print(f"wrote {STATS_PATH} ({runs} runs)")
+    assembly = collect_assembly()
+    ASSEMBLY_PATH.write_text(json.dumps(assembly, indent=2) + "\n")
+    programs = sum(len(v) for v in assembly["moduli"].values())
+    print(f"wrote {ASSEMBLY_PATH} ({programs} programs)")
 
 
 if __name__ == "__main__":

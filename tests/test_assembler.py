@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.ise import EXTENDED_ISA
@@ -48,6 +52,33 @@ class TestBasicSyntax:
         prog = assemble("sraiadd t0, t1, t2, 57", EXTENDED_ISA)
         ins = prog.instructions[0]
         assert (ins.rd, ins.rs1, ins.rs2, ins.imm) == (5, 6, 7, 57)
+
+
+class TestInstructionValue:
+    """``Instruction`` is a frozen, slotted value: equal fields compare,
+    hash and print alike, and copies and pickles round-trip."""
+
+    INS = Instruction("sraiadd", rd=5, rs1=6, rs2=7, imm=-57)
+
+    def test_value_semantics(self):
+        twin = Instruction("sraiadd", 5, 6, 7, 0, -57)
+        assert twin == self.INS and hash(twin) == hash(self.INS)
+        assert repr(self.INS) == ("Instruction(mnemonic='sraiadd', rd=5, "
+                                  "rs1=6, rs2=7, rs3=0, imm=-57)")
+        assert not hasattr(self.INS, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.INS.rd = 1  # type: ignore[misc]
+
+    @pytest.mark.parametrize("protocol",
+                             range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        restored = pickle.loads(pickle.dumps(self.INS, protocol))
+        assert restored == self.INS and type(restored) is Instruction
+
+    def test_copies(self):
+        assert copy.copy(self.INS) == self.INS
+        assert copy.deepcopy(self.INS) == self.INS
+        assert dataclasses.replace(self.INS, rd=9).rd == 9
 
 
 class TestLabels:
@@ -185,3 +216,180 @@ class TestControlFlowExecution:
         """
         machine = run_asm(source, append_ret=False)
         assert machine.regs["a0"] == 0
+
+
+#: Every malformed-input error text, pinned from the assembler as it
+#: stood before its one-pass rewrite (source -> exact message).
+PINNED_ERRORS = [
+    ('frobnicate a0, a1',
+     "line 1: unknown mnemonic 'frobnicate' in ISA 'rv64im+ise-all'"),
+    ('add a0, a1',
+     'line 1: add: expected 3 operands, got 2'),
+    ('add a0, a1, a2, a3',
+     'line 1: add: expected 3 operands, got 4'),
+    ('add a0, , a1',
+     'line 1: add: expected 3 operands, got 2'),
+    ('maddlu t0, a0, a1',
+     'line 1: maddlu: expected 4 operands, got 3'),
+    ('addi a0, a1',
+     'line 1: addi: expected 3 operands, got 2'),
+    ('slli a0, a1',
+     'line 1: slli: expected 3 operands, got 2'),
+    ('ld a0',
+     'line 1: ld: expected 2 operands, got 1'),
+    ('ld a0, 0(a1), 8',
+     'line 1: ld: expected 2 operands, got 3'),
+    ('sd a0',
+     'line 1: sd: expected 2 operands, got 1'),
+    ('beq a0, a1',
+     'line 1: beq: expected 3 operands, got 2'),
+    ('lui a0',
+     'line 1: lui: expected 2 operands, got 1'),
+    ('jal a0',
+     'line 1: jal: expected 2 operands, got 1'),
+    ('sraiadd t0, t1, t2',
+     'line 1: sraiadd: expected 4 operands, got 3'),
+    ('ebreak a0',
+     'line 1: ebreak: expected 0 operands, got 1'),
+    ('add a0, a1, q9',
+     "line 1: unknown register name: 'q9'"),
+    ('add q9, a1, a2',
+     "line 1: unknown register name: 'q9'"),
+    ('add a0, x32, a2',
+     "line 1: unknown register name: 'x32'"),
+    ('maddlu t0, a0, a1, x99',
+     "line 1: unknown register name: 'x99'"),
+    ('addi a0, a1, twelve',
+     "line 1: bad integer literal 'twelve'"),
+    ('addi a0, a1, 08',
+     "line 1: bad integer literal '08'"),
+    ('addi a0, a1, 0x',
+     "line 1: bad integer literal '0x'"),
+    ('addi q0, a1, x',
+     "line 1: unknown register name: 'q0'"),
+    ('slli a0, a1, 1.5',
+     "line 1: bad integer literal '1.5'"),
+    ('ld a0, a1',
+     "line 1: expected imm(reg), got 'a1'"),
+    ('ld a0, 8(a1',
+     "line 1: expected imm(reg), got '8(a1'"),
+    ('ld a0, x(a1)',
+     "line 1: bad integer literal 'x'"),
+    ('ld a0, 8(q1)',
+     "line 1: unknown register name: 'q1'"),
+    ('ld q0, 8(q1)',
+     "line 1: unknown register name: 'q1'"),
+    ('ld q0, 8(a1)',
+     "line 1: unknown register name: 'q0'"),
+    ('sd q0, 8(a1)',
+     "line 1: unknown register name: 'q0'"),
+    ('sd a0, x(q1)',
+     "line 1: bad integer literal 'x'"),
+    ('lui a0, foo',
+     "line 1: bad integer literal 'foo'"),
+    ('lui q0, 1',
+     "line 1: unknown register name: 'q0'"),
+    ('jal q0, L',
+     "line 1: unknown register name: 'q0'"),
+    ('beq q0, a1, L',
+     "line 1: unknown register name: 'q0'"),
+    ('beq a0, q1, L',
+     "line 1: unknown register name: 'q1'"),
+    ('sraiadd t0, t1, t2, x',
+     "line 1: bad integer literal 'x'"),
+    ('1x: nop',
+     "line 1: bad label '1x'"),
+    ('a b: nop',
+     "line 1: bad label 'a b'"),
+    (': nop',
+     "line 1: bad label ''"),
+    ('x: nop\nx: nop',
+     "line 2: duplicate label 'x'"),
+    ('beq a0, a1, nowhere',
+     "undefined label 'nowhere'"),
+    ('j nowhere',
+     "undefined label 'nowhere'"),
+    ('jal ra, nowhere',
+     "undefined label 'nowhere'"),
+    ('bnez a0, 1abc',
+     "undefined label '1abc'"),
+    ('li a0',
+     'line 1: li needs two operands'),
+    ('li a0, 1, 2',
+     'line 1: li needs two operands'),
+    ('li a0, bad',
+     "line 1: bad integer literal 'bad'"),
+    ('li q0, 1',
+     "line 1: unknown register name: 'q0'"),
+    ('nop\nnop\nbogus x, y',
+     "line 3: unknown mnemonic 'bogus' in ISA 'rv64im+ise-all'"),
+    ('mv a0, q1',
+     "line 1: unknown register name: 'q1'"),
+    ('not q0, a1',
+     "line 1: unknown register name: 'q0'"),
+    ('neg a0, q1',
+     "line 1: unknown register name: 'q1'"),
+    ('seqz a0, q1',
+     "line 1: unknown register name: 'q1'"),
+    ('snez q0, a1',
+     "line 1: unknown register name: 'q0'"),
+    ('jr q0',
+     "line 1: unknown register name: 'q0'"),
+    ('beqz q0, L',
+     "line 1: unknown register name: 'q0'"),
+    ('bnez q0, L',
+     "line 1: unknown register name: 'q0'"),
+]
+
+
+@pytest.mark.parametrize("source, message", PINNED_ERRORS)
+def test_error_text_is_pinned(source, message):
+    with pytest.raises(AssemblerError) as info:
+        assemble(source, EXTENDED_ISA)
+    assert str(info.value) == message
+
+
+#: pseudo-instruction -> (operand count, a well-formed operand list)
+PSEUDO_OPERANDS = {
+    "nop": (0, []),
+    "ret": (0, []),
+    "mv": (2, ["a0", "a1"]),
+    "not": (2, ["a0", "a1"]),
+    "neg": (2, ["a0", "a1"]),
+    "seqz": (2, ["a0", "a1"]),
+    "snez": (2, ["a0", "a1"]),
+    "li": (2, ["a0", "5"]),
+    "jr": (1, ["a0"]),
+    "beqz": (2, ["a0", "L"]),
+    "bnez": (2, ["a0", "L"]),
+    "j": (1, ["L"]),
+}
+
+
+def _wrong_count_lines():
+    for mnemonic, (count, operands) in PSEUDO_OPERANDS.items():
+        if count:
+            yield f"{mnemonic} {', '.join(operands[:-1])}".strip()
+        yield f"{mnemonic} {', '.join(operands + ['x'])}"
+    # the reported cases: an IndexError, or extra operands dropped
+    yield from ("mv a0", "neg", "j", "jr", "mv a0, a1, a2", "ret a0",
+                "seqz a0, a1, 5", "beqz a0, L, x")
+
+
+class TestPseudoOperandCounts:
+    @pytest.mark.parametrize("mnemonic", sorted(PSEUDO_OPERANDS))
+    def test_well_formed(self, mnemonic):
+        _count, operands = PSEUDO_OPERANDS[mnemonic]
+        line = f"{mnemonic} {', '.join(operands)}".strip()
+        assert len(assemble(f"nop\n{line}\nL: ret", BASE_ISA)) >= 3
+
+    @pytest.mark.parametrize("line", sorted(set(_wrong_count_lines())))
+    def test_wrong_count_names_line_and_count(self, line):
+        mnemonic, _, rest = line.partition(" ")
+        got = len([token for token in rest.split(",") if token.strip()])
+        count = PSEUDO_OPERANDS[mnemonic][0]
+        expected = ("li needs two operands" if mnemonic == "li" else
+                    f"{mnemonic}: expected {count} operands, got {got}")
+        with pytest.raises(AssemblerError) as info:
+            assemble(f"nop\n{line}\nL: ret", BASE_ISA)
+        assert str(info.value) == f"line 2: {expected}"
