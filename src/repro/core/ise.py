@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.rv64.bits import MASK64, sra64, u64
+from repro.rv64.bits import MASK64, SIGN64, sra64, u64
 from repro.rv64.isa import (
     BASE_ISA,
     FMT_R4,
@@ -121,43 +121,52 @@ def sraiadd_value(x: int, y: int, imm: int) -> int:
 # Machine-level execute functions
 # ---------------------------------------------------------------------------
 # The operands are the assembled register indices, so the semantics
-# index the machine's register list directly; the value functions above
-# already wrap to 64 bits, and a write to x0 is discarded.
+# index the machine's register list directly, and a write to x0 is
+# discarded.  Registers always hold values in [0, 2^64), so each body
+# is its reference function above written inline without re-masking
+# its operands (``tests/test_ise_semantics.py`` checks each against its
+# reference over random and boundary operands): ``maddhu`` needs no
+# final mask, as ``x*y + z <= 2^128 - 2^64``.
 
 def _exec_maddlu(state: MachineState, ins: Instruction) -> None:
     if ins.rd:
         x = state.x
-        x[ins.rd] = maddlu_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
+        x[ins.rd] = (x[ins.rs1] * x[ins.rs2] + x[ins.rs3]) & MASK64
 
 
 def _exec_maddhu(state: MachineState, ins: Instruction) -> None:
     if ins.rd:
         x = state.x
-        x[ins.rd] = maddhu_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
+        x[ins.rd] = (x[ins.rs1] * x[ins.rs2] + x[ins.rs3]) >> 64
 
 
 def _exec_madd57lu(state: MachineState, ins: Instruction) -> None:
     if ins.rd:
         x = state.x
-        x[ins.rd] = madd57lu_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
+        x[ins.rd] = ((x[ins.rs1] * x[ins.rs2] & MASK57)
+                     + x[ins.rs3]) & MASK64
 
 
 def _exec_madd57hu(state: MachineState, ins: Instruction) -> None:
     if ins.rd:
         x = state.x
-        x[ins.rd] = madd57hu_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
+        x[ins.rd] = (((x[ins.rs1] * x[ins.rs2]) >> REDUCED_RADIX_BITS)
+                     + x[ins.rs3]) & MASK64
 
 
 def _exec_cadd(state: MachineState, ins: Instruction) -> None:
     if ins.rd:
         x = state.x
-        x[ins.rd] = cadd_value(x[ins.rs1], x[ins.rs2], x[ins.rs3])
+        x[ins.rd] = (((x[ins.rs1] + x[ins.rs2]) >> 64)
+                     + x[ins.rs3]) & MASK64
 
 
 def _exec_sraiadd(state: MachineState, ins: Instruction) -> None:
     if ins.rd:
         x = state.x
-        x[ins.rd] = sraiadd_value(x[ins.rs1], x[ins.rs2], ins.imm)
+        # (y ^ 2^63) - 2^63 is y's signed reading
+        x[ins.rd] = (x[ins.rs1] + (((x[ins.rs2] ^ SIGN64) - SIGN64)
+                                   >> (ins.imm & 63))) & MASK64
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,16 @@ inlined call, which returns the value alone, and one added to the
 slot's run count.  ``simulated_cycles`` and ``simulated_instructions``
 are the runs times their static cost plus the measured cost of the
 runs :meth:`KernelRunner.run` served; no
-:class:`~repro.kernels.runner.KernelRun` is built.  While telemetry
-is on, an op books its runs with ``record_kernel_run`` (``mul``/``sqr``
-their two ``fp_mul`` runs as one event, ``runs=2``); while it is off,
-it calls ``telemetry.record_machine_run("aot")`` once per run.
+:class:`~repro.kernels.runner.KernelRun` is built.  An op reduces its
+operands modulo ``p`` only when one lies outside ``[0, p)``: a
+comparison costs less than the division, and operands almost always
+arrive reduced.  While telemetry is on, an op books its runs like
+``record_kernel_run`` (``mul``/``sqr`` their two ``fp_mul`` runs as one
+event, ``runs=2``), through the slot's
+:class:`~repro.telemetry.KernelBooking`, which resolves the span node
+and counters once and reuses them until the span, trace, thread,
+tracer or registry changes; while it is off, it calls
+``telemetry.record_machine_run("aot")`` once per run.
 :meth:`KernelRunner.run` is the one fallback and serves any run the
 bound thunk cannot: the interpreter engine (and so ``cross_check``),
 trace hooks on the machine or a fault hook on the runner (checked on
@@ -123,10 +129,11 @@ _REFUSED = object()
 class _Bound:
     """A runner slot's direct path: the thunk bound to it (``seen`` is
     the runner's thunk when it was bound, ``thunk`` the one the ops may
-    call, or :data:`_REFUSED`), the static cost of each run, and the
-    runs it served since it was bound."""
+    call, or :data:`_REFUSED`), the static cost of each run, the runs
+    it served since it was bound, and where telemetry books them."""
 
-    __slots__ = ("seen", "thunk", "cycles", "instructions", "runs")
+    __slots__ = ("seen", "thunk", "cycles", "instructions", "runs",
+                 "booking")
 
     def __init__(self) -> None:
         self.seen = None
@@ -134,6 +141,7 @@ class _Bound:
         self.cycles = 0
         self.instructions = 0
         self.runs = 0
+        self.booking = None
 
 
 class SimulatedFieldContext(FieldContext):
@@ -230,6 +238,7 @@ class SimulatedFieldContext(FieldContext):
         self._instructions += bound.runs * bound.instructions
         bound.runs = 0
         bound.seen = runner._aot_thunk
+        bound.booking = telemetry.KernelBooking(runner.kernel.name, "aot")
         entry = runner.direct_entry(self.engine)
         if entry is None:
             bound.thunk, bound.cycles, bound.instructions = _REFUSED, 0, 0
@@ -263,18 +272,17 @@ class SimulatedFieldContext(FieldContext):
                     if hardening is not None:
                         runner._sample(hardening, (a, b), value,
                                        bound.cycles, "aot")
-                    self._count(runner, bound)
+                    self._count(bound)
                     return value
         return self._served(runner, a, b, engine)
 
     @staticmethod
-    def _count(runner: KernelRunner, bound: _Bound) -> None:
+    def _count(bound: _Bound) -> None:
         """Count one run of *bound*'s thunk and book it to telemetry
         (the inlined ops do the same in place)."""
         bound.runs += 1
         if telemetry.TRACER.enabled:
-            telemetry.record_kernel_run(runner.kernel.name, "aot",
-                                        bound.cycles, bound.instructions)
+            bound.booking.book(bound.cycles, bound.instructions)
         else:
             telemetry.record_machine_run("aot")
 
@@ -291,7 +299,7 @@ class SimulatedFieldContext(FieldContext):
         """The unchecked product's second run when the thunk served the
         first but returned ``None`` for it: the first is booked alone
         and the second goes to :meth:`_served`."""
-        self._count(self._mul, self._mul_bound)
+        self._count(self._mul_bound)
         return self._served(self._mul, a, b_mont, self.engine)
 
     @property
@@ -400,8 +408,9 @@ class SimulatedFieldContext(FieldContext):
     def mul(self, a: int, b: int) -> int:
         self.counter.mul += 1
         p = self.p
-        a %= p
-        b %= p
+        if not (0 <= a < p and 0 <= b < p):
+            a %= p
+            b %= p
         if self._checked is not None:
             return self._guarded("mul", a, b)
         runner = self._mul
@@ -416,9 +425,8 @@ class SimulatedFieldContext(FieldContext):
                     return self._second_product_run(a, b_mont)
                 bound.runs += 2
                 if telemetry.TRACER.enabled:
-                    telemetry.record_kernel_run(
-                        runner.kernel.name, "aot", 2 * bound.cycles,
-                        2 * bound.instructions, 2)
+                    bound.booking.book(2 * bound.cycles,
+                                       2 * bound.instructions, 2)
                 else:
                     telemetry.record_machine_run("aot")
                     telemetry.record_machine_run("aot")
@@ -427,7 +435,8 @@ class SimulatedFieldContext(FieldContext):
 
     def sqr(self, a: int) -> int:
         self.counter.sqr += 1
-        a %= self.p
+        if not 0 <= a < self.p:
+            a %= self.p
         if self._checked is not None:
             return self._guarded("sqr", a, a)
         runner = self._mul
@@ -442,9 +451,8 @@ class SimulatedFieldContext(FieldContext):
                     return self._second_product_run(a, a_mont)
                 bound.runs += 2
                 if telemetry.TRACER.enabled:
-                    telemetry.record_kernel_run(
-                        runner.kernel.name, "aot", 2 * bound.cycles,
-                        2 * bound.instructions, 2)
+                    bound.booking.book(2 * bound.cycles,
+                                       2 * bound.instructions, 2)
                 else:
                     telemetry.record_machine_run("aot")
                     telemetry.record_machine_run("aot")
@@ -454,8 +462,9 @@ class SimulatedFieldContext(FieldContext):
     def add(self, a: int, b: int) -> int:
         self.counter.add += 1
         p = self.p
-        a %= p
-        b %= p
+        if not (0 <= a < p and 0 <= b < p):
+            a %= p
+            b %= p
         if self._checked is not None:
             return self._guarded("add", a, b)
         runner = self._add
@@ -467,9 +476,7 @@ class SimulatedFieldContext(FieldContext):
             if value is not None:
                 bound.runs += 1
                 if telemetry.TRACER.enabled:
-                    telemetry.record_kernel_run(
-                        runner.kernel.name, "aot", bound.cycles,
-                        bound.instructions)
+                    bound.booking.book(bound.cycles, bound.instructions)
                 else:
                     telemetry.record_machine_run("aot")
                 return value
@@ -478,8 +485,9 @@ class SimulatedFieldContext(FieldContext):
     def sub(self, a: int, b: int) -> int:
         self.counter.sub += 1
         p = self.p
-        a %= p
-        b %= p
+        if not (0 <= a < p and 0 <= b < p):
+            a %= p
+            b %= p
         if self._checked is not None:
             return self._guarded("sub", a, b)
         runner = self._sub
@@ -491,9 +499,7 @@ class SimulatedFieldContext(FieldContext):
             if value is not None:
                 bound.runs += 1
                 if telemetry.TRACER.enabled:
-                    telemetry.record_kernel_run(
-                        runner.kernel.name, "aot", bound.cycles,
-                        bound.instructions)
+                    bound.booking.book(bound.cycles, bound.instructions)
                 else:
                     telemetry.record_machine_run("aot")
                 return value

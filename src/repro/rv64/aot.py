@@ -519,7 +519,11 @@ def compile_aot_entry(
 
     The liveness guard re-reads ``machine._aot_entry_cache`` on every
     value call: invalidation pops the entry, the thunk returns ``None``,
-    and the runner demotes the run to the interpreter.  The read-out
+    and the runner demotes the run to the interpreter.  The range guard
+    that follows is one shift per operand (``v >> W``, non-zero exactly
+    when ``v`` lies outside ``[0, 2^W)``, a negative ``v`` included): an
+    operand out of range returns ``None`` too, and the interpreter
+    path's limb marshalling raises on it.  The read-out
     skips the guard, so a finished run's limbs stay readable after its
     thunk was invalidated or replaced.
 
@@ -596,8 +600,9 @@ def compile_aot_entry(
         "        return None",
     ]
     for index, (_address, limbs, _reg_index) in enumerate(arg_plan):
-        lines.append(
-            f"    if v{index} < 0 or (v{index} >> {bits * limbs}):")
+        # one shift: v >> W is -1 for a negative v, so it is non-zero
+        # exactly when v lies outside [0, 2^W)
+        lines.append(f"    if v{index} >> {bits * limbs}:")
         lines.append("        return None")  # generic path raises
     for line in emitter.lines[:hot]:
         lines.append("    " + line)

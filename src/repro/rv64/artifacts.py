@@ -50,7 +50,7 @@ from repro import telemetry
 #: calling convention *or* the code generator's output changes.  The
 #: version is part of every filename, so old artifacts are never opened
 #: again; the next store of the same kernel deletes them.
-ARTIFACT_VERSION = 8
+ARTIFACT_VERSION = 9
 
 _ENV_VAR = "REPRO_AOT_CACHE"
 

@@ -5,6 +5,8 @@ Accepts standard RISC-V assembly syntax for the implemented subset:
 * one instruction or label per line; comments start with ``#``, ``//``
   or ``;``;
 * labels are ``name:`` and may be referenced by branch/jump operands;
+  a numeric target is a byte offset from the instruction, for the
+  ``beqz``/``bnez``/``j`` pseudo-instructions as for ``beq``/``jal``;
 * ABI and architectural register names are both accepted;
 * immediates may be decimal, hex (``0x``), binary (``0b``) or octal
   (``0o``), with an optional sign;
@@ -20,8 +22,8 @@ mnemonic (operand count and parser), built per call from the
 :class:`InstructionSet`'s formats plus the pseudo-instructions.  A
 line whose text was already parsed in the same call reuses the
 (immutable) result.  The second pass only patches label references.
-Every operand-count mismatch, pseudo-instructions included, is an
-:class:`AssemblerError` naming the line.
+Every error, an operand-count mismatch (pseudo-instructions included)
+or an undefined label, is an :class:`AssemblerError` naming the line.
 
 The assembler is driven by the :class:`InstructionSet` it is given, so
 ISE mnemonics registered by :mod:`repro.core` assemble with no changes
@@ -194,10 +196,7 @@ def _parse_b(m: str, ops: list[str]) -> Instruction | _PendingBranch:
     rs1, rs2 = _register(ops[0]), _register(ops[1])
     if rs1 is None or rs2 is None:
         rs1, rs2 = _registers(ops[:2])
-    try:
-        return Instruction(m, 0, rs1, rs2, 0, _parse_int(ops[2]))
-    except AssemblerError:
-        return _PendingBranch(m, 0, rs1, rs2, ops[2])
+    return _target(m, 0, rs1, rs2, ops[2])
 
 
 def _parse_u(m: str, ops: list[str]) -> Instruction:
@@ -211,10 +210,7 @@ def _parse_j(m: str, ops: list[str]) -> Instruction | _PendingBranch:
     rd = _register(ops[0])
     if rd is None:
         rd = register_index(ops[0])
-    try:
-        return Instruction(m, rd, 0, 0, 0, _parse_int(ops[1]))
-    except AssemblerError:
-        return _PendingBranch(m, rd, 0, 0, ops[1])
+    return _target(m, rd, 0, 0, ops[1])
 
 
 def _parse_ria(m: str, ops: list[str]) -> Instruction:
@@ -258,13 +254,23 @@ def _pseudo_rr(build: Callable[[int, int], Instruction]) -> _Parser:
     return parse
 
 
+def _target(m: str, rd: int, rs1: int, rs2: int,
+            target: str) -> Instruction | _PendingBranch:
+    """A branch or jump to *target*: a numeric byte offset assembles
+    now, anything else is a label resolved in pass two."""
+    try:
+        return Instruction(m, rd, rs1, rs2, 0, _parse_int(target))
+    except AssemblerError:
+        return _PendingBranch(m, rd, rs1, rs2, target)
+
+
 def _pseudo_branch_zero(branch: str) -> _Parser:
-    """``beqz``/``bnez rs, label``: compare *rs* against x0."""
-    def parse(m: str, ops: list[str]) -> _PendingBranch:
+    """``beqz``/``bnez rs, target``: compare *rs* against x0."""
+    def parse(m: str, ops: list[str]) -> Instruction | _PendingBranch:
         rs = _register(ops[0])
         if rs is None:
             rs = register_index(ops[0])
-        return _PendingBranch(branch, 0, rs, 0, ops[1])
+        return _target(branch, 0, rs, 0, ops[1])
 
     return parse
 
@@ -305,7 +311,7 @@ _PSEUDOS: dict[str, tuple[int, _Parser]] = {
     "jr": (1, _pseudo_jr),
     "beqz": (2, _pseudo_branch_zero("beq")),
     "bnez": (2, _pseudo_branch_zero("bne")),
-    "j": (1, lambda m, ops: _PendingBranch("jal", 0, 0, 0, ops[0])),
+    "j": (1, lambda m, ops: _target("jal", 0, 0, 0, ops[0])),
 }
 
 
@@ -353,7 +359,8 @@ class Assembler:
         parsed: dict[str, _Item] = {}  # line text -> item (immutable)
         items: list = []
         item_lines: list[str] = []
-        pending: list[int] = []  # indices of label references
+        # (index, line number) of each label reference
+        pending: list[tuple[int, int]] = []
         labels: dict[str, int] = {}
 
         for line_number, raw in enumerate(source.splitlines(), start=1):
@@ -392,14 +399,15 @@ class Assembler:
                 item_lines.extend([stripped] * len(item))
                 continue
             if kind is _PendingBranch:
-                pending.append(len(items))
+                pending.append((len(items), line_number))
             items.append(item)
             item_lines.append(stripped)
 
-        for index in pending:
+        for index, line_number in pending:
             item = items[index]
             if item.label not in labels:
-                raise AssemblerError(f"undefined label {item.label!r}")
+                raise AssemblerError(
+                    f"line {line_number}: undefined label {item.label!r}")
             items[index] = Instruction(
                 item.mnemonic, item.rd, item.rs1, item.rs2, 0,
                 labels[item.label] - 4 * index)

@@ -49,7 +49,9 @@ interval refuse when it is unknown:
   multiples of ``p``.
 
 :func:`lift` renders the lifted roots back into the same graph through
-its public constructors, so the emitter is unchanged.  A multiplication
+its public constructors, so the emitter is unchanged; a root that is a
+W-bit select adding ``p`` back on a borrow renders as ``(d − (d >>
+W)·p) & (2^W − 1)`` (:mod:`repro.rv64.addback`).  A multiplication
 is lifted when gathering its limb grids saves products; a kernel that
 multiplies nothing (the add/sub carry chains) when its lifted form costs
 less.  :func:`repro.rv64.redc.one_shot_redc` then replaces each
@@ -176,7 +178,7 @@ def _item_order(item) -> int:
 
 
 # imported once the forms it reads exist (it imports them from here)
-from repro.rv64 import rejoin  # noqa: E402
+from repro.rv64 import addback, rejoin  # noqa: E402
 
 
 class Lifter:
@@ -1050,7 +1052,8 @@ def lift(graph: Graph, roots: list) -> list:
     multiplies nothing (``fp_add``, ``fp_sub``, ``fast_reduce``) is
     rendered and lifted when that costs less; one that multiplies only
     by constants (``mont_redc``) keeps its limb form unanalysed.  The
-    rendered roots then pass :func:`one_shot_redc` and the guard
+    roots rendered by :func:`repro.rv64.addback.render_roots` then pass
+    :func:`one_shot_redc` and the guard
     (:func:`_refusal`), which keeps the limb form and counts
     ``aot_lift_refusals_total{reason}`` on any disagreement."""
     nodes = reachable(roots)
@@ -1062,8 +1065,7 @@ def lift(graph: Graph, roots: list) -> list:
     lifter = Lifter(graph)
     if lifter.prepare(roots) <= 0 and not chains:
         return list(roots)
-    lifted = one_shot_redc(
-        graph, [lifter.render_root(root) for root in roots])
+    lifted = one_shot_redc(graph, addback.render_roots(lifter, roots))
     if chains:
         products, cost = _counts(reachable(lifted))
         if products or cost >= limb_cost:

@@ -28,8 +28,10 @@ instances remain plain constructible objects for tests and embedders.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from threading import get_ident
 from typing import Iterator
 
 from repro.telemetry.metrics import (
@@ -41,7 +43,12 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     TelemetryError,
 )
-from repro.telemetry.spans import SpanNode, Tracer, render_span_tree
+from repro.telemetry.spans import (
+    ACTIVE_TRACE,
+    SpanNode,
+    Tracer,
+    render_span_tree,
+)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "FamilySpec",
@@ -51,7 +58,7 @@ __all__ = [
     "add_cycles", "render_span_tree",
     "new_trace_id", "current_trace", "request_trace", "activate",
     "record", "record_kernel_run", "record_machine_run",
-    "record_aot_demotion",
+    "record_aot_demotion", "KernelBooking",
 ]
 
 #: Process-global span recorder (disabled until :func:`enable`).
@@ -277,6 +284,22 @@ def record(name: str, *labels: object, value: float = 1) -> None:
         child.record(value)
 
 
+def _kernel_children(kernel: str, engine: str) -> tuple:
+    """The current registry's ``machine_runs_total`` (aot only) and
+    three ``kernel_*`` children of one (kernel, engine), looked up once
+    per registry; the caller holds :data:`MUTATION_LOCK`."""
+    table = REGISTRY.kernel_children
+    children = table.get((kernel, engine))
+    if children is None:
+        children = table[(kernel, engine)] = (
+            _child("machine_runs_total", (engine,))
+            if engine == "aot" else None,
+            _child("kernel_runs_total", (kernel, engine)),
+            _child("kernel_cycles_total", (kernel,)),
+            _child("kernel_instructions_total", (kernel,)))
+    return children
+
+
 def record_kernel_run(
     kernel: str, engine: str, cycles: int, instructions: int,
     runs: int = 1,
@@ -298,23 +321,82 @@ def record_kernel_run(
             for _ in range(runs):
                 record_machine_run(engine)
         return
-    registry = REGISTRY
     with MUTATION_LOCK:
-        children = registry.kernel_children.get((kernel, engine))
-        if children is None:
-            children = registry.kernel_children[(kernel, engine)] = (
-                _child("machine_runs_total", (engine,))
-                if engine == "aot" else None,
-                _child("kernel_runs_total", (kernel, engine)),
-                _child("kernel_cycles_total", (kernel,)),
-                _child("kernel_instructions_total", (kernel,)))
+        machine, counted, spent, retired = _kernel_children(kernel, engine)
         tracer.book_kernel_cycles(kernel, engine, cycles, runs)
-        machine, counted, spent, retired = children
         counted.value += runs
         spent.value += cycles
         retired.value += instructions
         if machine is not None:
             machine.value += runs
+
+
+class KernelBooking:
+    """Where one kernel's runs on one engine are booked while telemetry
+    is on, resolved once and reused: what :func:`record_kernel_run`
+    looks up on every call.
+
+    The target is the calling thread's innermost span node (under an
+    active trace, its ``kernel[engine=...,kernel=...]`` child, whose
+    ``count`` grows by the runs) and the ``kernel_*`` and
+    ``machine_runs_total`` counter children.  :meth:`book` resolves it
+    again when it may have moved: another :data:`TRACER` (which
+    :func:`capture` swaps) or a new span epoch of it (the tracer takes a
+    new one on every span entry and exit, adoption, trace activation
+    and reset), another registry or a reset of it, another calling
+    thread, or another active trace.  The check and the booking run
+    under :data:`MUTATION_LOCK`, so threads sharing one booking see a
+    consistent target."""
+
+    __slots__ = ("kernel", "engine", "_epoch", "_table", "_thread",
+                 "_trace", "_node", "_counts", "_children")
+
+    def __init__(self, kernel: str, engine: str) -> None:
+        self.kernel = kernel
+        self.engine = engine
+        self._epoch = None
+        self._table = None
+        self._thread = None
+        self._trace = None
+        self._node = None
+        self._counts = False
+        self._children = None
+
+    def book(self, cycles: int, instructions: int, runs: int = 1) -> None:
+        """:func:`record_kernel_run` into the resolved target; the caller
+        has checked that telemetry is on."""
+        with MUTATION_LOCK:
+            if (TRACER.epoch != self._epoch
+                    or REGISTRY.kernel_children is not self._table
+                    or get_ident() != self._thread
+                    or ACTIVE_TRACE.get() is not self._trace):
+                self._resolve()
+            node = self._node
+            node.self_cycles += cycles
+            if self._counts:
+                node.count += runs
+            machine, counted, spent, retired = self._children
+            counted.value += runs
+            spent.value += cycles
+            retired.value += instructions
+            if machine is not None:
+                machine.value += runs
+
+    def _resolve(self) -> None:
+        tracer = TRACER
+        self._epoch = tracer.epoch
+        self._table = REGISTRY.kernel_children
+        self._thread = get_ident()
+        self._trace = trace = ACTIVE_TRACE.get()
+        self._children = _kernel_children(self.kernel, self.engine)
+        node = tracer.current()
+        self._counts = trace is not None
+        if trace is not None:
+            node = node.child("kernel", (("engine", self.engine),
+                                         ("kernel", self.kernel)))
+            if node.start_epoch is None:
+                node.start_epoch = time.time()
+        self._node = node
 
 
 def record_machine_run(engine: str) -> None:

@@ -350,7 +350,8 @@ class MetricsRegistry:
         with MUTATION_LOCK:
             self._families.clear()
             self.bound.clear()
-            self.kernel_children.clear()
+            # a new table, so a resolved KernelBooking sees the reset
+            self.kernel_children = {}
 
     # -- export views --------------------------------------------------------
 

@@ -30,6 +30,7 @@ run) keep the aot engine's speed.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from contextvars import ContextVar
@@ -45,6 +46,10 @@ from repro.telemetry.metrics import MUTATION_LOCK, LabelKey, _label_key
 #: contexts).
 ACTIVE_TRACE: ContextVar[object | None] = ContextVar(
     "repro_active_trace", default=None)
+
+#: Span epochs (see :attr:`Tracer.epoch`): unique across tracers, and
+#: ``next`` on it is atomic, so concurrent bumps never repeat a value.
+_EPOCHS = itertools.count()
 
 
 class SpanNode:
@@ -149,7 +154,9 @@ class _ActiveSpan:
         node = self._node
         if node.start_epoch is None:
             node.start_epoch = time.time()
-        self._tracer._stack.append(node)
+        tracer = self._tracer
+        tracer._stack.append(node)
+        tracer.new_epoch()
         self._start = time.perf_counter()
         return self._node
 
@@ -159,10 +166,12 @@ class _ActiveSpan:
         with MUTATION_LOCK:
             node.wall_s += elapsed
             node.count += 1
-        stack = self._tracer._stack
+        tracer = self._tracer
+        stack = tracer._stack
         # tolerate exception-driven unwinding out of nested spans
         while stack and stack.pop() is not node:
             pass
+        tracer.new_epoch()
         return False
 
 
@@ -183,13 +192,17 @@ class _AdoptedSpan:
         self._node = node
 
     def __enter__(self) -> SpanNode:
-        self._tracer._stack.append(self._node)
+        tracer = self._tracer
+        tracer._stack.append(self._node)
+        tracer.new_epoch()
         return self._node
 
     def __exit__(self, *exc_info: object) -> bool:
-        stack = self._tracer._stack
+        tracer = self._tracer
+        stack = tracer._stack
         while len(stack) > 1 and stack.pop() is not self._node:
             pass
+        tracer.new_epoch()
         return False
 
 
@@ -207,10 +220,17 @@ class Tracer:
     mutation (cycles, counts, child creation) is serialised on
     :data:`~repro.telemetry.metrics.MUTATION_LOCK`, keeping the
     roll-up exact under concurrency.
+
+    ``epoch`` changes (:meth:`new_epoch`) whenever a thread's innermost
+    span or the active trace may have changed: on every span entry and
+    exit, adoption, trace activation and :meth:`reset`.  A
+    :class:`~repro.telemetry.KernelBooking` resolved at one epoch stays
+    valid while it lasts.
     """
 
     def __init__(self) -> None:
         self.enabled = False
+        self.epoch = next(_EPOCHS)
         self.root = SpanNode("root")
         self._tls = threading.local()
         # trace_id -> TraceContext / batch_id -> TraceContext indexes,
@@ -290,12 +310,17 @@ class Tracer:
     def current(self) -> SpanNode:
         return self._stack[-1]
 
+    def new_epoch(self) -> None:
+        """Take a new :attr:`epoch`, never taken before by any tracer."""
+        self.epoch = next(_EPOCHS)
+
     def reset(self) -> None:
         """Drop the recorded tree (keeps the enabled flag)."""
         self.root = SpanNode("root")
         self._tls = threading.local()
         self.traces = {}
         self.batches = {}
+        self.new_epoch()
 
 
 def render_span_tree(

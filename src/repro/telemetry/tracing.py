@@ -157,6 +157,7 @@ def request_trace(
         ctx.node = node
         _index(tracer.traces, ctx)
     token = ACTIVE_TRACE.set(ctx)
+    tracer.new_epoch()
     start = time.perf_counter()
     try:
         yield ctx
@@ -167,6 +168,7 @@ def request_trace(
         raise
     finally:
         ACTIVE_TRACE.reset(token)
+        tracer.new_epoch()
         elapsed = time.perf_counter() - start
         ctx.wall_s = elapsed
         with MUTATION_LOCK:
@@ -189,10 +191,11 @@ def activate(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
         return
     token = ACTIVE_TRACE.set(ctx)
     try:
-        with _tracer().adopt(ctx.node):
+        with _tracer().adopt(ctx.node):  # adoption takes a new epoch
             yield ctx
     finally:
         ACTIVE_TRACE.reset(token)
+        _tracer().new_epoch()
 
 
 @contextmanager
@@ -208,10 +211,12 @@ def using(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
         yield None
         return
     token = ACTIVE_TRACE.set(ctx)
+    _tracer().new_epoch()
     try:
         yield ctx
     finally:
         ACTIVE_TRACE.reset(token)
+        _tracer().new_epoch()
 
 
 def begin_batch(

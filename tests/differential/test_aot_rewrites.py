@@ -975,28 +975,31 @@ def hot_path(source: str) -> list:
 
 #: Ceilings on (products, binary operations) per thunk before its
 #: read-out branch.  The limbs, the 32-register writeback and
-#: ``pc``/``halted`` follow that branch, so a lifted ``fp_mul``/
-#: ``fp_sqr`` runs 16-17 operations: ``a·b``, the one-shot reduction's
-#: two products and, in full radix, the final subtraction as the one
-#: value ``U − p + β·p`` (before it rendered the select's low limb
-#: apart: a fifth product and 24-25 operations).  A lifted
-#: ``fp_add``/``fp_sub`` runs 19-37 (limb form: 119-168); a full-radix
-#: ``fp_sub``'s one product is the add-back ``β·p``.
+#: ``pc``/``halted`` follow that branch, so a lifted ``fp_mul`` runs 15
+#: operations and a lifted ``fp_sqr`` 14: the one-shift operand guard,
+#: ``a·b``, the one-shot reduction's two products, ``U = T' >> W`` and
+#: the add-back select ``d = (U & M) − P``, ``(d − (d >> W)·P) & M``
+#: (before, the select ran on ``U − P + β·P`` with a separately
+#: computed borrow ``β``, or in reduced radix on the double-width sum:
+#: 16-17 operations).  A full-radix ``fp_sub`` is the same select on
+#: ``d = A − B``: 7 operations where the borrow chain's form took 19.
+#: The other lifted ``fp_add``/``fp_sub`` run 23-37 (limb form:
+#: 119-168).
 HOT_PATH_CEILINGS = {
-    f"{OP_FP_MUL}.full.isa": (4, 17),
-    f"{OP_FP_MUL}.full.ise": (4, 17),
-    f"{OP_FP_MUL}.reduced.isa": (4, 17),
-    f"{OP_FP_MUL}.reduced.ise": (4, 17),
+    f"{OP_FP_MUL}.full.isa": (4, 15),
+    f"{OP_FP_MUL}.full.ise": (4, 15),
+    f"{OP_FP_MUL}.reduced.isa": (4, 15),
+    f"{OP_FP_MUL}.reduced.ise": (4, 15),
     f"{OP_FP_SQR}.full.isa": (108, 1291),
-    f"{OP_FP_SQR}.full.ise": (4, 16),
-    f"{OP_FP_SQR}.reduced.isa": (4, 16),
-    f"{OP_FP_SQR}.reduced.ise": (4, 16),
+    f"{OP_FP_SQR}.full.ise": (4, 14),
+    f"{OP_FP_SQR}.reduced.isa": (4, 14),
+    f"{OP_FP_SQR}.reduced.ise": (4, 14),
     f"{OP_FP_ADD}.full.isa": (2, 23),
     f"{OP_FP_ADD}.full.ise": (2, 23),
     f"{OP_FP_ADD}.reduced.isa": (5, 37),
     f"{OP_FP_ADD}.reduced.ise": (5, 37),
-    f"{OP_FP_SUB}.full.isa": (1, 19),
-    f"{OP_FP_SUB}.full.ise": (1, 19),
+    f"{OP_FP_SUB}.full.isa": (1, 7),
+    f"{OP_FP_SUB}.full.ise": (1, 7),
     f"{OP_FP_SUB}.reduced.isa": (3, 25),
     f"{OP_FP_SUB}.reduced.ise": (3, 25),
 }

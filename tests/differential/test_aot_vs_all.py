@@ -382,12 +382,16 @@ def test_old_version_artifact_is_neither_served_nor_left_behind(
 #: Thunk bodies of earlier format versions: version 4 returned
 #: ``(value, limbs, cycles, instructions)``; versions 5 to 7 returned
 #: ``(value, cycles, instructions)`` from a value call (version 5 also
-#: computed the reduction word by word and left add/sub in limb form),
-#: where a version-8 thunk returns the value alone.
+#: computed the reduction word by word and left add/sub in limb form);
+#: version 8 returned the value alone, like a version-9 thunk, but
+#: guarded each operand with two tests and made a Montgomery product's
+#: final subtraction on the double-width sum.
 _PREVIOUS_BODIES = {
     4: "    return 0, (0,), 1, 1\n",
     5: "    if not _readout:\n        return 0, 1, 1\n    return (0,)\n",
     7: "    if not _readout:\n        return 0, 1, 1\n    return (0,)\n",
+    8: ("    if v0 < 0 or (v0 >> 64):\n        return None\n"
+        "    if not _readout:\n        return 0\n    return (0,)\n"),
 }
 
 
@@ -396,8 +400,8 @@ def test_previous_version_payload_is_refused_not_bound(monkeypatch,
     """A payload of a previous format version, even at the current
     filename, is invalidated and recompiled rather than bound: the
     tuple a version-4 to version-7 thunk returns would be taken for the
-    result value, and a version-5 thunk is one the current code
-    generator no longer emits."""
+    result value, and a version-5 or version-8 thunk is one the current
+    code generator no longer emits."""
     name = f"{OP_FP_MUL}.full.isa"
     kernel = cached_kernels(csidh_toy().p)[name]
     for version, body in sorted(_PREVIOUS_BODIES.items()):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -302,3 +303,144 @@ def test_fault_in_the_second_product_run_books_the_first(monkeypatch):
         ("interpreter", "fp_mul.reduced.ise"): 2}
     assert _runs(direct, "fault_recoveries_total") \
         == {("mul", "recovered"): 1}
+
+
+# -- the booking target under a moving span, trace, tracer or thread -------
+
+def _recorded(registry, root) -> dict:
+    """The counters and span tree one capture holds."""
+    return {
+        "counters": {name: samples
+                     for name, samples in registry.to_dict().items()
+                     if name in _FAMILIES},
+        "tree": [(node.name, node.labels, node.count, node.self_cycles)
+                 for node in root.walk()],
+    }
+
+
+def _spans_between_ops(field) -> list[int]:
+    values = _ops(field)
+    with telemetry.span("outer"):
+        values += _ops(field)
+        with telemetry.span("inner", depth=2):
+            values += _ops(field)
+        values += _ops(field)
+    return values + _ops(field)
+
+
+def _trace_mid_action(field) -> list[int]:
+    values = _ops(field)
+    with tracing.request_trace("exchange", trace_id="b00c") as ctx:
+        values += _ops(field)
+        with tracing.activate(ctx):
+            values += _ops(field)
+            with telemetry.span("isogeny", degree=3):
+                values += _ops(field)
+        values += _ops(field)
+    return values + _ops(field)
+
+
+@pytest.mark.parametrize("work", [_spans_between_ops, _trace_mid_action],
+                         ids=["spans", "trace"])
+def test_booking_follows_spans_and_traces(monkeypatch, work):
+    """Spans opened and closed between ops, and a trace activated in
+    the middle of them: every run lands where ``KernelRunner.run``
+    books it."""
+
+    def observe() -> dict:
+        field = SimulatedFieldContext(csidh_toy().p)
+        return _observe(field, lambda: work(field))
+
+    direct, fallback, served = _on_both_paths(monkeypatch, observe)
+    assert direct == fallback
+    assert served == 0
+    rows = {row[0] for row in direct["tree"]}
+    assert {"outer", "inner"} <= rows or {"request", "kernel"} <= rows
+
+
+def test_booking_follows_capture_and_reset(monkeypatch):
+    """A nested ``capture()`` (which swaps the tracer and registry) and
+    a ``reset()`` between ops: each capture holds exactly the runs made
+    while it was installed, as on the twin."""
+
+    def observe() -> dict:
+        field = SimulatedFieldContext(csidh_toy().p)
+        with telemetry.capture() as outer:
+            values = _ops(field)
+            with telemetry.capture() as inner:
+                values += _ops(field)
+                with telemetry.span("nested"):
+                    values += _ops(field)
+            values += _ops(field)
+            seen_before_reset = _recorded(outer.registry, outer.root)
+            telemetry.reset()
+            with telemetry.span("after_reset"):
+                values += _ops(field)
+            values += _ops(field)
+        parts = [_recorded(inner.registry, inner.root), seen_before_reset,
+                 _recorded(outer.registry, outer.root)]
+        return {"value": values,
+                "cycles": field.simulated_cycles,
+                "parts": parts,
+                "counters": _summed([part["counters"] for part in parts])}
+
+    direct, fallback, served = _on_both_paths(monkeypatch, observe)
+    assert direct == fallback
+    assert served == 0
+    inner, before_reset, after_reset = direct["parts"]
+    assert [sum(_runs(part, "kernel_runs_total").values())
+            for part in direct["parts"]] == [16, 16, 16]
+    assert ("nested", (), 1) in [row[:3] for row in inner["tree"]]
+    assert "nested" not in [row[0] for row in before_reset["tree"]]
+    assert "after_reset" in [row[0] for row in after_reset["tree"]]
+
+
+def _summed(counter_sets: list) -> dict:
+    """Counter samples added up, label set by label set."""
+    totals: dict = {}
+    for counters in counter_sets:
+        for name, samples in counters.items():
+            family = totals.setdefault(name, {})
+            for sample in samples:
+                key = tuple(sample["labels"].items())
+                family[key] = family.get(key, 0) + sample["value"]
+    return {name: [{"labels": dict(key), "value": value}
+                   for key, value in sorted(family.items())]
+            for name, family in sorted(totals.items())}
+
+
+def test_two_threads_share_one_context(monkeypatch):
+    """Two threads run ops on one context, each inside its own span and
+    interleaved op by op: the runs of each land in its own span."""
+
+    def observe() -> dict:
+        field = SimulatedFieldContext(csidh_toy().p)
+        turns = [threading.Semaphore(1), threading.Semaphore(0)]
+        values = {}
+
+        def worker(index: int) -> None:
+            mine = []
+            with telemetry.span("worker", index=index):
+                for _round in range(3):
+                    turns[index].acquire()
+                    mine += _ops(field)
+                    turns[1 - index].release()
+            values[index] = mine
+
+        def work() -> dict:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            return values
+
+        return _observe(field, work)
+
+    direct, fallback, served = _on_both_paths(monkeypatch, observe)
+    assert direct == fallback
+    assert served == 0
+    workers = [row for row in direct["tree"] if row[0] == "worker"]
+    assert len(workers) == 2
+    assert workers[0][3] == workers[1][3] > 0

@@ -119,6 +119,40 @@ class TestLabels:
         with pytest.raises(AssemblerError, match="duplicate"):
             assemble("x: nop\nx: nop", BASE_ISA)
 
+    def test_undefined_label_names_its_line(self):
+        with pytest.raises(AssemblerError) as info:
+            assemble("nop\nnop\nbnez a0, nowhere\nret", BASE_ISA)
+        assert str(info.value) == "line 3: undefined label 'nowhere'"
+
+    @pytest.mark.parametrize("pseudo, expected", [
+        ("beqz a0, 8", Instruction("beq", 0, 10, 0, 0, 8)),
+        ("bnez a0, -4", Instruction("bne", 0, 10, 0, 0, -4)),
+        ("bnez t1, 0x10", Instruction("bne", 0, 6, 0, 0, 16)),
+        ("j 12", Instruction("jal", 0, 0, 0, 0, 12)),
+        ("j -8", Instruction("jal", 0, 0, 0, 0, -8)),
+    ])
+    def test_numeric_pseudo_branch_target_is_an_offset(self, pseudo,
+                                                       expected):
+        """A numeric ``beqz``/``bnez``/``j`` target assembles as a byte
+        offset, as ``beq``/``jal`` do, not as a label."""
+        prog = assemble(f"nop\n{pseudo}\nret", BASE_ISA)
+        assert prog.instructions[1] == expected
+
+    def test_numeric_pseudo_branch_matches_its_base_form(self):
+        pseudo = assemble("beqz a0, 8\nbnez a1, -4\nj 4", BASE_ISA)
+        base = assemble("beq a0, zero, 8\nbne a1, zero, -4\njal zero, 4",
+                        BASE_ISA)
+        assert pseudo.instructions == base.instructions
+
+    def test_numeric_beqz_runs(self):
+        source = """
+            beqz zero, 8
+            li a0, 111
+            ret
+        """
+        machine = run_asm(source, append_ret=False)
+        assert machine.regs["a0"] == 0
+
     def test_label_offsets_account_for_li_expansion(self):
         source = """
             li a0, 0x123456789abcdef0
@@ -306,13 +340,13 @@ PINNED_ERRORS = [
     ('x: nop\nx: nop',
      "line 2: duplicate label 'x'"),
     ('beq a0, a1, nowhere',
-     "undefined label 'nowhere'"),
+     "line 1: undefined label 'nowhere'"),
     ('j nowhere',
-     "undefined label 'nowhere'"),
+     "line 1: undefined label 'nowhere'"),
     ('jal ra, nowhere',
-     "undefined label 'nowhere'"),
+     "line 1: undefined label 'nowhere'"),
     ('bnez a0, 1abc',
-     "undefined label '1abc'"),
+     "line 1: undefined label '1abc'"),
     ('li a0',
      'line 1: li needs two operands'),
     ('li a0, 1, 2',

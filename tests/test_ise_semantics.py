@@ -8,8 +8,10 @@ agree.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import ise
 from repro.core.ise import (
     MASK57,
     REDUCED_RADIX_BITS,
@@ -22,6 +24,8 @@ from repro.core.ise import (
     sraiadd_value,
 )
 from repro.rv64.bits import MASK64, s64, u64
+from repro.rv64.isa import Instruction
+from repro.rv64.machine import MachineState
 from tests.helpers import run_asm
 
 U64 = st.integers(min_value=0, max_value=MASK64)
@@ -136,3 +140,52 @@ class TestSimulatorAgreement:
         machine = run_asm("maddlu zero, a1, a2, a3",
                           {"a1": 3, "a2": 4, "a3": 5})
         assert machine.regs["zero"] == 0
+
+
+#: Register values the inlined semantics must get right: every edge of
+#: the 64-bit range, the 57-bit limb edges and the sign bit.
+BOUNDARY = (0, 1, 2, MASK57 - 1, MASK57, MASK57 + 1, (1 << 63) - 1,
+            1 << 63, MASK64 - 1, MASK64)
+OPERAND = st.one_of(st.sampled_from(BOUNDARY), U64)
+
+#: Each ``_exec_*`` body and the reference function it inlines.
+EXECUTES = [
+    (ise._exec_maddlu, maddlu_value),
+    (ise._exec_maddhu, maddhu_value),
+    (ise._exec_madd57lu, madd57lu_value),
+    (ise._exec_madd57hu, madd57hu_value),
+    (ise._exec_cadd, cadd_value),
+]
+
+
+class TestInlinedExecuteMatchesReference:
+    """Each machine-level body, written inline without the reference
+    functions' operand masks, against the reference on random and
+    boundary register values (registers always hold ``[0, 2^64)``)."""
+
+    @pytest.mark.parametrize("execute, reference", EXECUTES,
+                             ids=lambda fn: getattr(fn, "__name__", ""))
+    @given(x=OPERAND, y=OPERAND, z=OPERAND)
+    def test_r4_body(self, execute, reference, x, y, z):
+        state = MachineState()
+        state.x[11], state.x[12], state.x[13] = x, y, z
+        execute(state, Instruction("op", rd=10, rs1=11, rs2=12, rs3=13))
+        assert state.x[10] == reference(x, y, z)
+
+    @given(x=OPERAND, y=OPERAND, imm=st.integers(0, 63))
+    def test_sraiadd_body(self, x, y, imm):
+        state = MachineState()
+        state.x[11], state.x[12] = x, y
+        ise._exec_sraiadd(state, Instruction("sraiadd", rd=10, rs1=11,
+                                             rs2=12, imm=imm))
+        assert state.x[10] == sraiadd_value(x, y, imm)
+
+    @pytest.mark.parametrize("execute", [fn for fn, _ in EXECUTES]
+                             + [ise._exec_sraiadd],
+                             ids=lambda fn: fn.__name__)
+    def test_write_to_x0_is_discarded(self, execute):
+        state = MachineState()
+        state.x[11] = state.x[12] = state.x[13] = MASK64
+        execute(state, Instruction("op", rd=0, rs1=11, rs2=12, rs3=13,
+                                   imm=1))
+        assert state.x[0] == 0
