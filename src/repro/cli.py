@@ -23,13 +23,14 @@ Commands:
   against the artifact cache;
 * ``cache`` — inspect or clear the persistent on-disk aot artifact
   cache (``stats`` / ``clear`` / ``dir``; see ``docs/SIMULATOR.md``);
-* ``serve`` / ``load`` — the multi-tenant TCP service and its load
-  harness (``load`` traces by default when it owns the service, and
-  can drive a live server with ``--connect``);
-* ``trace`` — record a traced load workload (or attach to a live
-  server via ``--connect``) and export the span forest as Chrome
-  ``trace_event`` JSON and/or collapsed-stack flamegraph text;
-* ``top`` — live dashboard over a running service's ``stats`` op;
+* ``serve`` / ``load`` — the multi-tenant TCP service and its
+  in-process load harness (``load`` traces by default and exits 1 on
+  any divergence).  ``serve`` runs with telemetry off: nothing reads
+  a served process's traces, and its span tree would grow by two
+  nodes per request;
+* ``trace`` — record a traced load workload and export the span
+  forest as Chrome ``trace_event`` JSON and/or collapsed-stack
+  flamegraph text (exit 1 on any divergence, like ``load``);
 * ``watchdog`` — perf-regression gate over ``BENCH_*.json``
   trajectories (exit 1 on regression, stable code ``regression``).
 
@@ -399,15 +400,6 @@ def _service_configs(args: argparse.Namespace):
     return params, configs
 
 
-def _parse_endpoint(value: str) -> tuple[str, int]:
-    """``HOST:PORT`` (or bare ``:PORT``) for ``--connect`` flags."""
-    host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ParameterError(
-            f"--connect expects HOST:PORT (got {value!r})")
-    return host or "127.0.0.1", int(port)
-
-
 def _print_trace_summary(summary: dict) -> None:
     print(f"trace: {summary['span_count']} span(s), "
           f"{summary['requests']} request(s), "
@@ -427,8 +419,7 @@ def _write_trace_exports(root, chrome_path: str | None,
     if not (chrome_path or flamegraph_path):
         return
     if root is None:
-        print("no trace recorded (is the server's telemetry on?); "
-              "skipping trace export")
+        print("no trace recorded (--no-trace); skipping trace export")
         return
     if chrome_path:
         with open(chrome_path, "w", encoding="utf-8") as handle:
@@ -447,19 +438,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro import telemetry
     from repro.service import KeyExchangeService, start_server
 
     params, configs = _service_configs(args)
     if args.grace_s < 0:
         raise ParameterError(
             f"--grace-s must be non-negative (got {args.grace_s})")
-    if not args.no_telemetry:
-        # Default-on: per-request traces cost little (spans only
-        # materialise per request/kernel aggregate) and make the
-        # trace_export op, `repro trace --connect` and `repro top`
-        # useful against a live server.
-        telemetry.enable()
 
     async def serve() -> None:
         service = KeyExchangeService(params, configs)
@@ -468,8 +452,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {params.name} key exchange on {host}:{port} "
               f"({args.tenants} tenant(s) x {args.lanes} lane(s), "
               f"engine {args.engine}"
-              f"{', hardened' if args.hardened else ''}, telemetry "
-              f"{'off' if args.no_telemetry else 'on'})")
+              f"{', hardened' if args.hardened else ''})")
         sigterm = asyncio.Event()
         loop = asyncio.get_running_loop()
         try:
@@ -518,11 +501,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finish_load(report, chrome_path: str | None,
+                 flamegraph_path: str | None) -> int:
+    """The tail ``load`` and ``trace`` share: summaries, trace
+    exports, and exit 1 on any divergence."""
+    print(report.summary())
+    if report.trace_summary is not None:
+        _print_trace_summary(report.trace_summary)
+    _write_trace_exports(report.trace_root, chrome_path, flamegraph_path)
+    if report.divergences:
+        # A divergence is an escape: a wrong result left the service.
+        print(f"FAIL: {report.divergences} result(s) diverged from "
+              f"the sequential pure-Python reference")
+        return 1
+    return 0
+
+
 def _cmd_load(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import ServiceError
-    from repro.service import run_load, run_load_remote
+    from repro.service import run_load
     from repro.telemetry.export import write_bench
 
     if args.exchanges < 1:
@@ -536,144 +534,54 @@ def _cmd_load(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"--timeout-s must be non-negative (got {args.timeout_s}; "
             f"0 disables the per-request deadline)")
-    timeout_s = args.timeout_s if args.timeout_s > 0 else None
 
-    if args.connect:
-        host, port = _parse_endpoint(args.connect)
-        params = _PARAM_SETS[args.params]()
-        try:
-            report = asyncio.run(run_load_remote(
-                params, host, port,
-                exchanges=args.exchanges,
-                concurrency=args.concurrency,
-                seed=args.seed,
-                timeout_s=timeout_s,
-            ))
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot connect to {host}:{port}: {exc}") from exc
-    else:
-        params, configs = _service_configs(args)
-        report = asyncio.run(run_load(
-            params,
-            exchanges=args.exchanges,
-            concurrency=args.concurrency,
-            tenant_configs=configs,
-            engine=args.engine,
-            hardened=args.hardened,
-            seed=args.seed,
-            trace=not args.no_trace,
-            timeout_s=timeout_s,
-        ))
-    print(report.summary())
-    if report.trace_summary is not None:
-        _print_trace_summary(report.trace_summary)
-    _write_trace_exports(report.trace_root, args.chrome_out,
-                         args.flamegraph_out)
+    params, configs = _service_configs(args)
+    report = asyncio.run(run_load(
+        params,
+        exchanges=args.exchanges,
+        concurrency=args.concurrency,
+        tenant_configs=configs,
+        engine=args.engine,
+        hardened=args.hardened,
+        seed=args.seed,
+        trace=not args.no_trace,
+        timeout_s=args.timeout_s if args.timeout_s > 0 else None,
+    ))
     if args.bench_out:
         write_bench(args.bench_out, "protocol", report.to_record())
         print(f"benchmark trajectory appended to {args.bench_out}")
-    if report.divergences:
-        # A divergence is an escape: a wrong result left the service.
-        print(f"FAIL: {report.divergences} result(s) diverged from "
-              f"the sequential pure-Python reference")
-        return 1
-    return 0
+    return _finish_load(report, args.chrome_out, args.flamegraph_out)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     import asyncio
     import json as json_module
 
-    from repro.errors import ServiceError
-    from repro.telemetry import tracing
+    from repro.service import run_load
     from repro.telemetry.export import span_to_dict
 
-    if args.connect:
-        host, port = _parse_endpoint(args.connect)
-
-        async def fetch() -> dict:
-            from repro.service import ServiceClient
-
-            async with await ServiceClient().connect(
-                    host, port) as client:
-                return await client.trace_export(
-                    spans=True, reset=args.reset, op=args.op,
-                    tenant=args.tenant, trace=args.trace_id)
-
-        try:
-            document = asyncio.run(fetch())
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot connect to {host}:{port}: {exc}") from exc
-        if not document.get("enabled", True):
-            print("server telemetry is disabled "
-                  "(start it without --no-telemetry)")
-        print(tracing.render_trace_summary(document, limit=args.limit))
-        root = (tracing.document_to_root(document)
-                if document.get("traces") else None)
-    else:
-        if args.exchanges < 1:
-            raise ParameterError(
-                f"--exchanges must be at least 1 "
-                f"(got {args.exchanges})")
-        from repro.service import run_load
-
-        params, configs = _service_configs(args)
-        report = asyncio.run(run_load(
-            params,
-            exchanges=args.exchanges,
-            concurrency=args.concurrency,
-            tenant_configs=configs,
-            engine=args.engine,
-            hardened=args.hardened,
-            seed=args.seed,
-            trace=True,
-        ))
-        print(report.summary())
-        root = report.trace_root
-        document = None
-
-    if root is not None:
-        _print_trace_summary(tracing.summarize_root(root))
+    if args.exchanges < 1:
+        raise ParameterError(
+            f"--exchanges must be at least 1 (got {args.exchanges})")
+    params, configs = _service_configs(args)
+    report = asyncio.run(run_load(
+        params,
+        exchanges=args.exchanges,
+        concurrency=args.concurrency,
+        tenant_configs=configs,
+        engine=args.engine,
+        hardened=args.hardened,
+        seed=args.seed,
+        trace=True,
+    ))
     if args.json:
-        payload = document if document is not None else {
-            "enabled": True,
-            "spans": span_to_dict(root) if root is not None else None,
-            "summary": (tracing.summarize_root(root)
-                        if root is not None else None),
-        }
+        payload = {"spans": span_to_dict(report.trace_root),
+                   "summary": report.trace_summary}
         with open(args.json, "w", encoding="utf-8") as handle:
             json_module.dump(payload, handle, indent=2)
             handle.write("\n")
         print(f"trace document written to {args.json}")
-    _write_trace_exports(root, args.chrome, args.flamegraph)
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.errors import ServiceError
-    from repro.telemetry.dashboard import poll_dashboard
-
-    host, port = _parse_endpoint(args.connect)
-    if args.interval <= 0:
-        raise ParameterError(
-            f"--interval must be positive (got {args.interval})")
-    try:
-        asyncio.run(poll_dashboard(
-            host, port,
-            interval_s=args.interval,
-            iterations=args.iterations,
-            plain=args.plain,
-        ))
-    except OSError as exc:
-        raise ServiceError(
-            f"cannot connect to {host}:{port}: {exc}") from exc
-    except KeyboardInterrupt:
-        pass
-    return 0
+    return _finish_load(report, args.chrome, args.flamegraph)
 
 
 def _cmd_watchdog(args: argparse.Namespace) -> int:
@@ -834,9 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="0 picks a free port (printed at startup)")
-    p.add_argument("--no-telemetry", action="store_true",
-                   help="skip telemetry.enable(): no request traces, "
-                        "empty trace_export")
     p.add_argument("--grace-s", type=float, default=5.0, metavar="S",
                    help="graceful-drain budget on SIGTERM: stop "
                         "accepting, let in-flight requests finish")
@@ -852,13 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concurrency", type=int, default=16,
                    help="handshakes in flight at once")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--connect", default=None, metavar="HOST:PORT",
-                   help="drive a live `repro serve` instance over "
-                        "the wire instead of an in-process service")
     p.add_argument("--no-trace", action="store_true",
                    help="skip request tracing (and the "
-                        "cycle-conservation assertion) for the "
-                        "in-process run")
+                        "cycle-conservation assertion)")
     p.add_argument("--chrome-out", default=None, metavar="PATH",
                    help="write the traced run as Chrome trace_event "
                         "JSON")
@@ -877,47 +778,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="record a traced workload (or attach to a live server) "
-             "and export Chrome trace / flamegraph artifacts")
+        help="record a traced workload and export Chrome trace / "
+             "flamegraph artifacts")
     service_knobs(p)
     p.add_argument("--exchanges", type=int, default=10,
                    help="handshakes for the recorded workload")
     p.add_argument("--concurrency", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--connect", default=None, metavar="HOST:PORT",
-                   help="fetch traces from a live server's "
-                        "trace_export op instead of recording")
-    p.add_argument("--op", default=None,
-                   help="with --connect: only traces for this op")
-    p.add_argument("--tenant", default=None,
-                   help="with --connect: only traces for this tenant")
-    p.add_argument("--trace-id", default=None,
-                   help="with --connect: one specific trace")
-    p.add_argument("--reset", action="store_true",
-                   help="with --connect: clear the server's recorded "
-                        "traces after exporting")
-    p.add_argument("--limit", type=int, default=20,
-                   help="rows in the per-trace summary table")
     p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the full trace document as JSON")
+                   help="write the span forest and its summary as "
+                        "JSON")
     p.add_argument("--chrome", default=None, metavar="PATH",
                    help="write Chrome trace_event JSON")
     p.add_argument("--flamegraph", default=None, metavar="PATH",
                    help="write collapsed stacks")
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "top",
-        help="live dashboard over a running service's stats op")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT")
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="seconds between polls")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="frames to draw (default: until ctrl-C)")
-    p.add_argument("--plain", action="store_true",
-                   help="append frames instead of clearing the "
-                        "screen (for logs/pipes)")
-    p.set_defaults(func=_cmd_top)
 
     p = sub.add_parser(
         "watchdog",

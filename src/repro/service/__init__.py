@@ -15,9 +15,8 @@ Public surface:
   turn;
 * :func:`start_server` / :class:`ServiceClient` — the JSON-lines TCP
   wire layer;
-* :func:`run_load` / :func:`run_load_remote` / :class:`LoadReport` —
-  the load harness behind ``repro load`` and the CI ``service-load``
-  job (in-process, or over the wire against a live server).
+* :func:`run_load` / :class:`LoadReport` — the in-process load
+  harness behind ``repro load`` and the CI ``service-load`` job.
 """
 
 from repro.service.admission import (
@@ -30,7 +29,6 @@ from repro.service.load import (
     LoadReport,
     expected_handshakes,
     run_load,
-    run_load_remote,
 )
 from repro.service.server import FIELD_OPS, KeyExchangeService
 from repro.service.tenancy import (
@@ -59,6 +57,5 @@ __all__ = [
     "expected_handshakes",
     "handle_connection",
     "run_load",
-    "run_load_remote",
     "start_server",
 ]

@@ -93,8 +93,7 @@ class RequestCoalescer:
                     f"batch executor returned {len(values)} values "
                     f"for {len(items)} {op!r} requests")
         except Exception as exc:  # noqa: BLE001 — forwarded, not eaten
-            tracing.finish_batch(
-                batch_ctx, time.perf_counter() - started, ok=False)
+            tracing.finish_batch(batch_ctx, time.perf_counter() - started)
             for _, future, _, _ in items:
                 if not future.done():
                     future.set_exception(exc)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -76,8 +75,7 @@ class LoadReport:
     #: Compact trace summary (span count, top kernels by cycles) when
     #: the run was traced; lands in the BENCH record as ``trace``.
     trace_summary: dict | None = None
-    #: The traced span forest (local capture root, or the forest
-    #: rebuilt from a remote ``trace_export``) for chrome/flamegraph
+    #: The traced span forest (the capture root) for chrome/flamegraph
     #: export; not part of the BENCH record.
     trace_root: SpanNode | None = field(default=None, repr=False)
 
@@ -199,9 +197,8 @@ async def _run_fleet(tenant_names: list[str], exchanges: int,
                      keygen, exchange) -> dict:
     """Run *exchanges* full handshakes, *concurrency* at a time,
     through ``keygen(tenant, seed)`` and ``exchange(tenant, seed,
-    peer)`` (the in-process service or a wire client), check each
-    session against *oracle*, and return the request-side
-    :class:`LoadReport` fields."""
+    peer)``, check each session against *oracle*, and return the
+    request-side :class:`LoadReport` fields."""
     gate = asyncio.Semaphore(concurrency)
     latencies: list[float] = []
     rejections = [0]
@@ -342,85 +339,6 @@ async def run_load(
         promotions=promotions,
         fault_detections=detections,
         fault_recoveries=recoveries,
-        trace_summary=trace_summary,
-        trace_root=trace_root,
-        **fleet,
-    )
-
-
-async def run_load_remote(
-    params: CsidhParameters,
-    host: str,
-    port: int,
-    *,
-    exchanges: int = 100,
-    concurrency: int = 16,
-    seed: int = 0,
-    oracle: list[tuple[int, int, int]] | None = None,
-    timeout_s: float | None = DEFAULT_LOAD_TIMEOUT_S,
-) -> LoadReport:
-    """Drive a **live** ``repro serve`` instance over the wire.
-
-    The same handshake fleet and pure-Python oracle as
-    :func:`run_load`, but through a :class:`ServiceClient` — so the
-    measured latencies include the JSON-lines round trip, and the
-    trace forest comes back via the ``trace_export`` op (empty when
-    the server runs without telemetry).  Ladder/fault/rejection totals
-    are deltas of the server's ``stats`` around the run.
-    """
-    from repro.service.wire import ServiceClient
-
-    if exchanges < 1:
-        raise ServiceError("need at least one exchange")
-    if concurrency < 1:
-        raise ServiceError("concurrency must be positive")
-    if oracle is None:
-        oracle = expected_handshakes(params, exchanges, seed=seed)
-    if len(oracle) < exchanges:
-        raise ServiceError(
-            f"oracle covers {len(oracle)} sessions, need {exchanges}")
-
-    client = ServiceClient(timeout_s=timeout_s, rng=random.Random(seed))
-    async with await client.connect(host, port) as client:
-        before = await client.stats()
-        if before["modulus_bits"] != params.p.bit_length():
-            raise ServiceError(
-                f"server runs a {before['modulus_bits']}-bit modulus, "
-                f"oracle params {params.name!r} are "
-                f"{params.p.bit_length()}-bit")
-        tenant_names = sorted(before["tenants"])
-        started = time.perf_counter()
-        fleet = await _run_fleet(tenant_names, exchanges, concurrency,
-                                 seed, oracle, client.keygen,
-                                 client.exchange)
-        duration = time.perf_counter() - started
-        after = await client.stats()
-        document = await client.trace_export()
-
-    def tenant_delta(key: str) -> int:
-        return sum(
-            after["tenants"][name][key] - before["tenants"][name][key]
-            for name in tenant_names)
-
-    trace_root = trace_summary = None
-    if document.get("traces"):
-        trace_root = tracing.document_to_root(document)
-        trace_summary = tracing.summarize_root(trace_root)
-    engines = {before["tenants"][n]["preferred_engine"]
-               for n in tenant_names}
-    return LoadReport(
-        params=params.name,
-        exchanges=exchanges,
-        concurrency=concurrency,
-        tenants=len(tenant_names),
-        engine=engines.pop() if len(engines) == 1 else "mixed",
-        hardened=any(before["tenants"][n]["hardened"]
-                     for n in tenant_names),
-        duration_s=duration,
-        demotions=tenant_delta("demotions"),
-        promotions=tenant_delta("promotions"),
-        fault_detections=tenant_delta("fault_detections"),
-        fault_recoveries=tenant_delta("fault_recoveries"),
         trace_summary=trace_summary,
         trace_root=trace_root,
         **fleet,

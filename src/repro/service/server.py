@@ -34,7 +34,6 @@ import asyncio
 import math
 import random
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Sequence
@@ -63,10 +62,6 @@ from repro.service.tenancy import (
 
 #: Field operations servable through the coalescer, with their arity.
 FIELD_OPS = {"mul": 2, "sqr": 1, "add": 2, "sub": 2}
-
-#: Completed-request latencies kept for the ``stats`` percentiles
-#: (a sliding window, so ``repro top`` shows recent behaviour).
-LATENCY_WINDOW = 1024
 
 #: Consecutive execution failures before a tenant's circuit opens.
 DEFAULT_BREAKER_THRESHOLD = 5
@@ -171,11 +166,10 @@ class KeyExchangeService:
             name: RequestCoalescer(self._batch_executor(tenant))
             for name, tenant in self.tenants.items()
         }
-        # Request accounting for ``stats`` / ``repro top`` (event-loop
-        # only, so plain dicts suffice).
+        # Request accounting for ``stats`` (event-loop only, so plain
+        # dicts suffice).
         self._requests: dict[str, int] = {}
         self._errors: dict[str, int] = {}
-        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._deadline_exceeded: dict[str, int] = {}
         self._started_monotonic = time.monotonic()
         self._closed = False
@@ -246,13 +240,11 @@ class KeyExchangeService:
             tenant.note_result(clean)
             return result
 
-    def _note_request(self, tenant: str, seconds: float,
-                      ok: bool) -> None:
-        """Stats-window bookkeeping for one finished request."""
+    def _note_request(self, tenant: str, ok: bool) -> None:
+        """``stats`` bookkeeping for one finished request."""
         self._requests[tenant] = self._requests.get(tenant, 0) + 1
         if not ok:
             self._errors[tenant] = self._errors.get(tenant, 0) + 1
-        self._latencies.append(seconds)
 
     def _check_accepting(self) -> None:
         if self._closed:
@@ -384,13 +376,12 @@ class KeyExchangeService:
         except Exception:
             telemetry.record("service_requests_total", tenant_name, op,
                              "error")
-            self._note_request(
-                tenant_name, time.perf_counter() - started, ok=False)
+            self._note_request(tenant_name, ok=False)
             raise
         elapsed = time.perf_counter() - started
         telemetry.record("service_requests_total", tenant_name, op, "ok")
         telemetry.record("service_request_seconds", op, value=elapsed)
-        self._note_request(tenant_name, elapsed, ok=True)
+        self._note_request(tenant_name, ok=True)
         return result
 
     # -- protocol operations -------------------------------------------------
@@ -530,14 +521,6 @@ class KeyExchangeService:
                    "items": c.items_flushed}
             for name, c in self._coalescers.items()
         }
-        window = sorted(self._latencies)
-
-        def pct(q: float) -> float:
-            if not window:
-                return 0.0
-            rank = max(1, math.ceil(q * len(window)))
-            return window[min(rank, len(window)) - 1]
-
         return {
             "modulus_bits": self.params.p.bit_length(),
             "uptime_s": time.monotonic() - self._started_monotonic,
@@ -548,12 +531,6 @@ class KeyExchangeService:
             "rejections_total": self.admission.total_rejected(),
             "deadline_exceeded_total":
                 sum(self._deadline_exceeded.values()),
-            "latency_ms": {
-                "p50": pct(0.50) * 1e3,
-                "p95": pct(0.95) * 1e3,
-                "p99": pct(0.99) * 1e3,
-                "window": len(window),
-            },
             "coalesced": coalesced,
         }
 
@@ -561,7 +538,7 @@ class KeyExchangeService:
         """Liveness/readiness snapshot (also served as op ``health``).
 
         Cheaper and stabler than :meth:`stats`: meant for probes and
-        the drain sequence, not dashboards.
+        the drain sequence.
         """
         status = ("closed" if self._closed
                   else "draining" if self._draining else "ok")

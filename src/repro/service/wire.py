@@ -20,8 +20,8 @@ Responses may arrive out of order (requests run concurrently); the
 
 Ops: ``keygen`` (seed), ``exchange`` (seed, peer, validate?),
 ``verify`` (public), ``field_op`` (field_op, operands), ``stats``,
-``ping``, ``health``, ``ready``, ``trace_export`` (spans?, reset?,
-op?, tenant?, trace?).
+``ping``, ``health``, ``ready``.  Any other op is answered in-band
+with the stable code ``service`` and the connection keeps serving.
 
 **Resilience fields** (all optional; see ``docs/ROBUSTNESS.md``):
 
@@ -42,9 +42,10 @@ op?, tenant?, trace?).
 **Request tracing.**  Every traced op (:data:`tracing.TRACED_OPS`)
 carries a ``trace`` field: the client generates one if the caller did
 not supply it, the server threads it through the service as the
-request's trace context, and the response echoes it — so a caller can
-correlate its wire latency with the server-side span subtree fetched
-via ``trace_export`` (see ``docs/OBSERVABILITY.md``).
+request's trace context, and the response echoes it.  When the
+serving process has telemetry on, the id labels the request's span
+subtree; ``repro serve`` runs with telemetry off, so there the ids
+are correlators only (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ MAX_LINE_BYTES = 1 << 16
 #: answered in-band (the connection keeps serving); only lines beyond
 #: this are drained blind.
 WIRE_BUFFER_LIMIT = 4 * MAX_LINE_BYTES
-
-#: Client-side read limit: a ``trace_export`` response line carries
-#: whole span forests, which are much bigger than any request.
-MAX_RESPONSE_BYTES = 1 << 24
 
 #: Ops that are safe to re-execute (stateless seed-derived keys) and
 #: therefore eligible for idempotency keys and automatic client retry.
@@ -174,16 +171,6 @@ async def _dispatch(service: KeyExchangeService, request: dict,
         return service.health()
     if op == "ready":
         return service.ready()
-    if op == "trace_export":
-        document = tracing.snapshot_document(
-            telemetry.TRACER,
-            spans=bool(request.get("spans", True)),
-            op=request.get("filter_op"),
-            tenant=request.get("filter_tenant") or None,
-            trace_id=request.get("filter_trace"))
-        if request.get("reset"):
-            tracing.clear_traces(telemetry.TRACER)
-        return document
     if op == "keygen":
         return await service.keygen(tenant, request.get("seed", 0),
                                     trace_id=trace_id,
@@ -421,7 +408,7 @@ class ServiceClient:
     async def _open(self) -> None:
         assert self._host is not None and self._port is not None
         self._reader, self._writer = await asyncio.open_connection(
-            self._host, self._port, limit=MAX_RESPONSE_BYTES)
+            self._host, self._port, limit=WIRE_BUFFER_LIMIT)
         self._pump = asyncio.ensure_future(self._read_loop())
 
     def _connected(self) -> bool:
@@ -555,8 +542,7 @@ class ServiceClient:
         """Like :meth:`request` but returns ``(result, trace_id)``.
 
         The trace id is the server's echo — generated client-side when
-        the caller supplied none — and addresses the request's span
-        subtree in a later ``trace_export``.
+        the caller supplied none.
         """
         response = await self._request_response(
             op, fields, timeout=timeout)
@@ -597,21 +583,6 @@ class ServiceClient:
 
     async def ready(self) -> bool:
         return await self.request("ready")
-
-    async def trace_export(self, *, spans: bool = True,
-                           reset: bool = False,
-                           op: str | None = None,
-                           tenant: str | None = None,
-                           trace: str | None = None) -> dict:
-        """Fetch the server's recorded traces (a snapshot document)."""
-        fields: dict = {"spans": spans, "reset": reset}
-        if op is not None:
-            fields["filter_op"] = op
-        if tenant is not None:
-            fields["filter_tenant"] = tenant
-        if trace is not None:
-            fields["filter_trace"] = trace
-        return await self.request("trace_export", **fields)
 
     async def _teardown(self) -> None:
         if self._pump is not None:

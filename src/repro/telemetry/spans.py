@@ -233,10 +233,6 @@ class Tracer:
         self.epoch = next(_EPOCHS)
         self.root = SpanNode("root")
         self._tls = threading.local()
-        # trace_id -> TraceContext / batch_id -> TraceContext indexes,
-        # maintained by repro.telemetry.tracing (bounded there)
-        self.traces: dict[str, object] = {}
-        self.batches: dict[str, object] = {}
 
     @property
     def _stack(self) -> list[SpanNode]:
@@ -318,8 +314,6 @@ class Tracer:
         """Drop the recorded tree (keeps the enabled flag)."""
         self.root = SpanNode("root")
         self._tls = threading.local()
-        self.traces = {}
-        self.batches = {}
         self.new_epoch()
 
 

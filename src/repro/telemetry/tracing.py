@@ -6,22 +6,29 @@ this module answers it **per request**.  Every service request gets a
 the coalescer's batches and down to the kernel runner, so the
 cycle-exact span subtree hangs off the request that caused it:
 
-* :func:`request_trace` opens a request node directly under the
+* :func:`request_trace` opens a ``request`` node directly under the
   tracer root (deliberately *not* on the event-loop thread's span
   stack — concurrent asyncio tasks would otherwise nest under each
-  other) and registers a :class:`TraceContext` in ``Tracer.traces``;
+  other);
 * :func:`activate` continues that node on an executor thread
   (``run_in_executor`` does not copy contextvars, so the service
   passes the context explicitly) — nested ``telemetry.span`` calls
   and kernel cycles then attach under the request;
 * :func:`begin_batch` gives one coalesced flush its own ``batch``
-  node recording **all** member trace_ids, with zero-cycle
-  ``coalesced[batch=...]`` link children under each member request so
-  the batch is reachable from every member's trace;
+  node, with zero-cycle ``coalesced[batch=...]`` link children under
+  each member request so the batch is reachable from every member's
+  trace;
 * :func:`to_chrome_trace` / :func:`to_collapsed` render any span
   forest as Chrome ``trace_event`` JSON (a wall-clock pid anchored at
   ``start_epoch`` plus a simulated-cycles pid) and as collapsed-stack
   text for flamegraph.pl / speedscope.
+
+The span tree is the only record: the trace contexts are handles,
+not an index, and nothing here serves traces to another process.
+Request and batch nodes accumulate under the root for as long as
+telemetry stays on, so tracing is for bounded in-process runs
+(``repro trace``, ``repro load``, ``run_load(trace=True)``), not for
+a long-lived server.
 
 Cycle conservation survives tracing: kernel cycles recorded under an
 active trace land in per-kernel children (``Tracer.add_kernel_cycles``)
@@ -40,18 +47,12 @@ from __future__ import annotations
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 import repro.telemetry as telemetry
-from repro.telemetry.export import span_from_dict, span_to_dict
 from repro.telemetry.metrics import MUTATION_LOCK
 from repro.telemetry.spans import ACTIVE_TRACE, SpanNode, Tracer
-
-#: Bound on the per-tracer trace/batch indexes: a long-lived server
-#: keeps the most recent contexts and forgets the oldest (their span
-#: nodes remain in the tree until :func:`clear_traces`).
-MAX_INDEXED_TRACES = 4096
 
 #: Ops that participate in request tracing over the wire.
 TRACED_OPS = ("keygen", "exchange", "verify", "field_op")
@@ -64,48 +65,15 @@ def new_trace_id() -> str:
 
 @dataclass
 class TraceContext:
-    """One request's (or coalesced batch's) trace bookkeeping.
+    """One request's (or coalesced batch's) trace handle.
 
     ``node`` is the span subtree root for this request, or ``None``
     when telemetry was disabled at creation (the id still flows over
-    the wire).  ``batch_ids`` lists every coalesced batch this request
-    contributed an operand to; for ``kind == "batch"`` contexts,
-    ``member_ids`` lists the contributing requests instead.
+    the wire).
     """
 
     trace_id: str
-    op: str
-    tenant: str = ""
-    kind: str = "request"
-    start_epoch: float = 0.0
     node: SpanNode | None = None
-    wall_s: float = 0.0
-    status: str = "open"
-    error_code: str | None = None
-    batch_ids: list[str] = field(default_factory=list)
-    member_ids: tuple[str, ...] = ()
-
-    def to_dict(self, *, spans: bool = False) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "trace_id": self.trace_id,
-            "kind": self.kind,
-            "op": self.op,
-            "tenant": self.tenant,
-            "start_epoch": self.start_epoch,
-            "wall_s": self.wall_s,
-            "status": self.status,
-        }
-        if self.error_code is not None:
-            data["error_code"] = self.error_code
-        if self.batch_ids:
-            data["batch_ids"] = list(self.batch_ids)
-        if self.member_ids:
-            data["member_ids"] = list(self.member_ids)
-        if self.node is not None:
-            data["total_cycles"] = self.node.total_cycles
-            if spans:
-                data["spans"] = span_to_dict(self.node)
-        return data
 
 
 def _tracer() -> Tracer:
@@ -117,12 +85,6 @@ def _tracer() -> Tracer:
 def current_trace() -> TraceContext | None:
     """The trace context active in this task/thread, if any."""
     return ACTIVE_TRACE.get()  # type: ignore[return-value]
-
-
-def _index(table: dict[str, TraceContext], ctx: TraceContext) -> None:
-    table[ctx.trace_id] = ctx
-    while len(table) > MAX_INDEXED_TRACES:
-        del table[next(iter(table))]
 
 
 @contextmanager
@@ -140,12 +102,10 @@ def request_trace(
     requests interleave on one thread, and stack nesting would wrongly
     chain them.  Execution threads join the subtree via
     :func:`activate`.  Wall-clock and count are booked on the node
-    when the block exits; an escaping exception marks the context
-    ``status="error"`` with its stable ``code``.
+    when the block exits, whether or not an exception escapes.
     """
     tracer = _tracer()
-    ctx = TraceContext(trace_id or new_trace_id(), op, tenant,
-                       start_epoch=time.time())
+    ctx = TraceContext(trace_id or new_trace_id())
     if not tracer.enabled:
         yield ctx
         return
@@ -153,24 +113,17 @@ def request_trace(
         node = tracer.root.child("request", (
             ("op", op), ("tenant", tenant), ("trace", ctx.trace_id)))
         if node.start_epoch is None:
-            node.start_epoch = ctx.start_epoch
+            node.start_epoch = time.time()
         ctx.node = node
-        _index(tracer.traces, ctx)
     token = ACTIVE_TRACE.set(ctx)
     tracer.new_epoch()
     start = time.perf_counter()
     try:
         yield ctx
-        ctx.status = "ok"
-    except BaseException as exc:
-        ctx.status = "error"
-        ctx.error_code = getattr(exc, "code", type(exc).__name__)
-        raise
     finally:
         ACTIVE_TRACE.reset(token)
         tracer.new_epoch()
         elapsed = time.perf_counter() - start
-        ctx.wall_s = elapsed
         with MUTATION_LOCK:
             node.count += 1
             node.wall_s += elapsed
@@ -236,114 +189,33 @@ def begin_batch(
     if not tracer.enabled:
         return None
     batch_id = new_trace_id()
-    traced = [(ctx, wait) for ctx, wait in members if ctx is not None]
-    ctx = TraceContext(
-        batch_id, op, kind="batch", start_epoch=time.time(),
-        member_ids=tuple(m.trace_id for m, _ in traced))
+    started = time.time()
     with MUTATION_LOCK:
         node = tracer.root.child(
             "batch", (("batch", batch_id), ("op", op)))
         if node.start_epoch is None:
-            node.start_epoch = ctx.start_epoch
-        ctx.node = node
-        _index(tracer.batches, ctx)
-        for member, wait in traced:
-            member.batch_ids.append(batch_id)
-            if member.node is None:
+            node.start_epoch = started
+        for member, wait in members:
+            if member is None or member.node is None:
                 continue
             waited = member.node.child("coalesce.wait")
             if waited.start_epoch is None:
-                waited.start_epoch = ctx.start_epoch - wait
+                waited.start_epoch = started - wait
             waited.count += 1
             waited.wall_s += wait
             link = member.node.child(
                 "coalesced", (("batch", batch_id),))
             link.count += 1
-    return ctx
+    return TraceContext(batch_id, node)
 
 
-def finish_batch(ctx: TraceContext | None, wall_s: float,
-                 ok: bool = True) -> None:
+def finish_batch(ctx: TraceContext | None, wall_s: float) -> None:
     """Book one flush's execution wall time on its batch node."""
     if ctx is None or ctx.node is None:
         return
-    ctx.wall_s = wall_s
-    ctx.status = "ok" if ok else "error"
     with MUTATION_LOCK:
         ctx.node.count += 1
         ctx.node.wall_s += wall_s
-
-
-def clear_traces(tracer: Tracer | None = None) -> int:
-    """Drop recorded request/batch subtrees and indexes.
-
-    Keeps unrelated spans and all metrics.  Returns the number of
-    dropped top-level nodes — the ``trace_export(reset=True)`` wire op
-    uses this so a long-lived server's tree stays bounded.
-    """
-    tracer = tracer or _tracer()
-    with MUTATION_LOCK:
-        keys = [key for key in tracer.root.children
-                if key[0] in ("request", "batch")]
-        for key in keys:
-            del tracer.root.children[key]
-        tracer.traces.clear()
-        tracer.batches.clear()
-    return len(keys)
-
-
-# ---------------------------------------------------------------------------
-# Documents: snapshot a tracer, rebuild a forest from a snapshot
-# ---------------------------------------------------------------------------
-
-
-def snapshot_document(
-    tracer: Tracer | None = None,
-    *,
-    spans: bool = True,
-    op: str | None = None,
-    tenant: str | None = None,
-    trace_id: str | None = None,
-) -> dict[str, Any]:
-    """JSON-able dump of every indexed trace/batch (optionally
-    filtered), the payload behind the ``trace_export`` wire op."""
-    tracer = tracer or _tracer()
-
-    def keep(ctx: TraceContext) -> bool:
-        return ((op is None or ctx.op == op)
-                and (tenant is None or ctx.tenant == tenant)
-                and (trace_id is None or ctx.trace_id == trace_id))
-
-    with MUTATION_LOCK:
-        traces = [ctx.to_dict(spans=spans)
-                  for ctx in tracer.traces.values() if keep(ctx)]
-        wanted = ({b for t in tracer.traces.values() if keep(t)
-                   for b in t.batch_ids}
-                  if (op, tenant, trace_id) != (None, None, None)
-                  else None)
-        batches = [ctx.to_dict(spans=spans)
-                   for ctx in tracer.batches.values()
-                   if wanted is None or ctx.trace_id in wanted]
-    return {
-        "enabled": tracer.enabled,
-        "traces": traces,
-        "batches": batches,
-    }
-
-
-def document_to_root(document: dict[str, Any]) -> SpanNode:
-    """Rebuild a span forest (synthetic root) from a snapshot document,
-    so the exporters below work identically on live trees and on
-    ``trace_export`` payloads fetched over the wire."""
-    root = SpanNode("root")
-    for entry in list(document.get("traces", ())) + list(
-            document.get("batches", ())):
-        data = entry.get("spans")
-        if not data:
-            continue
-        child = span_from_dict(data)
-        root.children[(child.name, child.labels)] = child
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +361,3 @@ def summarize_root(root: SpanNode, *, top: int = 5) -> dict[str, Any]:
             for name, cycles in ranked[:top]
         ],
     }
-
-
-def render_trace_summary(document: dict[str, Any],
-                         *, limit: int = 20) -> str:
-    """Human-readable table of a snapshot document's traces."""
-    rows = ["trace             kind     op         tenant       "
-            "status   wall_ms      cycles"]
-    entries = list(document.get("traces", ())) + list(
-        document.get("batches", ()))
-    entries.sort(key=lambda e: e.get("start_epoch", 0.0))
-    for entry in entries[:limit]:
-        rows.append(
-            f"{entry['trace_id']:<17s} {entry.get('kind', '?'):<8s} "
-            f"{entry.get('op', ''):<10s} "
-            f"{entry.get('tenant', ''):<12s} "
-            f"{entry.get('status', ''):<8s} "
-            f"{entry.get('wall_s', 0.0) * 1e3:>7.2f} "
-            f"{entry.get('total_cycles', 0):>11,d}")
-    hidden = len(entries) - limit
-    if hidden > 0:
-        rows.append(f"... ({hidden} more)")
-    return "\n".join(rows)

@@ -133,3 +133,29 @@ def interleaved_best(n: int, first, second) -> tuple[float, float]:
         best_first = min(best_first, first())
         best_second = min(best_second, second())
     return best_first, best_second
+
+
+def assert_batch_links(root) -> tuple[list, dict]:
+    """The coalescing oracle over a traced span forest.
+
+    Every ``request`` node under *root* has a ``coalesce.wait`` child
+    and at least one ``coalesced[batch=id]`` link, each link names a
+    ``batch[batch=id,...]`` node under *root*, and every cycle sits on
+    a ``batch`` node.  Returns the request nodes and the batch nodes
+    by id.
+    """
+    tops = list(root.children.values())
+    batches = {dict(node.labels)["batch"]: node
+               for node in tops if node.name == "batch"}
+    requests = [node for node in tops if node.name == "request"]
+    for request in requests:
+        assert ("coalesce.wait", ()) in request.children, request.label
+        links = [dict(child.labels)["batch"]
+                 for child in request.children.values()
+                 if child.name == "coalesced"]
+        assert links, f"{request.label} lost its batch link"
+        assert set(links) <= set(batches), request.label
+        assert request.total_cycles == 0, request.label
+    assert root.total_cycles == sum(
+        batch.total_cycles for batch in batches.values())
+    return requests, batches

@@ -281,6 +281,39 @@ class TestWireLayer:
 
         asyncio.run(main())
 
+    def test_retired_op_is_refused_in_band(self, toy):
+        """A client still sending the retired ``trace_export`` op gets
+        an in-band ``service`` error, and its connection keeps
+        serving."""
+        async def main():
+            service = KeyExchangeService(
+                toy, [TenantConfig("t", engine="aot")])
+            server = await start_server(service)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            responses = []
+            for request in ({"id": 1, "op": "trace_export"},
+                            {"id": 2, "op": "ping"}):
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                responses.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await service.aclose()
+            return responses
+
+        refused, pong = asyncio.run(main())
+        assert refused["id"] == 1
+        assert refused["ok"] is False
+        assert refused["code"] == "service"
+        assert "trace_export" in refused["error"]
+        assert pong["id"] == 2
+        assert pong["ok"] is True
+        assert pong["result"] == "pong"
+
     def test_bad_wire_operands_are_service_errors(self, toy):
         async def main():
             config = TenantConfig("t", engine="aot")

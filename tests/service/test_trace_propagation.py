@@ -10,7 +10,6 @@ the cycle-conservation gate and lands a summary in the BENCH record.
 from __future__ import annotations
 
 import asyncio
-import threading
 from functools import partial
 
 import pytest
@@ -24,11 +23,10 @@ from repro.service import (
     TenantConfig,
     default_tenant_configs,
     run_load,
-    run_load_remote,
     start_server,
 )
 from repro.telemetry import tracing
-from repro.telemetry.dashboard import poll_dashboard, render_dashboard
+from tests.helpers import assert_batch_links
 
 
 @pytest.fixture(scope="module")
@@ -55,39 +53,42 @@ class TestWireTracePropagation:
         connection; each response must echo the trace id its own
         request carried, not the one that happened to finish first."""
         async def main():
-            telemetry.enable()
-            config = TenantConfig("t", engine="aot", lanes=2)
-            service = KeyExchangeService(toy, [config])
-            server = await start_server(service)
-            port = server.sockets[0].getsockname()[1]
-            async with ServiceClient() as client:
-                await client.connect("127.0.0.1", port)
-                public = await client.keygen("t", 11)
-                slow = asyncio.ensure_future(client.request_traced(
-                    "exchange", tenant="t", seed=12, peer=public,
-                    trace="slow000000000001"))
-                fasts = [
-                    asyncio.ensure_future(client.request_traced(
-                        "field_op", tenant="t", field_op="mul",
-                        operands=[3, n], trace=f"fast{n:012d}"))
-                    for n in range(4)
-                ]
-                fast_results = await asyncio.gather(*fasts)
-                _, slow_trace = await slow
-                document = await client.trace_export()
-            server.close()
-            await server.wait_closed()
-            await service.aclose()
-            return fast_results, slow_trace, document
+            with telemetry.capture() as cap:
+                config = TenantConfig("t", engine="aot", lanes=2)
+                service = KeyExchangeService(toy, [config])
+                server = await start_server(service)
+                port = server.sockets[0].getsockname()[1]
+                async with ServiceClient() as client:
+                    await client.connect("127.0.0.1", port)
+                    public = await client.keygen("t", 11)
+                    slow = asyncio.ensure_future(client.request_traced(
+                        "exchange", tenant="t", seed=12, peer=public,
+                        trace="slow000000000001"))
+                    fasts = [
+                        asyncio.ensure_future(client.request_traced(
+                            "field_op", tenant="t", field_op="mul",
+                            operands=[3, n], trace=f"fast{n:012d}"))
+                        for n in range(4)
+                    ]
+                    fast_results = await asyncio.gather(*fasts)
+                    _, slow_trace = await slow
+                server.close()
+                await server.wait_closed()
+                await service.aclose()
+            return fast_results, slow_trace, cap.root
 
-        fast_results, slow_trace, document = _run(main())
+        fast_results, slow_trace, root = _run(main())
         assert slow_trace == "slow000000000001"
         for n, (value, trace_id) in enumerate(fast_results):
             assert value == (3 * n) % toy.p
             assert trace_id == f"fast{n:012d}"
-        exported = {t["trace_id"] for t in document["traces"]}
-        assert "slow000000000001" in exported
-        assert {f"fast{n:012d}" for n in range(4)} <= exported
+        # The server labelled each request's span node with the id its
+        # request carried.
+        recorded = {dict(node.labels)["trace"]
+                    for node in root.children.values()
+                    if node.name == "request"}
+        assert "slow000000000001" in recorded
+        assert {f"fast{n:012d}" for n in range(4)} <= recorded
 
     def test_server_generates_trace_when_client_omits(self, toy):
         async def main():
@@ -173,26 +174,16 @@ class TestBatchTracePropagation:
 
         cap, values = _run(main())
         assert values == [(5 * n) % toy.p for n in range(8)]
-        tracer = cap.tracer
-        assert len(tracer.traces) == 8
-        assert tracer.batches  # at least one flush happened
-        for ctx in tracer.traces.values():
-            assert ctx.status == "ok"
-            assert ctx.batch_ids, "member trace lost its batch link"
-            for batch_id in ctx.batch_ids:
-                batch = tracer.batches[batch_id]
-                assert ctx.trace_id in batch.member_ids
-                link = ctx.node.find("coalesced", batch=batch_id)
-                assert link.count == 1
-            assert ctx.node.find("coalesce.wait").count >= 1
+        requests, batches = assert_batch_links(cap.root)
+        assert len(requests) == 8
+        assert batches  # at least one flush happened
+        for request in requests:
+            for link in request.children.values():
+                if link.name == "coalesced":
+                    assert link.count == 1
+            assert request.find("coalesce.wait").count >= 1
         # Batch cycles booked once on the batch, zero per member.
-        batch_cycles = sum(b.node.total_cycles
-                           for b in tracer.batches.values())
-        member_cycles = sum(t.node.total_cycles
-                            for t in tracer.traces.values())
-        assert batch_cycles > 0
-        assert member_cycles == 0
-        assert cap.root.total_cycles == batch_cycles
+        assert cap.root.total_cycles > 0
 
 
 class TestLadderTracePropagation:
@@ -221,34 +212,16 @@ class TestLadderTracePropagation:
         cap, attempts, result = _run(main())
         assert result == 42
         assert attempts == ["aot", "interpreter"]
-        ctx = cap.tracer.traces["feedface00000001"]
-        assert ctx.status == "ok"
+        # One request, one node: the retry did not fork a new trace.
+        (request,) = [node for node in cap.root.children.values()
+                      if node.name == "request"]
+        assert dict(request.labels)["trace"] == "feedface00000001"
+        assert request.count == 1
         engines = sorted(
             dict(n.labels)["engine"]
-            for n in ctx.node.children.values()
+            for n in request.children.values()
             if n.name == "execute")
         assert engines == ["aot", "interpreter"]
-        # One request, one node: the retry did not fork a new trace.
-        assert ctx.node.count == 1
-        assert len(cap.tracer.traces) == 1
-
-    def test_failed_request_marks_trace_error(self, toy):
-        async def main():
-            with telemetry.capture() as cap:
-                config = TenantConfig("t", engine="aot")
-                async with KeyExchangeService(toy, [config]) as svc:
-                    def boom(engine, lane):
-                        raise ServiceError("wedged mid-request")
-
-                    with pytest.raises(ServiceError):
-                        await svc._run_op(
-                            "t", "exchange", partial(svc._on_lane, boom))
-                return cap
-
-        cap = _run(main())
-        (ctx,) = cap.tracer.traces.values()
-        assert ctx.status == "error"
-        assert ctx.error_code == "service"
 
 
 class TestTracedLoad:
@@ -289,119 +262,3 @@ class TestTracedLoad:
                                    trace=True)
 
         _run(main())
-
-
-class TestRemoteLoad:
-    def test_remote_load_fetches_trace_over_the_wire(self, toy):
-        async def main():
-            telemetry.enable()
-            configs = default_tenant_configs(2, engine="aot")
-            service = KeyExchangeService(toy, configs)
-            server = await start_server(service)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                report = await run_load_remote(
-                    toy, "127.0.0.1", port, exchanges=2,
-                    concurrency=2)
-            finally:
-                server.close()
-                await server.wait_closed()
-                await service.aclose()
-            return report
-
-        report = _run(main())
-        assert report.divergences == 0
-        assert report.engine == "aot"
-        assert report.requests == 8
-        assert report.trace_root is not None
-        assert report.trace_summary["requests"] == 8
-        assert report.trace_summary["total_cycles"] > 0
-        # The rebuilt forest feeds both exporters.
-        chrome = tracing.to_chrome_trace(report.trace_root)
-        assert any(e["ph"] == "X" for e in chrome["traceEvents"])
-        assert tracing.to_collapsed(report.trace_root)
-
-    def test_remote_load_rejects_modulus_mismatch(self, toy):
-        from repro.csidh.parameters import csidh_mini
-
-        async def main():
-            configs = default_tenant_configs(1, engine="aot")
-            service = KeyExchangeService(toy, configs)
-            server = await start_server(service)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                with pytest.raises(ServiceError):
-                    await run_load_remote(
-                        csidh_mini(), "127.0.0.1", port, exchanges=1)
-            finally:
-                server.close()
-                await server.wait_closed()
-                await service.aclose()
-
-        _run(main())
-
-
-class TestDashboardOverWire:
-    def test_poll_dashboard_draws_frames(self, toy, capsys):
-        import io
-
-        async def main():
-            configs = default_tenant_configs(1, engine="aot")
-            service = KeyExchangeService(toy, configs)
-            server = await start_server(service)
-            port = server.sockets[0].getsockname()[1]
-            out = io.StringIO()
-            try:
-                await service.field_op("tenant-0", "add", [1, 2])
-                frames = await poll_dashboard(
-                    "127.0.0.1", port, interval_s=0.01,
-                    iterations=2, plain=True, out=out)
-            finally:
-                server.close()
-                await server.wait_closed()
-                await service.aclose()
-            return frames, out.getvalue()
-
-        frames, text = _run(main())
-        assert frames == 2
-        assert text.count("repro service") == 2
-        assert "tenant-0" in text
-        assert "latency ms p50" in text
-
-    def test_render_dashboard_is_pure_and_complete(self):
-        stats = {
-            "modulus_bits": 9, "uptime_s": 3.5, "total_inflight": 1,
-            "requests_total": 10, "errors_total": 0,
-            "rejections_total": 2,
-            "latency_ms": {"p50": 1.0, "p95": 2.0, "p99": 3.0,
-                           "window": 10},
-            "tenants": {"t": {
-                "engine": "interpreter", "preferred_engine": "aot",
-                "hardened": True, "lanes": 2, "capacity": 18,
-                "inflight": 1, "requests": 10, "errors": 0,
-                "rejections": 2, "demotions": 1, "promotions": 0,
-                "fault_detections": 3, "fault_recoveries": 3,
-            }, "a": {
-                "engine": "aot", "preferred_engine": "aot",
-                "hardened": False, "lanes": 1, "capacity": 17,
-                "inflight": 0, "requests": 0, "errors": 0,
-                "rejections": 0, "demotions": 0, "promotions": 0,
-                "fault_detections": 0, "fault_recoveries": 0,
-            }},
-            "coalesced": {"t": {"batches": 2, "items": 10}},
-        }
-        previous = {"requests_total": 0,
-                    "tenants": {"t": {"requests": 0}}}
-        frame = render_dashboard(stats, previous, 2.0)
-        assert "interpreter*+h" in frame  # demoted + hardened marker
-        ladder = next(line for line in frame.splitlines()
-                      if line.startswith("ladder"))
-        # tenants on the fastest tier are printed, not just counted
-        assert "aot:1" in ladder
-        assert "interpreter:1" in ladder
-        assert "5.0" in frame  # 10 requests / 2 s
-        assert "coalesced 10 field op(s) into 2 batch(es)" in frame
-        # Identical inputs, identical frame: no hidden state.
-        assert frame == render_dashboard(stats, previous, 2.0)
-        # plain=False screens clear
-        assert render_dashboard(stats, clear=True).startswith("\x1b[2J")

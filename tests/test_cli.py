@@ -19,6 +19,18 @@ class TestParser:
             args = parser.parse_args(command.split())
             assert callable(args.func)
 
+    @pytest.mark.parametrize("argv", [
+        ["top", "--connect", "127.0.0.1:9000"],
+        ["load", "--connect", "127.0.0.1:9000"],
+        ["trace", "--connect", "127.0.0.1:9000"],
+        ["serve", "--no-telemetry"],
+    ])
+    def test_live_server_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
 
 class TestCommands:
     def test_table3(self, capsys):
@@ -310,3 +322,55 @@ class TestResilienceFlags:
                      "--engine", "aot", "--no-trace",
                      "--timeout-s", "30"]) == 0
         assert "deadline" in capsys.readouterr().out
+
+
+class TestLoadAndTraceCommands:
+    """``load`` and ``trace`` share one tail: summaries, trace exports
+    and the exit status."""
+
+    @pytest.mark.parametrize("command", ["load", "trace"])
+    def test_divergence_exits_1(self, command, monkeypatch, capsys):
+        from repro.service import LoadReport
+
+        async def diverging_load(params, **kwargs):
+            return LoadReport(
+                params=params.name, exchanges=1, concurrency=1,
+                tenants=1, engine="aot", hardened=False, duration_s=0.1,
+                requests=4, divergences=1, rejections=0, demotions=0,
+                promotions=0, fault_detections=0, fault_recoveries=0)
+
+        monkeypatch.setattr("repro.service.run_load", diverging_load)
+        assert main([command, "--params", "toy", "--exchanges", "1",
+                     "--tenants", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "1 divergences" in out
+        assert "FAIL: 1 result(s) diverged" in out
+
+    def test_trace_writes_all_three_exports(self, tmp_path, capsys):
+        import json
+
+        paths = {name: tmp_path / name
+                 for name in ("trace.json", "chrome.json", "stacks.folded")}
+        assert main([
+            "trace", "--params", "toy", "--exchanges", "2",
+            "--concurrency", "2", "--tenants", "1",
+            "--json", str(paths["trace.json"]),
+            "--chrome", str(paths["chrome.json"]),
+            "--flamegraph", str(paths["stacks.folded"]),
+        ]) == 0
+        assert "0 divergences" in capsys.readouterr().out
+        document = json.loads(paths["trace.json"].read_text())
+        total = document["summary"]["total_cycles"]
+        assert total > 0
+        assert document["summary"]["requests"] == 8
+
+        def tree_total(node):
+            return node["self_cycles"] + sum(
+                tree_total(child) for child in node.get("children", ()))
+
+        assert tree_total(document["spans"]) == total
+        chrome = json.loads(paths["chrome.json"].read_text())
+        assert chrome["otherData"]["total_cycles"] == total
+        stacks = paths["stacks.folded"].read_text().splitlines()
+        assert sum(int(line.rsplit(" ", 1)[1]) for line in stacks) \
+            == total
