@@ -13,13 +13,23 @@ of source-register indices and the destination register (0 for
 none).  The image entry is ``(instruction, spec, sources, dest)``;
 equal source tuples are shared, so the image costs about what the
 instructions do.  The pipeline model resolves its latencies when it
-is constructed.  A step is then a dictionary fetch, the instruction's
-semantics on the register list, and one positional
-:meth:`PipelineModel.issue` call that reads no instruction field.
-Latencies stay with the model, not the program image, so replacing
-``machine.pipeline`` after loading takes effect on the next run.  The
-static trace (:mod:`repro.rv64.replay`), the timeline recorder and
-fault injection's write sites read the same entries.
+is constructed.
+
+A run retires first and times afterwards.  A step is a dictionary
+fetch, the instruction's semantics on the register list (a load or
+store within one page reads or writes that page in place, see
+:mod:`repro.rv64.memory`), and one appended record: the image entry,
+or ``(entry, pc, address)`` when the model's caches read those, plus a
+``None`` marker after a taken branch.  The model times the pending
+records in one pass (:meth:`PipelineModel.time_records`) when the run
+ends, when it raises, and every :data:`TIME_EVERY` retired
+instructions, so the statistics after a fault cover exactly the
+instructions retired before it and the pending records stay bounded
+under the step limit.  Latencies stay with the model, not the program
+image, so replacing ``machine.pipeline`` after loading takes effect on
+the next run.  The static trace (:mod:`repro.rv64.replay`), the
+timeline and fault injection's write sites read the same
+entries.
 
 Execution terminates when the program counter reaches
 :data:`HALT_ADDRESS` (the conventional return address planted in ``ra``
@@ -27,12 +37,13 @@ before calling a kernel), when an ``ebreak`` retires, or when the step
 limit is exceeded (guarding against runaway programs).
 
 The machine only interprets: it walks a program instruction by
-instruction through the pipeline model and is the source of truth for
-every cycle count.  The aot engine lives one layer up: a
-:class:`~repro.kernels.runner.KernelRunner` fuses a straight-line
-kernel's static trace (:meth:`Machine._trace_for`) into an entry thunk
-(:mod:`repro.rv64.aot`) that carries the trace's static cycle cost and
-writes its architectural exit state back into this machine.
+instruction, times what it retired through the pipeline model, and is
+the source of truth for every cycle count.  The aot engine lives one
+layer up: a :class:`~repro.kernels.runner.KernelRunner` fuses a
+straight-line kernel's static trace (:meth:`Machine._trace_for`) into
+an entry thunk (:mod:`repro.rv64.aot`) that carries the trace's static
+cycle cost and writes its architectural exit state back into this
+machine.
 """
 
 from __future__ import annotations
@@ -61,6 +72,11 @@ HALT_ADDRESS = 0x0000_0000_DEAD_0000
 
 #: Default stack top for kernels that need scratch memory.
 DEFAULT_STACK_TOP = 0x0000_0000_7FFF_F000
+
+#: Retired-instruction records are timed in batches of at most this
+#: many instructions, so a run under the 50 M step limit holds a
+#: bounded amount of pending records.
+TIME_EVERY = 4096
 
 #: The execution engines a :class:`~repro.kernels.runner.KernelRunner`
 #: serves, slowest to fastest: the interpreter (:meth:`Machine.run`)
@@ -127,6 +143,9 @@ class Machine:
         # pc -> (instruction, spec, source registers, destination)
         self._program: dict[
             int, tuple[Instruction, InstrSpec, tuple[int, ...], int]] = {}
+        # the timing classes in the image, checked against the model
+        # before a run executes anything
+        self._kinds: set[str] = set()
         self._trace_hooks: list[TraceHook] = []
         self.collect_histogram = False
         self._histogram: Counter[str] = Counter()
@@ -170,6 +189,7 @@ class Machine:
                     ins, spec, shared.setdefault(sources, sources), dest)
             image[pc] = entry
             pc += 4
+        self._kinds = {entry[1].kind for entry in image.values()}
         self._trace_cache.clear()
         self._replay_rejected.clear()
         self._aot_entry_cache.clear()
@@ -239,8 +259,12 @@ class Machine:
         If *setup_return* is true, ``ra`` is pointed at
         :data:`HALT_ADDRESS` and ``sp`` at *stack_top*, so a trailing
         ``ret`` ends the simulation — the calling convention used by all
-        generated kernels.
+        generated kernels.  A timing class the model has no latency for
+        raises :class:`~repro.errors.ParameterError` before anything
+        runs.
         """
+        if self.pipeline is not None:
+            self.pipeline.check_kinds(self._kinds)
         state = self.state
         if setup_return:
             state.regs.write("ra", HALT_ADDRESS)
@@ -249,45 +273,65 @@ class Machine:
 
         program = self._program
         pipeline = self.pipeline
-        # bound once: the per-instruction call is positional
-        issue = pipeline.issue if pipeline is not None else None
+        # what the model reads per retired instruction: the image entry,
+        # with the pc and memory address only when its caches read them
+        detailed = pipeline is not None and pipeline.reads_addresses
+        pending: list = []
+        record = pending.append
         hooks = self._trace_hooks
         histogram = self._histogram if self.collect_histogram else None
 
         retired = 0
         limit = self.max_steps
+        # the step limit and the next timing pass share one check
+        due = min(TIME_EVERY, limit + 1)
         pc = state.pc = entry
-        while pc != HALT_ADDRESS:
-            try:
-                ins, spec, sources, dest = program[pc]
-            except KeyError:
-                raise SimulationError(
-                    f"fetch from unmapped address {pc:#x} "
-                    f"after {retired} instructions"
-                ) from None
-            state.next_pc = pc + 4
-            state.branch_taken = False
-            state.last_address = None
+        try:
+            while pc != HALT_ADDRESS:
+                try:
+                    image_entry = program[pc]
+                except KeyError:
+                    raise SimulationError(
+                        f"fetch from unmapped address {pc:#x} "
+                        f"after {retired} instructions"
+                    ) from None
+                ins, spec, _sources, _dest = image_entry
+                state.next_pc = pc + 4
+                state.branch_taken = False
+                state.last_address = None
 
-            spec.execute(state, ins)
+                spec.execute(state, ins)
 
-            if issue is not None:
-                issue(spec.kind, sources, dest, pc, state.last_address,
-                      state.branch_taken)
-            if histogram is not None:
-                histogram[ins.mnemonic] += 1
-            if hooks:
-                for hook in hooks:
-                    hook(state, ins)
+                # the record format of PipelineModel.time_records
+                record((image_entry, pc, state.last_address) if detailed
+                       else image_entry)
+                if state.branch_taken:
+                    record(None)
+                if histogram is not None:
+                    histogram[ins.mnemonic] += 1
+                if hooks:
+                    for hook in hooks:
+                        hook(state, ins)
 
-            pc = state.pc = state.next_pc
-            retired += 1
-            if retired > limit:
-                raise SimulationError(
-                    f"step limit {limit} exceeded at pc {pc:#x}"
-                )
-            if state.halted:
-                break
+                pc = state.pc = state.next_pc
+                retired += 1
+                if retired >= due:
+                    if retired > limit:
+                        raise SimulationError(
+                            f"step limit {limit} exceeded at pc {pc:#x}"
+                        )
+                    due = min(retired + TIME_EVERY, limit + 1)
+                    batch, pending = pending, []
+                    record = pending.append
+                    if pipeline is not None:
+                        pipeline.time_records(batch)
+                if state.halted:
+                    break
+        finally:
+            # also when the run raises: the stats then cover exactly
+            # the instructions retired before the fault
+            if pipeline is not None and pending:
+                pipeline.time_records(pending)
 
         telemetry.record_machine_run("interpreter")
         return ExecutionResult(

@@ -5,9 +5,18 @@ Memory is organised as fixed-size pages allocated on first touch, so a
 accesses are little-endian, as mandated by RISC-V.  Natural alignment is
 enforced by default (the Rocket core traps on misaligned accesses); the
 check can be relaxed for experiments.
+
+A typed 1-, 2-, 4- or 8-byte :meth:`Memory.load`/:meth:`Memory.store`
+that stays within one page reads or writes that page in place, with a
+``struct`` (un)packer at the offset; only a page-crossing access
+(possible with alignment relaxed) goes through
+:meth:`Memory.read_bytes`/:meth:`Memory.write_bytes`.  Both paths raise
+the same bounds and alignment errors.
 """
 
 from __future__ import annotations
+
+from struct import Struct
 
 from repro.errors import MemoryAccessError
 from repro.rv64.bits import MASK64
@@ -15,6 +24,13 @@ from repro.rv64.bits import MASK64
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
+
+#: In-page typed access: little-endian (un)packers per access size.
+_FORMATS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+_UNPACK = {size: Struct("<" + code).unpack_from for size, code in _FORMATS}
+_UNPACK_SIGNED = {size: Struct("<" + code.lower()).unpack_from
+                  for size, code in _FORMATS}
+_PACK = {size: Struct("<" + code).pack_into for size, code in _FORMATS}
 
 
 class Memory:
@@ -75,12 +91,33 @@ class Memory:
 
     def load(self, address: int, size: int, *, signed: bool = False) -> int:
         """Load a *size*-byte little-endian integer."""
+        unpack = (_UNPACK_SIGNED if signed else _UNPACK).get(size)
+        offset = address & PAGE_MASK
+        if (unpack is not None and offset <= PAGE_SIZE - size
+                and 0 <= address <= MASK64
+                and not (address % size and self.enforce_alignment)):
+            # within one page: read it in place
+            page = self._pages.get(address >> PAGE_BITS)
+            if page is None:
+                page = self._page_for(address)
+            return unpack(page, offset)[0]
         self._check(address, size)
         raw = self.read_bytes(address, size)
         return int.from_bytes(raw, "little", signed=signed)
 
     def store(self, address: int, value: int, size: int) -> None:
         """Store the low *size* bytes of *value*, little-endian."""
+        pack = _PACK.get(size)
+        offset = address & PAGE_MASK
+        if (pack is not None and offset <= PAGE_SIZE - size
+                and 0 <= address <= MASK64
+                and not (address % size and self.enforce_alignment)):
+            # within one page: write it in place
+            page = self._pages.get(address >> PAGE_BITS)
+            if page is None:
+                page = self._page_for(address)
+            pack(page, offset, value & ((1 << (8 * size)) - 1))
+            return
         self._check(address, size)
         value &= (1 << (8 * size)) - 1
         self.write_bytes(address, value.to_bytes(size, "little"))

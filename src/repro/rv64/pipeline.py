@@ -21,6 +21,15 @@ machine with full forwarding:
 This reproduces exactly the hazards the paper reasons about: the
 ``mul``/``mulhu`` result-use bubble, the ``sltu`` carry-chain
 dependencies, and the load-use delay.
+
+The model times instructions after they retire, in batches:
+:meth:`PipelineModel.time_records` walks a list of retired-instruction
+records in one pass with the scoreboard held in locals.  The
+interpreter (:meth:`~repro.rv64.machine.Machine.run`) hands it its
+pending records when a run ends, when it raises and every
+:data:`~repro.rv64.machine.TIME_EVERY` instructions; the static trace
+and the timeline go through the same pass.  It is the only
+implementation of the issue arithmetic.
 """
 
 from __future__ import annotations
@@ -109,7 +118,7 @@ class PipelineStats:
 
 
 class PipelineModel:
-    """Scoreboard timing model; drive via :meth:`issue`, read ``stats``.
+    """Scoreboard timing model; feed :meth:`time_records`, read ``stats``.
 
     The kind -> latency table is resolved from the (frozen) config once,
     at construction; :meth:`PipelineConfig.latency_for` stays the single
@@ -120,6 +129,9 @@ class PipelineModel:
         self.config = config
         self.icache = Cache(config.icache) if config.icache else None
         self.dcache = Cache(config.dcache) if config.dcache else None
+        #: whether a record carries the pc and memory address (only the
+        #: caches read them); see :meth:`time_records`
+        self.reads_addresses = bool(config.icache or config.dcache)
         self._latency = {kind: config.latency_for(kind) for kind in _KINDS}
         self.reset()
 
@@ -135,80 +147,121 @@ class PipelineModel:
 
     # -- core model --------------------------------------------------------
 
-    def issue(
-        self,
-        kind: str,
-        sources: tuple[int, ...],
-        dest: int,
-        pc: int,
-        mem_address: int | None = None,
-        branch_taken: bool = False,
-    ) -> int:
-        """Account for one retired instruction; returns its issue cycle.
+    def check_kinds(self, kinds) -> None:
+        """Raise :class:`~repro.errors.ParameterError` unless every
+        timing class in the set *kinds* has a latency."""
+        for kind in sorted(kinds - self._latency.keys()):
+            self.config.latency_for(kind)
 
-        *kind* is the spec's timing class, *sources* the register
-        indices it reads and *dest* the register it writes (0 for none),
-        as :func:`~repro.rv64.isa.resolve_operands` resolves them once
-        per static instruction.
+    def time_records(self, records, schedule: list | None = None) -> None:
+        """Time retired instructions, in program order, in one pass.
+
+        Each record is the program-image entry ``(instruction, spec,
+        sources, dest)`` of one retired instruction, or, when
+        :attr:`reads_addresses`, the triple ``(entry, pc,
+        mem_address)``.  A ``None`` record follows every taken branch.
+        *sources* are the register indices the instruction reads and
+        *dest* the register it writes (0 for none), as
+        :func:`~repro.rv64.isa.resolve_operands` resolves them once per
+        static instruction; no instruction field is read.
+        :meth:`~repro.rv64.machine.Machine.run` and
+        :func:`~repro.rv64.timeline.trace_timeline` build these records
+        inline; :mod:`repro.rv64.replay` passes the entries of a
+        cache-free, branch-free trace.
+
+        The scoreboard state lives in locals for the pass and is
+        written back when it ends, also when an unknown timing class
+        raises :class:`~repro.errors.ParameterError` (the records
+        before it stay timed).  When *schedule* is a list, the pass
+        appends ``(issue, complete, stall)`` per instruction: its issue
+        cycle, the cycle its result is forwardable, and the cycles it
+        waited beyond the previous instruction's issue slot.
         """
         stats = self.stats
-        earliest = self._next_issue
-
-        icache = self.icache
-        if icache is not None and not icache.access(pc):
-            penalty = icache.config.miss_penalty
-            earliest += penalty
-            stats.cache_miss_cycles += penalty
-
-        # x0 is never marked busy, so its ready time (0) never stalls
+        config = self.config
         reg_ready = self._reg_ready
-        t = earliest
-        for source in sources:
-            ready = reg_ready[source]
-            if ready > t:
-                t = ready
-        if t != earliest:
-            stats.raw_hazard_stalls += t - earliest
-
+        icache = self.icache
         dcache = self.dcache
-        if (
-            dcache is not None
-            and mem_address is not None
-            and kind in (KIND_LOAD, KIND_STORE)
-            and not dcache.access(mem_address)
-        ):
-            penalty = dcache.config.miss_penalty
-            t += penalty
-            stats.cache_miss_cycles += penalty
-
-        try:
-            complete = t + self._latency[kind]
-        except KeyError:
-            # not a built-in class: ParameterError from the one mapping
-            complete = t + self.config.latency_for(kind)
-        if dest:
-            reg_ready[dest] = complete
-
-        next_issue = t + 1
-        if kind == KIND_JUMP:
-            penalty = self.config.jump_penalty
-            next_issue += penalty
-            stats.control_flush_cycles += penalty
-        elif kind == KIND_BRANCH and branch_taken:
-            penalty = self.config.branch_penalty
-            next_issue += penalty
-            stats.control_flush_cycles += penalty
-        self._next_issue = next_issue
-
-        stats.instructions += 1
-        kind_counts = stats.kind_counts
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
+        detailed = self.reads_addresses
+        jump_penalty = config.jump_penalty
+        branch_penalty = config.branch_penalty
+        start = next_issue = self._next_issue
         last_complete = self._last_complete
-        if complete > last_complete:
-            self._last_complete = last_complete = complete
-        stats.cycles = (next_issue if next_issue > last_complete
-                        else last_complete)
-        return t
+        # kind -> [latency, instructions timed by this pass]
+        timing = {kind: [cycles, 0]
+                  for kind, cycles in self._latency.items()}
+        flush = missed = 0
+        kind = None
+        try:
+            for record in records:
+                if record is None:  # the branch just timed was taken
+                    if kind == KIND_BRANCH:
+                        next_issue += branch_penalty
+                        flush += branch_penalty
+                    continue
+                if detailed:
+                    record, pc, mem_address = record
+                _ins, spec, sources, dest = record
+                kind = spec.kind
+                try:
+                    cell = timing[kind]
+                except KeyError:
+                    # not a built-in class: ParameterError from the one
+                    # mapping, before this record changes any state
+                    cell = timing[kind] = [config.latency_for(kind), 0]
+
+                t = next_issue
+                if icache is not None and not icache.access(pc):
+                    penalty = icache.config.miss_penalty
+                    t += penalty
+                    missed += penalty
+                # x0 is never marked busy, so its ready time (0) never
+                # stalls
+                for source in sources:
+                    ready = reg_ready[source]
+                    if ready > t:
+                        t = ready
+
+                if (
+                    dcache is not None
+                    and mem_address is not None
+                    and kind in (KIND_LOAD, KIND_STORE)
+                    and not dcache.access(mem_address)
+                ):
+                    penalty = dcache.config.miss_penalty
+                    t += penalty
+                    missed += penalty
+
+                complete = t + cell[0]
+                if dest:
+                    reg_ready[dest] = complete
+                if schedule is not None:
+                    schedule.append((t, complete, t - next_issue))
+                next_issue = t + 1
+                if kind == KIND_JUMP:
+                    next_issue += jump_penalty
+                    flush += jump_penalty
+                cell[1] += 1
+                if complete > last_complete:
+                    last_complete = complete
+        finally:
+            timed = 0
+            kind_counts = stats.kind_counts
+            for kind, (_latency, count) in timing.items():
+                if count:
+                    kind_counts[kind] = kind_counts.get(kind, 0) + count
+                    timed += count
+            self._next_issue = next_issue
+            self._last_complete = last_complete
+            stats.instructions += timed
+            stats.control_flush_cycles += flush
+            stats.cache_miss_cycles += missed
+            # the issue slot advances one cycle per instruction plus
+            # every flush, miss and RAW stall: the rest is RAW stalls
+            stats.raw_hazard_stalls += (
+                next_issue - start - timed - flush - missed)
+            stats.cycles = (next_issue if next_issue > last_complete
+                            else last_complete)
 
     @property
     def cycles(self) -> int:

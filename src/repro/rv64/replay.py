@@ -11,8 +11,8 @@ kernel:
   ``(pc, instruction, spec)`` of every instruction with an
   architectural effect — ``step_instructions``, the sequence
   :mod:`repro.rv64.aot` symbolically executes and fuses;
-* it pre-computes the from-reset cycle cost once by running the
-  instruction sequence through a fresh
+* it pre-computes the from-reset cycle cost once by timing the
+  instruction sequence in one pass of a fresh
   :class:`~repro.rv64.pipeline.PipelineModel`, together with the
   retired-instruction total and the architectural exit state
   (``exit_pc``/``halts``).
@@ -107,9 +107,10 @@ def _static_cycles(
 ) -> int | None:
     """Pre-compute the from-reset cycle cost of one trace execution.
 
-    *sequence* holds ``(pc, image entry)`` pairs; each entry carries
-    the resolved sources and destination :meth:`PipelineModel.issue`
-    reads.  Exact because the instruction sequence, the register
+    *sequence* holds ``(pc, image entry)`` pairs; the entries are the
+    records :meth:`PipelineModel.time_records` times in one pass (a
+    cache-free model reads no pc, and straight-line code takes no
+    branch).  Exact because the instruction sequence, the register
     dependence graph, and the (cache-free) per-instruction latencies
     are all static properties of straight-line code; only operand
     *values* vary between runs, and the scoreboard never consults them.
@@ -124,9 +125,7 @@ def _static_cycles(
             reason="cache_timing",
         )
     model = PipelineModel(config)
-    issue = model.issue
-    for pc, (_ins, spec, sources, dest) in sequence:
-        issue(spec.kind, sources, dest, pc)
+    model.time_records([image_entry for _pc, image_entry in sequence])
     return model.cycles
 
 

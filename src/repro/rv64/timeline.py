@@ -36,33 +36,6 @@ class TimelineEntry:
     stall: int  # cycles waited on operands beyond the issue slot
 
 
-class TimelineRecorder:
-    """Wraps a PipelineModel, recording per-instruction issue times."""
-
-    def __init__(self, config: PipelineConfig | None = None) -> None:
-        self.model = PipelineModel(config or PipelineConfig())
-        self.entries: list[TimelineEntry] = []
-        self._expected_issue = 0
-
-    def record(self, image_entry, *, pc: int, mem_address: int | None,
-               branch_taken: bool, text: str) -> None:
-        """Issue one retired instruction, given its program-image entry
-        ``(instruction, spec, sources, dest)``."""
-        _ins, spec, sources, dest = image_entry
-        earliest = self.model._next_issue
-        issue = self.model.issue(spec.kind, sources, dest, pc,
-                                 mem_address, branch_taken)
-        latency = self.model.config.latency_for(spec.kind)
-        self.entries.append(TimelineEntry(
-            index=len(self.entries),
-            text=text,
-            kind=spec.kind,
-            issue=issue,
-            complete=issue + latency,
-            stall=issue - earliest,
-        ))
-
-
 def trace_timeline(
     source: str,
     isa: InstructionSet,
@@ -70,27 +43,44 @@ def trace_timeline(
     regs: dict[str, int] | None = None,
     config: PipelineConfig | None = None,
 ) -> list[TimelineEntry]:
-    """Assemble and run *source*, returning the issue timeline."""
+    """Assemble and run *source*, returning the issue timeline.
+
+    The run retires first; the retired instructions are then timed in
+    one :meth:`PipelineModel.time_records` pass, which reports each
+    one's issue, completion and stall.
+    """
+    from repro.rv64.disassembler import format_instruction
+
     program = assemble(source, isa)
     machine = Machine(isa)
     entry_pc = machine.load_program(program)
-    recorder = TimelineRecorder(config)
+    model = PipelineModel(config or PipelineConfig())
+    detailed = model.reads_addresses
+    image = machine._program
+    records: list = []
+    retired: list[tuple[str, str]] = []  # (text, kind) per instruction
 
     def hook(state, ins: Instruction) -> None:
-        from repro.rv64.disassembler import format_instruction
-
-        recorder.record(
-            machine._program[state.pc], pc=state.pc,
-            mem_address=state.last_address,
-            branch_taken=state.branch_taken,
-            text=format_instruction(isa, ins),
-        )
+        image_entry = image[state.pc]
+        # the record format of PipelineModel.time_records
+        records.append((image_entry, state.pc, state.last_address)
+                       if detailed else image_entry)
+        if state.branch_taken:
+            records.append(None)
+        retired.append((format_instruction(isa, ins), image_entry[1].kind))
 
     machine.add_trace_hook(hook)
     for name, value in (regs or {}).items():
         machine.regs[name] = value
     machine.run(entry_pc)
-    return recorder.entries
+    schedule: list[tuple[int, int, int]] = []
+    model.time_records(records, schedule)
+    return [
+        TimelineEntry(index=index, text=text, kind=kind, issue=issue,
+                      complete=complete, stall=stall)
+        for index, ((text, kind), (issue, complete, stall))
+        in enumerate(zip(retired, schedule))
+    ]
 
 
 _KIND_GLYPH = {
