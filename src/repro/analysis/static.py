@@ -58,7 +58,9 @@ def _latency(kind: str) -> int:
 
 def profile_kernel(kernel: Kernel) -> KernelProfile:
     """Compute the static profile of *kernel*."""
-    program = assemble(kernel.source, kernel.isa)
+    program = kernel.program
+    if program is None:  # hand-written or edited source
+        program = assemble(kernel.source, kernel.isa)
     return profile_program(kernel.name, program.instructions,
                            kernel.isa)
 

@@ -1,8 +1,9 @@
 """Regeneration of Table 4: per-operation cycle counts, four variants.
 
-Every cell is produced by assembling the corresponding generated kernel,
-executing it on the RV64 simulator under the Rocket timing model, and
-reading off the cycle count.  The kernels are straight-line constant-
+Every cell is produced by generating the corresponding kernel (its
+program is built directly, not parsed from its text), executing it on
+the RV64 simulator under the Rocket timing model, and reading off the
+cycle count.  The kernels are straight-line constant-
 time code, so the count is input-independent; a verification pass with
 random operands guards the functional result anyway.
 """

@@ -17,7 +17,10 @@ pool (see :mod:`repro.kernels.layout`).
 
 from __future__ import annotations
 
-from repro.core.macros import mac_full_radix_isa, mac_full_radix_ise
+from repro.core.macros import (
+    emit_mac_full_radix_isa,
+    emit_mac_full_radix_ise,
+)
 from repro.errors import KernelError
 from repro.kernels.builder import (
     KERNEL_REGISTER_POOL,
@@ -41,22 +44,22 @@ def _check_full_radix(ctx: MontgomeryContext) -> int:
 
 
 def _zero(b: KernelBuilder, reg: str) -> None:
-    b.emit(f"mv {reg}, zero")
+    b.mv(reg, "zero")
 
 
 def _emit_acc_add(
     b: KernelBuilder, e: str, h: str, l: str, y: str, *, use_ise: bool
 ) -> None:
     """Add the 64-bit value in *y* into the accumulator ``(e||h||l)``."""
-    b.emit(f"add {l}, {l}, {y}")
-    b.emit(f"sltu {y}, {l}, {y}")
+    b.r("add", l, l, y)
+    b.r("sltu", y, l, y)
     if use_ise:
-        b.emit(f"cadd {e}, {h}, {y}, {e}")
-        b.emit(f"add {h}, {h}, {y}")
+        b.r4("cadd", e, h, y, e)
+        b.r("add", h, h, y)
     else:
-        b.emit(f"add {h}, {h}, {y}")
-        b.emit(f"sltu {y}, {h}, {y}")
-        b.emit(f"add {e}, {e}, {y}")
+        b.r("add", h, h, y)
+        b.r("sltu", y, h, y)
+        b.r("add", e, e, y)
 
 
 def _emit_mac(
@@ -68,9 +71,9 @@ def _emit_mac(
     use_ise: bool,
 ) -> None:
     if use_ise:
-        b.emit_all(mac_full_radix_ise(e, h, l, a, x, z))
+        emit_mac_full_radix_ise(b, e, h, l, a, x, z)
     else:
-        b.emit_all(mac_full_radix_isa(e, h, l, a, x, y, z))
+        emit_mac_full_radix_isa(b, e, h, l, a, x, y, z)
 
 
 def _emit_doubled_mac_isa(
@@ -82,20 +85,20 @@ def _emit_doubled_mac_isa(
     """Accumulate ``2 * a * x`` into ``(e||h||l)`` — the squaring
     cross-term.  The 128-bit product is doubled by shifting (the doubled
     digit trick of the reduced radix is impossible at 64 bits/digit)."""
-    b.emit(f"mulhu {z}, {a}, {x}")
-    b.emit(f"mul {y}, {a}, {x}")
-    b.emit(f"srli {u}, {z}, 63")   # bit 127 -> accumulator word e
-    b.emit(f"slli {z}, {z}, 1")
-    b.emit(f"srli {v}, {y}, 63")
-    b.emit(f"or {z}, {z}, {v}")
-    b.emit(f"slli {y}, {y}, 1")
-    b.emit(f"add {l}, {l}, {y}")
-    b.emit(f"sltu {y}, {l}, {y}")
-    b.emit(f"add {z}, {z}, {y}")
-    b.emit(f"add {h}, {h}, {z}")
-    b.emit(f"sltu {z}, {h}, {z}")
-    b.emit(f"add {e}, {e}, {z}")
-    b.emit(f"add {e}, {e}, {u}")
+    b.r("mulhu", z, a, x)
+    b.r("mul", y, a, x)
+    b.i("srli", u, z, 63)   # bit 127 -> accumulator word e
+    b.i("slli", z, z, 1)
+    b.i("srli", v, y, 63)
+    b.r("or", z, z, v)
+    b.i("slli", y, y, 1)
+    b.r("add", l, l, y)
+    b.r("sltu", y, l, y)
+    b.r("add", z, z, y)
+    b.r("add", h, h, z)
+    b.r("sltu", z, h, z)
+    b.r("add", e, e, z)
+    b.r("add", e, e, u)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,7 @@ def emit_int_mul_body(
     pool = RegisterPool(reserved=reserved)
     A = pool.take_many(l, "a")
     for i in range(l):
-        b.emit(f"ld {A[i]}, {8 * i}({aptr})")
+        b.load("ld", A[i], 8 * i, aptr)
 
     if square and not use_ise:
         _emit_sqr_columns_isa(b, pool, A, rptr, l)
@@ -144,7 +147,7 @@ def emit_int_mul_body(
     else:
         B = pool.take_many(l, "b")
         for i in range(l):
-            b.emit(f"ld {B[i]}, {8 * i}({bptr})")
+            b.load("ld", B[i], 8 * i, bptr)
 
     acc = pool.take_many(3, "acc")  # [l, h, e]
     y = pool.take("y")
@@ -157,17 +160,17 @@ def emit_int_mul_body(
         b.comment(f"column {k}")
         for i in range(lo_i, hi_i + 1):
             if stream_b:
-                b.emit(f"ld {breg}, {8 * (k - i)}({bptr})")
+                b.load("ld", breg, 8 * (k - i), bptr)
                 b_digit = breg
             else:
                 b_digit = B[k - i]
             _emit_mac(b, acc[2], acc[1], acc[0], A[i], b_digit, y, z,
                       use_ise=use_ise)
-        b.emit(f"sd {acc[0]}, {8 * k}({rptr})")
+        b.store("sd", acc[0], 8 * k, rptr)
         acc = [acc[1], acc[2], acc[0]]
         if k < 2 * l - 2:
             _zero(b, acc[2])
-    b.emit(f"sd {acc[0]}, {8 * (2 * l - 1)}({rptr})")
+    b.store("sd", acc[0], 8 * (2 * l - 1), rptr)
 
 
 def _emit_sqr_columns_isa(
@@ -199,11 +202,11 @@ def _emit_sqr_columns_isa(
             else:
                 _emit_doubled_mac_isa(b, acc[2], acc[1], acc[0],
                                       A[i], A[j], y, z, u, v)
-        b.emit(f"sd {acc[0]}, {8 * k}({rptr})")
+        b.store("sd", acc[0], 8 * k, rptr)
         acc = [acc[1], acc[2], acc[0]]
         if k < 2 * l - 2:
             _zero(b, acc[2])
-    b.emit(f"sd {acc[0]}, {8 * (2 * l - 1)}({rptr})")
+    b.store("sd", acc[0], 8 * (2 * l - 1), rptr)
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +236,24 @@ def emit_mont_redc_body(
     stream_p = 2 * l + 6 > _available(reserved)
 
     cb = pool.take("constbase")
-    b.emit(f"li {cb}, {CONST_BASE}")
+    b.li(cb, CONST_BASE)
     if stream_p:
         P: list[str] = []
         preg = pool.take("preg")
     else:
         P = pool.take_many(l, "p")
         for i in range(l):
-            b.emit(f"ld {P[i]}, {layout.modulus_offset + 8 * i}({cb})")
+            b.load("ld", P[i], layout.modulus_offset + 8 * i, cb)
         preg = ""
     n0 = pool.take("n0")
-    b.emit(f"ld {n0}, {layout.n0_offset}({cb})")
+    b.load("ld", n0, layout.n0_offset, cb)
     if not stream_p:
         pool.release(cb)
 
     def p_digit(index: int) -> str:
         if not stream_p:
             return P[index]
-        b.emit(f"ld {preg}, "
-               f"{layout.modulus_offset + 8 * index}({cb})")
+        b.load("ld", preg, layout.modulus_offset + 8 * index, cb)
         return preg
 
     Q = pool.take_many(l, "q")
@@ -263,12 +265,12 @@ def emit_mont_redc_body(
 
     for i in range(l):
         b.comment(f"reduction phase 1, column {i}")
-        b.emit(f"ld {y}, {8 * i}({tptr})")
+        b.load("ld", y, 8 * i, tptr)
         _emit_acc_add(b, acc[2], acc[1], acc[0], y, use_ise=use_ise)
         for j in range(i):
             _emit_mac(b, acc[2], acc[1], acc[0], Q[j], p_digit(i - j),
                       y, z, use_ise=use_ise)
-        b.emit(f"mul {Q[i]}, {acc[0]}, {n0}")
+        b.r("mul", Q[i], acc[0], n0)
         _emit_mac(b, acc[2], acc[1], acc[0], Q[i], p_digit(0), y, z,
                   use_ise=use_ise)
         # low digit is now zero by construction; renaming shifts the acc
@@ -277,12 +279,12 @@ def emit_mont_redc_body(
 
     for i in range(l, 2 * l):
         b.comment(f"reduction phase 2, column {i}")
-        b.emit(f"ld {y}, {8 * i}({tptr})")
+        b.load("ld", y, 8 * i, tptr)
         _emit_acc_add(b, acc[2], acc[1], acc[0], y, use_ise=use_ise)
         for j in range(i - l + 1, l):
             _emit_mac(b, acc[2], acc[1], acc[0], Q[j], p_digit(i - j),
                       y, z, use_ise=use_ise)
-        b.emit(f"sd {acc[0]}, {8 * (i - l)}({rptr})")
+        b.store("sd", acc[0], 8 * (i - l), rptr)
         if i < 2 * l - 1:
             acc = [acc[1], acc[2], acc[0]]
             _zero(b, acc[2])
@@ -311,14 +313,14 @@ def _emit_sub_with_borrow(
         a = a_digit(i)
         x = load_subtrahend(i)
         if i == 0:
-            b.emit(f"sltu {borrow}, {a}, {x}")
-            b.emit(f"sub {T[0]}, {a}, {x}")
+            b.r("sltu", borrow, a, x)
+            b.r("sub", T[0], a, x)
         else:
-            b.emit(f"sltu {y}, {a}, {borrow}")
-            b.emit(f"sub {u}, {a}, {borrow}")
-            b.emit(f"sltu {borrow}, {u}, {x}")
-            b.emit(f"sub {T[i]}, {u}, {x}")
-            b.emit(f"or {borrow}, {borrow}, {y}")
+            b.r("sltu", y, a, borrow)
+            b.r("sub", u, a, borrow)
+            b.r("sltu", borrow, u, x)
+            b.r("sub", T[i], u, x)
+            b.r("or", borrow, borrow, y)
 
 
 def _emit_add_with_carry(
@@ -334,15 +336,15 @@ def _emit_add_with_carry(
     l = len(A)
     for i in range(l):
         if i == 0:
-            b.emit(f"add {S[0]}, {A[0]}, {B[0]}")
-            b.emit(f"sltu {carry}, {S[0]}, {B[0]}")
+            b.r("add", S[0], A[0], B[0])
+            b.r("sltu", carry, S[0], B[0])
         else:
-            b.emit(f"add {y}, {A[i]}, {B[i]}")
-            b.emit(f"sltu {S[i]}, {y}, {B[i]}")  # S[i] as scratch carry
-            b.emit(f"add {y}, {y}, {carry}")
-            b.emit(f"sltu {carry}, {y}, {carry}")
-            b.emit(f"or {carry}, {carry}, {S[i]}")
-            b.emit(f"mv {S[i]}, {y}")
+            b.r("add", y, A[i], B[i])
+            b.r("sltu", S[i], y, B[i])  # S[i] as scratch carry
+            b.r("add", y, y, carry)
+            b.r("sltu", carry, y, carry)
+            b.r("or", carry, carry, S[i])
+            b.mv(S[i], y)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +381,12 @@ def emit_fast_reduce_body(
     if in_regs is None and not stream_a:
         A = pool.take_many(l, "a")
         for i in range(l):
-            b.emit(f"ld {A[i]}, {8 * i}({aptr})")
+            b.load("ld", A[i], 8 * i, aptr)
     else:
         A = in_regs if in_regs is not None else []
 
     cb = pool.take("constbase")
-    b.emit(f"li {cb}, {CONST_BASE}")
+    b.li(cb, CONST_BASE)
     T = pool.take_many(l, "t")
     borrow = pool.take("borrow")
     u = pool.take("u")
@@ -393,43 +395,43 @@ def emit_fast_reduce_body(
     areg = pool.take("areg") if stream_a else ""
 
     def load_p(i: int) -> str:
-        b.emit(f"ld {pdig}, {layout.modulus_offset + 8 * i}({cb})")
+        b.load("ld", pdig, layout.modulus_offset + 8 * i, cb)
         return pdig
 
     def a_digit(i: int) -> str:
         if not stream_a:
             return A[i]
-        b.emit(f"ld {areg}, {8 * i}({aptr})")
+        b.load("ld", areg, 8 * i, aptr)
         return areg
 
     b.comment("T = A - P with borrow chain")
     _emit_sub_with_borrow(b, T, a_digit, load_p, borrow, u, y)
     b.comment("M = 0 - SLTU(A, P)")
-    b.emit(f"sub {borrow}, zero, {borrow}")  # mask M
+    b.r("sub", borrow, "zero", borrow)  # mask M
 
     if swap_based:
         b.comment("Algorithm 2: R = T ^ (M & (A ^ T))")
         for i in range(l):
-            b.emit(f"xor {y}, {a_digit(i)}, {T[i]}")
-            b.emit(f"and {y}, {y}, {borrow}")
-            b.emit(f"xor {y}, {T[i]}, {y}")
-            b.emit(f"sd {y}, {8 * i}({rptr})")
+            b.r("xor", y, a_digit(i), T[i])
+            b.r("and", y, y, borrow)
+            b.r("xor", y, T[i], y)
+            b.store("sd", y, 8 * i, rptr)
     else:
         b.comment("Algorithm 1: R = T + (M & P) with carry chain")
         carry = u
         for i in range(l):
             p_reg = load_p(i)
-            b.emit(f"and {y}, {p_reg}, {borrow}")
+            b.r("and", y, p_reg, borrow)
             if i == 0:
-                b.emit(f"add {y}, {T[0]}, {y}")
-                b.emit(f"sltu {carry}, {y}, {T[0]}")
+                b.r("add", y, T[0], y)
+                b.r("sltu", carry, y, T[0])
             else:
-                b.emit(f"add {y}, {T[i]}, {y}")
-                b.emit(f"sltu {pdig}, {y}, {T[i]}")
-                b.emit(f"add {y}, {y}, {carry}")
-                b.emit(f"sltu {carry}, {y}, {carry}")
-                b.emit(f"or {carry}, {carry}, {pdig}")
-            b.emit(f"sd {y}, {8 * i}({rptr})")
+                b.r("add", y, T[i], y)
+                b.r("sltu", pdig, y, T[i])
+                b.r("add", y, y, carry)
+                b.r("sltu", carry, y, carry)
+                b.r("or", carry, carry, pdig)
+            b.store("sd", y, 8 * i, rptr)
 
 
 def emit_fp_add_body(
@@ -453,10 +455,10 @@ def emit_fp_add_body(
     if 2 * l + 5 <= _available(reserved):
         A = pool.take_many(l, "a")
         for i in range(l):
-            b.emit(f"ld {A[i]}, {8 * i}({aptr})")
+            b.load("ld", A[i], 8 * i, aptr)
         B = pool.take_many(l, "b")
         for i in range(l):
-            b.emit(f"ld {B[i]}, {8 * i}({bptr})")
+            b.load("ld", B[i], 8 * i, bptr)
         carry = pool.take("carry")
         y = pool.take("y")
         b.comment("S = A + B (sum < 2p fits the digit count)")
@@ -471,24 +473,24 @@ def emit_fp_add_body(
     from repro.kernels.layout import SCRATCH_ADDR
 
     sptr = pool.take("scratchptr")
-    b.emit(f"li {sptr}, {SCRATCH_ADDR}")
+    b.li(sptr, SCRATCH_ADDR)
     carry = pool.take("carry")
     y = pool.take("y")
     x1 = pool.take("x1")
     x2 = pool.take("x2")
     b.comment("S = A + B streamed to scratch (long-operand mode)")
     for i in range(l):
-        b.emit(f"ld {x1}, {8 * i}({aptr})")
-        b.emit(f"ld {x2}, {8 * i}({bptr})")
-        b.emit(f"add {x1}, {x1}, {x2}")
+        b.load("ld", x1, 8 * i, aptr)
+        b.load("ld", x2, 8 * i, bptr)
+        b.r("add", x1, x1, x2)
         if i == 0:
-            b.emit(f"sltu {carry}, {x1}, {x2}")
+            b.r("sltu", carry, x1, x2)
         else:
-            b.emit(f"sltu {y}, {x1}, {x2}")
-            b.emit(f"add {x1}, {x1}, {carry}")
-            b.emit(f"sltu {carry}, {x1}, {carry}")
-            b.emit(f"or {carry}, {carry}, {y}")
-        b.emit(f"sd {x1}, {8 * i}({sptr})")
+            b.r("sltu", y, x1, x2)
+            b.r("add", x1, x1, carry)
+            b.r("sltu", carry, x1, carry)
+            b.r("or", carry, carry, y)
+        b.store("sd", x1, 8 * i, sptr)
     emit_fast_reduce_body(b, ctx, swap_based=True, rptr=rptr,
                           aptr=sptr)
 
@@ -512,7 +514,7 @@ def emit_fp_sub_body(
     if not stream_a:
         A = pool.take_many(l, "a")
         for i in range(l):
-            b.emit(f"ld {A[i]}, {8 * i}({aptr})")
+            b.load("ld", A[i], 8 * i, aptr)
     else:
         A = []
 
@@ -524,37 +526,37 @@ def emit_fp_sub_body(
     areg = pool.take("areg") if stream_a else ""
 
     def load_b(i: int) -> str:
-        b.emit(f"ld {bdig}, {8 * i}({bptr})")
+        b.load("ld", bdig, 8 * i, bptr)
         return bdig
 
     def a_digit(i: int) -> str:
         if not stream_a:
             return A[i]
-        b.emit(f"ld {areg}, {8 * i}({aptr})")
+        b.load("ld", areg, 8 * i, aptr)
         return areg
 
     b.comment("T = A - B with borrow chain")
     _emit_sub_with_borrow(b, T, a_digit, load_b, borrow, u, y)
-    b.emit(f"sub {borrow}, zero, {borrow}")
+    b.r("sub", borrow, "zero", borrow)
 
     cb = bdig  # operand B fully consumed; reuse its register
-    b.emit(f"li {cb}, {CONST_BASE}")
+    b.li(cb, CONST_BASE)
     pdig = areg if stream_a else pool.take("pdig")
     carry = u
     b.comment("R = T + (M & P) with carry chain")
     for i in range(l):
-        b.emit(f"ld {pdig}, {layout.modulus_offset + 8 * i}({cb})")
-        b.emit(f"and {y}, {pdig}, {borrow}")
+        b.load("ld", pdig, layout.modulus_offset + 8 * i, cb)
+        b.r("and", y, pdig, borrow)
         if i == 0:
-            b.emit(f"add {y}, {T[0]}, {y}")
-            b.emit(f"sltu {carry}, {y}, {T[0]}")
+            b.r("add", y, T[0], y)
+            b.r("sltu", carry, y, T[0])
         else:
-            b.emit(f"add {y}, {T[i]}, {y}")
-            b.emit(f"sltu {pdig}, {y}, {T[i]}")
-            b.emit(f"add {y}, {y}, {carry}")
-            b.emit(f"sltu {carry}, {y}, {carry}")
-            b.emit(f"or {carry}, {carry}, {pdig}")
-        b.emit(f"sd {y}, {8 * i}({rptr})")
+            b.r("add", y, T[i], y)
+            b.r("sltu", pdig, y, T[i])
+            b.r("add", y, y, carry)
+            b.r("sltu", carry, y, carry)
+            b.r("or", carry, carry, pdig)
+        b.store("sd", y, 8 * i, rptr)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +584,7 @@ def emit_int_mul_operand_scanning_body(
     pool = RegisterPool(reserved=(rptr, aptr, bptr))
     B = pool.take_many(l, "b")
     for j in range(l):
-        b.emit(f"ld {B[j]}, {8 * j}({bptr})")
+        b.load("ld", B[j], 8 * j, bptr)
 
     a_i = pool.take("a_i")
     lo = pool.take("lo")
@@ -593,33 +595,33 @@ def emit_int_mul_operand_scanning_body(
 
     for i in range(l):
         b.comment(f"row {i}")
-        b.emit(f"ld {a_i}, {8 * i}({aptr})")
-        b.emit(f"mv {carry}, zero")
+        b.load("ld", a_i, 8 * i, aptr)
+        b.mv(carry, "zero")
         for j in range(l):
             first_row = i == 0
             if use_ise:
                 if first_row:
                     # r_ij is zero: fuse only the carry
-                    b.emit(f"maddhu {hi}, {a_i}, {B[j]}, {carry}")
-                    b.emit(f"maddlu {lo}, {a_i}, {B[j]}, {carry}")
-                    b.emit(f"mv {carry}, {hi}")
+                    b.r4("maddhu", hi, a_i, B[j], carry)
+                    b.r4("maddlu", lo, a_i, B[j], carry)
+                    b.mv(carry, hi)
                 else:
-                    b.emit(f"ld {r_j}, {8 * (i + j)}({rptr})")
-                    b.emit(f"maddhu {hi}, {a_i}, {B[j]}, {r_j}")
-                    b.emit(f"maddlu {lo}, {a_i}, {B[j]}, {r_j}")
-                    b.emit(f"add {lo}, {lo}, {carry}")
-                    b.emit(f"sltu {t}, {lo}, {carry}")
-                    b.emit(f"add {carry}, {hi}, {t}")
+                    b.load("ld", r_j, 8 * (i + j), rptr)
+                    b.r4("maddhu", hi, a_i, B[j], r_j)
+                    b.r4("maddlu", lo, a_i, B[j], r_j)
+                    b.r("add", lo, lo, carry)
+                    b.r("sltu", t, lo, carry)
+                    b.r("add", carry, hi, t)
             else:
-                b.emit(f"mulhu {hi}, {a_i}, {B[j]}")
-                b.emit(f"mul {lo}, {a_i}, {B[j]}")
-                b.emit(f"add {lo}, {lo}, {carry}")
-                b.emit(f"sltu {t}, {lo}, {carry}")
-                b.emit(f"add {carry}, {hi}, {t}")
+                b.r("mulhu", hi, a_i, B[j])
+                b.r("mul", lo, a_i, B[j])
+                b.r("add", lo, lo, carry)
+                b.r("sltu", t, lo, carry)
+                b.r("add", carry, hi, t)
                 if not first_row:
-                    b.emit(f"ld {r_j}, {8 * (i + j)}({rptr})")
-                    b.emit(f"add {lo}, {lo}, {r_j}")
-                    b.emit(f"sltu {t}, {lo}, {r_j}")
-                    b.emit(f"add {carry}, {carry}, {t}")
-            b.emit(f"sd {lo}, {8 * (i + j)}({rptr})")
-        b.emit(f"sd {carry}, {8 * (i + l)}({rptr})")
+                    b.load("ld", r_j, 8 * (i + j), rptr)
+                    b.r("add", lo, lo, r_j)
+                    b.r("sltu", t, lo, r_j)
+                    b.r("add", carry, carry, t)
+            b.store("sd", lo, 8 * (i + j), rptr)
+        b.store("sd", carry, 8 * (i + l), rptr)

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from repro.core.ise import REDUCED_RADIX_BITS
 from repro.core.macros import (
-    carry_propagate_isa,
-    carry_propagate_ise,
-    mac_reduced_radix_isa,
-    mac_reduced_radix_ise,
+    emit_carry_propagate_isa,
+    emit_carry_propagate_ise,
+    emit_mac_reduced_radix_isa,
+    emit_mac_reduced_radix_ise,
 )
 from repro.errors import KernelError
 from repro.kernels.builder import (
@@ -59,13 +59,13 @@ def _check_reduced_radix(ctx: MontgomeryContext) -> int:
 
 
 def _zero(b: KernelBuilder, reg: str) -> None:
-    b.emit(f"mv {reg}, zero")
+    b.mv(reg, "zero")
 
 
 def _emit_mask57(b: KernelBuilder, m: str) -> None:
     """Materialise the limb mask ``2^57 - 1`` in two instructions."""
-    b.emit(f"addi {m}, zero, -1")
-    b.emit(f"srli {m}, {m}, {64 - W}")
+    b.i("addi", m, "zero", -1)
+    b.i("srli", m, m, 64 - W)
 
 
 def _emit_mac(
@@ -77,9 +77,9 @@ def _emit_mac(
     use_ise: bool,
 ) -> None:
     if use_ise:
-        b.emit_all(mac_reduced_radix_ise(h, l, a, x))
+        emit_mac_reduced_radix_ise(b, h, l, a, x)
     else:
-        b.emit_all(mac_reduced_radix_isa(h, l, a, x, y, z))
+        emit_mac_reduced_radix_isa(b, h, l, a, x, y, z)
 
 
 def _emit_column_store_and_shift(
@@ -96,20 +96,20 @@ def _emit_column_store_and_shift(
     *store* is false, e.g. reduction phase 1 where it is zero by
     construction) and realign the accumulator for the next column."""
     if store:
-        b.emit(f"and {y}, {l}, {m}")
-        b.emit(f"sd {y}, {offset}({rptr})")
+        b.r("and", y, l, m)
+        b.store("sd", y, offset, rptr)
     if use_ise:
         # value/2^57 = h + (l >> 57); l's slices are non-negative so the
         # arithmetic shift of sraiadd equals a logical one here
-        b.emit(f"sraiadd {l}, {h}, {l}, {W}")
+        b.ria("sraiadd", l, h, l, W)
         _zero(b, h)
     else:
         # (h || l) >>= 57 at 128-bit granularity: h < 2^57 always holds
         # for <= 2^7 MACs per column, so no bits are lost
-        b.emit(f"srli {l}, {l}, {W}")
-        b.emit(f"slli {y}, {h}, {64 - W}")
-        b.emit(f"or {l}, {l}, {y}")
-        b.emit(f"srli {h}, {h}, {W}")
+        b.i("srli", l, l, W)
+        b.i("slli", y, h, 64 - W)
+        b.r("or", l, l, y)
+        b.i("srli", h, h, W)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def emit_int_mul_body(
     pool = RegisterPool(reserved=reserved)
     A = pool.take_many(l, "a")
     for i in range(l):
-        b.emit(f"ld {A[i]}, {8 * i}({aptr})")
+        b.load("ld", A[i], 8 * i, aptr)
 
     # Long operands: the second operand (or the doubled-limb shadow
     # copy, for squaring) no longer fits alongside A — stream it.
@@ -148,7 +148,7 @@ def emit_int_mul_body(
         else:
             D = pool.take_many(l, "dbl")
             for i in range(l):
-                b.emit(f"slli {D[i]}, {A[i]}, 1")  # 58-bit doubled limbs
+                b.i("slli", D[i], A[i], 1)  # 58-bit doubled limbs
             dreg = ""
         B = A
         breg = ""
@@ -161,7 +161,7 @@ def emit_int_mul_body(
         else:
             B = pool.take_many(l, "b")
             for i in range(l):
-                b.emit(f"ld {B[i]}, {8 * i}({bptr})")
+                b.load("ld", B[i], 8 * i, bptr)
             breg = ""
 
     h = pool.take("acc_h")
@@ -176,13 +176,13 @@ def emit_int_mul_body(
     def doubled(i: int) -> str:
         if not stream:
             return D[i]
-        b.emit(f"slli {dreg}, {A[i]}, 1")
+        b.i("slli", dreg, A[i], 1)
         return dreg
 
     def b_digit(j: int) -> str:
         if not stream:
             return B[j]
-        b.emit(f"ld {breg}, {8 * j}({bptr})")
+        b.load("ld", breg, 8 * j, bptr)
         return breg
 
     for k in range(2 * l - 1):
@@ -204,7 +204,7 @@ def emit_int_mul_body(
                           use_ise=use_ise)
         _emit_column_store_and_shift(b, h, acc_l, m, y, 8 * k, rptr,
                                      use_ise=use_ise)
-    b.emit(f"sd {acc_l}, {8 * (2 * l - 1)}({rptr})")
+    b.store("sd", acc_l, 8 * (2 * l - 1), rptr)
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +229,24 @@ def emit_mont_redc_body(
     stream_p = 2 * l + 7 > _available(reserved)
 
     cb = pool.take("constbase")
-    b.emit(f"li {cb}, {CONST_BASE}")
+    b.li(cb, CONST_BASE)
     if stream_p:
         P: list[str] = []
         preg = pool.take("preg")
     else:
         P = pool.take_many(l, "p")
         for i in range(l):
-            b.emit(f"ld {P[i]}, {layout.modulus_offset + 8 * i}({cb})")
+            b.load("ld", P[i], layout.modulus_offset + 8 * i, cb)
         preg = ""
     n0 = pool.take("n0")
-    b.emit(f"ld {n0}, {layout.n0_offset}({cb})")
+    b.load("ld", n0, layout.n0_offset, cb)
     if not stream_p:
         pool.release(cb)
 
     def p_digit(index: int) -> str:
         if not stream_p:
             return P[index]
-        b.emit(f"ld {preg}, "
-               f"{layout.modulus_offset + 8 * index}({cb})")
+        b.load("ld", preg, layout.modulus_offset + 8 * index, cb)
         return preg
 
     Q = pool.take_many(l, "q")
@@ -262,18 +261,18 @@ def emit_mont_redc_body(
 
     for i in range(l):
         b.comment(f"reduction phase 1, column {i}")
-        b.emit(f"ld {y}, {8 * i}({tptr})")
+        b.load("ld", y, 8 * i, tptr)
         if use_ise:
-            b.emit(f"add {acc_l}, {acc_l}, {y}")  # headroom guarantees fit
+            b.r("add", acc_l, acc_l, y)  # headroom guarantees fit
         else:
-            b.emit(f"add {acc_l}, {acc_l}, {y}")
-            b.emit(f"sltu {y}, {acc_l}, {y}")
-            b.emit(f"add {h}, {h}, {y}")
+            b.r("add", acc_l, acc_l, y)
+            b.r("sltu", y, acc_l, y)
+            b.r("add", h, h, y)
         for j in range(i):
             _emit_mac(b, h, acc_l, Q[j], p_digit(i - j), y, z,
                       use_ise=use_ise)
-        b.emit(f"mul {y}, {acc_l}, {n0}")
-        b.emit(f"and {Q[i]}, {y}, {m}")  # q_i = (acc * n0') mod 2^57
+        b.r("mul", y, acc_l, n0)
+        b.r("and", Q[i], y, m)  # q_i = (acc * n0') mod 2^57
         _emit_mac(b, h, acc_l, Q[i], p_digit(0), y, z,
                   use_ise=use_ise)
         _emit_column_store_and_shift(b, h, acc_l, m, y, None, rptr,
@@ -281,13 +280,13 @@ def emit_mont_redc_body(
 
     for i in range(l, 2 * l):
         b.comment(f"reduction phase 2, column {i}")
-        b.emit(f"ld {y}, {8 * i}({tptr})")
+        b.load("ld", y, 8 * i, tptr)
         if use_ise:
-            b.emit(f"add {acc_l}, {acc_l}, {y}")
+            b.r("add", acc_l, acc_l, y)
         else:
-            b.emit(f"add {acc_l}, {acc_l}, {y}")
-            b.emit(f"sltu {y}, {acc_l}, {y}")
-            b.emit(f"add {h}, {h}, {y}")
+            b.r("add", acc_l, acc_l, y)
+            b.r("sltu", y, acc_l, y)
+            b.r("add", h, h, y)
         for j in range(i - l + 1, l):
             _emit_mac(b, h, acc_l, Q[j], p_digit(i - j), y, z,
                       use_ise=use_ise)
@@ -313,12 +312,12 @@ def _emit_propagate(
     l = len(T)
     for i in range(1, l):
         if use_ise:
-            b.emit_all(carry_propagate_ise(T[i - 1], T[i], m))
+            emit_carry_propagate_ise(b, T[i - 1], T[i], m)
         else:
-            b.emit_all(carry_propagate_isa(T[i - 1], T[i], m, y))
+            emit_carry_propagate_isa(b, T[i - 1], T[i], m, y)
     # final limb: extract carry, then mask
-    b.emit(f"srai {y}, {T[l - 1]}, {W}")
-    b.emit(f"and {T[l - 1]}, {T[l - 1]}, {m}")
+    b.i("srai", y, T[l - 1], W)
+    b.r("and", T[l - 1], T[l - 1], m)
     return y
 
 
@@ -352,7 +351,7 @@ def emit_fast_reduce_body(
     if in_regs is None and not stream_a:
         A = pool.take_many(l, "a")
         for i in range(l):
-            b.emit(f"ld {A[i]}, {8 * i}({aptr})")
+            b.load("ld", A[i], 8 * i, aptr)
         canonical_input = True if canonical_input is None else \
             canonical_input
     elif in_regs is None:
@@ -371,7 +370,7 @@ def emit_fast_reduce_body(
     # The modulus limbs are loaded on demand (A, T and P together would
     # exceed the register file), keeping the constant-pool base resident.
     cb = pool.take("constbase")
-    b.emit(f"li {cb}, {CONST_BASE}")
+    b.li(cb, CONST_BASE)
     pdig = pool.take("pdig")
 
     T = pool.take_many(l, "t")
@@ -384,35 +383,35 @@ def emit_fast_reduce_body(
     def a_digit(i: int) -> str:
         if not stream_a:
             return A[i]
-        b.emit(f"ld {areg}, {8 * i}({aptr})")
+        b.load("ld", areg, 8 * i, aptr)
         return areg
 
     b.comment("T = A - P, signed limbs")
     for i in range(l):
-        b.emit(f"ld {pdig}, {layout.modulus_offset + 8 * i}({cb})")
-        b.emit(f"sub {T[i]}, {a_digit(i)}, {pdig}")
+        b.load("ld", pdig, layout.modulus_offset + 8 * i, cb)
+        b.r("sub", T[i], a_digit(i), pdig)
     b.comment("canonicalise T; final carry is the mask M")
     mask_reg = _emit_propagate(b, T, m, y, use_ise=use_ise)
 
     if swap_based:
         b.comment("Algorithm 2 select: R = T ^ (M & (A ^ T))")
         for i in range(l):
-            b.emit(f"xor {pdig}, {a_digit(i)}, {T[i]}")
-            b.emit(f"and {pdig}, {pdig}, {mask_reg}")
-            b.emit(f"xor {pdig}, {T[i]}, {pdig}")
-            b.emit(f"sd {pdig}, {8 * i}({rptr})")
+            b.r("xor", pdig, a_digit(i), T[i])
+            b.r("and", pdig, pdig, mask_reg)
+            b.r("xor", pdig, T[i], pdig)
+            b.store("sd", pdig, 8 * i, rptr)
     else:
         b.comment("Algorithm 1 select: R = T + (M & P), then re-propagate")
         z = pool.take("z")
-        b.emit(f"mv {z}, {mask_reg}")
+        b.mv(z, mask_reg)
         for i in range(l):
-            b.emit(f"ld {pdig}, {layout.modulus_offset + 8 * i}({cb})")
-            b.emit(f"and {y}, {pdig}, {z}")
-            b.emit(f"add {T[i]}, {T[i]}, {y}")
+            b.load("ld", pdig, layout.modulus_offset + 8 * i, cb)
+            b.r("and", y, pdig, z)
+            b.r("add", T[i], T[i], y)
         _emit_propagate(b, T, m, y, use_ise=use_ise)
         # final carry is always zero here: T + (M & P) lies in [0, p)
         for i in range(l):
-            b.emit(f"sd {T[i]}, {8 * i}({rptr})")
+            b.store("sd", T[i], 8 * i, rptr)
         pool.release(z)
     pool.release(pdig)
     pool.release(cb)
@@ -437,15 +436,15 @@ def emit_fp_add_body(
 
     A = pool.take_many(l, "a")
     for i in range(l):
-        b.emit(f"ld {A[i]}, {8 * i}({aptr})")
+        b.load("ld", A[i], 8 * i, aptr)
     y = pool.take("y")
     b.comment("S = A + B limb-wise (delayed carries, 58-bit limbs)")
     for i in range(l):
-        b.emit(f"ld {y}, {8 * i}({bptr})")
-        b.emit(f"add {A[i]}, {A[i]}, {y}")
+        b.load("ld", y, 8 * i, bptr)
+        b.r("add", A[i], A[i], y)
 
     cb = pool.take("constbase")
-    b.emit(f"li {cb}, {CONST_BASE}")
+    b.li(cb, CONST_BASE)
     stream_p = 2 * l + 6 > _available(reserved)
     if stream_p:
         P: list[str] = []
@@ -453,33 +452,32 @@ def emit_fp_add_body(
     else:
         P = pool.take_many(l, "p")
         for i in range(l):
-            b.emit(f"ld {P[i]}, {layout.modulus_offset + 8 * i}({cb})")
+            b.load("ld", P[i], layout.modulus_offset + 8 * i, cb)
         pool.release(cb)
         preg = ""
 
     def p_digit(index: int) -> str:
         if not stream_p:
             return P[index]
-        b.emit(f"ld {preg}, "
-               f"{layout.modulus_offset + 8 * index}({cb})")
+        b.load("ld", preg, layout.modulus_offset + 8 * index, cb)
         return preg
 
     m = pool.take("mask")
     _emit_mask57(b, m)
     b.comment("T = S - P, signed limbs")
     for i in range(l):
-        b.emit(f"sub {A[i]}, {A[i]}, {p_digit(i)}")
+        b.r("sub", A[i], A[i], p_digit(i))
     mask_reg = _emit_propagate(b, A, m, y, use_ise=use_ise)
 
     z = pool.take("z")
-    b.emit(f"mv {z}, {mask_reg}")
+    b.mv(z, mask_reg)
     b.comment("R = T + (M & P), re-canonicalise")
     for i in range(l):
-        b.emit(f"and {y}, {p_digit(i)}, {z}")
-        b.emit(f"add {A[i]}, {A[i]}, {y}")
+        b.r("and", y, p_digit(i), z)
+        b.r("add", A[i], A[i], y)
     _emit_propagate(b, A, m, y, use_ise=use_ise)
     for i in range(l):
-        b.emit(f"sd {A[i]}, {8 * i}({rptr})")
+        b.store("sd", A[i], 8 * i, rptr)
 
 
 def emit_fp_sub_body(
@@ -500,15 +498,15 @@ def emit_fp_sub_body(
 
     A = pool.take_many(l, "a")
     for i in range(l):
-        b.emit(f"ld {A[i]}, {8 * i}({aptr})")
+        b.load("ld", A[i], 8 * i, aptr)
     y = pool.take("y")
     b.comment("T = A - B limb-wise, signed")
     for i in range(l):
-        b.emit(f"ld {y}, {8 * i}({bptr})")
-        b.emit(f"sub {A[i]}, {A[i]}, {y}")
+        b.load("ld", y, 8 * i, bptr)
+        b.r("sub", A[i], A[i], y)
 
     cb = pool.take("constbase")
-    b.emit(f"li {cb}, {CONST_BASE}")
+    b.li(cb, CONST_BASE)
     stream_p = 2 * l + 6 > _available(reserved)
     if stream_p:
         P: list[str] = []
@@ -516,15 +514,14 @@ def emit_fp_sub_body(
     else:
         P = pool.take_many(l, "p")
         for i in range(l):
-            b.emit(f"ld {P[i]}, {layout.modulus_offset + 8 * i}({cb})")
+            b.load("ld", P[i], layout.modulus_offset + 8 * i, cb)
         pool.release(cb)
         preg = ""
 
     def p_digit(index: int) -> str:
         if not stream_p:
             return P[index]
-        b.emit(f"ld {preg}, "
-               f"{layout.modulus_offset + 8 * index}({cb})")
+        b.load("ld", preg, layout.modulus_offset + 8 * index, cb)
         return preg
 
     m = pool.take("mask")
@@ -532,11 +529,11 @@ def emit_fp_sub_body(
     mask_reg = _emit_propagate(b, A, m, y, use_ise=use_ise)
 
     z = pool.take("z")
-    b.emit(f"mv {z}, {mask_reg}")
+    b.mv(z, mask_reg)
     b.comment("R = T + (M & P), re-canonicalise")
     for i in range(l):
-        b.emit(f"and {y}, {p_digit(i)}, {z}")
-        b.emit(f"add {A[i]}, {A[i]}, {y}")
+        b.r("and", y, p_digit(i), z)
+        b.r("add", A[i], A[i], y)
     _emit_propagate(b, A, m, y, use_ise=use_ise)
     for i in range(l):
-        b.emit(f"sd {A[i]}, {8 * i}({rptr})")
+        b.store("sd", A[i], 8 * i, rptr)

@@ -214,12 +214,12 @@ def _emit_fp_mul_composite(
     u_addr = SCRATCH_ADDR + 16 * limbs + 64    # l-limb reduced value
 
     b.comment("phase 1: T = A * B (product scanning)")
-    b.emit(f"li a3, {t_addr}")
+    b.li("a3", t_addr)
     module.emit_int_mul_body(b, ctx, use_ise=use_ise, rptr="a3",
                              aptr="a1", bptr="a1" if square else "a2",
                              square=square)
     b.comment("phase 2: U = T * R^-1 mod p  (SPS Montgomery reduction)")
-    b.emit(f"li a4, {u_addr}")
+    b.li("a4", u_addr)
     module.emit_mont_redc_body(b, ctx, use_ise=use_ise, rptr="a4",
                                tptr="a3")
     b.comment("phase 3: R = U fully reduced to [0, p)")
@@ -237,19 +237,31 @@ def build_kernel(
     variant: str,
     ctx: MontgomeryContext,
 ) -> Kernel:
-    """Generate one kernel (assembly source + metadata)."""
+    """Generate one kernel (program, assembly source and metadata)."""
+    return _build_kernel(operation, variant, ctx, {})
+
+
+def _build_kernel(
+    operation: str,
+    variant: str,
+    ctx: MontgomeryContext,
+    interned: dict,
+) -> Kernel:
+    """:func:`build_kernel` with the builders' shared instruction
+    table *interned* (see :class:`~repro.kernels.builder.KernelBuilder`)."""
     if variant not in ALL_VARIANTS:
         raise KernelError(f"unknown variant {variant!r}")
     name = f"{operation}.{variant}"
-    b = KernelBuilder(name)
+    b = KernelBuilder(name, interned)
     _emit_operation(b, operation, ctx, variant)
     b.ret()
     inputs, outputs = _shapes(operation, ctx.radix.limbs)
+    source = b.build()
     return Kernel(
         name=name,
         operation=operation,
         variant=variant,
-        source=b.build(),
+        source=source,
         isa=_isa_for(variant),
         context=ctx,
         input_limbs=inputs,
@@ -257,6 +269,7 @@ def build_kernel(
         reference=_make_reference(operation, ctx),
         sampler=_make_sampler(operation, ctx),
         static_counts=b.static_counts,
+        built=(source, b.program()),
     )
 
 
@@ -280,17 +293,22 @@ _FULL_ONLY_OPERATIONS = (OP_INT_MUL_OS,)
 
 
 def build_all_kernels(modulus: int) -> dict[str, Kernel]:
-    """The full kernel matrix for *modulus*, keyed by kernel name."""
+    """The full kernel matrix for *modulus*, keyed by kernel name.
+
+    The kernels' builders share one instruction table, which lives only
+    as long as this call: a line repeated across kernels is built once
+    per call, and every call builds all its instructions again."""
     full_ctx, reduced_ctx = make_contexts(modulus)
+    interned: dict = {}
     kernels: dict[str, Kernel] = {}
     for operation in _GENERATED_OPERATIONS:
         for variant in ALL_VARIANTS:
             ctx = full_ctx if variant.startswith("full.") else reduced_ctx
-            kernel = build_kernel(operation, variant, ctx)
+            kernel = _build_kernel(operation, variant, ctx, interned)
             kernels[kernel.name] = kernel
     for operation in _FULL_ONLY_OPERATIONS:
         for variant in ("full.isa", "full.ise"):
-            kernel = build_kernel(operation, variant, full_ctx)
+            kernel = _build_kernel(operation, variant, full_ctx, interned)
             kernels[kernel.name] = kernel
     return kernels
 
@@ -330,11 +348,11 @@ def cached_runner(
 ) -> KernelRunner:
     """Pooled :class:`KernelRunner` for one kernel of *modulus*.
 
-    Assembling a kernel and fusing its aot thunk are pure, per-kernel
-    costs; pooling runners lets every
+    Loading a kernel's program and fusing its aot thunk are pure,
+    per-kernel costs; pooling runners lets every
     :class:`~repro.field.simulated.SimulatedFieldContext` (and any other
     repeat executor) share one machine per kernel instead of paying
-    assembly again.  Runs are self-contained (reset, plant operands,
+    them again.  Runs are self-contained (reset, plant operands,
     execute, read result), so interleaved use at run granularity is safe
     within one thread.
 
@@ -348,8 +366,8 @@ def cached_runner(
     with ``scope`` — a free-form confinement tag (the service layer
     uses ``"<tenant>/<lane>"`` per session lane, see
     ``docs/SERVICE.md``) that is part of the pool key, giving each
-    tenant lane its own machines while still amortising assembly
-    *within* the lane.
+    tenant lane its own machines while still amortising runner
+    construction *within* the lane.
 
     ``checked`` runners (sampled reference cross-validation, see
     ``docs/ROBUSTNESS.md``) are pooled separately from plain ones, so a
@@ -364,8 +382,8 @@ def cached_runner(
 
     Pool traffic is observable: telemetry counts hits and misses
     (``runner_pool_hits_total`` / ``runner_pool_misses_total``) and
-    tracks the pool size, so a workload that keeps re-assembling
-    kernels shows up immediately in ``repro profile`` output.
+    tracks the pool size, so a workload that keeps rebuilding
+    runners shows up immediately in ``repro profile`` output.
     """
     key = (modulus, name, pipeline_config, checked, engine, scope)
     with _POOL_LOCK:
@@ -416,7 +434,7 @@ def evict_runner(
     whose machine state (memory image, const pool, static trace, fused
     entry thunk) is suspected of corruption is evicted so
     the next :func:`cached_runner` call rebuilds it from scratch —
-    re-assembly from the pristine kernel source is the trust anchor.
+    reloading the pristine kernel's program is the trust anchor.
     """
     with _POOL_LOCK:
         runner = _RUNNER_POOL.pop(

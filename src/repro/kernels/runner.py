@@ -1,8 +1,10 @@
 """Execute generated kernels on the RV64 simulator and verify results.
 
-:class:`KernelRunner` assembles a kernel once, plants the field
-constants, and then runs it on arbitrary operand values, returning the
-architectural result together with the timing-model cycle count.  With
+:class:`KernelRunner` loads a kernel's program once (the one its
+generator built, or ``source`` assembled when the kernel carries none:
+a hand-written or replaced source), plants the field constants, and
+then runs it on arbitrary operand values, returning the architectural
+result together with the timing-model cycle count.  With
 ``check=True`` every run is compared against the kernel's golden
 reference — the paper's correctness story ("constant-time Assembler
 functions, which we wrote from scratch") reduced to machine-checked
@@ -82,7 +84,9 @@ class KernelRun(tuple):
     ``limbs`` turns each into the same tuple of ints on access:
 
     * an interpreter run holds the raw little-endian bytes of the result
-      buffer, decoded on access;
+      buffer, decoded on access, as its only copy of the result: in
+      place of the value it holds the kernel's radix, and ``value``
+      recombines the decoded limbs on access;
     * a run built by hand (or unpickled) holds the tuple itself;
     * an aot run holds its *deferred read-out*, the entry thunk and the
       operands: reading ``limbs`` calls ``thunk(*operands, True)``, which
@@ -91,8 +95,9 @@ class KernelRun(tuple):
       field op, which reads only ``value``, ``cycles`` and
       ``instructions``, never pays for them.
 
-    Equality, hashing, ``repr`` and pickling go through ``limbs``, so
-    all three forms compare alike; the tuple layout itself is private.
+    Hand-built and aot runs keep their value.  Equality, hashing,
+    ``repr`` and pickling go through ``value`` and ``limbs``, so all
+    three forms compare alike; the tuple layout itself is private.
     """
 
     __slots__ = ()
@@ -101,7 +106,13 @@ class KernelRun(tuple):
                 cycles: int) -> "KernelRun":
         return _new(cls, (value, instructions, cycles, limbs, None))
 
-    value = property(itemgetter(0))
+    @property
+    def value(self) -> int:
+        value = self[0]
+        if type(value) is int:
+            return value
+        return value.from_limbs(_decode_words(self[3]))  # the radix
+
     instructions = property(itemgetter(1))
     cycles = property(itemgetter(2))
 
@@ -116,7 +127,7 @@ class KernelRun(tuple):
         return limbs
 
     def _key(self) -> tuple:
-        return (self[0], self.limbs, self[1], self[2])
+        return (self.value, self.limbs, self[1], self[2])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -136,7 +147,7 @@ class KernelRun(tuple):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __repr__(self) -> str:
-        return (f"KernelRun(value={self[0]!r}, limbs={self.limbs!r}, "
+        return (f"KernelRun(value={self.value!r}, limbs={self.limbs!r}, "
                 f"instructions={self[1]!r}, cycles={self[2]!r})")
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -217,7 +228,9 @@ class KernelRunner:
         # hardening state (checked mode + fault-injection seam); None
         # keeps the disabled hot path at a single boolean test
         self._hardening: _Hardening | None = None
-        program = assemble(kernel.source, kernel.isa)
+        program = kernel.program
+        if program is None:  # hand-written or edited source
+            program = assemble(kernel.source, kernel.isa)
         if schedule:
             # list-schedule the straight-line body (E10 ablation): the
             # paper's hand assembly interleaves independent MACs; this
@@ -575,6 +588,8 @@ class KernelRunner:
         # ``ran`` reports the engine that actually ran (an aot request
         # can demote, e.g. when a profiler hook is attached)
         telemetry.record_kernel_run(kernel.name, ran, cycles, instructions)
+        if type(out_limbs) is bytes:
+            value = radix  # the bytes are the run's one copy of it
         return _new(KernelRun,
                     (value, instructions, cycles, out_limbs, operands))
 

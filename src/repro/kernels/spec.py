@@ -1,9 +1,16 @@
-"""Kernel descriptors: assembled source + metadata + reference semantics.
+"""Kernel descriptors: program and source + metadata + reference semantics.
 
 A :class:`Kernel` couples one generated assembly routine with everything
 needed to execute and verify it: the instruction set it requires, the
 field context, the operand shapes, a golden-reference function, and a
 seeded input sampler for randomised testing.
+
+A generated kernel carries the program its generator built next to its
+assembly text (:attr:`Kernel.built`), so running or profiling it parses
+no text.  :attr:`Kernel.program` hands that program out only while
+``source`` is still the text it was built with: a kernel whose source
+was replaced (``dataclasses.replace(kernel, source=...)``) or that was
+written by hand has no program, and its callers assemble ``source``.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.mpi.montgomery import MontgomeryContext
+from repro.rv64.assembler import AssembledProgram
 from repro.rv64.isa import InstructionSet
 
 #: operation identifiers, in Table 4 row order
@@ -68,6 +76,19 @@ class Kernel:
     reference: Callable[..., int]  # exact expected output value
     sampler: Callable[..., tuple[int, ...]]  # rng -> operand values
     static_counts: Counter = field(default_factory=Counter, compare=False)
+    #: ``(source, program)`` as the generator built them
+    built: tuple[str, AssembledProgram] | None = field(
+        default=None, compare=False, repr=False)
+
+    @property
+    def program(self) -> AssembledProgram | None:
+        """The generator's program of ``source``, or ``None`` when there
+        is none or ``source`` is no longer the text it was built with
+        (the caller then assembles ``source``)."""
+        built = self.built
+        if built is not None and built[0] == self.source:
+            return built[1]
+        return None
 
     @property
     def uses_ise(self) -> bool:

@@ -1,6 +1,6 @@
 """Batch validation: run every kernel of a field against its oracle.
 
-The library's trust story in one call: assemble all kernels, execute
+The library's trust story in one call: load all kernels, execute
 each on randomised + boundary operands, compare against the
 big-integer references, and (optionally) check constant-time trace
 equivalence.  Surfaced as ``python -m repro validate``.

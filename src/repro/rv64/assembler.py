@@ -28,6 +28,14 @@ or an undefined label, is an :class:`AssemblerError` naming the line.
 The assembler is driven by the :class:`InstructionSet` it is given, so
 ISE mnemonics registered by :mod:`repro.core` assemble with no changes
 here.
+
+Generated kernels are not parsed: their generators build each
+:class:`Instruction` directly (:class:`repro.kernels.builder.KernelBuilder`,
+which expands ``li`` with :func:`expand_li`) and write the source text
+beside it.  This assembler serves hand-written sources, the listings
+and tests, runs a kernel whose source was replaced, and is the oracle
+every generated program must equal
+(``tests/differential/test_builder_vs_assembler.py``).
 """
 
 from __future__ import annotations

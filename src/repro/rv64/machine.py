@@ -175,8 +175,9 @@ class Machine:
         )
         isa = self.isa
         image = self._program
-        # an instruction object the program repeats (the assembler
-        # shares equal lines) is resolved once and shares its entry
+        # an instruction object the program repeats (the assembler and
+        # the kernel builder share equal lines) is resolved once and
+        # shares its entry
         entries: dict[int, tuple] = {}  # id(ins) -> entry, this call
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         pc = base

@@ -1,7 +1,8 @@
 """Sparse, paged, byte-addressable little-endian memory.
 
-Memory is organised as fixed-size pages allocated on first touch, so a
-64-bit address space costs nothing until it is used.  All multi-byte
+Memory is organised as fixed-size pages allocated on the first write, so
+a 64-bit address space costs nothing until it is used; a read of a page
+never written returns zeros and allocates nothing.  All multi-byte
 accesses are little-endian, as mandated by RISC-V.  Natural alignment is
 enforced by default (the Rocket core traps on misaligned accesses); the
 check can be relaxed for experiments.
@@ -63,7 +64,8 @@ class Memory:
     # -- raw byte access -------------------------------------------------
 
     def read_bytes(self, address: int, size: int) -> bytes:
-        """Read *size* raw bytes starting at *address*."""
+        """Read *size* raw bytes starting at *address* (zeros where no
+        page was written; reading allocates none)."""
         if size < 0:
             raise MemoryAccessError(f"negative read size {size}")
         out = bytearray(size)
@@ -71,8 +73,9 @@ class Memory:
         while done < size:
             offset = (address + done) & PAGE_MASK
             chunk = min(size - done, PAGE_SIZE - offset)
-            page = self._page_for(address + done)
-            out[done:done + chunk] = page[offset:offset + chunk]
+            page = self._pages.get((address + done) >> PAGE_BITS)
+            if page is not None:
+                out[done:done + chunk] = page[offset:offset + chunk]
             done += chunk
         return bytes(out)
 
@@ -96,10 +99,11 @@ class Memory:
         if (unpack is not None and offset <= PAGE_SIZE - size
                 and 0 <= address <= MASK64
                 and not (address % size and self.enforce_alignment)):
-            # within one page: read it in place
+            # within one page: read it in place (an unwritten page
+            # reads as zeros and stays unallocated)
             page = self._pages.get(address >> PAGE_BITS)
             if page is None:
-                page = self._page_for(address)
+                return 0
             return unpack(page, offset)[0]
         self._check(address, size)
         raw = self.read_bytes(address, size)

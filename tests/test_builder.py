@@ -61,16 +61,18 @@ class TestRegisterPool:
 class TestKernelBuilder:
     def test_emit_counts_mnemonics(self):
         builder = KernelBuilder("t")
-        builder.emit("add a0, a1, a2")
-        builder.emit("add a0, a0, a0; sltu t0, a0, a1")
-        assert builder.static_counts["add"] == 2
-        assert builder.static_counts["sltu"] == 1
-        assert builder.static_instructions == 3
+        builder.r("add", "a0", "a1", "a2")
+        builder.r("add", "a0", "a0", "a0")
+        builder.r("sltu", "t0", "a0", "a1")
+        builder.li("t1", 1 << 40)  # one source line, several instructions
+        assert builder.static_counts == {"add": 2, "sltu": 1, "li": 1}
+        assert builder.static_instructions == 4
+        assert len(builder.program()) > 4
 
     def test_comments_not_counted(self):
         builder = KernelBuilder("t")
         builder.comment("hello")
-        builder.emit("nop")
+        builder.i("addi", "zero", "zero", 0)
         assert builder.static_instructions == 1
         assert "# hello" in builder.build()
 
@@ -81,20 +83,27 @@ class TestKernelBuilder:
         assert text.startswith("# kernel: mykernel")
         assert "ret" in text
 
-    def test_emit_all(self):
-        builder = KernelBuilder("t")
-        builder.emit_all(["nop", "nop"])
-        assert builder.static_counts["nop"] == 2
+    def test_listing_takes_symbolic_registers(self):
+        def emit(b, acc, x):
+            b.r("mul", acc, x, x)
+            b.load("ld", x, 8, "a1")
+
+        assert KernelBuilder.listing(emit, "acc", "x") == [
+            "mul acc, x, x", "ld x, 8(a1)"]
 
     def test_label(self):
         builder = KernelBuilder("t")
+        builder.mv("t0", "zero")
         builder.label("loop")
-        builder.emit("j loop")
-        assert "loop:" in builder.build()
+        builder.ret()
+        assert "\nloop:\n" in builder.build()
+        assert builder.program().labels == {"loop": 4}
+        with pytest.raises(KernelError, match="duplicate"):
+            builder.label("loop")
 
     def test_load_immediate(self):
         builder = KernelBuilder("t")
-        builder.load_immediate("t0", 42)
+        builder.li("t0", 42)
         assert builder.static_counts["li"] == 1
 
     def test_build_assembles(self):
@@ -102,8 +111,48 @@ class TestKernelBuilder:
         from repro.rv64.isa import BASE_ISA
 
         builder = KernelBuilder("t")
-        builder.emit("li t0, 123")
-        builder.emit("add a0, t0, zero")
+        builder.comment("every format and pseudo-instruction")
+        builder.li("t0", 123)
+        builder.li("t1", -(1 << 62) + 12345)
+        builder.r("add", "a0", "t0", "zero")
+        builder.i("slli", "t2", "t0", 3)
+        builder.i("addi", "t2", "t2", -1)
+        builder.load("ld", "t3", -8, "sp")
+        builder.store("sd", "t3", 16, "a0")
+        builder.mv("a1", "t2")
         builder.ret()
-        program = assemble(builder.build(), BASE_ISA)
-        assert len(program) >= 3
+        program = builder.program()
+        assert program == assemble(builder.build(), BASE_ISA)
+        assert len(program) >= 9
+
+    def test_ise_formats_assemble(self):
+        from repro.core.ise import EXTENDED_ISA
+        from repro.rv64.assembler import assemble
+
+        builder = KernelBuilder("t")
+        builder.r4("maddhu", "t0", "a1", "a2", "t1")
+        builder.ria("sraiadd", "t1", "t1", "t0", 57)
+        assert builder.program() == assemble(builder.build(),
+                                             EXTENDED_ISA)
+
+    def test_interned_lines_share_one_instruction(self):
+        interned: dict = {}
+        first = KernelBuilder("a", interned)
+        second = KernelBuilder("b", interned)
+        for builder in (first, second):
+            builder.r("add", "t0", "t1", "t2")
+            builder.r("add", "t0", "t1", "t2")
+        a0, a1 = first.program().instructions
+        b0, b1 = second.program().instructions
+        assert a0 is a1 is b0 is b1
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda b: b.r("addi", "t0", "t1", "t2"), "not a R-format"),
+        (lambda b: b.i("add", "t0", "t1", 3), "not a I/IS-format"),
+        (lambda b: b.store("ld", "t0", 0, "a1"), "not a S-format"),
+        (lambda b: b.r("add", "t0", "t1", "q7"), "unknown register 'q7'"),
+        (lambda b: b.li("acc", 3), "unknown register 'acc'"),
+    ])
+    def test_refuses_what_the_assembler_would(self, call, match):
+        with pytest.raises(KernelError, match=match):
+            call(KernelBuilder("t"))

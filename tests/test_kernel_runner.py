@@ -324,6 +324,30 @@ class TestKernelRunContract:
             value=deferred.value, limbs=deferred.limbs,
             instructions=deferred.instructions, cycles=deferred.cycles + 1)
 
+    @pytest.mark.parametrize("name", ["int_mul.full.isa",
+                                      "int_mul.reduced.isa"])
+    def test_interpreter_run_holds_its_result_once(self, kernels512, name):
+        """A kept interpreter run stores the result-buffer bytes and no
+        value int: ``value`` is recombined from them, per radix, and
+        reads, compares, hashes, prints and pickles as before."""
+        kernel = kernels512[name]
+        operands = kernel.sampler(random.Random(name))
+        run = KernelRunner(kernel).run(*operands)
+        expected = kernel.reference(*operands)
+        assert type(run[3]) is bytes
+        assert not [item for item in run
+                    if type(item) is int and item.bit_length() > 64]
+        assert run.value == expected
+        assert kernel.context.radix.from_limbs(run.limbs) == expected
+        explicit = KernelRun(value=expected, limbs=run.limbs,
+                             instructions=run.instructions,
+                             cycles=run.cycles)
+        assert run == explicit and hash(run) == hash(explicit)
+        assert repr(run) == repr(explicit)
+        restored = pickle.loads(pickle.dumps(run))
+        assert restored == run and restored.value == expected
+        assert type(restored[0]) is int
+
     def test_keyword_construction_and_immutability(self):
         run = KernelRun(value=7, limbs=(7, 0), instructions=3, cycles=5)
         assert run == KernelRun(value=7, limbs=(7, 0), instructions=3,

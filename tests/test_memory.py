@@ -83,6 +83,18 @@ class TestInPageEdges:
         assert mem.load(last, size) == value
         assert mem.read_bytes(last, size + 1) == \
             value.to_bytes(size, "little") + b"\x00"
+        assert mem.touched_pages == 1  # reading the next page allocates none
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_typed_load_of_an_untouched_page_allocates_none(self, size,
+                                                            signed):
+        mem = Memory()
+        assert mem.load(5 * PAGE_SIZE + 8, size, signed=signed) == 0
+        assert mem.load(PAGE_SIZE - size, size, signed=signed) == 0
+        assert mem.read_bytes(PAGE_SIZE - 3, 2 * PAGE_SIZE) == \
+            bytes(2 * PAGE_SIZE)
+        assert mem.touched_pages == 0
 
     def test_page_crossing_with_alignment_relaxed(self):
         mem = Memory(enforce_alignment=False)
