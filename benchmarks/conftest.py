@@ -26,17 +26,6 @@ from repro.eval.table4 import measure_table4
 from repro.kernels.registry import cached_kernels
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_aot_artifact_cache(tmp_path_factory):
-    """Keep aot-engine benchmarks out of the user's real artifact
-    cache; the warm-start benchmark overrides the variable itself."""
-    mp = pytest.MonkeyPatch()
-    mp.setenv("REPRO_AOT_CACHE",
-              str(tmp_path_factory.mktemp("aot-artifacts")))
-    yield
-    mp.undo()
-
-
 @pytest.fixture(scope="session")
 def params512():
     return csidh_512()

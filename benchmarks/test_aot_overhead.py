@@ -1,4 +1,4 @@
-"""Speedup guards for the aot execution engine and its artifact cache.
+"""Speedup guards for the aot execution engine.
 
 The engine contract, checked once here:
 
@@ -7,9 +7,6 @@ The engine contract, checked once here:
   tiers guarded (replay > 3x over the interpreter, jit >= 2x over
   replay, aot >= 2x over jit), so collapsing the ladder cannot hide a
   slower top rung;
-* constructing runners against a **warm** artifact cache is faster
-  than a cold construction (trace + symbolic execution + codegen are
-  skipped; the stored thunk source is just re-bound);
 * the simulated CSIDH-512 action of a one-prime key costs at most
   **5.3x** (``reduced.ise``) and **6.1x** (``full.isa``) the
   pure-Python action of the same key, both timed in this process (a
@@ -37,7 +34,7 @@ from repro.field.fp import FieldContext
 from repro.field.simulated import SimulatedFieldContext
 from repro.kernels.registry import cached_kernels
 from repro.kernels.runner import KernelRunner
-from tests.helpers import best_of, interleaved_best
+from tests.helpers import interleaved_best
 
 EXPONENTS = (1, -1, 1)
 
@@ -61,35 +58,6 @@ def test_aot_at_least_12x_over_interpreter():
     print(f"\n=== toy action: interpreter {interp*1e3:.1f} ms, "
           f"aot {aot*1e3:.1f} ms ({ratio:.2f}x) ===")
     assert ratio > 12.0
-
-
-def _construct_all(kernels) -> float:
-    start = time.perf_counter()
-    for kernel in kernels.values():
-        KernelRunner(kernel, engine="aot")
-    return time.perf_counter() - start
-
-
-def test_warm_artifact_cache_beats_cold_start(monkeypatch, tmp_path):
-    """Binding persisted thunks is faster than re-tracing and re-fusing
-    the whole kernel matrix from scratch."""
-    kernels = cached_kernels(csidh_toy().p)
-
-    cold = float("inf")
-    for index in range(3):
-        monkeypatch.setenv("REPRO_AOT_CACHE",
-                           str(tmp_path / f"cold{index}"))
-        cold = min(cold, _construct_all(kernels))
-
-    warm_dir = tmp_path / "warm"
-    monkeypatch.setenv("REPRO_AOT_CACHE", str(warm_dir))
-    _construct_all(kernels)  # populate the cache
-    warm = best_of(3, lambda: _construct_all(kernels))
-
-    ratio = cold / warm
-    print(f"\n=== {len(kernels)} runners: cold {cold*1e3:.1f} ms, "
-          f"warm {warm*1e3:.1f} ms ({ratio:.2f}x) ===")
-    assert warm < cold
 
 
 #: Position in the CSIDH-512 prime list of the one-prime key's +1

@@ -19,10 +19,7 @@ Commands:
 * ``bench`` — time one simulated group action per execution engine
   (interpreter / aot), verify the outputs agree, and optionally
   append the comparison to the ``BENCH_protocol.json`` perf
-  trajectory; with the aot engine it also measures cold-vs-warm start
-  against the artifact cache;
-* ``cache`` — inspect or clear the persistent on-disk aot artifact
-  cache (``stats`` / ``clear`` / ``dir``; see ``docs/SIMULATOR.md``);
+  trajectory;
 * ``serve`` / ``load`` — the multi-tenant TCP service and its
   in-process load harness (``load`` traces by default and exits 1 on
   any divergence).  ``serve`` runs with telemetry off: nothing reads
@@ -300,47 +297,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     exponents = tuple(exponent_rng.choice((-1, 0, 1)) or 1
                       for _ in params.ells)
 
-    aot_start = None
-    if "aot" in engines:
-        # cold-vs-warm start: build the aot contexts twice from an
-        # empty runner pool, reading the artifact-cache counters each
-        # time.  Within one process the second phase always binds the
-        # artifacts the first just wrote; across *invocations* sharing
-        # REPRO_AOT_CACHE the first phase itself reports hits — the
-        # warm-start acceptance the CI job asserts on.
-        from repro import telemetry
-        from repro.kernels.registry import clear_runner_pool
-
-        aot_start = {}
-        for phase in ("first", "second"):
-            clear_runner_pool()
-            with telemetry.capture() as cap:
-                start = time.perf_counter()
-                context = SimulatedFieldContext(
-                    p, variant=args.variant, engine="aot")
-                x = context.mul(2, 3)
-                context.sqr(x)
-                context.add(x, x)
-                context.sub(x, 1)
-                wall = time.perf_counter() - start
-            counters = cap.registry.counter
-            aot_start[phase] = {
-                "wall_s": wall,
-                "artifact_hits":
-                    counters("aot_artifact_hits_total").total(),
-                "artifact_misses":
-                    counters("aot_artifact_misses_total").total(),
-                "artifact_writes":
-                    counters("aot_artifact_writes_total").total(),
-                "compiles": counters("aot_compiles_total").total(),
-            }
-        clear_runner_pool()
-        for phase, row in aot_start.items():
-            print(f"aot {phase:6s} start: {row['wall_s'] * 1e3:6.1f} ms  "
-                  f"(artifact hits {row['artifact_hits']}, misses "
-                  f"{row['artifact_misses']}, writes "
-                  f"{row['artifact_writes']})")
-
     results: dict[str, dict] = {}
     outputs: dict[str, int] = {}
     for engine in engines:
@@ -379,8 +335,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 for engine, row in results.items()
             },
         }
-        if aot_start is not None:
-            record["aot_start"] = aot_start
         write_bench(args.bench_out, "protocol", record)
         print(f"benchmark trajectory appended to {args.bench_out}")
     return 0
@@ -814,14 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the full report as JSON")
     p.set_defaults(func=_cmd_watchdog)
 
-    p = sub.add_parser(
-        "cache",
-        help="inspect or clear the persistent aot artifact cache")
-    p.add_argument("action", choices=("stats", "clear", "dir"),
-                   help="stats: directory summary; clear: remove all "
-                        "artifacts; dir: print the cache directory")
-    p.set_defaults(func=_cmd_cache)
-
     p = sub.add_parser("kernel", help="dump a generated kernel")
     p.add_argument("name", help="e.g. fp_mul.reduced.ise")
     p.add_argument("--params", choices=sorted(_PARAM_SETS),
@@ -841,25 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     return parser
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.rv64.artifacts import cache_dir, cache_stats, clear_cache
-
-    if args.action == "dir":
-        print(cache_dir())
-        return 0
-    if args.action == "clear":
-        removed = clear_cache()
-        print(f"removed {removed} artifact(s) from {cache_dir()}")
-        return 0
-    stats = cache_stats()
-    print(f"cache dir : {stats['dir']}")
-    print(f"artifacts : {stats['artifacts']}")
-    print(f"bytes     : {stats['bytes']}")
-    for name in stats["files"]:
-        print(f"  {name}")
-    return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

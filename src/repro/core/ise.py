@@ -227,8 +227,8 @@ for _spec in ALL_ISE_SPECS:
 # ---------------------------------------------------------------------------
 # The aot tier fuses these into its dataflow graph (constant-folding
 # through them where operands are static), instead of falling back to
-# one bound-lambda call per instruction; the fallback would also make
-# the compiled artifact non-persistable (docs/SIMULATOR.md).  Same
+# one bound-lambda call per instruction, an opaque node that no rewrite
+# sees through (docs/SIMULATOR.md).  Same
 # algebra as the pure value functions above; the aot-vs-interpreter
 # differential suite pins the inlined expressions to the reference
 # semantics, so they cannot drift.  maddhu needs no final mask:

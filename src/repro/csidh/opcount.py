@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.csidh.group_action import ActionStats, group_action
 from repro.csidh.parameters import CsidhParameters
+from repro.errors import ParameterError
 from repro.field.counters import OpCounter
 from repro.field.fp import FieldContext
 
@@ -65,7 +66,11 @@ def average_group_action_profile(
     The group action's cost varies with the exponent vector and the luck
     of the point sampling; the paper reports a single number per
     variant, which we model as the mean over seeded random keys.
+    Raises :class:`~repro.errors.ParameterError` for fewer than one key:
+    a mean over no actions has no value.
     """
+    if keys < 1:
+        raise ParameterError(f"keys must be at least 1 (got {keys})")
     rng = random.Random(seed)
     total = OpCounter()
     stats = ActionStats()

@@ -20,8 +20,7 @@ installs the corruption:
   run.  A copy that no longer fuses is counted by
   ``aot_rejects_total{reason}`` and leaves the runner without a thunk:
   its runs use the (untouched) interpreter, and the fault's description
-  says so.  A poisoned fusion is never written to the on-disk artifact
-  cache;
+  says so;
 * ``output_corrupt`` installs a one-shot hook on the runner's result
   read-out seam, perturbing what the caller sees independently of the
   engine.
@@ -121,8 +120,7 @@ def _arm_poisoned(runner: KernelRunner, site: FaultSite, poisoned,
     entry thunk, the thunk is rebuilt from it.  A copy that no longer
     fuses records ``aot_rejects_total{reason}`` and leaves the runner
     without a thunk, so its aot runs demote to the untouched
-    interpreter.  Nothing here touches the artifact cache.  The
-    returned fault's ``disarm`` puts the healthy trace and thunk back.
+    interpreter.  The returned fault's ``disarm`` puts the healthy trace and thunk back.
     """
     machine = runner.machine
     entry = runner.entry

@@ -7,10 +7,10 @@ simulator — turning a CSIDH run into an actual execution on the
 (:mod:`repro.rv64.aot`): each kernel's static trace is fused once into
 limb-level wide-int arithmetic over the operand values — no
 per-instruction statements, no memory marshalling — with its
-precomputed cycle cost attached, and the fused thunk warm-starts from
-the persistent on-disk artifact cache (:mod:`repro.rv64.artifacts`)
-without re-tracing.  The aot engine is bit- and cycle-identical to the
-interpreter (proven operand-by-operand by ``tests/differential/``);
+precomputed cycle cost attached; each runner fuses its own thunk when it
+is built, so that cost is always the current timing model's.  The aot
+engine is bit- and cycle-identical to the interpreter (proven
+operand-by-operand by ``tests/differential/``);
 pass ``cross_check=True`` (or ``engine="interpreter"``) to route every
 operation through the full interpreter and pipeline model instead —
 ``cross_check`` adds per-run golden-reference verification, the slow,
@@ -364,8 +364,7 @@ class SimulatedFieldContext(FieldContext):
         cfg = self._checked
         runner = getattr(self, slot)
         name = runner.kernel.name
-        # drops the cached trace, the fused entry thunk and the
-        # entry's on-disk aot artifact
+        # drops the cached trace and the fused entry thunk
         runner.machine.invalidate_trace(runner.entry)
         registry.evict_runner(self.p, name, self._pipeline_config,
                               checked=True, engine=self.engine,

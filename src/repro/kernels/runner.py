@@ -13,13 +13,14 @@ equivalence.
 Because every generated kernel is branch-free straight-line code, a
 runner built with ``engine="aot"`` runs it as one fused Python function
 (:mod:`repro.rv64.aot`): the kernel's static trace is fused into
-wide-int arithmetic over the operand values, and the fused entry thunk
-warm-starts from the persistent on-disk artifact cache
-(:mod:`repro.rv64.artifacts`) without re-tracing at all.  The thunk is
-value-first: an aot run computes only the result value, takes its cost
-from the fused entry's static cost (:attr:`KernelRunner.static_cost`:
-every run of a straight-line trace costs the same), and keeps its limbs
-as a deferred read-out that recomputes them -- writing the register
+wide-int arithmetic over the operand values.  Each runner fuses its own
+thunk when it is built; nothing is stored across processes, so the
+static cost a run books is always the one the current trace and timing
+model computed.  The thunk is value-first: an aot run computes only the
+result value, takes its cost from the fused entry's static cost
+(:attr:`KernelRunner.static_cost`: every run of a straight-line trace
+costs the same), and keeps its limbs as a deferred read-out that
+recomputes them -- writing the register
 file, ``pc`` and ``halted`` as the interpreter leaves them -- when
 :attr:`KernelRun.limbs` is read.  Either way the
 aot engine yields the bit-identical value, limbs and architectural
@@ -224,7 +225,6 @@ class KernelRunner:
             )
         self.kernel = kernel
         self.engine = engine
-        self._pipeline_config = pipeline_config
         # hardening state (checked mode + fault-injection seam); None
         # keeps the disabled hot path at a single boolean test
         self._hardening: _Hardening | None = None
@@ -261,86 +261,38 @@ class KernelRunner:
         # refused kernels
         self._aot_thunk = None
         if engine == "aot":
-            # warm-start if the artifact cache has this kernel; only
-            # then fall back to trace + fuse (and persist the result)
-            self._init_aot(schedule=schedule)
+            self._init_aot()
         if checked:
             self.enable_checked(check_interval)
 
-    def _init_aot(self, *, schedule: bool) -> None:
-        """Bind or build the fused aot entry thunk (constructor helper).
+    def _init_aot(self) -> None:
+        """Fuse the aot entry thunk and bind it (constructor helper).
 
-        Resolution order: validated on-disk artifact (no re-tracing) →
-        whole-kernel fusion of a fresh trace (persisted for the next
-        process, when the source is artifact-safe) → rejection (aot
-        runs demote to the interpreter).  List-scheduled runners execute a
-        *different* program than the kernel source hashes to, so they
-        bypass the disk cache entirely.
+        A refusal leaves the runner without a thunk: its aot runs
+        demote to the interpreter.
         """
         from time import perf_counter
 
-        from repro.rv64.aot import AotError, bind_entry_source
-        from repro.rv64.artifacts import (
-            invalidate_artifact,
-            load_artifact,
-            make_key,
-            store_artifact,
-        )
+        from repro.rv64.aot import AotError
 
-        kernel = self.kernel
-        machine = self.machine
-        entry = self.entry
-        key = None if schedule else make_key(
-            kernel, self._pipeline_config)
-        aot = None
-        if key is not None:
-            payload = load_artifact(key)
-            if payload is not None and payload["entry"] == entry:
-                try:
-                    aot = bind_entry_source(
-                        machine, entry, payload["source"],
-                        cycles=payload["cycles"],
-                        instructions=payload["instructions"],
-                        halts=payload["halts"],
-                        exit_pc=payload["exit_pc"],
-                    )
-                except AotError:
-                    # a valid-looking artifact that will not bind is
-                    # stale in a way the digest cannot see; drop it
-                    # and fall through to a cold compile
-                    invalidate_artifact(key)
-                    aot = None
-        fresh = aot is None
-        if fresh:
-            start = perf_counter()
-            try:
-                aot = self.fuse_entry()
-            except AotError as exc:
-                telemetry.record("aot_rejects_total", exc.reason)
-                return
-            seconds = perf_counter() - start
-            telemetry.record("aot_compiles_total")
-            telemetry.record("aot_compile_seconds", value=seconds)
-        machine._aot_entry_cache[entry] = aot
-        machine.aot_disk_key = key
+        start = perf_counter()
+        try:
+            aot = self.fuse_entry()
+        except AotError as exc:
+            telemetry.record("aot_rejects_total", exc.reason)
+            return
+        telemetry.record("aot_compiles_total")
+        telemetry.record("aot_compile_seconds",
+                         value=perf_counter() - start)
+        self.machine._aot_entry_cache[self.entry] = aot
         self._aot_thunk = aot.fn
-        if fresh and key is not None and aot.persistable:
-            store_artifact(
-                key,
-                entry=entry,
-                source=aot.source,
-                cycles=aot.cycles,
-                instructions=aot.instructions_retired,
-                halts=aot.halts,
-                exit_pc=aot.exit_pc,
-            )
 
     def fuse_entry(self, trace=None):
         """Fuse this runner's kernel into an aot entry thunk.
 
         Raises :class:`~repro.rv64.aot.AotError`.  *trace* overrides the
         machine's cached static trace; fault injection fuses a poisoned
-        copy this way (such a thunk never reaches the artifact cache).
+        copy this way.
         """
         from repro.rv64.aot import compile_aot_entry
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 from repro.kernels.registry import build_all_kernels
 from repro.kernels.runner import KernelRunner
 
@@ -68,7 +68,13 @@ def validate_kernels(
     seed: int = 0xA11CE,
     check_constant_time: bool = False,
 ) -> ValidationReport:
-    """Validate the complete kernel matrix for *modulus*."""
+    """Validate the complete kernel matrix for *modulus*.
+
+    Raises :class:`~repro.errors.ParameterError` for fewer than one
+    trial: the kernels without boundary operands would run zero times.
+    """
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1 (got {trials})")
     rng = random.Random(seed)
     report = ValidationReport(modulus_bits=modulus.bit_length())
     for name, kernel in sorted(build_all_kernels(modulus).items()):

@@ -45,17 +45,15 @@ Expression semantics come from one template table
 extension packages register via :func:`register_expr`; each is parsed
 once into a lowering function.
 Anything without a template falls back to the *extracted* interpreter
-``op`` lambda bound into the namespace (correct, but it marks the
-artifact non-persistable: a bound lambda cannot round-trip through the
-disk cache).  Such lambdas, and templates outside the IR, become
+``op`` lambda bound into the namespace (correct, but one call per
+instruction).  Such lambdas, and templates outside the IR, become
 opaque nodes with an unknown interval, which no rule rewrites through
 (``docs/SIMULATOR.md``, "The aot expression IR").
 
-Compiled entry thunks serialise to **source text plus static costs**;
-:mod:`repro.rv64.artifacts` persists them on disk keyed by (kernel,
-modulus, pipeline, code hash) and :func:`bind_entry_source` re-binds a
-loaded artifact to a fresh machine without re-tracing — the warm-start
-path of ``repro serve`` and of every other new process.
+Every :class:`~repro.kernels.runner.KernelRunner` built for aot fuses
+its own thunk from its own machine's trace; no thunk outlives the
+process, so its static cost is always the one the current timing model
+computed.
 
 Compilation *refuses* with :class:`AotError` (``reason`` is one of
 :data:`AotError.REASONS`) whenever whole-kernel fusion cannot be proven
@@ -169,8 +167,8 @@ for _mnemonic, _expr in _ALU_R_EXPR.items():
 for _mnemonic, _expr in _ALU_I_EXPR.items():
     register_expr(_mnemonic, "i", _expr)
 # addiw shows up in generated address arithmetic on some variants; its
-# sign-extended 32-bit wrap keeps the artifact persistable where the
-# extracted-lambda fallback would not.
+# sign-extended 32-bit wrap keeps it inside the expression IR, where the
+# extracted-lambda fallback would be an opaque call.
 register_expr(
     "addiw", "i",
     "(((({a} + {imm}) & 0xffffffff) ^ 0x80000000) - 0x80000000) & M")
@@ -319,7 +317,6 @@ class _SymbolicRun:
         self.regs = regs
         self.memory = memory
         self.calls: dict[str, Callable] = {}
-        self.persistable = True
 
     def _write(self, rd: int, node: Node) -> None:
         if rd != 0:  # x0 is hard-wired (the trace drops these anyway)
@@ -337,7 +334,6 @@ class _SymbolicRun:
         if all(child.const is not None for child in children):
             return self.graph.const(
                 fn(*[child.const for child in children]))
-        self.persistable = False  # bound lambdas cannot round-trip
         name = f"_xop{len(self.calls)}"
         self.calls[name] = fn
         args = ", ".join("{%d}" % i for i in range(len(children)))
@@ -455,7 +451,7 @@ class _deep_recursion:
 
 
 # ---------------------------------------------------------------------------
-# Compiled artifacts
+# Compiled entries
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -471,19 +467,14 @@ class AotEntry:
     ``fn(*operands, True)`` is the
     read-out of the same run: it skips the liveness guard, writes the
     register file, ``pc`` and ``halted`` the interpreter would leave,
-    and returns the result limbs.  ``persistable`` is false when the
-    source references namespace-bound lambdas that cannot round-trip
-    through the on-disk artifact cache.
+    and returns the result limbs.
     """
 
     entry: int
     fn: Callable
     source: str
-    persistable: bool
     cycles: int | None
     instructions_retired: int
-    halts: bool
-    exit_pc: int
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +506,7 @@ def compile_aot_entry(
     return: it computes the result limbs, writes the full 32-register
     architectural state back (so the differential suite's register-file
     comparison holds), sets ``pc``/``halted`` and returns the limbs.
-    One source, one artifact: the read-out is not a second thunk.
+    One source, one function: the read-out is not a second thunk.
 
     The liveness guard re-reads ``machine._aot_entry_cache`` on every
     value call: invalidation pops the entry, the thunk returns ``None``,
@@ -631,53 +622,7 @@ def compile_aot_entry(
         entry=entry,
         fn=fn,
         source=source,
-        persistable=run.persistable,
         cycles=trace.cycles,
         instructions_retired=trace.instructions_retired,
-        halts=trace.halts,
-        exit_pc=trace.exit_pc,
     )
 
-
-def bind_entry_source(
-    machine: Machine,
-    entry: int,
-    source: str,
-    *,
-    cycles: int | None,
-    instructions: int,
-    halts: bool,
-    exit_pc: int,
-) -> AotEntry:
-    """Re-bind a persisted thunk source to *machine* (the warm-start
-    path: no trace compilation, no symbolic execution — just one
-    ``exec`` against a fresh machine-bound namespace).
-
-    Artifact sources are machine-independent by construction: they
-    reference only ``M`` and the ``_live``/``_regs``/``_st`` bindings
-    supplied here (non-persistable sources never reach the disk cache).
-    """
-    if f"_get({entry})" not in source:
-        raise AotError(
-            f"artifact source does not guard entry {entry:#x}; "
-            f"refusing a mismatched binding",
-            reason="codegen_error",
-        )
-    namespace = {
-        "M": MASK64,
-        "_live": machine._aot_entry_cache,
-        "_regs": machine.state.regs._regs,
-        "_st": machine.state,
-    }
-    fn = _build(source, namespace, tag=f"{entry:#x}|artifact",
-                function="__aot_entry")
-    return AotEntry(
-        entry=entry,
-        fn=fn,
-        source=source,
-        persistable=True,
-        cycles=cycles,
-        instructions_retired=instructions,
-        halts=halts,
-        exit_pc=exit_pc,
-    )

@@ -155,10 +155,6 @@ class Machine:
         # KernelRunner entry thunks (see repro.rv64.aot); doubles as
         # their liveness guard (popping an entry disables its thunk)
         self._aot_entry_cache: dict[int, object] = {}
-        # on-disk artifact identity for the entry hosted by this
-        # machine, set by KernelRunner so invalidate_trace can drop
-        # the persisted copy too (see repro.rv64.artifacts)
-        self.aot_disk_key = None
 
     # -- program management ------------------------------------------------
 
@@ -367,9 +363,8 @@ class Machine:
         (see ``docs/ROBUSTNESS.md``): a trace suspected of corruption is
         invalidated, and the next lookup recompiles it from the
         (immutable) program image.  The fused entry thunk is dropped
-        alongside the trace — it was generated *from* the suspect trace
-        — and so is the entry's on-disk aot artifact (the persisted
-        copy is just the thunk serialised).  Nothing is re-fused here:
+        alongside the trace — it was generated *from* the suspect
+        trace.  Nothing is re-fused here:
         the invalidated runner serves its aot requests from the
         interpreter, and recovery replaces it in the runner pool with a
         freshly built one.  A previous trace rejection is also
@@ -378,10 +373,6 @@ class Machine:
         self._replay_rejected.discard(entry)
         if self._aot_entry_cache.pop(entry, None) is not None:
             telemetry.record("aot_evictions_total")
-        if self.aot_disk_key is not None:
-            from repro.rv64.artifacts import invalidate_artifact
-
-            invalidate_artifact(self.aot_disk_key)
         removed = self._trace_cache.pop(entry, None) is not None
         if removed:
             telemetry.record("trace_invalidations_total")

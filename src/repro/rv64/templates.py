@@ -33,8 +33,8 @@ def register_expr(mnemonic: str, kind: str, expr: str) -> None:
     Extension packages (e.g. :mod:`repro.core.ise`) use this to fuse
     their custom instructions into the dataflow graph; unregistered
     mnemonics fall back to the extracted interpreter lambda (one call
-    per instruction, and the artifact becomes non-persistable), so
-    registration is a performance *and* cacheability optimisation.
+    per instruction, and an opaque node no rewrite rule sees through),
+    so registration is a performance optimisation.
     """
     if kind not in KINDS:
         raise TemplateError(f"unknown expression kind {kind!r}")

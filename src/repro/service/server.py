@@ -20,7 +20,7 @@ model:
 
 Faults walk tenants down the ``aot -> interpreter`` ladder
 (:mod:`repro.service.tenancy`); a faulting operation is retried on the
-interpreter, so a poisoned fused artifact degrades the one tenant's
+interpreter, so a poisoned fused thunk degrades the one tenant's
 latency instead of failing its requests.  Load alone never demotes a
 tenant — admission control bounds it instead.  Field ops submitted in
 one event-loop turn are coalesced into one batch per operation
@@ -225,8 +225,9 @@ class KeyExchangeService:
                     engine, lane)
             except (FaultError, SimulationError):
                 # Detected divergence, exhausted recovery, or a
-                # simulator crash: suspect the current tier's compiled
-                # artifacts and retry one rung down on pristine state.
+                # simulator crash: suspect the current tier's fused
+                # trace and thunks and retry one rung down on pristine
+                # state.
                 tenant.note_result(False)
                 if tenant.demote("fault"):
                     continue

@@ -14,10 +14,10 @@ machine (see :func:`repro.kernels.registry.cached_runner`).
 (default ``aot``) and demotes down ``aot -> interpreter`` on a *fault*
 — a detected divergence, an exhausted recovery, or a simulator crash
 surfacing from the tenant's own runners — because a corrupted fused
-artifact (trace or aot thunk) is the prime suspect and the interpreter
-re-derives everything from pristine kernel source (invalidation drops
-the on-disk aot artifact too, so recovery never reloads a suspect
-copy).  Load never demotes a tenant: the interpreter is the only rung
+form (trace or aot thunk) is the prime suspect and the interpreter
+re-derives everything from pristine kernel source.  No fused form
+outlives its process, so recovery never reloads a suspect copy.  Load
+never demotes a tenant: the interpreter is the only rung
 below aot and is strictly slower, so it would only deepen a backlog.
 
 After :attr:`TenantConfig.promote_after` consecutive clean operations

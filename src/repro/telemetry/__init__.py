@@ -185,8 +185,7 @@ FAMILIES = _declare(
                "static traces compiled"),
     FamilySpec("trace_rejects_total", "counter",
                "static trace compilation refusals", ("reason",)),
-    # the aot tier and its on-disk artifact cache (repro.rv64.aot,
-    # repro.rv64.artifacts)
+    # the aot tier (repro.rv64.aot)
     FamilySpec("aot_compiles_total", "counter",
                "aot functions compiled"),
     FamilySpec("aot_compile_seconds", "histogram",
@@ -199,14 +198,6 @@ FAMILIES = _declare(
                "wide-word lifts the guard refused", ("reason",)),
     FamilySpec("aot_evictions_total", "counter",
                "compiled aot functions evicted"),
-    FamilySpec("aot_artifact_hits_total", "counter",
-               "on-disk aot artifact cache hits"),
-    FamilySpec("aot_artifact_misses_total", "counter",
-               "on-disk aot artifact cache misses"),
-    FamilySpec("aot_artifact_writes_total", "counter",
-               "on-disk aot artifacts written"),
-    FamilySpec("aot_artifact_invalidations_total", "counter",
-               "on-disk aot artifacts invalidated"),
     # fault injection and the hardened execution layer (repro.fault)
     FamilySpec("faults_injected_total", "counter",
                "armed faults by site and kernel", ("site", "kernel")),

@@ -20,18 +20,6 @@ from repro.csidh.parameters import csidh_512, csidh_mini, csidh_toy
 from repro.kernels.registry import cached_kernels, make_contexts
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_aot_artifact_cache(tmp_path_factory):
-    """Keep every aot-engine test out of the user's real artifact
-    cache (``~/.cache/repro/aot``); tests that probe warm-start or
-    corruption behaviour still override the variable themselves."""
-    mp = pytest.MonkeyPatch()
-    mp.setenv("REPRO_AOT_CACHE",
-              str(tmp_path_factory.mktemp("aot-artifacts")))
-    yield
-    mp.undo()
-
-
 @pytest.fixture(scope="session")
 def csidh512_params():
     return csidh_512()

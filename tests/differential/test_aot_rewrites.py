@@ -803,7 +803,7 @@ def test_sub_chains_of_random_moduli_lift(radix, n):
     assert lifted != roots
 
 
-def test_guard_keeps_the_limb_form_of_a_wrong_lift(monkeypatch, tmp_path):
+def test_guard_keeps_the_limb_form_of_a_wrong_lift(monkeypatch):
     """A lift that computes a wrong value is refused before rendering:
     the thunk keeps its limb form, stays exact, and the refusal is
     counted."""
@@ -815,7 +815,6 @@ def test_guard_keeps_the_limb_form_of_a_wrong_lift(monkeypatch, tmp_path):
         patch.setattr(aot, "lift", lambda graph, roots: list(roots))
         limb_form = KernelRunner(kernel, engine="interpreter") \
             .fuse_entry().source
-    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path))
 
     def off_by_one(graph, roots):
         return [graph.add(roots[0], graph.const(1)), *roots[1:]]

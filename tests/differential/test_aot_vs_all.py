@@ -2,8 +2,8 @@
 to the interpreter, for every kernel, on random and adversarial operands.
 
 The entry thunk is the aot engine's only form: a runner built with
-``engine="aot"`` fuses it (or loads it from the artifact cache) at
-construction and serves every run from it.  Each observation runs the
+``engine="aot"`` fuses it at construction and serves every run from
+it.  Each observation runs the
 *same* runner (same machine, same assembled image) through the
 interpreter and through the thunk, comparing result limbs, value,
 retired instructions, cycle counts and the complete final register
@@ -17,10 +17,7 @@ straight-line Python must not move a single pinned number.
 
 The sibling modules cover the static trace the thunk is fused from
 (``test_replay_vs_interpreter.py``) and the expression IR's rewrite
-rules (``test_aot_rewrites.py``).  This module also covers the
-persistent artifact cache: a second runner construction against a warm
-cache binds the stored entry thunk without re-tracing, and a corrupted
-artifact file is deleted and silently recompiled.
+rules (``test_aot_rewrites.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import random
 
 import pytest
 
-from repro import telemetry
 from repro.csidh.parameters import csidh_512, csidh_toy
 from repro.kernels.registry import cached_kernels
 from repro.kernels.runner import KernelRunner
@@ -42,8 +38,6 @@ from repro.kernels.spec import (
     OP_FP_SQR,
     OP_FP_SUB,
 )
-from repro.rv64 import artifacts
-from repro.rv64.artifacts import cache_dir
 
 from tests.differential.generate_golden import GOLDEN_PATH
 from tests.helpers import boundary_operand_values
@@ -58,16 +52,6 @@ FIELD_KERNELS = [
 ]
 
 _RUNNERS: dict[str, KernelRunner] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _isolated_artifact_cache(tmp_path_factory):
-    """Keep the suite's artifacts out of the user's real cache dir."""
-    mp = pytest.MonkeyPatch()
-    mp.setenv("REPRO_AOT_CACHE",
-              str(tmp_path_factory.mktemp("aot-artifacts")))
-    yield
-    mp.undo()
 
 
 def runner_for(name: str) -> KernelRunner:
@@ -282,154 +266,3 @@ def test_finished_run_reads_out_after_its_thunk_is_gone(name):
     assert before_invalidate.limbs == expected[1][0]
     assert _architectural_state(runner) == expected[1][1]
 
-
-def _fresh_runner(kernels, name):
-    return KernelRunner(kernels[name], engine="aot")
-
-
-def test_warm_cache_binds_without_recompiling(monkeypatch, tmp_path):
-    """A second runner construction against a warm artifact cache
-    loads the stored entry thunk — no re-trace, no re-codegen."""
-    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "warm"))
-    name = f"{OP_FP_MUL}.full.ise"
-    kernels = cached_kernels(csidh_toy().p)
-
-    with telemetry.capture() as cold:
-        cold_runner = _fresh_runner(kernels, name)
-    assert cold.registry.counter("aot_artifact_writes_total").total() \
-        > 0
-    assert list(cache_dir().glob("*.json")), \
-        "cold construction must persist an artifact"
-
-    with telemetry.capture() as warm:
-        warm_runner = _fresh_runner(kernels, name)
-    assert warm.registry.counter("aot_artifact_hits_total").total() > 0
-    assert warm.registry.counter("aot_compiles_total").total() == 0, \
-        "warm start must not re-run the fuser"
-    assert warm.registry.counter("trace_compiles_total").total() == 0, \
-        "warm start must not re-trace"
-    assert warm_runner._aot_thunk is not None
-
-    rng = random.Random(9)
-    values = warm_runner.kernel.sampler(rng)
-    warm_run = warm_runner.run(*values, check=False, engine="aot")
-    cold_run = cold_runner.run(*values, check=False,
-                               engine="interpreter")
-    assert warm_run.limbs == cold_run.limbs
-    assert warm_run.cycles == cold_run.cycles
-
-
-def test_corrupt_artifact_is_deleted_and_recompiled(monkeypatch,
-                                                    tmp_path):
-    """Garbage on disk never surfaces: the loader deletes the file,
-    records the invalidation and falls back to a cold compile."""
-    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "corrupt"))
-    name = f"{OP_FP_ADD}.full.isa"
-    kernels = cached_kernels(csidh_toy().p)
-
-    _fresh_runner(kernels, name)
-    files = list(cache_dir().glob("*.json"))
-    assert files
-    files[0].write_text("{ not json at all")
-
-    with telemetry.capture() as cap:
-        runner = _fresh_runner(kernels, name)
-    reg = cap.registry
-    assert reg.counter("aot_artifact_invalidations_total").total() > 0
-    assert reg.counter("aot_compiles_total").total() > 0, \
-        "corruption must fall back to a cold compile"
-    assert runner._aot_thunk is not None
-
-    rng = random.Random(11)
-    assert_aot_exact(runner, runner.kernel.sampler(rng))
-
-
-def test_old_version_artifact_is_neither_served_nor_left_behind(
-        monkeypatch, tmp_path):
-    """An artifact of an older format version is unreachable (the
-    version is part of its filename), and the next store of the same
-    kernel deletes it instead of leaving it orphaned on disk."""
-    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "versions"))
-    name = f"{OP_FP_MUL}.full.isa"
-    kernel = cached_kernels(csidh_toy().p)[name]
-    probe = KernelRunner(kernel, engine="interpreter")
-    fused = probe.fuse_entry()
-    stale_source = fused.source + "# written by an older code generator\n"
-
-    current = artifacts.ARTIFACT_VERSION
-    monkeypatch.setattr(artifacts, "ARTIFACT_VERSION", current - 1)
-    old_key = artifacts.make_key(kernel, probe._pipeline_config)
-    old_path = artifacts.store_artifact(
-        old_key, entry=fused.entry, source=stale_source,
-        cycles=fused.cycles, instructions=fused.instructions_retired,
-        halts=fused.halts, exit_pc=fused.exit_pc)
-    monkeypatch.setattr(artifacts, "ARTIFACT_VERSION", current)
-    assert old_path is not None and old_path.exists()
-
-    with telemetry.capture() as cap:
-        runner = _fresh_runner({name: kernel}, name)
-    assert cap.registry.counter("aot_artifact_hits_total").total() == 0
-    assert cap.registry.counter("aot_compiles_total").total() > 0
-    bound = runner.machine._aot_entry_cache[runner.entry]
-    assert bound.source != stale_source
-    assert not old_path.exists(), "the old-version artifact was left behind"
-    stored = [json.loads(path.read_text())
-              for path in cache_dir().glob("*.json")]
-    assert [payload["version"] for payload in stored] == [current]
-    assert_aot_exact(runner, kernel.sampler(random.Random(5)))
-
-
-#: Thunk bodies of earlier format versions: version 4 returned
-#: ``(value, limbs, cycles, instructions)``; versions 5 to 7 returned
-#: ``(value, cycles, instructions)`` from a value call (version 5 also
-#: computed the reduction word by word and left add/sub in limb form);
-#: version 8 returned the value alone, like a version-9 thunk, but
-#: guarded each operand with two tests and made a Montgomery product's
-#: final subtraction on the double-width sum.
-_PREVIOUS_BODIES = {
-    4: "    return 0, (0,), 1, 1\n",
-    5: "    if not _readout:\n        return 0, 1, 1\n    return (0,)\n",
-    7: "    if not _readout:\n        return 0, 1, 1\n    return (0,)\n",
-    8: ("    if v0 < 0 or (v0 >> 64):\n        return None\n"
-        "    if not _readout:\n        return 0\n    return (0,)\n"),
-}
-
-
-def test_previous_version_payload_is_refused_not_bound(monkeypatch,
-                                                       tmp_path):
-    """A payload of a previous format version, even at the current
-    filename, is invalidated and recompiled rather than bound: the
-    tuple a version-4 to version-7 thunk returns would be taken for the
-    result value, and a version-5 or version-8 thunk is one the current
-    code generator no longer emits."""
-    name = f"{OP_FP_MUL}.full.isa"
-    kernel = cached_kernels(csidh_toy().p)[name]
-    for version, body in sorted(_PREVIOUS_BODIES.items()):
-        monkeypatch.setenv("REPRO_AOT_CACHE",
-                           str(tmp_path / f"previous-{version}"))
-        probe = KernelRunner(kernel, engine="interpreter")
-        key = artifacts.make_key(kernel, probe._pipeline_config)
-        entry = probe.entry
-        stale = (f"def __aot_entry(v0, v1, _readout=False, "
-                 f"_get=_live.get, _regs=_regs, _st=_st):\n"
-                 f"    if _get({entry}) is None:\n"
-                 f"        return None\n" + body)
-        artifacts.store_artifact(key, entry=entry, source=stale, cycles=1,
-                                 instructions=1, halts=False, exit_pc=0)
-        path = cache_dir() / key.filename
-        payload = json.loads(path.read_text())
-        payload["version"] = version
-        payload["digest"] = artifacts._payload_digest(payload)
-        path.write_text(json.dumps(payload, sort_keys=True))
-
-        with telemetry.capture() as cap:
-            runner = _fresh_runner({name: kernel}, name)
-        reg = cap.registry
-        assert reg.counter("aot_artifact_hits_total").total() == 0, version
-        assert reg.counter("aot_artifact_invalidations_total").total() > 0
-        assert reg.counter("aot_compiles_total").total() > 0
-        assert runner.machine._aot_entry_cache[runner.entry].source \
-            != stale
-        assert json.loads(path.read_text())["version"] \
-            == artifacts.ARTIFACT_VERSION
-        assert_aot_exact(runner, kernel.sampler(random.Random(4)))

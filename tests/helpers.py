@@ -117,11 +117,6 @@ def kernel_operands(kernel: Kernel, *, boundary_bias: bool = True):
     return st.tuples(*per_operand)
 
 
-def best_of(n: int, run) -> float:
-    """Best (smallest) of *n* calls of the timing function *run*."""
-    return min(run() for _ in range(n))
-
-
 def interleaved_best(n: int, first, second) -> tuple[float, float]:
     """Best of *n* calls of each timing function, the two alternating
     call by call, so a change of host speed during the measurement

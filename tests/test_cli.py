@@ -69,6 +69,23 @@ class TestCommands:
         assert main(["exchange", "--params", "toy"]) == 0
         assert "AGREED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["validate", "--trials", "0"], "trials"),
+        (["validate", "--trials", "-2"], "trials"),
+        (["action", "--keys", "0"], "keys"),
+        (["report", "--keys", "0"], "keys"),
+    ])
+    def test_empty_sample_counts_are_parameter_errors(self, argv, needle,
+                                                      capsys):
+        # no kernel run and no key sampled: refused, not reported as a
+        # pass or divided by zero
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [parameter]: ")
+        assert needle in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"
         assert main(["report", "-o", str(target), "--keys", "1"]) == 0
@@ -134,10 +151,7 @@ class TestFaultsCommand:
 class TestBenchCommand:
     """``repro bench``: the engine-comparison benchmark."""
 
-    def test_bench_all_engines_with_trajectory(self, tmp_path, capsys,
-                                               monkeypatch):
-        # keep the aot cold/warm phase out of the user's real cache dir
-        monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "aot"))
+    def test_bench_all_engines_with_trajectory(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_protocol.json"
         assert main(["bench", "--params", "toy", "--engine", "all",
                      "--rounds", "1",
@@ -145,7 +159,6 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         for engine in ("interpreter", "aot"):
             assert engine in out
-        assert "aot first  start" in out
 
         import json as json_module
         document = json_module.loads(out_path.read_text())
@@ -155,12 +168,6 @@ class TestBenchCommand:
         assert set(record["engines"]) == {"interpreter", "aot"}
         for row in record["engines"].values():
             assert row["wall_s"] > 0
-        # within one invocation the second phase binds the artifacts
-        # the first phase just wrote
-        start = record["aot_start"]
-        assert start["first"]["artifact_writes"] > 0
-        assert start["second"]["artifact_hits"] > 0
-        assert start["second"]["compiles"] == 0
 
     def test_bench_single_engine_no_batch(self, capsys):
         assert main(["bench", "--params", "toy", "--engine",

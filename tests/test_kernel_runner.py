@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 import random
 
@@ -272,6 +273,37 @@ class TestEngineSelection:
                 runner.run_batch([(3, 5), (-1, 5)])
         assert cap.registry.counter("aot_compiles_total").total() == 0
         assert cap.registry.counter("aot_demotions_total").total() == 0
+
+
+    def test_aot_construction_writes_no_file(self, toy_params, tmp_path,
+                                             monkeypatch):
+        """Each aot runner fuses its own thunk in memory: building one
+        per CSIDH-toy kernel and an aot field context leaves nothing on
+        disk, in the home directory or in the working directory."""
+        from repro.field.simulated import SimulatedFieldContext
+
+        home, cwd = tmp_path / "home", tmp_path / "cwd"
+        home.mkdir()
+        cwd.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        # no variable may steer a write away from the two directories
+        for name in [name for name in os.environ
+                     if name.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.chdir(cwd)
+        runners = [KernelRunner(kernel, engine="aot")
+                   for kernel in build_all_kernels(toy_params.p).values()]
+        assert any(runner._aot_thunk is not None for runner in runners)
+        scope = "aot-construction-writes-no-file"
+        try:
+            field = SimulatedFieldContext(toy_params.p, engine="aot",
+                                          scope=scope)
+            assert field.mul(field.add(3, 4), 5) == 35 % toy_params.p
+        finally:
+            clear_runner_pool(scope)
+        assert list(home.rglob("*")) == []
+        assert list(cwd.rglob("*")) == []
 
 
 class TestKernelRunContract:

@@ -8,6 +8,7 @@ from repro.csidh.opcount import (
     average_group_action_profile,
     count_group_action,
 )
+from repro.errors import ParameterError
 from repro.field.counters import OpCosts
 
 
@@ -49,6 +50,12 @@ class TestAverageProfile:
         assert profile.actions == 3
         per_action = profile.per_action()
         assert per_action.mul * 3 <= profile.ops.mul + 3
+
+    @pytest.mark.parametrize("keys", [0, -3])
+    def test_fewer_than_one_key_is_refused(self, mini_params, keys):
+        # a mean over no actions has no value (it divided by zero)
+        with pytest.raises(ParameterError, match="keys"):
+            average_group_action_profile(mini_params, keys=keys)
 
     def test_cycles_composition_order(self, mini_params):
         """ISE costs below ISA costs must give fewer composed cycles."""

@@ -88,8 +88,7 @@ def _assert_trace_refused(source: str, reason: str, **kwargs) -> None:
 
 def _runner(edit=None, *, name: str = _KERNEL, config=ROCKET_CONFIG,
             engine: str = "aot") -> KernelRunner:
-    """A runner over toy kernel *name*, its source rewritten by *edit*
-    (an edited source hashes to its own artifact key)."""
+    """A runner over toy kernel *name*, its source rewritten by *edit*."""
     kernel = cached_kernels(csidh_toy().p)[name]
     if edit is not None:
         kernel = dataclasses.replace(kernel, source=edit(kernel.source))
@@ -242,13 +241,6 @@ def _assert_entry_refused(source: str, reason: str) -> None:
     assert excinfo.value.code == "aot"
 
 
-@pytest.fixture
-def _cold_artifacts(monkeypatch, tmp_path):
-    """An empty artifact cache, so a runner built under a broken
-    template really compiles instead of binding a healthy artifact."""
-    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "aot"))
-
-
 class TestAotNotReplayable:
     """A program without a static trace refuses fusion for the same
     root cause, and the runner's aot requests demote to the
@@ -279,7 +271,7 @@ class TestAotUnsupportedOp:
         ret
     """
 
-    def test_rejected_and_interpreter_serves(self, _cold_artifacts):
+    def test_rejected_and_interpreter_serves(self):
         original = aot_module._EXPRS.pop("maddlu")
         try:
             _assert_entry_refused(self.SOURCE, "unsupported_op")
@@ -322,7 +314,7 @@ class TestAotCodegenError:
     """A broken expression template fails to fold/compile: aot refuses
     with ``codegen_error`` and the interpreter serves the run."""
 
-    def test_rejected_and_interpreter_serves(self, _cold_artifacts):
+    def test_rejected_and_interpreter_serves(self):
         original = aot_module._EXPRS.get("add")
         aot_module._EXPRS["add"] = ("r", "r1 = = broken(")
         try:

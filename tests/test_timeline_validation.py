@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import EXTENDED_ISA
 from repro.core.macros import mac_full_radix_isa, mac_full_radix_ise
+from repro.errors import ParameterError
 from repro.kernels.validation import validate_kernels
 from repro.rv64.isa import BASE_ISA
 from repro.rv64.timeline import render_timeline, trace_timeline
@@ -79,6 +80,12 @@ class TestBatchValidation:
         assert report.passed
         assert len(report.results) == 38
         assert "38 passed" in report.summary()
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_is_refused(self, toy_params, trials):
+        # the kernels without boundary operands would run zero times
+        with pytest.raises(ParameterError, match="trials"):
+            validate_kernels(toy_params.p, trials=trials)
 
     def test_constant_time_option(self, toy_params):
         report = validate_kernels(toy_params.p, trials=1,
