@@ -209,6 +209,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         render_profile,
     )
 
+    if args.top < 0:
+        raise ParameterError(
+            f"--top must be non-negative (got {args.top})")
     params = _PARAM_SETS[args.params]()
     result = profile_group_action(
         params, variant=args.variant, seed=args.seed,
@@ -390,14 +393,10 @@ def _write_trace_exports(root, chrome_path: str | None,
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import signal
 
     from repro.service import KeyExchangeService, start_server
 
     params, configs = _service_configs(args)
-    if args.grace_s < 0:
-        raise ParameterError(
-            f"--grace-s must be non-negative (got {args.grace_s})")
 
     async def serve() -> None:
         service = KeyExchangeService(params, configs)
@@ -407,45 +406,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"({args.tenants} tenant(s) x {args.lanes} lane(s), "
               f"engine {args.engine}"
               f"{', hardened' if args.hardened else ''})")
-        sigterm = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGTERM, sigterm.set)
-            sigterm_wired = True
-        except (NotImplementedError, RuntimeError):
-            # Platforms without loop signal handlers just skip the
-            # graceful-drain path; Ctrl-C still works via the
-            # KeyboardInterrupt handler below.
-            sigterm_wired = False
         try:
             async with server:
-                forever = asyncio.ensure_future(server.serve_forever())
-                stop = asyncio.ensure_future(sigterm.wait())
-                await asyncio.wait(
-                    {forever, stop},
-                    return_when=asyncio.FIRST_COMPLETED)
-                stop.cancel()
-                forever.cancel()
-                try:
-                    await forever
-                except asyncio.CancelledError:
-                    pass
-                if sigterm.is_set():
-                    # Graceful drain: stop accepting, reject new
-                    # requests with the stable "service" code, let
-                    # in-flight work finish inside the grace budget.
-                    print(f"SIGTERM: draining in-flight requests "
-                          f"(grace {args.grace_s:g}s)")
-                    server.close()
-                    service.begin_drain()
-                    if await service.wait_idle(grace_s=args.grace_s):
-                        print("drained cleanly")
-                    else:
-                        print("grace period expired with requests "
-                              "still in flight")
+                await server.serve_forever()
         finally:
-            if sigterm_wired:
-                loop.remove_signal_handler(signal.SIGTERM)
             await service.aclose()
 
     try:
@@ -696,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="0 picks a free port (printed at startup)")
-    p.add_argument("--grace-s", type=float, default=5.0, metavar="S",
-                   help="graceful-drain budget on SIGTERM: stop "
-                        "accepting, let in-flight requests finish")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -116,19 +116,6 @@ class DeadlineError(ServiceError):
     code = "deadline"
 
 
-class CircuitOpenError(ServiceError):
-    """A request was rejected by an open per-tenant circuit breaker.
-
-    After a run of consecutive execution failures the tenant's breaker
-    opens and requests are rejected immediately with this stable
-    ``code`` — shedding load instead of queueing doomed work.  After
-    the cool-down one half-open probe is admitted; its outcome closes
-    or re-opens the circuit (see ``docs/ROBUSTNESS.md``).
-    """
-
-    code = "circuit_open"
-
-
 class TransportError(ServiceError):
     """A wire-level transport fault (client side, retryable).
 

@@ -10,7 +10,7 @@ operation on seeded operands, and classifies the outcome:
 ``detected_recovered``
     the hardening layer raised/absorbed a divergence and the final
     value matches the fault-free expectation (interpreter fallback on a
-    freshly assembled runner succeeded);
+    freshly built runner succeeded);
 ``detected_unrecovered``
     detected, but recovery was exhausted or the value still diverged;
 ``masked``

@@ -63,7 +63,7 @@ a bit flip, a poisoned trace, a corrupted runner — raises
 the poisoned runner is evicted from the registry pool, its static
 trace and fused entry thunk invalidated, and the operation re-executed
 on the interpreter
-from a freshly assembled runner, bounded by ``max_recovery_attempts``.
+from a freshly built runner, bounded by ``max_recovery_attempts``.
 If every attempt still diverges,
 :class:`~repro.errors.RecoveryExhaustedError` is raised.
 
@@ -78,7 +78,7 @@ to the cycle (``tests/differential/test_dynamic_equals_composed.py``).
 
 Runners are pooled per (modulus, kernel, pipeline, checked, engine) via
 :func:`repro.kernels.registry.cached_runner`, so constructing many
-contexts — one per benchmark round, say — assembles and fuses each
+contexts — one per benchmark round, say — builds and fuses each
 kernel only once per process.
 """
 
@@ -395,7 +395,7 @@ class SimulatedFieldContext(FieldContext):
         raise RecoveryExhaustedError(
             f"{operation} still diverged from the pure-Python "
             f"reference after {cfg.max_attempts} interpreter "
-            f"re-executions on freshly assembled runners"
+            f"re-executions on freshly built runners"
         ) from cause
 
     # -- field operations ----------------------------------------------------

@@ -48,9 +48,8 @@ machine.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro import telemetry
@@ -92,7 +91,6 @@ class ExecutionResult:
 
     instructions_retired: int
     cycles: int | None
-    histogram: Counter[str] = field(default_factory=Counter)
 
     @property
     def cpi(self) -> float:
@@ -147,8 +145,6 @@ class Machine:
         # before a run executes anything
         self._kinds: set[str] = set()
         self._trace_hooks: list[TraceHook] = []
-        self.collect_histogram = False
-        self._histogram: Counter[str] = Counter()
         # static traces, the aot front end (see repro.rv64.replay)
         self._trace_cache: dict[int, object] = {}
         self._replay_rejected: set[int] = set()
@@ -238,7 +234,6 @@ class Machine:
         self.state.regs.reset()
         self.state.halted = False
         self.state.pc = 0
-        self._histogram.clear()
         if self.pipeline:
             self.pipeline.reset()
 
@@ -276,7 +271,6 @@ class Machine:
         pending: list = []
         record = pending.append
         hooks = self._trace_hooks
-        histogram = self._histogram if self.collect_histogram else None
 
         retired = 0
         limit = self.max_steps
@@ -304,8 +298,6 @@ class Machine:
                        else image_entry)
                 if state.branch_taken:
                     record(None)
-                if histogram is not None:
-                    histogram[ins.mnemonic] += 1
                 if hooks:
                     for hook in hooks:
                         hook(state, ins)
@@ -334,7 +326,6 @@ class Machine:
         return ExecutionResult(
             instructions_retired=retired,
             cycles=pipeline.cycles if pipeline else None,
-            histogram=Counter(self._histogram),
         )
 
     # -- static traces -------------------------------------------------------

@@ -21,7 +21,6 @@ Public surface:
 
 from repro.service.admission import (
     AdmissionController,
-    CircuitBreaker,
     Ticket,
 )
 from repro.service.coalesce import RequestCoalescer
@@ -44,7 +43,6 @@ __all__ = [
     "ENGINE_LADDER",
     "FIELD_OPS",
     "AdmissionController",
-    "CircuitBreaker",
     "KeyExchangeService",
     "Lane",
     "LoadReport",

@@ -24,14 +24,9 @@ three.  Two invariants hold at every instant:
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable
 
 from repro import telemetry
-from repro.errors import AdmissionError, CircuitOpenError, ServiceError
-
-#: ``circuit_state`` gauge encoding of the breaker states.
-CIRCUIT_STATES = {"closed": 0, "open": 1, "half_open": 2}
+from repro.errors import AdmissionError, ServiceError
 
 
 class Ticket:
@@ -142,158 +137,3 @@ class AdmissionController:
             raise ServiceError(f"unknown tenant {tenant!r}")
         return capacity
 
-
-class CircuitBreaker:
-    """Per-tenant circuit breaker layered above admission control.
-
-    The admission controller bounds *queued* work; the breaker bounds
-    *doomed* work.  A run of ``failure_threshold`` consecutive
-    execution failures opens a tenant's circuit, and until
-    ``reset_timeout_s`` elapses every request is rejected immediately
-    with :class:`~repro.errors.CircuitOpenError` (stable code
-    ``circuit_open``) — the tenant's backlog stops absorbing lanes a
-    broken backend cannot serve.  After the cool-down the circuit goes
-    ``half_open``: exactly one probe request is admitted, and its
-    outcome closes the circuit (success) or re-opens it for another
-    cool-down (failure).  Concurrent requests during the probe are
-    rejected like the open state.
-
-    Same concurrency contract as :class:`AdmissionController`: plain
-    state under one mutex, callable from the event loop and from
-    threads.  The clock is injectable so tests never sleep.
-    """
-
-    STATES = ("closed", "open", "half_open")
-
-    def __init__(self, *, failure_threshold: int = 5,
-                 reset_timeout_s: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if failure_threshold < 1:
-            raise ServiceError(
-                "failure_threshold must be positive "
-                f"(got {failure_threshold})")
-        if reset_timeout_s <= 0:
-            raise ServiceError(
-                f"reset_timeout_s must be positive (got {reset_timeout_s})")
-        self._lock = threading.Lock()
-        self._clock = clock
-        self._threshold = failure_threshold
-        self._reset_timeout_s = reset_timeout_s
-        self._state: dict[str, str] = {}
-        self._failures: dict[str, int] = {}
-        self._opened_at: dict[str, float] = {}
-        self._probing: dict[str, bool] = {}
-        self._rejected: dict[str, int] = {}
-
-    def configure(self, tenant: str) -> None:
-        """Register *tenant* with a closed circuit."""
-        with self._lock:
-            self._state.setdefault(tenant, "closed")
-            self._failures.setdefault(tenant, 0)
-        telemetry.record("circuit_state", tenant,
-                         value=CIRCUIT_STATES[self.state(tenant)])
-
-    def _set_state(self, tenant: str, state: str) -> None:
-        # caller holds self._lock
-        self._state[tenant] = state
-        if state == "open":
-            self._opened_at[tenant] = self._clock()
-        if state != "half_open":
-            self._probing[tenant] = False
-
-    def check(self, tenant: str) -> None:
-        """Admit one request or raise :class:`CircuitOpenError`.
-
-        In the ``open`` state requests are rejected until the reset
-        timeout has elapsed, at which point the circuit transitions to
-        ``half_open`` and this call admits the single probe.  While the
-        probe is outstanding, further requests are rejected.
-        """
-        transition = None
-        with self._lock:
-            state = self._state.get(tenant, "closed")
-            if state == "open":
-                elapsed = self._clock() - self._opened_at.get(tenant, 0.0)
-                if elapsed >= self._reset_timeout_s:
-                    self._set_state(tenant, "half_open")
-                    self._probing[tenant] = True
-                    transition = "half_open"
-                    state = "half_open"
-                else:
-                    self._rejected[tenant] = (
-                        self._rejected.get(tenant, 0) + 1)
-                    state = "rejected"
-            elif state == "half_open":
-                if self._probing.get(tenant, False):
-                    self._rejected[tenant] = (
-                        self._rejected.get(tenant, 0) + 1)
-                    state = "rejected"
-                else:
-                    self._probing[tenant] = True
-        if transition is not None:
-            telemetry.record("circuit_state", tenant,
-                             value=CIRCUIT_STATES[transition])
-        if state == "rejected":
-            telemetry.record("service_rejections_total", tenant,
-                             "circuit_open")
-            raise CircuitOpenError(
-                f"circuit for tenant {tenant!r} is open; retry after "
-                f"{self._reset_timeout_s:g}s cool-down")
-
-    def record(self, tenant: str, ok: bool | None) -> None:
-        """Feed one execution outcome back into the state machine.
-
-        ``ok=None`` is **neutral** evidence (an admission rejection or
-        a caller-fault validation error says nothing about backend
-        health): it releases a half-open probe so the next request can
-        probe again, and leaves the failure streak untouched.
-        """
-        transition = None
-        with self._lock:
-            state = self._state.get(tenant, "closed")
-            if state == "half_open":
-                # the probe's outcome decides the circuit's fate
-                self._probing[tenant] = False
-                if ok is None:
-                    pass  # next request becomes the new probe
-                elif ok:
-                    self._failures[tenant] = 0
-                    self._set_state(tenant, "closed")
-                    transition = "closed"
-                else:
-                    self._set_state(tenant, "open")
-                    transition = "open"
-            elif state == "closed":
-                if ok is None:
-                    pass
-                elif ok:
-                    self._failures[tenant] = 0
-                else:
-                    failures = self._failures.get(tenant, 0) + 1
-                    self._failures[tenant] = failures
-                    if failures >= self._threshold:
-                        self._set_state(tenant, "open")
-                        transition = "open"
-            # outcomes arriving while open (late work from before the
-            # trip) carry no information: the circuit waits its timer.
-        if transition is not None:
-            telemetry.record("circuit_state", tenant,
-                             value=CIRCUIT_STATES[transition])
-
-    # -- introspection -------------------------------------------------------
-
-    def state(self, tenant: str) -> str:
-        with self._lock:
-            return self._state.get(tenant, "closed")
-
-    def states(self) -> dict[str, str]:
-        with self._lock:
-            return dict(self._state)
-
-    def rejected(self, tenant: str) -> int:
-        with self._lock:
-            return self._rejected.get(tenant, 0)
-
-    def consecutive_failures(self, tenant: str) -> int:
-        with self._lock:
-            return self._failures.get(tenant, 0)

@@ -46,11 +46,10 @@ from repro.csidh.validate import is_supersingular
 from repro.errors import (
     DeadlineError,
     FaultError,
-    ReproError,
     ServiceError,
     SimulationError,
 )
-from repro.service.admission import AdmissionController, CircuitBreaker
+from repro.service.admission import AdmissionController
 from repro.service.coalesce import RequestCoalescer
 from repro.service.tenancy import (
     Lane,
@@ -63,33 +62,11 @@ from repro.service.tenancy import (
 #: Field operations servable through the coalescer, with their arity.
 FIELD_OPS = {"mul": 2, "sqr": 1, "add": 2, "sub": 2}
 
-#: Consecutive execution failures before a tenant's circuit opens.
-DEFAULT_BREAKER_THRESHOLD = 5
-
-#: Cool-down before an open circuit admits its half-open probe.
-DEFAULT_BREAKER_RESET_S = 30.0
-
 
 def _reap(task: asyncio.Task) -> None:
     """Retrieve a drained task's outcome so asyncio never logs it."""
     if not task.cancelled():
         task.exception()
-
-
-def _breaker_signal(exc: BaseException):
-    """Map one failed execution onto circuit-breaker evidence.
-
-    ``False`` counts toward tripping the circuit (the backend looks
-    broken: faults, simulator crashes, deadline blowouts, unexpected
-    internal errors).  ``None`` is neutral (admission rejections and
-    request-validity errors say nothing about backend health) — it
-    releases a half-open probe without deciding it.
-    """
-    if isinstance(exc, (FaultError, SimulationError, DeadlineError)):
-        return False
-    if isinstance(exc, ReproError):
-        return None
-    return False
 
 
 def _integer(value, what: str) -> int:
@@ -126,8 +103,6 @@ class KeyExchangeService:
         self,
         params: CsidhParameters,
         tenants: Sequence[TenantConfig] | None = None,
-        *,
-        breaker_clock=None,
     ) -> None:
         self.params = params
         configs = list(tenants) if tenants is not None \
@@ -143,16 +118,10 @@ class KeyExchangeService:
             for cfg in configs
         }
         self.admission = AdmissionController()
-        breaker_kwargs = {} if breaker_clock is None \
-            else {"clock": breaker_clock}
-        self.breaker = CircuitBreaker(
-            failure_threshold=DEFAULT_BREAKER_THRESHOLD,
-            reset_timeout_s=DEFAULT_BREAKER_RESET_S, **breaker_kwargs)
         self._lanes: dict[str, asyncio.Queue] = {}
         for tenant in self.tenants.values():
             self.admission.configure(
                 tenant.config.name, tenant.config.capacity)
-            self.breaker.configure(tenant.config.name)
             queue: asyncio.Queue = asyncio.Queue()
             for lane in tenant.lanes:
                 queue.put_nowait(lane)
@@ -173,7 +142,6 @@ class KeyExchangeService:
         self._deadline_exceeded: dict[str, int] = {}
         self._started_monotonic = time.monotonic()
         self._closed = False
-        self._draining = False
 
     # -- tenant / lane plumbing ----------------------------------------------
 
@@ -250,9 +218,6 @@ class KeyExchangeService:
     def _check_accepting(self) -> None:
         if self._closed:
             raise ServiceError("service is closed")
-        if self._draining:
-            raise ServiceError(
-                "service is draining; not accepting new requests")
 
     @staticmethod
     def _deadline_at(deadline_s) -> float | None:
@@ -339,7 +304,7 @@ class KeyExchangeService:
     async def _run_op(self, tenant_name: str, op: str, execute,
                       trace_id: str | None = None,
                       deadline_s=None):
-        """Breaker -> admission -> *execute* -> telemetry.
+        """Admission -> *execute* -> telemetry.
 
         The one request pipeline: every operation passes in its
         execute step, ``execute(tenant, op, deadline_at)`` — a lane
@@ -358,22 +323,12 @@ class KeyExchangeService:
         try:
             with tracing.request_trace(op, tenant_name,
                                        trace_id=trace_id):
-                self.breaker.check(tenant_name)
-                try:
-                    with self.admission.admit(tenant_name):
-                        if (deadline_at is not None and deadline_at
-                                <= asyncio.get_running_loop().time()):
-                            raise self._deadline_error(
-                                tenant_name, op, "queued")
-                        result = await execute(tenant, op, deadline_at)
-                except Exception as exc:
-                    # check() admitted this request (possibly as the
-                    # half-open probe): exactly one record() balances it.
-                    self.breaker.record(
-                        tenant_name, _breaker_signal(exc))
-                    raise
-                else:
-                    self.breaker.record(tenant_name, True)
+                with self.admission.admit(tenant_name):
+                    if (deadline_at is not None and deadline_at
+                            <= asyncio.get_running_loop().time()):
+                        raise self._deadline_error(
+                            tenant_name, op, "queued")
+                    result = await execute(tenant, op, deadline_at)
         except Exception:
             telemetry.record("service_requests_total", tenant_name, op,
                              "error")
@@ -512,8 +467,6 @@ class KeyExchangeService:
                 "promotions": tenant.promotions,
                 "fault_detections": detections,
                 "fault_recoveries": recoveries,
-                "circuit": self.breaker.state(name),
-                "circuit_rejections": self.breaker.rejected(name),
                 "deadline_exceeded":
                     self._deadline_exceeded.get(name, 0),
             }
@@ -534,55 +487,6 @@ class KeyExchangeService:
                 sum(self._deadline_exceeded.values()),
             "coalesced": coalesced,
         }
-
-    def health(self) -> dict:
-        """Liveness/readiness snapshot (also served as op ``health``).
-
-        Cheaper and stabler than :meth:`stats`: meant for probes and
-        the drain sequence.
-        """
-        status = ("closed" if self._closed
-                  else "draining" if self._draining else "ok")
-        return {
-            "status": status,
-            "ready": self.ready(),
-            "uptime_s": time.monotonic() - self._started_monotonic,
-            "inflight": self.admission.total_inflight(),
-            "tenants": {
-                name: {"engine": tenant.engine,
-                       "circuit": self.breaker.state(name)}
-                for name, tenant in self.tenants.items()
-            },
-        }
-
-    def ready(self) -> bool:
-        """Whether the service is accepting new requests."""
-        return not self._closed and not self._draining
-
-    def begin_drain(self) -> None:
-        """Stop accepting new requests; in-flight work continues.
-
-        The graceful-shutdown sequence (``repro serve`` on SIGTERM) is
-        ``begin_drain()`` -> :meth:`wait_idle` -> :meth:`aclose`.
-        """
-        self._draining = True
-
-    async def wait_idle(self, grace_s: float = 5.0) -> bool:
-        """Wait up to *grace_s* for in-flight requests to finish.
-
-        Returns ``True`` when the service went idle (and its
-        coalescers flushed) within the grace window, ``False`` when
-        work was still in flight at the deadline — the caller closes
-        anyway, abandoning the stragglers.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + max(grace_s, 0.0)
-        while self.admission.total_inflight() > 0:
-            if loop.time() >= deadline:
-                return False
-            await asyncio.sleep(0.01)
-        await self.drain()
-        return True
 
     async def drain(self) -> None:
         """Flush coalescers and wait for their batches to finish."""

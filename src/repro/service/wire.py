@@ -20,8 +20,8 @@ Responses may arrive out of order (requests run concurrently); the
 
 Ops: ``keygen`` (seed), ``exchange`` (seed, peer, validate?),
 ``verify`` (public), ``field_op`` (field_op, operands), ``stats``,
-``ping``, ``health``, ``ready``.  Any other op is answered in-band
-with the stable code ``service`` and the connection keeps serving.
+``ping``.  Any other op is answered in-band with the stable code
+``service`` and the connection keeps serving.
 
 **Resilience fields** (all optional; see ``docs/ROBUSTNESS.md``):
 
@@ -81,7 +81,7 @@ WIRE_BUFFER_LIMIT = 4 * MAX_LINE_BYTES
 IDEMPOTENT_OPS = frozenset({"keygen", "exchange", "verify", "field_op"})
 
 #: Read-only ops the client also retries (no idempotency key needed).
-READONLY_OPS = frozenset({"ping", "stats", "health", "ready"})
+READONLY_OPS = frozenset({"ping", "stats"})
 
 #: Per-connection idempotency-cache bound (LRU beyond this).
 IDEM_CACHE_SIZE = 256
@@ -167,10 +167,6 @@ async def _dispatch(service: KeyExchangeService, request: dict,
         return "pong"
     if op == "stats":
         return service.stats()
-    if op == "health":
-        return service.health()
-    if op == "ready":
-        return service.ready()
     if op == "keygen":
         return await service.keygen(tenant, request.get("seed", 0),
                                     trace_id=trace_id,
@@ -577,12 +573,6 @@ class ServiceClient:
 
     async def ping(self) -> str:
         return await self.request("ping")
-
-    async def health(self) -> dict:
-        return await self.request("health")
-
-    async def ready(self) -> bool:
-        return await self.request("ready")
 
     async def _teardown(self) -> None:
         if self._pump is not None:

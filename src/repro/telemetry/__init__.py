@@ -10,7 +10,7 @@ pieces:
   spans that accumulate wall-clock seconds and *simulated cycles*, so
   an instrumented protocol run decomposes exactly like the paper's
   Table 4 (protocol -> curve ops -> isogenies -> kernels);
-* :mod:`repro.telemetry.export` — JSON / JSONL / Prometheus-text
+* :mod:`repro.telemetry.export` — JSON / JSONL
   exporters and the ``BENCH_*.json`` perf-trajectory artifact.
 
 This module owns the **process-global instances** (:data:`TRACER`,
@@ -243,8 +243,6 @@ FAMILIES = _declare(
                "client reconnections"),
     FamilySpec("service_deadline_exceeded_total", "counter",
                "requests that ran out of deadline budget", ("op", "where")),
-    FamilySpec("circuit_state", "gauge",
-               "per-tenant circuit-breaker state", ("tenant",)),
 )
 
 

@@ -1,6 +1,6 @@
 """Machine-readable exporters for spans and metrics.
 
-Three formats, each chosen for a different consumer:
+Two formats, each chosen for a different consumer:
 
 * **JSON document** (:func:`write_json`) — one self-contained object
   with the span tree, the flattened metrics and run metadata; the
@@ -9,9 +9,6 @@ Three formats, each chosen for a different consumer:
   one event per line (``meta``, ``span``, ``metric``), append-friendly
   and streamable; ``read_jsonl`` reconstructs the exact in-memory
   span tree (round-trip tested);
-* **Prometheus text** (:func:`to_prometheus`) — the standard
-  ``# TYPE`` + ``name{labels} value`` exposition format, ready for a
-  node-exporter-style scrape or eyeballing;
 
 plus :func:`write_bench` — the ``BENCH_*.json`` perf-trajectory
 artifact: a small summary record appended to a ``runs`` list so CI can
@@ -194,51 +191,6 @@ def read_jsonl(path: str) -> SpanNode:
     if root is None:
         raise TelemetryError(f"no span events found in {path!r}")
     return root
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition
-# ---------------------------------------------------------------------------
-
-
-def _escape_label_value(value: object) -> str:
-    # Prometheus text exposition: inside a quoted label value,
-    # backslash, double-quote and line feed must be escaped.
-    return (str(value)
-            .replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _prom_labels(labels) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{k}="{_escape_label_value(v)}"' for k, v in labels)
-    return "{" + inner + "}"
-
-
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Render *registry* in the Prometheus text exposition format."""
-    lines: list[str] = []
-    seen_types: set[str] = set()
-    for sample in registry.samples():
-        base = sample.name
-        for suffix in ("_bucket", "_count", "_sum"):
-            if sample.kind == "histogram" and base.endswith(suffix):
-                base = base[: -len(suffix)]
-                break
-        if base not in seen_types:
-            seen_types.add(base)
-            lines.append(f"# TYPE {base} {sample.kind}")
-        value = sample.value
-        rendered = (
-            f"{value:.10g}" if isinstance(value, float) else str(value)
-        )
-        lines.append(
-            f"{sample.name}{_prom_labels(sample.labels)} {rendered}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

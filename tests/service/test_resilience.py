@@ -1,7 +1,6 @@
-"""The resilience stack: deadlines, idempotent retries, the circuit
-breaker, health/drain — plus the two wire-layer regression fixes
-(internal errors must answer in-band, oversized lines must not tear
-down the connection).
+"""The resilience stack: deadlines and idempotent retries — plus the
+wire-layer regression fixes (internal errors and unknown ops must
+answer in-band, oversized lines must not tear down the connection).
 
 Everything here runs against real in-process services and, where the
 contract is about the wire, over real TCP sockets.
@@ -18,22 +17,16 @@ import pytest
 
 from repro import telemetry
 from repro.errors import (
-    CircuitOpenError,
     DeadlineError,
     ServiceError,
 )
 from repro.service import (
-    CircuitBreaker,
     KeyExchangeService,
     ServiceClient,
     TenantConfig,
     start_server,
 )
 from repro.service.load import expected_handshakes
-from repro.service.server import (
-    DEFAULT_BREAKER_RESET_S,
-    DEFAULT_BREAKER_THRESHOLD,
-)
 from repro.service.wire import (
     MAX_LINE_BYTES,
     WIRE_BUFFER_LIMIT,
@@ -52,11 +45,9 @@ def run(coroutine_factory, timeout=30):
 def make_service(params, **kwargs):
     kwargs.setdefault("lanes", 2)
     kwargs.setdefault("max_queue", 8)
-    breaker_clock = kwargs.pop("breaker_clock", None)
     config = TenantConfig("t", engine="aot",
                           variant="reduced.ise", **kwargs)
-    return KeyExchangeService(params, [config],
-                              breaker_clock=breaker_clock)
+    return KeyExchangeService(params, [config])
 
 
 async def raw_connect(server):
@@ -426,147 +417,32 @@ class TestMisbehavingWire:
                                         timeout_s=0.4, delay_s=1.0))
 
 
-class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=3,
-                                 reset_timeout_s=10.0,
-                                 clock=lambda: clock[0])
-        breaker.configure("t")
-        for _ in range(3):
-            breaker.check("t")
-            breaker.record("t", False)
-        assert breaker.state("t") == "open"
-        with pytest.raises(CircuitOpenError) as err:
-            breaker.check("t")
-        assert err.value.code == "circuit_open"
-        assert breaker.rejected("t") == 1
+class TestRetiredOps:
+    """``ping`` is the only liveness probe: ``health`` and ``ready``
+    get the unknown-op answer on a connection that keeps serving."""
 
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.configure("t")
-        breaker.record("t", False)
-        breaker.record("t", True)
-        breaker.record("t", False)
-        assert breaker.state("t") == "closed"
-        assert breaker.consecutive_failures("t") == 1
-
-    def test_half_open_admits_exactly_one_probe(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 reset_timeout_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.configure("t")
-        breaker.check("t")
-        breaker.record("t", False)
-        assert breaker.state("t") == "open"
-        clock[0] = 5.0
-        breaker.check("t")  # the probe
-        assert breaker.state("t") == "half_open"
-        with pytest.raises(CircuitOpenError):
-            breaker.check("t")  # concurrent request during the probe
-        breaker.record("t", True)
-        assert breaker.state("t") == "closed"
-
-    def test_failed_probe_reopens(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 reset_timeout_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.configure("t")
-        breaker.check("t")
-        breaker.record("t", False)
-        clock[0] = 5.0
-        breaker.check("t")
-        breaker.record("t", False)
-        assert breaker.state("t") == "open"
-        clock[0] = 9.0
-        with pytest.raises(CircuitOpenError):
-            breaker.check("t")  # new cool-down started at t=5
-
-    def test_neutral_outcome_releases_probe_without_deciding(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 reset_timeout_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.configure("t")
-        breaker.check("t")
-        breaker.record("t", False)
-        clock[0] = 5.0
-        breaker.check("t")
-        breaker.record("t", None)  # e.g. an admission rejection
-        assert breaker.state("t") == "half_open"
-        breaker.check("t")  # the next request becomes the probe
-        breaker.record("t", True)
-        assert breaker.state("t") == "closed"
-
-    def test_validation(self):
-        with pytest.raises(ServiceError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ServiceError):
-            CircuitBreaker(reset_timeout_s=0)
-
-    def test_breaker_trips_end_to_end(self, toy_params):
-        async def scenario():
-            clock = [0.0]
-            service = make_service(
-                toy_params, breaker_clock=lambda: clock[0])
-            oracle = expected_handshakes(toy_params, 1, seed=0)
-            try:
-                # Deadline blowups are backend failures: trip.
-                for _ in range(DEFAULT_BREAKER_THRESHOLD):
-                    with pytest.raises(DeadlineError):
-                        await service.keygen("t", 1, deadline_s=1e-9)
-                assert service.breaker.state("t") == "open"
-                with pytest.raises(CircuitOpenError):
-                    await service.keygen("t", 1)
-                assert (service.stats()["tenants"]["t"]
-                        ["circuit_rejections"] == 1)
-                # Cool-down elapses; the successful probe closes it.
-                clock[0] = DEFAULT_BREAKER_RESET_S
-                pub = await service.keygen("t", 0)
-                assert pub == oracle[0][0]
-                assert service.breaker.state("t") == "closed"
-            finally:
-                await service.aclose()
-
-        run(scenario)
-
-
-class TestHealthAndDrain:
-    def test_health_and_ready_over_the_wire(self, toy_params):
+    def test_health_and_ready_are_unknown_ops(self, toy_params):
         async def scenario():
             service = make_service(toy_params)
             server = await start_server(service)
-            port = server.sockets[0].getsockname()[1]
-            client = ServiceClient()
             try:
-                await client.connect("127.0.0.1", port)
-                health = await client.health()
-                assert health["status"] == "ok"
-                assert health["ready"] is True
-                assert health["tenants"]["t"]["circuit"] == "closed"
-                assert await client.ready() is True
+                reader, writer = await raw_connect(server)
+                for ident, op in ((1, "health"), (3, "ready")):
+                    await send_frame(writer, {"id": ident, "op": op})
+                    response = await read_frame(reader)
+                    assert response["id"] == ident
+                    assert response["ok"] is False
+                    assert response["code"] == "service"
+                    assert "unknown op" in response["error"]
+                    await send_frame(writer, {"id": ident + 1,
+                                              "op": "ping"})
+                    pong = await read_frame(reader)
+                    assert pong["ok"] is True
+                    assert pong["result"] == "pong"
+                writer.close()
             finally:
-                await client.aclose()
                 server.close()
                 await server.wait_closed()
-                await service.aclose()
-
-        run(scenario)
-
-    def test_drain_rejects_new_work_and_goes_idle(self, toy_params):
-        async def scenario():
-            service = make_service(toy_params)
-            try:
-                await service.keygen("t", 0)
-                service.begin_drain()
-                assert service.ready() is False
-                assert service.health()["status"] == "draining"
-                with pytest.raises(ServiceError, match="draining"):
-                    await service.keygen("t", 1)
-                assert await service.wait_idle(grace_s=5.0) is True
-            finally:
                 await service.aclose()
 
         run(scenario)

@@ -24,6 +24,7 @@ class TestParser:
         ["load", "--connect", "127.0.0.1:9000"],
         ["trace", "--connect", "127.0.0.1:9000"],
         ["serve", "--no-telemetry"],
+        ["serve", "--grace-s", "1"],
     ])
     def test_live_server_flags_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -227,6 +228,19 @@ class TestTelemetryFlags:
         assert run["simulated_cycles"] \
             == document["workload"]["simulated_cycles"]
 
+    def test_profile_negative_top_refused(self, monkeypatch, capsys):
+        import repro.telemetry.profile as profile
+
+        def never(*args, **kwargs):
+            raise AssertionError("group action ran before the check")
+
+        monkeypatch.setattr(profile, "profile_group_action", never)
+        assert main(["profile", "--params", "toy", "--top", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [parameter]: ")
+        assert "--top" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_profile_csidh512_refused(self, capsys):
         # --cross-check runs the interpreter, which keeps the size cap
         assert main(["profile", "--params", "csidh-512",
@@ -303,16 +317,7 @@ class TestTelemetryFlags:
 
 
 class TestResilienceFlags:
-    """The resilience knobs on ``repro serve`` / ``repro load``."""
-
-    def test_serve_grace_flag_parses(self):
-        args = build_parser().parse_args(
-            ["serve", "--grace-s", "2.5"])
-        assert args.grace_s == 2.5
-
-    def test_serve_negative_grace_rejected(self, capsys):
-        assert main(["serve", "--grace-s", "-1"]) == 2
-        assert "--grace-s" in capsys.readouterr().err
+    """The resilience knobs on ``repro load``."""
 
     def test_load_timeout_flag_parses(self):
         args = build_parser().parse_args(

@@ -9,6 +9,7 @@ from repro.rv64.assembler import assemble
 from repro.rv64.isa import BASE_ISA, FMT_R, KIND_MUL, InstrSpec
 from repro.rv64.machine import HALT_ADDRESS, Machine
 from repro.rv64.pipeline import PipelineConfig, PipelineModel
+from repro.rv64.tracing import profile_machine_run
 from tests.helpers import result_of, run_asm
 
 
@@ -52,15 +53,15 @@ class TestStatistics:
         assert result_of(machine).instructions_retired == 4  # + ret
 
     def test_histogram(self):
+        # dynamic mnemonic counts come from the Profiler's trace hook
         machine = Machine(BASE_ISA)
-        machine.collect_histogram = True
         entry = machine.load_program(
             assemble("add a0, a0, a1\nadd a0, a0, a1\nmul a2, a0, a1\nret",
                      BASE_ISA))
-        result = machine.run(entry)
-        assert result.histogram["add"] == 2
-        assert result.histogram["mul"] == 1
-        assert result.histogram["jalr"] == 1
+        mnemonics = profile_machine_run(machine, entry).mnemonics
+        assert mnemonics["add"] == 2
+        assert mnemonics["mul"] == 1
+        assert mnemonics["jalr"] == 1
 
     def test_no_cycles_without_pipeline(self):
         machine = run_asm("nop", pipeline=None)

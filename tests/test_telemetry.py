@@ -28,7 +28,6 @@ from repro.telemetry.export import (
     span_from_dict,
     span_to_dict,
     to_json_document,
-    to_prometheus,
     write_bench,
     write_json,
     write_jsonl,
@@ -121,23 +120,6 @@ class TestMetrics:
         reg.counter("c").inc()
         reg.reset()
         assert list(reg.samples()) == []
-
-    def test_prometheus_rendering(self):
-        reg = MetricsRegistry()
-        reg.counter("runs_total").inc(2, kernel="fp_mul")
-        reg.gauge("size").set(3)
-        text = to_prometheus(reg)
-        assert "# TYPE runs_total counter" in text
-        assert 'runs_total{kernel="fp_mul"} 2' in text
-        assert "# TYPE size gauge" in text
-        assert text.endswith("\n")
-
-    def test_prometheus_histogram_one_type_line(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", buckets=(10,)).observe(3)
-        text = to_prometheus(reg)
-        assert text.count("# TYPE h histogram") == 1
-        assert 'h_bucket{le="+Inf"} 1' in text
 
 
 # ---------------------------------------------------------------------------
@@ -636,30 +618,8 @@ class TestRunnerPoolTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# Prometheus label escaping + wall-clock span anchors (PR 7 satellites)
+# Wall-clock span anchors
 # ---------------------------------------------------------------------------
-
-
-class TestPrometheusEscaping:
-    def test_hostile_label_values_escaped(self):
-        reg = MetricsRegistry()
-        hostile = 'back\\slash "quoted"\nnewline'
-        reg.counter("hostile_total").inc(3, kernel=hostile)
-        text = to_prometheus(reg)
-        line = next(l for l in text.splitlines()
-                    if l.startswith("hostile_total"))
-        # The exposition stays one physical line: the raw newline must
-        # have been escaped, not emitted.
-        assert "\n" not in line
-        assert ('kernel="back\\\\slash \\"quoted\\"\\nnewline"'
-                in line)
-        assert line.endswith(" 3")
-
-    def test_benign_labels_unchanged(self):
-        reg = MetricsRegistry()
-        reg.counter("runs_total").inc(kernel="fp_mul.reduced.ise")
-        assert ('runs_total{kernel="fp_mul.reduced.ise"} 1'
-                in to_prometheus(reg))
 
 
 class TestStartEpochAnchor:
